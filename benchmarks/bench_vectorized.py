@@ -1,4 +1,4 @@
-"""Wall-clock benchmark: batch-vectorized vs tuple-at-a-time execution.
+"""Wall-clock benchmark: page-driven vs tuple-at-a-time execution.
 
 The virtual clock is identical on both paths by construction (see
 tests/exec/test_batch_equivalence.py); what batching buys is *real*
@@ -11,18 +11,10 @@ available at t=0 and batches are maximal).
 Usage:
     PYTHONPATH=src python benchmarks/bench_vectorized.py
     PYTHONPATH=src python benchmarks/bench_vectorized.py --smoke
-    PYTHONPATH=src python benchmarks/bench_vectorized.py --pages
 
 ``--smoke`` runs a reduced configuration and exits non-zero if the
 batch path is slower than tuple-at-a-time on any measured cell, so CI
 catches a regression that de-vectorizes the hot path.
-
-``--pages`` switches the measurement to the page-native axis: the
-row-list batch path (``page_execution=False``) versus the
-column-at-a-time page kernels, batching on for both.  The page path
-must beat the row-batch path on every cell; the JSON payload is a
-separate benchmark (``pages``) so the regression gate pins the page
-speedup independently of the tuple-vs-batch win.
 """
 
 from __future__ import annotations
@@ -58,7 +50,7 @@ def _immediate(node):
 
 
 def run_once(qid: str, strategy: str, scale: float, batch: bool,
-             traced: bool = False, paged: bool = True):
+             traced: bool = False):
     """One timed execution; returns (wall_seconds, result)."""
     query = get_query(qid)
     catalog = cached_tpch(scale_factor=scale, skew=query.skew)
@@ -67,7 +59,6 @@ def run_once(qid: str, strategy: str, scale: float, batch: bool,
         catalog,
         strategy=make_strategy(strategy),
         batch_execution=batch,
-        page_execution=paged,
     )
     if traced:
         ctx.tracer = Tracer()
@@ -91,29 +82,6 @@ def bench_cell(qid: str, strategy: str, scale: float, repeat: int):
         batch_result.metrics.clock == tuple_result.metrics.clock
     ), "path divergence (virtual clock)"
     return min(tuple_times), min(batch_times)
-
-
-def pages_cell(qid: str, strategy: str, scale: float, repeat: int):
-    """Best-of-``repeat`` wall times for the row-list batch path versus
-    the page-native path (batching on for both), plus a sanity check
-    that the paths stayed bit-identical."""
-    row_times, page_times = [], []
-    row_result = page_result = None
-    for _ in range(repeat):
-        wall, row_result = run_once(
-            qid, strategy, scale, batch=True, paged=False
-        )
-        row_times.append(wall)
-        wall, page_result = run_once(
-            qid, strategy, scale, batch=True, paged=True
-        )
-        page_times.append(wall)
-    assert page_result.rows == row_result.rows, "path divergence (rows)"
-    assert (
-        page_result.metrics.clock == row_result.metrics.clock
-    ), "path divergence (virtual clock)"
-    assert page_result.metrics.pages_pushed > 0, "page path did not page"
-    return min(row_times), min(page_times)
 
 
 def trace_overhead_cell(qid: str, strategy: str, scale: float, repeat: int):
@@ -147,11 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="reduced run; non-zero exit if the batch "
                              "path is slower than tuple-at-a-time")
-    parser.add_argument("--pages", action="store_true",
-                        help="measure the page-native kernels against "
-                             "the row-list batch path instead of batch "
-                             "vs tuple; non-zero exit if any cell fails "
-                             "to beat the row-batch path")
     parser.add_argument("--trace", action="store_true",
                         help="also measure tracing-enabled overhead on "
                              "the batch path; non-zero exit if any cell "
@@ -171,50 +134,6 @@ def main(argv=None) -> int:
 
     scale = min(args.scale, 0.005) if args.smoke else args.scale
     repeat = 3 if args.smoke else args.repeat
-
-    if args.pages:
-        #: The page path exists to beat the row-batch path; an honest
-        #: 1.0x on a stalled shared runner should not fail the build,
-        #: but anything clearly below par is a de-columnization.
-        pages_floor = 0.9
-        print("page-native vs row-list batches "
-              "(immediate arrivals, scale=%g, strategy=%s, best of %d)"
-              % (scale, args.strategy, repeat))
-        print("%-10s %-10s %12s %12s %9s" % (
-            "query", "family", "rowbatch (s)", "pages (s)", "speedup",
-        ))
-        worst = float("inf")
-        speedups = {}
-        for qid, family in DEFAULT_QUERIES:
-            row_wall, page_wall = pages_cell(
-                qid, args.strategy, scale, repeat
-            )
-            speedup = (
-                row_wall / page_wall if page_wall > 0 else float("inf")
-            )
-            speedups[qid] = speedup
-            worst = min(worst, speedup)
-            print("%-10s %-10s %12.4f %12.4f %8.2fx" % (
-                qid, family, row_wall, page_wall, speedup,
-            ))
-        if args.json:
-            write_bench_json(
-                args.json, "pages",
-                config={"scale": scale, "strategy": args.strategy,
-                        "smoke": bool(args.smoke)},
-                metrics={
-                    "speedup/%s" % qid: value
-                    for qid, value in speedups.items()
-                },
-                tolerance=0.25,
-            )
-        if worst < pages_floor:
-            print("FAIL: page path slower than row-list batches "
-                  "(worst speedup %.2fx, floor %.2fx)"
-                  % (worst, pages_floor))
-            return 1
-        print("worst speedup %.2fx" % worst)
-        return 0
 
     print("batch-vectorized vs tuple-at-a-time "
           "(immediate arrivals, scale=%g, strategy=%s, best of %d)"

@@ -22,7 +22,6 @@ when a baselined metric disappears from a benchmark's current output
 Regenerating the baseline after an intentional perf change::
 
     PYTHONPATH=src python benchmarks/bench_vectorized.py --smoke --json /tmp/v.json
-    PYTHONPATH=src python benchmarks/bench_vectorized.py --smoke --pages --json /tmp/pg.json
     PYTHONPATH=src python benchmarks/bench_summary_layer.py --smoke --json /tmp/s.json
     PYTHONPATH=src python benchmarks/bench_partitioned.py --smoke --json /tmp/p.json
     PYTHONPATH=src python benchmarks/bench_spill.py --smoke --json /tmp/sp.json
@@ -30,7 +29,7 @@ Regenerating the baseline after an intentional perf change::
     PYTHONPATH=src python benchmarks/bench_parallel.py --smoke --json /tmp/par.json
     PYTHONPATH=src python benchmarks/bench_frontdoor.py --smoke --json /tmp/fd.json
     python benchmarks/check_regression.py benchmarks/baseline.json \
-        /tmp/v.json /tmp/pg.json /tmp/s.json /tmp/p.json /tmp/sp.json \
+        /tmp/v.json /tmp/s.json /tmp/p.json /tmp/sp.json \
         /tmp/st.json /tmp/par.json /tmp/fd.json --update
 
 (the same invocation CI uses, plus ``--update``; commit the rewritten

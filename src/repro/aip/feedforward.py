@@ -280,25 +280,13 @@ class FeedForwardStrategy(ExecutionStrategy):
                 self._budget_check_countdown = 256
                 self._enforce_budget()
 
-    def after_tuples(self, op: Operator, port: int, rows) -> None:
-        """Bulk working-set maintenance for the batch path: identical
-        set contents and tick-exact charge totals, one call per batch.
+    def after_tuples_page(self, op: Operator, port: int, page) -> None:
+        """Bulk working-set maintenance for the page path: identical
+        set contents and tick-exact charge totals, one call per page.
+        Working sets only need key columns, which the
+        :class:`~repro.exec.pages.ColumnBatch` hands over zero-copy.
         (Budgeted runs never reach here — ``batch_safe`` keeps them on
         the per-tuple path so shed decisions keep their row cadence.)"""
-        sets = self._working.get((op.op_id, port))
-        if not sets:
-            return
-        self.ctx.charge_events(
-            len(rows) * len(sets), self.ctx.cost_model.aip_insert
-        )
-        for ws in sets:
-            idx = ws.key_index
-            ws.aip_set.add_many([row[idx] for row in rows])
-
-    def after_tuples_page(self, op: Operator, port: int, page) -> None:
-        """Page form: working sets only need key columns, which the
-        :class:`~repro.exec.pages.ColumnBatch` hands over zero-copy —
-        no row re-materialisation, same set contents and charges."""
         sets = self._working.get((op.op_id, port))
         if not sets:
             return

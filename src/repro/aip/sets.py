@@ -12,7 +12,7 @@ intersection, as Section IV-A prescribes.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional
+from typing import Hashable, Iterable, Optional
 
 from repro.summaries.base import Summary
 from repro.summaries.bloom import (
@@ -104,10 +104,6 @@ class AIPSet:
 
     def add_many(self, values: Iterable[Hashable]) -> None:
         self.summary.add_many(values)
-
-    def probe_many(self, values: Iterable[Hashable]) -> List[bool]:
-        """Batch membership, one verdict per value in order."""
-        return self.summary.might_contain_many(values)
 
     def __contains__(self, value: Hashable) -> bool:
         return value in self.summary

@@ -13,7 +13,6 @@ Usage (``python -m repro ...``)::
     python -m repro workload "Q2A*3" --trace-out t.json --metrics-out m.json
     python -m repro serve --port 7734 --quota tenant-a=2:64m
     python -m repro serve --slow-query-ms 50 --event-log events.jsonl
-    python -m repro serve --stdin --scale 0.01
     python -m repro stats --port 7734
     python -m repro stats --port 7734 --prom
     python -m repro top --port 7734 --interval 2
@@ -322,21 +321,12 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """The front door: a socket server by default, or the legacy
-    line-per-query stdin REPL behind ``--stdin``."""
+    """The front door: the socket server."""
     try:
         service = _make_service(args)
     except ValueError as exc:  # out-of-range service options
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if args.stdin:
-        print("repro query service — SQL or workload id per line; "
-              "'quit' to exit")
-        try:
-            return _serve_loop(service, args)
-        finally:
-            # Ctrl-C / stdin errors included: never strand the spill dir.
-            service.close()
     from repro.net.protocol import PROTOCOL_VERSION
     from repro.net.server import ReproServer
 
@@ -355,43 +345,6 @@ def _cmd_serve(args) -> int:
             pass
     print("-- server stopped after %d queries; %.4f virtual s served"
           % (server._served_queries, service.clock))
-    return 0
-
-
-def _serve_loop(service, args) -> int:
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.lower() in ("quit", "exit"):
-            break
-        if line in QUERIES and get_query(line).skew:
-            print("warning: %s expects Zipf-%g data; serving from the "
-                  "unskewed catalog" % (line, get_query(line).skew),
-                  file=sys.stderr)
-        try:
-            # submit() dates arrivals from the service's current clock.
-            seq = service.submit(line)
-            report = service.run()
-        except Exception as exc:  # surface, keep serving
-            print("error: %s" % exc, file=sys.stderr)
-            continue
-        for outcome in report.outcomes:
-            if outcome.seq != seq:
-                continue
-            if outcome.result is None:
-                print("-- query %s (estimated state %.3f MB over budget "
-                      "policy)" % (outcome.status,
-                                   outcome.state_estimate / 1e6))
-                continue
-            for row in outcome.result.sorted_rows()[: args.limit]:
-                print("  ".join(str(v) for v in row))
-            print("-- %d rows; %s; %.4f vs latency; %.4f vs queue wait"
-                  % (outcome.rows, outcome.status, outcome.latency,
-                     outcome.queue_wait))
-    if service.batches_run or service.clock:
-        print("-- served %.4f virtual s; peak state %.3f MB"
-              % (service.clock, service.peak_state_bytes / 1e6))
     return 0
 
 
@@ -703,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="serve the query service over a socket (or --stdin REPL)",
+        help="serve the query service over a socket",
     )
     add_service_options(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1",
@@ -711,11 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=7734,
                          help="listen port; 0 picks an ephemeral port "
                               "(default 7734)")
-    p_serve.add_argument("--stdin", action="store_true",
-                         help="legacy line-per-query REPL on stdin "
-                              "instead of the socket server")
-    p_serve.add_argument("--limit", type=int, default=20,
-                         help="max rows to print per query (--stdin only)")
     p_serve.add_argument("--prom-out", default=None, metavar="PATH",
                          help="write a Prometheus text-format metrics "
                               "snapshot to PATH periodically (and once "

@@ -51,31 +51,17 @@ class ExecutionStrategy:
         """Called after a stateful operator accepted and processed a
         tuple (i.e. the tuple passed all injected filters)."""
 
-    def after_tuples(self, op: "Operator", input_idx: int, rows) -> None:
-        """Batch form of :meth:`after_tuple`, invoked once per accepted
-        batch on the vectorized path.  The default delegates to
-        :meth:`after_tuple` row by row so strategies only overriding the
-        per-tuple hook keep working; strategies with per-tuple charges
-        should override this with a bulk implementation."""
+    def after_tuples_page(self, op: "Operator", input_idx: int, page) -> None:
+        """Page form of :meth:`after_tuple`, invoked once per accepted
+        :class:`~repro.exec.pages.ColumnBatch` on the page path.  The
+        default delegates to :meth:`after_tuple` row by row so
+        strategies only overriding the per-tuple hook keep working;
+        strategies that only need key columns (Feed-Forward's working
+        sets) override this with a bulk, zero-copy column read."""
         if type(self).after_tuple is ExecutionStrategy.after_tuple:
             return  # per-tuple hook not overridden: nothing to do
-        for row in rows:
+        for row in page.rows():
             self.after_tuple(op, input_idx, row)
-
-    def after_tuples_page(self, op: "Operator", input_idx: int, page) -> None:
-        """Page form of :meth:`after_tuples`, invoked once per accepted
-        :class:`~repro.exec.pages.ColumnBatch` on the page-native path.
-        The default re-materialises the page's rows and delegates, so
-        row-oriented strategies keep working; strategies that only need
-        key columns (Feed-Forward's working sets) override this with a
-        zero-copy column read."""
-        cls = type(self)
-        if (
-            cls.after_tuple is ExecutionStrategy.after_tuple
-            and cls.after_tuples is ExecutionStrategy.after_tuples
-        ):
-            return  # neither row hook overridden: nothing to do
-        self.after_tuples(op, input_idx, page.rows())
 
     def on_input_finished(self, op: "Operator", input_idx: int) -> None:
         """Called when one input of a stateful operator has completed;
@@ -100,7 +86,6 @@ class ExecutionContext:
         short_circuit: bool = True,
         trace: bool = False,
         batch_execution: bool = True,
-        page_execution: bool = True,
         governor=None,
         pool=None,
     ):
@@ -114,18 +99,15 @@ class ExecutionContext:
         #: spill hash partitions under budget pressure; when absent the
         #: engine is bit-identical to the pre-storage-layer code.
         self.governor = governor
-        #: Drive sources in arrival-boundary batches (the vectorized
-        #: dataflow path) where the plan supports it.  Observably
-        #: identical to tuple-at-a-time execution — same rows, clock,
-        #: peak state and counters — so it is on by default; the
-        #: equivalence suite runs both paths and compares.
+        #: Drive sources in arrival-boundary runs carried as
+        #: :class:`~repro.exec.pages.ColumnBatch` pages through the
+        #: operators' column kernels, where the plan supports it
+        #: (``plan_batchable``).  Observably identical to the
+        #: tuple-at-a-time reference path — same rows, clock, peak state
+        #: and counters — so it is on by default; False forces the
+        #: tuple path, which is how the equivalence suite compares the
+        #: two.
         self.batch_execution = batch_execution
-        #: Carry batched arrival runs as :class:`ColumnBatch` pages
-        #: (column-at-a-time kernels) instead of row lists.  Gated on
-        #: top of ``batch_execution`` — a plan ineligible for batching
-        #: never pages — and observably identical to both other paths;
-        #: the equivalence suite pins all three against each other.
-        self.page_execution = page_execution
         #: Pipelined-hash-join optimisation from Section VI-A: when one
         #: join input completes, the other side stops buffering.  The
         #: Q2C magic-sets anomaly depends on this; ablation benches turn

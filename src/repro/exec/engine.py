@@ -17,7 +17,7 @@ arrival dominated (running-time gaps shrink, state savings persist).
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.data.schema import Schema
@@ -58,10 +58,11 @@ EngineResult = QueryResult
 
 
 def plan_batchable(ctx: ExecutionContext, strategy, physical) -> bool:
-    """Whether one translated plan may be driven in batches: the
-    context opts in, the plan's strategy has no per-row-cadence
-    decisions, and the plan's shape supports it.  Shared by the
-    single-query and concurrent loops so eligibility cannot fork."""
+    """Whether one translated plan may be driven in pages rather than
+    tuple-at-a-time: the context opts in, the plan's strategy has no
+    per-row-cadence decisions, and the plan's shape supports it.
+    Shared by the single-query and concurrent callers so eligibility
+    cannot fork."""
     return (
         ctx.batch_execution
         and (strategy is None or strategy.batch_safe)
@@ -69,27 +70,63 @@ def plan_batchable(ctx: ExecutionContext, strategy, physical) -> bool:
     )
 
 
-def drive_scan(
-    scan: PScan, seq: int, heap, metrics, batching: bool,
-    paged: bool = False,
-):
-    """Deliver a popped scan's pending work and return its next arrival
-    time (None when exhausted).
+def drive_sources(
+    ctx: ExecutionContext, sources: Sequence[Tuple[PScan, bool]]
+) -> None:
+    """The engine loop: drain ``sources`` — ``(scan, may_batch)`` pairs,
+    possibly of several concurrent plans — in arrival order on
+    ``ctx``'s clock, bracketed by the strategy's query start/end hooks.
 
-    Shared by the single-query and concurrent engine loops — the
-    boundary tie-break (``b_seq < seq`` means the other source wins an
-    equal arrival time, exactly as the heap would order the entries) is
-    the subtlest invariant of batch-mode equivalence and must not fork.
+    A source's position in ``sources`` is its heap tie-break: of two
+    equal arrival times the earlier-listed source goes first.  A paged
+    drive takes every row that has already arrived and precedes the
+    earliest event on any *other* source — across all concurrent plans,
+    so a page never reorders one query's rows past another's earlier
+    arrivals — and ``b_seq < seq`` tells the scan the other source wins
+    an equal arrival time, exactly as the heap would order the entries.
+    That tie-break is the subtlest invariant of tuple/page equivalence,
+    which is why this loop exists once.
     """
-    if batching:
-        if heap:
+    ctx.strategy.on_query_start()
+
+    heap: List[Tuple[float, int, PScan]] = []
+    for seq, (scan, _) in enumerate(sources):
+        when = scan.prime()
+        if when is None:
+            scan.finish()
+        else:
+            heapq.heappush(heap, (when, seq, scan))
+
+    metrics = ctx.metrics
+    tracer = ctx.tracer
+    while heap:
+        when, seq, scan = heapq.heappop(heap)
+        metrics.wait_until(when)
+        drive_start = metrics.clock_ticks
+        if not sources[seq][1]:
+            scan.emit_pending()
+            nxt = scan.advance()
+        elif heap:
             b_when, b_seq, _ = heap[0]
-            return scan.emit_pending_batch(
-                metrics.clock_ticks, b_when, b_seq < seq, paged
+            nxt = scan.emit_pending_batch(drive_start, b_when, b_seq < seq)
+        else:
+            nxt = scan.emit_pending_batch(drive_start)
+        if tracer is not None:
+            tracer.complete(
+                "drive:%s" % scan.name, "engine", drive_start,
+                metrics.clock_ticks - drive_start,
             )
-        return scan.emit_pending_batch(metrics.clock_ticks, paged=paged)
-    scan.emit_pending()
-    return scan.advance()
+        if nxt is None:
+            scan.finish()
+        else:
+            heapq.heappush(heap, (nxt, seq, scan))
+
+    ctx.strategy.on_query_end()
+    metrics.network_bytes += sum(
+        scan.arrival.bytes_transferred
+        for scan, _ in sources
+        if scan.arrival.bandwidth is not None
+    )
 
 
 class Engine:
@@ -100,50 +137,19 @@ class Engine:
 
     def run(self, plan: PhysicalPlan) -> QueryResult:
         sink = plan.sink
-        scans = plan.scans
-        if not scans:
+        if not plan.scans:
             raise ExecutionError("plan has no sources")
 
-        self.ctx.strategy.on_query_start()
-
-        heap: List[Tuple[float, int, PScan]] = []
-        for seq, scan in enumerate(scans):
-            when = scan.prime()
-            if when is None:
-                scan.finish()
-            else:
-                heapq.heappush(heap, (when, seq, scan))
-
         metrics = self.ctx.metrics
+        query_start = metrics.clock_ticks
+        paged = plan_batchable(self.ctx, self.ctx.strategy, plan)
+        drive_sources(self.ctx, [(scan, paged) for scan in plan.scans])
         tracer = self.ctx.tracer
-        query_start = metrics.clock_ticks if tracer is not None else 0
-        batching = plan_batchable(self.ctx, self.ctx.strategy, plan)
-        # Page-native execution layers on the batch gate: a plan
-        # ineligible for batching never pages.
-        paged = batching and self.ctx.page_execution
-        while heap:
-            when, seq, scan = heapq.heappop(heap)
-            metrics.wait_until(when)
-            if tracer is None:
-                nxt = drive_scan(scan, seq, heap, metrics, batching, paged)
-            else:
-                drive_start = metrics.clock_ticks
-                nxt = drive_scan(scan, seq, heap, metrics, batching, paged)
-                tracer.complete(
-                    "drive:%s" % scan.name, "engine", drive_start,
-                    metrics.clock_ticks - drive_start,
-                )
-            if nxt is None:
-                scan.finish()
-            else:
-                heapq.heappush(heap, (nxt, seq, scan))
-
-        self.ctx.strategy.on_query_end()
         if tracer is not None:
             tracer.complete(
                 "query", "engine", query_start,
                 metrics.clock_ticks - query_start,
-                {"rows": len(sink.rows), "batched": batching, "paged": paged},
+                {"rows": len(sink.rows), "paged": paged},
             )
 
         if not sink.finished:
@@ -151,11 +157,6 @@ class Engine:
                 "all sources drained but the sink never finished; "
                 "an operator failed to propagate end-of-stream"
             )
-        metrics.network_bytes += sum(
-            scan.arrival.bytes_transferred
-            for scan in scans
-            if scan.arrival.bandwidth is not None
-        )
         return QueryResult(sink.rows, sink.out_schema, metrics)
 
 

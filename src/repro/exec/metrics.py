@@ -46,7 +46,17 @@ class OperatorCounters:
 
 
 class Metrics:
-    """Mutable metric store owned by one query execution."""
+    """Mutable metric store owned by one query execution.
+
+    ``pages_pushed``/``rows_selected`` count page-kernel invocations at
+    every operator a page reaches: scans and what they feed, and
+    equally the operators downstream of a join or distinct, whose
+    output travels as a (row-born) page like any other.  Before the
+    row-batch path was removed that output arrived as a row list and
+    went uncounted, so totals compared across that change differ by
+    the number of non-empty join/distinct emissions — a change of
+    definition, not of work done.
+    """
 
     def __init__(self):
         self._clock_ticks: int = 0
@@ -75,9 +85,9 @@ class Metrics:
         self.spill_events: int = 0
         #: Page-kernel activity: column batches processed by operator
         #: page kernels, and the rows those kernels selected (survived
-        #: filters/predicates) out of them.  Zero on the tuple and
-        #: row-batch paths — deliberately *not* part of the equivalence
-        #: contract, which compares clocks, state and tuple counters.
+        #: filters/predicates) out of them.  Zero on the tuple path —
+        #: deliberately *not* part of the equivalence contract, which
+        #: compares clocks, state and tuple counters.
         self.pages_pushed: int = 0
         self.rows_selected: int = 0
 

@@ -49,28 +49,11 @@ class InjectedFilter:
         self.pruned += 1
         return False
 
-    def passes_many(self, rows: List[Row]) -> List[Row]:
-        """Probe a whole batch in one summary call, returning the
-        surviving rows in order.  ``probed``/``pruned`` advance exactly
-        as ``passes`` called per row would advance them."""
-        if not rows:
-            return rows
-        self.probed += len(rows)
-        idx = self.key_index
-        verdicts = self.summary.might_contain_many(
-            [row[idx] for row in rows]
-        )
-        if all(verdicts):
-            return rows
-        survivors = [row for row, ok in zip(rows, verdicts) if ok]
-        self.pruned += len(rows) - len(survivors)
-        return survivors
-
     def passes_page(self, page):
         """Probe a column batch: the key column feeds the summary's
         batch probe directly (no per-row gather), and survivors come
-        back as a selection of the page.  Counter advancement matches
-        :meth:`passes_many` over the same rows exactly."""
+        back as a selection of the page.  ``probed``/``pruned`` advance
+        exactly as :meth:`passes` called per row would advance them."""
         if not page.n_rows:
             return page
         self.probed += page.n_rows
@@ -242,41 +225,12 @@ class Operator:
                 return False
         return True
 
-    def passes_filters_batch(self, rows: List[Row], port: int) -> List[Row]:
-        """Vet a whole batch against the injected filters in one call,
-        returning the surviving rows in order.  Charging matches the
-        per-row form exactly: each filter bills one probe per row still
-        alive when it is reached (pruned rows never probe later
-        filters)."""
-        filters = self._filters[port]
-        if not filters:
-            return rows
-        cost = self.ctx.cost_model.semijoin_probe
-        alive = rows
-        for f in filters:
-            self.ctx.charge_events_op(self.op_id, len(alive), cost)
-            alive = f.passes_many(alive)
-            if not alive:
-                break
-        pruned = len(rows) - len(alive)
-        if pruned:
-            self.ctx.metrics.counters(self.op_id).tuples_pruned += pruned
-        tracer = self.ctx.tracer
-        if tracer is not None:
-            tracer.instant(
-                "aip.probe:%s" % self.name, "aip",
-                self.ctx.metrics.clock_ticks,
-                {"port": port, "rows": len(rows), "pruned": pruned},
-            )
-        return alive
-
     def passes_filters_page(self, page, port: int):
         """Vet a column batch against the injected filters, returning
         the surviving page (possibly ``page`` itself, zero-copy, when
-        nothing was pruned).  Charging, counters and the probe trace
-        event match :meth:`passes_filters_batch` over the same rows
-        exactly: each filter bills one probe per row still alive when
-        it is reached."""
+        nothing was pruned).  Charging matches :meth:`passes_filters`
+        per row exactly: each filter bills one probe per row still alive
+        when it is reached (pruned rows never probe later filters)."""
         filters = self._filters[port]
         if not filters:
             return page
@@ -305,26 +259,17 @@ class Operator:
     def push(self, row: Row, port: int = 0) -> None:
         raise NotImplementedError
 
-    def push_batch(self, rows: List[Row], port: int = 0) -> None:
-        """Process a batch of rows arriving on ``port`` in order.
-
-        The default delegates to :meth:`push` row by row, so custom
-        operators participate in batch-driven plans unchanged; the
-        built-in operators override it with vectorized bodies that
-        charge costs in bulk."""
-        for row in rows:
-            self.push(row, port)
-
     def push_page(self, page, port: int = 0) -> None:
         """Process a :class:`~repro.exec.pages.ColumnBatch` arriving on
         ``port``.
 
-        The default re-materialises the page's rows and delegates to
-        :meth:`push_batch` — the row-path fallback that keeps custom
+        The default delegates to :meth:`push` row by row, so custom
         operators (and any built-in whose state demands row order, like
-        a governed spilling operator) bit-identical inside page-driven
-        plans.  Built-in operators override it with column kernels."""
-        self.push_batch(page.rows(), port)
+        the pipelined semijoin) participate in page-driven plans
+        unchanged; the built-in operators override it with column
+        kernels that charge costs in bulk."""
+        for row in page.rows():
+            self.push(row, port)
 
     def finish(self, port: int = 0) -> None:
         raise NotImplementedError
@@ -334,39 +279,13 @@ class Operator:
         for parent, port in self.parents:
             parent.push(row, port)
 
-    def emit_batch(self, rows: List[Row]) -> None:
-        """Forward a batch of output rows, preserving order.
-
-        With several parents (DAG plans) the batch is unrolled row by
-        row so each parent observes the exact interleaving the tuple
-        path would produce; the engine only batches tree-shaped plans,
-        so this branch is a safety net for direct callers."""
-        if not rows:
-            return
-        self.ctx.metrics.counters(self.op_id).tuples_out += len(rows)
-        tracer = self.ctx.tracer
-        if tracer is not None:
-            tracer.instant(
-                "emit:%s" % self.name, "op", self.ctx.metrics.clock_ticks,
-                {"rows": len(rows)},
-            )
-        parents = self.parents
-        if len(parents) == 1:
-            parent, port = parents[0]
-            parent.push_batch(rows, port)
-        else:
-            for row in rows:
-                for parent, port in parents:
-                    parent.push(row, port)
-
     def emit_page(self, page) -> None:
         """Forward a column batch of output rows, preserving order.
 
-        Mirrors :meth:`emit_batch` — same ``tuples_out`` advancement and
-        the same ``emit:`` trace instant — so the page path's observable
-        surface stays bit-identical to the row-batch path's.  The
-        multi-parent branch is unreachable from the engine (only
-        tree-shaped plans batch) but unrolls per row as a safety net."""
+        With several parents (DAG plans) the page is unrolled row by
+        row so each parent observes the exact interleaving the tuple
+        path would produce; the engine only pages tree-shaped plans,
+        so this branch is a safety net for direct callers."""
         if not page.n_rows:
             return
         self.ctx.metrics.counters(self.op_id).tuples_out += page.n_rows

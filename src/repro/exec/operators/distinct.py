@@ -23,6 +23,7 @@ from typing import Dict, Set
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Operator, Row
+from repro.exec.pages import ColumnBatch
 
 
 class PDistinct(Operator):
@@ -73,42 +74,15 @@ class PDistinct(Operator):
         self.ctx.strategy.after_tuple(self, 0, row)
         self.emit(row)
 
-    def push_batch(self, rows, port: int = 0) -> None:
-        """Deduplicate a whole batch: first occurrences are forwarded in
-        order, with bulk cost charging matching :meth:`push`."""
-        if self._lease is not None:
-            for row in rows:
-                self.push(row, port)
-            return
-        cm = self.ctx.cost_model
-        metrics = self.ctx.metrics
-        metrics.counters(self.op_id).tuples_in += len(rows)
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.tuple_base)
-        rows = self.passes_filters_batch(rows, 0)
-        if not rows:
-            return
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.hash_probe)
-        seen = self._seen
-        add = seen.add
-        fresh = []
-        append = fresh.append
-        for row in rows:
-            if row not in seen:
-                add(row)
-                append(row)
-        if fresh:
-            self.ctx.charge_events_op(self.op_id, len(fresh), cm.hash_insert)
-            metrics.adjust_state(self.op_id, len(fresh) * self._row_bytes)
-            self.ctx.strategy.after_tuples(self, 0, fresh)
-            self.emit_batch(fresh)
-
     def push_page(self, page, port: int = 0) -> None:
-        """Page kernel: the seen-set stores whole rows, so the page is
-        re-materialised once after AIP probing; the strategy hook sees
-        only the fresh rows (never the full page), matching the batch
-        path."""
+        """Page kernel: first occurrences are forwarded in order, with
+        bulk cost charging matching :meth:`push`.  The seen-set stores
+        whole rows, so the page is re-materialised once after AIP
+        probing; the strategy hook sees only the fresh rows (never the
+        full page), as on the tuple path."""
         if self._lease is not None:
-            self.push_batch(page.rows(), port)
+            for row in page.rows():
+                self.push(row, port)
             return
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics
@@ -131,8 +105,13 @@ class PDistinct(Operator):
         if fresh:
             self.ctx.charge_events_op(self.op_id, len(fresh), cm.hash_insert)
             metrics.adjust_state(self.op_id, len(fresh) * self._row_bytes)
-            self.ctx.strategy.after_tuples(self, 0, fresh)
-            self.emit_batch(fresh)
+            # All fresh: forward the page itself, columns and all.
+            out = (
+                page if len(fresh) == page.n_rows
+                else ColumnBatch.from_rows(fresh, len(self.out_schema))
+            )
+            self.ctx.strategy.after_tuples_page(self, 0, out)
+            self.emit_page(out)
 
     def finish(self, port: int = 0) -> None:
         self._mark_input_done(port)

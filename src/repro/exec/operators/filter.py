@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Operator, Row
@@ -28,19 +26,13 @@ class PFilter(Operator):
         self.predicate = predicate
         self._rebuild_compiled()
 
-    _compiled_attrs = ("_predicate", "_predicate_batch", "_select_columns")
+    _compiled_attrs = ("_predicate", "_select_columns")
 
     def _rebuild_compiled(self) -> None:
         schema = self.input_schemas[0]
-        predicate_fn = self._predicate = compile_predicate(
-            self.predicate, schema
-        )
-        #: Batch closure: one call filters a whole batch in order.
-        self._predicate_batch = (
-            lambda rows: [row for row in rows if predicate_fn(row)]
-        )
+        self._predicate = compile_predicate(self.predicate, schema)
         #: Selection kernel for the page path: columns -> surviving
-        #: row indices, accepting exactly what ``predicate_fn`` accepts.
+        #: row indices, accepting exactly what ``_predicate`` accepts.
         self._select_columns = compile_predicate_columns(
             self.predicate, schema
         )
@@ -57,16 +49,6 @@ class PFilter(Operator):
         self.ctx.charge_op(self.op_id, cm.predicate_eval)
         if self._predicate(row):
             self.emit(row)
-
-    def push_batch(self, rows: List[Row], port: int = 0) -> None:
-        cm = self.ctx.cost_model
-        self.ctx.metrics.counters(self.op_id).tuples_in += len(rows)
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.tuple_base)
-        rows = self.passes_filters_batch(rows, 0)
-        if not rows:
-            return
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.predicate_eval)
-        self.emit_batch(self._predicate_batch(rows))
 
     def push_page(self, page: ColumnBatch, port: int = 0) -> None:
         cm = self.ctx.cost_model

@@ -126,53 +126,14 @@ class PGroupBy(Operator):
 
         self.ctx.strategy.after_tuple(self, 0, row)
 
-    def push_batch(self, rows, port: int = 0) -> None:
-        """Accumulate a whole batch into the hash state with bulk cost
-        charging; per-row grouping decisions match :meth:`push`."""
-        if self._lease is not None:
-            for row in rows:
-                self.push(row, port)
-            return
-        cm = self.ctx.cost_model
-        metrics = self.ctx.metrics
-        metrics.counters(self.op_id).tuples_in += len(rows)
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.tuple_base)
-        rows = self.passes_filters_batch(rows, 0)
-        if not rows:
-            return
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.hash_probe)
-
-        indices = self._key_indices
-        single = len(indices) == 1
-        idx0 = indices[0] if single else None
-        groups = self._groups
-        specs = self._specs
-        fns = self._agg_fns
-        new_groups = 0
-        for row in rows:
-            key = row[idx0] if single else tuple(row[i] for i in indices)
-            group = groups.get(key)
-            if group is None:
-                accumulators = [s.make_accumulator() for s in specs]
-                group = (tuple(row[i] for i in indices), accumulators)
-                groups[key] = group
-                new_groups += 1
-            for fn, acc in zip(fns, group[1]):
-                acc.add(fn(row) if fn is not None else None)
-
-        if new_groups:
-            self.ctx.charge_events_op(self.op_id, new_groups, cm.hash_insert)
-            metrics.adjust_state(self.op_id, new_groups * self._group_bytes)
-        if specs:
-            self.ctx.charge_events_op(self.op_id, len(rows) * len(specs), cm.agg_update)
-        self.ctx.strategy.after_tuples(self, 0, rows)
-
     def push_page(self, page, port: int = 0) -> None:
-        """Page kernel: group keys come straight off the key column(s)
-        and aggregate inputs evaluate column-at-a-time; the page's rows
-        are never re-materialised."""
+        """Page kernel: per-row grouping decisions and charge totals
+        match :meth:`push`.  Group keys come straight off the key
+        column(s) and aggregate inputs evaluate column-at-a-time; the
+        page's rows are never re-materialised."""
         if self._lease is not None:
-            self.push_batch(page.rows(), port)
+            for row in page.rows():
+                self.push(row, port)
             return
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics

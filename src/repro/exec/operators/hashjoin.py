@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Operator, Row
+from repro.exec.pages import ColumnBatch
 from repro.expr.compiler import compile_predicate
 from repro.expr.expressions import Expr
 
@@ -166,76 +167,17 @@ class PHashJoin(Operator):
 
         self.ctx.strategy.after_tuple(self, port, row)
 
-    def push_batch(self, rows, port: int = 0) -> None:
-        """Probe and insert a whole batch: same per-row decisions and
-        tick-exact charge totals as :meth:`push`, without the per-tuple
-        call chain."""
+    def push_page(self, page, port: int = 0) -> None:
+        """Page kernel: same per-row decisions and tick-exact charge
+        totals as :meth:`push`, without the per-tuple call chain.  Probe
+        keys are read straight off the key column(s) — zero-copy for
+        single-key joins — and only surviving rows are re-materialised
+        for insert and output build."""
         if self._lease is not None:
             # Governed: per-row pushes so spill decisions interleave at
             # row granularity exactly as on the tuple path.
-            for row in rows:
+            for row in page.rows():
                 self.push(row, port)
-            return
-        cm = self.ctx.cost_model
-        metrics = self.ctx.metrics
-        metrics.counters(self.op_id).tuples_in += len(rows)
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.tuple_base)
-        rows = self.passes_filters_batch(rows, port)
-        if not rows:
-            return
-
-        other = 1 - port
-        indices = self._key_indices[port]
-        single = len(indices) == 1
-        idx0 = indices[0] if single else None
-        probe_get = self._tables[other].get
-        table = self._tables[port]
-        buffering = self._buffering[port]
-        residual = self._residual
-        left = port == 0
-        out = []
-        append_out = out.append
-        n_residual = 0
-
-        for row in rows:
-            key = row[idx0] if single else tuple(row[i] for i in indices)
-            matches = probe_get(key)
-            if matches:
-                for match in matches:
-                    combined = row + match if left else match + row
-                    if residual is not None:
-                        n_residual += 1
-                        if not residual(combined):
-                            continue
-                    append_out(combined)
-            if buffering:
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [row]
-                else:
-                    bucket.append(row)
-
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.hash_probe)
-        if n_residual:
-            self.ctx.charge_events_op(self.op_id, n_residual, cm.predicate_eval)
-        if out:
-            self.ctx.charge_events_op(self.op_id, len(out), cm.output_build)
-        if buffering:
-            self.ctx.charge_events_op(self.op_id, len(rows), cm.hash_insert)
-            metrics.adjust_state(
-                self.op_id, len(rows) * self._row_bytes[port]
-            )
-        self.ctx.strategy.after_tuples(self, port, rows)
-        self.emit_batch(out)
-
-    def push_page(self, page, port: int = 0) -> None:
-        """Page kernel: probe keys are read straight off the key
-        column(s) — zero-copy for single-key joins — and only surviving
-        rows are re-materialised for insert and output build."""
-        if self._lease is not None:
-            # Governed: fall back to the per-row path (spill decisions
-            # interleave at row granularity).
-            self.push_batch(page.rows(), port)
             return
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics
@@ -290,8 +232,10 @@ class PHashJoin(Operator):
             metrics.adjust_state(self.op_id, n * self._row_bytes[port])
         self.ctx.strategy.after_tuples_page(self, port, page)
         self._page_stats(n_in, n)
-        # Joins emit rows: output tuples are combined row-at-a-time.
-        self.emit_batch(out)
+        if out:
+            # Output tuples are combined row-at-a-time, so the page that
+            # leaves is row-born (the list is wrapped, not transposed).
+            self.emit_page(ColumnBatch.from_rows(out, len(self.out_schema)))
 
     def finish(self, port: int = 0) -> None:
         self._mark_input_done(port)

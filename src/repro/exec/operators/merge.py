@@ -69,12 +69,6 @@ class PMerge(Operator):
             return
         self.emit(row)
 
-    def push_batch(self, rows: List[Row], port: int = 0) -> None:
-        self.ctx.metrics.counters(self.op_id).tuples_in += len(rows)
-        rows = self.passes_filters_batch(rows, 0)
-        if rows:
-            self.emit_batch(rows)
-
     def push_page(self, page, port: int = 0) -> None:
         n_in = page.n_rows
         self.ctx.metrics.counters(self.op_id).tuples_in += n_in

@@ -26,12 +26,6 @@ class POutput(Operator):
         self.rows.append(row)
         self.ctx.metrics.result_rows += 1
 
-    def push_batch(self, rows: List[Row], port: int = 0) -> None:
-        self.ctx.metrics.counters(self.op_id).tuples_in += len(rows)
-        self.ctx.charge_events_op(self.op_id, len(rows), self.ctx.cost_model.tuple_base)
-        self.rows.extend(rows)
-        self.ctx.metrics.result_rows += len(rows)
-
     def push_page(self, page, port: int = 0) -> None:
         n = page.n_rows
         self.ctx.metrics.counters(self.op_id).tuples_in += n

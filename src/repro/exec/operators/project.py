@@ -29,17 +29,13 @@ class PProject(Operator):
         self.outputs = tuple(outputs)
         self._rebuild_compiled()
 
-    _compiled_attrs = ("_fns", "_project_batch", "_col_fns")
+    _compiled_attrs = ("_fns", "_col_fns")
 
     def _rebuild_compiled(self) -> None:
         in_schema = self.input_schemas[0]
-        fns = self._fns = [
+        self._fns = [
             compile_expr(expr, in_schema) for _, expr in self.outputs
         ]
-        #: Batch closure: one call projects a whole batch in order.
-        self._project_batch = (
-            lambda rows: [tuple(fn(row) for fn in fns) for row in rows]
-        )
         #: Column kernels for the page path: one gather per output
         #: column instead of one tuple build per input row.
         self._col_fns = [
@@ -56,15 +52,6 @@ class PProject(Operator):
             return
         self.ctx.charge_op(self.op_id, cm.output_build)
         self.emit(tuple(fn(row) for fn in self._fns))
-
-    def push_batch(self, rows, port: int = 0) -> None:
-        cm = self.ctx.cost_model
-        self.ctx.metrics.counters(self.op_id).tuples_in += len(rows)
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.tuple_base)
-        rows = self.passes_filters_batch(rows, 0)
-        if rows:
-            self.ctx.charge_events_op(self.op_id, len(rows), cm.output_build)
-            self.emit_batch(self._project_batch(rows))
 
     def push_page(self, page: ColumnBatch, port: int = 0) -> None:
         cm = self.ctx.cost_model

@@ -96,14 +96,14 @@ class PScan(Operator):
         now_ticks: int,
         boundary_when: Optional[float] = None,
         boundary_first: bool = False,
-        paged: bool = False,
     ) -> Optional[float]:
         """Push the pending tuple plus every further row arriving up to
         the cross-scan boundary (see ``ArrivalModel.next_batch``) as one
-        batch; returns the next pending arrival time, or None when the
-        source is exhausted.  With ``paged`` the run is transposed once
-        into a :class:`ColumnBatch` here at the source and flows through
-        the operators' page kernels instead of as a row list."""
+        :class:`ColumnBatch` through the operators' page kernels;
+        returns the next pending arrival time, or None when the source
+        is exhausted.  The page is row-born: the run's row list is
+        wrapped, not transposed, and columns materialise as kernels
+        touch them."""
         if self._pending is None:
             raise ExecutionError(
                 "%s driven with no pending tuple" % self.name
@@ -125,14 +125,10 @@ class PScan(Operator):
         counters = self.ctx.metrics.counters(self.op_id)
         counters.tuples_in += len(rows)
         self.ctx.charge_events_op(self.op_id, len(rows), self.ctx.cost_model.scan_read)
-        if paged:
-            page = ColumnBatch.from_rows(rows, len(self.out_schema))
-            page = self.passes_filters_page(page, 0)
-            self._page_stats(len(rows), page.n_rows)
-            self.emit_page(page)
-            return nxt
-        rows = self.passes_filters_batch(rows, 0)
-        self.emit_batch(rows)
+        page = ColumnBatch.from_rows(rows, len(self.out_schema))
+        page = self.passes_filters_page(page, 0)
+        self._page_stats(len(rows), page.n_rows)
+        self.emit_page(page)
         return nxt
 
     # -- source-side filters (distributed AIP) ----------------------------

@@ -47,9 +47,7 @@ class PSemiJoin(Operator):
     #: negative state deltas against other operators' inserts within the
     #: same arrival run, so peak-state accounting could drift from the
     #: tuple path; plans containing a semijoin therefore stay on the
-    #: per-tuple engine loop.  ``push_batch`` below is still vectorized
-    #: for direct callers — it preserves this operator's own per-row
-    #: accounting order.
+    #: per-tuple engine loop.
     batch_safe = False
 
     def __init__(
@@ -135,88 +133,6 @@ class PSemiJoin(Operator):
                     self.ctx.charge_op(self.op_id, cm.output_build)
                     self.emit(pending_row)
         self.ctx.strategy.after_tuple(self, port, row)
-
-    def push_batch(self, rows, port: int = 0) -> None:
-        """Probe (port 0) or insert (port 1) a whole batch with bulk
-        cost charging; emissions and this operator's state deltas keep
-        the per-row order of :meth:`push`."""
-        if self._lease is not None:
-            for row in rows:
-                self.push(row, port)
-            return
-        cm = self.ctx.cost_model
-        metrics = self.ctx.metrics
-        metrics.counters(self.op_id).tuples_in += len(rows)
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.tuple_base)
-        rows = self.passes_filters_batch(rows, port)
-        if not rows:
-            return
-        self.ctx.charge_events_op(self.op_id, len(rows), cm.hash_probe)
-        source_keys = self._source_keys
-        out = []
-        if port == PROBE:
-            indices = self._probe_idx
-            single = len(indices) == 1
-            idx0 = indices[0] if single else None
-            source_open = not self._input_done[SOURCE]
-            pending = self._pending
-            inserted = 0
-            for row in rows:
-                key = row[idx0] if single else tuple(row[i] for i in indices)
-                if key in source_keys:
-                    out.append(row)
-                elif source_open:
-                    inserted += 1
-                    bucket = pending.get(key)
-                    if bucket is None:
-                        pending[key] = [row]
-                    else:
-                        bucket.append(row)
-            if inserted:
-                self.ctx.charge_events_op(self.op_id, inserted, cm.hash_insert)
-                metrics.adjust_state(
-                    self.op_id, inserted * self._probe_row_bytes
-                )
-        else:
-            indices = self._source_idx
-            single = len(indices) == 1
-            idx0 = indices[0] if single else None
-            key_bytes = self._key_bytes
-            pop_pending = self._pending.pop
-            # Duplicate source keys return before the per-tuple path's
-            # ``after_tuple`` hook fires; only fresh-key rows reach it.
-            fresh = []
-            flushed = 0
-            for row in rows:
-                key = row[idx0] if single else tuple(row[i] for i in indices)
-                if key in source_keys:
-                    continue  # duplicate source key: no new information
-                fresh.append(row)
-                source_keys.add(key)
-                metrics.adjust_state(self.op_id, key_bytes)
-                waiting = pop_pending(key, None)
-                if waiting:
-                    metrics.adjust_state(
-                        self.op_id, -len(waiting) * self._probe_row_bytes
-                    )
-                    flushed += len(waiting)
-                    out.extend(waiting)
-            if fresh:
-                self.ctx.charge_events_op(self.op_id, len(fresh), cm.hash_insert)
-            if flushed:
-                self.ctx.charge_events_op(self.op_id, flushed, cm.output_build)
-            rows = fresh
-        self.ctx.strategy.after_tuples(self, port, rows)
-        self.emit_batch(out)
-
-    def push_page(self, page, port: int = 0) -> None:
-        """Page kernel for direct callers.  ``batch_safe = False``
-        keeps semijoin plans off the engine's batch (and therefore
-        page) path, but a caller holding a :class:`ColumnBatch` can
-        still push it; keys are probed off the key column and the
-        per-row semantics delegate to :meth:`push_batch`."""
-        self._page_stats(page.n_rows, page.n_rows)
-        self.push_batch(page.rows(), port)
 
     def finish(self, port: int = 0) -> None:
         self._mark_input_done(port)

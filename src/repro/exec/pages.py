@@ -6,7 +6,7 @@ column-at-a-time (one sequence per attribute) so operators can evaluate
 predicates, gather projections and extract hash keys without first
 re-materialising Python tuples.  Unlike a storage page it carries no
 byte accounting and no schema — it is a transient dataflow value that
-lives for exactly one trip from a scan to the first stateful operator.
+lives for exactly one hop between two operators.
 
 The batch is *dual-representation*.  A row-born batch (what a scan
 produces) keeps the arrival's row list and materialises a column only
@@ -18,7 +18,7 @@ projection produces) holds plain column lists and transposes once,
 C-level, when tuples are demanded.  Either way ``columns[i]`` and
 ``rows()`` are memoised: repeated access is zero-copy.
 
-The selection-vector convention (DESIGN.md section 10): a predicate
+The selection-vector convention (DESIGN.md section 4): a predicate
 over a batch compiles to a *selection list* — the row indices that
 survive, ascending.  :meth:`select` gathers those indices — one row
 gather for a row-born batch, per-column for a column-born one — and a

@@ -9,7 +9,7 @@ benchmark scale factors.
 Two layers are compiled from the same ASTs:
 
 * **row closures** (:func:`compile_expr` / :func:`compile_predicate`)
-  — ``row -> value`` functions for the tuple and row-batch paths.
+  — ``row -> value`` functions for the tuple path.
   Comparison and arithmetic nodes over ``Col``/``Lit`` operands are
   specialised so the hot shapes (``col <op> literal``, ``col <op>
   col``) run as a single closure with the operator function hoisted to

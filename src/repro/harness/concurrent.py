@@ -15,12 +15,11 @@ routes engine hooks to the strategy owning the operator.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.common.errors import ExecutionError
 from repro.exec.context import ExecutionContext, ExecutionStrategy
-from repro.exec.engine import QueryResult, drive_scan, plan_batchable
+from repro.exec.engine import QueryResult, drive_sources, plan_batchable
 from repro.exec.translate import PhysicalPlan, translate
 from repro.plan.logical import LogicalNode
 
@@ -48,11 +47,6 @@ class CompositeStrategy(ExecutionStrategy):
         strategy = self._by_op.get(op.op_id)
         if strategy is not None:
             strategy.after_tuple(op, input_idx, row)
-
-    def after_tuples(self, op, input_idx, rows) -> None:
-        strategy = self._by_op.get(op.op_id)
-        if strategy is not None:
-            strategy.after_tuples(op, input_idx, rows)
 
     def after_tuples_page(self, op, input_idx, page) -> None:
         strategy = self._by_op.get(op.op_id)
@@ -106,7 +100,7 @@ def run_concurrent(
     ctx.strategy = composite
 
     translated: List[PhysicalPlan] = []
-    batchable = {}  # scan op_id -> (may batch, may carry column pages)
+    sources = []  # (scan, may page), every plan's scans in plan order
     for index, (plan, strategy) in enumerate(zip(plans, strategies)):
         physical = translate(plan, ctx, arrival_resolver)
         if strategy is not None:
@@ -118,63 +112,19 @@ def run_concurrent(
             )
         if on_plan_translated is not None:
             on_plan_translated(index, physical)
-        plan_batches = plan_batchable(ctx, strategy, physical)
-        plan_pages = plan_batches and ctx.page_execution
-        for scan in physical.scans:
-            batchable[scan.op_id] = (plan_batches, plan_pages)
+        paged = plan_batchable(ctx, strategy, physical)
+        sources.extend((scan, paged) for scan in physical.scans)
         translated.append(physical)
 
-    composite.on_query_start()
-
-    heap: List[Tuple[float, int, object]] = []
-    seq = 0
-    for physical in translated:
-        for scan in physical.scans:
-            when = scan.prime()
-            if when is None:
-                scan.finish()
-            else:
-                heapq.heappush(heap, (when, seq, scan))
-            seq += 1
-
     metrics = ctx.metrics
-    tracer = ctx.tracer
-    loop_start = metrics.clock_ticks if tracer is not None else 0
-    while heap:
-        when, tie, scan = heapq.heappop(heap)
-        metrics.wait_until(when)
-        # The arrival boundary spans ALL concurrent plans' sources: a
-        # batch never reorders this query's rows past another query's
-        # earlier arrivals on the shared clock.
-        batching, paging = batchable[scan.op_id]
-        if tracer is None:
-            nxt = drive_scan(scan, tie, heap, metrics, batching, paging)
-        else:
-            drive_start = metrics.clock_ticks
-            nxt = drive_scan(scan, tie, heap, metrics, batching, paging)
-            tracer.complete(
-                "drive:%s" % scan.name, "engine", drive_start,
-                metrics.clock_ticks - drive_start,
-            )
-        if nxt is None:
-            scan.finish()
-        else:
-            heapq.heappush(heap, (nxt, tie, scan))
-
-    composite.on_query_end()
-    if tracer is not None:
-        tracer.complete(
+    loop_start = metrics.clock_ticks
+    drive_sources(ctx, sources)
+    if ctx.tracer is not None:
+        ctx.tracer.complete(
             "concurrent-batch", "engine", loop_start,
             metrics.clock_ticks - loop_start,
             {"plans": len(translated)},
         )
-
-    metrics.network_bytes += sum(
-        scan.arrival.bytes_transferred
-        for physical in translated
-        for scan in physical.scans
-        if scan.arrival.bandwidth is not None
-    )
 
     results = []
     for physical in translated:

@@ -93,7 +93,6 @@ def run_workload_query(
     strategy_kwargs: Optional[dict] = None,
     short_circuit: bool = True,
     batch_execution: bool = True,
-    page_execution: bool = True,
     partitions: int = 0,
     network: Optional[NetworkModel] = None,
     memory_budget: Optional[int] = None,
@@ -112,11 +111,10 @@ def run_workload_query(
     partitioned across N sites, each streaming over its own link.
     Partitioned pacing replaces the delayed-source model, so combining
     the two is rejected rather than silently mislabelled.
-    ``batch_execution=False`` forces the tuple-at-a-time engine loop
-    (the vectorized path is observably identical; benchmarks compare
-    their wall-clock cost).  ``page_execution=False`` keeps a batched
-    run on row-list batches instead of column pages — the third
-    observably identical path the equivalence suite pins.
+    ``batch_execution=False`` forces the tuple-at-a-time engine loop,
+    the reference the page path is observably identical to (the
+    equivalence suite compares the two; benchmarks compare their
+    wall-clock cost).
     ``memory_budget=N`` attaches a
     :class:`~repro.storage.governor.MemoryGovernor` with an ``N``-byte
     budget: scans stream buffer-pool pages and stateful operators
@@ -175,7 +173,6 @@ def run_workload_query(
         strategy=make_strategy(strategy, **(strategy_kwargs or {})),
         short_circuit=short_circuit,
         batch_execution=batch_execution,
-        page_execution=page_execution,
         governor=governor,
         pool=pool,
     )

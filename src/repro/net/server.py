@@ -184,6 +184,21 @@ class ReproServer:
         self._stop.set()
         listener = self._listener
         if listener is not None:
+            # close() alone does not wake a thread blocked in accept():
+            # shutdown() does on Linux, and where the platform refuses
+            # it on a listening socket a throwaway loopback connection
+            # does.  A second stop() finds the socket already closed and
+            # nothing left to wake.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                try:
+                    host, port = listener.getsockname()
+                    if host == "0.0.0.0":
+                        host = "127.0.0.1"
+                    socket.create_connection((host, port), 1.0).close()
+                except OSError:
+                    pass
             try:
                 listener.close()
             except OSError:
@@ -408,7 +423,10 @@ class ReproServer:
             try:
                 conn, addr = self._listener.accept()
             except OSError:
-                break  # listener closed by stop()
+                break  # listener shut down by stop()
+            if self._stop.is_set():
+                conn.close()  # stop()'s wake-up connection, or too late
+                break
             with self._conn_lock:
                 self._conns.add(conn)
             self._observe(connections_delta=1)

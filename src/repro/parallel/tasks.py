@@ -206,7 +206,7 @@ class QueryTask:
 
     __slots__ = (
         "catalog_spec", "plan", "strategy_name", "strategy_kwargs",
-        "short_circuit", "batch_execution", "page_execution",
+        "short_circuit", "batch_execution",
         "network", "trace", "label",
     )
 
@@ -218,7 +218,6 @@ class QueryTask:
         strategy_kwargs: Optional[dict] = None,
         short_circuit: bool = True,
         batch_execution: bool = True,
-        page_execution: bool = True,
         network=None,
         trace: bool = False,
         label: str = "",
@@ -229,7 +228,6 @@ class QueryTask:
         self.strategy_kwargs = dict(strategy_kwargs or {})
         self.short_circuit = short_circuit
         self.batch_execution = batch_execution
-        self.page_execution = page_execution
         self.network = network
         self.trace = trace
         self.label = label

@@ -170,7 +170,6 @@ def run_query(state: WorkerState, task: QueryTask) -> Dict:
         strategy=make_strategy(task.strategy_name, **task.strategy_kwargs),
         short_circuit=task.short_circuit,
         batch_execution=task.batch_execution,
-        page_execution=task.page_execution,
     )
     tracer = Tracer() if task.trace else None
     ctx.tracer = tracer

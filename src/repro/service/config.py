@@ -73,7 +73,6 @@ class ServiceConfig:
     strategy_kwargs: Optional[dict] = None
     short_circuit: bool = True
     batch_execution: bool = True
-    page_execution: bool = True
     placement: Any = None
     network: Any = None
     #: Enforced engine budget (memory governor; spills under pressure).

@@ -482,12 +482,9 @@ class QueryService:
         self.result_cache = ResultCache() if config.result_cache else None
         self.strategy_kwargs = dict(config.strategy_kwargs or {})
         self.short_circuit = config.short_circuit
-        #: Batch-vectorized engine loop for every dispatched batch
+        #: Page-driven engine loop for every dispatched batch
         #: (observably identical to tuple-at-a-time; on by default).
         self.batch_execution = config.batch_execution
-        #: Column-page kernels on top of batching (observably identical
-        #: to row-list batches; on by default).
-        self.page_execution = config.page_execution
         self.coster = PlanCoster(catalog)
         #: The service's virtual clock, advanced batch by batch.
         self.clock = 0.0
@@ -949,7 +946,6 @@ class QueryService:
                 self.catalog,
                 short_circuit=self.short_circuit,
                 batch_execution=self.batch_execution,
-                page_execution=self.page_execution,
                 governor=self.governor,
             )
             ctx.tracer = tracer
@@ -1184,7 +1180,6 @@ class QueryService:
                     strategy_kwargs=self.strategy_kwargs,
                     short_circuit=self.short_circuit,
                     batch_execution=self.batch_execution,
-                    page_execution=self.page_execution,
                     network=self.network,
                     trace=tracer is not None,
                     label=entry.label,

@@ -1,14 +1,20 @@
-"""Cross-path equivalence: the batch-vectorized engine loop must be
-*observably identical* to tuple-at-a-time execution.
+"""Cross-path equivalence: the page-driven engine loop must be
+*observably identical* to tuple-at-a-time execution, the reference.
 
 For every registered workload x strategy — including delayed-arrival
 and distributed (source-filter) configurations, plus concurrent
-(composite-strategy) batches and the service layer — the two paths must
-produce bit-identical rows (including order), virtual clock, peak
-intermediate state, and per-operator counters.  The clock guarantee
-rests on integer-tick accounting (``Metrics.charge_events``); the
-peak-state guarantee rests on the engine only batching plans whose
+(composite-strategy) batches, governed runs and the service layer — the
+two paths must produce bit-identical rows (including order), virtual
+clock, peak intermediate state, and per-operator counters.  The clock
+guarantee rests on integer-tick accounting (``Metrics.charge_events``);
+the peak-state guarantee rests on the engine only paging plans whose
 mid-stream state deltas are all non-negative (``supports_batching``).
+
+The streamed matrix paces every source, so a page there is almost
+always one row.  The **immediate-arrival axis** makes every scan's
+table available at t=0: pages hold whole tables, and the multi-row
+pages a join or distinct emits flow into the downstream operators'
+page kernels — the hop the streamed matrix never exercises.
 
 A second axis covers the summary layer: the word-indexed Bloom bitset
 (production) versus the retained big-int reference implementation
@@ -35,10 +41,15 @@ the governor-reported resident peak stays under the budget.
 import pytest
 
 from repro.data.tpch import cached_tpch
+from repro.exec.arrival import ArrivalModel
 from repro.exec.context import ExecutionContext
+from repro.exec.engine import execute_plan
+from repro.expr.aggregates import COUNT, AggregateSpec
+from repro.expr.expressions import col
 from repro.harness.concurrent import run_concurrent
 from repro.harness.runner import run_workload_query
-from repro.harness.strategies import make_strategy
+from repro.harness.strategies import make_strategy, uses_magic_plan
+from repro.plan.builder import scan
 from repro.summaries.bloom import BigIntBloomFilter, bloom_impl
 from repro.workloads.registry import QUERIES, get_query
 
@@ -58,7 +69,10 @@ def _counter_rows(metrics):
 
 
 def _assert_identical(tuple_record, batch_record):
-    t, b = tuple_record.result, batch_record.result
+    _assert_results_identical(tuple_record.result, batch_record.result)
+
+
+def _assert_results_identical(t, b):
     assert b.rows == t.rows  # same rows in the same order
     assert b.metrics.clock == t.metrics.clock
     assert b.metrics.cpu_time == t.metrics.cpu_time
@@ -94,6 +108,104 @@ def test_workload_strategy_equivalence(qid, strategy, delayed):
         batch_execution=True,
     )
     _assert_identical(tuple_record, batch_record)
+    _assert_pages_iff_batchable(
+        strategy, tuple_record.result, batch_record.result
+    )
+
+
+def _assert_pages_iff_batchable(strategy, tuple_result, page_result):
+    """The page-only counters are zero on the tuple path and positive
+    exactly when the plan is batchable."""
+    assert tuple_result.metrics.pages_pushed == 0
+    if strategy == "magic":
+        # DAG plans decline batching, so they never page.
+        assert page_result.metrics.pages_pushed == 0
+    else:
+        assert page_result.metrics.pages_pushed > 0
+        assert page_result.metrics.rows_selected > 0
+
+
+def _immediate(node):
+    """Every source row available at t=0: a page holds a whole table."""
+    return ArrivalModel.immediate()
+
+
+def _run_immediate(plan, catalog, strategy, batch_execution, tracer=None):
+    ctx = ExecutionContext(
+        catalog, strategy=make_strategy(strategy),
+        batch_execution=batch_execution,
+    )
+    ctx.tracer = tracer
+    return execute_plan(plan, ctx, arrival_resolver=_immediate)
+
+
+@pytest.mark.parametrize(
+    "qid,strategy",
+    [(qid, strategy) for qid, strategy, delayed in _matrix() if not delayed],
+)
+def test_immediate_arrival_equivalence(qid, strategy):
+    query = get_query(qid)
+    catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
+
+    def run(batch_execution):
+        plan = (
+            query.build_magic(catalog) if uses_magic_plan(strategy)
+            else query.build_baseline(catalog)
+        )
+        return _run_immediate(plan, catalog, strategy, batch_execution)
+
+    tuple_result, page_result = run(False), run(True)
+    _assert_results_identical(tuple_result, page_result)
+    _assert_pages_iff_batchable(strategy, tuple_result, page_result)
+
+
+class TestJoinBornPages:
+    """The workload queries only put joins and group-bys (and one
+    projection) downstream of a join; this plan routes a join's
+    multi-row output through every remaining page kernel:
+    join -> filter -> project -> distinct -> group-by."""
+
+    @staticmethod
+    def _plan(catalog):
+        return (
+            scan(catalog, "partsupp")
+            .join(scan(catalog, "part"), on=[("ps_partkey", "p_partkey")])
+            .filter(col("ps_availqty").le(5000))
+            .project(["p_brand", "p_size", "ps_suppkey"])
+            .distinct()
+            .group_by(["p_brand"], [AggregateSpec(COUNT, None, "n")])
+            .build()
+        )
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_equivalence(self, strategy):
+        catalog = cached_tpch(scale_factor=SCALE)
+        tuple_result = _run_immediate(
+            self._plan(catalog), catalog, strategy, False
+        )
+        page_result = _run_immediate(
+            self._plan(catalog), catalog, strategy, True
+        )
+        assert len(tuple_result.rows) > 1
+        _assert_results_identical(tuple_result, page_result)
+
+    def test_multi_row_pages_reach_every_kernel(self):
+        """The axis must not be vacuously single-row: each operator
+        above the join receives at least one page of several rows."""
+        from repro.obs.trace import Tracer
+
+        catalog = cached_tpch(scale_factor=SCALE)
+        tracer = Tracer()
+        _run_immediate(
+            self._plan(catalog), catalog, "baseline", True, tracer=tracer
+        )
+        multi_row = {
+            event[1] for event in tracer.events
+            if event[1].startswith("page:") and event[5]["rows"] > 1
+        }
+        assert {
+            "page:Filter", "page:Project", "page:Distinct", "page:GroupBy",
+        } <= multi_row
 
 
 @pytest.mark.parametrize("qid,strategy,delayed", _matrix())
@@ -157,113 +269,23 @@ def test_memory_budget_axis(qid, strategy, delayed):
     assert governed.storage["peak_resident_bytes"] <= budget
 
 
-@pytest.mark.parametrize("qid,strategy,delayed", _matrix())
-def test_paged_axis_equivalence(qid, strategy, delayed):
-    """Page-native kernels vs row-list batches, batching held fixed.
-
-    (The tuple-path anchor is ``test_workload_strategy_equivalence``,
-    whose batch run takes the page path by default — so the three paths
-    are pinned pairwise.)  The page-only counters must be zero on the
-    row path and positive exactly when the plan is batchable."""
-    row_batch = run_workload_query(
-        qid, strategy, scale_factor=SCALE, delayed=delayed,
-        batch_execution=True, page_execution=False,
-    )
-    paged = run_workload_query(
-        qid, strategy, scale_factor=SCALE, delayed=delayed,
-        batch_execution=True, page_execution=True,
-    )
-    _assert_identical(row_batch, paged)
-    assert row_batch.result.metrics.pages_pushed == 0
-    if strategy == "magic":
-        # DAG plans decline batching, so they never page either.
-        assert paged.result.metrics.pages_pushed == 0
-    else:
-        assert paged.result.metrics.pages_pushed > 0
-        assert paged.result.metrics.rows_selected > 0
-
-
 class TestPagedAxis:
     """Page-path coverage beyond the single-query matrix: the memory
-    governor, the concurrent loop, the service layer, and tracing."""
+    governor and tracing (the concurrent loop and the service layer
+    are ``TestConcurrentComposite`` and ``TestServiceLayer``)."""
 
     def test_governed_paged_equivalence(self):
         paths = {}
         for page in (False, True):
             paths[page] = run_workload_query(
                 "Q4A", "feedforward", scale_factor=SCALE,
-                memory_budget=1 << 40, page_execution=page,
+                memory_budget=1 << 40, batch_execution=page,
             )
         # Governed stateful operators fall back per-row inside the page
         # kernels, so even a governed run stays bit-identical.
         _assert_identical(paths[False], paths[True])
+        assert paths[False].result.metrics.pages_pushed == 0
         assert paths[True].result.metrics.pages_pushed > 0
-
-    def test_concurrent_paged_equivalence(self):
-        def run(page_execution):
-            catalog = cached_tpch(scale_factor=SCALE)
-            plans = [
-                get_query("Q4A").build_baseline(catalog),
-                get_query("Q1A").build_baseline(catalog),
-                get_query("Q1A").build_magic(catalog),
-            ]
-            strategies = [
-                make_strategy("feedforward"),
-                make_strategy("costbased"),
-                None,
-            ]
-            ctx = ExecutionContext(catalog, page_execution=page_execution)
-            results = run_concurrent(plans, ctx, strategies=strategies)
-            return ctx, results
-
-        ctx_r, results_r = run(page_execution=False)
-        ctx_p, results_p = run(page_execution=True)
-        for r, p in zip(results_r, results_p):
-            assert p.rows == r.rows
-        assert ctx_p.metrics.clock == ctx_r.metrics.clock
-        assert (
-            ctx_p.metrics.peak_state_bytes == ctx_r.metrics.peak_state_bytes
-        )
-        assert _counter_rows(ctx_p.metrics) == _counter_rows(ctx_r.metrics)
-        assert ctx_r.metrics.pages_pushed == 0
-        assert ctx_p.metrics.pages_pushed > 0
-
-    def test_service_page_axis(self):
-        from repro.service.service import QueryService
-
-        def report(page_execution):
-            catalog = cached_tpch(scale_factor=SCALE)
-            service = QueryService(
-                catalog, strategy="feedforward",
-                page_execution=page_execution,
-            )
-            service.submit("Q1A", arrival=0.0)
-            service.submit("Q4A", arrival=0.0)
-            service.submit("Q3A", arrival=0.5, strategy="costbased")
-            out = service.run()
-            pages = service.registry.counter("engine.pages_pushed").value
-            service.close()
-            return out, pages
-
-        row_report, row_pages = report(page_execution=False)
-        page_report, page_pages = report(page_execution=True)
-        assert (
-            page_report.total_virtual_seconds
-            == row_report.total_virtual_seconds
-        )
-        assert page_report.peak_state_bytes == row_report.peak_state_bytes
-        for r, p in zip(row_report.outcomes, page_report.outcomes):
-            assert p.status == r.status
-            assert p.latency == r.latency
-            assert p.rows == r.rows
-        assert row_pages == 0
-        assert page_pages > 0
-
-    def test_service_pages_by_default(self):
-        from repro.service.service import QueryService
-
-        catalog = cached_tpch(scale_factor=SCALE)
-        assert QueryService(catalog).page_execution
 
     def test_page_trace_events_validate(self):
         from repro.obs.trace import Tracer, validate_chrome_trace
@@ -308,6 +330,29 @@ class TestTracedAxis:
             batch_execution=batch, tracer=tracer,
         )
         _assert_identical(untraced, traced)
+        assert len(tracer) > 0
+        assert validate_chrome_trace(tracer.to_chrome()) == []
+
+    @pytest.mark.parametrize("qid", ("Q4A", "Q5A"))
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    @pytest.mark.parametrize("batch", (False, True))
+    def test_traced_immediate_equivalence(self, qid, strategy, batch):
+        """Whole-table pages: the ``emit:``/``page:`` instants of the
+        kernels above a join (Q4A: group-by, Q5A: projection) are pure
+        observation too."""
+        from repro.obs.trace import Tracer, validate_chrome_trace
+
+        catalog = cached_tpch(scale_factor=SCALE)
+        query = get_query(qid)
+        untraced = _run_immediate(
+            query.build_baseline(catalog), catalog, strategy, batch,
+        )
+        tracer = Tracer()
+        traced = _run_immediate(
+            query.build_baseline(catalog), catalog, strategy, batch,
+            tracer=tracer,
+        )
+        _assert_results_identical(untraced, traced)
         assert len(tracer) > 0
         assert validate_chrome_trace(tracer.to_chrome()) == []
 
@@ -431,13 +476,15 @@ class TestConcurrentComposite:
             ctx_b.metrics.peak_state_bytes == ctx_t.metrics.peak_state_bytes
         )
         assert _counter_rows(ctx_b.metrics) == _counter_rows(ctx_t.metrics)
+        assert ctx_t.metrics.pages_pushed == 0
+        assert ctx_b.metrics.pages_pushed > 0
 
 
 class TestServiceLayer:
-    """The service layer runs the batch path by default and reports the
+    """The service layer runs the page path by default and reports the
     same outcomes either way."""
 
-    def _report(self, batch_execution):
+    def _service(self, batch_execution):
         from repro.service.service import QueryService
 
         catalog = cached_tpch(scale_factor=SCALE)
@@ -448,11 +495,15 @@ class TestServiceLayer:
         service.submit("Q1A", arrival=0.0)
         service.submit("Q4A", arrival=0.0)
         service.submit("Q3A", arrival=0.5, strategy="costbased")
-        return service.run()
+        return service
+
+    def _report(self, batch_execution):
+        return self._service(batch_execution).run()
 
     def test_service_equivalence(self):
-        tuple_report = self._report(batch_execution=False)
-        batch_report = self._report(batch_execution=True)
+        tuple_service = self._service(batch_execution=False)
+        page_service = self._service(batch_execution=True)
+        tuple_report, batch_report = tuple_service.run(), page_service.run()
         assert (
             batch_report.total_virtual_seconds
             == tuple_report.total_virtual_seconds
@@ -464,6 +515,12 @@ class TestServiceLayer:
             assert b.status == t.status
             assert b.latency == t.latency
             assert b.rows == t.rows
+
+        def pages(service):
+            return service.registry.counter("engine.pages_pushed").value
+
+        assert pages(tuple_service) == 0
+        assert pages(page_service) > 0
 
     def test_service_summary_impl_equivalence(self):
         """Service runs (admission, schedulers, cross-query AIP cache

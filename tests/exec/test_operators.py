@@ -13,6 +13,7 @@ from repro.exec.operators.hashjoin import PHashJoin
 from repro.exec.operators.output import POutput
 from repro.exec.operators.scan import PScan
 from repro.exec.operators.semijoin import PSemiJoin
+from repro.exec.pages import ColumnBatch
 from repro.expr.aggregates import MIN, SUM, AggregateSpec
 from repro.expr.expressions import col
 from repro.summaries.hashset import HashSetSummary
@@ -295,8 +296,12 @@ class TestFilterCostAccounting:
         assert charged == pytest.approx(cm.tuple_base + cm.semijoin_probe)
 
 
-class TestPushBatchMatchesPush:
-    """Operator-level cross-check: push_batch must reproduce push's
+def _page(op, rows, port=0):
+    return ColumnBatch.from_rows(list(rows), len(op.input_schemas[port]))
+
+
+class TestPushPageMatchesPush:
+    """Operator-level cross-check: push_page must reproduce push's
     rows, charges and state for the same input sequence."""
 
     def _fresh_ctx(self):
@@ -311,7 +316,7 @@ class TestPushBatchMatchesPush:
         for port, rows in feed:
             for row in rows:
                 op_a.push(row, port)
-            op_b.push_batch(list(rows), port)
+            op_b.push_page(_page(op_b, rows, port), port)
         assert sink_b.rows == sink_a.rows
         assert ctx_b.metrics.clock == ctx_a.metrics.clock
         assert (
@@ -326,7 +331,7 @@ class TestPushBatchMatchesPush:
             ca.tuples_in, ca.tuples_out, ca.tuples_pruned
         )
 
-    def test_hash_join_batch(self):
+    def test_hash_join_page(self):
         def build(ctx):
             return join_with_sink(ctx)
 
@@ -336,7 +341,7 @@ class TestPushBatchMatchesPush:
             (0, [(1, "l4"), (3, "l5")]),
         ])
 
-    def test_hash_join_batch_with_residual(self):
+    def test_hash_join_page_with_residual(self):
         def build(ctx):
             join = PHashJoin(
                 ctx, 1, LEFT, RIGHT, ["a"], ["b"],
@@ -351,7 +356,7 @@ class TestPushBatchMatchesPush:
             (1, [(1, "same"), (1, "other")]),
         ])
 
-    def test_semijoin_batch(self):
+    def test_semijoin_page(self):
         def build(ctx):
             sj = PSemiJoin(ctx, 40, LEFT, RIGHT, ["a"], ["b"])
             sink = POutput(ctx, 41, LEFT)
@@ -364,7 +369,7 @@ class TestPushBatchMatchesPush:
             (0, [(1, "hit"), (4, "miss")]),
         ])
 
-    def test_groupby_batch(self):
+    def test_groupby_page(self):
         def build(ctx):
             gb = PGroupBy(
                 ctx, 20, LEFT,
@@ -379,7 +384,7 @@ class TestPushBatchMatchesPush:
             (0, [(1, "x"), (1, "y"), (2, "z"), (1, "w")]),
         ])
 
-    def test_distinct_batch(self):
+    def test_distinct_page(self):
         def build(ctx):
             d = PDistinct(ctx, 30, LEFT)
             sink = POutput(ctx, 31, LEFT)
@@ -390,7 +395,7 @@ class TestPushBatchMatchesPush:
             (0, [(1, "x"), (1, "x"), (2, "y"), (1, "x"), (3, "z")]),
         ])
 
-    def test_batch_vets_injected_filters(self):
+    def test_page_vets_injected_filters(self):
         def build(ctx):
             join, sink = join_with_sink(ctx)
             join.register_filter(0, "a", HashSetSummary.from_values([1, 3]))
@@ -402,9 +407,9 @@ class TestPushBatchMatchesPush:
             (1, [(1, "r")]),
         ])
 
-    def test_semijoin_batch_after_tuples_skips_duplicate_source_keys(self):
+    def test_semijoin_page_hook_skips_duplicate_source_keys(self):
         # The per-tuple path returns before ``after_tuple`` for
-        # duplicate source keys; the batch path must hand the strategy
+        # duplicate source keys; a pushed page must hand the strategy
         # the same row set.
         from repro.exec.context import ExecutionStrategy
 
@@ -426,11 +431,11 @@ class TestPushBatchMatchesPush:
 
         source_rows = [(1, "s1"), (1, "dup"), (2, "s2")]
         tuple_seen = run(lambda sj: [sj.push(r, 1) for r in source_rows])
-        batch_seen = run(lambda sj: sj.push_batch(list(source_rows), 1))
-        assert batch_seen == tuple_seen
+        page_seen = run(lambda sj: sj.push_page(_page(sj, source_rows, 1), 1))
+        assert page_seen == tuple_seen
         assert len(tuple_seen) == 2  # the duplicate never reaches the hook
 
-    def test_default_push_batch_falls_back_to_push(self):
+    def test_default_push_page_falls_back_to_push(self):
         from repro.exec.operators.base import Operator
 
         calls = []
@@ -447,7 +452,7 @@ class TestPushBatchMatchesPush:
         op = Custom(ctx, 70, LEFT, [LEFT], "Custom")
         sink = POutput(ctx, 71, LEFT)
         sink.connect_child(op, 0)
-        op.push_batch([(1, "a"), (2, "b")], 0)
+        op.push_page(_page(op, [(1, "a"), (2, "b")]), 0)
         assert calls == [(1, "a"), (2, "b")]
         assert sink.rows == [(1, "a"), (2, "b")]
         assert Custom.batch_safe  # custom operators batch by default

@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -209,6 +210,22 @@ class TestLifecycle:
         frames = server.registry.counter("net.frames")
         assert frames.labels(type="shutdown").value == 1
 
+    def test_idle_close_is_prompt_and_leaves_no_threads(self, catalog):
+        # Closing the listener does not wake a thread blocked in
+        # accept(); close() used to wait out its 10 s join timeout and
+        # leave the accept thread alive.
+        before = set(threading.enumerate())
+        server = make_server(catalog)
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 1.0
+        leaked = [
+            thread.name for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()
+            and thread.name.startswith("repro-net-")
+        ]
+        assert leaked == []
+
     def test_close_is_idempotent_and_closes_owned_service(self, catalog):
         service = QueryService(catalog, ServiceConfig())
         closed = []
@@ -232,5 +249,10 @@ class TestLifecycle:
             with connect(port=server.port) as client:
                 client.query("Q1A")
             gauge = server.registry.gauge("net.inflight")
+            # The handler decrements after the terminal frame is on the
+            # wire, so the client can get here first.
+            deadline = time.monotonic() + 5.0
+            while gauge.value and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert gauge.value == 0
             assert gauge.max_value >= 1

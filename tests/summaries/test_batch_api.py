@@ -4,6 +4,7 @@ and the injected-filter batch probe must keep counter semantics."""
 
 import pytest
 
+from repro.exec.pages import ColumnBatch
 from repro.summaries.base import Summary
 from repro.summaries.bloom import BigIntBloomFilter, BloomFilter
 from repro.summaries.bounds import BoundSummary, MinMaxSummary
@@ -121,14 +122,16 @@ class TestAIPSetBatch:
 
         return AIPSet("k", AIPSetSpec("k", 256), "test")
 
-    def test_add_many_probe_many(self):
+    def test_add_many_might_contain_many(self):
         batch, loop = self._aip_set(), self._aip_set()
         batch.add_many(VALUES)
         for v in VALUES:
             loop.add(v)
         assert batch.summary.n_added == loop.summary.n_added
-        assert batch.probe_many(PROBES) == loop.probe_many(PROBES)
-        assert batch.probe_many(PROBES) == [p in loop for p in PROBES]
+        assert batch.summary.might_contain_many(PROBES) == \
+            loop.summary.might_contain_many(PROBES)
+        assert batch.summary.might_contain_many(PROBES) == \
+            [p in loop for p in PROBES]
 
     def test_from_values_consumes_iterator_once(self):
         from repro.aip.sets import AIPSet, AIPSetSpec
@@ -137,7 +140,7 @@ class TestAIPSetBatch:
         aip_set = AIPSet.from_values("k", spec, "test", iter(VALUES))
         assert aip_set.complete
         assert aip_set.summary.n_added == len(VALUES)
-        assert all(aip_set.probe_many(VALUES))
+        assert all(aip_set.summary.might_contain_many(VALUES))
 
 
 class TestDefaultFallback:
@@ -165,7 +168,7 @@ class TestDefaultFallback:
 
 
 class TestInjectedFilterBatch:
-    """``passes_many`` advances ``probed``/``pruned`` exactly as the
+    """``passes_page`` advances ``probed``/``pruned`` exactly as the
     per-row form and preserves survivor order."""
 
     def _filters(self):
@@ -180,19 +183,20 @@ class TestInjectedFilterBatch:
     def test_counters_match_per_row(self):
         batch_f, row_f = self._filters()
         rows = [(v, "payload") for v in range(8)]
-        survivors = batch_f.passes_many(rows)
+        survivors = batch_f.passes_page(ColumnBatch.from_rows(rows, 2))
         expected = [r for r in rows if row_f.passes(r)]
-        assert survivors == expected
+        assert survivors.rows() == expected
         assert batch_f.probed == row_f.probed == len(rows)
         assert batch_f.pruned == row_f.pruned == len(rows) - len(expected)
 
-    def test_all_pass_returns_same_list(self):
+    def test_all_pass_returns_same_page(self):
         batch_f, _ = self._filters()
-        rows = [(1,), (3,), (5,)]
-        assert batch_f.passes_many(rows) is rows
+        page = ColumnBatch.from_rows([(1,), (3,), (5,)], 1)
+        assert batch_f.passes_page(page) is page
         assert batch_f.pruned == 0
 
     def test_empty_batch(self):
         batch_f, _ = self._filters()
-        assert batch_f.passes_many([]) == []
+        page = ColumnBatch.from_rows([], 1)
+        assert batch_f.passes_page(page) is page
         assert batch_f.probed == 0

@@ -260,32 +260,6 @@ class TestWorkloadCommand:
         assert not args.no_aip_cache
 
 
-class TestServeCommand:
-    def test_serve_session(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO(
-                "# comment\nselect count(*) as n from part\nQ1A\nquit\n"
-            ),
-        )
-        assert main(["serve", "--stdin", "--scale", "0.002"]) == 0
-        out = capsys.readouterr().out
-        assert "query service" in out
-        assert "latency" in out
-        assert "served" in out
-
-    def test_serve_reports_errors_and_continues(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO("select nonsense(\nQ1A\n"),
-        )
-        assert main(["serve", "--stdin", "--scale", "0.002"]) == 0
-        captured = capsys.readouterr()
-        assert "error:" in captured.err
-        assert "latency" in captured.out
-
-
 class TestSqlCommand:
     def test_sql_run(self, capsys):
         assert main([
