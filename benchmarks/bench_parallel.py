@@ -129,7 +129,7 @@ def service_cell(scale: float, repeat: int):
                 **kwargs,
             )
             if parallel:
-                service._ensure_pool()  # warm before the clock starts
+                service._backend.ensure_pool()  # warm before the clock
             for qid in SERVICE_STREAM:
                 service.submit(qid)
             start = time.perf_counter()

@@ -274,25 +274,7 @@ class InProcessClient:
 
     def stats(self) -> dict:
         service = self.service
-        payload = {
-            "registry": service.registry.snapshot(),
-            "service": {
-                "clock": service.clock,
-                "batches_run": service.batches_run,
-                "pending": len(service._pending),
-                "peak_state_bytes": service.peak_state_bytes,
-                "profiles_retained": len(service.profiles),
-                "profiles_evicted": service.profiles.evicted,
-                "feedback_fingerprints": len(service.feedback),
-            },
-        }
-        if service.tracer is not None:
-            payload["trace"] = {
-                "events": len(service.tracer),
-                "dropped": service.tracer.dropped,
-                "max_events": service.tracer.max_events,
-            }
-        return payload
+        return {"registry": service.registry.snapshot(), **service.stats()}
 
     def prometheus(self) -> str:
         from repro.obs.export import to_prometheus

@@ -134,6 +134,17 @@ def apply_broadcast_fanouts(plan: LogicalNode, catalog: Catalog) -> None:
         )
 
 
+def attach_network(ctx: ExecutionContext, network: NetworkModel) -> None:
+    """Align the context's network cost constants with the actual
+    links so strategy-side shipping estimates stay coherent, and attach
+    the network itself for per-site link accounting.  Shared by the
+    coordinator and the service's batch executor."""
+    default_link = network.link_to("__default__")
+    ctx.cost_model.network_bandwidth = default_link.bandwidth
+    ctx.cost_model.network_latency = default_link.latency
+    ctx.network = network
+
+
 def remote_arrival_resolver(
     network: NetworkModel, pushed=None
 ) -> Callable[..., Optional[ArrivalModel]]:
@@ -230,13 +241,7 @@ class DistributedQuery:
         ctx: ExecutionContext,
     ) -> QueryResult:
         """Run under the context's strategy with remote arrival pacing."""
-        # Align the context's network cost constants with the actual
-        # links so strategy-side shipping estimates stay coherent, and
-        # attach the network itself for per-site link accounting.
-        default_link = self.network.link_to("__default__")
-        ctx.cost_model.network_bandwidth = default_link.bandwidth
-        ctx.cost_model.network_latency = default_link.latency
-        ctx.network = self.network
+        attach_network(ctx, self.network)
         apply_broadcast_fanouts(self.plan, ctx.catalog)
         return execute_plan(self.plan, ctx, self.arrival_resolver())
 

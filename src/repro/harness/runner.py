@@ -214,14 +214,7 @@ def run_workload_query(
         if owned_pool is not None:
             owned_pool.close()
 
-    storage = None
-    if governor is not None:
-        storage = {
-            "budget": governor.budget,
-            "peak_resident_bytes": governor.peak_resident_bytes,
-            "over_budget_events": governor.over_budget_events,
-            "spilled_bytes": governor.backend.bytes_written,
-            "evictions": governor.buffer.evictions,
-            "reloads": governor.buffer.reloads,
-        }
-    return RunRecord(qid, strategy, result, storage)
+    return RunRecord(
+        qid, strategy, result,
+        governor.snapshot() if governor is not None else None,
+    )

@@ -310,23 +310,8 @@ class ReproServer:
                 "queue_depth": self._queue.qsize(),
                 "max_batch": self.max_batch,
             },
-            "service": {
-                "clock": service.clock,
-                "batches_run": service.batches_run,
-                "pending": len(service._pending),
-                "peak_state_bytes": service.peak_state_bytes,
-                "profiles_retained": len(service.profiles),
-                "profiles_evicted": service.profiles.evicted,
-                "feedback_fingerprints": len(service.feedback),
-            },
+            **service.stats(),
         }
-        tracer = self.tracer
-        if tracer is not None:
-            payload["trace"] = {
-                "events": len(tracer),
-                "dropped": tracer.dropped,
-                "max_events": tracer.max_events,
-            }
         eventlog = getattr(service, "eventlog", None)
         if eventlog is not None:
             payload["eventlog"] = {

@@ -20,6 +20,7 @@ from repro.exec.costs import CostModel
 from repro.exec.engine import Engine, QueryResult
 from repro.exec.translate import ArrivalResolver, translate
 from repro.harness.strategies import make_strategy
+from repro.obs.feedback import plan_rows
 from repro.optimizer.estimator import CardinalityEstimator
 from repro.plan.logical import LogicalNode
 
@@ -104,23 +105,14 @@ def explain_analyze(
 ) -> AnalyzeReport:
     """Execute ``plan`` with per-operator attribution and report.
 
-    Estimates are taken from a fresh :class:`CardinalityEstimator`
-    before execution (no runtime observations), so the est-vs-actual
-    columns show exactly the error the static optimizer would have
-    committed to.
+    Estimates come from a fresh :class:`CardinalityEstimator` that is
+    fed no runtime observations, so the est-vs-actual columns show
+    exactly the error the static optimizer would have committed to.
+    The table is :func:`~repro.obs.feedback.plan_rows` — the walk the
+    service's profiles and feedback store read — plus the attributed
+    tick and peak-state columns.
     """
     estimator = CardinalityEstimator(catalog)
-    estimates = {}
-
-    def pre_visit(node) -> None:
-        if node.node_id in estimates:
-            return
-        estimates[node.node_id] = estimator.estimate(node).rows
-        for child in node.children:
-            pre_visit(child)
-
-    pre_visit(plan)
-
     ctx = ExecutionContext(
         catalog,
         cost_model=cost_model,
@@ -135,32 +127,16 @@ def explain_analyze(
     result = Engine(ctx).run(physical)
 
     metrics = ctx.metrics
-    rows: List[AnalyzeRow] = []
-    seen = set()
-
-    def visit(node, depth) -> None:
-        label = node._label()
-        if node.node_id in seen:
-            rows.append(AnalyzeRow(depth, label, node.node_id, shared=True))
-            return
-        seen.add(node.node_id)
-        op = physical.by_node_id.get(node.node_id)
-        actual = ticks = peak = pruned = 0
-        if op is not None:
-            counters = metrics.operators.get(op.op_id)
-            if counters is not None:
-                actual = counters.tuples_out
-                pruned = counters.tuples_pruned
-            ticks = metrics.op_ticks.get(op.op_id, 0)
-            peak = metrics.op_state_peaks.get(op.op_id, 0)
-        rows.append(AnalyzeRow(
-            depth, label, node.node_id,
-            est_rows=estimates.get(node.node_id, 0.0),
-            actual_rows=actual, ticks=ticks,
-            peak_state_bytes=peak, pruned=pruned,
-        ))
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(plan, 0)
+    rows = [
+        AnalyzeRow(
+            row["depth"], row["label"], row["node_id"], shared=True,
+        ) if row["shared"] else AnalyzeRow(
+            row["depth"], row["label"], row["node_id"],
+            est_rows=row["est_rows"], actual_rows=row["actual_rows"],
+            ticks=metrics.op_ticks.get(row["op_id"], 0),
+            peak_state_bytes=metrics.op_state_peaks.get(row["op_id"], 0),
+            pruned=row["pruned"],
+        )
+        for row in plan_rows(physical, metrics, estimator)
+    ]
     return AnalyzeReport(rows, result, strategy)

@@ -22,6 +22,64 @@ from repro.common.errors import PlanError
 from repro.service.fingerprint import plan_signature
 
 
+def plan_rows(physical, metrics, estimator) -> List[Dict]:
+    """The one est-vs-actual walk over an executed plan.
+
+    ``physical`` is an executed :class:`~repro.exec.translate
+    .PhysicalPlan`, ``metrics`` the run's engine metrics, and
+    ``estimator`` a :class:`~repro.optimizer.estimator
+    .CardinalityEstimator` that was fed no runtime observations, so
+    ``est_rows`` is what the static optimizer committed to.  Pre-order
+    over the logical tree, one JSON-ready (and picklable — pool workers
+    ship them back) row per visit; a shared subtree is expanded once
+    and its later visits are flagged ``shared`` with no operator.
+    Three readers sit on top: :meth:`FeedbackStore.record_rows`,
+    :func:`repro.obs.profiles.operator_table` and
+    :func:`repro.obs.analyze.explain_analyze`.
+    """
+    rows: List[Dict] = []
+    seen = set()
+
+    def visit(node, depth) -> None:
+        shared = node.node_id in seen
+        seen.add(node.node_id)
+        op = None if shared else physical.by_node_id.get(node.node_id)
+        counters = (
+            metrics.operators.get(op.op_id) if op is not None else None
+        )
+        actual = tuples_in = pruned = 0
+        signature = None
+        if counters is not None:
+            actual = counters.tuples_out
+            tuples_in = counters.tuples_in
+            pruned = counters.tuples_pruned
+            try:
+                signature = plan_signature(node)
+            except PlanError:
+                pass
+        rows.append({
+            "depth": depth,
+            "operator": type(node).__name__,
+            "label": node._label(),
+            "est_rows": estimator.estimate(node).rows,
+            "actual_rows": actual,
+            "tuples_in": tuples_in,
+            "pruned": pruned,
+            "node_id": node.node_id,
+            "shared": shared,
+            # None: the translator rewrote this node away.
+            "op_id": op.op_id if op is not None else None,
+            # The structural fingerprint, only where counters exist.
+            "signature": signature,
+        })
+        if not shared:
+            for child in node.children:
+                visit(child, depth + 1)
+
+    visit(physical.logical_root, 0)
+    return rows
+
+
 class FeedbackRecord:
     """Accumulated observations for one structural fingerprint."""
 
@@ -109,50 +167,33 @@ class FeedbackStore:
         rec.pruned_rows += pruned_rows
         return rec
 
-    def record_plan(self, physical, metrics, estimator) -> int:
-        """Record every node of one completed plan; returns node count.
+    def record_rows(self, rows: List[Dict]) -> int:
+        """Record one completed plan from its :func:`plan_rows`;
+        returns the number of nodes recorded.
 
-        ``physical`` is an executed :class:`~repro.exec.translate
-        .PhysicalPlan`, ``metrics`` the query's engine metrics, and
-        ``estimator`` a :class:`~repro.optimizer.estimator
-        .CardinalityEstimator` giving the *pre-execution* estimates the
-        observed rows are compared against.  Nodes the translator
-        rewrote away (no physical operator) and nodes that cannot be
-        fingerprinted are skipped, not errors: partial feedback from an
+        Rows without a signature — nodes the translator rewrote away
+        (no physical operator), operators that never counted a tuple,
+        nodes that cannot be fingerprinted, repeat visits of a shared
+        subtree — are skipped, not errors: partial feedback from an
         oddly shaped plan is still feedback.
         """
         recorded = 0
-        seen = set()
-
-        def visit(node) -> None:
-            if node.node_id in seen:
-                return
-            seen.add(node.node_id)
-            for child in node.children:
-                visit(child)
-            op = physical.by_node_id.get(node.node_id)
-            if op is None:
-                return
-            counters = metrics.operators.get(op.op_id)
-            if counters is None:
-                return
-            try:
-                signature = plan_signature(node)
-            except PlanError:
-                return
+        for row in rows:
+            if row["signature"] is None:
+                continue
             self.record(
-                signature,
-                type(node).__name__,
-                estimated_rows=estimator.estimate(node).rows,
-                actual_rows=counters.tuples_out,
-                input_rows=counters.tuples_in,
-                pruned_rows=counters.tuples_pruned,
+                row["signature"], row["operator"],
+                estimated_rows=row["est_rows"],
+                actual_rows=row["actual_rows"],
+                input_rows=row["tuples_in"],
+                pruned_rows=row["pruned"],
             )
-            nonlocal recorded
             recorded += 1
-
-        visit(physical.logical_root)
         return recorded
+
+    def record_plan(self, physical, metrics, estimator) -> int:
+        """:meth:`record_rows` over a fresh walk of ``physical``."""
+        return self.record_rows(plan_rows(physical, metrics, estimator))
 
     def export(self) -> List[Dict]:
         """JSON-ready records, deterministically ordered by signature."""

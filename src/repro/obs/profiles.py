@@ -29,46 +29,25 @@ from typing import Dict, List, Optional
 DEFAULT_RETENTION = 128
 
 
-def operator_table(physical, metrics, estimator) -> List[Dict]:
-    """Per-operator est-vs-actual rows for one executed plan.
+#: The :func:`~repro.obs.feedback.plan_rows` keys a profile retains
+#: (the long structural signature and the walk's bookkeeping stay out
+#: of the ``profile`` frame).
+_OPERATOR_KEYS = (
+    "depth", "operator", "label", "est_rows", "actual_rows", "tuples_in",
+    "pruned",
+)
 
-    Walks the logical tree exactly like :meth:`~repro.obs.feedback
-    .FeedbackStore.record_plan` (same node skipping rules: rewritten
-    nodes and shared subtrees contribute once), pairing each node's
-    pre-execution estimate with the executed operator's cardinality
-    counters.  Returns JSON-ready dicts, depth-annotated so the tree
-    can be re-rendered client-side.
-    """
-    rows: List[Dict] = []
-    seen = set()
 
-    def visit(node, depth) -> None:
-        if node.node_id in seen:
-            return
-        seen.add(node.node_id)
-        op = physical.by_node_id.get(node.node_id)
-        if op is not None:
-            counters = metrics.operators.get(op.op_id)
-            rows.append({
-                "depth": depth,
-                "operator": type(node).__name__,
-                "label": node._label(),
-                "est_rows": estimator.estimate(node).rows,
-                "actual_rows": (
-                    counters.tuples_out if counters is not None else 0
-                ),
-                "tuples_in": (
-                    counters.tuples_in if counters is not None else 0
-                ),
-                "pruned": (
-                    counters.tuples_pruned if counters is not None else 0
-                ),
-            })
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(physical.logical_root, 0)
-    return rows
+def operator_table(rows: List[Dict]) -> List[Dict]:
+    """Per-operator est-vs-actual table from one plan's
+    :func:`~repro.obs.feedback.plan_rows`: every node that has a
+    physical operator, once (rewritten-away nodes and repeat visits of
+    a shared subtree are dropped), depth-annotated so the tree can be
+    re-rendered client-side."""
+    return [
+        {key: row[key] for key in _OPERATOR_KEYS}
+        for row in rows if row["op_id"] is not None
+    ]
 
 
 class QueryProfile:
@@ -106,7 +85,8 @@ class QueryProfile:
         #: result's ``metrics``); empty for sheds.
         self.metrics: Dict = metrics or {}
         #: Per-operator est-vs-actual table from :func:`operator_table`
-        #: (empty when attribution was unavailable, e.g. pool workers).
+        #: (empty for queries that never executed: sheds, cache hits,
+        #: errors).
         self.operators: List[Dict] = operators or []
 
     @property

@@ -27,7 +27,6 @@ contract — replay charges per-tuple costs only for surviving rows.
 
 from __future__ import annotations
 
-import pickle
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ExecutionError
@@ -44,10 +43,10 @@ class _Fragment:
 
     __slots__ = ("scan", "task", "task_id", "chain_ops")
 
-    def __init__(self, scan, task, chain_ops):
+    def __init__(self, scan, task, task_id, chain_ops):
         self.scan = scan
         self.task = task
-        self.task_id = None
+        self.task_id = task_id
         self.chain_ops = chain_ops
 
 
@@ -139,18 +138,16 @@ def prefetch_partition_fragments(plan, ctx) -> Optional[Callable[[], None]]:
                 scan_filters=scan_filters,
                 chain=[(op.op_id, op.predicate) for op in chain],
             )
-            # Validate picklability *before* handing the task to the
-            # queue's feeder thread, where a failure would surface as a
-            # hang instead of an error; unpicklable specs stay serial.
-            pickle.dumps(task)
         except Exception:
             continue
-        fragments.append(_Fragment(scan, task, chain))
+        try:
+            task_id = pool.submit(task)
+        except ExecutionError:
+            continue  # the spec cannot pickle: this scan stays serial
+        fragments.append(_Fragment(scan, task, task_id, chain))
 
     if not fragments:
         return None
-    for fragment in fragments:
-        fragment.task_id = pool.submit(fragment.task)
     results = pool.gather([fragment.task_id for fragment in fragments])
 
     deltas: Dict[int, List[int]] = {}

@@ -24,7 +24,6 @@ import multiprocessing
 import pickle
 import queue as queue_mod
 import time
-import traceback
 from typing import Dict, List, Optional
 
 from repro.common.errors import ExecutionError
@@ -199,15 +198,28 @@ class WorkerPool:
     # -- submission / gathering ----------------------------------------
 
     def submit(self, task) -> int:
-        """Enqueue ``task``; returns its id for :meth:`gather`."""
+        """Enqueue ``task``; returns its id for :meth:`gather`.
+
+        The task is pickled here, once, and travels as bytes: a
+        multiprocessing queue pickles in a background feeder thread,
+        where an unpicklable task would surface as a silent hang
+        instead of an error.  A task that cannot pickle raises
+        :class:`ExecutionError` with nothing enqueued or counted.
+        """
         if self._closed:
             raise ExecutionError("worker pool is closed")
         if not self._started:
             self.start()
+        try:
+            task_bytes = pickle.dumps(task)
+        except Exception as exc:
+            raise ExecutionError(
+                "%s is not picklable: %r" % (type(task).__name__, exc)
+            ) from exc
         task_id = self._next_task_id
         self._next_task_id += 1
         self._inflight[task_id] = TaskResult(task_id)
-        self._task_q.put((task_id, task))
+        self._task_q.put((task_id, task_bytes))
         if self.registry is not None:
             self.registry.counter("pool.tasks_dispatched").inc()
         if self.tracer is not None:

@@ -199,15 +199,14 @@ class QueryTask:
     """One whole admitted query, executed start-to-finish in a worker.
 
     Ships the *logical* plan (plain AST — site/partition stamps
-    included) plus the strategy name; the worker translates and runs it
-    against its warm catalog exactly as the serial service batch loop
-    would, and returns the result rows, metrics and trace events.
+    included) plus the strategy name and engine flags; the worker
+    feeds them to :func:`repro.service.executor.execute_batch` — the
+    function the inline backend calls — against its warm catalog and
+    returns the resulting ``BatchRun``.
     """
 
     __slots__ = (
-        "catalog_spec", "plan", "strategy_name", "strategy_kwargs",
-        "short_circuit", "batch_execution",
-        "network", "trace", "label",
+        "catalog_spec", "plan", "strategy_name", "options", "trace", "label",
     )
 
     def __init__(
@@ -215,20 +214,17 @@ class QueryTask:
         catalog_spec: CatalogSpec,
         plan,
         strategy_name: str,
-        strategy_kwargs: Optional[dict] = None,
-        short_circuit: bool = True,
-        batch_execution: bool = True,
-        network=None,
+        options: Optional[dict] = None,
         trace: bool = False,
         label: str = "",
     ):
         self.catalog_spec = catalog_spec
         self.plan = plan
         self.strategy_name = strategy_name
-        self.strategy_kwargs = dict(strategy_kwargs or {})
-        self.short_circuit = short_circuit
-        self.batch_execution = batch_execution
-        self.network = network
+        #: ``execute_batch``'s engine keyword arguments (short_circuit,
+        #: batch_execution, strategy_kwargs, network), forwarded
+        #: untouched: an engine flag is not re-declared per hop.
+        self.options = options or {}
         self.trace = trace
         self.label = label
 

@@ -6,7 +6,7 @@ coordinator used, so table rows are bit-identical in every process),
 acknowledges readiness, and then loops over the task queue.  Fragment
 tasks replay one partition's arrival schedule and stream surviving
 rows back as ordered pages; query tasks run a whole plan through the
-normal serial engine and return the result wholesale.
+service's batch executor and return its record wholesale.
 
 Message protocol (worker → coordinator), all tuples on the result
 queue:
@@ -27,7 +27,7 @@ import os
 import pickle
 import time
 import traceback
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.parallel.tasks import (
     ARRIVAL_PARAMS, CatalogSpec, CrashTask, FragmentTask, QueryTask,
@@ -150,14 +150,12 @@ def run_fragment(state: WorkerState, task: FragmentTask, emit_page) -> Dict:
 
 
 def run_query(state: WorkerState, task: QueryTask) -> Dict:
-    """Run one whole plan through the serial engine, exactly as the
-    service's serial batch loop would, and return the result."""
-    from repro.distributed.coordinator import remote_arrival_resolver
-    from repro.exec.context import ExecutionContext
-    from repro.exec.engine import execute_plan
-    from repro.harness.strategies import make_strategy
+    """Run one whole plan through the service's batch executor — the
+    same function the inline backend calls — as a batch of one, and
+    return its :class:`~repro.service.executor.BatchRun`."""
     from repro.obs.trace import Tracer
     from repro.plan.logical import ensure_node_ids_above
+    from repro.service.executor import execute_batch
 
     started = time.perf_counter()
     catalog = state.catalog(task.catalog_spec)
@@ -165,27 +163,14 @@ def run_query(state: WorkerState, task: QueryTask) -> Dict:
     # process's counter past them so fresh ids (result sink, partition
     # scans) cannot collide with imported nodes.
     ensure_node_ids_above(max(node.node_id for node in task.plan.walk()))
-    ctx = ExecutionContext(
-        catalog,
-        strategy=make_strategy(task.strategy_name, **task.strategy_kwargs),
-        short_circuit=task.short_circuit,
-        batch_execution=task.batch_execution,
-    )
     tracer = Tracer() if task.trace else None
-    ctx.tracer = tracer
-    resolver = None
-    if task.network is not None:
-        default_link = task.network.link_to("__default__")
-        ctx.cost_model.network_bandwidth = default_link.bandwidth
-        ctx.cost_model.network_latency = default_link.latency
-        ctx.network = task.network
-        resolver = remote_arrival_resolver(task.network)
-    result = execute_plan(task.plan, ctx, resolver)
-    return {
-        "result": result,
-        "trace_events": list(tracer.events) if tracer is not None else [],
-        "wall_seconds": time.perf_counter() - started,
-    }
+    run = execute_batch(
+        catalog, [(task.plan, task.strategy_name)],
+        tracer=tracer, **task.options,
+    )
+    if tracer is not None:
+        run.trace_events = list(tracer.events)
+    return {"run": run, "wall_seconds": time.perf_counter() - started}
 
 
 def _worker_main(index: int, init_bytes: bytes, task_q, result_q) -> None:
@@ -204,20 +189,22 @@ def _worker_main(index: int, init_bytes: bytes, task_q, result_q) -> None:
         item = task_q.get()
         if item is None:
             return
-        task_id, task = item
+        task_id, task_bytes = item
         result_q.put(("start", task_id, index))
-        if isinstance(task, CrashTask):
-            # Fault injection: die *after* the start ack reaches the
-            # pipe so the coordinator attributes the loss to this
-            # worker.  ``put`` only hands the ack to the queue's feeder
-            # thread; an immediate ``os._exit`` can kill the feeder
-            # before it writes, leaving the task unattributable (and
-            # the coordinator's gather waiting forever) — close and
-            # join the feeder to force the flush first.
-            result_q.close()
-            result_q.join_thread()
-            os._exit(task.exit_code)
         try:
+            task = pickle.loads(task_bytes)
+            if isinstance(task, CrashTask):
+                # Fault injection: die *after* the start ack reaches
+                # the pipe so the coordinator attributes the loss to
+                # this worker.  ``put`` only hands the ack to the
+                # queue's feeder thread; an immediate ``os._exit`` can
+                # kill the feeder before it writes, leaving the task
+                # unattributable (and the coordinator's gather waiting
+                # forever) — close and join the feeder to force the
+                # flush first.
+                result_q.close()
+                result_q.join_thread()
+                os._exit(task.exit_code)
             if isinstance(task, FragmentTask):
                 def emit_page(page_seq: int, entries) -> None:
                     result_q.put(("page", task_id, page_seq, entries))

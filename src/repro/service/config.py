@@ -1,16 +1,14 @@
 """Service configuration: one typed object instead of ~15 loose kwargs.
 
-:class:`QueryService` grew one keyword argument per PR until callers
-had to thread fifteen loose knobs through every layer.  The
-:class:`ServiceConfig` dataclass is now the single source of service
+The :class:`ServiceConfig` dataclass is the single source of service
 configuration: the CLI builds one, the socket front door embeds one,
 and tests can construct/`replace()` them without re-listing defaults.
-``QueryService(catalog, **old_kwargs)`` still works — the constructor
-folds loose kwargs into a config via a compatibility shim — so every
-pre-config call site keeps running unchanged.
+``QueryService(catalog, config)`` takes one; ``QueryService(catalog,
+**fields)`` is sugar for ``QueryService(catalog,
+ServiceConfig(**fields))``.
 
-Per-tenant **quotas** live here too.  Unlike the fair interleaving the
-parallel service already does (which only reorders admission), a
+Per-tenant **quotas** live here too.  Unlike the fair interleaving
+dispatch always does (which only reorders admission), a
 :class:`TenantQuota` is a *hard cap*: a tenant at its concurrent-query
 cap, or whose aggregate estimated state would exceed its byte cap, has
 the overflow query **shed** — while other tenants' queries in the same
@@ -20,12 +18,8 @@ into ``shed`` frames carrying retry hints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
-
-#: Sentinel tenant key applying a quota to queries submitted with no
-#: tenant tag (the anonymous tenant).
-ANONYMOUS = None
 
 
 @dataclass(frozen=True)
@@ -129,48 +123,20 @@ class ServiceConfig:
             )
         return self
 
-    def evolve(self, **overrides) -> "ServiceConfig":
-        """A copy with ``overrides`` applied (kwargs-shim helper)."""
-        return replace(self, **overrides)
-
-
-#: The exact kwarg names the pre-config QueryService accepted; the shim
-#: routes them (and only them) into ServiceConfig fields.
-CONFIG_FIELDS = tuple(f.name for f in fields(ServiceConfig))
-
 
 def coerce_config(config, kwargs: Dict[str, Any]) -> ServiceConfig:
-    """The compatibility shim behind ``QueryService.__init__``.
-
-    Accepts any of the historical calling conventions:
-
-    * ``QueryService(catalog)`` — all defaults;
-    * ``QueryService(catalog, "costbased")`` — positional strategy;
-    * ``QueryService(catalog, strategy=..., max_concurrent=...)`` —
-      loose kwargs, the pre-config surface;
-    * ``QueryService(catalog, ServiceConfig(...))`` — the config
-      object, optionally with kwarg overrides on top.
-    """
-    if isinstance(config, str):
-        # Old positional-strategy convention.
-        if "strategy" in kwargs:
-            raise TypeError("strategy given positionally and by keyword")
-        kwargs = dict(kwargs, strategy=config)
-        config = None
-    unknown = set(kwargs) - set(CONFIG_FIELDS)
-    if unknown:
-        raise TypeError(
-            "unknown QueryService option(s): %s"
-            % ", ".join(sorted(unknown))
-        )
+    """The validated config behind ``QueryService(catalog, config)`` or
+    ``QueryService(catalog, **fields)`` — one or the other.  A
+    misspelt field is the dataclass constructor's ``TypeError``."""
     if config is None:
         config = ServiceConfig(**kwargs)
-    elif isinstance(config, ServiceConfig):
-        if kwargs:
-            config = config.evolve(**kwargs)
-    else:
+    elif not isinstance(config, ServiceConfig):
         raise TypeError(
-            "config must be a ServiceConfig (or legacy strategy string); "
-            "got %r" % (config,)
+            "config must be a ServiceConfig; got %r" % (config,)
+        )
+    elif kwargs:
+        raise TypeError(
+            "pass a ServiceConfig or keyword fields, not both; got "
+            "config and %s" % ", ".join(sorted(kwargs))
         )
     return config.validate()

@@ -5,11 +5,16 @@ heavy traffic" needs on top of the one-shot engine.  Queries — SQL
 text, Table I workload ids, logical plans, or plan-builder callables —
 are submitted with virtual arrival times; the service forms concurrent
 batches with a pluggable scheduler, packs each batch under the
-admission controller's intermediate-state budget, and executes it via
-:func:`~repro.harness.concurrent.run_concurrent` so every batch shares
-one clock and one aggregate metric store.  Two caches persist across
-queries: the cross-query AIP-set cache (inter-query sideways
-information passing) and a result cache keyed by plan fingerprint.
+admission controller's intermediate-state budget, and hands it to an
+execution backend (:mod:`repro.service.executor`): inline, every batch
+shares one clock and one aggregate metric store; on a worker pool,
+each query gets a process.  Two caches persist across queries: the
+cross-query AIP-set cache (inter-query sideways information passing)
+and a result cache keyed by plan fingerprint.
+
+One query lifecycle, one owner per stage: plan (:meth:`QueryService
+.submit`) -> admit/schedule (``_dispatch``) -> execute (``_run_batch``
+-> backend) -> finish (``_finish_batch``).
 
 The service model is *batch-sequential*: one engine machine runs one
 concurrent batch at a time; queries arriving mid-batch wait in the
@@ -22,23 +27,24 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ExecutionError
 from repro.data.catalog import Catalog
-from repro.exec.context import ExecutionContext
+from repro.distributed.coordinator import (
+    apply_broadcast_fanouts, mark_remote_scans,
+)
 from repro.exec.engine import QueryResult
 from repro.exec.metrics import Metrics, seconds_to_ticks
-from repro.harness.concurrent import run_concurrent
 from repro.harness.strategies import make_strategy, uses_magic_plan
 from repro.obs.eventlog import open_event_log
 from repro.obs.feedback import FeedbackStore
 from repro.obs.profiles import ProfileRing, QueryProfile, operator_table
 from repro.obs.registry import RATIO_BUCKETS, MetricsRegistry, percentile
 from repro.optimizer.cost import PlanCoster
-from repro.optimizer.estimator import CardinalityEstimator
 from repro.plan.logical import LogicalNode
 from repro.service.admission import (
     ADMIT, SHED, AdmissionController, estimate_query_state_bytes,
 )
 from repro.service.aip_cache import AIPSetCache
-from repro.service.config import ServiceConfig, TenantQuota, coerce_config
+from repro.service.config import TenantQuota, coerce_config
+from repro.service.executor import BatchRun, InlineBackend, PoolBackend
 from repro.service.fingerprint import plan_signature
 from repro.service.result import result_from_outcome
 from repro.service.result_cache import ResultCache
@@ -50,7 +56,8 @@ from repro.workloads.registry import QUERIES, get_query
 OK = "ok"
 CACHED = "cached"
 SHED_STATUS = "shed"
-#: Parallel mode only: the worker carrying this query died or raised.
+#: Pool backend only: the query's plan could not be shipped, or the
+#: worker carrying it died or raised.
 ERROR = "error"
 
 QuerySpec = Union[str, LogicalNode, Callable[[Catalog], LogicalNode]]
@@ -175,14 +182,13 @@ class QueryOutcome:
         )
 
 
-def _stats_delta(before: Optional[Dict], after: Optional[Dict]) -> Optional[Dict]:
-    """Run-scope cumulative counters; point-in-time gauges stay as-is."""
+def _run_delta(before: Optional[Dict], after: Optional[Dict], gauges):
+    """Run-scope view of a component's lifetime stats: cumulative
+    counters as deltas, the point-in-time ``gauges`` as-is."""
     if after is None:
         return None
-    if before is None:
-        return dict(after)
     return {
-        key: value if key in ("entries", "bytes") else value - before[key]
+        key: value if key in gauges else value - before[key]
         for key, value in after.items()
     }
 
@@ -232,7 +238,7 @@ class ServiceReport:
 
     @property
     def failed(self) -> List[QueryOutcome]:
-        """Parallel mode only: queries lost to worker faults."""
+        """Pool backend only: queries lost to worker faults."""
         return [o for o in self.outcomes if o.status == ERROR]
 
     @property
@@ -385,36 +391,19 @@ class QueryService:
     """Runs a stream of queries against one catalog on one clock."""
 
     def __init__(self, catalog: Catalog, config=None, **kwargs):
-        """``config`` is a :class:`ServiceConfig` (the redesigned API);
-        the historical loose kwargs — ``QueryService(catalog,
-        strategy=..., max_concurrent=...)`` — are still accepted and
-        folded into a config by the compatibility shim, as is the old
-        positional-strategy form.  Kwargs passed *alongside* a config
-        override its fields."""
+        """``config`` is a :class:`~repro.service.config.ServiceConfig`;
+        ``QueryService(catalog, **fields)`` is sugar for
+        ``QueryService(catalog, ServiceConfig(**fields))``.  Passing
+        both is a ``TypeError``."""
         config = coerce_config(config, kwargs)
         #: The resolved configuration; every knob below reads from it.
         self.config = config
         strategy = config.strategy
         scheduler = config.scheduler
         memory_budget = config.memory_budget
-        parallel = config.parallel
-        pool = config.pool
         tracer = config.tracer
         self.catalog = catalog
         self.default_strategy = strategy
-        #: Worker-pool size for real wall-clock parallel batches; None
-        #: keeps the serial shared-clock loop.  ``pool`` supplies an
-        #: already-warm :class:`~repro.parallel.pool.WorkerPool` to
-        #: reuse (the service then never closes it); otherwise the pool
-        #: is started lazily on the first parallel batch, warm-loading
-        #: ``catalog_spec`` (or shipping the catalog object itself).
-        self.parallel = (
-            parallel if parallel is not None
-            else (pool.n_workers if pool is not None else None)
-        )
-        self._pool = pool
-        self._owns_pool = False
-        self._catalog_spec = config.catalog_spec
         #: Latency objective in virtual seconds: at dispatch, a query
         #: whose projected latency (wait so far + the forming batch's
         #: cost spread over the pool) exceeds it is shed immediately —
@@ -485,6 +474,27 @@ class QueryService:
         #: Page-driven engine loop for every dispatched batch
         #: (observably identical to tuple-at-a-time; on by default).
         self.batch_execution = config.batch_execution
+        #: What every batch's engine is told, whichever backend runs it.
+        engine_options = {
+            "short_circuit": self.short_circuit,
+            "batch_execution": self.batch_execution,
+            "strategy_kwargs": self.strategy_kwargs,
+            "network": self.network,
+        }
+        #: Where admitted batches execute, chosen once: worker
+        #: processes when ``parallel``/``pool`` ask for them (real
+        #: wall-clock concurrency), else this process.  Scheduling
+        #: policy never looks at which one it is beyond ``slots``.
+        if config.parallel or config.pool is not None:
+            self._backend = PoolBackend(
+                catalog, engine_options, self.registry, tracer,
+                config.parallel, config.pool, config.catalog_spec,
+            )
+        else:
+            self._backend = InlineBackend(catalog, dict(
+                engine_options, governor=self.governor, tracer=tracer,
+                aip_cache=self.aip_cache,
+            ))
         self.coster = PlanCoster(catalog)
         #: The service's virtual clock, advanced batch by batch.
         self.clock = 0.0
@@ -515,8 +525,8 @@ class QueryService:
         ``arrival`` is relative to the service's *current* clock, so a
         reused service replays a stream's spacing rather than dating
         arrivals into its past.  ``tenant`` names the query's
-        fair-share class: a parallel service interleaves admission
-        across tenants so no tenant's burst monopolises a batch.
+        fair-share class: dispatch interleaves admission across
+        tenants so no tenant's burst monopolises a batch.
         """
         strategy_name = strategy or self.default_strategy
         # Fail fast on a bad strategy name: raising later, mid-batch,
@@ -524,9 +534,6 @@ class QueryService:
         make_strategy(strategy_name, **self.strategy_kwargs)
         plan, label = self._build_plan(query, strategy_name, label)
         if self.placement is not None:
-            from repro.distributed.coordinator import (
-                apply_broadcast_fanouts, mark_remote_scans,
-            )
             mark_remote_scans(plan, self.placement)
             apply_broadcast_fanouts(plan, self.catalog)
         self._seq += 1
@@ -563,7 +570,6 @@ class QueryService:
                 plan = workload.build_baseline(self.catalog)
             if workload.is_distributed:
                 # Same placement the runner builds for `repro run`.
-                from repro.distributed.coordinator import mark_remote_scans
                 from repro.distributed.site import Placement, Site
                 mark_remote_scans(plan, Placement(
                     [Site("remote-1", workload.remote_tables)]
@@ -580,30 +586,17 @@ class QueryService:
             self.submit_item(item)
         return self.run()
 
-    def _storage_snapshot(self) -> Optional[Dict]:
-        if self.governor is None:
-            return None
-        return {
-            "budget": self.governor.budget,
-            "peak_resident_bytes": self.governor.peak_resident_bytes,
-            "over_budget_events": self.governor.over_budget_events,
-            "spilled_bytes": self.governor.backend.bytes_written,
-            "evictions": self.governor.buffer.evictions,
-            "reloads": self.governor.buffer.reloads,
-        }
-
-    @staticmethod
-    def _storage_delta(before, after) -> Optional[Dict]:
-        """Run-scope counter deltas; budget and lifetime peak as-is."""
-        if after is None:
-            return None
-        if before is None:
-            return dict(after)
-        keep = ("budget", "peak_resident_bytes")
-        return {
-            key: value if key in keep else value - before[key]
-            for key, value in after.items()
-        }
+    def _lifetime_stats(self):
+        """AIP-cache, result-cache and governor stats so far (None for
+        a component this service runs without)."""
+        aip, results, governor = (
+            self.aip_cache, self.result_cache, self.governor,
+        )
+        return (
+            aip.stats() if aip is not None else None,
+            results.stats() if results is not None else None,
+            governor.snapshot() if governor is not None else None,
+        )
 
     def run(self) -> ServiceReport:
         """Drain the queue, batch by batch, and report on this run."""
@@ -611,14 +604,7 @@ class QueryService:
         started = self.clock
         self._run_peak = 0
         self._run_engine = dict.fromkeys(_ENGINE_TOTAL_KEYS, 0)
-        storage_before = self._storage_snapshot()
-        aip_before = (
-            self.aip_cache.stats() if self.aip_cache is not None else None
-        )
-        result_before = (
-            self.result_cache.stats()
-            if self.result_cache is not None else None
-        )
+        aip_before, result_before, storage_before = self._lifetime_stats()
         while self._pending:
             ready = [p for p in self._pending if p.arrival <= self.clock]
             if not ready:
@@ -626,22 +612,17 @@ class QueryService:
                 continue
             outcomes.extend(self._dispatch(self.scheduler.order(ready)))
         outcomes.sort(key=lambda o: o.seq)
+        aip, result, storage = self._lifetime_stats()
         return ServiceReport(
             self, outcomes,
             elapsed=self.clock - started, peak=self._run_peak,
-            aip_cache_stats=_stats_delta(
-                aip_before,
-                self.aip_cache.stats()
-                if self.aip_cache is not None else None,
-            ),
-            result_cache_stats=_stats_delta(
-                result_before,
-                self.result_cache.stats()
-                if self.result_cache is not None else None,
+            aip_cache_stats=_run_delta(aip_before, aip, ("entries", "bytes")),
+            result_cache_stats=_run_delta(
+                result_before, result, ("entries", "bytes")
             ),
             engine=dict(self._run_engine),
-            storage=self._storage_delta(
-                storage_before, self._storage_snapshot()
+            storage=_run_delta(
+                storage_before, storage, ("budget", "peak_resident_bytes")
             ),
         )
 
@@ -650,8 +631,7 @@ class QueryService:
         from repro.harness.strategies import BASELINE, MAGIC
 
         tracer = self.tracer
-        if self._parallel_mode():
-            ordered = _fair_interleave(ordered)
+        ordered = _fair_interleave(ordered)
         if tracer is not None:
             tracer.instant(
                 "sched.pick", "service", seconds_to_ticks(self.clock),
@@ -758,10 +738,9 @@ class QueryService:
                 # query that cannot meet its objective is shed *now* —
                 # finishing it late would only steal capacity from
                 # queries that can still make theirs.
-                slots = max(1, self.parallel or 1)
                 projected = (self.clock - entry.arrival) + (
                     packed_cost + entry.cost_estimate
-                ) / slots
+                ) / self._backend.slots
                 if projected > self.slo_seconds:
                     if tracer is not None:
                         tracer.instant(
@@ -819,10 +798,7 @@ class QueryService:
                 p for p in self._pending if p.seq not in consumed
             ]
         if batch:
-            outcomes.extend(
-                self._run_batch_parallel(batch)
-                if self._parallel_mode() else self._run_batch(batch)
-            )
+            outcomes.extend(self._run_batch(batch))
         return outcomes
 
     def _quota_violation(
@@ -918,111 +894,30 @@ class QueryService:
             )
         return profile
 
-    def _arrival_resolver(self):
-        """Remote scans pace on the service's network links via the
-        coordinator's shared resolver (no predicate pushdown, matching
-        the runner's `repro run` defaults)."""
-        from repro.distributed.coordinator import remote_arrival_resolver
-
-        return remote_arrival_resolver(self.network)
-
     def _run_batch(self, batch: List[_PendingQuery]) -> List[QueryOutcome]:
-        # Everything from here until the release must sit inside the
-        # try: an acquired entry whose batch dies during *setup* (bad
-        # network link, hook registration) must release its reserved
-        # bytes exactly like one that dies mid-execution, or the
-        # controller leaks budget and later queries queue forever.
-        # The governor epoch gives a failed batch the same guarantee
-        # for *enforced* bytes: dead operators' leases, spill handlers
-        # and buffer frames all roll back.
+        """Execute one admitted batch on the backend, then finish it.
+
+        Everything between acquisition and the release sits inside
+        the try: an acquired entry whose batch dies during *setup*
+        (bad network link, hook registration, pool start) must release
+        its reserved bytes exactly like one that dies mid-execution, or
+        the controller leaks budget and later queries queue forever.
+        The governor epoch gives a failed batch the same guarantee for
+        *enforced* bytes: dead operators' leases, spill handlers and
+        buffer frames all roll back.  Inline engine errors propagate
+        out of :meth:`run`; a pool worker's become ``error`` outcomes.
+        """
         epoch = (
             self.governor.begin_epoch()
             if self.governor is not None else None
         )
-        finish_times: Dict[int, float] = {}
         tracer = self.tracer
         try:
-            ctx = ExecutionContext(
-                self.catalog,
-                short_circuit=self.short_circuit,
-                batch_execution=self.batch_execution,
-                governor=self.governor,
-            )
-            ctx.tracer = tracer
             if tracer is not None:
                 # Each batch's engine clock restarts at zero; offset its
                 # events onto the service timeline.
                 tracer.offset = seconds_to_ticks(self.clock)
-            # Align the batch context with the service's network,
-            # exactly as the coordinator does for one-shot distributed
-            # runs.
-            default_link = self.network.link_to("__default__")
-            ctx.cost_model.network_bandwidth = default_link.bandwidth
-            ctx.cost_model.network_latency = default_link.latency
-            ctx.network = self.network
-            if self.aip_cache is not None:
-                ctx.aip_publish_hooks.append(self.aip_cache.recorder(ctx))
-
-            registry = self.registry
-
-            def observe_publish(op, port, aip_set):
-                registry.counter("aip.sets_published").inc()
-                # Bloom summaries expose fill_fraction as a property on
-                # some implementations and a method on others.
-                fill = getattr(aip_set.summary, "fill_fraction", None)
-                if callable(fill):
-                    fill = fill()
-                if fill is not None:
-                    registry.histogram(
-                        "aip.bloom_fill_fraction", RATIO_BUCKETS
-                    ).observe(fill)
-
-            ctx.aip_publish_hooks.append(observe_publish)
-
-            injected: Dict[int, List] = {}
-            physicals: Dict[int, object] = {}
-            strategies_made: List = []
-
-            def on_translated(index, physical):
-                # Keep the translated plan: the feedback store pairs
-                # its logical nodes' estimates with the executed
-                # operators' counters at completion.
-                physicals[index] = physical
-                if self.aip_cache is None:
-                    return
-                # Baseline/magic queries are the paper's no-AIP
-                # comparison points; leave them untouched (mirroring
-                # the twin-hold exclusion) so service-level strategy
-                # comparisons stay honest.  Cached-set consumers are
-                # the AIP strategies.
-                from repro.harness.strategies import BASELINE, MAGIC
-                if batch[index].strategy_name in (BASELINE, MAGIC):
-                    return
-                # The strategy attached just before this callback;
-                # reuse its predicate graph / candidate index when it
-                # has them.
-                strategy = strategies_made[index]
-                graph = getattr(strategy, "graph", None)
-                if graph is None:
-                    registry = getattr(strategy, "registry", None)
-                    graph = getattr(registry, "graph", None)
-                injected[index] = self.aip_cache.inject(
-                    physical, ctx,
-                    graph=graph, candidates=getattr(strategy, "index", None),
-                )
-
-            strategies = [
-                make_strategy(p.strategy_name, **self.strategy_kwargs)
-                for p in batch
-            ]
-            strategies_made.extend(strategies)
-            results = run_concurrent(
-                [p.plan for p in batch], ctx,
-                strategies=strategies,
-                arrival_resolver=self._arrival_resolver(),
-                on_plan_finished=lambda i, t: finish_times.setdefault(i, t),
-                on_plan_translated=on_translated,
-            )
+            run = self._backend.execute(batch)
         except BaseException:
             if epoch is not None:
                 self.governor.abort_epoch(epoch)
@@ -1032,290 +927,113 @@ class QueryService:
                 tracer.offset = 0
             for entry in batch:
                 self.admission.release(entry.state_estimate)
+        return self._finish_batch(batch, run)
 
+    def _finish_batch(
+        self, batch: List[_PendingQuery], run: BatchRun
+    ) -> List[QueryOutcome]:
+        """Account for one executed batch — the same steps, in the
+        same order, whichever backend produced ``run``."""
         # Reconcile what admission believed against what the batch
-        # actually held: the governor's observed *operator-state* peak
-        # when a budget is enforced (its total peak includes base-table
-        # buffer pages, which the estimates never model), the metric
-        # store's peak otherwise.  Success path only — a batch that
-        # raised reported nothing trustworthy.
-        observed = (
-            self.governor.take_window_state_peak()
-            if self.governor is not None
-            else ctx.metrics.peak_state_bytes
-        )
+        # actually held.  Only queries that ran count — a failed one
+        # reported nothing trustworthy (and a batch that raised never
+        # gets here).
         self.admission.observe(
-            sum(entry.state_estimate for entry in batch), observed
+            sum(
+                entry.state_estimate
+                for entry, query in zip(batch, run.queries)
+                if query.error is None
+            ),
+            run.observed_bytes,
         )
-
-        batch_seconds = ctx.metrics.clock
-        self.peak_state_bytes = max(
-            self.peak_state_bytes, ctx.metrics.peak_state_bytes
-        )
-        self._run_peak = max(self._run_peak, ctx.metrics.peak_state_bytes)
+        self.peak_state_bytes = max(self.peak_state_bytes, run.peak_bytes)
+        self._run_peak = max(self._run_peak, run.peak_bytes)
         batch_index = self.batches_run
         self.batches_run += 1
         start = self.clock
-        self.clock += batch_seconds
+        self.clock += run.seconds
 
-        spill_before = (
-            self._run_engine["spill_bytes"], self._run_engine["spill_events"]
-        )
-        self._fold_batch_metrics(ctx, physicals)
-        spilled_events = self._run_engine["spill_events"] - spill_before[1]
-        if spilled_events:
+        self._fold_metrics(run)
+        spill_events = sum(s["spill_events"] for s in run.summaries)
+        if spill_events:
             self._emit_event(
                 "spill", batch=batch_index,
-                spill_bytes=(
-                    self._run_engine["spill_bytes"] - spill_before[0]
-                ),
-                spill_events=spilled_events,
+                spill_bytes=sum(s["spill_bytes"] for s in run.summaries),
+                spill_events=spill_events,
             )
-        estimator = CardinalityEstimator(self.catalog)
-        for physical in physicals.values():
-            self.feedback.record_plan(physical, ctx.metrics, estimator)
+        tracer = self.tracer
         if tracer is not None:
+            # Events a worker collected on its own zero-based clock
+            # land where the batch sits on the service timeline.
+            tracer.replay(run.trace_events, seconds_to_ticks(start))
             tracer.complete(
                 "service.batch", "service", seconds_to_ticks(start),
-                seconds_to_ticks(batch_seconds),
+                seconds_to_ticks(run.seconds),
                 {"batch": batch_index, "queries": len(batch)},
             )
         self._emit_event(
             "batch_complete", batch=batch_index, queries=len(batch),
-            virtual_seconds=batch_seconds,
+            virtual_seconds=run.seconds,
         )
 
         outcomes = []
-        for index, (entry, result) in enumerate(zip(batch, results)):
-            finish = start + finish_times.get(index, batch_seconds)
-            if self.result_cache is not None:
-                self.result_cache.store(
-                    entry.signature, result.rows, result.schema,
-                    finish_times.get(index, batch_seconds),
-                )
+        for entry, query in zip(batch, run.queries):
+            ran = query.error is None
             outcome = QueryOutcome(
-                entry.seq, entry.label, OK, entry.strategy_name,
-                entry.arrival, start, finish, result, batch_index,
+                entry.seq, entry.label, OK if ran else ERROR,
+                entry.strategy_name, entry.arrival, start,
+                start + query.finish, query.result, batch_index,
                 entry.state_estimate, tenant=entry.tenant,
+                reason=query.error,
             )
-            filters = injected.get(index, ())
-            outcome.aip_filters_injected = len(filters)
-            outcome.aip_tuples_pruned = sum(f.pruned for f in filters)
-            self.registry.counter("queries.completed").inc()
-            self._observe_latency(outcome)
-            self.registry.histogram("query.queue_wait_s").observe(
-                outcome.queue_wait
-            )
-            physical = physicals.get(index)
-            self._finish_query(
-                outcome, entry.signature,
-                operators=(
-                    operator_table(physical, ctx.metrics, estimator)
-                    if physical is not None else None
-                ),
-            )
-            outcomes.append(outcome)
-        return outcomes
-
-    # -- parallel execution ------------------------------------------------
-
-    def _parallel_mode(self) -> bool:
-        return self._pool is not None or bool(self.parallel)
-
-    def _ensure_pool(self):
-        """The service's worker pool, started lazily on the first
-        parallel batch so a parallel-configured service that only ever
-        serves cache hits never pays the spawn cost."""
-        if self._pool is None:
-            from repro.parallel import CatalogSpec, WorkerPool
-            spec = self._catalog_spec
-            if spec is None:
-                spec = CatalogSpec.from_object(self.catalog)
-            self._pool = WorkerPool(
-                self.parallel, spec,
-                registry=self.registry, tracer=self.tracer,
-            ).start()
-            self._owns_pool = True
-        return self._pool
-
-    def _run_batch_parallel(
-        self, batch: List[_PendingQuery]
-    ) -> List[QueryOutcome]:
-        """Dispatch one admitted batch onto the worker pool.
-
-        Each admitted query runs start-to-finish in its own worker
-        process — real wall-clock concurrency, where the serial loop
-        interleaves one engine on one shared clock.  Virtual
-        accounting: every query keeps its *own* engine clock; the
-        service clock advances by the slowest member (the workers
-        genuinely overlap) and each query's finish uses its own clock.
-        A worker that dies or raises fails only the queries it carried
-        (status ``error``); admission is released exactly once per
-        entry either way.  Worker trace events and engine counters are
-        folded back onto the service timeline and registry.
-
-        Trade-off (DESIGN.md section 11): worker processes share no
-        AIP state, so cross-query AIP-cache injection/harvest and
-        feedback recording are unavailable in this mode.
-        """
-        import pickle
-
-        from repro.parallel.tasks import CatalogSpec, QueryTask
-
-        pool = self._ensure_pool()
-        tracer = self.tracer
-        # Warm workers resolve their init catalog once; tasks then name
-        # it symbolically instead of re-shipping it per query.
-        task_spec = (
-            CatalogSpec.warm() if pool.catalog_spec is not None
-            else CatalogSpec.from_object(self.catalog)
-        )
-        errors: Dict[int, str] = {}
-        payloads: Dict[int, dict] = {}
-        try:
-            task_ids: Dict[int, int] = {}
-            for index, entry in enumerate(batch):
-                task = QueryTask(
-                    task_spec, entry.plan, entry.strategy_name,
-                    strategy_kwargs=self.strategy_kwargs,
-                    short_circuit=self.short_circuit,
-                    batch_execution=self.batch_execution,
-                    network=self.network,
-                    trace=tracer is not None,
-                    label=entry.label,
-                )
-                try:
-                    # Validate before the queue's feeder thread would
-                    # turn an unpicklable plan into a silent hang.
-                    pickle.dumps(task)
-                except Exception as exc:
-                    errors[index] = (
-                        "query task is not picklable: %r" % (exc,)
+            if ran:
+                self.feedback.record_rows(query.operators)
+                if self.result_cache is not None:
+                    self.result_cache.store(
+                        entry.signature, query.result.rows,
+                        query.result.schema, query.finish,
                     )
-                    continue
-                task_ids[index] = pool.submit(task)
-            for index, result in zip(
-                task_ids, pool.gather(list(task_ids.values()))
-            ):
-                if result.error is not None:
-                    errors[index] = result.error
-                else:
-                    payloads[index] = result.payload
-        finally:
-            for entry in batch:
-                self.admission.release(entry.state_estimate)
-
-        batch_seconds = 0.0
-        peak_total = 0
-        for payload in payloads.values():
-            metrics = payload["result"].metrics
-            batch_seconds = max(batch_seconds, metrics.clock)
-            peak_total += metrics.peak_state_bytes
-        # The concurrent aggregate the estimates tried to predict is
-        # the sum of per-worker peaks: the queries genuinely overlap.
-        self.admission.observe(
-            sum(entry.state_estimate for entry in batch), peak_total
-        )
-        self.peak_state_bytes = max(self.peak_state_bytes, peak_total)
-        self._run_peak = max(self._run_peak, peak_total)
-        batch_index = self.batches_run
-        self.batches_run += 1
-        start = self.clock
-        self.clock += batch_seconds
-
-        self._fold_parallel_metrics(
-            [payloads[i]["result"].metrics.summary()
-             for i in sorted(payloads)],
-            peak_total,
-        )
-        if tracer is not None:
-            offset = seconds_to_ticks(start)
-            for index in sorted(payloads):
-                tracer.replay(payloads[index]["trace_events"], offset)
-            tracer.complete(
-                "service.batch", "service", seconds_to_ticks(start),
-                seconds_to_ticks(batch_seconds),
-                {
-                    "batch": batch_index, "queries": len(batch),
-                    "parallel": pool.n_workers,
-                },
-            )
-        pool.record_busy_fractions()
-        self._emit_event(
-            "batch_complete", batch=batch_index, queries=len(batch),
-            virtual_seconds=batch_seconds, parallel=pool.n_workers,
-        )
-
-        outcomes = []
-        for index, entry in enumerate(batch):
-            if index in errors:
+                outcome.aip_filters_injected = query.filters_injected
+                outcome.aip_tuples_pruned = query.tuples_pruned
+                self.registry.counter("queries.completed").inc()
+                self._observe_latency(outcome)
+                self.registry.histogram("query.queue_wait_s").observe(
+                    outcome.queue_wait
+                )
+            else:
                 self.registry.counter("queries.failed").inc()
                 if tracer is not None:
                     tracer.instant(
                         "service.query_error", "service",
                         seconds_to_ticks(start),
-                        {"query": entry.label, "error": errors[index]},
+                        {"query": entry.label, "error": query.error},
                     )
                 self._emit_event(
                     "crash", seq=entry.seq, label=entry.label,
-                    tenant=entry.tenant, error=errors[index],
+                    tenant=entry.tenant, error=query.error,
                 )
-                outcome = QueryOutcome(
-                    entry.seq, entry.label, ERROR, entry.strategy_name,
-                    entry.arrival, start, start, None, batch_index,
-                    entry.state_estimate, tenant=entry.tenant,
-                    reason=errors[index],
-                )
-                self._finish_query(outcome, entry.signature)
-                outcomes.append(outcome)
-                continue
-            result = payloads[index]["result"]
-            q_seconds = result.metrics.clock
-            if self.result_cache is not None:
-                self.result_cache.store(
-                    entry.signature, result.rows, result.schema, q_seconds,
-                )
-            outcome = QueryOutcome(
-                entry.seq, entry.label, OK, entry.strategy_name,
-                entry.arrival, start, start + q_seconds, result,
-                batch_index, entry.state_estimate, tenant=entry.tenant,
+            self._finish_query(
+                outcome, entry.signature,
+                operators=operator_table(query.operators),
             )
-            self.registry.counter("queries.completed").inc()
-            self._observe_latency(outcome)
-            self.registry.histogram("query.queue_wait_s").observe(
-                outcome.queue_wait
-            )
-            # Pool workers run their own metric stores without operator
-            # attribution, so parallel profiles carry the flat summary
-            # but no est-vs-actual operator table.
-            self._finish_query(outcome, entry.signature)
             outcomes.append(outcome)
         return outcomes
 
-    def _fold_parallel_metrics(self, summaries, peak_total) -> None:
-        """Parallel-mode counterpart of :meth:`_fold_batch_metrics`:
-        every worker ran its own metric store, so fold each returned
-        summary into the run totals and the lifetime registry."""
-        registry = self.registry
-        for summary in summaries:
-            for key in self._run_engine:
-                self._run_engine[key] += summary[key]
-            for key in _ENGINE_TOTAL_KEYS:
-                registry.counter("engine.%s" % key).inc(summary[key])
-        registry.gauge("engine.peak_state_bytes").set(peak_total)
-
-    def _fold_batch_metrics(self, ctx, physicals) -> None:
+    def _fold_metrics(self, run: BatchRun) -> None:
         """Accumulate one finished batch's engine counters into the
         run totals and the service-lifetime registry."""
-        summary = ctx.metrics.summary()
-        for key in self._run_engine:
-            self._run_engine[key] += summary[key]
         registry = self.registry
-        for key in _ENGINE_TOTAL_KEYS:
-            registry.counter("engine.%s" % key).inc(summary[key])
-        registry.gauge("engine.peak_state_bytes").set(
-            ctx.metrics.peak_state_bytes
-        )
+        for fill in run.published_fills:
+            registry.counter("aip.sets_published").inc()
+            if fill is not None:
+                registry.histogram(
+                    "aip.bloom_fill_fraction", RATIO_BUCKETS
+                ).observe(fill)
+        for summary in run.summaries:
+            for key in _ENGINE_TOTAL_KEYS:
+                self._run_engine[key] += summary[key]
+                registry.counter("engine.%s" % key).inc(summary[key])
+        registry.gauge("engine.peak_state_bytes").set(run.peak_bytes)
         if self.governor is not None:
             registry.gauge("governor.resident_bytes").set(
                 self.governor.resident_bytes
@@ -1323,16 +1041,34 @@ class QueryService:
             registry.gauge("governor.peak_resident_bytes").set(
                 self.governor.peak_resident_bytes
             )
-        scanned = 0
-        for physical in physicals.values():
-            for scan in physical.scans:
-                counters = ctx.metrics.operators.get(scan.op_id)
-                if counters is not None:
-                    scanned += counters.tuples_out
-        if scanned:
+        if run.scanned_rows:
+            pruned = sum(s["tuples_pruned"] for s in run.summaries)
             registry.histogram(
                 "aip.pruned_row_ratio", RATIO_BUCKETS
-            ).observe(min(1.0, summary["tuples_pruned"] / scanned))
+            ).observe(min(1.0, pruned / run.scanned_rows))
+
+    def stats(self) -> Dict:
+        """The ``service`` (and, when tracing, ``trace``) sections of
+        a stats payload — shared by the socket server's ``stats``
+        frame and :meth:`repro.client.InProcessClient.stats`."""
+        payload = {
+            "service": {
+                "clock": self.clock,
+                "batches_run": self.batches_run,
+                "pending": len(self._pending),
+                "peak_state_bytes": self.peak_state_bytes,
+                "profiles_retained": len(self.profiles),
+                "profiles_evicted": self.profiles.evicted,
+                "feedback_fingerprints": len(self.feedback),
+            },
+        }
+        if self.tracer is not None:
+            payload["trace"] = {
+                "events": len(self.tracer),
+                "dropped": self.tracer.dropped,
+                "max_events": self.tracer.max_events,
+            }
+        return payload
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1342,10 +1078,7 @@ class QueryService:
         its owner closes it), and the event log."""
         if self.governor is not None:
             self.governor.close()
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._owns_pool = False
+        self._backend.close()
         if self.eventlog is not None:
             self.eventlog.close()
 

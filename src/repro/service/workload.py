@@ -14,9 +14,9 @@ Script grammar, one item per line::
     @0.5 Q3A                       arrival time in virtual seconds
     @1.0 select count(*) as n from part       anything else is SQL
     Q1A !costbased                 per-query strategy override
-    Q1A %acme                      fair-share tenant tag (parallel
-                                   services interleave admission
-                                   across tenants)
+    Q1A %acme                      fair-share tenant tag (dispatch
+                                   interleaves admission across
+                                   tenants)
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ bit-identical to the pre-storage engine.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.storage.disk import DiskBackend
 
@@ -265,6 +265,18 @@ class MemoryGovernor:
         peak = self._window_state_peak
         self._window_state_peak = self.resident_bytes - self._pool_nbytes()
         return peak
+
+    def snapshot(self) -> Dict:
+        """What the governor has observed so far — the ``storage``
+        section of run records and service reports."""
+        return {
+            "budget": self.budget,
+            "peak_resident_bytes": self.peak_resident_bytes,
+            "over_budget_events": self.over_budget_events,
+            "spilled_bytes": self.backend.bytes_written,
+            "evictions": self.buffer.evictions,
+            "reloads": self.buffer.reloads,
+        }
 
     # -- epochs (batch-scoped rollback) -----------------------------------
 

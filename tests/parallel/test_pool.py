@@ -6,8 +6,6 @@ Each test class shares one pool — spawning processes dominates test
 wall-clock, so fixtures are module-scoped where possible.
 """
 
-import pickle
-
 import pytest
 
 from repro.common.errors import ExecutionError
@@ -41,7 +39,9 @@ def _query_task(qid="Q2A", strategy="baseline"):
 def test_query_task_runs(pool):
     result = pool.run(_query_task(), timeout=120)
     assert result.ok, result.error
-    assert result.payload["result"].rows
+    (query,) = result.payload["run"].queries
+    assert query.error is None
+    assert query.result.rows
     assert result.payload["wall_seconds"] > 0
 
 
@@ -59,7 +59,7 @@ def test_pool_stays_usable_after_crash(pool):
     assert "exit code 3" in crash.error
     result = pool.run(_query_task("Q4A"), timeout=120)
     assert result.ok, result.error
-    assert result.payload["result"].rows
+    assert result.payload["run"].queries[0].result.rows
     # two workers again after every crash
     alive = sum(
         1 for h in pool._workers.values() if h.process.is_alive()
@@ -67,12 +67,22 @@ def test_pool_stays_usable_after_crash(pool):
     assert alive == 2
 
 
-def test_unpicklable_task_rejected_before_dispatch():
+def test_unpicklable_task_rejected_before_dispatch(pool):
     # The mp queue feeder thread raises pickling errors asynchronously
     # (the coordinator would hang waiting for a task that never left),
-    # so anything shipped to a pool must be validated eagerly.
-    with pytest.raises(Exception):
-        pickle.dumps(lambda: None)
+    # so submit() pickles eagerly and refuses synchronously — with
+    # nothing enqueued, tracked or counted.
+    task = _query_task()
+    task.plan.unpicklable = lambda: None  # lambdas cannot pickle
+    dispatched = pool.registry.counter("pool.tasks_dispatched").value
+    next_id = pool._next_task_id
+    with pytest.raises(ExecutionError, match="QueryTask is not picklable"):
+        pool.submit(task)
+    assert pool._inflight == {}
+    assert pool._next_task_id == next_id
+    assert pool.registry.counter("pool.tasks_dispatched").value == dispatched
+    # ... and the pool still takes the next task.
+    assert pool.run(_query_task(), timeout=120).ok
 
 
 def test_closed_pool_refuses_submissions(pool):

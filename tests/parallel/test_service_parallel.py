@@ -127,7 +127,7 @@ def test_worker_crash_respawns_and_service_recovers(catalog, spec):
         catalog, strategy="baseline", parallel=1, catalog_spec=spec,
         result_cache=False, aip_cache=False,
     )
-    pool = svc._ensure_pool()
+    pool = svc._backend.ensure_pool()
     crash = pool.run(CrashTask())
     assert crash.error is not None and "died" in crash.error
     svc.submit("Q2A")

@@ -25,12 +25,12 @@ class TestReleaseOnError:
             catalog, aip_cache=False, result_cache=False,
             memory_budget_bytes=1e9,
         )
-        import repro.service.service as service_module
+        import repro.service.executor as executor_module
 
         def explode(*args, **kwargs):
             raise RuntimeError("mid-run failure")
 
-        monkeypatch.setattr(service_module, "run_concurrent", explode)
+        monkeypatch.setattr(executor_module, "run_concurrent", explode)
         service.submit("Q1A")
         with pytest.raises(RuntimeError, match="mid-run failure"):
             service.run()
@@ -75,9 +75,9 @@ class TestReleaseOnError:
             catalog, aip_cache=False, result_cache=False,
             memory_budget_bytes=1e9,
         )
-        import repro.service.service as service_module
+        import repro.service.executor as executor_module
 
-        real = service_module.run_concurrent
+        real = executor_module.run_concurrent
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -86,7 +86,7 @@ class TestReleaseOnError:
                 raise RuntimeError("transient")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(service_module, "run_concurrent", flaky)
+        monkeypatch.setattr(executor_module, "run_concurrent", flaky)
         service.submit("Q1A")
         with pytest.raises(RuntimeError):
             service.run()
@@ -145,14 +145,14 @@ class TestReconciliation:
         """A governed batch that dies mid-run must not leave dead
         operators' leases, spill handlers or buffer frames behind —
         the service-lifetime governor serves every later batch."""
-        import repro.service.service as service_module
+        import repro.service.executor as executor_module
 
         with QueryService(
             catalog, aip_cache=False, result_cache=False,
             memory_budget=150_000,
         ) as service:
             governor = service.governor
-            real = service_module.run_concurrent
+            real = executor_module.run_concurrent
             calls = {"n": 0}
 
             def flaky(*args, **kwargs):
@@ -163,7 +163,7 @@ class TestReconciliation:
                     raise RuntimeError("mid-run failure")
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(service_module, "run_concurrent", flaky)
+            monkeypatch.setattr(executor_module, "run_concurrent", flaky)
             service.submit("Q2A")
             with pytest.raises(RuntimeError, match="mid-run failure"):
                 service.run()

@@ -1,10 +1,13 @@
-"""ServiceConfig and the loose-kwargs compatibility shim."""
+"""ServiceConfig and QueryService's two spellings of it: a config
+object, or its fields as keywords."""
+
+import dataclasses
 
 import pytest
 
 from repro.data.tpch import cached_tpch
 from repro.service import QueryService, ServiceConfig, TenantQuota
-from repro.service.config import CONFIG_FIELDS, coerce_config
+from repro.service.config import coerce_config
 
 
 @pytest.fixture(scope="module")
@@ -19,13 +22,6 @@ class TestCoercion:
         assert config.strategy == "feedforward"
         assert config.max_concurrent == 4
 
-    def test_legacy_positional_strategy_string(self):
-        assert coerce_config("costbased", {}).strategy == "costbased"
-
-    def test_positional_and_keyword_strategy_conflict(self):
-        with pytest.raises(TypeError, match="positionally and by keyword"):
-            coerce_config("costbased", {"strategy": "feedforward"})
-
     def test_loose_kwargs_fold_into_config(self):
         config = coerce_config(None, {
             "strategy": "costbased", "max_concurrent": 2,
@@ -35,19 +31,18 @@ class TestCoercion:
                 config.result_cache) == ("costbased", 2, False)
 
     def test_unknown_kwarg_is_a_typeerror(self):
-        with pytest.raises(TypeError, match="unknown QueryService option"):
+        with pytest.raises(TypeError, match="max_concurent"):
             coerce_config(None, {"max_concurent": 2})  # typo'd name
-
-    def test_kwargs_override_config_object(self):
-        base = ServiceConfig(strategy="costbased", max_concurrent=8)
-        merged = coerce_config(base, {"max_concurrent": 2})
-        assert merged.strategy == "costbased"
-        assert merged.max_concurrent == 2
-        assert base.max_concurrent == 8  # evolve copies, never mutates
 
     def test_rejects_non_config_object(self):
         with pytest.raises(TypeError, match="must be a ServiceConfig"):
             coerce_config(42, {})
+        with pytest.raises(TypeError, match="must be a ServiceConfig"):
+            coerce_config("costbased", {})  # no positional strategy
+
+    def test_rejects_config_and_kwargs_together(self):
+        with pytest.raises(TypeError, match="not both"):
+            coerce_config(ServiceConfig(), {"max_concurrent": 2})
 
     def test_validation_parallel_with_governor(self):
         with pytest.raises(ValueError, match="memory governor"):
@@ -58,13 +53,15 @@ class TestCoercion:
             ServiceConfig(quotas={"t": 3}).validate()
 
     def test_field_inventory_is_stable(self):
-        # The shim's accepted-kwarg set IS the config's field set; a
-        # field rename would silently break old call sites otherwise.
+        # The accepted keyword set IS the config's field set; a field
+        # rename would silently break keyword call sites otherwise.
+        names = {f.name for f in dataclasses.fields(ServiceConfig)}
         for name in ("strategy", "scheduler", "memory_budget_bytes",
                      "max_concurrent", "aip_cache", "result_cache",
                      "memory_budget", "tracer", "parallel", "pool",
                      "catalog_spec", "slo_seconds", "quotas"):
-            assert name in CONFIG_FIELDS
+            assert name in names
+        assert len(names) == 22
 
 
 class TestTenantQuota:
@@ -93,10 +90,6 @@ class TestServiceConstruction:
             assert service.config.strategy == "costbased"
             assert service.result_cache is None
 
-    def test_service_accepts_legacy_positional_strategy(self, catalog):
-        with QueryService(catalog, "costbased") as service:
-            assert service.default_strategy == "costbased"
-
     def test_same_stream_same_report_both_conventions(self, catalog):
         def run(service):
             with service:
@@ -116,5 +109,5 @@ class TestServiceConstruction:
         assert legacy == configured
 
     def test_unknown_kwarg_at_the_service_door(self, catalog):
-        with pytest.raises(TypeError, match="unknown QueryService option"):
+        with pytest.raises(TypeError, match="shceduler"):
             QueryService(catalog, shceduler="fifo")

@@ -173,6 +173,23 @@ class TestServiceBasics:
         by_seq = {o.seq: o for o in report.outcomes}
         assert by_seq[light].start < by_seq[heavy].start
 
+    def test_tenant_burst_cannot_starve_another_tenant(self, catalog):
+        """Fair interleaving is scheduling policy, not a property of
+        the execution backend: on the default serial service, tenant
+        ``a``'s burst of three must not push tenant ``b``'s single
+        query out of the first two-slot batch."""
+        service = QueryService(
+            catalog, strategy="baseline", max_concurrent=2,
+            aip_cache=False, result_cache=False,
+        )
+        for _ in range(3):
+            service.submit("Q1A", tenant="a")
+        lone = service.submit("Q4A", tenant="b")
+        report = service.run()
+        by_seq = {o.seq: o for o in report.outcomes}
+        assert by_seq[lone].batch == 0
+        assert sorted(o.batch for o in report.outcomes) == [0, 0, 1, 1]
+
     def test_baseline_twins_pack_concurrently(self, catalog):
         """Baseline queries publish nothing reusable, so identical
         twins must not be serialised when only the AIP cache is on."""
