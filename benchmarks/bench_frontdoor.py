@@ -188,7 +188,7 @@ def _run_stress(clients, sessions, queries_per_session, slow_consumers):
             inflight_peak = server.registry.gauge(
                 "net.inflight"
             ).max_value or 0
-            served = server._served_queries
+            served = service.served_queries
             profiles_retained = len(service.profiles)
             events_written = service.eventlog.events_written
     finally:

@@ -462,10 +462,6 @@ class CostBasedStrategy(ExecutionStrategy):
             summary = type(summary).from_payload(summary.to_payload())
         scan.install_source_filter(attr, summary, activation)
         self.ctx.metrics.aip_bytes_shipped += size
-        self.ctx.log(
-            "shipped %d-byte filter on %s to site %s (active t=%g)"
-            % (size, attr, scan.site, activation)
-        )
 
     def on_query_end(self) -> None:
         if self._state_owner is not None:

@@ -344,7 +344,7 @@ def _cmd_serve(args) -> int:
         except KeyboardInterrupt:
             pass
     print("-- server stopped after %d queries; %.4f virtual s served"
-          % (server._served_queries, service.clock))
+          % (service.served_queries, service.clock))
     return 0
 
 

@@ -31,14 +31,27 @@ from typing import Optional
 
 from repro.common.errors import ExecutionError
 from repro.net.protocol import (
-    FRAME_ERROR, FRAME_HEALTH, FRAME_PROCLIST, FRAME_PROFILE, FRAME_ROWS,
-    FRAME_SHED, FRAME_SHUTDOWN, FRAME_STATS, FRAME_SUMMARY,
+    FRAME_ERROR, FRAME_HEALTH, FRAME_PROCLIST, FRAME_PROFILE, FRAME_QUERY,
+    FRAME_ROWS, FRAME_SHED, FRAME_SHUTDOWN, FRAME_STATS, FRAME_SUMMARY,
     MAX_FRAME_BYTES, ProtocolError, check_hello, encode_frame, hello_frame,
     read_frame,
 )
-from repro.service.result import ERROR, SHED, QueryResult
+from repro.service.result import SHED, QueryResult
+from repro.service.service import QueryService, Request
 
 __all__ = ["Client", "InProcessClient", "connect"]
+
+
+def _settle(client, result, error=None, retry_after_s=None) -> QueryResult:
+    """What a caller gets for a settled request, on either transport:
+    an error (a failed submit, an engine ``error`` outcome, a lost
+    outcome, a queue timeout) raises; ok/cached/shed return the result,
+    a shed leaving its backoff hint on the client."""
+    if error is not None:
+        raise ExecutionError(error)
+    if result.status == SHED:
+        client.last_shed_retry_s = retry_after_s
+    return result
 
 
 class Client:
@@ -82,6 +95,23 @@ class Client:
     def _recv(self):
         return read_frame(self._rfile, self.max_frame)
 
+    def _request(self, kind: str, **fields) -> int:
+        """Send a ``kind`` frame under a fresh correlation id; returns
+        the id."""
+        self._next_id += 1
+        self._send({"type": kind, "id": self._next_id, **fields})
+        return self._next_id
+
+    def _answer(self, qid: int):
+        """The next frame, which must answer request ``qid``."""
+        frame = self._recv()
+        if frame.get("id") != qid:
+            raise ProtocolError(
+                "response id %r does not match request id %d"
+                % (frame.get("id"), qid)
+            )
+        return frame
+
     # -- the API -----------------------------------------------------------
 
     def query(
@@ -92,57 +122,42 @@ class Client:
     ) -> QueryResult:
         """Run one query; returns the unified result or raises
         :class:`ExecutionError` (mirroring the in-process twin)."""
-        self._next_id += 1
-        qid = self._next_id
-        self._send({
-            "type": "query", "id": qid, "text": text,
-            "strategy": strategy, "label": label,
-        })
+        qid = self._request(
+            FRAME_QUERY, text=text, strategy=strategy, label=label,
+        )
         rows = []
         while True:
-            frame = self._recv()
-            if frame.get("id") != qid:
-                raise ProtocolError(
-                    "response id %r does not match query id %d"
-                    % (frame.get("id"), qid)
-                )
+            frame = self._answer(qid)
             kind = frame.get("type")
             if kind == FRAME_ROWS:
                 rows.extend(frame.get("rows") or [])
-                continue
-            if kind == FRAME_SUMMARY:
-                payload = dict(frame["result"])
-                payload["rows"] = rows
-                return QueryResult.from_payload(payload)
-            if kind == FRAME_SHED:
-                payload = dict(frame["result"])
-                payload["rows"] = []
-                self.last_shed_retry_s = frame.get("retry_after_s")
-                return QueryResult.from_payload(payload)
-            if kind == FRAME_ERROR:
-                raise ExecutionError(
-                    frame.get("message") or "query failed"
+            elif kind == FRAME_ERROR:
+                return _settle(
+                    self, None, frame.get("message") or "query failed"
                 )
-            raise ProtocolError("unexpected %r frame in response" % kind)
+            elif kind in (FRAME_SUMMARY, FRAME_SHED):
+                result = QueryResult.from_payload(
+                    dict(frame["result"], rows=rows)
+                )
+                return _settle(
+                    self, result, retry_after_s=frame.get("retry_after_s")
+                )
+            else:
+                raise ProtocolError("unexpected %r frame in response" % kind)
 
     # -- introspection -----------------------------------------------------
 
     def _admin(self, kind: str, **extra):
         """One admin request/response round-trip."""
-        self._next_id += 1
-        qid = self._next_id
-        frame = {"type": kind, "id": qid}
-        frame.update(extra)
-        self._send(frame)
-        response = self._recv()
+        response = self._answer(self._request(kind, **extra))
         if response.get("type") == FRAME_ERROR:
             raise ExecutionError(
                 response.get("message") or "%s frame failed" % kind
             )
-        if response.get("type") != kind or response.get("id") != qid:
+        if response.get("type") != kind:
             raise ProtocolError(
-                "expected a %s response for id %d; got %r id %r"
-                % (kind, qid, response.get("type"), response.get("id"))
+                "expected a %s response; got %r"
+                % (kind, response.get("type"))
             )
         return response
 
@@ -221,8 +236,6 @@ class InProcessClient:
                 raise ValueError(
                     "InProcessClient needs a catalog or a service"
                 )
-            from repro.service.service import QueryService
-
             service = QueryService(catalog, config)
             self._owns_service = True
         else:
@@ -244,28 +257,12 @@ class InProcessClient:
         strategy: Optional[str] = None,
         label: Optional[str] = None,
     ) -> QueryResult:
+        request = Request(text, strategy, label, self.tenant)
         with self._lock:
-            try:
-                seq = self.service.submit(
-                    text, strategy=strategy, label=label,
-                    tenant=self.tenant,
-                )
-            except Exception as exc:
-                raise ExecutionError(str(exc)) from exc
-            report = self.service.run()
-        for outcome in report.outcomes:
-            if outcome.seq == seq:
-                break
-        else:
-            raise ExecutionError("query vanished from the service report")
-        result = outcome.to_result()
-        if result.status == ERROR:
-            raise ExecutionError(result.reason or "query failed")
-        if result.status == SHED:
-            self.last_shed_retry_s = max(
-                report.total_virtual_seconds, 0.001
-            )
-        return result
+            self.service.run_requests([request])
+        return _settle(
+            self, request.result, request.error, request.retry_after_s
+        )
 
     # -- introspection -----------------------------------------------------
     #
@@ -286,37 +283,16 @@ class InProcessClient:
         in-process twin runs queries synchronously inside ``query()``,
         so entries only appear between an explicit ``submit`` and the
         next ``run`` on a shared service."""
-        service = self.service
-        return [
-            {
-                "qid": pending.seq,
-                "tenant": pending.tenant,
-                "label": pending.label,
-                "phase": "queued",
-                "elapsed_wall_s": 0.0,
-                "virtual_elapsed_s": max(
-                    0.0, service.clock - pending.arrival
-                ),
-                "seq": pending.seq,
-                "state_estimate_bytes": pending.state_estimate,
-                "worker": None,
-            }
-            for pending in service._pending
-        ]
+        return self.service.proclist()
 
     def profile(self, seq: int) -> Optional[dict]:
         profile = self.service.profiles.get(seq)
         return profile.as_dict() if profile is not None else None
 
     def health(self) -> dict:
-        service = self.service
         return {
             "status": "closed" if self._closed else "ok",
-            "batches_run": service.batches_run,
-            "pending": len(service._pending),
-            "served_queries": int(
-                service.registry.counter("queries.completed").value
-            ),
+            **self.service.health(),
         }
 
     def close(self) -> None:

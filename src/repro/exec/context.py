@@ -84,7 +84,6 @@ class ExecutionContext:
         cost_model: Optional[CostModel] = None,
         strategy: Optional[ExecutionStrategy] = None,
         short_circuit: bool = True,
-        trace: bool = False,
         batch_execution: bool = True,
         governor=None,
         pool=None,
@@ -113,8 +112,6 @@ class ExecutionContext:
         #: Q2C magic-sets anomaly depends on this; ablation benches turn
         #: it off.
         self.short_circuit = short_circuit
-        self.trace = trace
-        self._trace_log = []
         #: Structured trace collector (:class:`repro.obs.trace.Tracer`)
         #: or None.  Every hook site in the engine, operators, AIP
         #: layer, storage governor and service guards with ``is None``,
@@ -191,10 +188,3 @@ class ExecutionContext:
         """:meth:`charge_events` attributed to one operator."""
         self.metrics.charge_events_op(owner_id, count, seconds_each)
 
-    def log(self, message: str) -> None:
-        if self.trace:
-            self._trace_log.append("[%10.6f] %s" % (self.metrics.clock, message))
-
-    @property
-    def trace_log(self):
-        return list(self._trace_log)

@@ -193,10 +193,6 @@ class Operator:
                     "label": label,
                 },
             )
-        self.ctx.log(
-            "filter %s injected on %s port %d (%s)"
-            % (label or "<anon>", self.name, port, attr_name)
-        )
         return f
 
     def filters_on(self, port: int) -> List[InjectedFilter]:
@@ -335,7 +331,6 @@ class Operator:
                 "flush:%s" % self.name, "op", self.ctx.metrics.clock_ticks,
                 {"out": counters.tuples_out if counters is not None else 0},
             )
-        self.ctx.log("%s output complete" % self.name)
         for parent, port in self.parents:
             parent.finish(port)
 

@@ -170,10 +170,6 @@ class PDistinct(Operator):
             self._part_rows[best] = 0
             if doomed:
                 freed += len(doomed) * self._row_bytes
-            self.ctx.log(
-                "%s spilled partition %d (%d rows)"
-                % (self.name, best, len(doomed))
-            )
         return freed
 
     def _replay_spilled(self) -> None:

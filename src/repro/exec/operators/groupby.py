@@ -262,10 +262,6 @@ class PGroupBy(Operator):
             self._part_groups[best] = 0
             if moved:
                 freed += moved * self._group_bytes
-            self.ctx.log(
-                "%s spilled partition %d (%d groups)"
-                % (self.name, best, moved)
-            )
         return freed
 
     def _merge_partition(self, pid: int) -> Dict:

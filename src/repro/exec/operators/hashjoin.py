@@ -331,9 +331,6 @@ class PHashJoin(Operator):
                 spool.flush()
                 freed += moved * row_bytes
             self._part_rows[port][pid] = 0
-        self.ctx.log(
-            "%s spilled partition %d (%d bytes)" % (self.name, pid, freed)
-        )
         return freed
 
     def _replay_spilled(self) -> None:

@@ -137,10 +137,6 @@ class PScan(Operator):
         self, attr_name: str, summary, activation_time: float
     ) -> SourceFilter:
         key_index = self.out_schema.index_of(attr_name)
-        self.ctx.log(
-            "source filter on %s.%s active from t=%g"
-            % (self.table_name, attr_name, activation_time)
-        )
         return self.arrival.install_filter(key_index, summary, activation_time)
 
     # -- dataflow ----------------------------------------------------------

@@ -196,10 +196,6 @@ class PSemiJoin(Operator):
             self._part_rows[best] = 0
             if moved:
                 freed += moved * self._probe_row_bytes
-            self.ctx.log(
-                "%s spilled partition %d (%d pending rows)"
-                % (self.name, best, moved)
-            )
         return freed
 
     def _replay_spilled(self) -> None:

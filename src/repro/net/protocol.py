@@ -11,7 +11,7 @@ Frame types (``PROTOCOL_VERSION`` = 2):
 
 ``hello``
     First frame in each direction.  Client: ``{"type": "hello",
-    "version": 1, "tenant": <str|null>}``.  Server echoes its version
+    "version": 2, "tenant": <str|null>}``.  Server echoes its version
     and identity; a version mismatch is answered with ``error`` and
     the connection closes.
 ``query``
@@ -74,9 +74,10 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.common.errors import ReproError
+from repro.service.result import SHED
 
 PROTOCOL_VERSION = 2
 
@@ -109,10 +110,13 @@ FRAME_TYPES = frozenset((
     FRAME_SHED, FRAME_SHUTDOWN,
 )) | ADMIN_FRAMES
 
+#: The kinds a query is answered with; ``net.frames`` counts these on
+#: write (every other kind is counted where it is read).
+REPLY_FRAMES = frozenset((FRAME_ROWS, FRAME_SUMMARY, FRAME_SHED, FRAME_ERROR))
+
 #: Rows per ``rows`` frame: small enough that a slow consumer's
 #: backpressure engages quickly, large enough to amortise framing.
 ROWS_PER_FRAME = 512
-
 
 class ProtocolError(ReproError):
     """A malformed frame: bad length, bad JSON, bad shape."""
@@ -134,6 +138,35 @@ def encode_frame(frame: Dict) -> bytes:
             % (len(payload), MAX_FRAME_BYTES)
         )
     return _HEADER.pack(len(payload)) + payload
+
+
+def reply_frames(qid, request) -> Iterator[Dict]:
+    """The frames that answer one settled
+    :class:`~repro.service.service.Request`: ``rows`` chunks then
+    ``summary``, or one ``shed``, or one ``error``."""
+    result = request.result
+    if result is None:
+        yield {"type": FRAME_ERROR, "id": qid, "message": request.error}
+        return
+    payload = result.to_payload()
+    rows = payload.pop("rows")
+    if request.error is not None:
+        yield {
+            "type": FRAME_ERROR, "id": qid, "message": request.error,
+            "result": payload,
+        }
+    elif result.status == SHED:
+        yield {
+            "type": FRAME_SHED, "id": qid, "reason": result.reason,
+            "retry_after_s": request.retry_after_s, "result": payload,
+        }
+    else:
+        for offset in range(0, len(rows), ROWS_PER_FRAME):
+            yield {
+                "type": FRAME_ROWS, "id": qid,
+                "rows": rows[offset:offset + ROWS_PER_FRAME],
+            }
+        yield {"type": FRAME_SUMMARY, "id": qid, "result": payload}
 
 
 def read_frame(stream, max_frame: int = MAX_FRAME_BYTES) -> Dict:

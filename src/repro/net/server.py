@@ -9,7 +9,7 @@ request that arrived while the previous batch executed, exactly the
 group-commit shape the batch-sequential service wants), while each
 handler streams its own response frames back at its client's pace.  A
 slow consumer therefore throttles only its own connection: the
-dispatcher resolved its request long ago and moved on.
+dispatcher settled its request long ago and moved on.
 
 Admission, SLO shedding and the per-tenant hard quotas all run inside
 :meth:`QueryService._dispatch` — the server adds no second policy
@@ -35,56 +35,34 @@ from typing import Dict, List, Optional
 
 from repro.net.protocol import (
     ADMIN_FRAMES, FRAME_ERROR, FRAME_HEALTH, FRAME_HELLO, FRAME_PROCLIST,
-    FRAME_PROFILE, FRAME_QUERY, FRAME_ROWS, FRAME_SHED, FRAME_SHUTDOWN,
-    FRAME_STATS, FRAME_SUMMARY, MAX_FRAME_BYTES, ROWS_PER_FRAME,
-    ConnectionClosed, ProtocolError, check_hello, encode_frame, hello_frame,
-    read_frame,
+    FRAME_PROFILE, FRAME_QUERY, FRAME_SHUTDOWN, FRAME_STATS,
+    MAX_FRAME_BYTES, REPLY_FRAMES, ConnectionClosed, ProtocolError,
+    check_hello, encode_frame, hello_frame, read_frame, reply_frames,
 )
 from repro.obs.export import to_prometheus
-from repro.service.service import ERROR, SHED_STATUS
+from repro.service.service import Request, proc_row
 
 #: Dispatcher wake-up sentinel.
 _STOP = object()
 
-#: Floor on the retry hint a shed frame carries, in (virtual) seconds.
-MIN_RETRY_HINT_S = 0.001
+#: What a client may send after its hello.
+_REQUEST_FRAMES = ADMIN_FRAMES | {FRAME_QUERY, FRAME_SHUTDOWN}
 
 
-class _Request:
-    """One query in flight between a handler and the dispatcher."""
+class _Request(Request):
+    """A query frame in flight between a handler and the dispatcher;
+    the live proc table holds these."""
 
-    __slots__ = (
-        "text", "strategy", "label", "tenant", "done", "result", "error",
-        "retry_after_s", "proc",
-    )
+    __slots__ = ("done", "enqueued_wall")
 
-    def __init__(self, text, strategy, label, tenant):
-        self.text = text
-        self.strategy = strategy
-        self.label = label
-        self.tenant = tenant
+    def __init__(self, frame: Dict, tenant):
+        super().__init__(
+            frame.get("text"), frame.get("strategy"), frame.get("label"),
+            tenant,
+        )
+        #: Set by the dispatcher once the request is settled.
         self.done = threading.Event()
-        #: The server's live proc-table entry for this request (a
-        #: plain dict the dispatcher and handler update in place;
-        #: ``proclist`` snapshots it).
-        self.proc: Optional[Dict] = None
-        #: A repro.service.result.QueryResult on success/shed/error
-        #: status; None when ``error`` carries a message instead.
-        self.result = None
-        self.error: Optional[str] = None
-        #: Backoff hint attached to shed outcomes (the virtual seconds
-        #: the batch that refused this query took — by then capacity
-        #: has turned over at least once).
-        self.retry_after_s: float = MIN_RETRY_HINT_S
-
-    def fail(self, message: str) -> None:
-        self.error = message
-        self.done.set()
-
-    def resolve(self, result, retry_after_s: float) -> None:
-        self.result = result
-        self.retry_after_s = max(retry_after_s, MIN_RETRY_HINT_S)
-        self.done.set()
+        self.enqueued_wall = time.monotonic()
 
 
 class ReproServer:
@@ -136,14 +114,12 @@ class ReproServer:
         self._conn_lock = threading.Lock()
         self._obs_lock = threading.Lock()
         self._inflight = 0
-        self._served_queries = 0
         self._started = False
         self._closed = False
         #: Live in-flight query table for ``proclist``: server-assigned
-        #: qid -> mutable entry dict.  Entries are added when a query
-        #: frame is accepted and removed when its terminal frame has
-        #: been sent (or the request failed).
-        self._proc: Dict[int, Dict] = {}
+        #: qid -> request.  Entries are added when a query frame is
+        #: accepted and removed when its terminal frame has been sent.
+        self._proc: Dict[int, _Request] = {}
         self._proc_lock = threading.Lock()
         self._next_qid = 0
         self._started_wall = time.monotonic()
@@ -305,7 +281,7 @@ class ReproServer:
             "server": {
                 "connections": connections,
                 "inflight": self._inflight,
-                "served_queries": self._served_queries,
+                "served_queries": service.served_queries,
                 "uptime_wall_s": time.monotonic() - self._started_wall,
                 "queue_depth": self._queue.qsize(),
                 "max_batch": self.max_batch,
@@ -325,24 +301,17 @@ class ReproServer:
         now = time.monotonic()
         clock = self.service.clock
         with self._proc_lock:
-            entries = [dict(entry) for entry in self._proc.values()]
-        rows = []
-        for entry in sorted(entries, key=lambda e: e["qid"]):
-            submitted = entry.get("clock_submitted")
-            rows.append({
-                "qid": entry["qid"],
-                "tenant": entry["tenant"],
-                "label": entry["label"],
-                "phase": entry["phase"],
-                "elapsed_wall_s": now - entry["enqueued_wall"],
-                "virtual_elapsed_s": (
-                    clock - submitted if submitted is not None else 0.0
-                ),
-                "seq": entry.get("seq"),
-                "state_estimate_bytes": entry.get("state_estimate"),
-                "worker": entry.get("worker"),
-            })
-        return rows
+            table = sorted(self._proc.items())
+        return [
+            proc_row(
+                qid, request.tenant, request.label or "sql", request.phase,
+                request.seq, request.state_estimate,
+                0.0 if request.clock_submitted is None
+                else clock - request.clock_submitted,
+                now - request.enqueued_wall,
+            )
+            for qid, request in table
+        ]
 
     def _admin_response(self, kind: str, frame: Dict) -> Dict:
         """Answer one admin frame.  Runs on the connection's handler
@@ -359,8 +328,7 @@ class ReproServer:
                 "uptime_wall_s": time.monotonic() - self._started_wall,
                 "connections": connections,
                 "inflight": self._inflight,
-                "served_queries": self._served_queries,
-                "batches_run": self.service.batches_run,
+                **self.service.health(),
             }
         if kind == FRAME_STATS:
             response = {
@@ -421,42 +389,27 @@ class ReproServer:
             )
             thread.start()
 
+    def _send(self, conn, frames) -> None:
+        """The one writer: every frame the server emits leaves here, one
+        write per frame.  A write may block on a slow consumer — that is
+        the point: backpressure lands on this connection's thread
+        alone."""
+        for frame in frames:
+            if frame["type"] in REPLY_FRAMES:
+                self._observe(frame=frame["type"])
+            conn.sendall(encode_frame(frame))
+
     def _handle(self, conn) -> None:
         rfile = conn.makefile("rb")
         try:
-            hello = read_frame(rfile, self.max_frame)
-            check_hello(hello, "client")
-            self._observe(frame=FRAME_HELLO)
-            tenant = hello.get("tenant")
-            conn.sendall(encode_frame(hello_frame(server=True)))
-            while not self._stop.is_set():
-                frame = read_frame(rfile, self.max_frame)
-                kind = frame.get("type")
-                if kind == FRAME_SHUTDOWN:
-                    self._observe(frame=FRAME_SHUTDOWN)
-                    conn.sendall(encode_frame({"type": FRAME_SHUTDOWN}))
-                    self.stop()
-                    return
-                if kind in ADMIN_FRAMES:
-                    self._observe(frame=kind)
-                    conn.sendall(encode_frame(
-                        self._admin_response(kind, frame)
-                    ))
-                    continue
-                if kind != FRAME_QUERY:
-                    raise ProtocolError(
-                        "unexpected %r frame mid-session" % kind
-                    )
-                self._observe(frame=FRAME_QUERY)
-                self._serve_query(conn, frame, tenant)
-        except ConnectionClosed:
-            pass
-        except ProtocolError as exc:
-            self._try_send(conn, {
-                "type": FRAME_ERROR, "id": None, "message": str(exc),
-            })
-        except OSError:
-            pass  # client went away mid-write
+            try:
+                self._session(conn, rfile)
+            except ProtocolError as exc:
+                self._send(conn, [{
+                    "type": FRAME_ERROR, "id": None, "message": str(exc),
+                }])
+        except (ConnectionClosed, OSError):
+            pass  # the peer closed, or went away mid-write
         finally:
             try:
                 rfile.close()
@@ -467,101 +420,52 @@ class ReproServer:
             self._drop(conn)
             self._observe(connections_delta=-1)
 
+    def _session(self, conn, rfile) -> None:
+        hello = read_frame(rfile, self.max_frame)
+        check_hello(hello, "client")
+        self._observe(frame=FRAME_HELLO)
+        tenant = hello.get("tenant")
+        self._send(conn, [hello_frame(server=True)])
+        while not self._stop.is_set():
+            frame = read_frame(rfile, self.max_frame)
+            kind = frame.get("type")
+            if kind not in _REQUEST_FRAMES:
+                raise ProtocolError(
+                    "unexpected %r frame mid-session" % kind
+                )
+            self._observe(frame=kind)
+            if kind == FRAME_QUERY:
+                self._serve_query(conn, frame, tenant)
+            elif kind in ADMIN_FRAMES:
+                self._send(conn, [self._admin_response(kind, frame)])
+            else:
+                self._send(conn, [{"type": FRAME_SHUTDOWN}])
+                self.stop()
+                return
+
     def _serve_query(self, conn, frame: Dict, tenant) -> None:
-        qid = frame.get("id")
-        request = _Request(
-            frame.get("text"), frame.get("strategy"), frame.get("label"),
-            tenant,
-        )
-        if not isinstance(request.text, str) or not request.text.strip():
-            conn.sendall(encode_frame({
-                "type": FRAME_ERROR, "id": qid,
-                "message": "query frame needs a non-empty 'text' field",
-            }))
-            return
-        started = time.monotonic()
+        request = _Request(frame, tenant)
         with self._proc_lock:
             self._next_qid += 1
-            entry = {
-                "qid": self._next_qid,
-                "tenant": tenant,
-                "label": request.label or "sql",
-                "phase": "queued",
-                "enqueued_wall": started,
-                "seq": None,
-                "state_estimate": None,
-                "clock_submitted": None,
-                "worker": None,
-            }
-            self._proc[entry["qid"]] = entry
-        request.proc = entry
+            qid = self._next_qid
+            self._proc[qid] = request
         self._observe(inflight_delta=1)
         try:
             self._queue.put(request)
             if not request.done.wait(self.request_timeout_s):
-                conn.sendall(encode_frame({
-                    "type": FRAME_ERROR, "id": qid,
-                    "message": "request timed out after %.0fs in the "
-                               "service queue" % self.request_timeout_s,
-                }))
-                return
-            self._send_response(conn, qid, request)
+                request.error = (
+                    "request timed out after %.0fs in the service queue"
+                    % self.request_timeout_s
+                )
+            request.phase = "streaming"
+            self._send(conn, reply_frames(frame.get("id"), request))
         finally:
             self._observe(
                 inflight_delta=-1,
-                wall_latency_s=time.monotonic() - started,
+                wall_latency_s=time.monotonic() - request.enqueued_wall,
             )
             with self._proc_lock:
-                self._proc.pop(entry["qid"], None)
-
-    def _send_response(self, conn, qid, request: _Request) -> None:
-        if request.error is not None:
-            self._observe(frame=FRAME_ERROR)
-            conn.sendall(encode_frame({
-                "type": FRAME_ERROR, "id": qid, "message": request.error,
-            }))
-            return
-        result = request.result
-        payload = result.to_payload()
-        rows = payload.pop("rows")
-        if result.status == SHED_STATUS:
-            self._observe(frame=FRAME_SHED)
-            conn.sendall(encode_frame({
-                "type": FRAME_SHED, "id": qid,
-                "reason": result.reason,
-                "retry_after_s": request.retry_after_s,
-                "result": payload,
-            }))
-            return
-        if result.status == ERROR:
-            self._observe(frame=FRAME_ERROR)
-            conn.sendall(encode_frame({
-                "type": FRAME_ERROR, "id": qid,
-                "message": result.reason or "query failed",
-                "result": payload,
-            }))
-            return
-        # Success: stream rows in chunks, then the summary.  Each
-        # sendall may block on a slow consumer — that is the point:
-        # backpressure lands on this connection's thread alone.
-        if request.proc is not None:
-            request.proc["phase"] = "streaming"
-        for offset in range(0, len(rows), ROWS_PER_FRAME):
-            self._observe(frame=FRAME_ROWS)
-            conn.sendall(encode_frame({
-                "type": FRAME_ROWS, "id": qid,
-                "rows": rows[offset:offset + ROWS_PER_FRAME],
-            }))
-        self._observe(frame=FRAME_SUMMARY)
-        conn.sendall(encode_frame({
-            "type": FRAME_SUMMARY, "id": qid, "result": payload,
-        }))
-
-    def _try_send(self, conn, frame: Dict) -> None:
-        try:
-            conn.sendall(encode_frame(frame))
-        except OSError:
-            pass
+                self._proc.pop(qid, None)
 
     # -- the dispatcher ----------------------------------------------------
 
@@ -580,7 +484,10 @@ class ReproServer:
                     self._queue.put(_STOP)
                     break
                 requests.append(extra)
-            self._run_requests(requests)
+            # One service batch for one drained request group.
+            self.service.run_requests(requests)
+            for request in requests:
+                request.done.set()
         # Shutdown: fail whatever is still queued so no handler hangs.
         while True:
             try:
@@ -588,54 +495,8 @@ class ReproServer:
             except queue.Empty:
                 break
             if item is not _STOP:
-                item.fail("server shutting down")
-
-    def _run_requests(self, requests: List[_Request]) -> None:
-        """Drive one service batch for one drained request group."""
-        service = self.service
-        seqs: Dict[int, _Request] = {}
-        for request in requests:
-            try:
-                seq = service.submit(
-                    request.text, strategy=request.strategy,
-                    label=request.label, tenant=request.tenant,
-                )
-            except Exception as exc:  # bad SQL/strategy: fail one query
-                request.fail(str(exc))
-                continue
-            seqs[seq] = request
-            proc = request.proc
-            if proc is not None:
-                # Proc-table promotion: the query now has a service
-                # identity and a state estimate for `proclist`.
-                proc["seq"] = seq
-                proc["clock_submitted"] = service.clock
-                for pending in service._pending:
-                    if pending.seq == seq:
-                        proc["state_estimate"] = pending.state_estimate
-                        proc["label"] = pending.label
-                        break
-                proc["phase"] = "admitted"
-        if not seqs:
-            return
-        for request in seqs.values():
-            if request.proc is not None:
-                request.proc["phase"] = "executing"
-        try:
-            report = service.run()
-        except Exception as exc:  # engine fault: fail the whole group
-            for request in seqs.values():
-                request.fail("service batch failed: %s" % exc)
-            return
-        self._served_queries += len(seqs)
-        elapsed = max(report.total_virtual_seconds, MIN_RETRY_HINT_S)
-        by_seq = {outcome.seq: outcome for outcome in report.outcomes}
-        for seq, request in seqs.items():
-            outcome = by_seq.get(seq)
-            if outcome is None:
-                request.fail("query vanished from the service report")
-                continue
-            request.resolve(outcome.to_result(), retry_after_s=elapsed)
+                item.error = "server shutting down"
+                item.done.set()
 
 
 def serve(

@@ -30,6 +30,7 @@ from repro.data.catalog import Catalog
 from repro.distributed.coordinator import (
     apply_broadcast_fanouts, mark_remote_scans,
 )
+from repro.exec.costs import CostModel
 from repro.exec.engine import QueryResult
 from repro.exec.metrics import Metrics, seconds_to_ticks
 from repro.harness.strategies import make_strategy, uses_magic_plan
@@ -59,6 +60,9 @@ SHED_STATUS = "shed"
 #: Pool backend only: the query's plan could not be shipped, or the
 #: worker carrying it died or raised.
 ERROR = "error"
+
+#: Floor on the retry hint a shed reply carries, in (virtual) seconds.
+MIN_RETRY_HINT_S = 0.001
 
 QuerySpec = Union[str, LogicalNode, Callable[[Catalog], LogicalNode]]
 
@@ -95,6 +99,61 @@ class _PendingQuery:
         #: Whether this query's first result-cache miss was recorded
         #: (re-probes while queued must not inflate the miss count).
         self.miss_counted = False
+
+
+class Request:
+    """One caller's query and, once :meth:`QueryService.run_requests`
+    has settled it, its answer: the record both front doors (the socket
+    dispatcher and the in-process client) hand the service.
+
+    Settled means exactly one of: ``error`` is a message (``result``
+    rides along when the engine produced an ``error``-status outcome),
+    or ``result`` is an ok/cached/shed
+    :class:`~repro.service.result.QueryResult`.
+    """
+
+    __slots__ = (
+        "text", "strategy", "label", "tenant", "phase", "seq",
+        "state_estimate", "clock_submitted", "result", "error",
+        "retry_after_s",
+    )
+
+    def __init__(self, text, strategy=None, label=None, tenant=None):
+        self.text = text
+        self.strategy = strategy
+        self.label = label
+        self.tenant = tenant
+        #: queued -> admitted -> executing (-> streaming, on a socket).
+        self.phase = "queued"
+        self.seq: Optional[int] = None
+        self.state_estimate: Optional[float] = None
+        self.clock_submitted: Optional[float] = None
+        self.result = None
+        #: A request born with unusable text is settled on arrival.
+        self.error: Optional[str] = (
+            None if isinstance(text, str) and text.strip()
+            else "query frame needs a non-empty 'text' field"
+        )
+        #: Backoff hint for a shed answer: the virtual seconds the run
+        #: that refused the query took — by then capacity has turned
+        #: over at least once.
+        self.retry_after_s = MIN_RETRY_HINT_S
+
+
+def proc_row(qid, tenant, label, phase, seq, state_estimate,
+             virtual_elapsed_s, elapsed_wall_s=0.0) -> Dict:
+    """One ``proclist`` row, whichever table it came from."""
+    return {
+        "qid": qid,
+        "tenant": tenant,
+        "label": label,
+        "phase": phase,
+        "elapsed_wall_s": elapsed_wall_s,
+        "virtual_elapsed_s": virtual_elapsed_s,
+        "seq": seq,
+        "state_estimate_bytes": state_estimate,
+        "worker": None,
+    }
 
 
 def _fair_interleave(ordered: List["_PendingQuery"]) -> List["_PendingQuery"]:
@@ -495,13 +554,17 @@ class QueryService:
                 engine_options, governor=self.governor, tracer=tracer,
                 aip_cache=self.aip_cache,
             ))
-        self.coster = PlanCoster(catalog)
+        #: Engine cost constants behind submit-time estimates and the
+        #: clock charge for a result-cache hit.
+        self.cost_model = CostModel()
         #: The service's virtual clock, advanced batch by batch.
         self.clock = 0.0
         #: Highest aggregate intermediate state any batch reached.
         self.peak_state_bytes = 0
         self._run_peak = 0
         self.batches_run = 0
+        #: Requests :meth:`run_requests` has put through a run.
+        self.served_queries = 0
         self._pending: List[_PendingQuery] = []
         self._seq = 0
         self._run_engine: Dict[str, int] = dict.fromkeys(
@@ -536,12 +599,16 @@ class QueryService:
         if self.placement is not None:
             mark_remote_scans(plan, self.placement)
             apply_broadcast_fanouts(plan, self.catalog)
+        # One coster per submit: its estimate cache is keyed by node
+        # ids that every plan mints afresh, so a longer-lived one never
+        # hits across queries and only grows.
+        coster = PlanCoster(self.catalog, self.cost_model)
         self._seq += 1
         self._pending.append(_PendingQuery(
             self._seq, label, plan, plan_signature(plan),
             self.clock + arrival, strategy_name,
-            estimate_query_state_bytes(plan, self.coster),
-            self.coster.total_cost(plan),
+            estimate_query_state_bytes(plan, coster),
+            coster.total_cost(plan),
             tenant=tenant,
         ))
         return self._seq
@@ -626,6 +693,52 @@ class QueryService:
             ),
         )
 
+    def run_requests(self, requests: Sequence[Request]) -> None:
+        """Submit every unsettled request, drain the queue once and
+        settle each request with its own outcome, joined by seq — the
+        step the socket dispatcher and the in-process client share."""
+        by_seq: Dict[int, Request] = {}
+        for request in requests:
+            if request.error is not None:
+                continue
+            try:
+                seq = self.submit(
+                    request.text, strategy=request.strategy,
+                    label=request.label, tenant=request.tenant,
+                )
+            except Exception as exc:  # bad SQL/strategy: fail one query
+                request.error = str(exc)
+                continue
+            by_seq[seq] = request
+            entry = self._pending[-1]
+            request.seq = seq
+            request.label = entry.label
+            request.state_estimate = entry.state_estimate
+            request.clock_submitted = self.clock
+            request.phase = "admitted"
+        if not by_seq:
+            return
+        for request in by_seq.values():
+            request.phase = "executing"
+        try:
+            report = self.run()
+        except Exception as exc:  # engine fault: fail the whole group
+            for request in by_seq.values():
+                request.error = "service batch failed: %s" % exc
+            return
+        self.served_queries += len(by_seq)
+        retry_after_s = max(report.total_virtual_seconds, MIN_RETRY_HINT_S)
+        for outcome in report.outcomes:
+            request = by_seq.pop(outcome.seq, None)
+            if request is None:
+                continue  # submitted directly, not through a request
+            request.result = outcome.to_result()
+            request.retry_after_s = retry_after_s
+            if outcome.status == ERROR:
+                request.error = outcome.reason or "query failed"
+        for request in by_seq.values():
+            request.error = "query vanished from the service report"
+
     def _dispatch(self, ordered: List[_PendingQuery]) -> List[QueryOutcome]:
         """Resolve cache hits and sheds, pack one batch, and run it."""
         from repro.harness.strategies import BASELINE, MAGIC
@@ -682,7 +795,7 @@ class QueryService:
                         list(cached.rows), cached.schema, Metrics()
                     )
                     start = self.clock
-                    self.clock += self.coster.cost_model.manager_invocation
+                    self.clock += self.cost_model.manager_invocation
                     if tracer is not None:
                         tracer.instant(
                             "cache.result.hit", "cache",
@@ -1069,6 +1182,26 @@ class QueryService:
                 "max_events": self.tracer.max_events,
             }
         return payload
+
+    def proclist(self) -> List[Dict]:
+        """The queue as ``proclist`` rows: queries submitted and not
+        yet run."""
+        return [
+            proc_row(
+                pending.seq, pending.tenant, pending.label, "queued",
+                pending.seq, pending.state_estimate,
+                max(0.0, self.clock - pending.arrival),
+            )
+            for pending in self._pending
+        ]
+
+    def health(self) -> Dict:
+        """The service's part of a ``health`` answer."""
+        return {
+            "batches_run": self.batches_run,
+            "pending": len(self._pending),
+            "served_queries": self.served_queries,
+        }
 
     # -- lifecycle ---------------------------------------------------------
 

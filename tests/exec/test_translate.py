@@ -84,16 +84,6 @@ class TestTranslate:
 
 
 class TestContext:
-    def test_trace_log(self, catalog):
-        ctx = ExecutionContext(catalog, trace=True)
-        ctx.log("hello")
-        assert any("hello" in line for line in ctx.trace_log)
-
-    def test_trace_disabled_by_default(self, catalog):
-        ctx = ExecutionContext(catalog)
-        ctx.log("quiet")
-        assert ctx.trace_log == []
-
     def test_charge_advances_clock(self, catalog):
         ctx = ExecutionContext(catalog)
         ctx.charge(1.5)

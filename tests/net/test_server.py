@@ -1,5 +1,6 @@
 """Socket server tests: equivalence, quotas, concurrency, shutdown."""
 
+import io
 import socket
 import struct
 import threading
@@ -11,11 +12,13 @@ from repro.client import Client, InProcessClient, connect
 from repro.common.errors import ExecutionError
 from repro.data.tpch import cached_tpch
 from repro.net.protocol import (
-    PROTOCOL_VERSION, ProtocolError, encode_frame, hello_frame, read_frame,
+    PROTOCOL_VERSION, ROWS_PER_FRAME, ProtocolError, encode_frame,
+    hello_frame, read_frame,
 )
 from repro.net.server import ReproServer
 from repro.service import ServiceConfig, TenantQuota
-from repro.service.service import QueryService
+from repro.service.executor import BatchRun, QueryRun
+from repro.service.service import MIN_RETRY_HINT_S, QueryService
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +67,129 @@ class TestTransportEquivalence:
                     local.query(text)
                 assert str(over_wire.value) == str(in_proc.value)
 
+    def both_raise(self, remote, local, text, strategy=None):
+        """Both transports refuse ``text`` with one exception type and
+        text; returns the message."""
+        with pytest.raises(ExecutionError) as over_wire:
+            remote.query(text, strategy=strategy)
+        with pytest.raises(ExecutionError) as in_proc:
+            local.query(text, strategy=strategy)
+        assert type(over_wire.value) is type(in_proc.value)
+        assert str(over_wire.value) == str(in_proc.value)
+        return str(in_proc.value)
+
+    def test_submit_failures_match_in_process(self, catalog):
+        with make_server(catalog) as server, \
+                connect(port=server.port) as remote, \
+                InProcessClient(catalog, ServiceConfig()) as local:
+            assert self.both_raise(remote, local, "select nonsense(")
+            assert "warp" in self.both_raise(
+                remote, local, "Q1A", strategy="warp",
+            )
+            assert "non-empty" in self.both_raise(remote, local, "  ")
+            # The session survives each refusal, on both sides.
+            assert remote.query("Q1A") == local.query("Q1A")
+
+    def test_sheds_match_in_process(self, catalog):
+        config = dict(quotas={"capped": TenantQuota(max_state_bytes=1.0)})
+        with make_server(catalog, **config) as server, \
+                connect(port=server.port, tenant="capped") as remote, \
+                InProcessClient(catalog, ServiceConfig(**config),
+                                tenant="capped") as local:
+            over_wire = remote.query("Q2A")
+            in_proc = local.query("Q2A")
+            assert over_wire == in_proc
+            assert (in_proc.status, in_proc.reason) == ("shed", "quota:state")
+            assert remote.last_shed_retry_s == local.last_shed_retry_s
+            assert local.last_shed_retry_s >= MIN_RETRY_HINT_S
+
+    def test_engine_failures_match_in_process(self, catalog, monkeypatch):
+        class DeadWorkers:
+            """A backend whose every query comes back an error entry."""
+            slots = 1
+
+            def execute(self, batch):
+                return BatchRun([QueryRun(error="worker died") for _ in batch])
+
+            def close(self):
+                pass
+
+        with make_server(catalog) as server, \
+                connect(port=server.port) as remote, \
+                InProcessClient(catalog, ServiceConfig()) as local:
+            for service in (server.service, local.service):
+                monkeypatch.setattr(service, "_backend", DeadWorkers())
+            # An ``error``-status outcome...
+            assert "worker died" in self.both_raise(remote, local, "Q1A")
+            # ...and a run() that raises out of the service.
+            def broken_run():
+                raise RuntimeError("engine fault")
+
+            for service in (server.service, local.service):
+                monkeypatch.setattr(service, "run", broken_run)
+            assert self.both_raise(remote, local, "Q1A") == (
+                "service batch failed: engine fault"
+            )
+
     def test_metrics_snapshot_travels(self, catalog):
         with make_server(catalog) as server, \
                 connect(port=server.port) as client:
             result = client.query("Q2A")
             assert result.metrics["virtual_seconds"] == result.latency
             assert "tuples_pruned" in result.metrics
+
+
+class RecordingConn:
+    """Stands in for an accepted socket: records every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+
+def serve_recorded(server, text):
+    """Answer one query frame on a recording connection."""
+    conn = RecordingConn()
+    server._serve_query(conn, {
+        "type": "query", "id": 7, "text": text, "strategy": None,
+        "label": None,
+    }, None)
+    return conn.writes
+
+
+#: 1,200 rows at scale 0.002: three ``rows`` chunks.
+CHUNKED = "select ps_partkey from partsupp where ps_partkey <= 300"
+
+
+class TestOneWriter:
+    def test_each_write_is_one_whole_frame(self, catalog):
+        with make_server(catalog) as server:
+            writes = serve_recorded(server, CHUNKED)
+            kinds = []
+            for wire in writes:
+                stream = io.BytesIO(wire)
+                kinds.append(read_frame(stream)["type"])
+                assert not stream.read(1)
+            assert kinds == ["rows"] * 3 + ["summary"]
+            frames = server.registry.counter("net.frames")
+            assert frames.labels(type="rows").value == 3
+            assert frames.labels(type="summary").value == 1
+
+    def test_wire_bytes_are_the_v2_frames(self, catalog):
+        text = CHUNKED
+        with make_server(catalog) as server, \
+                QueryService(catalog, ServiceConfig()) as twin:
+            wire = b"".join(serve_recorded(server, text))
+            twin.submit(text)
+            payload = twin.run().outcomes[0].to_result().to_payload()
+        rows = payload.pop("rows")
+        by_hand = [
+            {"type": "rows", "id": 7, "rows": rows[at:at + ROWS_PER_FRAME]}
+            for at in range(0, len(rows), ROWS_PER_FRAME)
+        ] + [{"type": "summary", "id": 7, "result": payload}]
+        assert wire == b"".join(encode_frame(f) for f in by_hand)
 
 
 class TestQuotas:

@@ -308,3 +308,28 @@ class TestServiceBasics:
         report = service.run()
         assert report.peak_state_bytes > 0
         assert report.summary()["peak_state_mb"] > 0
+
+    def test_serving_a_cached_query_does_not_grow_the_service(self, catalog):
+        # The service-lifetime coster's estimate cache used to gain an
+        # entry per plan node per submit (12 KB per Q1A on the parent).
+        import gc
+        import tracemalloc
+
+        rounds = 500
+        with QueryService(catalog) as service:
+            def serve(n):
+                for _ in range(n):
+                    service.submit("Q1A")
+                    assert service.run().outcomes[0].status in (OK, CACHED)
+
+            tracemalloc.start()
+            try:
+                serve(200)  # fills the bounded rings (profiles: 128)
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                serve(rounds)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert grown / rounds < 1024, "%.0f B/query" % (grown / rounds)
