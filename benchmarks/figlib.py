@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.harness.report import FigureTable
 from repro.harness.runner import run_workload_query
 
@@ -15,28 +13,6 @@ METRIC_UNITS = {
     "peak_state_mb": "MB",
     "network_bytes": "bytes",
 }
-
-
-def write_bench_json(path, benchmark, config, metrics, tolerance=None):
-    """Write one benchmark's ``--json`` payload in the shape
-    ``benchmarks/check_regression.py`` consumes.
-
-    ``metrics`` values must be **higher-is-better** (export
-    virtual-clock cells as 1/seconds); ``tolerance`` overrides the
-    gate's default allowed drop fraction for this benchmark.
-    """
-    payload = {
-        "benchmark": benchmark,
-        "config": dict(config),
-        "metrics": dict(metrics),
-    }
-    if tolerance is not None:
-        payload["tolerance"] = tolerance
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print("wrote %s" % path)
-    return payload
 
 
 def figure_cell(

@@ -304,14 +304,19 @@ def _cmd_workload(args) -> int:
 
                 payload = {
                     "registry": service.registry.snapshot(),
-                    "feedback": service.feedback.export(),
+                    # The last ``profile_retention`` queries, each
+                    # with its est-vs-actual operator table.
+                    "profiles": [
+                        profile.as_dict()
+                        for profile in service.profiles.last()
+                    ],
                     "summary": report.summary(),
                 }
                 with open(args.metrics_out, "w") as fh:
                     json.dump(payload, fh, indent=1, sort_keys=True)
                     fh.write("\n")
-                print("-- metrics: %d feedback records written to %s"
-                      % (len(payload["feedback"]), args.metrics_out))
+                print("-- metrics: %d query profiles written to %s"
+                      % (len(payload["profiles"]), args.metrics_out))
     except (ReproError, ValueError) as exc:
         # ValueError: bad strategy/scheduler names from stream
         # overrides, or out-of-range service options.
@@ -418,12 +423,10 @@ def _top_screen(health, stats, queries) -> str:
         lines.append("latency (vs): %s  over %d queries"
                      % ("  ".join(parts) or "n/a", latency["count"]))
     lines.append(
-        "state: peak %.3f MB  profiles %d kept/%d evicted  "
-        "feedback %d fingerprints" % (
+        "state: peak %.3f MB  profiles %d kept/%d evicted" % (
             service.get("peak_state_bytes", 0) / 1e6,
             service.get("profiles_retained", 0),
             service.get("profiles_evicted", 0),
-            service.get("feedback_fingerprints", 0),
         )
     )
     lines.append("")
@@ -644,8 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_workload.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write the service metrics registry, per-fingerprint "
-             "feedback records and report summary as JSON",
+        help="write the service metrics registry, the retained "
+             "query profiles (operator tables) and report summary "
+             "as JSON",
     )
     p_workload.add_argument(
         "--repeat", type=int, default=1,

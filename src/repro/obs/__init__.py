@@ -1,5 +1,5 @@
-"""Observability: structured tracing, a metrics registry, runtime
-feedback recording, and EXPLAIN ANALYZE.
+"""Observability: structured tracing, a metrics registry, retained
+query profiles, and EXPLAIN ANALYZE.
 
 The paper's adaptivity rests on runtime introspection — "All query
 operators are supplemented with cardinality counters" (Section V-A) —
@@ -15,10 +15,6 @@ and this package is that idea promoted to a first-class subsystem:
   histograms aggregating per-query and service-lifetime views
   (latency percentiles, AIP selectivity, cache hit rates, spill
   traffic).
-* :mod:`repro.obs.feedback` — a :class:`FeedbackStore` recording
-  observed cardinalities and selectivities per structural plan
-  fingerprint at query completion: the recording half of the
-  runtime-feedback optimization loop.
 * :mod:`repro.obs.analyze` — ``EXPLAIN ANALYZE``: execute a plan and
   render its tree annotated with estimated vs actual cardinality,
   attributed CPU ticks, peak state and prune counts per operator.
@@ -34,14 +30,12 @@ and this package is that idea promoted to a first-class subsystem:
 
 from repro.obs.eventlog import EventLog
 from repro.obs.export import to_prometheus, validate_prometheus
-from repro.obs.feedback import FeedbackStore
 from repro.obs.profiles import ProfileRing, QueryProfile
 from repro.obs.registry import MetricsRegistry, percentile
 from repro.obs.trace import Tracer, validate_chrome_trace
 
 __all__ = [
     "EventLog",
-    "FeedbackStore",
     "MetricsRegistry",
     "ProfileRing",
     "QueryProfile",

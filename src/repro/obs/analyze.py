@@ -20,7 +20,7 @@ from repro.exec.costs import CostModel
 from repro.exec.engine import Engine, QueryResult
 from repro.exec.translate import ArrivalResolver, translate
 from repro.harness.strategies import make_strategy
-from repro.obs.feedback import plan_rows
+from repro.obs.profiles import plan_rows
 from repro.optimizer.estimator import CardinalityEstimator
 from repro.plan.logical import LogicalNode
 
@@ -108,9 +108,9 @@ def explain_analyze(
     Estimates come from a fresh :class:`CardinalityEstimator` that is
     fed no runtime observations, so the est-vs-actual columns show
     exactly the error the static optimizer would have committed to.
-    The table is :func:`~repro.obs.feedback.plan_rows` — the walk the
-    service's profiles and feedback store read — plus the attributed
-    tick and peak-state columns.
+    The table is :func:`~repro.obs.profiles.plan_rows` — the walk the
+    service's profiles read — plus the attributed tick and peak-state
+    columns.
     """
     estimator = CardinalityEstimator(catalog)
     ctx = ExecutionContext(

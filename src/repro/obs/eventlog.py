@@ -30,7 +30,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-#: Default rotation threshold (bytes).
+#: Rotation threshold (bytes) of every service-opened log.
 DEFAULT_MAX_BYTES = 4 * 1024 * 1024
 
 
@@ -109,11 +109,10 @@ class EventLog:
         self.close()
 
 
-def open_event_log(spec, max_bytes: int = DEFAULT_MAX_BYTES,
-                   ) -> Optional[EventLog]:
+def open_event_log(spec) -> Optional[EventLog]:
     """Coerce a config value into an :class:`EventLog` (or pass one
     through).  ``None`` stays None — the disabled path everywhere is a
     single ``is None`` check, like the tracer's."""
     if spec is None or isinstance(spec, EventLog):
         return spec
-    return EventLog(str(spec), max_bytes=max_bytes)
+    return EventLog(str(spec))

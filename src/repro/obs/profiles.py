@@ -6,10 +6,10 @@ the service look like in aggregate".  Neither can answer the operator's
 question five minutes after the fact: *what did query 4217 cost, and
 where was the optimizer wrong?*  A :class:`QueryProfile` is that
 answer — plan signature, per-operator estimated-vs-actual rows (from
-the same ``charge_op`` cardinality counters the feedback store reads),
-the latency breakdown on the service clock, and the spill/AIP/quota
-counters — and a :class:`ProfileRing` retains the last N of them so
-the ``profile`` admin frame and the slow-query log can look finished
+the engine's ``charge_op`` cardinality counters), the latency
+breakdown on the service clock, and the spill/AIP/quota counters —
+and a :class:`ProfileRing` retains the last N of them so the
+``profile`` admin frame and the slow-query log can look finished
 queries up by sequence number.
 
 Profiles are JSON-ready end to end (:meth:`QueryProfile.as_dict` is
@@ -29,9 +29,58 @@ from typing import Dict, List, Optional
 DEFAULT_RETENTION = 128
 
 
-#: The :func:`~repro.obs.feedback.plan_rows` keys a profile retains
-#: (the long structural signature and the walk's bookkeeping stay out
-#: of the ``profile`` frame).
+def plan_rows(physical, metrics, estimator) -> List[Dict]:
+    """The one est-vs-actual walk over an executed plan.
+
+    ``physical`` is an executed :class:`~repro.exec.translate
+    .PhysicalPlan`, ``metrics`` the run's engine metrics, and
+    ``estimator`` a :class:`~repro.optimizer.estimator
+    .CardinalityEstimator` that was fed no runtime observations, so
+    ``est_rows`` is what the static optimizer committed to.  Pre-order
+    over the logical tree, one JSON-ready (and picklable — pool workers
+    ship them back) row per visit; a shared subtree is expanded once
+    and its later visits are flagged ``shared`` with no operator.
+    Two readers sit on top: :func:`operator_table` and
+    :func:`repro.obs.analyze.explain_analyze`.
+    """
+    rows: List[Dict] = []
+    seen = set()
+
+    def visit(node, depth) -> None:
+        shared = node.node_id in seen
+        seen.add(node.node_id)
+        op = None if shared else physical.by_node_id.get(node.node_id)
+        counters = (
+            metrics.operators.get(op.op_id) if op is not None else None
+        )
+        actual = tuples_in = pruned = 0
+        if counters is not None:
+            actual = counters.tuples_out
+            tuples_in = counters.tuples_in
+            pruned = counters.tuples_pruned
+        rows.append({
+            "depth": depth,
+            "operator": type(node).__name__,
+            "label": node._label(),
+            "est_rows": estimator.estimate(node).rows,
+            "actual_rows": actual,
+            "tuples_in": tuples_in,
+            "pruned": pruned,
+            "node_id": node.node_id,
+            "shared": shared,
+            # None: the translator rewrote this node away.
+            "op_id": op.op_id if op is not None else None,
+        })
+        if not shared:
+            for child in node.children:
+                visit(child, depth + 1)
+
+    visit(physical.logical_root, 0)
+    return rows
+
+
+#: The :func:`plan_rows` keys a profile retains (the walk's
+#: bookkeeping stays out of the ``profile`` frame).
 _OPERATOR_KEYS = (
     "depth", "operator", "label", "est_rows", "actual_rows", "tuples_in",
     "pruned",
@@ -40,10 +89,10 @@ _OPERATOR_KEYS = (
 
 def operator_table(rows: List[Dict]) -> List[Dict]:
     """Per-operator est-vs-actual table from one plan's
-    :func:`~repro.obs.feedback.plan_rows`: every node that has a
-    physical operator, once (rewritten-away nodes and repeat visits of
-    a shared subtree are dropped), depth-annotated so the tree can be
-    re-rendered client-side."""
+    :func:`plan_rows`: every node that has a physical operator, once
+    (rewritten-away nodes and repeat visits of a shared subtree are
+    dropped), depth-annotated so the tree can be re-rendered
+    client-side."""
     return [
         {key: row[key] for key in _OPERATOR_KEYS}
         for row in rows if row["op_id"] is not None

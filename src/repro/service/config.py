@@ -88,8 +88,6 @@ class ServiceConfig:
     #: Structured JSONL event log: a path, an
     #: :class:`~repro.obs.eventlog.EventLog`, or None (disabled).
     event_log: Any = None
-    #: Size-rotation threshold for a path-configured event log.
-    event_log_max_bytes: int = 4 * 1024 * 1024
 
     def validate(self) -> "ServiceConfig":
         """Fail fast on contradictory settings; returns self."""

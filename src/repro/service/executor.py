@@ -22,7 +22,7 @@ from repro.exec.context import ExecutionContext
 from repro.exec.engine import QueryResult
 from repro.harness.concurrent import run_concurrent
 from repro.harness.strategies import BASELINE, MAGIC, make_strategy
-from repro.obs.feedback import plan_rows
+from repro.obs.profiles import plan_rows
 from repro.optimizer.estimator import CardinalityEstimator
 from repro.plan.logical import LogicalNode
 
@@ -37,7 +37,7 @@ class QueryRun:
     error: Optional[str] = None
     #: Virtual seconds from the batch's start to this query's finish.
     finish: float = 0.0
-    #: The executed plan's :func:`~repro.obs.feedback.plan_rows`.
+    #: The executed plan's :func:`~repro.obs.profiles.plan_rows`.
     operators: List[Dict] = field(default_factory=list)
     #: Filters re-injected from the cross-query AIP cache, and the
     #: tuples they pruned in this query.

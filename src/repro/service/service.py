@@ -35,7 +35,6 @@ from repro.exec.engine import QueryResult
 from repro.exec.metrics import Metrics, seconds_to_ticks
 from repro.harness.strategies import make_strategy, uses_magic_plan
 from repro.obs.eventlog import open_event_log
-from repro.obs.feedback import FeedbackStore
 from repro.obs.profiles import ProfileRing, QueryProfile, operator_table
 from repro.obs.registry import RATIO_BUCKETS, MetricsRegistry, percentile
 from repro.optimizer.cost import PlanCoster
@@ -495,21 +494,14 @@ class QueryService:
         #: Service-lifetime metrics registry: latency distributions,
         #: cache hit counters, AIP selectivity, spill traffic.
         self.registry = MetricsRegistry()
-        #: Observed per-fingerprint cardinalities, recorded for every
-        #: completed plan — the recording half of the runtime-feedback
-        #: loop.
-        self.feedback = FeedbackStore()
         #: Retained profiles of the last-N finished queries (the
-        #: ``profile`` admin frame's backing store; shares its
-        #: est-vs-actual walk with the feedback store).
+        #: ``profile`` admin frame's backing store).
         self.profiles = ProfileRing(config.profile_retention)
         #: Latency threshold (ms) for slow-query entries; None = off.
         self.slow_query_ms = config.slow_query_ms
         #: Structured JSONL lifecycle log, or None (disabled — the
         #: hook everywhere is one ``is None`` check, like the tracer).
-        self.eventlog = open_event_log(
-            config.event_log, config.event_log_max_bytes
-        )
+        self.eventlog = open_event_log(config.event_log)
         #: Service-wide table placement: when set, every submitted plan
         #: is marked against it (whole-site and partitioned tables
         #: alike), overriding workload-built-in placements, and the
@@ -1100,7 +1092,6 @@ class QueryService:
                 reason=query.error,
             )
             if ran:
-                self.feedback.record_rows(query.operators)
                 if self.result_cache is not None:
                     self.result_cache.store(
                         entry.signature, query.result.rows,
@@ -1172,7 +1163,6 @@ class QueryService:
                 "peak_state_bytes": self.peak_state_bytes,
                 "profiles_retained": len(self.profiles),
                 "profiles_evicted": self.profiles.evicted,
-                "feedback_fingerprints": len(self.feedback),
             },
         }
         if self.tracer is not None:

@@ -171,10 +171,12 @@ class TestPartitionedExecution:
     def test_more_partitions_stream_faster(self, catalog):
         slow = lambda: NetworkModel(default_bandwidth=1 * MBPS)  # noqa: E731
         times = {}
-        for n in (1, 4):
+        for n in (1, 2, 4, 8):
             plan = remote_join_plan(catalog)
             dq = DistributedQuery(plan, partitioned_placement(n), slow())
             times[n] = dq.execute(ExecutionContext(catalog)).metrics.clock
+        # The clock shrinks every time the partitions double.
+        assert times[1] > times[2] > times[4] > times[8]
         assert times[4] < times[1] / 2.0
 
     def test_empty_partitions_return_clean_empty_results(self, catalog):

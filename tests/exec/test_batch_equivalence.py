@@ -333,13 +333,13 @@ class TestTracedAxis:
         assert len(tracer) > 0
         assert validate_chrome_trace(tracer.to_chrome()) == []
 
-    @pytest.mark.parametrize("qid", ("Q4A", "Q5A"))
+    @pytest.mark.parametrize("qid", ("Q2A", "Q4A", "Q5A"))
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     @pytest.mark.parametrize("batch", (False, True))
     def test_traced_immediate_equivalence(self, qid, strategy, batch):
         """Whole-table pages: the ``emit:``/``page:`` instants of the
-        kernels above a join (Q4A: group-by, Q5A: projection) are pure
-        observation too."""
+        kernels above a join (Q2A and Q4A: group-by, Q5A: projection)
+        are pure observation too."""
         from repro.obs.trace import Tracer, validate_chrome_trace
 
         catalog = cached_tpch(scale_factor=SCALE)

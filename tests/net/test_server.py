@@ -26,6 +26,9 @@ def catalog():
     return cached_tpch(scale_factor=0.002)
 
 
+COUNT_PART = "select count(*) as n from part"
+
+
 def make_server(catalog, **config_kwargs):
     service = QueryService(catalog, ServiceConfig(**config_kwargs))
     return ReproServer(service).start()
@@ -37,9 +40,14 @@ class TestTransportEquivalence:
     MATRIX = [
         ("Q1A", "feedforward"),
         ("Q1A", "feedforward"),  # repeat: cached status must match too
+        ("Q1A", "costbased"),
+        ("Q2A", "feedforward"),
         ("Q2A", "costbased"),
         ("Q3A", "feedforward"),
-        ("select count(*) as n from part", "baseline"),
+        ("Q3A", "costbased"),
+        (COUNT_PART, "baseline"),
+        (COUNT_PART, "feedforward"),
+        (COUNT_PART, "costbased"),
     ]
 
     def test_socket_matches_in_process(self, catalog):
@@ -264,6 +272,89 @@ class TestConcurrency:
             assert server.registry.gauge("net.connections").max_value >= 2
             frames = server.registry.counter("net.frames")
             assert frames.labels(type="query").value == 12
+
+    def test_two_hundred_clients_held_open_at_once(self, catalog, tmp_path):
+        """The connection floor: every client connects, then a barrier
+        holds all of them before the first query, so 200+ sockets are
+        open together.  A few consume their rows slowly — that must
+        stall nobody else — and one more connection polls the admin
+        frames for the whole run without a single error.  The
+        telemetry plane is fully on: profile ring, slow-query
+        threshold, event log."""
+        n_clients, n_slow = 208, 6
+        mix = ("Q1A", "Q3A", COUNT_PART)
+
+        class SlowClient(Client):
+            def _recv(self):
+                time.sleep(0.005)
+                return super()._recv()
+
+        barrier = threading.Barrier(n_clients)
+        lock = threading.Lock()
+        oks, failures = [], []
+        admin = {"polls": 0, "errors": []}
+        stop = threading.Event()
+
+        def worker(i, port):
+            cls = SlowClient if i < n_slow else Client
+            try:
+                with cls(port=port, tenant="t%d" % (i % 4)) as client:
+                    barrier.wait(timeout=120)
+                    got = [client.query(mix[(i + k) % len(mix)]).ok
+                           for k in range(2)]
+                with lock:
+                    oks.extend(got)
+            except Exception as exc:
+                barrier.abort()
+                with lock:
+                    failures.append("%d: %r" % (i, exc))
+
+        def poll(port):
+            try:
+                with connect(port=port, tenant="admin") as client:
+                    while not stop.is_set():
+                        if "registry" not in client.stats():
+                            admin["errors"].append("stats without registry")
+                        client.proclist()
+                        if client.health()["status"] != "ok":
+                            admin["errors"].append("health not ok")
+                        admin["polls"] += 1
+                        time.sleep(0.02)
+            except Exception as exc:
+                admin["errors"].append(repr(exc))
+
+        with make_server(
+            catalog, event_log=str(tmp_path / "events.jsonl"),
+            slow_query_ms=30_000.0,
+        ) as server:
+            with connect(port=server.port) as warm:
+                for text in mix:
+                    assert warm.query(text).ok
+            poller = threading.Thread(target=poll, args=(server.port,))
+            threads = [
+                threading.Thread(target=worker, args=(i, server.port))
+                for i in range(n_clients)
+            ]
+            poller.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stop.set()
+            poller.join(timeout=30)
+
+            assert failures == []
+            assert len(oks) == 2 * n_clients and all(oks)
+            assert admin["polls"] >= 1 and admin["errors"] == []
+            assert server.service.eventlog.events_written >= 1
+            connections = server.registry.gauge("net.connections")
+            inflight = server.registry.gauge("net.inflight")
+            assert connections.max_value >= n_clients
+            deadline = time.monotonic() + 5.0
+            while ((connections.value or inflight.value)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert (connections.value, inflight.value) == (0, 0)
 
     def test_tenant_is_bound_at_hello(self, catalog):
         with make_server(catalog) as server, \

@@ -1,12 +1,21 @@
-"""Tests for retained query profiles and the profile ring."""
+"""Tests for retained query profiles, their est-vs-actual operator
+tables, and the profile ring."""
 
 import json
+import re
 
 import pytest
 
 from repro.data.tpch import cached_tpch
-from repro.obs.profiles import ProfileRing, QueryProfile
+from repro.exec.context import ExecutionContext
+from repro.exec.engine import Engine
+from repro.exec.translate import translate
+from repro.obs.profiles import (
+    ProfileRing, QueryProfile, operator_table, plan_rows,
+)
+from repro.optimizer.estimator import CardinalityEstimator
 from repro.service import QueryService, ServiceConfig, TenantQuota
+from repro.workloads.registry import get_query
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +82,39 @@ class TestQueryProfile:
         assert "[shed]" in text
         assert "quota:state" in text
         assert "operator" not in text
+
+
+class TestPlanRows:
+    def _walk(self, catalog, qid):
+        plan = get_query(qid).build_baseline(catalog)
+        ctx = ExecutionContext(catalog)
+        physical = translate(plan, ctx)
+        ctx.strategy.attach(ctx, physical)
+        Engine(ctx).run(physical)
+        return plan_rows(physical, ctx.metrics, CardinalityEstimator(catalog))
+
+    def test_pairs_estimates_with_observed_counters(self, catalog):
+        rows = self._walk(catalog, "Q1A")
+        assert rows[0]["depth"] == 0
+        table = operator_table(rows)
+        assert 0 < len(table) <= len(rows)
+        assert all(row["est_rows"] > 0 for row in table)
+        # A scan's input counter is the table it read.
+        for row in table:
+            if row["operator"] == "Scan":
+                name = re.match(r"Scan\((\w+)", row["label"]).group(1)
+                assert row["tuples_in"] == len(catalog.table(name).rows)
+        assert json.loads(json.dumps(rows)) == rows
+
+    def test_tables_are_structural(self, catalog):
+        """Two independently built copies of one query walk to the
+        same table: nothing but the label's node id tells them apart."""
+        first, second = (
+            [dict(row, label=re.sub(r" #\d+$", "", row["label"]))
+             for row in operator_table(self._walk(catalog, "Q3A"))]
+            for _ in range(2)
+        )
+        assert first == second
 
 
 class TestProfileRing:

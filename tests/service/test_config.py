@@ -61,7 +61,7 @@ class TestCoercion:
                      "memory_budget", "tracer", "parallel", "pool",
                      "catalog_spec", "slo_seconds", "quotas"):
             assert name in names
-        assert len(names) == 22
+        assert len(names) == 21
 
 
 class TestTenantQuota:

@@ -23,6 +23,31 @@ def solo_rows(catalog, qid):
     return execute_plan(plan, ExecutionContext(catalog)).rows
 
 
+def retained_bytes_per_query(catalog, text_of, warmup, rounds):
+    """Traced bytes one default service keeps per further query, after
+    ``warmup`` queries have filled its bounded caches and rings; query
+    ``i`` (from 1) is ``text_of(i)``."""
+    import gc
+    import tracemalloc
+
+    with QueryService(catalog) as service:
+        def serve(indices):
+            for i in indices:
+                service.submit(text_of(i))
+                assert service.run().outcomes[0].status in (OK, CACHED)
+
+        tracemalloc.start()
+        try:
+            serve(range(1, warmup + 1))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            serve(range(warmup + 1, warmup + rounds + 1))
+            gc.collect()
+            return (tracemalloc.get_traced_memory()[0] - before) / rounds
+        finally:
+            tracemalloc.stop()
+
+
 class TestWorkloadParsing:
     def test_script_grammar(self):
         items = parse_workload(
@@ -312,24 +337,20 @@ class TestServiceBasics:
     def test_serving_a_cached_query_does_not_grow_the_service(self, catalog):
         # The service-lifetime coster's estimate cache used to gain an
         # entry per plan node per submit (12 KB per Q1A on the parent).
-        import gc
-        import tracemalloc
+        grown = retained_bytes_per_query(
+            catalog, lambda i: "Q1A", warmup=200, rounds=500,
+        )
+        assert grown < 1024, "%.0f B/query" % grown
 
-        rounds = 500
-        with QueryService(catalog) as service:
-            def serve(n):
-                for _ in range(n):
-                    service.submit("Q1A")
-                    assert service.run().outcomes[0].status in (OK, CACHED)
-
-            tracemalloc.start()
-            try:
-                serve(200)  # fills the bounded rings (profiles: 128)
-                gc.collect()
-                before = tracemalloc.get_traced_memory()[0]
-                serve(rounds)
-                gc.collect()
-                grown = tracemalloc.get_traced_memory()[0] - before
-            finally:
-                tracemalloc.stop()
-        assert grown / rounds < 1024, "%.0f B/query" % (grown / rounds)
+    def test_serving_distinct_queries_does_not_grow_the_service(self, catalog):
+        # The non-cached path: every statement is new, so each one
+        # executes, is profiled and is offered to both caches.  An
+        # unbounded per-fingerprint store once kept ~970 B of each.
+        # The warm-up passes every bound: result cache 128 entries,
+        # AIP cache 256, profile ring 128.
+        grown = retained_bytes_per_query(
+            catalog,
+            lambda i: "select count(*) from part where p_partkey < %d" % i,
+            warmup=300, rounds=500,
+        )
+        assert grown < 256, "%.0f B/query" % grown

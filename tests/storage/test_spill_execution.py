@@ -166,6 +166,26 @@ class TestAIPStateStreaming:
         assert rows_equal(governed.result.rows, record.result.rows)
         assert governed.storage["spilled_bytes"] > 0
 
+    @pytest.mark.parametrize("strategy", ("baseline", "costbased"))
+    @pytest.mark.parametrize("qid", ("Q2A", "Q4A", "Q5A"))
+    def test_tenth_of_peak_budget_completes_with_identical_rows(
+        self, qid, strategy
+    ):
+        """The state-heavy join workloads at 10% of the resident peak
+        a calibration run observes: the governor keeps its promise by
+        spilling, and the rows are the un-governed run's."""
+        record = run_workload_query(qid, strategy, scale_factor=SCALE)
+        peak = run_workload_query(
+            qid, strategy, scale_factor=SCALE, memory_budget=1 << 40,
+        ).storage["peak_resident_bytes"]
+        budget = max(peak // 10, 4096)
+        governed = run_workload_query(
+            qid, strategy, scale_factor=SCALE, memory_budget=budget,
+        )
+        assert rows_equal(governed.result.rows, record.result.rows)
+        assert governed.storage["peak_resident_bytes"] <= budget
+        assert governed.storage["spilled_bytes"] > 0
+
 
 class TestConcurrentGovernor:
     def test_queries_race_for_the_last_lease(self, catalog):

@@ -150,10 +150,16 @@ class TestObservabilityFlags:
             "--trace-out", str(trace), "--metrics-out", str(metrics),
         ]) == 0
         out = capsys.readouterr().out
-        assert "feedback records written" in out
+        assert "3 query profiles written" in out
         assert validate_chrome_trace(self._load(trace)) == []
         payload = self._load(metrics)
-        assert payload["feedback"], "metrics export has no feedback records"
+        # Q2A*2: the repeat waits for its twin and is then a cache
+        # hit, which executes nothing.
+        assert [(p["label"], p["status"], bool(p["operators"]))
+                for p in payload["profiles"]] == [
+            ("Q2A", "ok", True), ("Q1A", "ok", True),
+            ("Q2A", "cached", False),
+        ]
         assert "queries.completed" in payload["registry"]
         assert "latency_p99" in payload["summary"]
 
