@@ -3,7 +3,8 @@
 Every figure benchmark records its (query, strategy) cell into a
 session-level :class:`FigureTable`; at session end the tables are
 printed, giving the text analogue of the paper's Figures 5-14 for
-side-by-side shape comparison (see EXPERIMENTS.md).
+side-by-side shape comparison (``tests/harness/test_paper_shapes.py``
+asserts the Figure 5/7/9/11 shapes in tier-1).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ def pytest_sessionfinish(session, exitstatus):
         return
     print("\n")
     print("=" * 72)
-    print("Reproduced figure tables (paper shapes in EXPERIMENTS.md)")
+    print("Reproduced figure tables (paper shapes: each bench's docstring;"
+          " asserted in tests/harness/test_paper_shapes.py)")
     print("=" * 72)
     for key in sorted(_TABLES):
         print()

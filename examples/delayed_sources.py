@@ -66,7 +66,8 @@ def main():
         "\nNote how the delayed runs converge in running time (waits"
         "\ndominate) while cost-based AIP keeps its intermediate-state"
         "\nadvantage.  Feed-forward's fixed Bloom-filter overhead looms"
-        "\nlarge at this toy scale (see EXPERIMENTS.md, deviation D2);"
+        "\nlarge at this toy scale (tests/harness/test_paper_shapes.py"
+        "\nrecords the deviation: its state exceeds Baseline's);"
         "\nits benefit here is the pruning, visible in the fast-input"
         "\nrunning times."
     )

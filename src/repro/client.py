@@ -37,15 +37,16 @@ from repro.net.protocol import (
     read_frame,
 )
 from repro.service.result import SHED, QueryResult
-from repro.service.service import QueryService, Request
+from repro.service.query import Request
+from repro.service.service import QueryService
 
 __all__ = ["Client", "InProcessClient", "connect"]
 
 
 def _settle(client, result, error=None, retry_after_s=None) -> QueryResult:
     """What a caller gets for a settled request, on either transport:
-    an error (a failed submit, an engine ``error`` outcome, a lost
-    outcome, a queue timeout) raises; ok/cached/shed return the result,
+    an error (a failed submit, an engine ``error`` query, an engine
+    fault, a queue timeout) raises; ok/cached/shed return the result,
     a shed leaving its backoff hint on the client."""
     if error is not None:
         raise ExecutionError(error)

@@ -2,8 +2,8 @@
 
 Each benchmark collects one value per (query, strategy) cell and prints
 a table whose rows/series correspond to the paper's figure, so paper
-shape vs. measured shape can be compared side by side (EXPERIMENTS.md
-records the comparison)."""
+shape vs. measured shape can be compared side by side
+(``tests/harness/test_paper_shapes.py`` asserts the comparison)."""
 
 from __future__ import annotations
 

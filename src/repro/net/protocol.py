@@ -142,7 +142,7 @@ def encode_frame(frame: Dict) -> bytes:
 
 def reply_frames(qid, request) -> Iterator[Dict]:
     """The frames that answer one settled
-    :class:`~repro.service.service.Request`: ``rows`` chunks then
+    :class:`~repro.service.query.Request`: ``rows`` chunks then
     ``summary``, or one ``shed``, or one ``error``."""
     result = request.result
     if result is None:

@@ -40,7 +40,7 @@ from repro.net.protocol import (
     check_hello, encode_frame, hello_frame, read_frame, reply_frames,
 )
 from repro.obs.export import to_prometheus
-from repro.service.service import Request, proc_row
+from repro.service.query import Request
 
 #: Dispatcher wake-up sentinel.
 _STOP = object()
@@ -303,13 +303,7 @@ class ReproServer:
         with self._proc_lock:
             table = sorted(self._proc.items())
         return [
-            proc_row(
-                qid, request.tenant, request.label or "sql", request.phase,
-                request.seq, request.state_estimate,
-                0.0 if request.clock_submitted is None
-                else clock - request.clock_submitted,
-                now - request.enqueued_wall,
-            )
+            request.proc_row(qid, clock, now - request.enqueued_wall)
             for qid, request in table
         ]
 

@@ -151,23 +151,20 @@ class QueryProfile:
         return self.finish - self.start
 
     @classmethod
-    def from_outcome(cls, outcome, signature: str,
-                     operators: Optional[List[Dict]] = None,
-                     ) -> "QueryProfile":
-        """Build a profile from a service :class:`QueryOutcome`."""
-        result = outcome.result
+    def from_query(cls, query,
+                   operators: Optional[List[Dict]] = None) -> "QueryProfile":
+        """What is retained of a settled service
+        :class:`~repro.service.query.Query`: everything but its plan
+        and its rows (the ring outlives both)."""
         return cls(
-            outcome.seq, outcome.label, outcome.status, outcome.tenant,
-            outcome.strategy, signature, outcome.batch,
-            outcome.arrival, outcome.start, outcome.finish,
-            len(result) if result is not None else 0,
-            reason=outcome.reason,
-            state_estimate=outcome.state_estimate,
-            aip_filters_injected=outcome.aip_filters_injected,
-            aip_tuples_pruned=outcome.aip_tuples_pruned,
-            metrics=(
-                result.metrics.summary() if result is not None else {}
-            ),
+            query.seq, query.label, query.status, query.tenant,
+            query.strategy, query.signature, query.batch,
+            query.arrival, query.start, query.finish, query.rows,
+            reason=query.reason,
+            state_estimate=query.state_estimate,
+            aip_filters_injected=query.aip_filters_injected,
+            aip_tuples_pruned=query.aip_tuples_pruned,
+            metrics=query.metrics,
             operators=operators,
         )
 

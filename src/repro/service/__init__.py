@@ -33,9 +33,9 @@ from repro.service.schedulers import (
     FifoScheduler, Scheduler, ShortestCostFirstScheduler, make_scheduler,
     SCHEDULERS,
 )
+from repro.service.query import Query
 from repro.service.service import (
-    CACHED, ERROR, OK, SHED_STATUS, QueryOutcome, QueryService,
-    ServiceReport,
+    CACHED, ERROR, OK, SHED_STATUS, QueryService, ServiceReport,
 )
 from repro.service.workload import WorkloadItem, parse_workload
 
@@ -47,7 +47,7 @@ __all__ = [
     "plan_signature",
     "Scheduler", "FifoScheduler", "ShortestCostFirstScheduler",
     "make_scheduler", "SCHEDULERS",
-    "QueryService", "QueryOutcome", "ServiceReport",
+    "QueryService", "Query", "ServiceReport",
     "OK", "CACHED", "SHED_STATUS", "ERROR",
     "WorkloadItem", "parse_workload",
 ]

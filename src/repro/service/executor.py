@@ -208,7 +208,7 @@ class InlineBackend:
     def execute(self, batch) -> BatchRun:
         return execute_batch(
             self._catalog,
-            [(entry.plan, entry.strategy_name) for entry in batch],
+            [(entry.plan, entry.strategy) for entry in batch],
             **self._options,
         )
 
@@ -269,7 +269,7 @@ class PoolBackend:
         for index, entry in enumerate(batch):
             try:
                 task_ids[index] = pool.submit(QueryTask(
-                    task_spec, entry.plan, entry.strategy_name,
+                    task_spec, entry.plan, entry.strategy,
                     self._options, trace=self._tracer is not None,
                     label=entry.label,
                 ))

@@ -2,7 +2,7 @@
 
 Before the front door, callers saw three different result shapes:
 :class:`~repro.exec.engine.QueryResult` (rows + schema + raw engine
-metrics) from ``execute_plan``, :class:`QueryOutcome` from the service,
+metrics) from ``execute_plan``, a per-query outcome from the service,
 and ad-hoc runner dicts from the harness.  The socket client would have
 added a fourth.  This module defines the single client-facing
 :class:`QueryResult`: rows, column names, terminal status, latency and
@@ -21,14 +21,14 @@ back equal objects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ExecutionError
 
 Row = Tuple
 
-#: Terminal statuses (mirrors repro.service.service — re-declared here
-#: to keep this module import-light for the client side).
+#: Terminal statuses, declared on the import-light client side
+#: (repro.service.service re-exports them).
 OK = "ok"
 CACHED = "cached"
 SHED = "shed"
@@ -152,8 +152,9 @@ def columns_of(schema) -> Tuple[str, ...]:
     return tuple(attr.name for attr in schema.attributes)
 
 
-def result_from_outcome(outcome, tenant: Optional[str] = None) -> QueryResult:
-    """Build the public result from a service :class:`QueryOutcome`.
+def result_from_outcome(outcome) -> QueryResult:
+    """Build the public result from a settled service
+    :class:`~repro.service.query.Query`.
 
     The single construction point both transports share: the
     in-process client returns this object directly; the socket server
@@ -163,11 +164,9 @@ def result_from_outcome(outcome, tenant: Optional[str] = None) -> QueryResult:
     if engine_result is None:
         rows: List[Row] = []
         columns: Tuple[str, ...] = ()
-        metrics: Dict = {}
     else:
         rows = list(engine_result.rows)
         columns = columns_of(engine_result.schema)
-        metrics = engine_result.metrics.summary()
     return QueryResult(
         label=outcome.label,
         status=outcome.status,
@@ -176,24 +175,13 @@ def result_from_outcome(outcome, tenant: Optional[str] = None) -> QueryResult:
         latency=outcome.latency,
         queue_wait=outcome.queue_wait,
         seq=outcome.seq,
-        tenant=tenant,
-        reason=getattr(outcome, "reason", None),
-        metrics=metrics,
+        tenant=outcome.tenant,
+        reason=outcome.reason,
+        # The record's one summary; each view owns its copy.
+        metrics=dict(outcome.metrics),
     )
 
 
-def results_from_report(report, tenants: Optional[Dict[int, str]] = None,
-                        ) -> List[QueryResult]:
+def results_from_report(report) -> List[QueryResult]:
     """Per-query public results for one :class:`ServiceReport`."""
-    tenants = tenants or {}
-    return [
-        result_from_outcome(outcome, tenant=tenants.get(outcome.seq))
-        for outcome in report.outcomes
-    ]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Re-exported exact percentile (see :mod:`repro.obs.registry`)."""
-    from repro.obs.registry import percentile as _percentile
-
-    return _percentile(values, q)
+    return [result_from_outcome(outcome) for outcome in report.outcomes]

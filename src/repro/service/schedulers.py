@@ -30,8 +30,8 @@ class Scheduler:
     def order(self, pending: List) -> List:
         """Return ``pending`` in dispatch order (a new list).
 
-        Entries are :class:`~repro.service.service._PendingQuery`
-        objects exposing ``arrival``, ``seq`` and ``cost_estimate``.
+        Entries are :class:`~repro.service.query.Query` records
+        exposing ``arrival``, ``seq`` and ``cost_estimate``.
         """
         raise NotImplementedError
 

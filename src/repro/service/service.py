@@ -46,22 +46,19 @@ from repro.service.aip_cache import AIPSetCache
 from repro.service.config import TenantQuota, coerce_config
 from repro.service.executor import BatchRun, InlineBackend, PoolBackend
 from repro.service.fingerprint import plan_signature
-from repro.service.result import result_from_outcome
+from repro.service.query import (
+    MIN_RETRY_HINT_S, QUEUED, Query, Request, proc_row,
+)
+# The statuses a submitted query can end in.  ERROR is the pool
+# backend's: the query's plan could not be shipped, or the worker
+# carrying it died or raised.
+from repro.service.result import (
+    CACHED, ERROR, OK, SHED as SHED_STATUS, results_from_report,
+)
 from repro.service.result_cache import ResultCache
 from repro.service.schedulers import Scheduler, make_scheduler
 from repro.service.workload import WorkloadItem
 from repro.workloads.registry import QUERIES, get_query
-
-#: Statuses a submitted query can end in.
-OK = "ok"
-CACHED = "cached"
-SHED_STATUS = "shed"
-#: Pool backend only: the query's plan could not be shipped, or the
-#: worker carrying it died or raised.
-ERROR = "error"
-
-#: Floor on the retry hint a shed reply carries, in (virtual) seconds.
-MIN_RETRY_HINT_S = 0.001
 
 QuerySpec = Union[str, LogicalNode, Callable[[Catalog], LogicalNode]]
 
@@ -75,87 +72,7 @@ _ENGINE_TOTAL_KEYS = (
 )
 
 
-class _PendingQuery:
-    """A submitted query waiting for dispatch."""
-
-    __slots__ = (
-        "seq", "label", "plan", "signature", "arrival", "strategy_name",
-        "state_estimate", "cost_estimate", "tenant", "miss_counted",
-    )
-
-    def __init__(self, seq, label, plan, signature, arrival, strategy_name,
-                 state_estimate, cost_estimate, tenant=None):
-        self.seq = seq
-        self.label = label
-        self.plan = plan
-        self.signature = signature
-        self.arrival = arrival
-        self.strategy_name = strategy_name
-        self.state_estimate = state_estimate
-        self.cost_estimate = cost_estimate
-        #: Fair-share scheduling class (None = the anonymous tenant).
-        self.tenant = tenant
-        #: Whether this query's first result-cache miss was recorded
-        #: (re-probes while queued must not inflate the miss count).
-        self.miss_counted = False
-
-
-class Request:
-    """One caller's query and, once :meth:`QueryService.run_requests`
-    has settled it, its answer: the record both front doors (the socket
-    dispatcher and the in-process client) hand the service.
-
-    Settled means exactly one of: ``error`` is a message (``result``
-    rides along when the engine produced an ``error``-status outcome),
-    or ``result`` is an ok/cached/shed
-    :class:`~repro.service.result.QueryResult`.
-    """
-
-    __slots__ = (
-        "text", "strategy", "label", "tenant", "phase", "seq",
-        "state_estimate", "clock_submitted", "result", "error",
-        "retry_after_s",
-    )
-
-    def __init__(self, text, strategy=None, label=None, tenant=None):
-        self.text = text
-        self.strategy = strategy
-        self.label = label
-        self.tenant = tenant
-        #: queued -> admitted -> executing (-> streaming, on a socket).
-        self.phase = "queued"
-        self.seq: Optional[int] = None
-        self.state_estimate: Optional[float] = None
-        self.clock_submitted: Optional[float] = None
-        self.result = None
-        #: A request born with unusable text is settled on arrival.
-        self.error: Optional[str] = (
-            None if isinstance(text, str) and text.strip()
-            else "query frame needs a non-empty 'text' field"
-        )
-        #: Backoff hint for a shed answer: the virtual seconds the run
-        #: that refused the query took — by then capacity has turned
-        #: over at least once.
-        self.retry_after_s = MIN_RETRY_HINT_S
-
-
-def proc_row(qid, tenant, label, phase, seq, state_estimate,
-             virtual_elapsed_s, elapsed_wall_s=0.0) -> Dict:
-    """One ``proclist`` row, whichever table it came from."""
-    return {
-        "qid": qid,
-        "tenant": tenant,
-        "label": label,
-        "phase": phase,
-        "elapsed_wall_s": elapsed_wall_s,
-        "virtual_elapsed_s": virtual_elapsed_s,
-        "seq": seq,
-        "state_estimate_bytes": state_estimate,
-        "worker": None,
-    }
-
-
-def _fair_interleave(ordered: List["_PendingQuery"]) -> List["_PendingQuery"]:
+def _fair_interleave(ordered: List[Query]) -> List[Query]:
     """Round-robin the scheduler's ordering across tenants.
 
     Within one tenant the scheduler's relative order is preserved;
@@ -164,12 +81,12 @@ def _fair_interleave(ordered: List["_PendingQuery"]) -> List["_PendingQuery"]:
     Tenants rotate in first-appearance order, so the result is
     deterministic for a given input ordering.
     """
-    by_tenant: Dict[Optional[str], List[_PendingQuery]] = {}
+    by_tenant: Dict[Optional[str], List[Query]] = {}
     for entry in ordered:
         by_tenant.setdefault(entry.tenant, []).append(entry)
     if len(by_tenant) <= 1:
         return ordered
-    out: List[_PendingQuery] = []
+    out: List[Query] = []
     queues = list(by_tenant.values())
     while queues:
         still_live = []
@@ -179,65 +96,6 @@ def _fair_interleave(ordered: List["_PendingQuery"]) -> List["_PendingQuery"]:
                 still_live.append(queue)
         queues = still_live
     return out
-
-
-class QueryOutcome:
-    """Everything the service reports about one submitted query."""
-
-    __slots__ = (
-        "seq", "label", "status", "strategy", "arrival", "start", "finish",
-        "result", "batch", "state_estimate", "aip_filters_injected",
-        "aip_tuples_pruned", "tenant", "reason",
-    )
-
-    def __init__(self, seq: int, label: str, status: str, strategy: str,
-                 arrival: float, start: float, finish: float,
-                 result: Optional[QueryResult], batch: int,
-                 state_estimate: float, tenant: Optional[str] = None,
-                 reason: Optional[str] = None):
-        self.seq = seq
-        self.label = label
-        self.status = status
-        self.strategy = strategy
-        self.arrival = arrival
-        self.start = start
-        self.finish = finish
-        self.result = result
-        #: Index of the concurrent batch this query ran in (-1 if none).
-        self.batch = batch
-        self.state_estimate = state_estimate
-        #: Fair-share / quota class the query was submitted under.
-        self.tenant = tenant
-        #: Why a non-ok outcome ended: ``admission``, ``slo``,
-        #: ``quota:concurrent``, ``quota:state`` or an error message.
-        self.reason = reason
-        #: Filters re-injected from the cross-query AIP cache, and the
-        #: tuples they pruned in this query.
-        self.aip_filters_injected = 0
-        self.aip_tuples_pruned = 0
-
-    @property
-    def queue_wait(self) -> float:
-        return self.start - self.arrival
-
-    @property
-    def latency(self) -> float:
-        return self.finish - self.arrival
-
-    @property
-    def rows(self) -> int:
-        return len(self.result) if self.result is not None else 0
-
-    def to_result(self):
-        """The public transport-independent view of this outcome (one
-        :class:`repro.service.result.QueryResult`); the shape both the
-        socket server and the in-process client hand to callers."""
-        return result_from_outcome(self, tenant=self.tenant)
-
-    def __repr__(self) -> str:
-        return "QueryOutcome(%s %s: wait=%.4f latency=%.4f)" % (
-            self.label, self.status, self.queue_wait, self.latency,
-        )
 
 
 def _run_delta(before: Optional[Dict], after: Optional[Dict], gauges):
@@ -260,12 +118,14 @@ class ServiceReport:
     controller object).
     """
 
-    def __init__(self, service: "QueryService", outcomes: List[QueryOutcome],
+    def __init__(self, service: "QueryService", outcomes: List[Query],
                  elapsed: float, peak: int,
                  aip_cache_stats: Optional[Dict],
                  result_cache_stats: Optional[Dict],
                  engine: Optional[Dict] = None,
                  storage: Optional[Dict] = None):
+        #: The run's settled :class:`~repro.service.query.Query`
+        #: records, in submission order.
         self.outcomes = outcomes
         self.total_virtual_seconds = elapsed
         self.peak_state_bytes = peak
@@ -284,18 +144,18 @@ class ServiceReport:
         """Per-query public :class:`~repro.service.result.QueryResult`
         views — the same objects a client (socket or in-process) would
         have been handed for this stream."""
-        return [o.to_result() for o in self.outcomes]
+        return results_from_report(self)
 
     @property
-    def completed(self) -> List[QueryOutcome]:
+    def completed(self) -> List[Query]:
         return [o for o in self.outcomes if o.status in (OK, CACHED)]
 
     @property
-    def shed(self) -> List[QueryOutcome]:
+    def shed(self) -> List[Query]:
         return [o for o in self.outcomes if o.status == SHED_STATUS]
 
     @property
-    def failed(self) -> List[QueryOutcome]:
+    def failed(self) -> List[Query]:
         """Pool backend only: queries lost to worker faults."""
         return [o for o in self.outcomes if o.status == ERROR]
 
@@ -366,14 +226,10 @@ class ServiceReport:
             "#", "query", "status", "rows", "wait (vs)", "latency",
             "finish", "xq-cut",
         )]
-        # The per-query columns come from the unified public view, so
-        # this table can never drift from what a client was handed.
         for o in self.outcomes:
-            view = o.to_result()
             lines.append("%-4d %-10s %-7s %8d %10.4f %10.4f %10.4f %7d" % (
-                view.seq, view.label[:10], view.status, len(view),
-                view.queue_wait, view.latency, o.finish,
-                o.aip_tuples_pruned,
+                o.seq, o.label[:10], o.status, o.rows, o.queue_wait,
+                o.latency, o.finish, o.aip_tuples_pruned,
             ))
         s = self.summary()
         lines.append(
@@ -557,7 +413,7 @@ class QueryService:
         self.batches_run = 0
         #: Requests :meth:`run_requests` has put through a run.
         self.served_queries = 0
-        self._pending: List[_PendingQuery] = []
+        self._pending: List[Query] = []
         self._seq = 0
         self._run_engine: Dict[str, int] = dict.fromkeys(
             _ENGINE_TOTAL_KEYS, 0
@@ -583,11 +439,18 @@ class QueryService:
         fair-share class: dispatch interleaves admission across
         tenants so no tenant's burst monopolises a batch.
         """
-        strategy_name = strategy or self.default_strategy
+        return self._enqueue(query, arrival, strategy, label, tenant).seq
+
+    def _enqueue(self, query: QuerySpec, arrival: float = 0.0,
+                 strategy: Optional[str] = None, label: Optional[str] = None,
+                 tenant: Optional[str] = None) -> Query:
+        """:meth:`submit`, handing back the record itself — the one
+        object dispatch settles and every later view is read from."""
+        strategy = strategy or self.default_strategy
         # Fail fast on a bad strategy name: raising later, mid-batch,
         # would leak acquired admission slots and wedge the service.
-        make_strategy(strategy_name, **self.strategy_kwargs)
-        plan, label = self._build_plan(query, strategy_name, label)
+        make_strategy(strategy, **self.strategy_kwargs)
+        plan, label = self._build_plan(query, strategy, label)
         if self.placement is not None:
             mark_remote_scans(plan, self.placement)
             apply_broadcast_fanouts(plan, self.catalog)
@@ -596,14 +459,15 @@ class QueryService:
         # hits across queries and only grows.
         coster = PlanCoster(self.catalog, self.cost_model)
         self._seq += 1
-        self._pending.append(_PendingQuery(
+        record = Query(
             self._seq, label, plan, plan_signature(plan),
-            self.clock + arrival, strategy_name,
+            self.clock + arrival, strategy,
             estimate_query_state_bytes(plan, coster),
             coster.total_cost(plan),
             tenant=tenant,
-        ))
-        return self._seq
+        )
+        self._pending.append(record)
+        return record
 
     def submit_item(self, item: WorkloadItem) -> int:
         query = item.text
@@ -659,7 +523,9 @@ class QueryService:
 
     def run(self) -> ServiceReport:
         """Drain the queue, batch by batch, and report on this run."""
-        outcomes: List[QueryOutcome] = []
+        # The queue is in submission order, and dispatch settles these
+        # very records: the run's outcomes are known before it starts.
+        queries = list(self._pending)
         started = self.clock
         self._run_peak = 0
         self._run_engine = dict.fromkeys(_ENGINE_TOTAL_KEYS, 0)
@@ -669,11 +535,10 @@ class QueryService:
             if not ready:
                 self.clock = min(p.arrival for p in self._pending)
                 continue
-            outcomes.extend(self._dispatch(self.scheduler.order(ready)))
-        outcomes.sort(key=lambda o: o.seq)
+            self._dispatch(self.scheduler.order(ready))
         aip, result, storage = self._lifetime_stats()
         return ServiceReport(
-            self, outcomes,
+            self, queries,
             elapsed=self.clock - started, peak=self._run_peak,
             aip_cache_stats=_run_delta(aip_before, aip, ("entries", "bytes")),
             result_cache_stats=_run_delta(
@@ -685,70 +550,69 @@ class QueryService:
             ),
         )
 
+    def _drain(self, queries: Sequence[Query]) -> ServiceReport:
+        """:meth:`run` on behalf of the caller that enqueued
+        ``queries``.  When an engine fault ends the run early that
+        caller is told its queries failed, so the ones still queued
+        leave with it: left behind, they would run on the next
+        caller's clock for an answer nobody reads."""
+        try:
+            return self.run()
+        except Exception:
+            withdrawn = set(queries)
+            self._pending = [
+                p for p in self._pending if p not in withdrawn
+            ]
+            raise
+
     def run_requests(self, requests: Sequence[Request]) -> None:
         """Submit every unsettled request, drain the queue once and
-        settle each request with its own outcome, joined by seq — the
-        step the socket dispatcher and the in-process client share."""
-        by_seq: Dict[int, Request] = {}
+        settle each request from its own record — the step the socket
+        dispatcher and the in-process client share."""
+        live: List[Request] = []
         for request in requests:
             if request.error is not None:
                 continue
             try:
-                seq = self.submit(
+                request.query = self._enqueue(
                     request.text, strategy=request.strategy,
                     label=request.label, tenant=request.tenant,
                 )
             except Exception as exc:  # bad SQL/strategy: fail one query
                 request.error = str(exc)
                 continue
-            by_seq[seq] = request
-            entry = self._pending[-1]
-            request.seq = seq
-            request.label = entry.label
-            request.state_estimate = entry.state_estimate
-            request.clock_submitted = self.clock
             request.phase = "admitted"
-        if not by_seq:
+            live.append(request)
+        if not live:
             return
-        for request in by_seq.values():
+        for request in live:
             request.phase = "executing"
         try:
-            report = self.run()
+            report = self._drain([request.query for request in live])
         except Exception as exc:  # engine fault: fail the whole group
-            for request in by_seq.values():
+            for request in live:
                 request.error = "service batch failed: %s" % exc
             return
-        self.served_queries += len(by_seq)
+        self.served_queries += len(live)
         retry_after_s = max(report.total_virtual_seconds, MIN_RETRY_HINT_S)
-        for outcome in report.outcomes:
-            request = by_seq.pop(outcome.seq, None)
-            if request is None:
-                continue  # submitted directly, not through a request
-            request.result = outcome.to_result()
+        for request in live:
+            query = request.query
+            request.result = query.to_result()
             request.retry_after_s = retry_after_s
-            if outcome.status == ERROR:
-                request.error = outcome.reason or "query failed"
-        for request in by_seq.values():
-            request.error = "query vanished from the service report"
+            if query.status == ERROR:
+                request.error = query.reason or "query failed"
 
-    def _dispatch(self, ordered: List[_PendingQuery]) -> List[QueryOutcome]:
+    def _dispatch(self, ordered: List[Query]) -> None:
         """Resolve cache hits and sheds, pack one batch, and run it."""
         from repro.harness.strategies import BASELINE, MAGIC
 
-        tracer = self.tracer
         ordered = _fair_interleave(ordered)
-        if tracer is not None:
-            tracer.instant(
-                "sched.pick", "service", seconds_to_ticks(self.clock),
-                {
-                    "ready": len(ordered),
-                    "pending": len(self._pending),
-                    "scheduler": self.scheduler.describe(),
-                },
-            )
+        self._trace(
+            "sched.pick", ready=len(ordered), pending=len(self._pending),
+            scheduler=self.scheduler.describe(),
+        )
         self.registry.gauge("admission.queue_depth").set(len(self._pending))
-        outcomes: List[QueryOutcome] = []
-        batch: List[_PendingQuery] = []
+        batch: List[Query] = []
         #: Estimated cost already packed, for SLO latency projection.
         packed_cost = 0.0
         #: Per-tenant packed load this round, for hard-quota checks
@@ -764,7 +628,7 @@ class QueryService:
                 self.result_cache is not None
                 or (self.aip_cache is not None
                     and twin_strategy not in (BASELINE, MAGIC)
-                    and entry.strategy_name not in (BASELINE, MAGIC))
+                    and entry.strategy not in (BASELINE, MAGIC))
             ):
                 # A twin of this query is already in the forming batch
                 # and will leave something to reap — a cached result, or
@@ -786,31 +650,21 @@ class QueryService:
                     result = QueryResult(
                         list(cached.rows), cached.schema, Metrics()
                     )
+                    self._trace(
+                        "cache.result.hit", "cache",
+                        query=entry.label, rows=len(result),
+                    )
+                    self.registry.counter("cache.result.hits").inc()
                     start = self.clock
                     self.clock += self.cost_model.manager_invocation
-                    if tracer is not None:
-                        tracer.instant(
-                            "cache.result.hit", "cache",
-                            seconds_to_ticks(start),
-                            {"query": entry.label, "rows": len(result)},
-                        )
-                    self.registry.counter("cache.result.hits").inc()
-                    outcome = QueryOutcome(
-                        entry.seq, entry.label, CACHED, entry.strategy_name,
-                        entry.arrival, start, self.clock, result, -1,
-                        entry.state_estimate, tenant=entry.tenant,
-                    )
-                    self._observe_latency(outcome)
-                    self._finish_query(outcome, entry.signature)
-                    outcomes.append(outcome)
+                    entry.settle(CACHED, start, self.clock, result)
+                    self._observe_latency(entry)
+                    self._finish_query(entry)
                     continue
                 if not entry.miss_counted:
-                    if tracer is not None:
-                        tracer.instant(
-                            "cache.result.miss", "cache",
-                            seconds_to_ticks(self.clock),
-                            {"query": entry.label},
-                        )
+                    self._trace(
+                        "cache.result.miss", "cache", query=entry.label,
+                    )
                     self.registry.counter("cache.result.misses").inc()
                 entry.miss_counted = True
             quota_reason = self._quota_violation(
@@ -821,20 +675,12 @@ class QueryService:
                 # tenant's query is shed outright (the front door turns
                 # this into a `shed` frame with a retry hint) while
                 # other tenants in this very round keep packing.
-                if tracer is not None:
-                    tracer.instant(
-                        "admission.quota_shed", "service",
-                        seconds_to_ticks(self.clock),
-                        {
-                            "query": entry.label,
-                            "tenant": entry.tenant,
-                            "reason": quota_reason,
-                        },
-                    )
-                consumed.add(entry.seq)
-                outcomes.append(
-                    self._shed(entry, quota_reason, "quota.shed")
+                self._trace(
+                    "admission.quota_shed", query=entry.label,
+                    tenant=entry.tenant, reason=quota_reason,
                 )
+                consumed.add(entry.seq)
+                self._shed(entry, quota_reason, "quota.shed")
                 continue
             if self.slo_seconds is not None:
                 # Project this query's latency were it packed now: the
@@ -847,34 +693,22 @@ class QueryService:
                     packed_cost + entry.cost_estimate
                 ) / self._backend.slots
                 if projected > self.slo_seconds:
-                    if tracer is not None:
-                        tracer.instant(
-                            "admission.slo_shed", "service",
-                            seconds_to_ticks(self.clock),
-                            {
-                                "query": entry.label,
-                                "projected_latency": projected,
-                                "slo_seconds": self.slo_seconds,
-                            },
-                        )
+                    self._trace(
+                        "admission.slo_shed", query=entry.label,
+                        projected_latency=projected,
+                        slo_seconds=self.slo_seconds,
+                    )
                     consumed.add(entry.seq)
-                    outcomes.append(self._shed(entry, "slo", "slo.shed"))
+                    self._shed(entry, "slo", "slo.shed")
                     continue
             decision = self.admission.decide(entry.state_estimate)
-            if tracer is not None:
-                tracer.instant(
-                    "admission.%s" % decision, "service",
-                    seconds_to_ticks(self.clock),
-                    {
-                        "query": entry.label,
-                        "state_estimate": entry.state_estimate,
-                    },
-                )
+            self._trace(
+                "admission.%s" % decision, query=entry.label,
+                state_estimate=entry.state_estimate,
+            )
             if decision == SHED:
                 consumed.add(entry.seq)
-                outcomes.append(
-                    self._shed(entry, "admission", "admission.shed")
-                )
+                self._shed(entry, "admission", "admission.shed")
                 continue
             if decision != ADMIT:
                 # Queued: stop packing so dispatch order is respected;
@@ -896,19 +730,18 @@ class QueryService:
             tenant_bytes[entry.tenant] = (
                 tenant_bytes.get(entry.tenant, 0.0) + entry.state_estimate
             )
-            batch_signatures.setdefault(entry.signature, entry.strategy_name)
+            batch_signatures.setdefault(entry.signature, entry.strategy)
         if consumed:
             # One filter pass instead of per-entry list.remove scans.
             self._pending = [
                 p for p in self._pending if p.seq not in consumed
             ]
         if batch:
-            outcomes.extend(self._run_batch(batch))
-        return outcomes
+            self._run_batch(batch)
 
     def _quota_violation(
         self,
-        entry: _PendingQuery,
+        entry: Query,
         tenant_packed: Dict[Optional[str], int],
         tenant_bytes: Dict[Optional[str], float],
     ) -> Optional[str]:
@@ -947,10 +780,19 @@ class QueryService:
         if self.eventlog is not None:
             self.eventlog.emit(event, clock=self.clock, **fields)
 
-    def _shed(self, entry: _PendingQuery, reason: str,
-              counter_name: str) -> QueryOutcome:
-        """One shed decision: labeled counter, event-log entry,
-        retained profile, and the outcome itself."""
+    def _trace(self, name: str, category: str = "service",
+               at: Optional[float] = None, **args) -> None:
+        """One instant on the service timeline, at clock ``at`` (now
+        when omitted) — the tracer's twin of :meth:`_emit_event`."""
+        if self.tracer is not None:
+            self.tracer.instant(
+                name, category,
+                seconds_to_ticks(self.clock if at is None else at), args,
+            )
+
+    def _shed(self, entry: Query, reason: str, counter_name: str) -> None:
+        """One shed decision: labeled counter, event-log entry, the
+        record's terminal write, and its retained profile."""
         self.registry.counter(counter_name).labels(
             tenant=self._tenant_label(entry.tenant)
         ).inc()
@@ -958,48 +800,39 @@ class QueryService:
             "shed", seq=entry.seq, label=entry.label,
             tenant=entry.tenant, reason=reason,
         )
-        outcome = QueryOutcome(
-            entry.seq, entry.label, SHED_STATUS, entry.strategy_name,
-            entry.arrival, self.clock, self.clock, None, -1,
-            entry.state_estimate, tenant=entry.tenant, reason=reason,
-        )
-        self._finish_query(outcome, entry.signature)
-        return outcome
+        entry.settle(SHED_STATUS, self.clock, self.clock, reason=reason)
+        self._finish_query(entry)
 
-    def _observe_latency(self, outcome: QueryOutcome) -> None:
+    def _observe_latency(self, query: Query) -> None:
         """Fold one finished query into the latency distributions:
         the per-tenant labeled series feeds the unlabeled aggregate
         via the registry's roll-up."""
         self.registry.histogram("query.latency_s").labels(
-            tenant=self._tenant_label(outcome.tenant)
-        ).observe(outcome.latency)
+            tenant=self._tenant_label(query.tenant)
+        ).observe(query.latency)
 
-    def _finish_query(self, outcome: QueryOutcome, signature: str,
-                      operators=None) -> QueryProfile:
-        """Retain one finished query's profile and, past the slow-query
+    def _finish_query(self, query: Query, operators=None) -> None:
+        """Retain one settled query's profile and, past the slow-query
         threshold, log the profile with its EXPLAIN-ANALYZE rendering."""
-        profile = QueryProfile.from_outcome(
-            outcome, signature, operators=operators
-        )
+        profile = QueryProfile.from_query(query, operators)
         self.profiles.record(profile)
         if (
             self.slow_query_ms is not None
-            and outcome.status in (OK, CACHED)
+            and query.status in (OK, CACHED)
             and profile.latency * 1000.0 >= self.slow_query_ms
         ):
             self.registry.counter("queries.slow").labels(
-                tenant=self._tenant_label(outcome.tenant)
+                tenant=self._tenant_label(query.tenant)
             ).inc()
             self._emit_event(
-                "slow_query", seq=outcome.seq, label=outcome.label,
-                tenant=outcome.tenant,
+                "slow_query", seq=query.seq, label=query.label,
+                tenant=query.tenant,
                 latency_ms=profile.latency * 1000.0,
                 threshold_ms=self.slow_query_ms,
                 profile=profile.as_dict(), explain=profile.render(),
             )
-        return profile
 
-    def _run_batch(self, batch: List[_PendingQuery]) -> List[QueryOutcome]:
+    def _run_batch(self, batch: List[Query]) -> None:
         """Execute one admitted batch on the backend, then finish it.
 
         Everything between acquisition and the release sits inside
@@ -1010,7 +843,7 @@ class QueryService:
         The governor epoch gives a failed batch the same guarantee for
         *enforced* bytes: dead operators' leases, spill handlers and
         buffer frames all roll back.  Inline engine errors propagate
-        out of :meth:`run`; a pool worker's become ``error`` outcomes.
+        out of :meth:`run`; a pool worker's become ``error`` queries.
         """
         epoch = (
             self.governor.begin_epoch()
@@ -1032,13 +865,12 @@ class QueryService:
                 tracer.offset = 0
             for entry in batch:
                 self.admission.release(entry.state_estimate)
-        return self._finish_batch(batch, run)
+        self._finish_batch(batch, run)
 
-    def _finish_batch(
-        self, batch: List[_PendingQuery], run: BatchRun
-    ) -> List[QueryOutcome]:
-        """Account for one executed batch — the same steps, in the
-        same order, whichever backend produced ``run``."""
+    def _finish_batch(self, batch: List[Query], run: BatchRun) -> None:
+        """Account for one executed batch and settle its queries — the
+        same steps, in the same order, whichever backend produced
+        ``run``."""
         # Reconcile what admission believed against what the batch
         # actually held.  Only queries that ran count — a failed one
         # reported nothing trustworthy (and a batch that raised never
@@ -1046,8 +878,8 @@ class QueryService:
         self.admission.observe(
             sum(
                 entry.state_estimate
-                for entry, query in zip(batch, run.queries)
-                if query.error is None
+                for entry, ran in zip(batch, run.queries)
+                if ran.error is None
             ),
             run.observed_bytes,
         )
@@ -1081,47 +913,35 @@ class QueryService:
             virtual_seconds=run.seconds,
         )
 
-        outcomes = []
-        for entry, query in zip(batch, run.queries):
-            ran = query.error is None
-            outcome = QueryOutcome(
-                entry.seq, entry.label, OK if ran else ERROR,
-                entry.strategy_name, entry.arrival, start,
-                start + query.finish, query.result, batch_index,
-                entry.state_estimate, tenant=entry.tenant,
-                reason=query.error,
+        for entry, ran in zip(batch, run.queries):
+            entry.settle(
+                OK if ran.error is None else ERROR, start,
+                start + ran.finish, ran.result, batch_index, ran.error,
             )
-            if ran:
+            if ran.error is None:
                 if self.result_cache is not None:
                     self.result_cache.store(
-                        entry.signature, query.result.rows,
-                        query.result.schema, query.finish,
+                        entry.signature, ran.result.rows,
+                        ran.result.schema, ran.finish,
                     )
-                outcome.aip_filters_injected = query.filters_injected
-                outcome.aip_tuples_pruned = query.tuples_pruned
+                entry.aip_filters_injected = ran.filters_injected
+                entry.aip_tuples_pruned = ran.tuples_pruned
                 self.registry.counter("queries.completed").inc()
-                self._observe_latency(outcome)
+                self._observe_latency(entry)
                 self.registry.histogram("query.queue_wait_s").observe(
-                    outcome.queue_wait
+                    entry.queue_wait
                 )
             else:
                 self.registry.counter("queries.failed").inc()
-                if tracer is not None:
-                    tracer.instant(
-                        "service.query_error", "service",
-                        seconds_to_ticks(start),
-                        {"query": entry.label, "error": query.error},
-                    )
+                self._trace(
+                    "service.query_error", at=start,
+                    query=entry.label, error=ran.error,
+                )
                 self._emit_event(
                     "crash", seq=entry.seq, label=entry.label,
-                    tenant=entry.tenant, error=query.error,
+                    tenant=entry.tenant, error=ran.error,
                 )
-            self._finish_query(
-                outcome, entry.signature,
-                operators=operator_table(query.operators),
-            )
-            outcomes.append(outcome)
-        return outcomes
+            self._finish_query(entry, operator_table(ran.operators))
 
     def _fold_metrics(self, run: BatchRun) -> None:
         """Accumulate one finished batch's engine counters into the
@@ -1178,7 +998,7 @@ class QueryService:
         yet run."""
         return [
             proc_row(
-                pending.seq, pending.tenant, pending.label, "queued",
+                pending.seq, pending.tenant, pending.label, QUEUED,
                 pending.seq, pending.state_estimate,
                 max(0.0, self.clock - pending.arrival),
             )
@@ -1215,13 +1035,10 @@ class QueryService:
 
     def execute(self, query: QuerySpec, **kwargs) -> QueryResult:
         """Submit one query, drain the queue, return its result."""
-        seq = self.submit(query, **kwargs)
-        report = self.run()
-        for outcome in report.outcomes:
-            if outcome.seq == seq:
-                if outcome.result is None:
-                    raise ExecutionError(
-                        "query %s was %s" % (outcome.label, outcome.status)
-                    )
-                return outcome.result
-        raise ExecutionError("query %d vanished from the service" % seq)
+        record = self._enqueue(query, **kwargs)
+        self._drain([record])
+        if record.result is None:
+            raise ExecutionError(
+                "query %s was %s" % (record.label, record.status)
+            )
+        return record.result

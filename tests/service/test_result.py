@@ -61,9 +61,7 @@ class TestViews:
 
     def test_report_results_property(self, report):
         views = report.results
-        assert views == results_from_report(
-            report, {o.seq: o.tenant for o in report.outcomes},
-        )
+        assert views == results_from_report(report)
         assert all(isinstance(v, QueryResult) for v in views)
 
     def test_columns_and_lengths(self, report):
@@ -97,6 +95,17 @@ class TestPublicExports:
 
     def test_result_from_outcome_is_single_construction_point(self, report):
         outcome = report.outcomes[0]
-        assert result_from_outcome(outcome, tenant="a") == (
-            outcome.to_result()
-        )
+        assert result_from_outcome(outcome) == outcome.to_result()
+        assert outcome.to_result().tenant == "a"
+
+    def test_one_record_type_is_exported(self):
+        # The queue entry and the outcome are one class; the names it
+        # replaced are gone, not aliased.
+        import repro.service as service
+        from repro.service import result, service as service_module
+
+        assert service.Query is service_module.Query
+        for module in (service, service_module, result):
+            assert not hasattr(module, "QueryOutcome")
+            assert not hasattr(module, "_PendingQuery")
+        assert not hasattr(result, "percentile")

@@ -6,6 +6,7 @@ from repro.data.tpch import cached_tpch
 from repro.exec.context import ExecutionContext
 from repro.exec.engine import execute_plan
 from repro.service import QueryService, WorkloadItem, parse_workload
+from repro.service.query import Request
 from repro.service.service import CACHED, OK, SHED_STATUS
 from repro.service.workload import parse_inline
 from repro.workloads.registry import get_query
@@ -354,3 +355,60 @@ class TestServiceBasics:
             warmup=300, rounds=500,
         )
         assert grown < 256, "%.0f B/query" % grown
+
+
+class FaultOnce:
+    """A backend whose first batch raises; later ones run on ``inner``."""
+
+    slots = 1
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = 0
+
+    def execute(self, batch):
+        self.batches += 1
+        if self.batches == 1:
+            raise RuntimeError("engine fault")
+        return self.inner.execute(batch)
+
+    def close(self):
+        self.inner.close()
+
+
+class TestRunRequests:
+    def test_failed_group_leaves_no_orphans(self, catalog):
+        """An engine fault fails the whole request group; the group's
+        not-yet-run queries must leave the queue with it instead of
+        running, unread, on the next caller's clock."""
+        with QueryService(catalog, max_concurrent=1,
+                          result_cache=False) as service:
+            backend = service._backend = FaultOnce(service._backend)
+            group = [Request("Q1A"), Request("Q2A")]
+            service.run_requests(group)
+            assert [r.error for r in group] == [
+                "service batch failed: engine fault"
+            ] * 2
+            assert len(service._pending) == 0
+            assert service.proclist() == []
+            assert service.admission.in_flight_queries == 0
+
+            third = Request("Q1A")
+            service.run_requests([third])
+            assert third.error is None
+            assert third.result.status == OK
+            assert third.result.seq == third.query.seq
+            assert backend.batches == 2  # the faulted one, then one
+            assert service.batches_run == 1
+
+    def test_execute_withdraws_its_query_on_a_fault(self, catalog):
+        with QueryService(catalog, max_concurrent=1,
+                          result_cache=False) as service:
+            service._backend = FaultOnce(service._backend)
+            service.submit("Q1A")  # runs first and faults the run
+            with pytest.raises(RuntimeError, match="engine fault"):
+                service.execute("Q2A")
+            assert service.proclist() == []
+            assert len(service.execute("Q2A")) == len(
+                solo_rows(catalog, "Q2A")
+            )
