@@ -79,6 +79,8 @@ class Client:
         self.last_shed_retry_s: Optional[float] = None
         self._next_id = 0
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # One request is one small write; it should leave when written.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._closed = False
         try:

@@ -118,6 +118,14 @@ REPLY_FRAMES = frozenset((FRAME_ROWS, FRAME_SUMMARY, FRAME_SHED, FRAME_ERROR))
 #: backpressure engages quickly, large enough to amortise framing.
 ROWS_PER_FRAME = 512
 
+#: Encoded bytes the server's writer gathers before it writes.  A
+#: constant, not a setting: it only has to be far above a small reply
+#: (so ``rows`` + ``summary`` leave as one segment) and far below a
+#: large one (so a wide result still streams and a slow consumer never
+#: has more than this plus a frame or two buffered against it).
+SEND_BUFFER_BYTES = 64 << 10
+
+
 class ProtocolError(ReproError):
     """A malformed frame: bad length, bad JSON, bad shape."""
 
@@ -148,8 +156,7 @@ def reply_frames(qid, request) -> Iterator[Dict]:
     if result is None:
         yield {"type": FRAME_ERROR, "id": qid, "message": request.error}
         return
-    payload = result.to_payload()
-    rows = payload.pop("rows")
+    payload = result.summary_payload()
     if request.error is not None:
         yield {
             "type": FRAME_ERROR, "id": qid, "message": request.error,
@@ -161,6 +168,9 @@ def reply_frames(qid, request) -> Iterator[Dict]:
             "retry_after_s": request.retry_after_s, "result": payload,
         }
     else:
+        # Sliced straight from the result: ``json.dumps`` writes a
+        # tuple as an array, so no list-of-lists copy is made first.
+        rows = result.rows
         for offset in range(0, len(rows), ROWS_PER_FRAME):
             yield {
                 "type": FRAME_ROWS, "id": qid,

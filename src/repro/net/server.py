@@ -35,9 +35,10 @@ from typing import Dict, List, Optional
 
 from repro.net.protocol import (
     ADMIN_FRAMES, FRAME_ERROR, FRAME_HEALTH, FRAME_HELLO, FRAME_PROCLIST,
-    FRAME_PROFILE, FRAME_QUERY, FRAME_SHUTDOWN, FRAME_STATS,
-    MAX_FRAME_BYTES, REPLY_FRAMES, ConnectionClosed, ProtocolError,
-    check_hello, encode_frame, hello_frame, read_frame, reply_frames,
+    FRAME_PROFILE, FRAME_QUERY, FRAME_ROWS, FRAME_SHUTDOWN, FRAME_STATS,
+    MAX_FRAME_BYTES, REPLY_FRAMES, SEND_BUFFER_BYTES, ConnectionClosed,
+    ProtocolError, check_hello, encode_frame, hello_frame, read_frame,
+    reply_frames,
 )
 from repro.obs.export import to_prometheus
 from repro.service.query import Request
@@ -384,18 +385,36 @@ class ReproServer:
             thread.start()
 
     def _send(self, conn, frames) -> None:
-        """The one writer: every frame the server emits leaves here, one
-        write per frame.  A write may block on a slow consumer — that is
-        the point: backpressure lands on this connection's thread
-        alone."""
+        """The one writer: every frame the server emits leaves here.
+
+        Encoded frames gather in one buffer that is written when the
+        frames run out, and before a further ``rows`` frame once it
+        holds ``SEND_BUFFER_BYTES`` — so a small reply is one write, a
+        terminal frame never travels alone behind its rows (two small
+        writes are what the kernel's send coalescing stalls on), and a
+        wide reply still streams.  A write may block on a slow consumer
+        — that is the point: backpressure lands on this connection's
+        thread alone, with at most the flush size plus one ``rows``
+        frame and the terminal frame buffered against it.
+        """
+        buffer = bytearray()
         for frame in frames:
-            if frame["type"] in REPLY_FRAMES:
-                self._observe(frame=frame["type"])
-            conn.sendall(encode_frame(frame))
+            kind = frame["type"]
+            if kind in REPLY_FRAMES:
+                self._observe(frame=kind)
+            if kind == FRAME_ROWS and len(buffer) >= SEND_BUFFER_BYTES:
+                conn.sendall(buffer)
+                buffer = bytearray()
+            buffer += encode_frame(frame)
+        if buffer:
+            conn.sendall(buffer)
 
     def _handle(self, conn) -> None:
         rfile = conn.makefile("rb")
         try:
+            # `_send` writes replies whole; the kernel holding a segment
+            # back to gather more would only add a delayed-ACK wait.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
                 self._session(conn, rfile)
             except ProtocolError as exc:

@@ -127,6 +127,8 @@ class QueryProfile:
         self.finish = finish
         self.rows = rows
         self.reason = reason
+        #: Admission's estimate in bytes, or None for a query dispatch
+        #: never had to cost (a result-cache hit).
         self.state_estimate = state_estimate
         self.aip_filters_injected = aip_filters_injected
         self.aip_tuples_pruned = aip_tuples_pruned
@@ -161,7 +163,7 @@ class QueryProfile:
             query.strategy, query.signature, query.batch,
             query.arrival, query.start, query.finish, query.rows,
             reason=query.reason,
-            state_estimate=query.state_estimate,
+            state_estimate=query.known_state_estimate,
             aip_filters_injected=query.aip_filters_injected,
             aip_tuples_pruned=query.aip_tuples_pruned,
             metrics=query.metrics,

@@ -190,6 +190,12 @@ def execute_batch(
             counters = metrics.operators.get(scan.op_id)
             if counters is not None:
                 run.scanned_rows += counters.tuples_out
+        # The rows are the result's from here on.  The executed plan is
+        # garbage, but cyclic garbage (operators point at each other and
+        # at the context), so it waits for a collector pass — and a sink
+        # still holding the rows would keep every reply's tuples waiting
+        # with it, long after the reply was written.
+        physical.sink.rows = []
     return run
 
 

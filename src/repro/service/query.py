@@ -17,7 +17,7 @@ table render.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.service.result import QueryResult, result_from_outcome
 
@@ -33,14 +33,15 @@ class Query:
 
     __slots__ = (
         "seq", "label", "tenant", "strategy", "plan", "signature",
-        "arrival", "state_estimate", "cost_estimate", "miss_counted",
+        "arrival", "_estimate", "estimates", "miss_counted",
         "status", "reason", "start", "finish", "batch", "result",
         "metrics", "aip_filters_injected", "aip_tuples_pruned",
     )
 
     def __init__(self, seq: int, label: str, plan, signature: str,
-                 arrival: float, strategy: str, state_estimate: float,
-                 cost_estimate: float, tenant: Optional[str] = None):
+                 arrival: float, strategy: str,
+                 estimate: Callable[[object], Tuple[float, float]],
+                 tenant: Optional[str] = None):
         self.seq = seq
         self.label = label
         #: Fair-share / quota class (None = the anonymous tenant).
@@ -49,8 +50,16 @@ class Query:
         self.plan = plan
         self.signature = signature
         self.arrival = arrival
-        self.state_estimate = state_estimate
-        self.cost_estimate = cost_estimate
+        #: ``plan -> (state bytes, cost seconds)``, the optimizer's
+        #: estimates; run at most once, by whichever of
+        #: :attr:`state_estimate` / :attr:`cost_estimate` is read first.
+        self._estimate = estimate
+        #: What that call returned, or None while nothing has asked: a
+        #: query answered from the result cache never does.  Views that
+        #: must not cost a plan themselves (``proclist`` rows on an
+        #: admin thread, the retained profile) read this, not the
+        #: properties.
+        self.estimates: Optional[Tuple[float, float]] = None
         #: Whether this query's first result-cache miss was recorded
         #: (re-probes while queued must not inflate the miss count).
         self.miss_counted = False
@@ -85,6 +94,31 @@ class Query:
         self.reason = reason
         if result is not None:
             self.metrics = result.metrics.summary()
+
+    @property
+    def state_estimate(self) -> float:
+        """Estimated peak intermediate state, in bytes (what admission
+        and the state quota charge); estimated on first read."""
+        return self._estimated()[0]
+
+    @property
+    def cost_estimate(self) -> float:
+        """Estimated running time, in virtual seconds (what the SJF
+        scheduler and the SLO projection use); estimated on first
+        read."""
+        return self._estimated()[1]
+
+    def _estimated(self) -> Tuple[float, float]:
+        if self.estimates is None:
+            self.estimates = self._estimate(self.plan)
+        return self.estimates
+
+    @property
+    def known_state_estimate(self) -> Optional[float]:
+        """:attr:`state_estimate` if dispatch has read it, else None —
+        never an estimate of its own."""
+        estimates = self.estimates
+        return None if estimates is None else estimates[0]
 
     @property
     def queue_wait(self) -> float:
@@ -158,7 +192,8 @@ class Request:
             )
         return proc_row(
             qid, self.tenant, query.label, self.phase, query.seq,
-            query.state_estimate, clock - query.arrival, elapsed_wall_s,
+            query.known_state_estimate, clock - query.arrival,
+            elapsed_wall_s,
         )
 
 

@@ -115,11 +115,22 @@ class QueryResult:
     # -- the wire shape ----------------------------------------------------
 
     def to_payload(self) -> Dict:
-        """JSON-safe dict; the socket server's summary/rows source."""
+        """JSON-safe dict: the whole result in its wire shape."""
+        return self._payload([list(row) for row in self.rows])
+
+    def summary_payload(self) -> Dict:
+        """:meth:`to_payload` minus ``rows`` — what a terminal frame
+        carries once the rows have been streamed — made without copying
+        a row."""
+        payload = self._payload(None)
+        del payload["rows"]
+        return payload
+
+    def _payload(self, rows) -> Dict:
         return {
             "label": self.label,
             "status": self.status,
-            "rows": [list(row) for row in self.rows],
+            "rows": rows,
             "columns": list(self.columns),
             "latency": self.latency,
             "queue_wait": self.queue_wait,

@@ -454,20 +454,27 @@ class QueryService:
         if self.placement is not None:
             mark_remote_scans(plan, self.placement)
             apply_broadcast_fanouts(plan, self.catalog)
-        # One coster per submit: its estimate cache is keyed by node
-        # ids that every plan mints afresh, so a longer-lived one never
-        # hits across queries and only grows.
-        coster = PlanCoster(self.catalog, self.cost_model)
         self._seq += 1
         record = Query(
             self._seq, label, plan, plan_signature(plan),
-            self.clock + arrival, strategy,
-            estimate_query_state_bytes(plan, coster),
-            coster.total_cost(plan),
-            tenant=tenant,
+            self.clock + arrival, strategy, self._estimate, tenant=tenant,
         )
         self._pending.append(record)
         return record
+
+    def _estimate(self, plan: LogicalNode):
+        """The optimizer's ``(state bytes, cost seconds)`` for one plan.
+        A record calls this the first time dispatch reads either number
+        — quota, SLO projection, admission, the SJF scheduler — so a
+        query answered from the result cache is never costed."""
+        # One coster per plan: its estimate cache is keyed by node ids
+        # that every plan mints afresh, so a longer-lived one never
+        # hits across queries and only grows.
+        coster = PlanCoster(self.catalog, self.cost_model)
+        return (
+            estimate_query_state_bytes(plan, coster),
+            coster.total_cost(plan),
+        )
 
     def submit_item(self, item: WorkloadItem) -> int:
         query = item.text
@@ -999,7 +1006,7 @@ class QueryService:
         return [
             proc_row(
                 pending.seq, pending.tenant, pending.label, QUEUED,
-                pending.seq, pending.state_estimate,
+                pending.seq, pending.known_state_estimate,
                 max(0.0, self.clock - pending.arrival),
             )
             for pending in self._pending

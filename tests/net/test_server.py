@@ -2,6 +2,7 @@
 
 import io
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -12,8 +13,8 @@ from repro.client import Client, InProcessClient, connect
 from repro.common.errors import ExecutionError
 from repro.data.tpch import cached_tpch
 from repro.net.protocol import (
-    PROTOCOL_VERSION, ROWS_PER_FRAME, ProtocolError, encode_frame,
-    hello_frame, read_frame,
+    PROTOCOL_VERSION, ROWS_PER_FRAME, SEND_BUFFER_BYTES, ProtocolError,
+    encode_frame, hello_frame, read_frame,
 )
 from repro.net.server import ReproServer
 from repro.service import ServiceConfig, TenantQuota
@@ -167,23 +168,66 @@ def serve_recorded(server, text):
     return conn.writes
 
 
-#: 1,200 rows at scale 0.002: three ``rows`` chunks.
+#: 1,200 rows at scale 0.002: three ``rows`` chunks, 7 KB in all.
 CHUNKED = "select ps_partkey from partsupp where ps_partkey <= 300"
+
+#: 3,000 six-column rows: six ``rows`` chunks, 146 KB in all.
+WIDE = (
+    "select o_orderkey, o_custkey, o_orderstatus, o_totalprice, "
+    "o_orderdate, o_orderpriority from orders"
+)
+
+
+def frames_in(wire):
+    """The kinds of the frames in one write; a write that ends inside
+    a frame raises ``ProtocolError``."""
+    stream = io.BytesIO(wire)
+    kinds = []
+    while stream.tell() < len(wire):
+        kinds.append(read_frame(stream)["type"])
+    return kinds
 
 
 class TestOneWriter:
     def test_each_write_is_one_whole_frame(self, catalog):
+        # The rule since the writer coalesces: a write is a whole
+        # number of frames, and the terminal frame rides with its rows.
         with make_server(catalog) as server:
-            writes = serve_recorded(server, CHUNKED)
-            kinds = []
-            for wire in writes:
-                stream = io.BytesIO(wire)
-                kinds.append(read_frame(stream)["type"])
-                assert not stream.read(1)
-            assert kinds == ["rows"] * 3 + ["summary"]
+            writes = [frames_in(wire)
+                      for wire in serve_recorded(server, CHUNKED)]
+            assert sum(writes, []) == ["rows"] * 3 + ["summary"]
+            assert len(writes) < 4
+            assert ["summary"] not in writes
             frames = server.registry.counter("net.frames")
             assert frames.labels(type="rows").value == 3
             assert frames.labels(type="summary").value == 1
+            # A reply of a few rows is exactly one write.
+            small = serve_recorded(server, COUNT_PART)
+            assert [frames_in(wire) for wire in small] == [
+                ["rows", "summary"]
+            ]
+
+    def test_a_wide_reply_leaves_in_bounded_writes(self, catalog):
+        with make_server(catalog) as server:
+            wires = serve_recorded(server, WIDE)
+            writes = [frames_in(wire) for wire in wires]
+        assert sum(writes, []) == ["rows"] * 6 + ["summary"]
+        assert len(writes) > 1
+        assert ["summary"] not in writes
+        # At most the flush size, the ``rows`` frame that crossed it
+        # and ``summary`` (smaller than the full chunk measured here).
+        full_chunk = 4 + struct.unpack(">I", wires[0][:4])[0]
+        for wire in wires:
+            assert len(wire) < SEND_BUFFER_BYTES + 2 * full_chunk
+
+    def test_both_sockets_send_without_delay(self, catalog):
+        with make_server(catalog) as server, \
+                connect(port=server.port) as client:
+            accepted, = server._conns
+            for sock in (accepted, client._sock):
+                assert sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
 
     def test_wire_bytes_are_the_v2_frames(self, catalog):
         text = CHUNKED
@@ -198,6 +242,33 @@ class TestOneWriter:
             for at in range(0, len(rows), ROWS_PER_FRAME)
         ] + [{"type": "summary", "id": 7, "result": payload}]
         assert wire == b"".join(encode_frame(f) for f in by_hand)
+
+
+class TestNoReplyStall:
+    """Tripwire, over real loopback: a reply written as two small
+    segments waits out the peer's delayed ACK, a fixed ~40 ms, while
+    the work here is ~1 ms — so 20 ms is a 20x margin either way."""
+
+    @staticmethod
+    def median_round_trip_ms(client, text, status):
+        assert client.query(text).status in ("ok", "cached")  # warm up
+        trips = []
+        for _ in range(50):
+            begun = time.perf_counter()
+            assert client.query(text).status == status
+            trips.append(time.perf_counter() - begun)
+        return statistics.median(trips) * 1000.0
+
+    def test_small_cached_reply(self, catalog):
+        with make_server(catalog) as server, \
+                connect(port=server.port) as client:
+            assert self.median_round_trip_ms(
+                client, COUNT_PART, "cached") < 20.0
+
+    def test_chunked_reply_with_the_cache_off(self, catalog):
+        with make_server(catalog, result_cache=False) as server, \
+                connect(port=server.port) as client:
+            assert self.median_round_trip_ms(client, CHUNKED, "ok") < 20.0
 
 
 class TestQuotas:

@@ -10,6 +10,7 @@ engine.
 """
 
 import re
+import sys
 
 import pytest
 
@@ -168,3 +169,18 @@ def test_executor_batch_of_one_is_execute_plan(catalog, qid, strategy):
         reference.rows
     )
     assert run.trace_events == []
+
+
+def test_executed_plan_does_not_keep_the_result_rows(catalog):
+    # The finished operator graph is cyclic garbage that waits for a
+    # collector pass; the reply's rows must not wait with it (they did:
+    # a 29k-row reply stayed resident until a full collection, and the
+    # server's resident peak depended on how often other code happened
+    # to trigger one).
+    run = execute_batch(
+        catalog, [(get_query("Q2A").build_baseline(catalog), "baseline")]
+    )
+    rows = run.queries[0].result.rows
+    assert rows
+    # Two holders: the result and this local (plus getrefcount's own).
+    assert sys.getrefcount(rows) == 3

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.data.tpch import cached_tpch
+from repro.optimizer.cost import PlanCoster
+from repro.service import QueryService
 from repro.service.schedulers import (
     FifoScheduler, ShortestCostFirstScheduler, make_scheduler, SCHEDULERS,
 )
@@ -41,3 +44,25 @@ class TestSchedulers:
     def test_factory_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_scheduler("lottery")
+
+    def test_sjf_orders_service_records_by_optimizer_cost(self):
+        # The records estimate on first read; SJF is that first read,
+        # and must see the cost the optimizer gives the same plan.
+        catalog = cached_tpch(scale_factor=0.002)
+        texts = ["Q2A", "select p_partkey from part where p_size = 1",
+                 "Q1A", "Q4A"]
+        with QueryService(catalog, scheduler="sjf") as service:
+            for text in texts:
+                service.submit(text)
+            costs = {
+                record.seq: PlanCoster(catalog).total_cost(record.plan)
+                for record in service._pending
+            }
+            assert all(r.estimates is None for r in service._pending)
+            ordered = service.scheduler.order(service._pending)
+            assert [r.seq for r in ordered] == sorted(
+                costs, key=lambda seq: (costs[seq], seq)
+            )
+            assert [r.cost_estimate for r in ordered] == sorted(
+                costs.values()
+            )
