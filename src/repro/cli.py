@@ -157,7 +157,6 @@ def _cmd_run(args) -> int:
             partitions=args.partitions,
             memory_budget=args.memory_budget,
             tracer=tracer,
-            parallel=args.parallel,
         )
         s = record.summary
         print("%-14s %8d %12.4f %12.4f %9d %7d" % (
@@ -539,18 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="delay the query's large input (Section VI-B)")
     p_run.add_argument("--partitions", type=int, default=0,
                        help="hash partition the query's big relation "
-                            "across N remote sites (partition-parallel)")
+                            "across N remote sites, streamed in "
+                            "parallel on the virtual clock")
     p_run.add_argument("--memory-budget", type=_parse_nbytes, default=None,
                        metavar="BYTES",
                        help="enforced engine state budget in bytes "
                             "(k/m/g suffixes ok): scans stream "
                             "buffer-pool pages and stateful operators "
                             "spill to disk under pressure")
-    p_run.add_argument("--parallel", type=int, default=None, metavar="N",
-                       help="evaluate partitioned-scan fragments on N "
-                            "real worker processes (wall-clock "
-                            "parallelism; rows stay identical to the "
-                            "serial run)")
     p_run.add_argument("--trace-out", default=None, metavar="PATH",
                        help="record a Chrome-trace/Perfetto JSON timeline "
                             "of the execution (requires one --strategy)")

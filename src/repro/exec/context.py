@@ -86,7 +86,6 @@ class ExecutionContext:
         short_circuit: bool = True,
         batch_execution: bool = True,
         governor=None,
-        pool=None,
     ):
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
@@ -123,36 +122,11 @@ class ExecutionContext:
         #: cost model's uniform constants) drive shipped-filter
         #: staleness and transfer accounting.  None for local runs.
         self.network = None
-        #: The session's :class:`~repro.parallel.pool.WorkerPool`, or
-        #: None for serial execution.  When present, the engine
-        #: prefetches eligible partitioned-scan fragments onto the pool
-        #: before driving the plan (see ``repro.parallel.executor``);
-        #: rows and counters stay bit-identical to serial execution.
-        self.pool = pool
         #: Observers of AIP set publication, ``fn(op, port, aip_set)``.
         #: The service layer's cross-query AIP cache subscribes here to
         #: harvest completed sets for reuse in later queries; strategies
         #: fire it whenever they publish or build a completed set.
         self.aip_publish_hooks = []
-
-    @property
-    def parallelism(self):
-        """Worker count of the attached pool (None = serial)."""
-        pool = self.pool
-        return pool.n_workers if pool is not None else None
-
-    def __getstate__(self):
-        # Contexts travel inside pickled operators/plans shipped to
-        # worker processes.  The pool (OS pipes, live processes) and the
-        # publish hooks (service-side closures) never cross the process
-        # boundary; workers run serial, un-hooked executions.
-        state = dict(self.__dict__)
-        state["pool"] = None
-        state["aip_publish_hooks"] = []
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
 
     def notify_aip_publish(self, op, port: int, aip_set) -> None:
         """Tell subscribers a completed AIP set was published for the

@@ -165,21 +165,7 @@ def execute_plan(
     ctx: ExecutionContext,
     arrival_resolver: Optional[ArrivalResolver] = None,
 ) -> QueryResult:
-    """Translate ``root``, attach the context's strategy, and run it.
-
-    With a worker pool on the context, eligible partition-scan
-    fragments are first evaluated on the pool in real wall-clock
-    parallel and replayed (see ``repro.parallel.executor``); the fold
-    runs after the engine so counter totals match serial execution
-    without mid-run strategy code ever observing pre-seeded counters.
-    """
+    """Translate ``root``, attach the context's strategy, and run it."""
     plan = translate(root, ctx, arrival_resolver)
     ctx.strategy.attach(ctx, plan)
-    fold = None
-    if ctx.pool is not None:
-        from repro.parallel.executor import prefetch_partition_fragments
-        fold = prefetch_partition_fragments(plan, ctx)
-    result = Engine(ctx).run(plan)
-    if fold is not None:
-        fold()
-    return result
+    return Engine(ctx).run(plan)

@@ -121,33 +121,10 @@ class Operator:
         else:
             self._lease = None
 
-    # -- pickling --------------------------------------------------------
-
-    #: Attribute names holding *compiled* expression closures (generated
-    #: functions, lambdas over them).  Closures cannot be pickled, so
-    #: task shipping drops them from the state dict and the receiving
-    #: process recompiles from the stored ASTs via
-    #: :meth:`_rebuild_compiled`.  Subclasses with compiled state list
-    #: their attrs here and override the rebuild hook.
-    _compiled_attrs: Tuple[str, ...] = ()
-
-    def __getstate__(self):
-        if not self._compiled_attrs:
-            return dict(self.__dict__)
-        state = dict(self.__dict__)
-        for attr in self._compiled_attrs:
-            state.pop(attr, None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if self._compiled_attrs:
-            self._rebuild_compiled()
-
     def _rebuild_compiled(self) -> None:
-        """Recompile every attribute named in :attr:`_compiled_attrs`
-        from the operator's stored expression ASTs and schemas.  Called
-        at construction and again after unpickling."""
+        """Compile the operator's expression closures from its stored
+        ASTs and schemas.  Called at construction; subclasses with
+        compiled state override it."""
 
     # -- wiring ---------------------------------------------------------
 

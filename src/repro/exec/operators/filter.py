@@ -21,12 +21,9 @@ class PFilter(Operator):
         predicate: Expr,
     ):
         super().__init__(ctx, op_id, schema, [schema], "Filter")
-        #: The predicate AST — kept so pickled fragments recompile the
-        #: closures worker-side instead of shipping them.
+        #: The predicate AST both compiled forms below are built from.
         self.predicate = predicate
         self._rebuild_compiled()
-
-    _compiled_attrs = ("_predicate", "_select_columns")
 
     def _rebuild_compiled(self) -> None:
         schema = self.input_schemas[0]

@@ -68,8 +68,6 @@ class PGroupBy(Operator):
             self._spilled = None
             self._merged = None
 
-    _compiled_attrs = ("_agg_fns", "_agg_col_fns")
-
     def _rebuild_compiled(self) -> None:
         in_schema = self.input_schemas[0]
         self._agg_fns = tuple(

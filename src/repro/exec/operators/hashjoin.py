@@ -84,8 +84,7 @@ class PHashJoin(Operator):
             right_schema.row_byte_size(),
         )
         self._buffering = [True, True]
-        #: The residual predicate AST — kept so pickled fragments
-        #: recompile the closure worker-side instead of shipping it.
+        #: The residual predicate AST ``_residual`` is compiled from.
         self.residual = residual
         self._rebuild_compiled()
         self.left_keys = tuple(left_keys)
@@ -102,8 +101,6 @@ class PHashJoin(Operator):
             self._replaying = False
         else:
             self._spilled = None
-
-    _compiled_attrs = ("_residual",)
 
     def _rebuild_compiled(self) -> None:
         self._residual = (

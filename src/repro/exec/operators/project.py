@@ -24,12 +24,9 @@ class PProject(Operator):
         outputs: Sequence[Tuple[str, Expr]],
     ):
         super().__init__(ctx, op_id, out_schema, [in_schema], "Project")
-        #: The ``name := expr`` ASTs — kept so pickled fragments
-        #: recompile the closures worker-side instead of shipping them.
+        #: The ``name := expr`` ASTs both compiled forms are built from.
         self.outputs = tuple(outputs)
         self._rebuild_compiled()
-
-    _compiled_attrs = ("_fns", "_col_fns")
 
     def _rebuild_compiled(self) -> None:
         in_schema = self.input_schemas[0]

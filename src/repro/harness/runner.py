@@ -97,8 +97,6 @@ def run_workload_query(
     network: Optional[NetworkModel] = None,
     memory_budget: Optional[int] = None,
     tracer=None,
-    parallel: Optional[int] = None,
-    pool=None,
 ) -> RunRecord:
     """Execute ``qid`` under ``strategy`` and return its metrics.
 
@@ -108,7 +106,10 @@ def run_workload_query(
     over the simulated 100 Mb Ethernet regardless of ``delayed``.
     ``partitions=N`` runs partition-parallel: the query's big relation
     (remote tables for Q1C/Q3C, else its ``delayed_table``) is hash
-    partitioned across N sites, each streaming over its own link.
+    partitioned across N sites, each streaming over its own link; the
+    partitions interleave on this process's one virtual clock (whole
+    queries, not partitions, are what ``QueryService(parallel=N)``
+    puts on worker processes).
     Partitioned pacing replaces the delayed-source model, so combining
     the two is rejected rather than silently mislabelled.
     ``batch_execution=False`` forces the tuple-at-a-time engine loop,
@@ -128,22 +129,11 @@ def run_workload_query(
     ``tracer`` attaches a :class:`~repro.obs.trace.Tracer` to the run
     (engine spans, AIP/governor instants); None — the default — keeps
     execution bit-identical to an uninstrumented build.
-    ``parallel=N`` evaluates eligible partition-scan fragments on N
-    real worker processes (see ``repro.parallel``); rows stay
-    bit-identical to the serial run under baseline/feedforward and
-    multiset-identical always.  ``pool`` reuses an already-warm
-    :class:`~repro.parallel.pool.WorkerPool` across calls (benchmarks,
-    the service); without it a run-scoped pool is started and closed.
     """
     if partitions and delayed:
         raise ValueError(
             "delayed sources and partition-parallel placement are "
             "different arrival regimes; pick one"
-        )
-    if (parallel or pool is not None) and memory_budget is not None:
-        raise ValueError(
-            "parallel fragment execution needs plain row lists; it "
-            "cannot be combined with a governed memory budget"
         )
     query = get_query(qid)
     catalog = cached_tpch(scale_factor=scale_factor, skew=query.skew, seed=seed)
@@ -157,24 +147,12 @@ def run_workload_query(
         from repro.storage.governor import MemoryGovernor
         governor = MemoryGovernor(memory_budget)
         governor.tracer = tracer
-    owned_pool = None
-    if pool is None and parallel:
-        from repro.parallel import CatalogSpec, WorkerPool
-        owned_pool = WorkerPool(
-            parallel,
-            CatalogSpec.tpch(
-                scale_factor=scale_factor, skew=query.skew, seed=seed
-            ),
-            tracer=tracer,
-        )
-        pool = owned_pool.start()
     ctx = ExecutionContext(
         catalog,
         strategy=make_strategy(strategy, **(strategy_kwargs or {})),
         short_circuit=short_circuit,
         batch_execution=batch_execution,
         governor=governor,
-        pool=pool,
     )
     ctx.tracer = tracer
 
@@ -211,8 +189,6 @@ def run_workload_query(
         # the run.
         if governor is not None:
             governor.close()
-        if owned_pool is not None:
-            owned_pool.close()
 
     return RunRecord(
         qid, strategy, result,

@@ -483,24 +483,8 @@ class ReproServer:
     # -- the dispatcher ----------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                break
-            requests = [item]
-            while len(requests) < self.max_batch:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    self._queue.put(_STOP)
-                    break
-                requests.append(extra)
-            # One service batch for one drained request group.
-            self.service.run_requests(requests)
-            for request in requests:
-                request.done.set()
+        while self._dispatch_group():
+            pass
         # Shutdown: fail whatever is still queued so no handler hangs.
         while True:
             try:
@@ -510,6 +494,30 @@ class ReproServer:
             if item is not _STOP:
                 item.error = "server shutting down"
                 item.done.set()
+
+    def _dispatch_group(self) -> bool:
+        """Wait for a request, drain up to ``max_batch`` queued ones
+        behind it, run them as one service batch and settle them;
+        False once shutdown is signalled.  The group lives only in
+        this frame, so an idle dispatcher holds no settled request
+        (and no reply rows) while it waits for the next one."""
+        item = self._queue.get()
+        if item is _STOP:
+            return False
+        requests = [item]
+        while len(requests) < self.max_batch:
+            try:
+                extra = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            if extra is _STOP:
+                self._queue.put(_STOP)
+                break
+            requests.append(extra)
+        self.service.run_requests(requests)
+        for request in requests:
+            request.done.set()
+        return True
 
 
 def serve(

@@ -1,30 +1,27 @@
-"""Real wall-clock parallel execution.
+"""Real wall-clock parallelism: whole service queries on worker processes.
 
 Everything else in the engine runs on one deterministic *virtual*
-clock inside one process; this package maps the existing partition
-fan-out (and whole service queries) onto actual OS-level parallelism
-with a persistent ``multiprocessing`` worker pool:
+clock inside one process; this package runs whole admitted queries on
+a persistent ``multiprocessing`` worker pool, one query per worker
+(``QueryService(parallel=N)``, ``--parallel`` on ``workload`` and
+``serve``).  A partitioned scan is never split across processes: its
+partitions stream on the serial engine's one clock, and a selective
+filter over it belongs at the source (``push_predicates``).
 
 * :mod:`repro.parallel.pool` — the spawn-safe pool of warm workers;
-* :mod:`repro.parallel.tasks` — picklable task specs (the wire format);
-* :mod:`repro.parallel.worker` — the worker-process main loop;
-* :mod:`repro.parallel.replay` — the arrival model that replays
-  worker-computed arrival times on the master, keeping rows
-  bit-identical to serial execution;
-* :mod:`repro.parallel.executor` — the coordinator side: fragment
-  collection, dispatch, deterministic merge and metric fold-in.
+* :mod:`repro.parallel.tasks` — picklable task specs (the wire format:
+  a logical plan in, a ``BatchRun`` out);
+* :mod:`repro.parallel.worker` — the worker-process main loop.
 
-See DESIGN.md section 11 for the wire format, worker lifecycle and
-determinism guarantees.
+See DESIGN.md section 11 for the wire format and worker lifecycle.
 """
 
 from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import CatalogSpec, CrashTask, FragmentTask, QueryTask
+from repro.parallel.tasks import CatalogSpec, CrashTask, QueryTask
 
 __all__ = [
     "WorkerPool",
     "CatalogSpec",
     "CrashTask",
-    "FragmentTask",
     "QueryTask",
 ]

@@ -1,12 +1,11 @@
 """A persistent, spawn-safe multiprocessing worker pool.
 
-The pool is the process-level mirror of the engine's partition fan-out:
 ``n_workers`` OS processes, each initialised **once** with the warm
 catalog (rebuilt deterministically from a :class:`CatalogSpec`, so
-table rows are bit-identical across processes), then fed picklable
-task specs over a shared task queue.  Results stream back over one
-result queue; :meth:`gather` demultiplexes by task id, so fragment
-pages interleave freely with other tasks' completions.
+table rows are bit-identical across processes), then fed whole
+queries (:class:`~repro.parallel.tasks.QueryTask`) over a shared task
+queue.  Results come back over one result queue; :meth:`gather`
+demultiplexes by task id, so completions may arrive in any order.
 
 Fault handling: a worker that dies mid-task (crash, OOM kill,
 :class:`~repro.parallel.tasks.CrashTask`) is detected by liveness
@@ -40,15 +39,13 @@ READY_TIMEOUT = 120.0
 class TaskResult:
     """Terminal state of one submitted task."""
 
-    __slots__ = ("task_id", "ok", "payload", "pages", "error")
+    __slots__ = ("task_id", "ok", "payload", "error")
 
     def __init__(self, task_id: int):
         self.task_id = task_id
         self.ok = False
         #: The worker's ``done`` payload dict (None until finished).
         self.payload = None
-        #: Fragment result pages, indexed by ``page_seq``.
-        self.pages: Dict[int, list] = {}
         #: Human-readable failure description (worker traceback or a
         #: dead-worker notice); None on success.
         self.error: Optional[str] = None
@@ -56,13 +53,6 @@ class TaskResult:
     @property
     def finished(self) -> bool:
         return self.ok or self.error is not None
-
-    def entries(self) -> list:
-        """All fragment ``(when, row)`` pairs, in page order."""
-        out: list = []
-        for page_seq in sorted(self.pages):
-            out.extend(self.pages[page_seq])
-        return out
 
 
 class _WorkerHandle:
@@ -84,12 +74,10 @@ class WorkerPool:
     Parameters
     ----------
     n_workers:
-        Pool size; also the fan-out the engine assumes when deciding
-        how many fragments to dispatch concurrently.
+        Pool size: how many queries run at once.
     catalog_spec:
-        Warm-init spec each worker resolves at startup (and the guard
-        fragment prefetch checks against the live context's catalog).
-        None starts cold workers that resolve specs per task.
+        Warm-init spec each worker resolves at startup.  None starts
+        cold workers that resolve specs per task.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; the pool
         maintains ``pool.workers``/``pool.queue_depth`` gauges,
@@ -282,12 +270,6 @@ class WorkerPool:
             if handle is not None:
                 handle.current_task = task_id
                 handle.busy_since = time.monotonic()
-            return
-        if kind == "page":
-            _, task_id, page_seq, entries = message
-            result = self._inflight.get(task_id)
-            if result is not None:
-                result.pages[page_seq] = entries
             return
         if kind == "done":
             _, task_id, index, payload = message

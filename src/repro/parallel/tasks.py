@@ -2,52 +2,15 @@
 
 These classes are the *wire format* between the coordinator and the
 worker processes (DESIGN.md section 11).  Everything here must survive
-``pickle.dumps`` under the spawn start-method: plain data, expression
-ASTs and schemas only — never compiled closures, operator trees wired
-to a live context, or open handles.  Compiled predicates are rebuilt
-worker-side from their ASTs; AIP summaries travel as their existing
-``to_payload`` wire form when they have one (Bloom filters) and as
-plain pickled value objects otherwise (hash sets, bounds, histograms
-hold only sets/lists).
+``pickle.dumps`` under the spawn start-method: plain data, logical
+plans (expression ASTs and schemas) only — never physical operators,
+compiled closures, or open handles.  A worker translates the logical
+plan itself, so nothing compiled ever crosses the boundary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.summaries.bloom import BigIntBloomFilter, BloomFilter
-
-#: Arrival-model constructor kwargs copied into a fragment task.  The
-#: mutable cursor fields (``_emitted``/``_link_time``/counters) are
-#: deliberately absent: the worker builds a *fresh* model and replays
-#: the whole partition from the start, reproducing the serial float
-#: accumulation exactly.
-ARRIVAL_PARAMS = (
-    "initial_delay", "per_tuple", "batch_size", "batch_delay",
-    "bandwidth", "row_bytes", "source_read", "fanout",
-)
-
-_BLOOM_CLASSES = {
-    "BloomFilter": BloomFilter,
-    "BigIntBloomFilter": BigIntBloomFilter,
-}
-
-
-def summary_to_spec(summary) -> Tuple:
-    """Encode one AIP summary for shipping: Bloom filters use their
-    existing wire payload, everything else pickles as a value object."""
-    to_payload = getattr(summary, "to_payload", None)
-    if to_payload is not None and type(summary).__name__ in _BLOOM_CLASSES:
-        return ("payload", type(summary).__name__, to_payload())
-    return ("object", summary)
-
-
-def summary_from_spec(spec: Tuple):
-    """Decode :func:`summary_to_spec`'s encoding."""
-    if spec[0] == "payload":
-        _, class_name, payload = spec
-        return _BLOOM_CLASSES[class_name].from_payload(payload)
-    return spec[1]
+from typing import Optional, Tuple
 
 
 class CatalogSpec:
@@ -103,14 +66,6 @@ class CatalogSpec:
             )
         return self.catalog
 
-    def matches(self, catalog) -> bool:
-        """True when ``catalog`` is the very object this spec resolves
-        to in *this* process — the guard fragment prefetch uses before
-        assuming the workers' warm tables equal the context's."""
-        if self.kind == "warm":
-            return False
-        return self.resolve() is catalog
-
     def key(self) -> Tuple:
         if self.kind == "tpch":
             return ("tpch", self.scale_factor, self.skew, self.seed)
@@ -132,67 +87,6 @@ class CatalogSpec:
                 self.scale_factor, self.skew, self.seed,
             )
         return "CatalogSpec(%s)" % self.kind
-
-
-class FragmentTask:
-    """One partition of a fanned-out scan, evaluated in a worker.
-
-    The worker rebuilds the partition's rows from the warm catalog
-    (same deterministic split), walks the arrival model over them
-    (identical float accumulation to the serial engine, so arrival
-    times match to the bit), probes the shipped scan-level AIP
-    summaries, applies the post-merge filter chain, and streams back
-    the surviving ``(arrival_time, row)`` pairs as ordered pages.
-    """
-
-    __slots__ = (
-        "catalog_spec", "table_name", "schema", "spec_fields",
-        "partition_index", "arrival_params", "scan_filters", "chain",
-        "page_rows",
-    )
-
-    def __init__(
-        self,
-        catalog_spec: CatalogSpec,
-        table_name: str,
-        schema,
-        spec_fields: Tuple,
-        partition_index: int,
-        arrival_params: Dict,
-        scan_filters: List[Tuple],
-        chain: List[Tuple],
-        page_rows: int = 4096,
-    ):
-        self.catalog_spec = catalog_spec
-        self.table_name = table_name
-        #: Scan *output* schema (post-rename): filter predicates and
-        #: shipped summaries address attributes by these names.
-        self.schema = schema
-        #: ``(table, key, sites, scheme, bounds)`` — enough to rebuild
-        #: the :class:`PartitionSpec` value-identically.
-        self.spec_fields = spec_fields
-        self.partition_index = partition_index
-        self.arrival_params = arrival_params
-        #: ``[(attr_name, summary_spec), ...]`` — AIP filters injected
-        #: on the scan at prefetch time, in registration order.
-        self.scan_filters = scan_filters
-        #: ``[(node_id, predicate_ast), ...]`` — the stacked filters
-        #: directly above the partition merge, bottom-up.
-        self.chain = chain
-        self.page_rows = page_rows
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state) -> None:
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
-
-    def __repr__(self) -> str:
-        return "FragmentTask(%s[%d], %d filters, chain=%d)" % (
-            self.table_name, self.partition_index,
-            len(self.scan_filters), len(self.chain),
-        )
 
 
 class QueryTask:

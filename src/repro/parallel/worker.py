@@ -3,22 +3,21 @@
 ``_worker_main`` is the spawn entry point: it rebuilds the warm state
 (catalogs resolve through the same deterministic generators the
 coordinator used, so table rows are bit-identical in every process),
-acknowledges readiness, and then loops over the task queue.  Fragment
-tasks replay one partition's arrival schedule and stream surviving
-rows back as ordered pages; query tasks run a whole plan through the
-service's batch executor and return its record wholesale.
+acknowledges readiness, and then loops over the task queue.  A task
+is a whole logical plan (:class:`QueryTask`): the worker runs it
+through the service's batch executor and returns the resulting
+``BatchRun`` wholesale.
 
 Message protocol (worker → coordinator), all tuples on the result
 queue:
 
-==========================================  ===========================
-``("ready", worker_index)``                 warm init finished
-``("init_error", worker_index, tb)``        init failed; worker exits
-``("start", task_id, worker_index)``        task picked up
-``("page", task_id, page_seq, entries)``    one fragment result page
+============================================  =========================
+``("ready", worker_index)``                   warm init finished
+``("init_error", worker_index, tb)``          init failed; worker exits
+``("start", task_id, worker_index)``          task picked up
 ``("done", task_id, worker_index, payload)``  task finished
-``("error", task_id, worker_index, tb)``    task raised; worker lives
-==========================================  ===========================
+``("error", task_id, worker_index, tb)``      task raised; worker lives
+============================================  =========================
 """
 
 from __future__ import annotations
@@ -27,12 +26,9 @@ import os
 import pickle
 import time
 import traceback
-from typing import Dict, List
+from typing import Dict
 
-from repro.parallel.tasks import (
-    ARRIVAL_PARAMS, CatalogSpec, CrashTask, FragmentTask, QueryTask,
-    summary_from_spec,
-)
+from repro.parallel.tasks import CatalogSpec, CrashTask, QueryTask
 
 
 class WorkerState:
@@ -60,93 +56,6 @@ class WorkerState:
             catalog = spec.resolve()
             self._catalogs[key] = catalog
         return catalog
-
-
-def arrival_params_of(arrival) -> Dict:
-    """The constructor kwargs that rebuild ``arrival`` fresh."""
-    return {name: getattr(arrival, name) for name in ARRIVAL_PARAMS}
-
-
-def run_fragment(state: WorkerState, task: FragmentTask, emit_page) -> Dict:
-    """Evaluate one partition fragment; stream pages via ``emit_page``.
-
-    The arrival walk is a fresh :class:`ArrivalModel` over the full
-    partition row list — the identical float accumulation the serial
-    engine performs — so every surviving row's arrival time matches the
-    serial run to the bit.  Shipped scan-level AIP summaries and the
-    post-merge filter chain are applied here; the coordinator re-applies
-    them to the (all-surviving) replayed rows and folds the counter
-    deltas so totals equal the serial run's exactly.
-    """
-    from repro.distributed.site import PartitionSpec
-    from repro.exec.arrival import ArrivalModel
-    from repro.expr.compiler import compile_predicate
-
-    started = time.perf_counter()
-    catalog = state.catalog(task.catalog_spec)
-    table = catalog.table(task.table_name)
-    spec = PartitionSpec(*task.spec_fields)
-    key_index = table.schema.index_of(spec.key)
-    rows = table.partition_rows(spec, key_index)[task.partition_index]
-
-    arrival = ArrivalModel(**task.arrival_params)
-    schema = task.schema
-    scan_filters = [
-        (schema.index_of(attr), summary_from_spec(summary_spec))
-        for attr, summary_spec in task.scan_filters
-    ]
-    predicate_fns = [
-        compile_predicate(predicate, schema) for _, predicate in task.chain
-    ]
-
-    raw = len(rows)
-    scan_pruned = 0
-    chain_out = [0] * len(predicate_fns)
-    entries: List = []
-    page_seq = 0
-    cursor = 0
-    while True:
-        found = arrival.next_arrival(rows, cursor)
-        if found is None:
-            break
-        cursor, when, row = found
-        alive = True
-        for filter_index, summary in scan_filters:
-            if row[filter_index] not in summary:
-                scan_pruned += 1
-                alive = False
-                break
-        if not alive:
-            continue
-        for stage, fn in enumerate(predicate_fns):
-            if not fn(row):
-                alive = False
-                break
-            chain_out[stage] += 1
-        if not alive:
-            continue
-        entries.append((when, row))
-        if len(entries) >= task.page_rows:
-            emit_page(page_seq, entries)
-            page_seq += 1
-            entries = []
-    if entries:
-        emit_page(page_seq, entries)
-        page_seq += 1
-
-    transferred = arrival.rows_transferred
-    scan_out = transferred - scan_pruned
-    survivors = chain_out[-1] if chain_out else scan_out
-    return {
-        "raw": raw,
-        "transferred": transferred,
-        "scan_pruned": scan_pruned,
-        "scan_out": scan_out,
-        "chain_out": chain_out,
-        "survivors": survivors,
-        "pages": page_seq,
-        "wall_seconds": time.perf_counter() - started,
-    }
 
 
 def run_query(state: WorkerState, task: QueryTask) -> Dict:
@@ -205,14 +114,9 @@ def _worker_main(index: int, init_bytes: bytes, task_q, result_q) -> None:
                 result_q.close()
                 result_q.join_thread()
                 os._exit(task.exit_code)
-            if isinstance(task, FragmentTask):
-                def emit_page(page_seq: int, entries) -> None:
-                    result_q.put(("page", task_id, page_seq, entries))
-                payload = run_fragment(state, task, emit_page)
-            elif isinstance(task, QueryTask):
-                payload = run_query(state, task)
-            else:
+            if not isinstance(task, QueryTask):
                 raise TypeError("unknown task type %r" % type(task).__name__)
+            payload = run_query(state, task)
         except BaseException:
             result_q.put(("error", task_id, index, traceback.format_exc()))
             continue

@@ -569,69 +569,6 @@ class TestBudgetedFeedForward:
         )
 
 
-class TestParallelAxis:
-    """Process-parallel partition fan-out vs the serial engine: rows
-    (including order), clock, network bytes — and for the strategy-free
-    baseline, the per-operator counter multiset — must be identical.
-
-    Counter note: AIP strategies inject scan filters *mid-run*; the
-    worker-side fragment replay absorbs those prunes at a different
-    operator than the serial run occasionally does (the rows that
-    survive are still bit-identical), so counter equality is asserted
-    only where no strategy mutates the plan while it runs.
-    """
-
-    CELLS = [
-        (qid, strategy)
-        for qid in ("Q1A", "Q2A", "Q4A")
-        for strategy in STRATEGY_NAMES
-    ]
-
-    @pytest.fixture(scope="class")
-    def pool(self):
-        from repro.obs.registry import MetricsRegistry
-        from repro.parallel import CatalogSpec, WorkerPool
-
-        pool = WorkerPool(
-            2,
-            CatalogSpec.tpch(scale_factor=SCALE),
-            registry=MetricsRegistry(),
-        ).start()
-        yield pool
-        pool.close()
-
-    @pytest.mark.parametrize("qid,strategy", CELLS)
-    def test_parallel_equivalence(self, pool, qid, strategy):
-        serial = run_workload_query(
-            qid, strategy, scale_factor=SCALE, partitions=4,
-        )
-        par = run_workload_query(
-            qid, strategy, scale_factor=SCALE, partitions=4, pool=pool,
-        )
-        assert par.result.rows == serial.result.rows
-        assert par.result.metrics.clock == serial.result.metrics.clock
-        assert (
-            par.result.metrics.network_bytes
-            == serial.result.metrics.network_bytes
-        )
-        if strategy == "baseline":
-            assert sorted(_counter_rows(par.result.metrics)) == sorted(
-                _counter_rows(serial.result.metrics)
-            )
-
-    def test_fragments_actually_dispatch(self, pool):
-        """The axis must not be vacuously serial: a 4-way partitioned
-        scan fans at least four fragment tasks out to the pool."""
-        before = pool.registry.counter("pool.tasks_dispatched").value
-        run_workload_query(
-            "Q2A", "baseline", scale_factor=SCALE, partitions=4, pool=pool,
-        )
-        dispatched = (
-            pool.registry.counter("pool.tasks_dispatched").value - before
-        )
-        assert dispatched >= 4
-
-
 class TestBatchGate:
     """Plans with mid-stream state releases or shared subexpressions
     must decline batching (the per-tuple path is the reference)."""

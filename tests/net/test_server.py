@@ -1,5 +1,6 @@
 """Socket server tests: equivalence, quotas, concurrency, shutdown."""
 
+import gc
 import io
 import socket
 import statistics
@@ -16,7 +17,7 @@ from repro.net.protocol import (
     PROTOCOL_VERSION, ROWS_PER_FRAME, SEND_BUFFER_BYTES, ProtocolError,
     encode_frame, hello_frame, read_frame,
 )
-from repro.net.server import ReproServer
+from repro.net.server import ReproServer, _Request
 from repro.service import ServiceConfig, TenantQuota
 from repro.service.executor import BatchRun, QueryRun
 from repro.service.service import MIN_RETRY_HINT_S, QueryService
@@ -538,3 +539,21 @@ class TestLifecycle:
                 time.sleep(0.01)
             assert gauge.value == 0
             assert gauge.max_value >= 1
+
+    def test_idle_dispatcher_keeps_no_request_alive(self, catalog):
+        # The dispatcher used to keep the last request group in its
+        # loop locals while it waited for the next one — after a wide
+        # reply, megabytes of rows held by an idle server.
+        with make_server(catalog, result_cache=False) as server:
+            with Client(port=server.port) as client:
+                assert client.query(CHUNKED).ok
+            deadline = time.monotonic() + 5.0
+            while server._proc and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._proc
+            gc.collect()
+            live = [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, _Request)
+            ]
+            assert live == []

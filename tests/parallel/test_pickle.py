@@ -1,34 +1,28 @@
-"""The parallel wire format: everything shipped to pool workers must
-survive pickle round-trips under the spawn start-method.
+"""The parallel wire format: what a pool worker receives is a logical
+plan inside a :class:`QueryTask`, and it must survive pickle
+round-trips under the spawn start-method.
 
-Covers whole translated :class:`PhysicalPlan` graphs over every
-workload (so every physical operator class crosses the boundary),
-compiled expression closures (dropped on dump, rebuilt worker-side
-from their ASTs), column pages, partition specs, and the task spec
-classes themselves.
+Covers the logical plan of every workload (baseline, magic, and one
+stamped with a partitioned placement, so every logical node class
+crosses the boundary), an unpickled plan executing identically to the
+original, column pages, partition specs, and the task spec classes
+themselves.  Physical operators never cross: the worker translates.
 """
 
-import importlib
 import pickle
-import pkgutil
 
 import pytest
 
+import repro.plan.logical as logical
 from repro.data.tpch import cached_tpch
 from repro.distributed.coordinator import mark_remote_scans
 from repro.distributed.site import PartitionSpec
 from repro.exec.context import ExecutionContext
-from repro.exec.engine import Engine
-from repro.exec.operators.base import Operator
+from repro.exec.engine import execute_plan
 from repro.exec.pages import ColumnBatch
-from repro.exec.translate import translate
 from repro.harness.runner import partitioned_placement
 from repro.harness.strategies import make_strategy, uses_magic_plan
-from repro.parallel.tasks import (
-    CatalogSpec, CrashTask, FragmentTask, QueryTask, summary_from_spec,
-    summary_to_spec,
-)
-from repro.summaries.bloom import BloomFilter
+from repro.parallel.tasks import CatalogSpec, CrashTask, QueryTask
 from repro.workloads.registry import QUERIES, get_query
 
 SCALE = 0.001
@@ -38,7 +32,7 @@ def _roundtrip(obj):
     return pickle.loads(pickle.dumps(obj))
 
 
-def _translated(qid, strategy="baseline", partitions=0):
+def _plan(qid, strategy="baseline", partitions=0):
     query = get_query(qid)
     catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
     plan = (
@@ -47,8 +41,7 @@ def _translated(qid, strategy="baseline", partitions=0):
     )
     if partitions:
         mark_remote_scans(plan, partitioned_placement(query, partitions))
-    ctx = ExecutionContext(catalog, strategy=make_strategy(strategy))
-    return translate(plan, ctx, None), ctx
+    return plan, catalog
 
 
 def _plan_cases():
@@ -57,51 +50,45 @@ def _plan_cases():
         (qid, "magic", 0)
         for qid in sorted(QUERIES) if get_query(qid).has_magic
     ]
-    # Partitioned translation adds PMerge + per-partition scans.
+    # A partitioned placement stamps a PartitionSpec on the scan.
     cases.append(("Q2A", "baseline", 4))
     return cases
 
 
-def _operator_classes():
-    import repro.exec.operators as pkg
-    classes = set()
-    for mod_info in pkgutil.iter_modules(pkg.__path__):
-        mod = importlib.import_module("repro.exec.operators." + mod_info.name)
-        for obj in vars(mod).values():
-            if (
-                isinstance(obj, type)
-                and issubclass(obj, Operator)
-                and obj is not Operator
-            ):
-                classes.add(obj.__name__)
-    return classes
+def _node_classes():
+    return {
+        obj.__name__ for obj in vars(logical).values()
+        if isinstance(obj, type) and issubclass(obj, logical.LogicalNode)
+        and obj is not logical.LogicalNode
+    }
 
 
 @pytest.mark.parametrize("qid,strategy,partitions", _plan_cases())
-def test_physical_plan_roundtrips(qid, strategy, partitions):
-    physical, _ctx = _translated(qid, strategy, partitions)
-    loaded = _roundtrip(physical)
-    assert sorted(loaded.by_node_id) == sorted(physical.by_node_id)
-    assert len(loaded.scans) == len(physical.scans)
-    for original, clone in zip(physical.scans, loaded.scans):
+def test_logical_plan_roundtrips(qid, strategy, partitions):
+    plan, _catalog = _plan(qid, strategy, partitions)
+    loaded = _roundtrip(plan)
+    assert loaded.describe() == plan.describe()
+    originals, clones = list(plan.walk()), list(loaded.walk())
+    assert len(clones) == len(originals)
+    for original, clone in zip(originals, clones):
         assert type(clone) is type(original)
-        assert clone.partition_index == original.partition_index
-        assert clone.rows == original.rows
-    for node_id, original in physical.by_node_id.items():
-        assert type(loaded.by_node_id[node_id]) is type(original)
+        assert clone.node_id == original.node_id
+        assert clone.schema == original.schema
+        assert clone.column_origins == original.column_origins
+        if isinstance(original, logical.Scan) and original.partition:
+            assert clone.partition.sites == original.partition.sites
+            assert clone.partition.key == original.partition.key
 
 
-def test_every_operator_class_is_covered():
-    """The plan matrix above must actually exercise every physical
-    operator class — a new operator must join the wire format."""
+def test_every_logical_node_class_is_covered():
+    """The plan matrix above must actually ship every logical node
+    class — a new node type must join the wire format."""
     seen = set()
     for qid, strategy, partitions in _plan_cases():
-        physical, _ctx = _translated(qid, strategy, partitions)
-        seen.update(type(op).__name__ for op in physical.by_node_id.values())
-        seen.update(type(op).__name__ for op in physical.scans)
-        seen.add(type(physical.sink).__name__)
-    missing = _operator_classes() - seen
-    assert not missing, "operators never pickled by the matrix: %s" % (
+        plan, _catalog = _plan(qid, strategy, partitions)
+        seen.update(type(node).__name__ for node in plan.walk())
+    missing = _node_classes() - seen
+    assert not missing, "node classes never pickled by the matrix: %s" % (
         sorted(missing),
     )
 
@@ -109,22 +96,20 @@ def test_every_operator_class_is_covered():
 @pytest.mark.parametrize("qid,strategy", [("Q2A", "baseline"),
                                           ("Q3A", "magic")])
 def test_unpickled_plan_executes_identically(qid, strategy):
-    """Compiled closures are dropped on dump and rebuilt from ASTs on
-    load; the proof is that the unpickled plan *runs* and produces the
-    same rows as the original."""
-    physical, ctx = _translated(qid, strategy)
-    blob = pickle.dumps(physical)  # before running: running mutates state
-    ctx.strategy.attach(ctx, physical)
-    expected = Engine(ctx).run(physical)
-
-    loaded = pickle.loads(blob)
-    loaded_ctx = loaded.sink.ctx
-    # pickle memoisation: one shared context clone across the graph
-    assert all(op.ctx is loaded_ctx for op in loaded.by_node_id.values())
-    assert loaded_ctx.pool is None and loaded_ctx.aip_publish_hooks == []
-    loaded_ctx.strategy.attach(loaded_ctx, loaded)
-    result = Engine(loaded_ctx).run(loaded)
+    """The proof that nothing is lost on the wire: the unpickled plan,
+    translated afresh as a worker would, runs to the same rows and
+    clock as the original."""
+    plan, catalog = _plan(qid, strategy)
+    loaded = _roundtrip(plan)
+    expected = execute_plan(
+        plan, ExecutionContext(catalog, strategy=make_strategy(strategy))
+    )
+    logical.ensure_node_ids_above(max(n.node_id for n in loaded.walk()))
+    result = execute_plan(
+        loaded, ExecutionContext(catalog, strategy=make_strategy(strategy))
+    )
     assert result.rows == expected.rows
+    assert result.metrics.clock_ticks == expected.metrics.clock_ticks
 
 
 def test_column_batch_roundtrips():
@@ -148,15 +133,6 @@ def test_partition_spec_roundtrips(spec):
     assert clone.bounds == spec.bounds
 
 
-def test_summary_spec_roundtrips():
-    bloom = BloomFilter(expected_items=64)
-    for value in (1, 7, 42):
-        bloom.add(value)
-    spec = _roundtrip(summary_to_spec(bloom))
-    clone = summary_from_spec(spec)
-    assert all(value in clone for value in (1, 7, 42))
-
-
 def test_task_specs_roundtrip():
     warm = _roundtrip(CatalogSpec.warm())
     assert warm.kind == "warm" and warm.key() == ("warm",)
@@ -164,20 +140,6 @@ def test_task_specs_roundtrip():
     assert tpch.key() == ("tpch", 0.001, 0.5, 7)
     crash = _roundtrip(CrashTask(exit_code=3))
     assert crash.exit_code == 3
-
-    task = FragmentTask(
-        catalog_spec=CatalogSpec.warm(),
-        table_name="lineitem",
-        schema=cached_tpch(scale_factor=SCALE).table("lineitem").schema,
-        spec_fields=("lineitem", "l_partkey", ("s0", "s1"), "hash", None),
-        partition_index=1,
-        arrival_params={"bandwidth": 1e6, "row_bytes": 100},
-        scan_filters=[],
-        chain=[],
-    )
-    clone = _roundtrip(task)
-    assert clone.table_name == "lineitem"
-    assert clone.spec_fields == task.spec_fields
 
     plan = get_query("Q2A").build_baseline(cached_tpch(scale_factor=SCALE))
     qtask = _roundtrip(QueryTask(

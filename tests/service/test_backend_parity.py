@@ -15,8 +15,10 @@ import sys
 import pytest
 
 from repro.data.tpch import cached_tpch
+from repro.distributed.network import MBPS, NetworkModel
 from repro.exec.context import ExecutionContext
 from repro.exec.engine import execute_plan
+from repro.harness.runner import partitioned_placement
 from repro.harness.strategies import make_strategy
 from repro.obs.trace import Tracer
 from repro.parallel import CatalogSpec, WorkerPool
@@ -103,6 +105,37 @@ def test_pool_backend_matches_inline_bit_for_bit(catalog, pool, tmp_path):
         table = _operator_table(inline, a.seq)
         assert table, a.label
         assert table == _operator_table(pooled, a.seq), a.label
+
+
+def test_partitioned_stream_matches_inline(catalog, pool, tmp_path):
+    """A partitioned plan crossing the process boundary: `lineitem` and
+    `partsupp` hash-partitioned four ways, one shard on a slower link,
+    the worker translating the stamped logical plan itself."""
+    network = NetworkModel(default_bandwidth=10 * MBPS)
+    network.set_link("shard-3", 1 * MBPS, 5e-3)
+    config = dict(
+        placement=partitioned_placement(
+            get_query("Q2A"), 4, tables=("lineitem", "partsupp")
+        ),
+        network=network,
+    )
+    inline, inline_report, _ = _serve(
+        catalog, tmp_path, "inline.jsonl", **config
+    )
+    pooled, pool_report, _ = _serve(
+        catalog, tmp_path, "pool.jsonl", parallel=1, pool=pool, **config
+    )
+    assert [o.status for o in pool_report.outcomes] == ["ok"] * len(STREAM)
+    for a, b in zip(inline_report.outcomes, pool_report.outcomes):
+        assert a.result.rows == b.result.rows, a.label  # in order
+        metrics_a, metrics_b = a.result.metrics, b.result.metrics
+        assert metrics_a.clock_ticks == metrics_b.clock_ticks, a.label
+        assert metrics_a.network_bytes == metrics_b.network_bytes, a.label
+        assert metrics_a.network_bytes > 0, a.label  # the shards streamed
+        assert _operator_table(inline, a.seq) == \
+            _operator_table(pooled, a.seq), a.label
+    assert inline.clock == pooled.clock
+    assert inline_report.engine == pool_report.engine
 
 
 def test_replayed_worker_events_land_at_the_batch_offset(
