@@ -18,9 +18,8 @@ The paper's experiments distinguish three source regimes:
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Callable, List, Optional, Tuple
-
-from repro.exec.metrics import seconds_to_ticks
 
 Row = Tuple
 
@@ -202,70 +201,30 @@ class ArrivalModel:
             return (i, self._link_time, row)
         return None
 
-    def next_batch(
-        self,
-        rows,
-        start: int,
-        now_ticks: int,
-        boundary_when: Optional[float] = None,
-        boundary_first: bool = False,
-    ) -> Tuple[int, List[Row], Optional[Tuple[float, Row]]]:
-        """Consume every row from index ``start`` that has **already
-        arrived** (arrival time, in clock ticks, at or before
-        ``now_ticks``) and precedes the next cross-scan arrival
-        boundary, returning ``(next_index, batch_rows, pending)``.
+    @property
+    def local(self) -> bool:
+        """True when arrival times are a plain running sum: no link, no
+        source-side filter and no batch delay.  Such a source's times
+        depend on nothing the run could change, so a drive step may
+        compute a whole run of them ahead (:meth:`local_times`)."""
+        return self.bandwidth is None and not self.filters and not self.batch_size
 
-        ``boundary_when`` is the arrival time of the earliest event on
-        any *other* source; ``boundary_first`` breaks ties the way the
-        engine's heap does (True when the other source wins an equal
-        arrival time).  ``pending`` is the first ``(when, row)`` beyond
-        the batch — it has been computed but not delivered, exactly like
-        the tuple path's one-ahead pending tuple — or None when the
-        source is exhausted.
+    def local_times(self, n: int) -> List[float]:
+        """Arrival times of the pending row and of the ``n - 1`` rows
+        after it, for a :attr:`local` model, without advancing it: the
+        same float additions, in the same order, that ``n - 1`` calls
+        of :meth:`next_arrival` would make."""
+        step = self.per_tuple + self.source_read
+        return list(accumulate(repeat(step, n - 1), initial=self._link_time))
 
-        Restricting the batch to rows at or before ``now_ticks`` keeps
-        the virtual clock bit-identical to tuple-at-a-time execution:
-        every ``wait_until`` the tuple path would issue for these rows
-        is a no-op there too, so bulk CPU charges commute with them.
-        """
-        if (
-            self.bandwidth is None
-            and not self.filters
-            and not self.batch_size
-            and self.per_tuple == 0.0
-            and self.source_read == 0.0
-            and type(rows) is list
-            and start < len(rows)
-        ):
-            # Trivial source (immediate arrival, nothing installed):
-            # every remaining row shares one arrival time, so if the
-            # first clears the boundary the whole tail does — take it
-            # without the per-row loop.
-            when = self._link_time
-            if seconds_to_ticks(when) <= now_ticks and (
-                boundary_when is None
-                or when < boundary_when
-                or (when == boundary_when and not boundary_first)
-            ):
-                n = len(rows) - start
-                self._emitted += n
-                self.rows_transferred += n
-                return len(rows), rows[start:], None
-        batch: List[Row] = []
-        cursor = start
-        while True:
-            found = self.next_arrival(rows, cursor)
-            if found is None:
-                return cursor, batch, None
-            cursor, when, row = found
-            if seconds_to_ticks(when) <= now_ticks and (
-                boundary_when is None
-                or when < boundary_when
-                or (when == boundary_when and not boundary_first)
-            ):
-                batch.append(row)
-                continue
-            return cursor, batch, (when, row)
+    def skip_local(self, rows: int, when: float) -> None:
+        """Advance a :attr:`local` model past ``rows`` further rows, the
+        last of which arrives at ``when`` (taken from
+        :meth:`local_times`) — the state ``rows`` calls of
+        :meth:`next_arrival` would leave."""
+        self._emitted += rows
+        self.rows_transferred += rows
+        self._link_time = when
 
     @property
     def bytes_transferred(self) -> int:

@@ -97,7 +97,7 @@ class ExecutionContext:
         #: spill hash partitions under budget pressure; when absent the
         #: engine is bit-identical to the pre-storage-layer code.
         self.governor = governor
-        #: Drive sources in arrival-boundary runs carried as
+        #: Drive sources in merged arrival runs carried as
         #: :class:`~repro.exec.pages.ColumnBatch` pages through the
         #: operators' column kernels, where the plan supports it
         #: (``plan_batchable``).  Observably identical to the

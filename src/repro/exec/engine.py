@@ -17,12 +17,17 @@ arrival dominated (running-time gaps shrink, state savings persist).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
-from repro.exec.metrics import Metrics
+from repro.exec.metrics import Metrics, seconds_to_ticks
+from repro.exec.operators.base import Operator
+from repro.exec.operators.hashjoin import PHashJoin
+from repro.exec.operators.merge import PMerge
 from repro.exec.operators.scan import PScan
 from repro.exec.translate import ArrivalResolver, PhysicalPlan, translate
 from repro.plan.logical import LogicalNode
@@ -70,6 +75,117 @@ def plan_batchable(ctx: ExecutionContext, strategy, physical) -> bool:
     )
 
 
+#: Most rows one ungoverned arrival run takes.  A step holds its run's
+#: arrival-time vectors and pages at once, so the cap bounds the drive
+#: loop's transient memory; whole-table runs would hold a table's worth
+#: (DESIGN.md section 4).
+RUN_ROWS = 4096
+
+
+def _stash_order(sources) -> Optional[List[Operator]]:
+    """The joins and merges above the batchable scans, deepest first —
+    the order a merged run's flush must visit them, so each holds its
+    inputs' pages before it runs.  None when an operator on those paths
+    has only the default per-row ``push_page``: it would hand rows to
+    the operator above ahead of the run's order, so such plans keep one
+    source per run."""
+    depth = {}
+    for scan, may_batch in sources:
+        if not may_batch:
+            continue
+        path = []
+        op = scan
+        while op.parents:
+            op = op.parents[0][0]
+            if type(op).push_page is Operator.push_page:
+                return None
+            path.append(op)
+        for height, op in enumerate(reversed(path)):
+            depth[op] = height
+    stashing = [op for op in depth if isinstance(op, (PHashJoin, PMerge))]
+    stashing.sort(key=depth.__getitem__, reverse=True)
+    return stashing
+
+
+def _arrived(scan: PScan, idx: int, now: int, barrier, cap: int):
+    """Arrival times from a local source's pending row on, and how many
+    of them one run may take: arrived by ``now`` (ticks), ahead of the
+    ``(when, idx)`` barrier in the heap's order, and at most ``cap``.
+    The vector doubles until it reaches a row past those bounds (that
+    row stays pending), the source's last row, or ``cap + 1`` rows — so
+    a short run computes few times."""
+    limit = 2
+    while True:
+        limit = min(limit, cap + 1)
+        times = scan.run_times(limit)
+        n = bisect_right(
+            times, now, 0, min(cap, len(times)), key=seconds_to_ticks
+        )
+        if barrier is not None:
+            b_when, b_idx = barrier
+            bound = bisect_left if idx > b_idx else bisect_right
+            n = bound(times, b_when, 0, n)
+        if n < len(times) or len(times) < limit:
+            return times, n
+        limit *= 2
+
+
+def _take_run(members, barrier, now: int, cap: Optional[int]):
+    """Consume one arrival run from ``members`` — ``(idx, scan)`` pairs
+    whose pending rows have arrived by ``now`` — and return it as
+    ``(scan, rows, seq)`` triples.
+
+    The run is every member row that has arrived and precedes
+    ``barrier`` (the next event of any other source), ordered by the
+    heap's own ``(when, source index)`` key, and cut right after the
+    last row of a member that exhausts or hits its share of ``cap`` —
+    past that point its next rows would belong in the order too.
+    ``seq`` holds each row's ordinal in the run, or is None when one
+    source fills the whole run.  ``cap`` is None for a governed run:
+    where a run is cut, and when a scan reads its buffer-pool rows,
+    move spill decisions, so governed runs keep the uncapped one-source
+    cadence with per-row arrivals.
+    """
+    if len(members) == 1:
+        idx, scan = members[0]
+        if cap is None or not scan.arrival.local:
+            b_when, b_idx = barrier if barrier is not None else (None, 0)
+            limit = cap if cap is not None else len(scan.rows)
+            rows = scan.take_paced(now, b_when, b_idx < idx, limit)
+            return [(scan, rows, None)]
+        times, n = _arrived(scan, idx, now, barrier, cap)
+        return [(scan, scan.take_local(n, times), None)]
+    members.sort(key=itemgetter(0))  # equal times: lower index first
+    share = max(1, cap // len(members))
+    times_of, spans, flat = [], [], []
+    for idx, scan in members:
+        times, n = _arrived(scan, idx, now, barrier, share)
+        times_of.append(times)
+        spans.append((len(flat), n, n == len(times) or n == share))
+        flat.extend(times[:n])
+    # A stable sort of the sources' times, concatenated in index order,
+    # is exactly the heap's (when, index) order.
+    order = sorted(range(len(flat)), key=flat.__getitem__)
+    rank = [0] * len(flat)
+    for pos, i in enumerate(order):
+        rank[i] = pos
+    cut = len(flat)
+    for start, n, open_end in spans:
+        if open_end:
+            cut = min(cut, rank[start + n - 1] + 1)
+    run = []
+    for (_, scan), times, (start, n, _) in zip(members, times_of, spans):
+        seq = rank[start:start + n]
+        if cut < len(flat):
+            del seq[bisect_left(seq, cut):]
+        if seq:
+            run.append((scan, scan.take_local(len(seq), times), seq))
+    if len(run) == 1:
+        scan, rows, _ = run[0]
+        run[0] = (scan, rows, None)
+    return run
+
+
 def drive_sources(
     ctx: ExecutionContext, sources: Sequence[Tuple[PScan, bool]]
 ) -> None:
@@ -78,48 +194,70 @@ def drive_sources(
     ``ctx``'s clock, bracketed by the strategy's query start/end hooks.
 
     A source's position in ``sources`` is its heap tie-break: of two
-    equal arrival times the earlier-listed source goes first.  A paged
-    drive takes every row that has already arrived and precedes the
-    earliest event on any *other* source — across all concurrent plans,
-    so a page never reorders one query's rows past another's earlier
-    arrivals — and ``b_seq < seq`` tells the scan the other source wins
-    an equal arrival time, exactly as the heap would order the entries.
-    That tie-break is the subtlest invariant of tuple/page equivalence,
-    which is why this loop exists once.
+    equal arrival times the earlier-listed source goes first.  A row of
+    a source that may not batch is pushed alone, as a tuple.  Otherwise
+    a step takes a merged arrival run (``_take_run``) from every
+    batchable local source whose rows have arrived — across all
+    concurrent plans — and pushes each source's slice as one page; the
+    joins and merges stash those pages and are then flushed
+    deepest-first, each processing its ports in the run's order.
+    Under a memory governor, for sources that are not ``local``, and
+    for plans with a per-row operator, a run holds one source only
+    (spill decisions and shipped filters interleave at row
+    granularity).  The exhausted source's ``finish`` fires after the
+    run, where the tuple loop fires it.  DESIGN.md section 4 has the
+    invariants this rests on.
     """
     ctx.strategy.on_query_start()
 
     heap: List[Tuple[float, int, PScan]] = []
-    for seq, (scan, _) in enumerate(sources):
+    for idx, (scan, _) in enumerate(sources):
         when = scan.prime()
         if when is None:
             scan.finish()
         else:
-            heapq.heappush(heap, (when, seq, scan))
+            heapq.heappush(heap, (when, idx, scan))
 
+    # None: every run holds one source (governed, or a per-row operator).
+    stashing = _stash_order(sources) if ctx.governor is None else None
+    cap = RUN_ROWS if ctx.governor is None else None
     metrics = ctx.metrics
     tracer = ctx.tracer
     while heap:
-        when, seq, scan = heapq.heappop(heap)
+        when, idx, scan = heapq.heappop(heap)
         metrics.wait_until(when)
-        drive_start = metrics.clock_ticks
-        if not sources[seq][1]:
+        now = metrics.clock_ticks
+        members = [(idx, scan)]
+        if not sources[idx][1]:
             scan.emit_pending()
-            nxt = scan.advance()
-        elif heap:
-            b_when, b_seq, _ = heap[0]
-            nxt = scan.emit_pending_batch(drive_start, b_when, b_seq < seq)
+            scan.advance()
         else:
-            nxt = scan.emit_pending_batch(drive_start)
+            if stashing is not None and scan.arrival.local:
+                while heap:
+                    top_when, top_idx, top = heap[0]
+                    if not (
+                        sources[top_idx][1] and top.arrival.local
+                        and seconds_to_ticks(top_when) <= now
+                    ):
+                        break
+                    heapq.heappop(heap)
+                    members.append((top_idx, top))
+            run = _take_run(members, heap[0][:2] if heap else None, now, cap)
+            for source, rows, seq in run:
+                source.push_run(rows, seq)
+            if len(run) > 1:
+                for op in stashing:
+                    op.flush_stash()
         if tracer is not None:
             tracer.complete(
-                "drive:%s" % scan.name, "engine", drive_start,
-                metrics.clock_ticks - drive_start,
+                "drive:%s" % scan.name, "engine", now,
+                metrics.clock_ticks - now,
             )
-        if nxt is None:
-            scan.finish()
-        else:
-            heapq.heappush(heap, (nxt, seq, scan))
+        for member_idx, member in members:
+            if member.exhausted:
+                member.finish()
+            else:
+                heapq.heappush(heap, (member.pending_when, member_idx, member))
 
     ctx.strategy.on_query_end()
     metrics.network_bytes += sum(

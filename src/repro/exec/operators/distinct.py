@@ -23,7 +23,6 @@ from typing import Dict, Set
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Operator, Row
-from repro.exec.pages import ColumnBatch
 
 
 class PDistinct(Operator):
@@ -97,19 +96,17 @@ class PDistinct(Operator):
         add = seen.add
         fresh = []
         append = fresh.append
-        for row in page.rows():
+        for i, row in enumerate(page.rows()):
             if row not in seen:
                 add(row)
-                append(row)
+                append(i)
         self._page_stats(n_in, len(fresh))
         if fresh:
             self.ctx.charge_events_op(self.op_id, len(fresh), cm.hash_insert)
             metrics.adjust_state(self.op_id, len(fresh) * self._row_bytes)
-            # All fresh: forward the page itself, columns and all.
-            out = (
-                page if len(fresh) == page.n_rows
-                else ColumnBatch.from_rows(fresh, len(self.out_schema))
-            )
+            # All fresh: forward the page itself, columns and all; the
+            # selection carries the fresh rows' ``seq`` along.
+            out = page.select(fresh)
             self.ctx.strategy.after_tuples_page(self, 0, out)
             self.emit_page(out)
 

@@ -84,6 +84,9 @@ class PHashJoin(Operator):
             right_schema.row_byte_size(),
         )
         self._buffering = [True, True]
+        #: ``(port, page)`` pairs of the current merged run, joined by
+        #: :meth:`flush_stash`.
+        self._stash: List[Tuple[int, ColumnBatch]] = []
         #: The residual predicate AST ``_residual`` is compiled from.
         self.residual = residual
         self._rebuild_compiled()
@@ -166,73 +169,113 @@ class PHashJoin(Operator):
 
     def push_page(self, page, port: int = 0) -> None:
         """Page kernel: same per-row decisions and tick-exact charge
-        totals as :meth:`push`, without the per-tuple call chain.  Probe
-        keys are read straight off the key column(s) — zero-copy for
-        single-key joins — and only surviving rows are re-materialised
-        for insert and output build."""
+        totals as :meth:`push`, without the per-tuple call chain.  A
+        page that carries ``seq`` belongs to a merged arrival run whose
+        other port may still be coming: it waits for the engine's
+        :meth:`flush_stash`."""
+        if page.seq is not None:
+            self._stash.append((port, page))
+            return
         if self._lease is not None:
             # Governed: per-row pushes so spill decisions interleave at
             # row granularity exactly as on the tuple path.
             for row in page.rows():
                 self.push(row, port)
             return
+        self._join_pages([(port, page)])
+
+    def flush_stash(self) -> None:
+        """End of a merged run: join every stashed page of both ports in
+        ``seq`` order (the engine calls this deepest-first, so the pages
+        of joins below have already arrived)."""
+        if self._stash:
+            stash, self._stash = self._stash, []
+            self._join_pages(stash)
+
+    def _join_pages(self, pages) -> None:
+        """The kernel over ``(port, page)`` pairs: each surviving row
+        probes the opposite table and is then inserted into its own, in
+        ``seq`` order across ports — the tuple path's exact sequence —
+        while costs and state are charged in bulk per port.  Probe keys
+        are read straight off the key column(s), zero-copy for
+        single-key joins; outputs carry their trigger row's ``seq``."""
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics
-        n_in = page.n_rows
-        metrics.counters(self.op_id).tuples_in += n_in
-        self.ctx.charge_events_op(self.op_id, n_in, cm.tuple_base)
-        page = self.passes_filters_page(page, port)
-        n = page.n_rows
-        if not n:
+        counters = metrics.counters(self.op_id)
+        buffering = self._buffering
+        seqs = [] if pages[0][1].seq is not None else None
+        keys, rows, ports, accepted = [], [], [], []
+        for port, page in pages:
+            n_in = page.n_rows
+            counters.tuples_in += n_in
+            self.ctx.charge_events_op(self.op_id, n_in, cm.tuple_base)
+            page = self.passes_filters_page(page, port)
+            n = page.n_rows
+            if not n:
+                continue
+            self._page_stats(n_in, n)
+            indices = self._key_indices[port]
+            if len(indices) == 1:
+                keys.extend(page.columns[indices[0]])
+            else:
+                keys.extend(zip(*[page.columns[i] for i in indices]))
+            rows.extend(page.rows())
+            ports.extend([port] * n)
+            if seqs is not None:
+                seqs.extend(page.seq)
+            self.ctx.charge_events_op(self.op_id, n, cm.hash_probe)
+            if buffering[port]:
+                self.ctx.charge_events_op(self.op_id, n, cm.hash_insert)
+                metrics.adjust_state(self.op_id, n * self._row_bytes[port])
+            accepted.append((port, page))
+        if not rows:
             return
-
-        other = 1 - port
-        indices = self._key_indices[port]
-        if len(indices) == 1:
-            keys = page.columns[indices[0]]
+        if len(accepted) > 1:
+            order = sorted(range(len(seqs)), key=seqs.__getitem__)
         else:
-            keys = list(zip(*[page.columns[i] for i in indices]))
-        rows = page.rows()
-        probe_get = self._tables[other].get
-        table = self._tables[port]
-        buffering = self._buffering[port]
+            order = range(len(rows))
+
+        tables = self._tables
+        probes = (tables[1].get, tables[0].get)
         residual = self._residual
-        left = port == 0
         out = []
         append_out = out.append
+        out_seq = [] if seqs is not None else None
         n_residual = 0
-
-        for key, row in zip(keys, rows):
-            matches = probe_get(key)
+        for i in order:
+            port = ports[i]
+            key = keys[i]
+            row = rows[i]
+            matches = probes[port](key)
             if matches:
                 for match in matches:
-                    combined = row + match if left else match + row
+                    combined = row + match if port == 0 else match + row
                     if residual is not None:
                         n_residual += 1
                         if not residual(combined):
                             continue
                     append_out(combined)
-            if buffering:
+                    if out_seq is not None:
+                        out_seq.append(seqs[i])
+            if buffering[port]:
+                table = tables[port]
                 bucket = table.get(key)
                 if bucket is None:
                     table[key] = [row]
                 else:
                     bucket.append(row)
 
-        self.ctx.charge_events_op(self.op_id, n, cm.hash_probe)
+        for port, page in accepted:
+            self.ctx.strategy.after_tuples_page(self, port, page)
         if n_residual:
             self.ctx.charge_events_op(self.op_id, n_residual, cm.predicate_eval)
         if out:
             self.ctx.charge_events_op(self.op_id, len(out), cm.output_build)
-        if buffering:
-            self.ctx.charge_events_op(self.op_id, n, cm.hash_insert)
-            metrics.adjust_state(self.op_id, n * self._row_bytes[port])
-        self.ctx.strategy.after_tuples_page(self, port, page)
-        self._page_stats(n_in, n)
-        if out:
             # Output tuples are combined row-at-a-time, so the page that
             # leaves is row-born (the list is wrapped, not transposed).
-            self.emit_page(ColumnBatch.from_rows(out, len(self.out_schema)))
+            self.emit_page(
+                ColumnBatch.from_rows(out, len(self.out_schema), out_seq)
+            )
 
     def finish(self, port: int = 0) -> None:
         self._mark_input_done(port)

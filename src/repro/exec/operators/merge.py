@@ -26,6 +26,7 @@ from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Operator, Row
 from repro.exec.operators.scan import PScan
+from repro.exec.pages import ColumnBatch
 
 
 class PMerge(Operator):
@@ -47,6 +48,8 @@ class PMerge(Operator):
             "Merge(%s/%d)" % (table_name, n_partitions),
         )
         self.table_name = table_name
+        #: Partition pages of the current merged run (:meth:`flush_stash`).
+        self._stash: List[ColumnBatch] = []
 
     @property
     def partitions(self) -> List[PScan]:
@@ -70,6 +73,33 @@ class PMerge(Operator):
         self.emit(row)
 
     def push_page(self, page, port: int = 0) -> None:
+        if page.seq is not None:
+            # A merged run: other partitions' pages may still come.
+            self._stash.append(page)
+            return
+        self._merge_page(page)
+
+    def flush_stash(self) -> None:
+        """End of a merged run: forward the partitions' stashed pages as
+        one page, rows in ``seq`` order — the order the tuple path
+        delivers them in."""
+        if not self._stash:
+            return
+        stash, self._stash = self._stash, []
+        if len(stash) == 1:
+            self._merge_page(stash[0])
+            return
+        seqs, rows = [], []
+        for page in stash:
+            seqs.extend(page.seq)
+            rows.extend(page.rows())
+        order = sorted(range(len(seqs)), key=seqs.__getitem__)
+        self._merge_page(ColumnBatch.from_rows(
+            [rows[i] for i in order], len(self.out_schema),
+            [seqs[i] for i in order],
+        ))
+
+    def _merge_page(self, page) -> None:
         n_in = page.n_rows
         self.ctx.metrics.counters(self.op_id).tuples_in += n_in
         page = self.passes_filters_page(page, 0)

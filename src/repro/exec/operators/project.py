@@ -60,7 +60,7 @@ class PProject(Operator):
             self.ctx.charge_events_op(self.op_id, page.n_rows, cm.output_build)
             out = ColumnBatch(
                 [fn(page.columns, page.n_rows) for fn in self._col_fns],
-                page.n_rows,
+                page.n_rows, page.seq,
             )
             self._page_stats(n_in, page.n_rows)
             self.emit_page(out)

@@ -18,6 +18,7 @@ from repro.common.errors import ExecutionError
 from repro.data.schema import Schema
 from repro.exec.arrival import ArrivalModel, SourceFilter
 from repro.exec.context import ExecutionContext
+from repro.exec.metrics import seconds_to_ticks
 from repro.exec.operators.base import Operator, Row
 from repro.exec.pages import ColumnBatch
 
@@ -76,12 +77,7 @@ class PScan(Operator):
 
     def emit_pending(self) -> None:
         """Push the pending tuple into the consumer chain."""
-        if self._pending is None:
-            # Not an assert: under ``python -O`` a bare assert vanishes
-            # and a driver bug would silently drop rows.
-            raise ExecutionError(
-                "%s driven with no pending tuple" % self.name
-            )
+        self._require_pending()
         _, row = self._pending
         self._pending = None
         counters = self.ctx.metrics.counters(self.op_id)
@@ -91,45 +87,103 @@ class PScan(Operator):
             return
         self.emit(row)
 
-    def emit_pending_batch(
+    @property
+    def pending_when(self) -> Optional[float]:
+        """Arrival time of the pending tuple, or None when exhausted."""
+        return None if self._pending is None else self._pending[0]
+
+    # -- arrival runs (the page path; DESIGN.md section 4) ----------------
+
+    def run_times(self, limit: int) -> List[float]:
+        """Arrival times of the pending row and of the rows after it, at
+        most ``limit`` in all, for a source whose model is ``local``.
+        Nothing is consumed until :meth:`take_local`."""
+        self._require_pending()
+        n = min(limit, len(self.rows) - self._cursor + 1)
+        return self.arrival.local_times(n)
+
+    def take_local(self, count: int, times: List[float]) -> List[Row]:
+        """Consume the pending row and the ``count - 1`` rows after it,
+        ``times`` being :meth:`run_times`' vector; the row after them
+        becomes pending.  Rows are read in index order, once each, as
+        per-row :meth:`advance` calls would read them."""
+        first = self._pending[1]
+        start = self._cursor
+        end = start + count - 1
+        rows = self.rows
+        taken = [first]
+        if count > 1:
+            if type(rows) is list:
+                taken.extend(rows[start:end])
+            else:
+                taken.extend(rows[i] for i in range(start, end))
+        if end < len(rows):
+            self._pending = (times[count], rows[end])
+            self._cursor = end + 1
+            self.arrival.skip_local(count, times[count])
+        else:
+            self._pending = None
+            self._cursor = end
+            self.exhausted = True
+            self.arrival.skip_local(count - 1, times[count - 1])
+        return taken
+
+    def take_paced(
         self,
         now_ticks: int,
-        boundary_when: Optional[float] = None,
-        boundary_first: bool = False,
-    ) -> Optional[float]:
-        """Push the pending tuple plus every further row arriving up to
-        the cross-scan boundary (see ``ArrivalModel.next_batch``) as one
-        :class:`ColumnBatch` through the operators' page kernels;
-        returns the next pending arrival time, or None when the source
-        is exhausted.  The page is row-born: the run's row list is
-        wrapped, not transposed, and columns materialise as kernels
-        touch them."""
+        bound_when: Optional[float],
+        bound_first: bool,
+        limit: int,
+    ) -> List[Row]:
+        """Consume the pending row plus every further row that has
+        arrived by ``now_ticks`` and precedes the next event of another
+        source (``bound_when``; ``bound_first`` when that source wins a
+        tie), at most ``limit`` rows, computing arrivals one row at a
+        time with :meth:`ArrivalModel.next_arrival` — the path for
+        sources whose model is not ``local``, and for governed runs."""
+        self._require_pending()
+        taken = [self._pending[1]]
+        arrival = self.arrival
+        while len(taken) < limit:
+            found = arrival.next_arrival(self.rows, self._cursor)
+            if found is None:
+                self._pending = None
+                self.exhausted = True
+                return taken
+            self._cursor, when, row = found
+            if seconds_to_ticks(when) <= now_ticks and (
+                bound_when is None
+                or when < bound_when
+                or (when == bound_when and not bound_first)
+            ):
+                taken.append(row)
+                continue
+            self._pending = (when, row)
+            return taken
+        self._advance_cursor()
+        return taken
+
+    def push_run(self, rows: List[Row], seq: Optional[List[int]]) -> None:
+        """Push one run's rows of this source as one
+        :class:`ColumnBatch` through the operators' page kernels.  The
+        page is row-born: the row list is wrapped, not transposed, and
+        columns materialise as kernels touch them."""
+        n = len(rows)
+        counters = self.ctx.metrics.counters(self.op_id)
+        counters.tuples_in += n
+        self.ctx.charge_events_op(self.op_id, n, self.ctx.cost_model.scan_read)
+        page = ColumnBatch.from_rows(rows, len(self.out_schema), seq)
+        page = self.passes_filters_page(page, 0)
+        self._page_stats(n, page.n_rows)
+        self.emit_page(page)
+
+    def _require_pending(self) -> None:
         if self._pending is None:
+            # Not an assert: under ``python -O`` a bare assert vanishes
+            # and a driver bug would silently drop rows.
             raise ExecutionError(
                 "%s driven with no pending tuple" % self.name
             )
-        _, first = self._pending
-        cursor, more, pending = self.arrival.next_batch(
-            self.rows, self._cursor, now_ticks, boundary_when, boundary_first
-        )
-        self._cursor = cursor
-        if pending is None:
-            self._pending = None
-            self.exhausted = True
-            nxt = None
-        else:
-            self._pending = pending
-            nxt = pending[0]
-        rows = [first]
-        rows.extend(more)
-        counters = self.ctx.metrics.counters(self.op_id)
-        counters.tuples_in += len(rows)
-        self.ctx.charge_events_op(self.op_id, len(rows), self.ctx.cost_model.scan_read)
-        page = ColumnBatch.from_rows(rows, len(self.out_schema))
-        page = self.passes_filters_page(page, 0)
-        self._page_stats(len(rows), page.n_rows)
-        self.emit_page(page)
-        return nxt
 
     # -- source-side filters (distributed AIP) ----------------------------
 

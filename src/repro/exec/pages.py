@@ -24,6 +24,13 @@ survive, ascending.  :meth:`select` gathers those indices — one row
 gather for a row-born batch, per-column for a column-born one — and a
 full selection returns the batch itself, so the common nothing-pruned
 case is zero-copy end-to-end.
+
+Ordinals: a page pushed inside a merged arrival run (DESIGN.md section
+4) carries ``seq``, the global arrival ordinal of each row — or, below
+a join, of the source row that triggered it.  Single-input kernels
+carry it along (``select`` gathers it); joins and merges stash pages
+that carry it and later process their ports in ``seq`` order.  Pages
+outside a multi-source run carry None.
 """
 
 from __future__ import annotations
@@ -60,15 +67,22 @@ class _LazyColumns:
 class ColumnBatch:
     """An immutable batch of rows in columnar layout."""
 
-    __slots__ = ("columns", "n_rows", "_rows")
+    __slots__ = ("columns", "n_rows", "seq", "_rows")
 
-    def __init__(self, columns: Sequence, n_rows: int):
+    def __init__(
+        self, columns: Sequence, n_rows: int,
+        seq: Optional[List[int]] = None,
+    ):
         self.columns = columns
         self.n_rows = n_rows
+        self.seq = seq
         self._rows: Optional[List[Row]] = None
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Row], width: int) -> "ColumnBatch":
+    def from_rows(
+        cls, rows: Sequence[Row], width: int,
+        seq: Optional[List[int]] = None,
+    ) -> "ColumnBatch":
         """Wrap a row batch without transposing it: columns materialise
         lazily, one attribute at a time, as kernels touch them.
         ``width`` fixes the column count, which an empty row list could
@@ -76,6 +90,7 @@ class ColumnBatch:
         batch = cls.__new__(cls)
         batch.columns = _LazyColumns(rows, width)
         batch.n_rows = len(rows)
+        batch.seq = seq
         batch._rows = rows if isinstance(rows, list) else list(rows)
         return batch
 
@@ -101,14 +116,17 @@ class ColumnBatch:
         batch; a full selection returns ``self`` unchanged."""
         if len(selection) == self.n_rows:
             return self
+        seq = self.seq
+        if seq is not None:
+            seq = [seq[i] for i in selection]
         if self._rows is not None:
             rows = self._rows
             return ColumnBatch.from_rows(
-                [rows[i] for i in selection], len(self.columns)
+                [rows[i] for i in selection], len(self.columns), seq
             )
         return ColumnBatch(
             [[column[i] for i in selection] for column in self.columns],
-            len(selection),
+            len(selection), seq,
         )
 
     def __len__(self) -> int:

@@ -57,7 +57,7 @@ class PhysicalPlan:
 
     def supports_batching(self) -> bool:
         """True when the engine may drive this plan's sources in
-        arrival-boundary batches and stay observably identical to
+        merged arrival runs and stay observably identical to
         tuple-at-a-time execution: every operator must be batch-safe (no
         mid-stream state releases to reorder) and the dataflow must be a
         tree (a shared subexpression's parents must observe the exact

@@ -16,8 +16,10 @@ name                      ph    recorded at
 ``query``                 X     one engine run, start→finish
 ``concurrent-batch``      X     one shared-clock multi-query loop
 ``service.batch``         X     one dispatched service batch
-``drive:<scan>``          X     one scan drive (an arrival run on the
-                                batch path; one tuple on the row path)
+``drive:<scan>``          X     one drive step, named for the scan
+                                popped first (a merged arrival run on
+                                the page path; one tuple on the row
+                                path)
 ``emit:<op>``             i     an operator forwarding an output batch
 ``page:<op>``             i     a column-page kernel invocation (rows
                                 in, rows selected)

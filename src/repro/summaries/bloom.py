@@ -141,15 +141,18 @@ class BloomFilter(Summary):
         n_bits = self.n_bits
         seed = self.seed
         n = 0
+        # ``stable_key`` is the identity on ints, the common key type:
+        # skip the call for them (identical hashes, hence words).
         if self.n_hashes == 1:
             for value in values:
-                pos = hash((seed, 0, stable_key(value))) % n_bits
+                key = value if type(value) is int else stable_key(value)
+                pos = hash((seed, 0, key)) % n_bits
                 words[pos >> 6] |= 1 << (pos & 63)
                 n += 1
         else:
             n_hashes = self.n_hashes
             for value in values:
-                key = stable_key(value)
+                key = value if type(value) is int else stable_key(value)
                 for i in range(n_hashes):
                     pos = hash((seed, i, key)) % n_bits
                     words[pos >> 6] |= 1 << (pos & 63)
@@ -175,10 +178,15 @@ class BloomFilter(Summary):
         n_bits = self.n_bits
         seed = self.seed
         if self.n_hashes == 1:
+            # Ints skip ``stable_key`` (the identity on them), as in
+            # :meth:`add_many`.
             return [
                 (words[pos >> 6] >> (pos & 63)) & 1 == 1
                 for pos in (
-                    hash((seed, 0, stable_key(v))) % n_bits for v in values
+                    hash((
+                        seed, 0, v if type(v) is int else stable_key(v)
+                    )) % n_bits
+                    for v in values
                 )
             ]
         mc = self.might_contain

@@ -590,3 +590,127 @@ class TestBatchGate:
         # Magic rewrites share the outer query (DAG) and pipe it through
         # a semijoin whose pending buffer flushes mid-stream.
         assert not physical.supports_batching()
+
+
+class TestMergedArrivalRuns:
+    """Streamed sources are all backlogged within the first virtual
+    milliseconds, so a drive step takes every source's arrived rows as
+    one merged run, ordered by the heap's ``(when, source index)`` key.
+    These cells run at the spine's ``exec_mix`` scale, where the runs
+    are long; before merged runs a page there held 0.8 rows."""
+
+    MIX_SCALE = 0.005
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    @pytest.mark.parametrize("qid", ("Q1A", "Q2A", "Q3A", "Q4A", "Q5A"))
+    def test_exec_mix_scale_equivalence(self, qid, strategy):
+        tuple_record, page_record = (
+            run_workload_query(
+                qid, strategy, scale_factor=self.MIX_SCALE,
+                batch_execution=batch,
+            )
+            for batch in (False, True)
+        )
+        _assert_identical(tuple_record, page_record)
+
+    def test_streamed_q2a_pushes_few_pages(self):
+        record = run_workload_query(
+            "Q2A", "baseline", scale_factor=self.MIX_SCALE,
+        )
+        # 122,024 single-row pages when a page stopped at every other
+        # source's next arrival.
+        assert 0 < record.result.metrics.pages_pushed <= 200
+
+    @staticmethod
+    def _three_source_plan(catalog):
+        # supplier is far shorter than part and partsupp: it exhausts
+        # part-way through a run, which must cut the run right there.
+        return (
+            scan(catalog, "part")
+            .join(scan(catalog, "partsupp"), on=[("p_partkey", "ps_partkey")])
+            .join(scan(catalog, "supplier"), on=[("ps_suppkey", "s_suppkey")])
+            .build()
+        )
+
+    def _run_streamed(self, batch_execution):
+        catalog = cached_tpch(scale_factor=0.002)
+        ctx = ExecutionContext(catalog, batch_execution=batch_execution)
+        # Equal rates from t=0: every step ties across sources, so the
+        # source-index tie-break decides the order joins see.
+        return execute_plan(
+            self._three_source_plan(catalog), ctx,
+            arrival_resolver=lambda node: ArrivalModel.streaming(),
+        )
+
+    def test_equal_rate_tie_break_and_exhaustion_cut(self):
+        tuple_result = self._run_streamed(False)
+        page_result = self._run_streamed(True)
+        assert len(tuple_result.rows) > 100
+        _assert_results_identical(tuple_result, page_result)
+        n_in = sum(
+            c.tuples_in for c in page_result.metrics.operators.values()
+        )
+        # Merged, not one row per page.
+        assert page_result.metrics.pages_pushed * 20 < n_in
+
+
+class TestRunMemory:
+    """A run is capped (``engine.RUN_ROWS``): materialising a whole
+    table's arrival times and pages at once would add megabytes to the
+    engine's peak, which the served process's RSS would show."""
+
+    @staticmethod
+    def _peak_bytes(qid, batch_execution):
+        import tracemalloc
+
+        from repro.exec.engine import Engine
+        from repro.exec.translate import translate
+
+        query = get_query(qid)
+        catalog = cached_tpch(scale_factor=0.005, skew=query.skew)
+        ctx = ExecutionContext(catalog, batch_execution=batch_execution)
+        plan = translate(query.build_baseline(catalog), ctx)
+        ctx.strategy.attach(ctx, plan)
+        tracemalloc.start()
+        try:
+            Engine(ctx).run(plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("qid", ("Q2A", "Q4A", "Q5A"))
+    def test_page_peak_within_two_mib_of_tuple_peak(self, qid):
+        tuple_peak = self._peak_bytes(qid, False)
+        page_peak = self._peak_bytes(qid, True)
+        assert page_peak <= tuple_peak + (2 << 20)
+
+
+def test_local_partitions_merge_in_arrival_order():
+    """Partitions paced by a plain (site-blind) resolver are local
+    sources, so one run holds several partitions' rows: ``PMerge``
+    must forward them in the run's order, as the tuple path does (the
+    filter and sink above it keep whatever order it emits)."""
+    from repro.distributed.coordinator import mark_remote_scans
+    from repro.distributed.site import Placement
+
+    catalog = cached_tpch(scale_factor=0.002)
+    placement = Placement()
+    placement.partition_table(
+        "partsupp", "ps_partkey", ["s0", "s1", "s2"],
+    )
+
+    def run(batch_execution):
+        plan = (
+            scan(catalog, "partsupp")
+            .filter(col("ps_availqty").le(5000))
+            .build()
+        )
+        mark_remote_scans(plan, placement)
+        ctx = ExecutionContext(catalog, batch_execution=batch_execution)
+        return execute_plan(
+            plan, ctx, arrival_resolver=lambda node: ArrivalModel.streaming(),
+        )
+
+    tuple_result, page_result = run(False), run(True)
+    assert len(tuple_result.rows) > 100
+    _assert_results_identical(tuple_result, page_result)

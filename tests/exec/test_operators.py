@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import ExecutionError
 from repro.data.schema import Schema, INT, STR
+from repro.exec.arrival import ArrivalModel
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import InjectedFilter
 from repro.exec.operators.distinct import PDistinct
@@ -341,6 +342,33 @@ class TestPushPageMatchesPush:
             (0, [(1, "l4"), (3, "l5")]),
         ])
 
+    def test_hash_join_flushes_ports_in_seq_order(self):
+        """Pages carrying ``seq`` wait in the join's stash; the flush
+        probes and inserts across both ports in ``seq`` order, exactly
+        the tuple path pushing the rows in that order."""
+        left = [(1, "l1"), (2, "l2"), (1, "l3")]
+        right = [(1, "r1"), (2, "r2"), (1, "r3")]
+        left_seq, right_seq = [0, 3, 4], [1, 2, 5]
+        ctx_a, ctx_b = self._fresh_ctx(), self._fresh_ctx()
+        join_a, sink_a = join_with_sink(ctx_a)
+        join_b, sink_b = join_with_sink(ctx_b)
+        arrivals = sorted(
+            [(s, 0, row) for s, row in zip(left_seq, left)]
+            + [(s, 1, row) for s, row in zip(right_seq, right)]
+        )
+        for _, port, row in arrivals:
+            join_a.push(row, port)
+        join_b.push_page(ColumnBatch.from_rows(right, 2, right_seq), 1)
+        join_b.push_page(ColumnBatch.from_rows(left, 2, left_seq), 0)
+        assert sink_b.rows == []  # stashed until the run's flush
+        join_b.flush_stash()
+        assert sink_b.rows == sink_a.rows
+        assert len(sink_a.rows) == 5
+        assert ctx_b.metrics.clock == ctx_a.metrics.clock
+        assert (
+            ctx_b.metrics.peak_state_bytes == ctx_a.metrics.peak_state_bytes
+        )
+
     def test_hash_join_page_with_residual(self):
         def build(ctx):
             join = PHashJoin(
@@ -471,32 +499,48 @@ class TestScanMechanics:
         with pytest.raises(ExecutionError):
             s.emit_pending()
         with pytest.raises(ExecutionError):
-            s.emit_pending_batch(0)
+            s.take_paced(0, None, False, 8)
+        with pytest.raises(ExecutionError):
+            s.run_times(8)
 
-    def test_emit_pending_batch_drains_immediate_rows(self, ctx):
+    def test_take_local_drains_immediate_rows(self, ctx):
         s = PScan(ctx, 57, LEFT, [(1, "a"), (2, "b"), (3, "c")])
         sink = POutput(ctx, 58, LEFT)
         sink.connect_child(s, 0)
         when = s.prime()
         ctx.metrics.wait_until(when)
-        nxt = s.emit_pending_batch(ctx.metrics.clock_ticks)
-        assert nxt is None  # immediate arrivals: one batch drains all
-        assert s.exhausted
+        times = s.run_times(16)
+        assert times == [0.0, 0.0, 0.0]  # immediate arrivals
+        s.push_run(s.take_local(len(times), times), None)
+        assert s.exhausted and s.pending_when is None
         assert sink.rows == [(1, "a"), (2, "b"), (3, "c")]
 
-    def test_emit_pending_batch_respects_boundary(self, ctx):
+    def test_take_local_leaves_the_next_row_pending(self, ctx):
+        rows = [(i, "r%d" % i) for i in range(5)]
+        streamed = PScan(ctx, 61, LEFT, rows, ArrivalModel.streaming(0.25))
+        reference = ArrivalModel.streaming(0.25)
+        streamed.prime()
+        times = streamed.run_times(16)
+        # The vector is the running sum per-row ``next_arrival`` makes.
+        assert times == [reference.next_arrival(rows, i)[1] for i in range(5)]
+        assert streamed.take_local(2, times) == rows[:2]
+        assert streamed.pending_when == times[2]
+        assert not streamed.exhausted
+        assert streamed.advance() == times[3]
+
+    def test_take_paced_respects_boundary(self, ctx):
         s = PScan(ctx, 59, LEFT, [(1, "a"), (2, "b"), (3, "c")])
         sink = POutput(ctx, 60, LEFT)
         sink.connect_child(s, 0)
         when = s.prime()
         ctx.metrics.wait_until(when)
         # A competing event at time zero that wins the heap tie stops
-        # the batch after the already-pending row.
-        nxt = s.emit_pending_batch(
-            ctx.metrics.clock_ticks, boundary_when=0.0, boundary_first=True
+        # the run after the already-pending row.
+        rows = s.take_paced(
+            ctx.metrics.clock_ticks, 0.0, True, 8
         )
-        assert nxt == 0.0
-        assert sink.rows == [(1, "a")]
+        assert rows == [(1, "a")]
+        assert s.pending_when == 0.0
 
     def test_scan_engine_side_filter(self, ctx):
         s = PScan(ctx, 51, LEFT, [(1, "x"), (2, "y")])

@@ -219,3 +219,34 @@ class TestBloomProperties:
         merged = a.union(b)
         for v in xs + ys:
             assert v in merged
+
+
+class TestBatchKernelsMatchPerElement:
+    """``add_many``/``might_contain_many`` hash ints without calling
+    ``stable_key``; every key type must still set the same words and
+    give the same verdicts as per-element ``add``/``might_contain``."""
+
+    KEYS = {
+        "int": [0, 1, -7, 2**40, 123456789, 42, 42],
+        "bool": [True, False, True],
+        "float": [0.5, -1.25, 3.0, 1e300],
+        "str": ["", "BRASS", "ECONOMY ANODIZED", "ÄÖÜ"],
+        "tuple": [(1, "a"), (2, 3.5), ("x", ("y", 4)), ()],
+    }
+
+    @pytest.mark.parametrize("n_hashes", [1, 3])
+    @pytest.mark.parametrize("kind", sorted(KEYS))
+    def test_words_and_verdicts(self, kind, n_hashes):
+        keys = self.KEYS[kind]
+        probes = keys + [10**6, "absent", (9, "z"), 7.75, False]
+        batch = BloomFilter(8, n_hashes=n_hashes, seed=5)
+        single = BloomFilter(8, n_hashes=n_hashes, seed=5)
+        batch.add_many(keys)
+        for key in keys:
+            single.add(key)
+        assert batch._words == single._words
+        assert batch.n_added == single.n_added
+        assert batch.might_contain_many(probes) == [
+            single.might_contain(p) for p in probes
+        ]
+        assert all(batch.might_contain_many(keys))
