@@ -8,8 +8,10 @@ Two modes:
   in-process twin returning bit-identical results.
 * ``--selftest`` — the CI smoke: spawn the real ``repro serve``
   subprocess, parse its banner for the port, run the same scripted
-  session over the wire, stop it with the shutdown frame, and require
-  a clean exit.  Exits non-zero on any divergence.
+  session over the wire, check a many-chunk reply of int, float and
+  str columns value by value and type by type against the in-process
+  twin, stop it with the shutdown frame, and require a clean exit.
+  Exits non-zero on any divergence.
 
 Run with ``PYTHONPATH=src python examples/client.py [--selftest]``.
 """
@@ -25,6 +27,13 @@ from repro import (
 
 SCALE = 0.002
 QUOTAS = {"metered": TenantQuota(max_state_bytes=1.0)}
+
+#: ~5k rows at SCALE: ten ``rows`` chunks whose int and float columns
+#: travel as binary arrays and whose date strings travel inline.
+TYPED = (
+    "select l_orderkey, l_quantity, l_extendedprice, l_shipdate "
+    "from lineitem where l_extendedprice < 34550.0"
+)
 
 
 def scripted_session(port) -> int:
@@ -79,6 +88,29 @@ def equivalence_check() -> int:
     return failures
 
 
+def typed_reply_check(port) -> int:
+    """A many-chunk reply from the server on ``port`` must equal the
+    in-process twin's value by value *and* type by type:
+    ``QueryResult.__eq__`` alone would let an int come back a float."""
+    from repro.net.protocol import ROWS_PER_FRAME
+
+    catalog = cached_tpch(scale_factor=SCALE)
+    with connect(port=port, tenant="typed") as remote, \
+            InProcessClient(catalog, ServiceConfig(),
+                            tenant="typed") as local:
+        over_wire, in_proc = remote.query(TYPED), local.query(TYPED)
+
+    def typed(rows):
+        return [[(type(v), v) for v in row] for row in rows]
+
+    ok = (len(in_proc.rows) > 2 * ROWS_PER_FRAME
+          and over_wire.columns == in_proc.columns
+          and typed(over_wire.rows) == typed(in_proc.rows))
+    print("  %s %d-row typed reply value- and type-exact across transports"
+          % ("ok " if ok else "FAIL", len(over_wire.rows)))
+    return 0 if ok else 1
+
+
 def run_embedded() -> int:
     from repro.net.server import ReproServer
 
@@ -87,6 +119,7 @@ def run_embedded() -> int:
     with ReproServer(service) as server:
         print("embedded server on port %d" % server.port)
         failures = scripted_session(server.port)
+        failures += typed_reply_check(server.port)
     return failures + equivalence_check()
 
 
@@ -104,6 +137,7 @@ def run_selftest() -> int:
             print("FAIL: no listening banner")
             return 1
         failures = scripted_session(int(match.group(1)))
+        failures += typed_reply_check(int(match.group(1)))
         failures += equivalence_check()
         with connect(port=int(match.group(1))) as client:
             client.shutdown_server()

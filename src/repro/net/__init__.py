@@ -1,7 +1,7 @@
 """The network front door: wire protocol + threaded socket server.
 
-``repro.net.protocol`` defines the versioned, length-prefixed JSON
-frame format both ends speak; ``repro.net.server`` is the threaded
+``repro.net.protocol`` defines the versioned, length-prefixed frame
+format both ends speak (JSON frames, result rows in column chunks); ``repro.net.server`` is the threaded
 :class:`ReproServer` that serves one long-lived
 :class:`~repro.service.QueryService` to many concurrent socket
 clients.  The matching client lives in :mod:`repro.client`.

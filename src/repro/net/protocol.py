@@ -1,17 +1,52 @@
-"""The wire protocol: versioned, length-prefixed JSON frames.
+"""The wire protocol: versioned, length-prefixed frames.
 
-One frame on the wire is::
+One frame on the wire is a 4-byte big-endian length and then exactly
+that many payload bytes.  Every frame but ``rows`` is a UTF-8 JSON
+object with a mandatory "type" key::
 
     +----------------+----------------------------------------+
     | 4-byte big-    | UTF-8 JSON object, exactly `length`    |
     | endian length  | bytes, with a mandatory "type" key     |
     +----------------+----------------------------------------+
 
-Frame types (``PROTOCOL_VERSION`` = 2):
+A ``rows`` frame (version 3) carries one chunk of result rows column
+by column.  Its payload opens with the marker byte ``0x01``, which
+cannot begin a JSON object, so the first payload byte tells the two
+layouts apart::
+
+    +------+----------------+-----------------+---------------------+
+    | 0x01 | 4-byte big-    | UTF-8 JSON head | one blob per typed  |
+    |      | endian head    | {type, id, n,   | column, in column   |
+    |      | length         |  w, cols}       | order, 8*n bytes    |
+    +------+----------------+-----------------+---------------------+
+
+``n`` is the chunk's row count and ``w`` its width; ``cols`` holds one
+entry per column:
+
+``"q"``
+    every value is exactly ``int`` and fits int64: a blob of ``n``
+    little-endian signed 8-byte integers.
+``"d"``
+    every value is exactly ``float``: a blob of ``n`` little-endian
+    IEEE-754 doubles (``-0.0``, ``nan`` and ``inf`` keep their bits).
+``[...]``
+    any other column (str, bool, None, mixed types, ints past int64),
+    and every column of a chunk under ``INLINE_ROWS`` rows: the ``n``
+    values inline as a JSON list, under the JSON rules every other
+    frame uses.
+
+The payload is exactly marker + length + head + blobs: a short or long
+blob, trailing bytes, ``n``/``w`` that disagree with ``cols``, an
+unknown column kind or rows of differing widths are each a
+:class:`ProtocolError`, on read or on write.  :func:`read_frame`
+returns the chunk as ``{"type": "rows", "id": ..., "rows": [tuple,
+...]}``, each value of the type it was written with.
+
+Frame types (``PROTOCOL_VERSION`` = 3):
 
 ``hello``
     First frame in each direction.  Client: ``{"type": "hello",
-    "version": 2, "tenant": <str|null>}``.  Server echoes its version
+    "version": 3, "tenant": <str|null>}``.  Server echoes its version
     and identity; a version mismatch is answered with ``error`` and
     the connection closes.
 ``query``
@@ -19,8 +54,8 @@ Frame types (``PROTOCOL_VERSION`` = 2):
     "strategy": <str|null>, "label": <str|null>}``.  ``id`` is the
     client's correlation key, echoed on every response frame.
 ``rows``
-    Zero or more per query: ``{"type": "rows", "id": n,
-    "rows": [[...], ...]}`` — result rows in chunks, so a slow
+    Zero or more per query, each at most ``ROWS_PER_FRAME`` rows in
+    the column layout above — result rows in chunks, so a slow
     consumer throttles only its own connection, never the service.
 ``summary``
     Terminal success frame: the full
@@ -65,7 +100,8 @@ never stall query dispatch:
     probe.
 
 Framing errors never hang and never kill the process: a truncated,
-oversized or non-JSON frame raises :class:`ProtocolError` (or
+oversized, non-JSON or too deeply nested frame, or a malformed
+``rows`` chunk, raises :class:`ProtocolError` (or
 :class:`ConnectionClosed` at clean EOF) and the server drops only that
 connection.
 """
@@ -74,18 +110,34 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
+from array import array
+from itertools import repeat
+from operator import is_
 from typing import Dict, Iterator, Optional
 
 from repro.common.errors import ReproError
 from repro.service.result import SHED
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Hard ceiling on one frame's payload; a length prefix past this is a
 #: corrupt or hostile stream, not a big result (rows are chunked).
 MAX_FRAME_BYTES = 32 << 20
 
 _HEADER = struct.Struct(">I")
+
+#: Marker byte + head length that open a ``rows`` payload.
+_ROWS_HEAD = struct.Struct(">BI")
+ROWS_MARKER = 0x01
+
+#: Compact JSON, one encoder for every frame.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+#: The exact types that travel as 8-byte blobs, and their array codes.
+_BLOB_KINDS = {int: "q", float: "d"}
+_BLOB_CODES = tuple(_BLOB_KINDS.values())
+_BIG_ENDIAN = sys.byteorder == "big"
 
 FRAME_HELLO = "hello"
 FRAME_QUERY = "query"
@@ -118,6 +170,10 @@ REPLY_FRAMES = frozenset((FRAME_ROWS, FRAME_SUMMARY, FRAME_SHED, FRAME_ERROR))
 #: backpressure engages quickly, large enough to amortise framing.
 ROWS_PER_FRAME = 512
 
+#: A ``rows`` chunk of fewer rows than this sends every column inline:
+#: on a reply of a few rows, blobs cost more than the text they save.
+INLINE_ROWS = 16
+
 #: Encoded bytes the server's writer gathers before it writes.  A
 #: constant, not a setting: it only has to be far above a small reply
 #: (so ``rows`` + ``summary`` leave as one segment) and far below a
@@ -139,13 +195,64 @@ def encode_frame(frame: Dict) -> bytes:
     frame_type = frame.get("type")
     if frame_type not in FRAME_TYPES:
         raise ProtocolError("unknown frame type %r" % (frame_type,))
-    payload = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    if frame_type == FRAME_ROWS:
+        payload = _encode_rows(frame)
+    else:
+        payload = _dumps(frame).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             "frame of %d bytes exceeds the %d-byte frame ceiling"
             % (len(payload), MAX_FRAME_BYTES)
         )
     return _HEADER.pack(len(payload)) + payload
+
+
+def _encode_rows(frame: Dict) -> bytes:
+    """A ``rows`` frame's payload in the column layout."""
+    rows = frame.get("rows")
+    if not isinstance(rows, (list, tuple)):
+        raise ProtocolError("a rows frame needs a list of rows")
+    try:
+        columns = list(zip(*rows, strict=True))
+    except (TypeError, ValueError):
+        raise ProtocolError(
+            "rows of a chunk must be sequences of one width"
+        ) from None
+    if rows and not columns:
+        raise ProtocolError("rows of a chunk must have at least one column")
+    kinds, blobs = [], []
+    for column in columns:
+        code = _blob_code(column) if len(rows) >= INLINE_ROWS else None
+        if code is not None:
+            try:
+                blob = array(code, column)
+            except OverflowError:
+                code = None  # an int past int64 travels inline
+            else:
+                if _BIG_ENDIAN:
+                    blob.byteswap()
+                blobs.append(blob)
+        kinds.append(column if code is None else code)
+    head = _dumps({
+        "type": FRAME_ROWS, "id": frame.get("id"), "n": len(rows),
+        "w": len(columns), "cols": kinds,
+    }).encode("utf-8")
+    return b"".join(
+        [_ROWS_HEAD.pack(ROWS_MARKER, len(head)), head, *blobs]
+    )
+
+
+def _blob_code(column) -> Optional[str]:
+    """The array code a column travels as, or None to send it inline.
+
+    The check is on exact types, value by value: ``array("d")`` would
+    take an int (and ``array("q")`` a bool) and hand back another type.
+    """
+    kind = type(column[0])
+    code = _BLOB_KINDS.get(kind)
+    if code is not None and all(map(is_, map(type, column), repeat(kind))):
+        return code
+    return None
 
 
 def reply_frames(qid, request) -> Iterator[Dict]:
@@ -186,7 +293,8 @@ def read_frame(stream, max_frame: int = MAX_FRAME_BYTES) -> Dict:
     Raises :class:`ConnectionClosed` on clean EOF before a frame
     starts, and :class:`ProtocolError` for every malformed case —
     truncated header, truncated payload, oversized length, non-JSON
-    bytes, or a JSON payload that is not a typed object.
+    or too deeply nested bytes, a JSON payload that is not a typed
+    object, or a ``rows`` chunk that breaks the column layout.
     """
     header = stream.read(_HEADER.size)
     if not header:
@@ -208,18 +316,79 @@ def read_frame(stream, max_frame: int = MAX_FRAME_BYTES) -> Dict:
             "truncated frame payload: %d of %d bytes"
             % (len(payload), length)
         )
-    try:
-        frame = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError("frame payload is not JSON: %s" % exc) from None
-    if not isinstance(frame, dict):
-        raise ProtocolError(
-            "frame payload must be a JSON object; got %s"
-            % type(frame).__name__
-        )
+    if payload and payload[0] == ROWS_MARKER:
+        return _decode_rows(payload)
+    frame = _json_object(payload, "frame payload")
     if frame.get("type") not in FRAME_TYPES:
         raise ProtocolError("unknown frame type %r" % (frame.get("type"),))
+    if frame["type"] == FRAME_ROWS:
+        raise ProtocolError("a rows frame must use the column layout")
     return frame
+
+
+def _json_object(data: bytes, what: str) -> Dict:
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # undecodable UTF-8 or malformed JSON
+        raise ProtocolError("%s is not JSON: %s" % (what, exc)) from None
+    except RecursionError:
+        raise ProtocolError("%s is nested too deeply" % what) from None
+    if not isinstance(value, dict):
+        raise ProtocolError(
+            "%s must be a JSON object; got %s" % (what, type(value).__name__)
+        )
+    return value
+
+
+def _decode_rows(payload: bytes) -> Dict:
+    """The chunk a column-layout ``rows`` payload carries.
+
+    Every size is checked against the payload before anything is
+    allocated for it, so a lying head costs no more than its frame.
+    """
+    if len(payload) < _ROWS_HEAD.size:
+        raise ProtocolError("truncated rows head")
+    _, head_length = _ROWS_HEAD.unpack_from(payload)
+    start = _ROWS_HEAD.size + head_length
+    if start > len(payload):
+        raise ProtocolError(
+            "rows head of %d bytes overruns its %d-byte frame"
+            % (head_length, len(payload))
+        )
+    head = _json_object(payload[_ROWS_HEAD.size:start], "rows head")
+    n, w, kinds = head.get("n"), head.get("w"), head.get("cols")
+    if head.get("type") != FRAME_ROWS:
+        raise ProtocolError("rows head has type %r" % (head.get("type"),))
+    if type(n) is not int or n < 0 or type(w) is not int \
+            or type(kinds) is not list or len(kinds) != w:
+        raise ProtocolError("rows head n/w/cols disagree")
+    if n and not w:
+        raise ProtocolError("rows of a chunk must have at least one column")
+    blob_bytes = 8 * n
+    blob_count = sum(map(_BLOB_CODES.__contains__, kinds))
+    if start + blob_count * blob_bytes != len(payload):
+        raise ProtocolError(
+            "rows blobs: %d bytes for %d column(s) of %d rows, need %d"
+            % (len(payload) - start, blob_count, n, blob_count * blob_bytes)
+        )
+    columns = []
+    for kind in kinds:
+        if type(kind) is list and len(kind) == n:
+            column = kind
+        elif kind in _BLOB_CODES:
+            column = array(kind)
+            column.frombytes(payload[start:start + blob_bytes])
+            if _BIG_ENDIAN:
+                column.byteswap()
+            start += blob_bytes
+        else:
+            raise ProtocolError(
+                "rows column is neither a blob kind nor %d inline values"
+                % n
+            )
+        columns.append(column)
+    return {"type": FRAME_ROWS, "id": head.get("id"),
+            "rows": list(zip(*columns))}
 
 
 def hello_frame(tenant: Optional[str] = None, server: bool = False) -> Dict:

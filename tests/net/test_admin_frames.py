@@ -223,3 +223,17 @@ class TestVersionGate:
             assert reply["type"] == "error"
             assert "version mismatch" in reply["message"]
             raw.close()
+
+    def test_v2_client_is_refused(self, catalog):
+        # v2 sent rows as JSON arrays; v3's column chunks replace them.
+        with make_server(catalog) as server:
+            raw = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30,
+            )
+            raw.sendall(encode_frame(dict(hello_frame(), version=2)))
+            rfile = raw.makefile("rb")
+            reply = read_frame(rfile)
+            assert reply["type"] == "error"
+            assert "speaks 2" in reply["message"]
+            assert not rfile.read(1)  # then the connection closes
+            raw.close()

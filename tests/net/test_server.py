@@ -14,8 +14,8 @@ from repro.client import Client, InProcessClient, connect
 from repro.common.errors import ExecutionError
 from repro.data.tpch import cached_tpch
 from repro.net.protocol import (
-    PROTOCOL_VERSION, ROWS_PER_FRAME, SEND_BUFFER_BYTES, ProtocolError,
-    encode_frame, hello_frame, read_frame,
+    PROTOCOL_VERSION, ROWS_MARKER, ROWS_PER_FRAME, SEND_BUFFER_BYTES,
+    ProtocolError, encode_frame, hello_frame, read_frame,
 )
 from repro.net.server import ReproServer, _Request
 from repro.service import ServiceConfig, TenantQuota
@@ -148,6 +148,37 @@ class TestTransportEquivalence:
             assert result.metrics["virtual_seconds"] == result.latency
             assert "tuples_pruned" in result.metrics
 
+    #: The spine's ``wide_scan`` statements, literals mid-range:
+    #: int, float, date-string and status-letter columns, many chunks.
+    WIDE_SCAN = [
+        "select l_orderkey, l_partkey, l_suppkey, l_quantity, "
+        "l_extendedprice, l_shipdate from lineitem "
+        "where l_extendedprice < 34550.0",
+        "select o_orderkey, o_custkey, o_orderstatus, o_totalprice, "
+        "o_orderdate from orders where o_totalprice > 2850.0",
+        "select ps_partkey, ps_suppkey, ps_availqty, ps_supplycost "
+        "from partsupp where ps_supplycost > 5.0",
+    ]
+
+    def test_wide_scan_rows_are_type_exact(self, catalog):
+        # ``QueryResult.__eq__`` compares lists, where 1 == 1.0: an int
+        # coming back as a float would pass it, so check value by value.
+        with make_server(catalog) as server, \
+                connect(port=server.port) as remote, \
+                InProcessClient(catalog, ServiceConfig()) as local:
+            for text in self.WIDE_SCAN:
+                over_wire = remote.query(text)
+                in_proc = local.query(text)
+                assert over_wire == in_proc
+                assert len(in_proc.rows) > ROWS_PER_FRAME
+                assert len(over_wire.rows) == len(in_proc.rows)
+                kinds = {type(v) for row in in_proc.rows for v in row}
+                assert {int, float} <= kinds
+                for got, want in zip(over_wire.rows, in_proc.rows):
+                    assert type(got) is tuple
+                    assert [type(v) for v in got] == [type(v) for v in want]
+                    assert got == want
+
 
 class RecordingConn:
     """Stands in for an accepted socket: records every write."""
@@ -169,10 +200,10 @@ def serve_recorded(server, text):
     return conn.writes
 
 
-#: 1,200 rows at scale 0.002: three ``rows`` chunks, 7 KB in all.
+#: 1,200 rows at scale 0.002: three ``rows`` chunks, 10 KB in all.
 CHUNKED = "select ps_partkey from partsupp where ps_partkey <= 300"
 
-#: 3,000 six-column rows: six ``rows`` chunks, 146 KB in all.
+#: 3,000 six-column rows: six ``rows`` chunks, 158 KB in all.
 WIDE = (
     "select o_orderkey, o_custkey, o_orderstatus, o_totalprice, "
     "o_orderdate, o_orderpriority from orders"
@@ -230,7 +261,7 @@ class TestOneWriter:
                     socket.IPPROTO_TCP, socket.TCP_NODELAY
                 )
 
-    def test_wire_bytes_are_the_v2_frames(self, catalog):
+    def test_wire_bytes_are_the_v3_frames(self, catalog):
         text = CHUNKED
         with make_server(catalog) as server, \
                 QueryService(catalog, ServiceConfig()) as twin:
@@ -242,7 +273,17 @@ class TestOneWriter:
             {"type": "rows", "id": 7, "rows": rows[at:at + ROWS_PER_FRAME]}
             for at in range(0, len(rows), ROWS_PER_FRAME)
         ] + [{"type": "summary", "id": 7, "result": payload}]
-        assert wire == b"".join(encode_frame(f) for f in by_hand)
+        frames = [encode_frame(f) for f in by_hand]
+        assert wire == b"".join(frames)
+        # Each chunk is in the column layout, its int column one blob
+        # of little-endian int64s; the summary stays a JSON object.
+        for frame, chunk in zip(frames, by_hand[:-1]):
+            assert frame[4] == ROWS_MARKER
+            values = [row[0] for row in chunk["rows"]]
+            assert frame.endswith(
+                struct.pack("<%dq" % len(values), *values)
+            )
+        assert frames[-1][4:5] == b"{"
 
 
 class TestNoReplyStall:
@@ -449,6 +490,27 @@ class TestProtocolEdges:
             assert not rfile.read(1)  # then the connection closes
             raw.close()
             # The server survived: a fresh client still works.
+            with connect(port=server.port) as client:
+                assert client.query("Q1A").ok
+
+    def test_deeply_nested_frame_is_answered_with_an_error(self, catalog):
+        depth = 100_000  # ~200 KB of brackets, past the recursion limit
+        nested = (b'{"type":"query","id":1,"text":' + b"[" * depth
+                  + b"]" * depth + b"}")
+        with make_server(catalog) as server:
+            raw = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30,
+            )
+            raw.sendall(encode_frame(hello_frame()))
+            rfile = raw.makefile("rb")
+            read_frame(rfile)  # server hello
+            raw.sendall(struct.pack(">I", len(nested)) + nested)
+            reply = read_frame(rfile)
+            assert reply["type"] == "error"
+            assert "nested too deeply" in reply["message"]
+            assert not rfile.read(1)  # then the connection closes
+            raw.close()
+            # The handler ended cleanly: another connection is served.
             with connect(port=server.port) as client:
                 assert client.query("Q1A").ok
 
