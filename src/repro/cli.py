@@ -21,6 +21,7 @@ Usage (``python -m repro ...``)::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -48,6 +49,28 @@ def _parse_nbytes(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("memory budget must be >= 0")
     return value
+
+
+def _checked(convert, valid, expected: str):
+    """An argparse ``type=`` that converts, then range-checks, so a bad
+    number is a usage error rather than a traceback or a silent slice."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(
+                "expected %s; got %r" % (expected, text)
+            )
+        return value
+    return parse
+
+
+#: ``--scale``: nan fails both comparisons.
+_parse_scale = _checked(float, lambda v: 0 < v < math.inf,
+                        "a finite scale factor > 0")
+_parse_count = _checked(int, lambda v: v >= 0, "a whole number >= 0")
 
 
 def _parse_quota(text: str):
@@ -525,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list Table I workload queries")
 
     p_tables = sub.add_parser("tables", help="show generated table sizes")
-    p_tables.add_argument("--scale", type=float, default=0.01)
+    p_tables.add_argument("--scale", type=_parse_scale, default=0.01)
 
     p_run = sub.add_parser("run", help="run one workload query")
     p_run.add_argument("qid", help="query id, e.g. Q1A")
@@ -533,10 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", default="all",
         choices=list(STRATEGIES) + ["all"],
     )
-    p_run.add_argument("--scale", type=float, default=0.01)
+    p_run.add_argument("--scale", type=_parse_scale, default=0.01)
     p_run.add_argument("--delayed", action="store_true",
                        help="delay the query's large input (Section VI-B)")
-    p_run.add_argument("--partitions", type=int, default=0,
+    p_run.add_argument("--partitions", type=_parse_count, default=0,
                        help="hash partition the query's big relation "
                             "across N remote sites, streamed in "
                             "parallel on the virtual clock")
@@ -552,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explain = sub.add_parser("explain", help="show a plan with estimates")
     p_explain.add_argument("qid")
-    p_explain.add_argument("--scale", type=float, default=0.01)
+    p_explain.add_argument("--scale", type=_parse_scale, default=0.01)
     p_explain.add_argument("--magic", action="store_true",
                            help="explain the magic-sets plan")
     p_explain.add_argument("--analyze", action="store_true",
@@ -569,19 +592,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sql = sub.add_parser("sql", help="run a SQL query over generated data")
     p_sql.add_argument("query", help="SQL text (Table I dialect)")
-    p_sql.add_argument("--scale", type=float, default=0.01)
+    p_sql.add_argument("--scale", type=_parse_scale, default=0.01)
     p_sql.add_argument(
         "--strategy", default="baseline",
         choices=["baseline", "feedforward", "costbased"],
     )
-    p_sql.add_argument("--limit", type=int, default=20,
+    p_sql.add_argument("--limit", type=_parse_count, default=20,
                        help="max rows to print")
     p_sql.add_argument("--explain", action="store_true",
                        help="show the bound plan instead of running")
 
     def add_service_options(p):
         from repro.service.schedulers import SCHEDULERS
-        p.add_argument("--scale", type=float, default=0.01)
+        p.add_argument("--scale", type=_parse_scale, default=0.01)
         p.add_argument("--strategy", default="feedforward",
                        choices=list(STRATEGIES))
         p.add_argument("--scheduler", default="fifo",

@@ -108,8 +108,9 @@ class ExecutionContext:
         self.batch_execution = batch_execution
         #: Pipelined-hash-join optimisation from Section VI-A: when one
         #: join input completes, the other side stops buffering.  The
-        #: Q2C magic-sets anomaly depends on this; ablation benches turn
-        #: it off.
+        #: Q2C magic-sets anomaly depends on this; the short-circuit
+        #: ablation in ``tests/harness/test_paper_shapes.py`` turns it
+        #: off.
         self.short_circuit = short_circuit
         #: Structured trace collector (:class:`repro.obs.trace.Tracer`)
         #: or None.  Every hook site in the engine, operators, AIP

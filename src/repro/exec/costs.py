@@ -77,9 +77,3 @@ class CostModel:
     def transfer_time(self, n_bytes: int) -> float:
         """Time to push ``n_bytes`` through the simulated link."""
         return n_bytes / self.network_bandwidth
-
-    def copy(self, **overrides) -> "CostModel":
-        """A copy with selected constants replaced (used by ablations)."""
-        kwargs = {name: getattr(self, name) for name in self.__slots__}
-        kwargs.update(overrides)
-        return CostModel(**kwargs)

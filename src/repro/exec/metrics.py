@@ -200,7 +200,8 @@ class Metrics:
         return sum(c.tuples_pruned for c in self.operators.values())
 
     def summary(self) -> Dict[str, float]:
-        """Flat dictionary used by the benchmark harness reports."""
+        """Flat dictionary behind ``RunRecord.summary``: what ``repro
+        run`` prints and the paper-shape tests assert."""
         return {
             "virtual_seconds": self.clock,
             "cpu_seconds": self.cpu_time,

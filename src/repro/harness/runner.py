@@ -1,7 +1,8 @@
 """Run one workload query under one strategy and collect metrics.
 
-This is the single entry point every benchmark and example goes
-through, so all figures measure exactly the same code paths.
+This is the single entry point the figure tests
+(``tests/harness/test_paper_shapes.py``), ``repro run`` and the
+examples go through, so every figure measures the same code paths.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ def run_workload_query(
     the two is rejected rather than silently mislabelled.
     ``batch_execution=False`` forces the tuple-at-a-time engine loop,
     the reference the page path is observably identical to (the
-    equivalence suite compares the two; benchmarks compare their
-    wall-clock cost).
+    equivalence suite compares the two).
     ``memory_budget=N`` attaches a
     :class:`~repro.storage.governor.MemoryGovernor` with an ``N``-byte
     budget: scans stream buffer-pool pages and stateful operators

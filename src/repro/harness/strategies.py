@@ -1,4 +1,4 @@
-"""Strategy naming shared by harness, benchmarks and examples.
+"""Strategy naming shared by the harness, CLI, service and examples.
 
 The paper's four execution strategies:
 
@@ -24,8 +24,6 @@ COSTBASED = "costbased"
 
 #: Strategy order used in every figure (mirrors the paper's legends).
 STRATEGIES = (BASELINE, MAGIC, FEEDFORWARD, COSTBASED)
-#: The join-query figures (13/14) omit Magic, as the paper does.
-JOIN_FIGURE_STRATEGIES = (BASELINE, FEEDFORWARD, COSTBASED)
 
 
 def make_strategy(name: str, **kwargs) -> Optional[ExecutionStrategy]:

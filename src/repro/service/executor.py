@@ -122,10 +122,8 @@ def execute_batch(
     fills: List[Optional[float]] = []
 
     def observe_publish(op, port, aip_set):
-        # Bloom summaries expose fill_fraction as a property on some
-        # implementations and a method on others.
-        fill = getattr(aip_set.summary, "fill_fraction", None)
-        fills.append(fill() if callable(fill) else fill)
+        # Hash-set summaries have no fill fraction.
+        fills.append(getattr(aip_set.summary, "fill_fraction", None))
 
     ctx.aip_publish_hooks.append(observe_publish)
 

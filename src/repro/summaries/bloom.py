@@ -3,7 +3,7 @@
 The paper's implementation "only employs Bloom filters ... our Bloom
 filters use one hash function and are sized for a 5% false positive
 rate" (Section VI).  We default to the same configuration but support
-multiple hash functions for the ablation benchmarks.
+multiple hash functions (``n_hashes``).
 
 Filters of equal geometry (bit count, hash count, seed) can be merged:
 bitwise **intersection** tightens two filters over the same key to
@@ -209,8 +209,8 @@ class BloomFilter(Summary):
         """Fraction of bits set; the expected FP rate with one hash.
 
         Per-word popcount — the big-int form (``bin(bits).count("1")``)
-        materialised an ``n_bits``-character string per call, which the
-        FP-rate ablation invokes at multi-megabit geometries.
+        materialised an ``n_bits``-character string per call, and the
+        service reads this for every published set.
         """
         return sum(word.bit_count() for word in self._words) / self.n_bits
 

@@ -1,5 +1,5 @@
 """Registry of all Table I query variants, keyed Q1A..Q5B, plus the
-per-figure query lists used by the benchmark harness."""
+per-figure query lists the paper-shape tests run."""
 
 from __future__ import annotations
 

@@ -1,18 +1,14 @@
-"""Tests for the benchmark harness: strategies, runner, report."""
+"""Tests for the harness: strategies and runner."""
 
 import pytest
 
-from repro.harness.report import FigureTable
 from repro.harness.runner import RunRecord, run_workload_query
-from repro.harness.strategies import (
-    JOIN_FIGURE_STRATEGIES, STRATEGIES, make_strategy, uses_magic_plan,
-)
+from repro.harness.strategies import STRATEGIES, make_strategy, uses_magic_plan
 
 
 class TestStrategies:
     def test_strategy_names(self):
         assert STRATEGIES == ("baseline", "magic", "feedforward", "costbased")
-        assert "magic" not in JOIN_FIGURE_STRATEGIES
 
     def test_make_strategy(self):
         from repro.aip.feedforward import FeedForwardStrategy
@@ -81,37 +77,3 @@ class TestRunner:
         assert a.virtual_seconds == b.virtual_seconds
         assert a.peak_state_mb == b.peak_state_mb
 
-
-class TestFigureTable:
-    def _table(self):
-        return FigureTable(
-            "Test figure", ["Q1", "Q2"], ["a", "b"], "metric", "units"
-        )
-
-    def test_add_and_value(self):
-        t = self._table()
-        t.add("Q1", "a", 1.5)
-        assert t.value("Q1", "a") == 1.5
-        assert t.value("Q1", "b") is None
-
-    def test_complete(self):
-        t = self._table()
-        assert not t.complete
-        for q in ("Q1", "Q2"):
-            for s in ("a", "b"):
-                t.add(q, s, 1.0)
-        assert t.complete
-
-    def test_render_contains_cells(self):
-        t = self._table()
-        t.add("Q1", "a", 1.2345)
-        text = t.render()
-        assert "Test figure" in text
-        assert "1.2345" in text
-        assert "-" in text  # missing cells rendered as dash
-
-    def test_winners(self):
-        t = self._table()
-        t.add("Q1", "a", 2.0)
-        t.add("Q1", "b", 1.0)
-        assert t.winners() == {"Q1": "b"}

@@ -4,11 +4,13 @@ import contextlib
 
 import pytest
 
+from repro.aip.sets import HASHSET
 from repro.client import Client
 from repro.data.tpch import cached_tpch
 from repro.exec.context import ExecutionContext
 from repro.exec.engine import execute_plan
 from repro.net.server import ReproServer
+from repro.obs.registry import RATIO_BUCKETS
 from repro.service import QueryService, WorkloadItem, parse_workload
 from repro.service.query import Request
 from repro.service.service import CACHED, OK, SHED_STATUS
@@ -349,6 +351,29 @@ class TestServiceBasics:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert report.summary()["aip_cache_hit_rate"] == pytest.approx(0.5)
+
+    def test_published_sets_observe_their_bloom_fill(self, catalog):
+        """Every set a Feed-Forward run publishes is counted, and each
+        Bloom filter's fill fraction lies in [0, 1]; hash sets have
+        none to observe.  Zero is an empty set: Q2A publishes four
+        (six sets, fills 0 and 0.031)."""
+        def published(**kwargs):
+            service = QueryService(catalog, strategy="feedforward",
+                                   result_cache=False, **kwargs)
+            service.submit("Q2A")
+            assert service.run().outcomes[0].status == OK
+            registry = service.registry
+            return (registry.counter("aip.sets_published").value,
+                    registry.histogram("aip.bloom_fill_fraction",
+                                       RATIO_BUCKETS))
+
+        sets, fills = published()
+        assert sets > 0
+        assert fills.count == sets
+        assert 0 <= fills.vmin < fills.vmax <= 1
+        sets, fills = published(strategy_kwargs={"summary_kind": HASHSET})
+        assert sets > 0
+        assert fills.count == 0
 
     def test_peak_state_tracked(self, catalog):
         service = QueryService(catalog)

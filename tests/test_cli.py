@@ -295,6 +295,31 @@ class TestSqlCommand:
         assert "total estimated cost" in out
 
 
+class TestNumericArguments:
+    """Out-of-range numbers are usage errors (exit 2, ``error:``), not
+    tracebacks from deep in the data generator or the planner, and not
+    a silent slice: ``--limit -1`` used to print every row but one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "Q2A", "--scale", "0"],
+        ["run", "Q2A", "--scale", "-0.5"],
+        ["explain", "Q1A", "--scale", "0"],
+        ["sql", "select p_partkey from part", "--scale", "-1"],
+        ["tables", "--scale", "0"],
+        ["tables", "--scale", "nan"],
+        ["run", "Q2A", "--partitions", "-1"],
+        ["sql", "select p_partkey from part", "--scale", "0.002",
+         "--limit", "-1"],
+    ])
+    def test_rejected_with_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err
+        assert "Traceback" not in err
+
+
 class TestAdminCommands:
     """``repro stats`` / ``repro top`` against a live server."""
 
