@@ -28,6 +28,8 @@ def stable_key(value: Hashable) -> Hashable:
     """Map a value to an equal-semantics key whose ``hash()`` is stable
     across processes.  Distinct strings map to distinct-ish CRC32 keys;
     collisions only cost summary precision, never correctness."""
+    if type(value) is int:  # the common key type, checked first
+        return value
     if isinstance(value, str):
         key = _STR_KEYS.get(value)
         if key is None:

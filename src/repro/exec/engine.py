@@ -31,6 +31,7 @@ from repro.exec.operators.merge import PMerge
 from repro.exec.operators.scan import PScan
 from repro.exec.translate import ArrivalResolver, PhysicalPlan, translate
 from repro.plan.logical import LogicalNode
+from repro.storage.buffer import PagedRows
 
 Row = Tuple
 
@@ -82,6 +83,20 @@ def plan_batchable(ctx: ExecutionContext, strategy, physical) -> bool:
 RUN_ROWS = 4096
 
 
+def _run_cap(sources) -> int:
+    """The most rows one arrival run takes: :data:`RUN_ROWS`, or under
+    a memory governor the smallest page among the buffer-pool scans —
+    a run's rows are held outside the budget, so they stay within one
+    page (the granule ``MemoryGovernor.page_records_for`` sizes)."""
+    return min(
+        (
+            scan.rows.page_rows for scan, _ in sources
+            if isinstance(scan.rows, PagedRows)
+        ),
+        default=RUN_ROWS,
+    )
+
+
 def _stash_order(sources) -> Optional[List[Operator]]:
     """The joins and merges above the batchable scans, deepest first —
     the order a merged run's flush must visit them, so each holds its
@@ -130,7 +145,7 @@ def _arrived(scan: PScan, idx: int, now: int, barrier, cap: int):
         limit *= 2
 
 
-def _take_run(members, barrier, now: int, cap: Optional[int]):
+def _take_run(members, barrier, now: int, cap: int):
     """Consume one arrival run from ``members`` — ``(idx, scan)`` pairs
     whose pending rows have arrived by ``now`` — and return it as
     ``(scan, rows, seq)`` triples.
@@ -141,17 +156,13 @@ def _take_run(members, barrier, now: int, cap: Optional[int]):
     last row of a member that exhausts or hits its share of ``cap`` —
     past that point its next rows would belong in the order too.
     ``seq`` holds each row's ordinal in the run, or is None when one
-    source fills the whole run.  ``cap`` is None for a governed run:
-    where a run is cut, and when a scan reads its buffer-pool rows,
-    move spill decisions, so governed runs keep the uncapped one-source
-    cadence with per-row arrivals.
+    source fills the whole run.
     """
     if len(members) == 1:
         idx, scan = members[0]
-        if cap is None or not scan.arrival.local:
+        if not scan.arrival.local:
             b_when, b_idx = barrier if barrier is not None else (None, 0)
-            limit = cap if cap is not None else len(scan.rows)
-            rows = scan.take_paced(now, b_when, b_idx < idx, limit)
+            rows = scan.take_paced(now, b_when, b_idx < idx, cap)
             return [(scan, rows, None)]
         times, n = _arrived(scan, idx, now, barrier, cap)
         return [(scan, scan.take_local(n, times), None)]
@@ -201,12 +212,12 @@ def drive_sources(
     concurrent plans — and pushes each source's slice as one page; the
     joins and merges stash those pages and are then flushed
     deepest-first, each processing its ports in the run's order.
-    Under a memory governor, for sources that are not ``local``, and
-    for plans with a per-row operator, a run holds one source only
-    (spill decisions and shipped filters interleave at row
-    granularity).  The exhausted source's ``finish`` fires after the
-    run, where the tuple loop fires it.  DESIGN.md section 4 has the
-    invariants this rests on.
+    For sources that are not ``local`` and for plans with a per-row
+    operator, a run holds one source only (shipped filters interleave
+    at row granularity).  A run takes at most ``_run_cap`` rows.  The
+    exhausted source's ``finish`` fires after the run, where the tuple
+    loop fires it.  DESIGN.md section 4 has the invariants this rests
+    on.
     """
     ctx.strategy.on_query_start()
 
@@ -218,9 +229,9 @@ def drive_sources(
         else:
             heapq.heappush(heap, (when, idx, scan))
 
-    # None: every run holds one source (governed, or a per-row operator).
-    stashing = _stash_order(sources) if ctx.governor is None else None
-    cap = RUN_ROWS if ctx.governor is None else None
+    # None: every run holds one source (a per-row operator).
+    stashing = _stash_order(sources)
+    cap = _run_cap(sources)
     metrics = ctx.metrics
     tracer = ctx.tracer
     while heap:

@@ -340,6 +340,25 @@ class Operator:
             else:
                 self.ctx.governor.release(lease, -delta)
 
+    def reserve_routed(self, route):
+        """Route one chunk of a governed page kernel — at most one
+        governor page of rows — and grow the lease for it *before* the
+        inserts, so a reclaim never finds rows in the tables that the
+        lease does not cover.  ``route()`` returns a tuple whose last
+        item is the bytes the rows it keeps in memory will insert.  If
+        that reclaim spilled a partition of this operator, the chunk is
+        routed again (its rows now go to the partition's delta run) and
+        the excess is released.  The caller adds the kept bytes to the
+        metrics once they are inserted."""
+        routed = route()
+        nbytes = routed[-1]
+        spilled = len(self._spilled)
+        self.ctx.governor.request(self._lease, nbytes, self.ctx)
+        if len(self._spilled) != spilled:
+            routed = route()
+            self.ctx.governor.release(self._lease, nbytes - routed[-1])
+        return routed
+
     # -- spilling (memory-governor reclaim protocol) -----------------------
 
     @property

@@ -40,6 +40,10 @@ class PDistinct(Operator):
             self._spilled: Dict[int, tuple] = {}
             self._part_rows = [0] * N_SPILL_PARTITIONS
             self._replaying = False
+            #: Rows per lease request in the page kernel.
+            self._chunk_rows = ctx.governor.page_records_for(
+                self._row_bytes
+            )
         else:
             self._spilled = None
 
@@ -79,10 +83,6 @@ class PDistinct(Operator):
         whole rows, so the page is re-materialised once after AIP
         probing; the strategy hook sees only the fresh rows (never the
         full page), as on the tuple path."""
-        if self._lease is not None:
-            for row in page.rows():
-                self.push(row, port)
-            return
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics
         n_in = page.n_rows
@@ -90,6 +90,9 @@ class PDistinct(Operator):
         self.ctx.charge_events_op(self.op_id, n_in, cm.tuple_base)
         page = self.passes_filters_page(page, 0)
         if not page.n_rows:
+            return
+        if self._lease is not None:
+            self._distinct_governed(page, n_in)
             return
         self.ctx.charge_events_op(self.op_id, page.n_rows, cm.hash_probe)
         seen = self._seen
@@ -109,6 +112,62 @@ class PDistinct(Operator):
             out = page.select(fresh)
             self.ctx.strategy.after_tuples_page(self, 0, out)
             self.emit_page(out)
+
+    def _distinct_governed(self, page, n_in: int) -> None:
+        """The governed kernel: one governor page of rows at a time,
+        the lease grown for a chunk's fresh rows before they join the
+        seen-set.  A row whose partition is spilled at that point goes
+        to the partition's delta run, as :meth:`push` routes it, and
+        the charges are :meth:`push`'s; the strategy hook sees the
+        fresh and the deferred rows, as :meth:`push` shows them."""
+        from repro.storage.spill import spill_partitions
+
+        cm = self.ctx.cost_model
+        seen = self._seen
+        spilled = self._spilled
+        rows = page.rows()
+        pids = spill_partitions(rows)
+
+        def route(at, end):
+            fresh, deferred, n_kept, chunk_seen = [], [], 0, set()
+            for i in range(at, min(end, len(rows))):
+                if pids[i] in spilled:
+                    deferred.append(i)
+                    continue
+                n_kept += 1
+                row = rows[i]
+                if row not in seen and row not in chunk_seen:
+                    chunk_seen.add(row)
+                    fresh.append(i)
+            return fresh, deferred, n_kept, len(fresh) * self._row_bytes
+
+        all_fresh, all_deferred = [], []
+        step = self._chunk_rows
+        for at in range(0, len(rows), step):
+            fresh, deferred, n_kept, nbytes = self.reserve_routed(
+                lambda: route(at, at + step)
+            )
+            for i in fresh:
+                seen.add(rows[i])
+                self._part_rows[pids[i]] += 1
+            self.ctx.metrics.adjust_state(self.op_id, nbytes)
+            self.ctx.charge_events_op(self.op_id, n_kept, cm.hash_probe)
+            self.ctx.charge_events_op(
+                self.op_id, len(fresh) + len(deferred), cm.hash_insert
+            )
+            for i in deferred:
+                spilled[pids[i]][1].append(rows[i])
+            all_fresh.extend(fresh)
+            all_deferred.extend(deferred)
+        self._page_stats(n_in, len(all_fresh))
+        out = page.select(all_fresh)
+        shown = (
+            page.select(sorted(all_fresh + all_deferred)) if all_deferred
+            else out
+        )
+        if shown.n_rows:
+            self.ctx.strategy.after_tuples_page(self, 0, shown)
+        self.emit_page(out)
 
     def finish(self, port: int = 0) -> None:
         self._mark_input_done(port)
@@ -138,7 +197,7 @@ class PDistinct(Operator):
         if self._spilled is None or self._replaying:
             return 0
         from repro.storage.spill import (
-            Spool, pick_spill_victim, spill_partition,
+            Spool, pick_spill_victim, spill_partitions,
         )
 
         freed = 0
@@ -156,8 +215,10 @@ class PDistinct(Operator):
                 label + ".delta",
             )
             self._spilled[best] = (seen_spool, delta_spool)
+            seen = list(self._seen)
             doomed = [
-                row for row in self._seen if spill_partition(row) == best
+                row for row, pid in zip(seen, spill_partitions(seen))
+                if pid == best
             ]
             for row in doomed:
                 self._seen.discard(row)

@@ -64,6 +64,11 @@ class PGroupBy(Operator):
             self._merged: Dict[int, object] = {}
             self._part_groups = [0] * N_SPILL_PARTITIONS
             self._replaying = False
+            #: Rows per lease request in the page kernel: each makes at
+            #: most one group, so a chunk is one governor page of groups.
+            self._chunk_rows = ctx.governor.page_records_for(
+                self._group_bytes
+            )
         else:
             self._spilled = None
             self._merged = None
@@ -128,11 +133,8 @@ class PGroupBy(Operator):
         """Page kernel: per-row grouping decisions and charge totals
         match :meth:`push`.  Group keys come straight off the key
         column(s) and aggregate inputs evaluate column-at-a-time; the
-        page's rows are never re-materialised."""
-        if self._lease is not None:
-            for row in page.rows():
-                self.push(row, port)
-            return
+        page's rows are never re-materialised (a governed page's rows
+        only when some go to a spilled partition's delta run)."""
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics
         n_in = page.n_rows
@@ -142,7 +144,6 @@ class PGroupBy(Operator):
         n = page.n_rows
         if not n:
             return
-        self.ctx.charge_events_op(self.op_id, n, cm.hash_probe)
 
         indices = self._key_indices
         single = len(indices) == 1
@@ -158,9 +159,34 @@ class PGroupBy(Operator):
             fn(cols, n) if fn is not None else None
             for fn in self._agg_col_fns
         )
+        if self._lease is None:
+            self.ctx.charge_events_op(self.op_id, n, cm.hash_probe)
+            new_groups = self._aggregate(range(n), keys, val_cols)
+            if new_groups:
+                self.ctx.charge_events_op(
+                    self.op_id, new_groups, cm.hash_insert
+                )
+                metrics.adjust_state(
+                    self.op_id, new_groups * self._group_bytes
+                )
+            if specs:
+                self.ctx.charge_events_op(
+                    self.op_id, n * len(specs), cm.agg_update
+                )
+        else:
+            self._aggregate_governed(page, keys, val_cols)
+        self.ctx.strategy.after_tuples_page(self, 0, page)
+        self._page_stats(n_in, n)
+
+    def _aggregate(self, positions, keys, val_cols) -> int:
+        """Fold the page rows at ``positions`` into their groups;
+        returns how many groups were created."""
+        single = len(self._key_indices) == 1
+        specs = self._specs
         groups = self._groups
         new_groups = 0
-        for i, key in enumerate(keys):
+        for i in positions:
+            key = keys[i]
             group = groups.get(key)
             if group is None:
                 accumulators = [s.make_accumulator() for s in specs]
@@ -169,14 +195,54 @@ class PGroupBy(Operator):
                 new_groups += 1
             for vals, acc in zip(val_cols, group[1]):
                 acc.add(vals[i] if vals is not None else None)
+        return new_groups
 
-        if new_groups:
-            self.ctx.charge_events_op(self.op_id, new_groups, cm.hash_insert)
-            metrics.adjust_state(self.op_id, new_groups * self._group_bytes)
-        if specs:
-            self.ctx.charge_events_op(self.op_id, n * len(specs), cm.agg_update)
-        self.ctx.strategy.after_tuples_page(self, 0, page)
-        self._page_stats(n_in, n)
+    def _aggregate_governed(self, page, keys, val_cols) -> None:
+        """The governed kernel: :meth:`_aggregate` one governor page of
+        rows at a time, growing the lease for a chunk's new groups
+        before they are made.  A row whose key partition is spilled at
+        that point goes to the partition's delta run, as :meth:`push`
+        routes it, and the charges are :meth:`push`'s."""
+        from repro.storage.spill import spill_partitions
+
+        cm = self.ctx.cost_model
+        groups = self._groups
+        spilled = self._spilled
+        pids = spill_partitions(keys)
+
+        def route(at, end):
+            kept, deferred, fresh = [], [], set()
+            for i in range(at, min(end, len(keys))):
+                if pids[i] in spilled:
+                    deferred.append(i)
+                else:
+                    kept.append(i)
+                    if keys[i] not in groups:
+                        fresh.add(keys[i])
+            return kept, deferred, fresh, len(fresh) * self._group_bytes
+
+        rows = None
+        step = self._chunk_rows
+        for at in range(0, len(keys), step):
+            kept, deferred, fresh, nbytes = self.reserve_routed(
+                lambda: route(at, at + step)
+            )
+            self._aggregate(kept, keys, val_cols)
+            for pid in spill_partitions(fresh):
+                self._part_groups[pid] += 1
+            self.ctx.metrics.adjust_state(self.op_id, nbytes)
+            self.ctx.charge_events_op(self.op_id, len(kept), cm.hash_probe)
+            self.ctx.charge_events_op(
+                self.op_id, len(fresh) + len(deferred), cm.hash_insert
+            )
+            if self._specs:
+                self.ctx.charge_events_op(
+                    self.op_id, len(kept) * len(self._specs), cm.agg_update
+                )
+            if deferred:
+                rows = rows or page.rows()
+                for i in deferred:
+                    spilled[pids[i]][1].append(rows[i])
 
     def finish(self, port: int = 0) -> None:
         self._mark_input_done(port)
@@ -230,7 +296,7 @@ class PGroupBy(Operator):
         if self._spilled is None or self._replaying:
             return 0
         from repro.storage.spill import (
-            Spool, pick_spill_victim, spill_partition,
+            Spool, pick_spill_victim, spill_partitions,
         )
 
         freed = 0
@@ -250,7 +316,8 @@ class PGroupBy(Operator):
             self._spilled[best] = (group_spool, delta_spool)
             moved = 0
             for key in [
-                k for k in self._groups if spill_partition(k) == best
+                k for k, pid in zip(self._groups, spill_partitions(self._groups))
+                if pid == best
             ]:
                 key_values, accumulators = self._groups.pop(key)
                 self.account_state(-self._group_bytes)

@@ -102,6 +102,11 @@ class PHashJoin(Operator):
                 [0] * N_SPILL_PARTITIONS, [0] * N_SPILL_PARTITIONS,
             )
             self._replaying = False
+            #: Rows per lease request in the page kernel: one governor
+            #: page of the wider side's rows.
+            self._chunk_rows = ctx.governor.page_records_for(
+                max(self._row_bytes)
+            )
         else:
             self._spilled = None
 
@@ -176,12 +181,6 @@ class PHashJoin(Operator):
         if page.seq is not None:
             self._stash.append((port, page))
             return
-        if self._lease is not None:
-            # Governed: per-row pushes so spill decisions interleave at
-            # row granularity exactly as on the tuple path.
-            for row in page.rows():
-                self.push(row, port)
-            return
         self._join_pages([(port, page)])
 
     def flush_stash(self) -> None:
@@ -198,11 +197,14 @@ class PHashJoin(Operator):
         ``seq`` order across ports — the tuple path's exact sequence —
         while costs and state are charged in bulk per port.  Probe keys
         are read straight off the key column(s), zero-copy for
-        single-key joins; outputs carry their trigger row's ``seq``."""
+        single-key joins; outputs carry their trigger row's ``seq``.
+        A governed join goes through :meth:`_join_governed` instead of
+        charging probes, inserts and state up front."""
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics
         counters = metrics.counters(self.op_id)
         buffering = self._buffering
+        governed = self._lease is not None
         seqs = [] if pages[0][1].seq is not None else None
         keys, rows, ports, accepted = [], [], [], []
         for port, page in pages:
@@ -223,10 +225,11 @@ class PHashJoin(Operator):
             ports.extend([port] * n)
             if seqs is not None:
                 seqs.extend(page.seq)
-            self.ctx.charge_events_op(self.op_id, n, cm.hash_probe)
-            if buffering[port]:
-                self.ctx.charge_events_op(self.op_id, n, cm.hash_insert)
-                metrics.adjust_state(self.op_id, n * self._row_bytes[port])
+            if not governed:
+                self.ctx.charge_events_op(self.op_id, n, cm.hash_probe)
+                if buffering[port]:
+                    self.ctx.charge_events_op(self.op_id, n, cm.hash_insert)
+                    metrics.adjust_state(self.op_id, n * self._row_bytes[port])
             accepted.append((port, page))
         if not rows:
             return
@@ -235,12 +238,36 @@ class PHashJoin(Operator):
         else:
             order = range(len(rows))
 
+        out = []
+        out_seq = [] if seqs is not None else None
+        batch = (keys, rows, ports, seqs, out, out_seq)
+        if governed:
+            n_residual = self._join_governed(order, batch)
+        else:
+            n_residual = self._probe_insert(order, batch)
+
+        for port, page in accepted:
+            self.ctx.strategy.after_tuples_page(self, port, page)
+        if n_residual:
+            self.ctx.charge_events_op(self.op_id, n_residual, cm.predicate_eval)
+        if out:
+            self.ctx.charge_events_op(self.op_id, len(out), cm.output_build)
+            # Output tuples are combined row-at-a-time, so the page that
+            # leaves is row-born (the list is wrapped, not transposed).
+            self.emit_page(
+                ColumnBatch.from_rows(out, len(self.out_schema), out_seq)
+            )
+
+    def _probe_insert(self, order, batch) -> int:
+        """Probe, then insert, each row ``order`` names, appending the
+        matches to the batch's outputs; returns how many combined rows
+        the residual predicate evaluated."""
+        keys, rows, ports, seqs, out, out_seq = batch
+        buffering = self._buffering
         tables = self._tables
         probes = (tables[1].get, tables[0].get)
         residual = self._residual
-        out = []
         append_out = out.append
-        out_seq = [] if seqs is not None else None
         n_residual = 0
         for i in order:
             port = ports[i]
@@ -264,18 +291,56 @@ class PHashJoin(Operator):
                     table[key] = [row]
                 else:
                     bucket.append(row)
+        return n_residual
 
-        for port, page in accepted:
-            self.ctx.strategy.after_tuples_page(self, port, page)
-        if n_residual:
-            self.ctx.charge_events_op(self.op_id, n_residual, cm.predicate_eval)
-        if out:
-            self.ctx.charge_events_op(self.op_id, len(out), cm.output_build)
-            # Output tuples are combined row-at-a-time, so the page that
-            # leaves is row-born (the list is wrapped, not transposed).
-            self.emit_page(
-                ColumnBatch.from_rows(out, len(self.out_schema), out_seq)
+    def _join_governed(self, order, batch) -> int:
+        """The governed kernel: :meth:`_probe_insert` one governor page
+        of rows at a time, growing the lease for a chunk's inserts
+        before they happen.  A row whose key partition is spilled at
+        that point goes to the partition's delta run unprobed, as
+        :meth:`push` routes it, and the charges are :meth:`push`'s."""
+        from repro.storage.spill import spill_partitions
+
+        keys, rows, ports = batch[:3]
+        cm = self.ctx.cost_model
+        buffering = self._buffering
+        row_bytes = self._row_bytes
+        spilled = self._spilled
+        order = list(order)
+        pids = spill_partitions([keys[i] for i in order])
+
+        def route(at, end):
+            kept, deferred, nbytes = [], [], 0
+            for i, pid in zip(order[at:end], pids[at:end]):
+                if pid in spilled:
+                    deferred.append((i, pid))
+                else:
+                    kept.append((i, pid))
+                    if buffering[ports[i]]:
+                        nbytes += row_bytes[ports[i]]
+            return kept, deferred, nbytes
+
+        n_residual = 0
+        step = self._chunk_rows
+        for at in range(0, len(order), step):
+            kept, deferred, nbytes = self.reserve_routed(
+                lambda: route(at, at + step)
             )
+            n_residual += self._probe_insert([i for i, _ in kept], batch)
+            inserted = 0
+            for i, pid in kept:
+                port = ports[i]
+                if buffering[port]:
+                    self._part_rows[port][pid] += 1
+                    inserted += 1
+            self.ctx.metrics.adjust_state(self.op_id, nbytes)
+            self.ctx.charge_events_op(self.op_id, len(kept), cm.hash_probe)
+            self.ctx.charge_events_op(
+                self.op_id, inserted + len(deferred), cm.hash_insert
+            )
+            for i, pid in deferred:
+                spilled[pid].delta[ports[i]].append(rows[i])
+        return n_residual
 
     def finish(self, port: int = 0) -> None:
         self._mark_input_done(port)
@@ -346,7 +411,7 @@ class PHashJoin(Operator):
         return make
 
     def _spill_partition(self, pid: int, ctx) -> int:
-        from repro.storage.spill import spill_partition
+        from repro.storage.spill import spill_partitions
 
         part = _PartitionSpill(self._make_spool(pid))
         self._spilled[pid] = part
@@ -354,7 +419,8 @@ class PHashJoin(Operator):
         for port in (0, 1):
             table = self._tables[port]
             doomed = [
-                key for key in table if spill_partition(key) == pid
+                key for key, key_pid in zip(table, spill_partitions(table))
+                if key_pid == pid
             ]
             moved = 0
             spool = part.frozen[port]

@@ -106,7 +106,8 @@ class PScan(Operator):
         """Consume the pending row and the ``count - 1`` rows after it,
         ``times`` being :meth:`run_times`' vector; the row after them
         becomes pending.  Rows are read in index order, once each, as
-        per-row :meth:`advance` calls would read them."""
+        per-row :meth:`advance` calls would read them — a buffer-pool
+        table a page slice at a time (``PagedRows.slice``)."""
         first = self._pending[1]
         start = self._cursor
         end = start + count - 1
@@ -116,7 +117,7 @@ class PScan(Operator):
             if type(rows) is list:
                 taken.extend(rows[start:end])
             else:
-                taken.extend(rows[i] for i in range(start, end))
+                taken.extend(rows.slice(start, end))
         if end < len(rows):
             self._pending = (times[count], rows[end])
             self._cursor = end + 1
@@ -140,7 +141,7 @@ class PScan(Operator):
         source (``bound_when``; ``bound_first`` when that source wins a
         tie), at most ``limit`` rows, computing arrivals one row at a
         time with :meth:`ArrivalModel.next_arrival` — the path for
-        sources whose model is not ``local``, and for governed runs."""
+        sources whose model is not ``local``."""
         self._require_pending()
         taken = [self._pending[1]]
         arrival = self.arrival

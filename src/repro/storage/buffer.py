@@ -5,7 +5,7 @@ weight).  A frame is *resident* while its payload is in memory and
 *evicted* once the payload has been written to the spill backend and
 dropped; :meth:`BufferManager.pin` transparently reloads evicted
 frames.  Pinned frames are never evicted — pin spans are short (one
-row reconstruction, one replay pass) so the pool can always make
+page slice, one replay pass) so the pool can always make
 progress.
 
 :class:`PagedRows` is the engine-facing facade: a read-only sequence
@@ -157,10 +157,11 @@ class BufferManager:
 class PagedRows:
     """A table's rows as governor-managed column pages.
 
-    Duck-types the slice of the ``list`` interface the scan machinery
-    uses — ``len()`` and integer indexing — so
-    :class:`~repro.exec.arrival.ArrivalModel` and
-    :class:`~repro.exec.operators.scan.PScan` stream it unchanged.
+    Duck-types the part of the ``list`` interface the scan machinery
+    uses — ``len()`` and integer indexing, which is all
+    :class:`~repro.exec.arrival.ArrivalModel` needs — plus
+    :meth:`slice`, which :class:`~repro.exec.operators.scan.PScan`
+    reads arrival runs with.
     """
 
     __slots__ = (
@@ -194,21 +195,47 @@ class PagedRows:
     def __len__(self) -> int:
         return self._n_rows
 
-    def __getitem__(self, index: int):
-        if index < 0:
-            index += self._n_rows
-        if not 0 <= index < self._n_rows:
-            raise IndexError(index)
-        page_index, offset = divmod(index, self._page_rows)
+    @property
+    def page_rows(self) -> int:
+        """Rows per page: the granule the buffer pool admits, evicts
+        and reloads."""
+        return self._page_rows
+
+    def _page(self, page_index: int):
+        """The rows of one page, pinned and unpinned once."""
         frame = self._frames[page_index]
         page = self._buffer.pin(frame, self._ctx)
         try:
             if page_index != self._memo_index:
                 self._memo_rows = page.rows()
                 self._memo_index = page_index
-            return self._memo_rows[offset]
+            return self._memo_rows
         finally:
             self._buffer.unpin(frame)
+
+    def __getitem__(self, index: int):
+        if index < 0:
+            index += self._n_rows
+        if not 0 <= index < self._n_rows:
+            raise IndexError(index)
+        page_index, offset = divmod(index, self._page_rows)
+        return self._page(page_index)[offset]
+
+    def slice(self, start: int, stop: int):
+        """Rows ``start`` to ``stop - 1`` as a list, with one pin per
+        page touched — a scan's arrival run reads a page slice at a
+        time, not a pin per row.  Pages are pinned in index order, so
+        the LRU order they leave is what per-row reads would leave."""
+        page_rows = self._page_rows
+        taken = []
+        while start < stop:
+            page_index, offset = divmod(start, page_rows)
+            end = min(stop, (page_index + 1) * page_rows)
+            taken.extend(
+                self._page(page_index)[offset:offset + end - start]
+            )
+            start = end
+        return taken
 
     def __iter__(self):
         for index in range(self._n_rows):

@@ -28,6 +28,11 @@ def spill_partition(key, n_partitions: int = N_SPILL_PARTITIONS) -> int:
     return hash(stable_key(key)) % n_partitions
 
 
+def spill_partitions(keys, n_partitions: int = N_SPILL_PARTITIONS) -> List[int]:
+    """:func:`spill_partition` of every key, in order."""
+    return [hash(stable_key(key)) % n_partitions for key in keys]
+
+
 def pick_spill_victim(weights, spilled) -> "int | None":
     """The spill victim policy every stateful operator shares: the
     heaviest still-resident partition, ties broken toward the lowest

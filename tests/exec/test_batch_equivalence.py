@@ -281,8 +281,8 @@ class TestPagedAxis:
                 "Q4A", "feedforward", scale_factor=SCALE,
                 memory_budget=1 << 40, batch_execution=page,
             )
-        # Governed stateful operators fall back per-row inside the page
-        # kernels, so even a governed run stays bit-identical.
+        # A governor that never reclaims leaves the page kernels on
+        # their ungoverned decisions: the run stays bit-identical.
         _assert_identical(paths[False], paths[True])
         assert paths[False].result.metrics.pages_pushed == 0
         assert paths[True].result.metrics.pages_pushed > 0
@@ -655,33 +655,52 @@ class TestMergedArrivalRuns:
 
 
 class TestRunMemory:
-    """A run is capped (``engine.RUN_ROWS``): materialising a whole
-    table's arrival times and pages at once would add megabytes to the
-    engine's peak, which the served process's RSS would show."""
+    """A run is capped (``engine.RUN_ROWS``, or one page under a memory
+    governor): materialising a whole table's arrival times and pages at
+    once would add megabytes to the engine's peak, which the served
+    process's RSS would show."""
 
     @staticmethod
-    def _peak_bytes(qid, batch_execution):
+    def _peak_bytes(qid, batch_execution, scale=0.005, budget=None):
         import tracemalloc
 
         from repro.exec.engine import Engine
         from repro.exec.translate import translate
+        from repro.storage.governor import MemoryGovernor
 
         query = get_query(qid)
-        catalog = cached_tpch(scale_factor=0.005, skew=query.skew)
-        ctx = ExecutionContext(catalog, batch_execution=batch_execution)
-        plan = translate(query.build_baseline(catalog), ctx)
-        ctx.strategy.attach(ctx, plan)
-        tracemalloc.start()
+        catalog = cached_tpch(scale_factor=scale, skew=query.skew)
+        governor = MemoryGovernor(budget) if budget is not None else None
+        ctx = ExecutionContext(
+            catalog, batch_execution=batch_execution, governor=governor,
+        )
         try:
-            Engine(ctx).run(plan)
-            return tracemalloc.get_traced_memory()[1]
+            plan = translate(query.build_baseline(catalog), ctx)
+            ctx.strategy.attach(ctx, plan)
+            tracemalloc.start()
+            try:
+                Engine(ctx).run(plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         finally:
-            tracemalloc.stop()
+            if governor is not None:
+                governor.close()
 
     @pytest.mark.parametrize("qid", ("Q2A", "Q4A", "Q5A"))
     def test_page_peak_within_two_mib_of_tuple_peak(self, qid):
         tuple_peak = self._peak_bytes(qid, False)
         page_peak = self._peak_bytes(qid, True)
+        assert page_peak <= tuple_peak + (2 << 20)
+
+    def test_governed_page_peak_within_two_mib_of_tuple_peak(self):
+        # An exec_spill cell: the governed run cap is one buffer-pool
+        # page, so the rows in flight stay near the tuple path's
+        # one-page row memo.
+        tuple_peak, page_peak = (
+            self._peak_bytes("Q2A", batch, scale=0.002, budget=256 * 1024)
+            for batch in (False, True)
+        )
         assert page_peak <= tuple_peak + (2 << 20)
 
 

@@ -10,14 +10,23 @@ import os
 
 import pytest
 
+from repro.data.catalog import Catalog
+from repro.data.schema import INT, STR, Schema
 from repro.data.tpch import cached_tpch
 from repro.exec.context import ExecutionContext
 from repro.exec.engine import execute_plan
+from repro.exec.operators.distinct import PDistinct
+from repro.exec.operators.groupby import PGroupBy
+from repro.exec.operators.hashjoin import PHashJoin
+from repro.exec.operators.output import POutput
+from repro.exec.pages import ColumnBatch
+from repro.expr.aggregates import COUNT, MIN, AggregateSpec
 from repro.expr.expressions import col
 from repro.harness.concurrent import run_concurrent
 from repro.harness.runner import run_workload_query
 from repro.plan.builder import scan
 from repro.storage.governor import MemoryGovernor
+from repro.storage.spill import spill_partition
 
 from tests.helpers import rows_equal
 
@@ -185,6 +194,177 @@ class TestAIPStateStreaming:
         assert rows_equal(governed.result.rows, record.result.rows)
         assert governed.storage["peak_resident_bytes"] <= budget
         assert governed.storage["spilled_bytes"] > 0
+
+
+class TestSpillAwareKernels:
+    """The governed page kernels driven directly, with no buffer pool
+    to evict: every reclaim must spill operator state, often the very
+    partition a page's next rows belong to.  Whatever the timing, no
+    spilled partition keeps rows in memory, the budget holds, and the
+    output is the unbudgeted one."""
+
+    BUDGET = 8192
+    SCHEMA = Schema.of(("k", INT), ("name", STR))
+
+    def _ctx(self):
+        governor = MemoryGovernor(self.BUDGET)
+        return governor, ExecutionContext(Catalog(), governor=governor)
+
+    @staticmethod
+    def _push_pages(op, rows, port=0, page_rows=100):
+        for at in range(0, len(rows), page_rows):
+            op.push_page(
+                ColumnBatch.from_rows(rows[at:at + page_rows], 2), port,
+            )
+
+    @staticmethod
+    def _resident_pids(keys):
+        return {spill_partition(key) for key in keys}
+
+    def test_join(self):
+        governor, ctx = self._ctx()
+        try:
+            join = PHashJoin(
+                ctx, 1, self.SCHEMA,
+                Schema.of(("k2", INT), ("name2", STR)), ["k"], ["k2"],
+            )
+            sink = POutput(ctx, 2, join.out_schema)
+            sink.connect_child(join, 0)
+            left = [(i % 300, "l%d" % i) for i in range(1500)]
+            right = [(i % 300, "r%d" % i) for i in range(1500)]
+            for at in range(0, 1500, 100):
+                self._push_pages(join, left[at:at + 100], 0)
+                self._push_pages(join, right[at:at + 100], 1)
+                for table in join._tables:
+                    assert not self._resident_pids(table) & set(join._spilled)
+            assert join._spilled
+            assert any(
+                part.delta[port].n_records
+                for part in join._spilled.values() for port in (0, 1)
+            )
+            join.finish(0)
+            join.finish(1)
+            expected = [l + r for l in left for r in right if l[0] == r[0]]
+            assert sorted(sink.rows) == sorted(expected)
+            assert governor.peak_resident_bytes <= self.BUDGET
+            assert governor.over_budget_events == 0
+        finally:
+            governor.close()
+
+    def test_groupby(self):
+        governor, ctx = self._ctx()
+        try:
+            gb = PGroupBy(
+                ctx, 1, self.SCHEMA,
+                Schema.of(("k", INT), ("n", INT), ("first", STR)), ["k"],
+                [AggregateSpec(COUNT, None, "n"),
+                 AggregateSpec(MIN, col("name"), "first")],
+            )
+            sink = POutput(ctx, 2, gb.out_schema)
+            sink.connect_child(gb, 0)
+            rows = [(i % 700, "v%05d" % i) for i in range(3000)]
+            for at in range(0, 3000, 300):
+                self._push_pages(gb, rows[at:at + 300])
+                assert not self._resident_pids(gb._groups) & set(gb._spilled)
+            assert any(d.n_records for _g, d in gb._spilled.values())
+            gb.finish(0)
+            expected = {
+                (k, sum(1 for r in rows if r[0] == k),
+                 min(r[1] for r in rows if r[0] == k))
+                for k in range(700)
+            }
+            assert sorted(sink.rows) == sorted(expected)
+            assert governor.peak_resident_bytes <= self.BUDGET
+            assert governor.over_budget_events == 0
+        finally:
+            governor.close()
+
+    def test_distinct(self):
+        governor, ctx = self._ctx()
+        try:
+            distinct = PDistinct(ctx, 1, self.SCHEMA)
+            sink = POutput(ctx, 2, self.SCHEMA)
+            sink.connect_child(distinct, 0)
+            rows = [(i % 400, "d%d" % (i % 400)) for i in range(2400)]
+            for at in range(0, 2400, 300):
+                self._push_pages(distinct, rows[at:at + 300])
+                assert not (
+                    self._resident_pids(distinct._seen)
+                    & set(distinct._spilled)
+                )
+            assert any(d.n_records for _s, d in distinct._spilled.values())
+            distinct.finish(0)
+            assert sorted(sink.rows) == sorted(set(rows))
+            assert governor.peak_resident_bytes <= self.BUDGET
+            assert governor.over_budget_events == 0
+        finally:
+            governor.close()
+
+
+class TestExecSpillCells:
+    """The spine's ``exec_spill`` cells (Q2A/Q4A/Q5A x baseline/
+    feedforward at 256 KiB, scale 0.002) on the governed page path.
+
+    Spill counters depend on the run cadence, so they are held to
+    determinism, not to fixed values; rows, the budget and the AIP
+    pruning counts are held exactly."""
+
+    BUDGET = 256 * 1024
+    #: ``aip.tuples_pruned`` per cell: what the per-row governed path
+    #: pruned, and what the ungoverned run prunes.
+    PRUNED = {
+        ("Q2A", "baseline"): 0, ("Q2A", "feedforward"): 22_983,
+        ("Q4A", "baseline"): 0, ("Q4A", "feedforward"): 13_519,
+        ("Q5A", "baseline"): 0, ("Q5A", "feedforward"): 11_852,
+    }
+
+    @staticmethod
+    def _run(qid, strategy, budget):
+        return run_workload_query(
+            qid, strategy, scale_factor=SCALE, memory_budget=budget,
+        )
+
+    @staticmethod
+    def _observed(record):
+        metrics = record.result.metrics
+        return (
+            metrics.clock_ticks, metrics.peak_state_bytes,
+            metrics.spill_events, metrics.spill_bytes,
+            record.storage["peak_resident_bytes"],
+            record.storage["evictions"], record.storage["reloads"],
+        )
+
+    @staticmethod
+    def _counters(metrics):
+        return [
+            (c.tuples_in, c.tuples_out, c.tuples_pruned)
+            for _, c in sorted(metrics.operators.items())
+        ]
+
+    @pytest.mark.parametrize("qid, strategy", sorted(PRUNED))
+    def test_governed_cell(self, qid, strategy):
+        free = self._run(qid, strategy, None)
+        governed = self._run(qid, strategy, self.BUDGET)
+        assert rows_equal(governed.result.rows, free.result.rows)
+        assert governed.storage["peak_resident_bytes"] <= self.BUDGET
+        assert governed.storage["over_budget_events"] == 0
+        assert governed.result.metrics.spill_events > 0
+        pruned = sum(
+            c.tuples_pruned
+            for c in governed.result.metrics.operators.values()
+        )
+        assert pruned == self.PRUNED[qid, strategy]
+        again = self._run(qid, strategy, self.BUDGET)
+        assert self._observed(again) == self._observed(governed)
+
+        # A governor that never reclaims is the ungoverned page path.
+        roomy = self._run(qid, strategy, 1 << 40)
+        assert roomy.storage["spilled_bytes"] == 0
+        assert roomy.result.rows == free.result.rows
+        f, r = free.result.metrics, roomy.result.metrics
+        assert r.clock_ticks == f.clock_ticks
+        assert r.peak_state_bytes == f.peak_state_bytes
+        assert self._counters(r) == self._counters(f)
 
 
 class TestConcurrentGovernor:
