@@ -5,8 +5,8 @@ hash state of stateful operators, spilled partition runs — all live in
 Python memory.  This package bounds that memory:
 
 * :mod:`repro.storage.page` — fixed-capacity **column pages** built
-  once from :class:`~repro.data.table.Table` rows, with ``nbytes``
-  accounting through :mod:`repro.common.sizing`;
+  from :class:`~repro.data.table.Table` rows when a scan first reads
+  them, with ``nbytes`` accounting through :mod:`repro.common.sizing`;
 * :mod:`repro.storage.disk` — the spill backend: one pickle file per
   page under a private temp directory, removed on close;
 * :mod:`repro.storage.buffer` — a **buffer manager** with pin/unpin
@@ -29,7 +29,7 @@ virtual clock as ``spill_bytes``/``spill_events``.
 from repro.storage.buffer import BufferManager, PagedRows
 from repro.storage.disk import DiskBackend
 from repro.storage.governor import Lease, MemoryGovernor
-from repro.storage.page import PAGE_ROWS, ColumnPage, build_pages
+from repro.storage.page import PAGE_ROWS, ColumnPage
 from repro.storage.spill import N_SPILL_PARTITIONS, Spool, spill_partition
 
 __all__ = [
@@ -42,6 +42,5 @@ __all__ = [
     "PAGE_ROWS",
     "PagedRows",
     "Spool",
-    "build_pages",
     "spill_partition",
 ]

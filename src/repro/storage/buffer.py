@@ -10,9 +10,12 @@ progress.
 
 :class:`PagedRows` is the engine-facing facade: a read-only sequence
 (``len`` + indexing, which is all the arrival models need) over a
-table's column pages, registered with the buffer pool so scans stream
-pages under the governor's budget instead of holding materialised row
-lists.
+table's column pages, so scans stream pages under the governor's
+budget.  It is lazy and forward-only: a page is built from the table's
+rows and admitted to the pool when a scan first reads it, and released
+(bytes returned, any spill file deleted) once the scan moves past it.
+A read behind the cursor rebuilds the page, so any access pattern
+stays correct; only forward scans are cheap.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.storage.page import build_pages
+from repro.storage.page import ColumnPage
 
 
 class Frame:
@@ -155,7 +158,8 @@ class BufferManager:
 
 
 class PagedRows:
-    """A table's rows as governor-managed column pages.
+    """A table's rows as governor-managed column pages, built lazily
+    and dropped once a scan has passed them.
 
     Duck-types the part of the ``list`` interface the scan machinery
     uses — ``len()`` and integer indexing, which is all
@@ -165,8 +169,8 @@ class PagedRows:
     """
 
     __slots__ = (
-        "_ctx", "_buffer", "_frames", "_n_rows", "_page_rows",
-        "_memo_index", "_memo_rows",
+        "_ctx", "_buffer", "_schema", "_rows", "_frames", "_page_rows",
+        "_cursor", "_memo_index", "_memo_rows",
     )
 
     def __init__(self, ctx, schema, rows, page_rows: Optional[int] = None):
@@ -174,26 +178,27 @@ class PagedRows:
         governor = ctx.governor
         self._ctx = ctx
         self._buffer = governor.buffer
+        self._schema = schema
         self._page_rows = page_rows or governor.page_records_for(
             row_nbytes(schema)
         )
-        self._n_rows = len(rows)
-        self._frames = []
-        # Pages are admitted one by one: under a tight budget, earlier
-        # pages spill to the backend while later ones are built.
-        for page in build_pages(rows, schema, self._page_rows):
-            self._frames.append(self._buffer.add(page, page.nbytes, ctx))
-        #: One-page row memo.  Scans walk rows in index order, which
-        #: used to rebuild a tuple from the column lists on *every*
-        #: access; now a page transposes once and every further row on
-        #: it is a list index.  Each access still pins the frame, so
-        #: the governor-observable surface — reload charges, LRU
-        #: recency, resident bytes — is exactly the pre-memo pattern.
+        #: The table's immutable row list; a page is built from its
+        #: slice on first read, so construction admits nothing.
+        self._rows = rows
+        #: One slot per page: its frame while built, None before the
+        #: first read and after release.
+        self._frames = [None] * -(-len(rows) // self._page_rows)
+        #: The page last read.  Every live frame is at or past it:
+        #: reading forward releases the pages in between.
+        self._cursor = 0
+        #: One-page row memo, so a page slice is a list index rather
+        #: than a transpose per row.  Each read still pins the frame,
+        #: so reload charges and LRU recency follow the reads.
         self._memo_index = -1
         self._memo_rows = None
 
     def __len__(self) -> int:
-        return self._n_rows
+        return len(self._rows)
 
     @property
     def page_rows(self) -> int:
@@ -202,21 +207,40 @@ class PagedRows:
         return self._page_rows
 
     def _page(self, page_index: int):
-        """The rows of one page, pinned and unpinned once."""
-        frame = self._frames[page_index]
-        page = self._buffer.pin(frame, self._ctx)
+        """The rows of one page, pinned and unpinned once.  A page not
+        yet built (or released) is built from the table's rows and
+        admitted to the buffer pool; moving forward releases the pages
+        behind, which no scan reads again."""
+        frames = self._frames
+        buffer = self._buffer
+        for behind in range(self._cursor, page_index):
+            if frames[behind] is not None:
+                buffer.release(frames[behind])
+                frames[behind] = None
+        self._cursor = page_index
+        frame = frames[page_index]
+        if frame is None:
+            start = page_index * self._page_rows
+            rows = self._rows[start:start + self._page_rows]
+            page = ColumnPage(rows, self._schema)
+            frame = frames[page_index] = buffer.add(
+                page, page.nbytes, self._ctx,
+            )
+            self._memo_index, self._memo_rows = page_index, rows
+        page = buffer.pin(frame, self._ctx)
         try:
             if page_index != self._memo_index:
                 self._memo_rows = page.rows()
                 self._memo_index = page_index
             return self._memo_rows
         finally:
-            self._buffer.unpin(frame)
+            buffer.unpin(frame)
 
     def __getitem__(self, index: int):
+        n_rows = len(self._rows)
         if index < 0:
-            index += self._n_rows
-        if not 0 <= index < self._n_rows:
+            index += n_rows
+        if not 0 <= index < n_rows:
             raise IndexError(index)
         page_index, offset = divmod(index, self._page_rows)
         return self._page(page_index)[offset]
@@ -224,8 +248,7 @@ class PagedRows:
     def slice(self, start: int, stop: int):
         """Rows ``start`` to ``stop - 1`` as a list, with one pin per
         page touched — a scan's arrival run reads a page slice at a
-        time, not a pin per row.  Pages are pinned in index order, so
-        the LRU order they leave is what per-row reads would leave."""
+        time, not a pin per row."""
         page_rows = self._page_rows
         taken = []
         while start < stop:
@@ -238,12 +261,14 @@ class PagedRows:
         return taken
 
     def __iter__(self):
-        for index in range(self._n_rows):
+        for index in range(len(self._rows)):
             yield self[index]
 
     def release(self) -> None:
         """Drop every page (called when the scan is exhausted)."""
         self._memo_index = -1
         self._memo_rows = None
-        for frame in self._frames:
-            self._buffer.release(frame)
+        for index, frame in enumerate(self._frames):
+            if frame is not None:
+                self._buffer.release(frame)
+                self._frames[index] = None

@@ -1,10 +1,12 @@
 """Fixed-capacity column pages.
 
 A :class:`ColumnPage` holds up to :data:`PAGE_ROWS` tuples of one
-schema in columnar layout (one Python list per attribute).  Pages are
-built **once** from a table's row list and are immutable afterwards,
-which is what lets the buffer manager evict and reload them freely:
-a reloaded page reconstructs exactly the tuples it was built from.
+schema in columnar layout (one Python list per attribute).  A scan
+builds each page from its slice of a table's row list the first time
+it reads it (:class:`~repro.storage.buffer.PagedRows`); pages are
+immutable afterwards, which is what lets the buffer manager evict and
+reload them freely: a reloaded page reconstructs exactly the tuples it
+was built from.
 
 Byte accounting goes through :mod:`repro.common.sizing` so a page
 "weighs" precisely what the same rows weigh in every other budgeting
@@ -53,14 +55,3 @@ class ColumnPage:
     def __repr__(self) -> str:
         return "ColumnPage(%d rows, %d bytes)" % (self.n_rows, self.nbytes)
 
-
-def build_pages(rows: List[Row], schema, page_rows: int = PAGE_ROWS):
-    """Split ``rows`` into column pages of at most ``page_rows`` each.
-
-    A generator: callers building under a memory budget admit each page
-    through the governor before the next one is materialised.
-    """
-    if page_rows < 1:
-        raise ValueError("need page_rows >= 1")
-    for start in range(0, len(rows), page_rows):
-        yield ColumnPage(rows[start:start + page_rows], schema)

@@ -127,17 +127,15 @@ class Spool:
         yield from list(self._open)
 
     def discard(self) -> None:
-        """Delete the run: backend pages and tail-page residency."""
+        """Delete the run: backend pages, tail-page residency and the
+        lease (a service-lifetime governor prunes only closed ones)."""
         self._governor.unregister_spillable(self)
         for page_id, _count, _nbytes in self._pages:
             self._governor.backend.delete(page_id)
         self._pages = []
         self._flushed_records = 0
-        if self._open:
-            self._governor.release(
-                self._lease, len(self._open) * self._record_nbytes
-            )
-            self._open = []
+        self._open = []
+        self._lease.close()
 
     def __repr__(self) -> str:
         return "Spool(%d records, %d pages)" % (

@@ -72,8 +72,10 @@ class TestFrames:
 
 
 class TestPagedRowsSlice:
-    """``PagedRows.slice`` — how a scan reads an arrival run — against
-    the per-index reads the arrival models make."""
+    """``PagedRows`` — how a scan reads a table under a governor — is
+    lazy and forward-only: a page is built on its first read and
+    released once a read moves past it, while any access pattern still
+    reads the table's rows."""
 
     PAGE_ROWS = 4
 
@@ -87,22 +89,90 @@ class TestPagedRowsSlice:
         governor = MemoryGovernor(budget=None)
         ctx = ExecutionContext(cached_tpch(scale_factor=0.002),
                                governor=governor)
-        return governor, PagedRows(ctx, table.schema, table.rows, page_rows)
+        return (
+            governor, table.rows,
+            PagedRows(ctx, table.schema, table.rows, page_rows),
+        )
 
     @staticmethod
-    def _count_pins(buffer):
-        pinned = []
-        real = buffer.pin
+    def _record(buffer, name):
+        """Wrap ``buffer.<name>`` to log the frame id of every call."""
+        calls = []
+        real = getattr(buffer, name)
 
-        def pin(frame, ctx=None):
-            pinned.append(frame.frame_id)
-            return real(frame, ctx)
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            frame = result if name == "add" else args[0]
+            calls.append(frame.frame_id)
+            return result
 
-        buffer.pin = pin
-        return pinned
+        setattr(buffer, name, wrapper)
+        return calls
+
+    def test_new_paged_rows_holds_nothing(self):
+        governor, rows, paged = self._paged()
+        try:
+            assert len(paged) == len(rows) > 3 * self.PAGE_ROWS
+            assert governor.buffer.resident_bytes == 0
+            assert governor.resident_bytes == 0
+            assert not governor.buffer._all
+        finally:
+            governor.close()
+
+    def test_one_pin_per_page_touched(self):
+        governor, _rows, paged = self._paged()
+        try:
+            built = self._record(governor.buffer, "add")
+            pinned = self._record(governor.buffer, "pin")
+            paged.slice(3, 17)  # rows 3..16: pages 0, 1, 2, 3, 4
+            assert len(built) == 5
+            assert pinned == built
+            pinned.clear()
+            for i in range(17, 20):
+                paged[i]
+            assert len(pinned) == 3  # per-row reads: one pin each
+            assert len(built) == 5  # ... on the page the slice built
+        finally:
+            governor.close()
+
+    def test_pages_behind_the_cursor_are_released(self):
+        governor, _rows, paged = self._paged()
+        try:
+            buffer = governor.buffer
+            paged.slice(0, 10)  # pages 0, 1, 2; only 2 stays
+            assert len(buffer._all) == 1
+            (page2,) = buffer._all.values()
+            assert buffer.resident_bytes == page2.nbytes > 0
+            # An evicted page is released with its spill file.
+            buffer.evict_until(1 << 30)
+            assert os.listdir(governor.backend.path)
+            paged[12]  # page 3
+            assert page2.frame_id not in buffer._all
+            assert not os.listdir(governor.backend.path)
+            assert len(buffer._all) == 1
+            paged.release()
+            assert not buffer._all
+            assert governor.resident_bytes == 0
+        finally:
+            governor.close()
+
+    def test_evicted_pages_reload_once_per_slice(self):
+        governor, rows, paged = self._paged()
+        try:
+            buffer = governor.buffer
+            assert paged.slice(0, 6) == rows[0:6]  # page 1 partly read
+            buffer.evict_until(1 << 30)
+            assert buffer.resident_bytes == 0
+            assert paged.slice(6, 19) == rows[6:19]  # pages 1..4
+            assert buffer.reloads == 1  # page 1; pages 2..4 are new
+            buffer.evict_until(1 << 30)
+            assert paged.slice(19, 22) == rows[19:22]  # pages 4, 5
+            assert buffer.reloads == 2
+        finally:
+            governor.close()
 
     def test_slice_matches_per_index_reads(self):
-        governor, paged = self._paged()
+        governor, _rows, paged = self._paged()
         try:
             assert len(paged) > 3 * self.PAGE_ROWS
             for start, stop in ((3, 17), (0, len(paged)), (4, 8), (5, 6),
@@ -113,49 +183,45 @@ class TestPagedRowsSlice:
         finally:
             governor.close()
 
-    def test_one_pin_per_page_touched(self):
-        governor, paged = self._paged()
-        try:
-            pinned = self._count_pins(governor.buffer)
-            paged.slice(3, 17)  # rows 3..16: pages 0, 1, 2, 3, 4
-            assert pinned == sorted(set(pinned))
-            assert len(pinned) == 5
-            pinned.clear()
-            for i in range(3, 17):
-                paged[i]
-            assert len(pinned) == 14  # per-row reads: one pin each
-        finally:
-            governor.close()
-
-    def test_evicted_pages_reload_once_per_slice(self):
-        governor, paged = self._paged()
-        try:
-            buffer = governor.buffer
-            buffer.evict_until(1 << 30)
-            assert buffer.resident_bytes == 0
-            rows = paged.slice(2, 19)  # pages 0..4
-            assert buffer.reloads == 5
-            buffer.evict_until(1 << 30)
-            assert paged.slice(2, 19) == rows
-            assert buffer.reloads == 10
-        finally:
-            governor.close()
-
     def test_lru_order_matches_per_row_reads(self):
         orders = []
         for by_slice in (False, True):
-            governor, paged = self._paged()
+            governor, _rows, paged = self._paged()
             try:
-                # Touch a later page first so the reads below reorder
-                # the LRU list rather than confirm the build order.
+                # Read the last page first: it stays ahead of the
+                # cursor, so the reads below leave it live but older.
                 paged[len(paged) - 1]
                 if by_slice:
                     paged.slice(1, 15)
                 else:
                     for i in range(1, 15):
                         paged[i]
+                frames = paged._frames
                 orders.append(list(governor.buffer._lru))
+                # Pages 0..2 were passed and released; only the last
+                # page and page 3 stay, page 3 the most recent.
+                assert orders[-1] == [frames[-1].frame_id,
+                                      frames[3].frame_id]
             finally:
                 governor.close()
         assert orders[0] == orders[1]
-        assert orders[0][-4:] == [1, 2, 3, 4]
+
+    def test_random_and_backward_reads_after_release_equal_the_list(self):
+        governor, rows, paged = self._paged()
+        try:
+            n = len(rows)
+            assert paged.slice(0, n) == rows
+            paged.release()
+            assert [paged[i] for i in range(n - 1, -1, -1)] == rows[::-1]
+            for start, stop in ((3, 17), (0, n), (4, 8), (5, 6), (9, 9),
+                                (n - 2, n), (1, 3)):
+                assert paged.slice(start, stop) == rows[start:stop]
+            assert [paged[i] for i in (7, 0, n - 1, 12, 3, -1, -n)] == [
+                rows[i] for i in (7, 0, n - 1, 12, 3, -1, -n)
+            ]
+            governor.buffer.evict_until(1 << 30)
+            assert list(paged) == rows
+            with pytest.raises(IndexError):
+                paged[n]
+        finally:
+            governor.close()

@@ -149,6 +149,16 @@ class TestSpoolReclaim:
         assert list(spool.records()) == []
         g.close()
 
+    def test_discard_closes_the_lease(self):
+        g = MemoryGovernor(budget=None)
+        spool = Spool(None, g, record_nbytes=8, label="t")
+        spool.append(1)
+        spool.discard()
+        assert g.resident_bytes == 0
+        g.begin_epoch()  # prunes closed leases
+        assert not [lease for lease in g._leases if lease.label == "spool:t"]
+        g.close()
+
 
 class TestCleanup:
     def test_close_removes_spill_dir(self):

@@ -1,10 +1,10 @@
-"""Column pages: build, reconstruct, byte accounting."""
+"""Column pages: reconstruct and byte accounting."""
 
 import pytest
 
 from repro.common.sizing import rows_nbytes
 from repro.data.schema import Schema
-from repro.storage.page import ColumnPage, build_pages
+from repro.storage.page import ColumnPage
 
 
 @pytest.fixture
@@ -34,14 +34,3 @@ class TestColumnPage:
         assert page.rows() == []
         assert page.nbytes == 0
 
-
-class TestBuildPages:
-    def test_splits_at_capacity(self, schema):
-        pages = list(build_pages(_rows(10), schema, page_rows=4))
-        assert [len(p) for p in pages] == [4, 4, 2]
-        rebuilt = [row for p in pages for row in p.rows()]
-        assert rebuilt == _rows(10)
-
-    def test_rejects_bad_capacity(self, schema):
-        with pytest.raises(ValueError):
-            list(build_pages(_rows(3), schema, page_rows=0))
