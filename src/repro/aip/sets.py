@@ -15,12 +15,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Optional
 
 from repro.summaries.base import Summary
-from repro.summaries.bloom import (
-    DEFAULT_FP_RATE,
-    BloomFilter,
-    active_bloom_impl,
-    bits_for,
-)
+from repro.summaries.bloom import DEFAULT_FP_RATE, BloomFilter, bits_for
 from repro.summaries.hashset import HashSetSummary
 
 BLOOM = "bloom"
@@ -53,9 +48,7 @@ class AIPSetSpec:
     def new_summary(self) -> Summary:
         if self.kind == HASHSET:
             return HashSetSummary()
-        # ``active_bloom_impl`` is the word-indexed BloomFilter except
-        # under the equivalence suite's big-int reference mode.
-        return active_bloom_impl()(
+        return BloomFilter(
             0,
             fp_rate=self.fp_rate,
             n_hashes=self.n_hashes,

@@ -207,18 +207,23 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sql(args) -> int:
+    from repro.common.errors import ReproError
     from repro.exec.context import ExecutionContext
     from repro.exec.engine import execute_plan
     from repro.sql import sql_to_plan
 
     catalog = cached_tpch(scale_factor=args.scale)
-    plan = sql_to_plan(catalog, args.query)
-    if args.explain:
-        print(explain(plan, catalog))
-        return 0
-    from repro.harness.strategies import make_strategy
-    ctx = ExecutionContext(catalog, strategy=make_strategy(args.strategy))
-    result = execute_plan(plan, ctx)
+    try:
+        plan = sql_to_plan(catalog, args.query)
+        if args.explain:
+            print(explain(plan, catalog))
+            return 0
+        from repro.harness.strategies import make_strategy
+        ctx = ExecutionContext(catalog, strategy=make_strategy(args.strategy))
+        result = execute_plan(plan, ctx)
+    except ReproError as exc:  # malformed SQL, unknown names
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     for row in result.sorted_rows()[: args.limit]:
         print("  ".join(str(v) for v in row))
     m = result.metrics
@@ -269,7 +274,10 @@ def _cmd_workload(args) -> int:
             base_items = parse_workload(fh.read())
     else:
         base_items = parse_inline(args.stream)
-        if " " not in args.stream and base_items[0].kind == "sql":
+        if (
+            base_items and " " not in args.stream
+            and base_items[0].kind == "sql"
+        ):
             # A space-free argument that is not a workload-id list
             # cannot be SQL either — it is a mistyped script path or
             # query id; don't mask that as a SQL syntax error.

@@ -76,7 +76,12 @@ class ExecutionStrategy:
 
 
 class ExecutionContext:
-    """Shared, mutable state for one query execution."""
+    """Shared, mutable state for one query execution.
+
+    Nothing here selects the engine loop: ``plan_batchable`` drives a
+    plan in column pages where its shape and strategy allow, else row
+    at a time, and ``tests/goldens/`` pins what both produce.
+    """
 
     def __init__(
         self,
@@ -84,7 +89,6 @@ class ExecutionContext:
         cost_model: Optional[CostModel] = None,
         strategy: Optional[ExecutionStrategy] = None,
         short_circuit: bool = True,
-        batch_execution: bool = True,
         governor=None,
     ):
         self.catalog = catalog
@@ -97,15 +101,6 @@ class ExecutionContext:
         #: spill hash partitions under budget pressure; when absent the
         #: engine is bit-identical to the pre-storage-layer code.
         self.governor = governor
-        #: Drive sources in merged arrival runs carried as
-        #: :class:`~repro.exec.pages.ColumnBatch` pages through the
-        #: operators' column kernels, where the plan supports it
-        #: (``plan_batchable``).  Observably identical to the
-        #: tuple-at-a-time reference path — same rows, clock, peak state
-        #: and counters — so it is on by default; False forces the
-        #: tuple path, which is how the equivalence suite compares the
-        #: two.
-        self.batch_execution = batch_execution
         #: Pipelined-hash-join optimisation from Section VI-A: when one
         #: join input completes, the other side stops buffering.  The
         #: Q2C magic-sets anomaly depends on this; the short-circuit

@@ -63,15 +63,13 @@ class QueryResult:
 EngineResult = QueryResult
 
 
-def plan_batchable(ctx: ExecutionContext, strategy, physical) -> bool:
+def plan_batchable(strategy, physical) -> bool:
     """Whether one translated plan may be driven in pages rather than
-    tuple-at-a-time: the context opts in, the plan's strategy has no
-    per-row-cadence decisions, and the plan's shape supports it.
-    Shared by the single-query and concurrent callers so eligibility
-    cannot fork."""
+    tuple-at-a-time: the plan's strategy has no per-row-cadence
+    decisions, and the plan's shape supports it.  Shared by the
+    single-query and concurrent callers so eligibility cannot fork."""
     return (
-        ctx.batch_execution
-        and (strategy is None or strategy.batch_safe)
+        (strategy is None or strategy.batch_safe)
         and physical.supports_batching()
     )
 
@@ -291,7 +289,7 @@ class Engine:
 
         metrics = self.ctx.metrics
         query_start = metrics.clock_ticks
-        paged = plan_batchable(self.ctx, self.ctx.strategy, plan)
+        paged = plan_batchable(self.ctx.strategy, plan)
         drive_sources(self.ctx, [(scan, paged) for scan in plan.scans])
         tracer = self.ctx.tracer
         if tracer is not None:

@@ -172,9 +172,6 @@ class Operator:
             )
         return f
 
-    def filters_on(self, port: int) -> List[InjectedFilter]:
-        return list(self._filters[port])
-
     def replace_filter(
         self, port: int, old: InjectedFilter, new: InjectedFilter
     ) -> None:

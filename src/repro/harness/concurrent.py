@@ -112,7 +112,7 @@ def run_concurrent(
             )
         if on_plan_translated is not None:
             on_plan_translated(index, physical)
-        paged = plan_batchable(ctx, strategy, physical)
+        paged = plan_batchable(strategy, physical)
         sources.extend((scan, paged) for scan in physical.scans)
         translated.append(physical)
 

@@ -93,7 +93,6 @@ def run_workload_query(
     seed: int = 7,
     strategy_kwargs: Optional[dict] = None,
     short_circuit: bool = True,
-    batch_execution: bool = True,
     partitions: int = 0,
     network: Optional[NetworkModel] = None,
     memory_budget: Optional[int] = None,
@@ -113,9 +112,9 @@ def run_workload_query(
     puts on worker processes).
     Partitioned pacing replaces the delayed-source model, so combining
     the two is rejected rather than silently mislabelled.
-    ``batch_execution=False`` forces the tuple-at-a-time engine loop,
-    the reference the page path is observably identical to (the
-    equivalence suite compares the two).
+    The plan itself decides whether it runs in column pages or row at a
+    time (``exec.engine.plan_batchable``); the equivalence suites check
+    either against the recorded goldens in ``tests/goldens/``.
     ``memory_budget=N`` attaches a
     :class:`~repro.storage.governor.MemoryGovernor` with an ``N``-byte
     budget: scans stream buffer-pool pages and stateful operators
@@ -151,7 +150,6 @@ def run_workload_query(
         catalog,
         strategy=make_strategy(strategy, **(strategy_kwargs or {})),
         short_circuit=short_circuit,
-        batch_execution=batch_execution,
         governor=governor,
     )
     ctx.tracer = tracer

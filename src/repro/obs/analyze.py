@@ -100,7 +100,6 @@ def explain_analyze(
     cost_model: Optional[CostModel] = None,
     tracer=None,
     short_circuit: bool = True,
-    batch_execution: bool = True,
     arrival_resolver: Optional[ArrivalResolver] = None,
 ) -> AnalyzeReport:
     """Execute ``plan`` with per-operator attribution and report.
@@ -118,7 +117,6 @@ def explain_analyze(
         cost_model=cost_model,
         strategy=make_strategy(strategy),
         short_circuit=short_circuit,
-        batch_execution=batch_execution,
     )
     ctx.tracer = tracer
     ctx.metrics.attribute_ops = True

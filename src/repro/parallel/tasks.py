@@ -116,7 +116,7 @@ class QueryTask:
         self.plan = plan
         self.strategy_name = strategy_name
         #: ``execute_batch``'s engine keyword arguments (short_circuit,
-        #: batch_execution, strategy_kwargs, network), forwarded
+        #: strategy_kwargs, network), forwarded
         #: untouched: an engine flag is not re-declared per hop.
         self.options = options or {}
         self.trace = trace

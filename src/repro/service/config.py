@@ -66,7 +66,6 @@ class ServiceConfig:
     result_cache: bool = True
     strategy_kwargs: Optional[dict] = None
     short_circuit: bool = True
-    batch_execution: bool = True
     placement: Any = None
     network: Any = None
     #: Enforced engine budget (memory governor; spills under pressure).
@@ -115,10 +114,10 @@ class ServiceConfig:
                 "profile_retention must be >= 1; got %r"
                 % (self.profile_retention,)
             )
-        if self.slow_query_ms is not None and self.slow_query_ms < 0:
-            raise ValueError(
-                "slow_query_ms must be >= 0; got %r" % (self.slow_query_ms,)
-            )
+        for name in ("memory_budget_bytes", "slo_seconds", "slow_query_ms"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError("%s must be >= 0; got %r" % (name, value))
         return self
 
 

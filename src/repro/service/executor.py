@@ -93,7 +93,6 @@ def execute_batch(
     catalog,
     queries: Sequence[Tuple[LogicalNode, str]],
     short_circuit: bool = True,
-    batch_execution: bool = True,
     strategy_kwargs: Optional[dict] = None,
     network=None,
     governor=None,
@@ -109,8 +108,7 @@ def execute_batch(
     in-process caller can pass it.  Engine errors propagate.
     """
     ctx = ExecutionContext(
-        catalog, short_circuit=short_circuit,
-        batch_execution=batch_execution, governor=governor,
+        catalog, short_circuit=short_circuit, governor=governor,
     )
     ctx.tracer = tracer
     resolver = None

@@ -378,13 +378,9 @@ class QueryService:
         self.result_cache = ResultCache() if config.result_cache else None
         self.strategy_kwargs = dict(config.strategy_kwargs or {})
         self.short_circuit = config.short_circuit
-        #: Page-driven engine loop for every dispatched batch
-        #: (observably identical to tuple-at-a-time; on by default).
-        self.batch_execution = config.batch_execution
         #: What every batch's engine is told, whichever backend runs it.
         engine_options = {
             "short_circuit": self.short_circuit,
-            "batch_execution": self.batch_execution,
             "strategy_kwargs": self.strategy_kwargs,
             "network": self.network,
         }

@@ -1,15 +1,13 @@
 """Summary structures used as AIP sets (Section III-C / V of the paper)."""
 
 from repro.summaries.base import Summary
-from repro.summaries.bloom import BigIntBloomFilter, BloomFilter, bloom_impl
+from repro.summaries.bloom import BloomFilter
 from repro.summaries.hashset import HashSetSummary
 from repro.summaries.histogram import HistogramSummary
 
 __all__ = [
     "Summary",
     "BloomFilter",
-    "BigIntBloomFilter",
-    "bloom_impl",
     "HashSetSummary",
     "HistogramSummary",
 ]

@@ -19,15 +19,15 @@ words — bit ``pos`` lives at ``words[pos >> 6], 1 << (pos & 63)`` — so
 ``add`` and ``might_contain`` touch one machine word instead of
 shifting one Python big int of ``n_bits`` bits (which copies the whole
 bit array per operation, making builds quadratic).  Bit *positions* are
-unchanged from the original big-int layout: ``bits_as_int()`` of the
-word array equals the big int the original implementation would hold,
-which the equivalence suite and :class:`BigIntBloomFilter` (the
-retained reference implementation) verify bit-for-bit.
+those of the original big-int layout (``bits_as_int()`` of the word
+array is that big int): ``tests/goldens/bloom.json`` pins them, and
+the engine goldens pin the words of every AIP set a workload cell
+builds.  Both were recorded from the word array and the big-int
+implementation alike.
 
 Filters cross process boundaries in the distributed simulation by
 value: :meth:`to_payload` / :meth:`from_payload` serialize geometry
-plus the little-endian word buffer, and both implementations speak the
-same wire format.
+plus the little-endian word buffer.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from contextlib import contextmanager
 from typing import Hashable, Iterable, List, Optional
 
 from repro.common.hashing import stable_key
@@ -96,11 +95,8 @@ class BloomFilter(Summary):
             raise ValueError("n_bits must be positive")
         self.n_hashes = n_hashes
         self.seed = seed
-        self._init_storage()
-        self.n_added = 0
-
-    def _init_storage(self) -> None:
         self._words = array("Q", bytes(8 * ((self.n_bits + 63) >> 6)))
+        self.n_added = 0
 
     @classmethod
     def from_values(
@@ -116,11 +112,6 @@ class BloomFilter(Summary):
         bloom = cls(n, fp_rate=fp_rate, n_hashes=n_hashes, seed=seed)
         bloom.add_many(values)
         return bloom
-
-    def _positions(self, value: Hashable):
-        key = stable_key(value)
-        for i in range(self.n_hashes):
-            yield hash((self.seed, i, key)) % self.n_bits
 
     def add(self, value: Hashable) -> None:
         words = self._words
@@ -196,8 +187,9 @@ class BloomFilter(Summary):
         return self.n_bits // 8 + 1
 
     def bits_as_int(self) -> int:
-        """The bit array as one big int — the original storage layout;
-        used by merge/equivalence checks, never on the hot path."""
+        """The bit array as one big int, bit ``pos`` at ``1 << pos`` —
+        the original storage layout, for inspection and tests; never
+        on the hot path."""
         words = self._words
         if sys.byteorder != "little":  # pragma: no cover - BE hosts
             words = array("Q", words)
@@ -235,9 +227,8 @@ class BloomFilter(Summary):
         if not self.compatible_with(other):
             raise ValueError("cannot intersect incompatible Bloom filters")
         merged = self._merge_blank()
-        theirs = other._word_view()
         merged._words = array(
-            "Q", (a & b for a, b in zip(self._words, theirs))
+            "Q", (a & b for a, b in zip(self._words, other._words))
         )
         merged.n_added = min(self.n_added, other.n_added)
         return merged
@@ -247,22 +238,17 @@ class BloomFilter(Summary):
         if not self.compatible_with(other):
             raise ValueError("cannot union incompatible Bloom filters")
         merged = self._merge_blank()
-        theirs = other._word_view()
         merged._words = array(
-            "Q", (a | b for a, b in zip(self._words, theirs))
+            "Q", (a | b for a, b in zip(self._words, other._words))
         )
         merged.n_added = self.n_added + other.n_added
         return merged
 
-    def _word_view(self) -> array:
-        """This filter's bits as an ``array('Q')`` (merge interchange)."""
-        return self._words
-
     # -- wire format (distributed shipping) -----------------------------
 
     def to_payload(self) -> dict:
-        """Geometry plus the little-endian word buffer; both storage
-        implementations produce and accept the same format."""
+        """Geometry plus the little-endian word buffer (what
+        :meth:`from_payload` accepts)."""
         words = self._words
         if sys.byteorder != "little":  # pragma: no cover - BE hosts
             words = array("Q", words)
@@ -283,132 +269,22 @@ class BloomFilter(Summary):
         if payload["n_bits"] < 1 or payload["n_hashes"] < 1:
             raise ValueError("invalid Bloom filter geometry")
         # Bypass __init__: it would zero-fill a word buffer only for
-        # _load_words to replace it — dead work at paper-scale sizes.
+        # the payload's words to replace it — dead work at paper-scale
+        # sizes.
         bloom = cls.__new__(cls)
         bloom.n_bits = payload["n_bits"]
         bloom.n_hashes = payload["n_hashes"]
         bloom.seed = payload["seed"]
-        bloom._load_words(payload["words"])
-        bloom.n_added = payload["n_added"]
-        return bloom
-
-    def _load_words(self, raw: bytes) -> None:
-        words = array("Q", raw)
+        words = array("Q", payload["words"])
         if sys.byteorder != "little":  # pragma: no cover - BE hosts
             words.byteswap()
-        if len(words) != (self.n_bits + 63) >> 6:
+        if len(words) != (bloom.n_bits + 63) >> 6:
             raise ValueError("payload does not match filter geometry")
-        self._words = words
+        bloom._words = words
+        bloom.n_added = payload["n_added"]
+        return bloom
 
     def __repr__(self) -> str:
         return "%s(bits=%d, hashes=%d, added=%d)" % (
             type(self).__name__, self.n_bits, self.n_hashes, self.n_added,
         )
-
-
-class BigIntBloomFilter(BloomFilter):
-    """The original big-int-bitset implementation, kept as the reference
-    the word-indexed filter is checked against.
-
-    Bit positions, merge results, ``byte_size`` and ``n_added``
-    bookkeeping are identical to :class:`BloomFilter`; only the storage
-    differs (one Python int, so every ``add`` copies the whole bit
-    array).  The equivalence suite runs entire workloads under this
-    class via :func:`bloom_impl` and demands bit-identical metrics.
-    """
-
-    __slots__ = ("_bits",)
-
-    def _init_storage(self) -> None:
-        self._bits = 0
-
-    def add(self, value: Hashable) -> None:
-        for pos in self._positions(value):
-            self._bits |= 1 << pos
-        self.n_added += 1
-
-    def add_many(self, values: Iterable[Hashable]) -> None:
-        n = 0
-        for value in values:
-            for pos in self._positions(value):
-                self._bits |= 1 << pos
-            n += 1
-        self.n_added += n
-
-    def might_contain(self, value: Hashable) -> bool:
-        for pos in self._positions(value):
-            if not (self._bits >> pos) & 1:
-                return False
-        return True
-
-    def might_contain_many(self, values: Iterable[Hashable]) -> List[bool]:
-        mc = self.might_contain
-        return [mc(v) for v in values]
-
-    def bits_as_int(self) -> int:
-        return self._bits
-
-    @property
-    def fill_fraction(self) -> float:
-        return bin(self._bits).count("1") / self.n_bits
-
-    def _word_view(self) -> array:
-        n_words = (self.n_bits + 63) >> 6
-        words = array("Q", self._bits.to_bytes(8 * n_words, "little"))
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts
-            words.byteswap()
-        return words
-
-    def intersect(self, other: "BloomFilter") -> "BloomFilter":
-        if not self.compatible_with(other):
-            raise ValueError("cannot intersect incompatible Bloom filters")
-        merged = self._merge_blank()
-        merged._bits = self._bits & other.bits_as_int()
-        merged.n_added = min(self.n_added, other.n_added)
-        return merged
-
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        if not self.compatible_with(other):
-            raise ValueError("cannot union incompatible Bloom filters")
-        merged = self._merge_blank()
-        merged._bits = self._bits | other.bits_as_int()
-        merged.n_added = self.n_added + other.n_added
-        return merged
-
-    def to_payload(self) -> dict:
-        n_words = (self.n_bits + 63) >> 6
-        return {
-            "kind": "bloom",
-            "n_bits": self.n_bits,
-            "n_hashes": self.n_hashes,
-            "seed": self.seed,
-            "n_added": self.n_added,
-            "words": self._bits.to_bytes(8 * n_words, "little"),
-        }
-
-    def _load_words(self, raw: bytes) -> None:
-        if len(raw) != 8 * ((self.n_bits + 63) >> 6):
-            raise ValueError("payload does not match filter geometry")
-        self._bits = int.from_bytes(raw, "little")
-
-
-#: The Bloom implementation new AIP-set specs instantiate.  Swapped to
-#: the big-int reference by the equivalence suite; production code never
-#: changes it.
-_ACTIVE_IMPL: List[type] = [BloomFilter]
-
-
-def active_bloom_impl() -> type:
-    return _ACTIVE_IMPL[0]
-
-
-@contextmanager
-def bloom_impl(cls: type):
-    """Temporarily make ``cls`` the implementation behind every newly
-    built AIP-set summary (see ``AIPSetSpec.new_summary``)."""
-    prev = _ACTIVE_IMPL[0]
-    _ACTIVE_IMPL[0] = cls
-    try:
-        yield
-    finally:
-        _ACTIVE_IMPL[0] = prev

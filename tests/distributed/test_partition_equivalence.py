@@ -1,12 +1,13 @@
 """Partition-equivalence acceptance suite.
 
-Every Table I workload × strategy must produce identical result rows
-under (single-site) vs (N=1 partition), and row-set-identical results
-for N ∈ {2, 4} — partitioning is a *physical* placement choice and
-must never change answers.  For the natively distributed variants
-(Q1C/Q3C) the N=1 check is strengthened to bit-identical virtual
-clock, peak state and network bytes: one partition at one site over
-the same default link IS the whole-table remote placement.
+Every Table I workload × strategy must produce the single-site row
+multiset under N ∈ {1, 2, 4} partitions — partitioning is a *physical*
+placement choice and must never change answers.  The single-site run is
+not re-run: each cell checks against its recorded golden
+(``tests/goldens/partition.json``).  For the natively distributed
+variants (Q1C/Q3C) the N=1 check is strengthened to the golden's exact
+virtual clock, peak state and network bytes: one partition at one site
+over the same default link IS the whole-table remote placement.
 
 Service and concurrent paths run the same invariant end-to-end.
 """
@@ -24,6 +25,11 @@ from repro.harness.strategies import make_strategy
 from repro.service import QueryService
 from repro.workloads.registry import QUERIES, get_query
 
+from tests.goldens import (
+    EMITTED, MULTISET_FIELDS, PARTITION, SORTED, assert_matches_golden, cell_key,
+    observe_result, observed,
+)
+
 SCALE = 0.002
 STRATEGIES = ("baseline", "feedforward", "costbased", "magic")
 
@@ -36,33 +42,30 @@ def _cells():
             yield qid, strategy
 
 
-def sorted_rows(record):
-    return record.result.sorted_rows()
+#: What the N=1 placement of a natively distributed query reproduces
+#: exactly, beyond the row multiset.
+REMOTE_FIELDS = ("clock_ticks", "peak_state_bytes", "network_bytes")
+
+
+def _observation(qid, strategy, partitions=0, order=SORTED):
+    return observe_result(*observed(
+        run_workload_query, qid, strategy, scale_factor=SCALE,
+        partitions=partitions,
+    ), order=order)
 
 
 @pytest.mark.parametrize("qid,strategy", list(_cells()))
 def test_partitioned_rows_identical(qid, strategy):
-    base = run_workload_query(qid, strategy, scale_factor=SCALE)
-    expected = sorted_rows(base)
+    base = cell_key(qid, strategy)
     for n in (1, 2, 4):
-        part = run_workload_query(
-            qid, strategy, scale_factor=SCALE, partitions=n,
-        )
-        assert sorted_rows(part) == expected, (
-            "%s/%s diverged at %d partitions" % (qid, strategy, n)
-        )
+        fields = MULTISET_FIELDS
         if n == 1 and get_query(qid).is_distributed:
             # Same rows at the same times over the same link: N=1 is
             # bit-identical to the whole-table remote placement.
-            assert part.result.metrics.clock == base.result.metrics.clock
-            assert (
-                part.result.metrics.peak_state_bytes
-                == base.result.metrics.peak_state_bytes
-            )
-            assert (
-                part.result.metrics.network_bytes
-                == base.result.metrics.network_bytes
-            )
+            fields += REMOTE_FIELDS
+        assert_matches_golden(
+            base, _observation(qid, strategy, n), PARTITION, fields=fields,
+        )
 
 
 @pytest.mark.parametrize("strategy", ["baseline", "feedforward", "costbased"])
@@ -134,19 +137,32 @@ def test_partitioned_service_moves_bytes():
     assert result.metrics.network_bytes > 0
 
 
+#: Partitioned cells pinned exactly — rows in emitted order, clock,
+#: peak state and counters — as the tuple-at-a-time and page loops
+#: produced them when the golden was recorded.
+EXACT_PARTITIONED = (("Q2A", "baseline", 4), ("Q2A", "costbased", 4))
+
+
 def test_batch_and_tuple_paths_identical_when_partitioned():
-    for strategy in ("baseline", "costbased"):
-        batch = run_workload_query(
-            "Q2A", strategy, scale_factor=SCALE, partitions=4,
-            batch_execution=True,
+    for qid, strategy, n in EXACT_PARTITIONED:
+        assert_matches_golden(
+            cell_key(qid, strategy, partitions=n),
+            _observation(qid, strategy, n, order=EMITTED),
+            PARTITION,
         )
-        tup = run_workload_query(
-            "Q2A", strategy, scale_factor=SCALE, partitions=4,
-            batch_execution=False,
+
+
+def golden_cells():
+    """``(suite, key, record)`` for the single-site base runs and the
+    exact partitioned cells: the recorder's input (``python -m
+    tests.goldens.record``)."""
+    for qid, strategy in _cells():
+        yield PARTITION, cell_key(qid, strategy), (
+            lambda q=qid, s=strategy: _observation(q, s)
         )
-        assert batch.result.rows == tup.result.rows
-        assert batch.result.metrics.clock == tup.result.metrics.clock
-        assert (
-            batch.result.metrics.peak_state_bytes
-            == tup.result.metrics.peak_state_bytes
+    for qid, strategy, n in EXACT_PARTITIONED:
+        yield PARTITION, cell_key(qid, strategy, partitions=n), (
+            lambda q=qid, s=strategy, n=n: _observation(
+                q, s, n, order=EMITTED,
+            )
         )

@@ -1,42 +1,44 @@
-"""Cross-path equivalence: the page-driven engine loop must be
-*observably identical* to tuple-at-a-time execution, the reference.
+"""Cross-path equivalence, checked against recorded goldens.
 
-For every registered workload x strategy — including delayed-arrival
-and distributed (source-filter) configurations, plus concurrent
-(composite-strategy) batches, governed runs and the service layer — the
-two paths must produce bit-identical rows (including order), virtual
-clock, peak intermediate state, and per-operator counters.  The clock
-guarantee rests on integer-tick accounting (``Metrics.charge_events``);
-the peak-state guarantee rests on the engine only paging plans whose
-mid-stream state deltas are all non-negative (``supports_batching``).
+The engine drives a plan's sources in merged arrival runs, carried as
+:class:`~repro.exec.pages.ColumnBatch` pages through the operators'
+column kernels, where the plan allows it (``plan_batchable``), and row
+at a time where it does not (magic-sets DAG plans, semijoins, budgeted
+Feed-Forward).  Every cell below runs the engine once and checks it
+against its ``tests/goldens/engine.json`` cell.  The goldens were
+recorded while the tuple-at-a-time loop and the page loop — and the
+word-indexed and big-int Bloom bitsets — still ran side by side, and
+all four combinations recorded byte-identical files: rows (including
+order), virtual clock, peak intermediate state, per-operator counters
+and the words of every Bloom filter the run's AIP sets built.  The
+clock guarantee rests on integer-tick accounting
+(``Metrics.charge_events``); the peak-state guarantee rests on the
+engine only paging plans whose mid-stream state deltas are all
+non-negative (``supports_batching``).
 
-The streamed matrix paces every source, so a page there is almost
-always one row.  The **immediate-arrival axis** makes every scan's
+The streamed matrix paces every source; a drive step takes every
+source's arrived rows as one merged run, so its pages hold tens to
+hundreds of rows.  The **immediate-arrival axis** makes every scan's
 table available at t=0: pages hold whole tables, and the multi-row
 pages a join or distinct emits flow into the downstream operators'
-page kernels — the hop the streamed matrix never exercises.
+page kernels.
 
-A second axis covers the summary layer: the word-indexed Bloom bitset
-(production) versus the retained big-int reference implementation
-(``BigIntBloomFilter``), crossed with per-element versus batch summary
-operations.  Identical bit positions mean every pruning decision — and
-therefore rows, clock, peak state and ``pruned``/``probed`` counters —
-must be bit-identical across all four combinations.
+The **summary axis** pins the Bloom words of every AIP set a matrix
+cell builds (``aip_words_sha256``): bit positions decide every false
+positive, and with them every pruning decision, counter and clock
+charge.
 
-A fourth axis covers observability: a run with a live trace collector
-must stay bit-identical to the untraced run on every observable —
-tracing is pure observation, and the disabled path (``ctx.tracer is
-None``, the default every other test in this file exercises) is the
-exact pre-observability code.
+The **traced axis**: a run with a live trace collector must match the
+untraced golden on every observable — tracing is pure observation.
 
-A third axis covers the storage layer's memory budget:
-``memory_budget=None`` takes the exact pre-storage code path (asserted
-bit-identical by every test above, since it is the default); a governed
-run with an effectively unbounded budget must emit identical rows in
-identical order (pages stream, nothing spills); and a run at half the
-observed peak must spill yet still produce the same row multiset while
-the governor-reported resident peak stays under the budget.
+The **memory-budget axis**: a governed run with an effectively
+unbounded budget must match the ungoverned golden exactly (pages
+stream, nothing spills); a run at half the observed peak must spill
+yet still produce the same row multiset while the governor-reported
+resident peak stays under the budget.
 """
+
+import functools
 
 import pytest
 
@@ -50,36 +52,25 @@ from repro.harness.concurrent import run_concurrent
 from repro.harness.runner import run_workload_query
 from repro.harness.strategies import make_strategy, uses_magic_plan
 from repro.plan.builder import scan
-from repro.summaries.bloom import BigIntBloomFilter, bloom_impl
+from repro.storage.governor import MemoryGovernor
 from repro.workloads.registry import QUERIES, get_query
+
+from tests.goldens import (
+    ENGINE, PARTITION, PRESSURE_FIELDS, ROUNDED, assert_matches_golden,
+    cell_key, load, observe, observe_result, observed, rows_fields,
+)
 
 SCALE = 0.001
 
 #: Runtime strategies plus the magic-sets plan rewrite where available.
 STRATEGY_NAMES = ("baseline", "feedforward", "costbased")
 
-
-def _counter_rows(metrics):
-    """Per-operator counters in id-allocation order (node ids differ
-    across builds, but their relative order is deterministic)."""
-    return [
-        (c.tuples_in, c.tuples_out, c.tuples_pruned)
-        for _, c in sorted(metrics.operators.items())
-    ]
+#: The golden fields a summary-axis cell checks.
+SUMMARY_FIELDS = ("aip_words_sha256",)
 
 
-def _assert_identical(tuple_record, batch_record):
-    _assert_results_identical(tuple_record.result, batch_record.result)
-
-
-def _assert_results_identical(t, b):
-    assert b.rows == t.rows  # same rows in the same order
-    assert b.metrics.clock == t.metrics.clock
-    assert b.metrics.cpu_time == t.metrics.cpu_time
-    assert b.metrics.idle_time == t.metrics.idle_time
-    assert b.metrics.peak_state_bytes == t.metrics.peak_state_bytes
-    assert b.metrics.network_bytes == t.metrics.network_bytes
-    assert _counter_rows(b.metrics) == _counter_rows(t.metrics)
+def _arrival(delayed):
+    return "delayed" if delayed else "streamed"
 
 
 def _matrix():
@@ -97,32 +88,54 @@ def _matrix():
     return cells
 
 
+@functools.lru_cache(maxsize=None)
+def _matrix_run(qid, strategy, delayed):
+    """One matrix cell's run, shared by the workload and summary axes:
+    its golden observation plus its page counters."""
+    record, summaries = observed(
+        run_workload_query, qid, strategy, scale_factor=SCALE,
+        delayed=delayed,
+    )
+    metrics = record.result.metrics
+    return (
+        observe_result(record, summaries),
+        metrics.pages_pushed, metrics.rows_selected,
+    )
+
+
 @pytest.mark.parametrize("qid,strategy,delayed", _matrix())
 def test_workload_strategy_equivalence(qid, strategy, delayed):
-    tuple_record = run_workload_query(
-        qid, strategy, scale_factor=SCALE, delayed=delayed,
-        batch_execution=False,
-    )
-    batch_record = run_workload_query(
-        qid, strategy, scale_factor=SCALE, delayed=delayed,
-        batch_execution=True,
-    )
-    _assert_identical(tuple_record, batch_record)
-    _assert_pages_iff_batchable(
-        strategy, tuple_record.result, batch_record.result
+    observation, pages, selected = _matrix_run(qid, strategy, delayed)
+    key = cell_key(qid, strategy, _arrival(delayed))
+    assert_matches_golden(key, observation, fields=[
+        name for name in load(ENGINE).get(key, ())
+        if name not in SUMMARY_FIELDS
+    ])
+    _assert_pages_iff_batchable(strategy, pages, selected)
+
+
+@pytest.mark.parametrize("qid,strategy,delayed", _matrix())
+def test_summary_impl_equivalence(qid, strategy, delayed):
+    """The Bloom words of every AIP set the cell built equal the
+    golden's, recorded from the word-indexed and the big-int bitset
+    alike: the production summary holds the reference bit positions
+    where the pruning decisions are made (reuses the matrix run)."""
+    observation, _, _ = _matrix_run(qid, strategy, delayed)
+    assert_matches_golden(
+        cell_key(qid, strategy, _arrival(delayed)), observation,
+        fields=SUMMARY_FIELDS,
     )
 
 
-def _assert_pages_iff_batchable(strategy, tuple_result, page_result):
-    """The page-only counters are zero on the tuple path and positive
-    exactly when the plan is batchable."""
-    assert tuple_result.metrics.pages_pushed == 0
+def _assert_pages_iff_batchable(strategy, pages_pushed, rows_selected):
+    """The page-only counters are positive exactly when the plan is
+    batchable."""
     if strategy == "magic":
         # DAG plans decline batching, so they never page.
-        assert page_result.metrics.pages_pushed == 0
+        assert pages_pushed == 0
     else:
-        assert page_result.metrics.pages_pushed > 0
-        assert page_result.metrics.rows_selected > 0
+        assert pages_pushed > 0
+        assert rows_selected > 0
 
 
 def _immediate(node):
@@ -130,33 +143,46 @@ def _immediate(node):
     return ArrivalModel.immediate()
 
 
-def _run_immediate(plan, catalog, strategy, batch_execution, tracer=None):
+def _run_immediate(plan, catalog, strategy, tracer=None, budget=None):
+    governor = None
+    if budget is not None:
+        governor = MemoryGovernor(budget)
+        governor.tracer = tracer
     ctx = ExecutionContext(
-        catalog, strategy=make_strategy(strategy),
-        batch_execution=batch_execution,
+        catalog, strategy=make_strategy(strategy), governor=governor,
     )
     ctx.tracer = tracer
     return execute_plan(plan, ctx, arrival_resolver=_immediate)
 
 
-@pytest.mark.parametrize(
-    "qid,strategy",
-    [(qid, strategy) for qid, strategy, delayed in _matrix() if not delayed],
-)
-def test_immediate_arrival_equivalence(qid, strategy):
+def _immediate_query_run(qid, strategy, tracer=None, budget=None):
     query = get_query(qid)
     catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
+    plan = (
+        query.build_magic(catalog) if uses_magic_plan(strategy)
+        else query.build_baseline(catalog)
+    )
+    return observed(
+        _run_immediate, plan, catalog, strategy, tracer=tracer, budget=budget,
+    )
 
-    def run(batch_execution):
-        plan = (
-            query.build_magic(catalog) if uses_magic_plan(strategy)
-            else query.build_baseline(catalog)
-        )
-        return _run_immediate(plan, catalog, strategy, batch_execution)
 
-    tuple_result, page_result = run(False), run(True)
-    _assert_results_identical(tuple_result, page_result)
-    _assert_pages_iff_batchable(strategy, tuple_result, page_result)
+def _immediate_cells():
+    return [(qid, strategy) for qid, strategy, delayed in _matrix()
+            if not delayed]
+
+
+@pytest.mark.parametrize("qid,strategy", _immediate_cells())
+def test_immediate_arrival_equivalence(qid, strategy):
+    result, summaries = _immediate_query_run(qid, strategy)
+    assert_matches_golden(
+        cell_key(qid, strategy, "immediate"),
+        observe_result(result, summaries),
+    )
+    metrics = result.metrics
+    _assert_pages_iff_batchable(
+        strategy, metrics.pages_pushed, metrics.rows_selected,
+    )
 
 
 class TestJoinBornPages:
@@ -177,17 +203,19 @@ class TestJoinBornPages:
             .build()
         )
 
+    @classmethod
+    def _run(cls, strategy):
+        catalog = cached_tpch(scale_factor=SCALE)
+        return observed(_run_immediate, cls._plan(catalog), catalog, strategy)
+
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_equivalence(self, strategy):
-        catalog = cached_tpch(scale_factor=SCALE)
-        tuple_result = _run_immediate(
-            self._plan(catalog), catalog, strategy, False
+        result, summaries = self._run(strategy)
+        assert len(result.rows) > 1
+        assert_matches_golden(
+            cell_key("join_born", strategy, "immediate"),
+            observe_result(result, summaries),
         )
-        page_result = _run_immediate(
-            self._plan(catalog), catalog, strategy, True
-        )
-        assert len(tuple_result.rows) > 1
-        _assert_results_identical(tuple_result, page_result)
 
     def test_multi_row_pages_reach_every_kernel(self):
         """The axis must not be vacuously single-row: each operator
@@ -196,9 +224,7 @@ class TestJoinBornPages:
 
         catalog = cached_tpch(scale_factor=SCALE)
         tracer = Tracer()
-        _run_immediate(
-            self._plan(catalog), catalog, "baseline", True, tracer=tracer
-        )
+        _run_immediate(self._plan(catalog), catalog, "baseline", tracer=tracer)
         multi_row = {
             event[1] for event in tracer.events
             if event[1].startswith("page:") and event[5]["rows"] > 1
@@ -208,65 +234,43 @@ class TestJoinBornPages:
         } <= multi_row
 
 
-@pytest.mark.parametrize("qid,strategy,delayed", _matrix())
-def test_summary_impl_equivalence(qid, strategy, delayed):
-    """(big-int reference vs word-indexed) × (per-element vs batch).
-
-    The word-indexed tuple-path run is the anchor; the big-int
-    reference must match it on the tuple path (storage axis) and match
-    itself across paths (batch axis).  Together with
-    ``test_workload_strategy_equivalence`` (word-indexed tuple vs
-    batch), all four combinations are pinned to one another.
-    """
-    word_tuple = run_workload_query(
-        qid, strategy, scale_factor=SCALE, delayed=delayed,
-        batch_execution=False,
+def _governed_runs(qid, strategy, delayed):
+    """Governed-unbounded, then governed at half its resident peak:
+    each as ``(record, summaries)``, plus the half-peak budget."""
+    calibrate = observed(
+        run_workload_query, qid, strategy, scale_factor=SCALE,
+        delayed=delayed, memory_budget=1 << 40,
     )
-    with bloom_impl(BigIntBloomFilter):
-        ref_tuple = run_workload_query(
-            qid, strategy, scale_factor=SCALE, delayed=delayed,
-            batch_execution=False,
-        )
-        ref_batch = run_workload_query(
-            qid, strategy, scale_factor=SCALE, delayed=delayed,
-            batch_execution=True,
-        )
-    _assert_identical(ref_tuple, word_tuple)
-    _assert_identical(ref_tuple, ref_batch)
+    budget = max(calibrate[0].storage["peak_resident_bytes"] // 2, 4096)
+    governed = observed(
+        run_workload_query, qid, strategy, scale_factor=SCALE,
+        delayed=delayed, memory_budget=budget,
+    )
+    return calibrate, governed, budget
+
+
+def _half_peak_observation(governed):
+    return observe_result(*governed, order=ROUNDED, fields=PRESSURE_FIELDS)
 
 
 @pytest.mark.parametrize("qid,strategy,delayed", _matrix())
 def test_memory_budget_axis(qid, strategy, delayed):
-    """Unbounded → governed-unbounded → governed-at-half-peak."""
-    from tests.helpers import rows_equal
-
-    unbounded = run_workload_query(
-        qid, strategy, scale_factor=SCALE, delayed=delayed,
-        memory_budget=None,
+    """Governed-unbounded and governed-at-half-peak against the
+    ungoverned golden."""
+    calibrate, governed, budget = _governed_runs(qid, strategy, delayed)
+    # Governed but never under pressure: paged scans reproduce the
+    # ungoverned run exactly (nothing defers).
+    assert_matches_golden(
+        cell_key(qid, strategy, _arrival(delayed)),
+        observe_result(*calibrate),
     )
-    # None is the default: no governor, no storage record — the whole
-    # subsystem is absent, which is what keeps every bit-identical
-    # assertion above meaningful.
-    assert unbounded.storage is None
-
-    calibrate = run_workload_query(
-        qid, strategy, scale_factor=SCALE, delayed=delayed,
-        memory_budget=1 << 40,
+    assert calibrate[0].storage["spilled_bytes"] == 0
+    # Under pressure: the same row multiset, resident peak in budget.
+    assert_matches_golden(
+        cell_key(qid, strategy, _arrival(delayed), "half-peak"),
+        _half_peak_observation(governed),
     )
-    # Governed but never under pressure: paged scans must reproduce the
-    # exact rows in the exact order (nothing defers).
-    assert calibrate.result.rows == unbounded.result.rows
-    assert calibrate.storage["spilled_bytes"] == 0
-
-    peak = calibrate.storage["peak_resident_bytes"]
-    budget = max(peak // 2, 4096)
-    governed = run_workload_query(
-        qid, strategy, scale_factor=SCALE, delayed=delayed,
-        memory_budget=budget,
-    )
-    assert rows_equal(governed.result.rows, unbounded.result.rows)
-    assert len(governed.result.rows) == len(unbounded.result.rows)
-    assert governed.storage["peak_resident_bytes"] <= budget
+    assert governed[0].storage["peak_resident_bytes"] <= budget
 
 
 class TestPagedAxis:
@@ -275,17 +279,18 @@ class TestPagedAxis:
     are ``TestConcurrentComposite`` and ``TestServiceLayer``)."""
 
     def test_governed_paged_equivalence(self):
-        paths = {}
-        for page in (False, True):
-            paths[page] = run_workload_query(
-                "Q4A", "feedforward", scale_factor=SCALE,
-                memory_budget=1 << 40, batch_execution=page,
-            )
+        record, summaries = observed(
+            run_workload_query, "Q4A", "feedforward", scale_factor=SCALE,
+            memory_budget=1 << 40,
+        )
         # A governor that never reclaims leaves the page kernels on
-        # their ungoverned decisions: the run stays bit-identical.
-        _assert_identical(paths[False], paths[True])
-        assert paths[False].result.metrics.pages_pushed == 0
-        assert paths[True].result.metrics.pages_pushed > 0
+        # their ungoverned decisions: the run matches the ungoverned
+        # golden bit for bit.
+        assert_matches_golden(
+            cell_key("Q4A", "feedforward"),
+            observe_result(record, summaries),
+        )
+        assert record.result.metrics.pages_pushed > 0
 
     def test_page_trace_events_validate(self):
         from repro.obs.trace import Tracer, validate_chrome_trace
@@ -304,9 +309,15 @@ class TestPagedAxis:
 
 
 class TestTracedAxis:
-    """Tracing enabled vs disabled: a live Tracer must leave rows,
-    clock, peak state and counters bit-identical on both execution
-    paths, while actually recording events."""
+    """Tracing enabled: a live Tracer must leave rows, clock, peak state
+    and counters equal to the untraced golden, on the page path and on
+    the per-row path, ungoverned and under a governor that never
+    reclaims (whose storage hooks then fire too), while actually
+    recording events."""
+
+    #: A budget no test cell comes near: nothing defers or spills, so a
+    #: governed run matches the ungoverned golden.
+    UNBOUNDED = 1 << 40
 
     CELLS = [
         (qid, strategy, delayed)
@@ -315,74 +326,84 @@ class TestTracedAxis:
         for delayed in (False, True)
     ]
 
-    @pytest.mark.parametrize("qid,strategy,delayed", CELLS)
-    @pytest.mark.parametrize("batch", (False, True))
-    def test_traced_equivalence(self, qid, strategy, delayed, batch):
-        from repro.obs.trace import Tracer, validate_chrome_trace
+    @staticmethod
+    def _check(key, record, summaries, tracer, governed=False):
+        from repro.obs.trace import validate_chrome_trace
 
-        untraced = run_workload_query(
-            qid, strategy, scale_factor=SCALE, delayed=delayed,
-            batch_execution=batch,
-        )
-        tracer = Tracer()
-        traced = run_workload_query(
-            qid, strategy, scale_factor=SCALE, delayed=delayed,
-            batch_execution=batch, tracer=tracer,
-        )
-        _assert_identical(untraced, traced)
+        assert_matches_golden(key, observe_result(record, summaries))
         assert len(tracer) > 0
         assert validate_chrome_trace(tracer.to_chrome()) == []
+        categories = {event[2] for event in tracer.events}
+        assert ("governor" in categories) == governed
+
+    @pytest.mark.parametrize("qid,strategy,delayed", CELLS)
+    @pytest.mark.parametrize("governed", (False, True))
+    def test_traced_equivalence(self, qid, strategy, delayed, governed):
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        record, summaries = observed(
+            run_workload_query, qid, strategy, scale_factor=SCALE,
+            delayed=delayed, tracer=tracer,
+            memory_budget=self.UNBOUNDED if governed else None,
+        )
+        assert record.result.metrics.pages_pushed > 0
+        assert (record.storage is not None) == governed
+        self._check(
+            cell_key(qid, strategy, _arrival(delayed)), record, summaries,
+            tracer, governed,
+        )
+
+    @pytest.mark.parametrize("cell", ("magic", "budgeted-feedforward"))
+    def test_traced_per_row_equivalence(self, cell):
+        """The per-row loop's hooks are pure observation too: a magic
+        (DAG) plan and a budgeted Feed-Forward run never page."""
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        if cell == "magic":
+            key = cell_key("Q2A", "magic")
+            record, summaries = observed(
+                run_workload_query, "Q2A", "magic", scale_factor=SCALE,
+                tracer=tracer,
+            )
+        else:
+            key = TestBudgetedFeedForward.KEY
+            record, summaries = observed(
+                TestBudgetedFeedForward.run, tracer=tracer,
+            )
+        assert record.result.metrics.pages_pushed == 0
+        self._check(key, record, summaries, tracer)
 
     @pytest.mark.parametrize("qid", ("Q2A", "Q4A", "Q5A"))
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
-    @pytest.mark.parametrize("batch", (False, True))
-    def test_traced_immediate_equivalence(self, qid, strategy, batch):
+    @pytest.mark.parametrize("governed", (False, True))
+    def test_traced_immediate_equivalence(self, qid, strategy, governed):
         """Whole-table pages: the ``emit:``/``page:`` instants of the
         kernels above a join (Q2A and Q4A: group-by, Q5A: projection)
         are pure observation too."""
-        from repro.obs.trace import Tracer, validate_chrome_trace
+        from repro.obs.trace import Tracer
 
-        catalog = cached_tpch(scale_factor=SCALE)
-        query = get_query(qid)
-        untraced = _run_immediate(
-            query.build_baseline(catalog), catalog, strategy, batch,
-        )
         tracer = Tracer()
-        traced = _run_immediate(
-            query.build_baseline(catalog), catalog, strategy, batch,
-            tracer=tracer,
+        result, summaries = _immediate_query_run(
+            qid, strategy, tracer=tracer,
+            budget=self.UNBOUNDED if governed else None,
         )
-        _assert_results_identical(untraced, traced)
-        assert len(tracer) > 0
-        assert validate_chrome_trace(tracer.to_chrome()) == []
+        self._check(
+            cell_key(qid, strategy, "immediate"), result, summaries, tracer,
+            governed,
+        )
 
     def test_traced_service_equivalence(self):
         from repro.obs.trace import Tracer
-        from repro.service.service import QueryService
 
-        def report(tracer):
-            catalog = cached_tpch(scale_factor=SCALE)
-            service = QueryService(
-                catalog, strategy="feedforward", tracer=tracer,
-            )
-            service.submit("Q1A", arrival=0.0)
-            service.submit("Q4A", arrival=0.0)
-            service.submit("Q3A", arrival=0.5, strategy="costbased")
-            out = service.run()
-            service.close()
-            return out
-
-        untraced = report(None)
         tracer = Tracer()
-        traced = report(tracer)
-        assert (
-            traced.total_virtual_seconds == untraced.total_virtual_seconds
+        service = TestServiceLayer.service(tracer=tracer)
+        report = service.run()
+        service.close()
+        assert_matches_golden(
+            TestServiceLayer.KEY, TestServiceLayer.observe(report),
         )
-        assert traced.peak_state_bytes == untraced.peak_state_bytes
-        for t, b in zip(untraced.outcomes, traced.outcomes):
-            assert b.status == t.status
-            assert b.latency == t.latency
-            assert b.rows == t.rows
         names = {event[1] for event in tracer.events}
         assert "service.batch" in names
         assert "admission.admit" in names
@@ -392,15 +413,16 @@ class TestTracedAxis:
 class TestDistributedSummaryEquivalence:
     """Distributed cost-based runs ship Bloom filters to remote scans
     (serialized by geometry + words); rows, clock, shipped bytes and
-    counters must agree across storage implementations and paths."""
+    counters must match the golden."""
 
-    def _run(self, batch_execution):
+    KEY = cell_key("part-filter+remote-partsupp@0.002", "costbased", "remote")
+
+    @staticmethod
+    def run():
         from repro.aip.manager import CostBasedStrategy
         from repro.distributed.coordinator import DistributedQuery
         from repro.distributed.network import MBPS, NetworkModel
         from repro.distributed.site import Placement, Site
-        from repro.expr.expressions import col
-        from repro.plan.builder import scan
 
         catalog = cached_tpch(scale_factor=0.002)
         plan = (
@@ -410,9 +432,7 @@ class TestDistributedSummaryEquivalence:
             .build()
         )
         ctx = ExecutionContext(
-            catalog,
-            strategy=CostBasedStrategy(poll_interval=0.01),
-            batch_execution=batch_execution,
+            catalog, strategy=CostBasedStrategy(poll_interval=0.01),
         )
         result = DistributedQuery(
             plan,
@@ -421,36 +441,27 @@ class TestDistributedSummaryEquivalence:
         ).execute(ctx)
         return ctx, result
 
+    @classmethod
+    def observation(cls):
+        (ctx, result), summaries = observed(cls.run)
+        return ctx, observe(
+            result.rows, ctx.metrics, summaries=summaries, aip_bytes=True,
+        )
+
     def test_distributed_equivalence(self):
-        records = {}
-        for impl in ("word", "bigint"):
-            for batch in (False, True):
-                if impl == "bigint":
-                    with bloom_impl(BigIntBloomFilter):
-                        records[(impl, batch)] = self._run(batch)
-                else:
-                    records[(impl, batch)] = self._run(batch)
-        ctx0, result0 = records[("word", False)]
+        ctx, observation = self.observation()
         # The cell is only meaningful if a filter actually shipped.
-        assert ctx0.metrics.aip_bytes_shipped > 0
-        for key, (ctx, result) in records.items():
-            assert result.rows == result0.rows, key
-            assert ctx.metrics.clock == ctx0.metrics.clock, key
-            assert ctx.metrics.network_bytes == ctx0.metrics.network_bytes
-            assert (
-                ctx.metrics.aip_bytes_shipped
-                == ctx0.metrics.aip_bytes_shipped
-            )
-            assert (
-                ctx.metrics.peak_state_bytes == ctx0.metrics.peak_state_bytes
-            )
-            assert _counter_rows(ctx.metrics) == _counter_rows(ctx0.metrics)
+        assert ctx.metrics.aip_bytes_shipped > 0
+        assert_matches_golden(self.KEY, observation)
 
 
 class TestConcurrentComposite:
     """Mixed-strategy concurrent batches on one shared clock."""
 
-    def _run(self, batch_execution):
+    KEY = cell_key("Q4A+Q1A+Q1A", "feedforward+costbased+magic")
+
+    @staticmethod
+    def run():
         catalog = cached_tpch(scale_factor=SCALE)
         plans = [
             get_query("Q4A").build_baseline(catalog),
@@ -462,100 +473,85 @@ class TestConcurrentComposite:
             make_strategy("costbased"),
             None,
         ]
-        ctx = ExecutionContext(catalog, batch_execution=batch_execution)
+        ctx = ExecutionContext(catalog)
         results = run_concurrent(plans, ctx, strategies=strategies)
         return ctx, results
 
+    @classmethod
+    def observation(cls):
+        (ctx, results), summaries = observed(cls.run)
+        rows = [row for result in results for row in result.rows]
+        return ctx, observe(rows, ctx.metrics, summaries=summaries)
+
     def test_composite_equivalence(self):
-        ctx_t, results_t = self._run(batch_execution=False)
-        ctx_b, results_b = self._run(batch_execution=True)
-        for t, b in zip(results_t, results_b):
-            assert b.rows == t.rows
-        assert ctx_b.metrics.clock == ctx_t.metrics.clock
-        assert (
-            ctx_b.metrics.peak_state_bytes == ctx_t.metrics.peak_state_bytes
-        )
-        assert _counter_rows(ctx_b.metrics) == _counter_rows(ctx_t.metrics)
-        assert ctx_t.metrics.pages_pushed == 0
-        assert ctx_b.metrics.pages_pushed > 0
+        ctx, observation = self.observation()
+        assert_matches_golden(self.KEY, observation)
+        assert ctx.metrics.pages_pushed > 0
 
 
 class TestServiceLayer:
-    """The service layer runs the page path by default and reports the
-    same outcomes either way."""
+    """The service layer runs the page path and reports the golden
+    outcomes."""
 
-    def _service(self, batch_execution):
+    KEY = cell_key("Q1A+Q4A+Q3A", "service:feedforward", "service")
+
+    @staticmethod
+    def service(tracer=None):
         from repro.service.service import QueryService
 
         catalog = cached_tpch(scale_factor=SCALE)
-        service = QueryService(
-            catalog, strategy="feedforward",
-            batch_execution=batch_execution,
-        )
+        service = QueryService(catalog, strategy="feedforward", tracer=tracer)
         service.submit("Q1A", arrival=0.0)
         service.submit("Q4A", arrival=0.0)
         service.submit("Q3A", arrival=0.5, strategy="costbased")
         return service
 
-    def _report(self, batch_execution):
-        return self._service(batch_execution).run()
+    @staticmethod
+    def observe(report):
+        outcomes = report.outcomes
+        fields = rows_fields([
+            row for o in outcomes
+            for row in (o.result.rows if o.result is not None else ())
+        ])
+        fields.update(
+            statuses=[o.status for o in outcomes],
+            latencies=[float.hex(o.latency) for o in outcomes],
+            outcome_rows=[o.rows for o in outcomes],
+            total_virtual_seconds=float.hex(report.total_virtual_seconds),
+            peak_state_bytes=report.peak_state_bytes,
+        )
+        return fields
+
+    @classmethod
+    def observation(cls):
+        service = cls.service()
+        try:
+            return cls.observe(service.run())
+        finally:
+            service.close()
 
     def test_service_equivalence(self):
-        tuple_service = self._service(batch_execution=False)
-        page_service = self._service(batch_execution=True)
-        tuple_report, batch_report = tuple_service.run(), page_service.run()
-        assert (
-            batch_report.total_virtual_seconds
-            == tuple_report.total_virtual_seconds
-        )
-        assert (
-            batch_report.peak_state_bytes == tuple_report.peak_state_bytes
-        )
-        for t, b in zip(batch_report.outcomes, tuple_report.outcomes):
-            assert b.status == t.status
-            assert b.latency == t.latency
-            assert b.rows == t.rows
-
-        def pages(service):
-            return service.registry.counter("engine.pages_pushed").value
-
-        assert pages(tuple_service) == 0
-        assert pages(page_service) > 0
-
-    def test_service_summary_impl_equivalence(self):
-        """Service runs (admission, schedulers, cross-query AIP cache
-        re-injection) under the big-int reference summaries report the
-        same outcomes as the word-indexed production path."""
-        word_report = self._report(batch_execution=True)
-        with bloom_impl(BigIntBloomFilter):
-            ref_report = self._report(batch_execution=True)
-        assert (
-            ref_report.total_virtual_seconds
-            == word_report.total_virtual_seconds
-        )
-        assert ref_report.peak_state_bytes == word_report.peak_state_bytes
-        for t, b in zip(word_report.outcomes, ref_report.outcomes):
-            assert b.status == t.status
-            assert b.latency == t.latency
-            assert b.rows == t.rows
-
-    def test_service_batches_by_default(self):
-        from repro.service.service import QueryService
-
-        catalog = cached_tpch(scale_factor=SCALE)
-        assert QueryService(catalog).batch_execution
+        service = self.service()
+        try:
+            assert_matches_golden(self.KEY, self.observe(service.run()))
+            pages = service.registry.counter("engine.pages_pushed").value
+        finally:
+            service.close()
+        assert pages > 0
 
 
 class TestBudgetedFeedForward:
     """A memory-budgeted Feed-Forward run sheds working sets on a
     per-row countdown; it must decline batching (batch_safe=False) so
-    shed decisions keep their cadence — and thus stay equivalent."""
+    shed decisions keep their cadence."""
 
-    def _run(self, batch_execution):
+    KEY = cell_key("Q1A", "feedforward[memory_budget=4096]")
+
+    @staticmethod
+    def run(tracer=None):
         return run_workload_query(
             "Q1A", "feedforward", scale_factor=SCALE,
-            strategy_kwargs={"memory_budget": 4096},
-            batch_execution=batch_execution,
+            strategy_kwargs={"memory_budget": 4096}, tracer=tracer,
         )
 
     def test_budgeted_ff_is_not_batch_safe(self):
@@ -564,14 +560,14 @@ class TestBudgetedFeedForward:
         assert make_strategy("feedforward").batch_safe
 
     def test_budgeted_ff_equivalence(self):
-        _assert_identical(
-            self._run(batch_execution=False), self._run(batch_execution=True)
-        )
+        record, summaries = observed(self.run)
+        assert record.result.metrics.pages_pushed == 0
+        assert_matches_golden(self.KEY, observe_result(record, summaries))
 
 
 class TestBatchGate:
     """Plans with mid-stream state releases or shared subexpressions
-    must decline batching (the per-tuple path is the reference)."""
+    must decline batching (they run on the per-row path)."""
 
     def test_tree_plan_batchable(self):
         from repro.exec.translate import translate
@@ -600,18 +596,27 @@ class TestMergedArrivalRuns:
     are long; before merged runs a page there held 0.8 rows."""
 
     MIX_SCALE = 0.005
+    TIE_KEY = cell_key(
+        "part+partsupp+supplier@0.002", "baseline", "equal-rate",
+    )
+
+    @classmethod
+    def mix_key(cls, qid, strategy):
+        return cell_key("%s@%g" % (qid, cls.MIX_SCALE), strategy)
+
+    @classmethod
+    def mix_observation(cls, qid, strategy):
+        record, summaries = observed(
+            run_workload_query, qid, strategy, scale_factor=cls.MIX_SCALE,
+        )
+        return observe_result(record, summaries)
 
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     @pytest.mark.parametrize("qid", ("Q1A", "Q2A", "Q3A", "Q4A", "Q5A"))
     def test_exec_mix_scale_equivalence(self, qid, strategy):
-        tuple_record, page_record = (
-            run_workload_query(
-                qid, strategy, scale_factor=self.MIX_SCALE,
-                batch_execution=batch,
-            )
-            for batch in (False, True)
+        assert_matches_golden(
+            self.mix_key(qid, strategy), self.mix_observation(qid, strategy),
         )
-        _assert_identical(tuple_record, page_record)
 
     def test_streamed_q2a_pushes_few_pages(self):
         record = run_workload_query(
@@ -632,48 +637,44 @@ class TestMergedArrivalRuns:
             .build()
         )
 
-    def _run_streamed(self, batch_execution):
+    @classmethod
+    def run_streamed(cls):
         catalog = cached_tpch(scale_factor=0.002)
-        ctx = ExecutionContext(catalog, batch_execution=batch_execution)
+        ctx = ExecutionContext(catalog)
         # Equal rates from t=0: every step ties across sources, so the
         # source-index tie-break decides the order joins see.
         return execute_plan(
-            self._three_source_plan(catalog), ctx,
+            cls._three_source_plan(catalog), ctx,
             arrival_resolver=lambda node: ArrivalModel.streaming(),
         )
 
     def test_equal_rate_tie_break_and_exhaustion_cut(self):
-        tuple_result = self._run_streamed(False)
-        page_result = self._run_streamed(True)
-        assert len(tuple_result.rows) > 100
-        _assert_results_identical(tuple_result, page_result)
-        n_in = sum(
-            c.tuples_in for c in page_result.metrics.operators.values()
-        )
+        result, summaries = observed(self.run_streamed)
+        assert len(result.rows) > 100
+        assert_matches_golden(self.TIE_KEY, observe_result(result, summaries))
+        n_in = sum(c.tuples_in for c in result.metrics.operators.values())
         # Merged, not one row per page.
-        assert page_result.metrics.pages_pushed * 20 < n_in
+        assert result.metrics.pages_pushed * 20 < n_in
 
 
 class TestRunMemory:
     """A run is capped (``engine.RUN_ROWS``, or one page under a memory
     governor): materialising a whole table's arrival times and pages at
     once would add megabytes to the engine's peak, which the served
-    process's RSS would show."""
+    process's RSS would show.  The bound is the query's own logical
+    peak state (its golden ``peak_state_bytes``) plus 2 MiB."""
 
     @staticmethod
-    def _peak_bytes(qid, batch_execution, scale=0.005, budget=None):
+    def _peak_bytes(qid, scale=0.005, budget=None):
         import tracemalloc
 
         from repro.exec.engine import Engine
         from repro.exec.translate import translate
-        from repro.storage.governor import MemoryGovernor
 
         query = get_query(qid)
         catalog = cached_tpch(scale_factor=scale, skew=query.skew)
         governor = MemoryGovernor(budget) if budget is not None else None
-        ctx = ExecutionContext(
-            catalog, batch_execution=batch_execution, governor=governor,
-        )
+        ctx = ExecutionContext(catalog, governor=governor)
         try:
             plan = translate(query.build_baseline(catalog), ctx)
             ctx.strategy.attach(ctx, plan)
@@ -689,47 +690,99 @@ class TestRunMemory:
 
     @pytest.mark.parametrize("qid", ("Q2A", "Q4A", "Q5A"))
     def test_page_peak_within_two_mib_of_tuple_peak(self, qid):
-        tuple_peak = self._peak_bytes(qid, False)
-        page_peak = self._peak_bytes(qid, True)
-        assert page_peak <= tuple_peak + (2 << 20)
+        golden = load(ENGINE)[
+            TestMergedArrivalRuns.mix_key(qid, "baseline")
+        ]
+        assert self._peak_bytes(qid) <= golden["peak_state_bytes"] + (2 << 20)
 
     def test_governed_page_peak_within_two_mib_of_tuple_peak(self):
         # An exec_spill cell: the governed run cap is one buffer-pool
-        # page, so the rows in flight stay near the tuple path's
-        # one-page row memo.
-        tuple_peak, page_peak = (
-            self._peak_bytes("Q2A", batch, scale=0.002, budget=256 * 1024)
-            for batch in (False, True)
-        )
-        assert page_peak <= tuple_peak + (2 << 20)
+        # page, so the rows in flight stay near one page.
+        golden = load(PARTITION)[cell_key("Q2A", "baseline")]
+        page_peak = self._peak_bytes("Q2A", scale=0.002, budget=256 * 1024)
+        assert page_peak <= golden["peak_state_bytes"] + (2 << 20)
 
 
-def test_local_partitions_merge_in_arrival_order():
-    """Partitions paced by a plain (site-blind) resolver are local
-    sources, so one run holds several partitions' rows: ``PMerge``
-    must forward them in the run's order, as the tuple path does (the
-    filter and sink above it keep whatever order it emits)."""
+LOCAL_PARTITIONS_KEY = cell_key(
+    "partsupp-filter@0.002", "baseline", "streamed", None, 3,
+)
+
+
+def _run_local_partitions():
     from repro.distributed.coordinator import mark_remote_scans
     from repro.distributed.site import Placement
 
     catalog = cached_tpch(scale_factor=0.002)
     placement = Placement()
-    placement.partition_table(
-        "partsupp", "ps_partkey", ["s0", "s1", "s2"],
+    placement.partition_table("partsupp", "ps_partkey", ["s0", "s1", "s2"])
+    plan = (
+        scan(catalog, "partsupp")
+        .filter(col("ps_availqty").le(5000))
+        .build()
+    )
+    mark_remote_scans(plan, placement)
+    return execute_plan(
+        plan, ExecutionContext(catalog),
+        arrival_resolver=lambda node: ArrivalModel.streaming(),
     )
 
-    def run(batch_execution):
-        plan = (
-            scan(catalog, "partsupp")
-            .filter(col("ps_availqty").le(5000))
-            .build()
-        )
-        mark_remote_scans(plan, placement)
-        ctx = ExecutionContext(catalog, batch_execution=batch_execution)
-        return execute_plan(
-            plan, ctx, arrival_resolver=lambda node: ArrivalModel.streaming(),
-        )
 
-    tuple_result, page_result = run(False), run(True)
-    assert len(tuple_result.rows) > 100
-    _assert_results_identical(tuple_result, page_result)
+def test_local_partitions_merge_in_arrival_order():
+    """Partitions paced by a plain (site-blind) resolver are local
+    sources, so one run holds several partitions' rows: ``PMerge``
+    must forward them in the run's order, as the per-row loop does (the
+    filter and sink above it keep whatever order it emits)."""
+    result, summaries = observed(_run_local_partitions)
+    assert len(result.rows) > 100
+    assert result.metrics.pages_pushed > 0
+    assert_matches_golden(
+        LOCAL_PARTITIONS_KEY, observe_result(result, summaries),
+    )
+
+
+def golden_cells():
+    """``(suite, key, record)`` for every cell this module checks: the
+    recorder's input (``python -m tests.goldens.record``)."""
+    for qid, strategy, delayed in _matrix():
+        yield ENGINE, cell_key(qid, strategy, _arrival(delayed)), (
+            lambda q=qid, s=strategy, d=delayed: _matrix_run(q, s, d)[0]
+        )
+        yield (
+            ENGINE, cell_key(qid, strategy, _arrival(delayed), "half-peak"),
+            lambda q=qid, s=strategy, d=delayed: _half_peak_observation(
+                _governed_runs(q, s, d)[1]
+            ),
+        )
+    for qid, strategy in _immediate_cells():
+        yield ENGINE, cell_key(qid, strategy, "immediate"), (
+            lambda q=qid, s=strategy: observe_result(
+                *_immediate_query_run(q, s)
+            )
+        )
+    for strategy in STRATEGY_NAMES:
+        yield ENGINE, cell_key("join_born", strategy, "immediate"), (
+            lambda s=strategy: observe_result(*TestJoinBornPages._run(s))
+        )
+        for qid in ("Q1A", "Q2A", "Q3A", "Q4A", "Q5A"):
+            yield (
+                ENGINE, TestMergedArrivalRuns.mix_key(qid, strategy),
+                lambda q=qid, s=strategy: (
+                    TestMergedArrivalRuns.mix_observation(q, s)
+                ),
+            )
+    yield ENGINE, TestMergedArrivalRuns.TIE_KEY, lambda: observe_result(
+        *observed(TestMergedArrivalRuns.run_streamed)
+    )
+    yield ENGINE, TestDistributedSummaryEquivalence.KEY, lambda: (
+        TestDistributedSummaryEquivalence.observation()[1]
+    )
+    yield ENGINE, TestConcurrentComposite.KEY, lambda: (
+        TestConcurrentComposite.observation()[1]
+    )
+    yield ENGINE, TestServiceLayer.KEY, TestServiceLayer.observation
+    yield ENGINE, TestBudgetedFeedForward.KEY, lambda: observe_result(
+        *observed(TestBudgetedFeedForward.run)
+    )
+    yield ENGINE, LOCAL_PARTITIONS_KEY, lambda: observe_result(
+        *observed(_run_local_partitions)
+    )

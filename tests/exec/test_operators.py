@@ -114,13 +114,6 @@ class TestInjectedFilters:
         join.push((2, "now pruned"), 0)
         assert join.stored_count(0) == 0
 
-    def test_filters_on_lists_copies(self, ctx):
-        join, _ = join_with_sink(ctx)
-        join.register_filter(0, "a", HashSetSummary.from_values([1]))
-        filters = join.filters_on(0)
-        filters.clear()
-        assert len(join.filters_on(0)) == 1
-
     def test_bad_port_rejected(self, ctx):
         join, _ = join_with_sink(ctx)
         with pytest.raises(ExecutionError):

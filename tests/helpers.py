@@ -103,7 +103,7 @@ def reference_execute(node: LogicalNode, catalog: Catalog) -> List[Row]:
     raise AssertionError("unknown node %r" % node)
 
 
-def _canonical(row: Row) -> Row:
+def canonical_row(row: Row) -> Row:
     """Round floats so that summation-order differences (engine vs
     reference evaluator) don't fail equality."""
     return tuple(
@@ -113,6 +113,6 @@ def _canonical(row: Row) -> Row:
 
 def rows_equal(a: List[Row], b: List[Row]) -> bool:
     """Multiset equality over rows, order- and float-noise-tolerant."""
-    ca = sorted((_canonical(r) for r in a), key=repr)
-    cb = sorted((_canonical(r) for r in b), key=repr)
+    ca = sorted((canonical_row(r) for r in a), key=repr)
+    cb = sorted((canonical_row(r) for r in b), key=repr)
     return ca == cb

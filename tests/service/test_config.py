@@ -52,6 +52,14 @@ class TestCoercion:
         with pytest.raises(ValueError, match="must be a TenantQuota"):
             ServiceConfig(quotas={"t": 3}).validate()
 
+    @pytest.mark.parametrize(
+        "name", ["slo_seconds", "memory_budget_bytes", "slow_query_ms"],
+    )
+    def test_validation_rejects_negative_budgets(self, name):
+        with pytest.raises(ValueError, match="%s must be >= 0" % name):
+            ServiceConfig(**{name: -1}).validate()
+        assert ServiceConfig(**{name: 0}).validate()  # zero stays legal
+
     def test_field_inventory_is_stable(self):
         # The accepted keyword set IS the config's field set; a field
         # rename would silently break keyword call sites otherwise.
@@ -61,7 +69,7 @@ class TestCoercion:
                      "memory_budget", "tracer", "parallel", "pool",
                      "catalog_spec", "slo_seconds", "quotas"):
             assert name in names
-        assert len(names) == 21
+        assert len(names) == 20
 
 
 class TestTenantQuota:

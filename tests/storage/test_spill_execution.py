@@ -28,6 +28,10 @@ from repro.plan.builder import scan
 from repro.storage.governor import MemoryGovernor
 from repro.storage.spill import spill_partition
 
+from tests.goldens import (
+    ENGINE, PRESSURE_FIELDS, ROUNDED, assert_matches_golden, cell_key,
+    observe_result, observed,
+)
 from tests.helpers import rows_equal
 
 SCALE = 0.002
@@ -38,14 +42,11 @@ def catalog():
     return cached_tpch(scale_factor=SCALE)
 
 
-def _governed_plan_rows(catalog, plan, budget, batch_execution=True):
+def _governed_plan_run(catalog, plan, budget):
     governor = MemoryGovernor(budget)
-    ctx = ExecutionContext(
-        catalog, governor=governor, batch_execution=batch_execution,
-    )
+    ctx = ExecutionContext(catalog, governor=governor)
     try:
-        result = execute_plan(plan, ctx)
-        return result.rows, governor
+        return execute_plan(plan, ctx), governor
     finally:
         governor.close()
 
@@ -94,32 +95,44 @@ class TestOperatorSpills:
             .build()
         )
 
-    @pytest.mark.parametrize(
-        "builder", ["_plan_join", "_plan_distinct", "_plan_semijoin",
-                    "_plan_groupby"],
-    )
+    BUILDERS = ("_plan_join", "_plan_distinct", "_plan_semijoin",
+                "_plan_groupby")
+
+    @pytest.mark.parametrize("builder", BUILDERS)
     def test_spilled_rows_match_unbounded(self, catalog, builder):
         plan = getattr(self, builder)(catalog)
         baseline = execute_plan(plan, ExecutionContext(catalog)).rows
-        rows, governor = _governed_plan_rows(catalog, plan, self.BUDGET)
+        result, governor = _governed_plan_run(catalog, plan, self.BUDGET)
         assert governor.backend.pages_written > 0, "no spill was forced"
         assert governor.peak_resident_bytes <= self.BUDGET
-        assert rows_equal(rows, baseline)
+        assert rows_equal(result.rows, baseline)
 
-    @pytest.mark.parametrize(
-        "builder", ["_plan_join", "_plan_distinct", "_plan_semijoin",
-                    "_plan_groupby"],
-    )
+    @classmethod
+    def golden_key(cls, builder):
+        return cell_key(
+            "%s@%g" % (builder.strip("_"), SCALE), "baseline", "streamed",
+            cls.BUDGET,
+        )
+
+    @classmethod
+    def spilled_observation(cls, catalog, builder):
+        """A pressure golden (``PRESSURE_FIELDS``): rows as a multiset
+        with floats rounded as ``rows_equal`` does, since the row order
+        and float sums under spill follow the run cadence."""
+        plan = getattr(cls(), builder)(catalog)
+        (result, _), summaries = observed(
+            _governed_plan_run, catalog, plan, cls.BUDGET,
+        )
+        return observe_result(
+            result, summaries, order=ROUNDED, fields=PRESSURE_FIELDS,
+        )
+
+    @pytest.mark.parametrize("builder", BUILDERS)
     def test_batch_and_tuple_paths_agree_under_spill(self, catalog, builder):
-        plan = getattr(self, builder)(catalog)
-        batch_rows, _ = _governed_plan_rows(
-            catalog, plan, self.BUDGET, batch_execution=True,
+        assert_matches_golden(
+            self.golden_key(builder),
+            self.spilled_observation(catalog, builder),
         )
-        tuple_rows, _ = _governed_plan_rows(
-            catalog, plan, self.BUDGET, batch_execution=False,
-        )
-        assert rows_equal(batch_rows, tuple_rows)
-        assert len(batch_rows) == len(tuple_rows)
 
     def test_short_circuit_with_spill(self, catalog):
         """Short-circuiting releases one side mid-stream; the spilled
@@ -135,6 +148,17 @@ class TestOperatorSpills:
         finally:
             governor.close()
         assert rows_equal(rows, baseline)
+
+
+def golden_cells():
+    """``(suite, key, record)`` for the spilled-operator cells: the
+    recorder's input (``python -m tests.goldens.record``)."""
+    for builder in TestOperatorSpills.BUILDERS:
+        yield ENGINE, TestOperatorSpills.golden_key(builder), (
+            lambda b=builder: TestOperatorSpills.spilled_observation(
+                cached_tpch(scale_factor=SCALE), b,
+            )
+        )
 
 
 class TestAIPStateStreaming:

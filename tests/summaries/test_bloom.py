@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.summaries.bloom import BigIntBloomFilter, BloomFilter, bits_for
+from repro.summaries.bloom import BloomFilter, bits_for
+
+from tests.goldens import BLOOM, assert_matches_golden, bloom_fields
 
 
 class TestSizing:
@@ -25,10 +27,16 @@ class TestSizing:
         assert bits_for(1000, 0.01, 4) > 0
 
 
+def _paper_filter():
+    """The paper's configuration, sized by ``from_values``."""
+    return BloomFilter.from_values(range(500))
+
+
 class TestMembership:
     def test_no_false_negatives(self):
-        bloom = BloomFilter.from_values(range(500))
+        bloom = _paper_filter()
         assert all(v in bloom for v in range(500))
+        assert_matches_golden("paper/500", bloom_fields(bloom), BLOOM)
 
     def test_false_positive_rate_near_target(self):
         bloom = BloomFilter.from_values(range(2000), fp_rate=0.05)
@@ -97,94 +105,97 @@ class TestAccounting:
         assert bloom.fill_fraction > before
 
 
-def _pair(values, seed=3, n_bits=4096):
-    """The same value set in both storage implementations."""
-    word = BloomFilter(0, seed=seed, n_bits=n_bits)
-    ref = BigIntBloomFilter(0, seed=seed, n_bits=n_bits)
-    word.add_many(values)
-    ref.add_many(values)
-    return word, ref
+def _filled(values, seed=3, n_bits=4096, n_hashes=1):
+    """An explicit-geometry filter (the AIP-set form) over ``values``."""
+    bloom = BloomFilter(0, n_hashes=n_hashes, seed=seed, n_bits=n_bits)
+    bloom.add_many(values)
+    return bloom
+
+
+def _observe(bloom, probes=None):
+    """The golden fields of ``bloom``, plus its verdicts on ``probes``
+    as a 0/1 string."""
+    fields = bloom_fields(bloom)
+    if probes is not None:
+        fields["probe_hits"] = "".join(
+            "1" if hit else "0" for hit in bloom.might_contain_many(probes)
+        )
+    return fields
+
+
+BITS_VALUES = list(range(700)) + ["FRANCE", ("k", 2)]
+PROBES = list(range(900)) + ["x"]
+MERGE_A, MERGE_B = range(0, 300), range(200, 500)
+
+
+def _merge_operands():
+    return (
+        _filled(MERGE_A, seed=7, n_bits=8192),
+        _filled(MERGE_B, seed=7, n_bits=8192),
+    )
 
 
 class TestWordBitsetEquivalence:
-    """The word-indexed bitset must hold *identical bit positions* to
-    the original big-int layout — the invariant every pruning-decision
-    equivalence guarantee rests on."""
+    """The word-indexed bitset holds the bit positions in
+    ``tests/goldens/bloom.json``, recorded from this implementation and
+    from the original big-int layout alike — the invariant every
+    pruning-decision equivalence guarantee rests on."""
 
     def test_identical_bits_and_bookkeeping(self):
-        word, ref = _pair(list(range(700)) + ["FRANCE", ("k", 2)])
-        assert word.bits_as_int() == ref.bits_as_int()
-        assert word.n_added == ref.n_added
-        assert word.byte_size() == ref.byte_size()
-        assert word.fill_fraction == pytest.approx(ref.fill_fraction)
+        word = _filled(BITS_VALUES)
+        assert_matches_golden("bits/seed3/4096", _observe(word), BLOOM)
+        # bits_as_int() is the big-int layout of the same words.
+        assert word.bits_as_int() == int.from_bytes(
+            word.to_payload()["words"], "little",
+        )
+        assert word.fill_fraction == pytest.approx(
+            bin(word.bits_as_int()).count("1") / word.n_bits
+        )
 
     def test_probe_agreement(self):
-        word, ref = _pair(range(0, 600, 2))
-        probes = list(range(900)) + ["x"]
-        assert word.might_contain_many(probes) == ref.might_contain_many(probes)
-        assert [p in word for p in probes] == word.might_contain_many(probes)
+        word = _filled(range(0, 600, 2))
+        assert_matches_golden(
+            "probe/seed3/4096", _observe(word, PROBES), BLOOM,
+        )
+        assert [p in word for p in PROBES] == word.might_contain_many(PROBES)
 
     def test_multi_hash_agreement(self):
-        word = BloomFilter(0, n_hashes=4, seed=9, n_bits=2048)
-        ref = BigIntBloomFilter(0, n_hashes=4, seed=9, n_bits=2048)
-        word.add_many(range(100))
-        ref.add_many(range(100))
-        assert word.bits_as_int() == ref.bits_as_int()
-        probes = range(400)
-        assert word.might_contain_many(probes) == ref.might_contain_many(probes)
+        word = _filled(range(100), seed=9, n_bits=2048, n_hashes=4)
+        assert_matches_golden(
+            "hashes4/seed9/2048", _observe(word, range(400)), BLOOM,
+        )
 
 
 class TestMergeAcrossImplementations:
-    """``intersect``/``union`` over word arrays must equal the big-int
-    reference results bit-for-bit, including ``n_added`` bookkeeping and
-    ``byte_size`` — in all four operand-implementation pairings."""
-
-    def _quads(self):
-        a_vals, b_vals = list(range(0, 300)), list(range(200, 500))
-        wa, ra = _pair(a_vals, seed=7, n_bits=8192)
-        wb, rb = _pair(b_vals, seed=7, n_bits=8192)
-        return (wa, ra), (wb, rb)
+    """``intersect``/``union`` over word arrays equal the golden
+    results bit-for-bit, including ``n_added`` bookkeeping and
+    ``byte_size``; the golden was recorded from the word-indexed and the
+    big-int implementations alike."""
 
     @pytest.mark.parametrize("op", ["intersect", "union"])
     def test_merge_bit_identical(self, op):
-        (wa, ra), (wb, rb) = self._quads()
-        reference = getattr(ra, op)(rb)
-        for left, right in ((wa, wb), (wa, rb), (ra, wb)):
-            merged = getattr(left, op)(right)
-            assert merged.bits_as_int() == reference.bits_as_int()
-            assert merged.n_added == reference.n_added
-            assert merged.byte_size() == reference.byte_size()
-
-    def test_merge_result_implementation_follows_left_operand(self):
-        (wa, ra), (wb, rb) = self._quads()
-        assert type(wa.intersect(rb)) is BloomFilter
-        assert type(ra.intersect(wb)) is BigIntBloomFilter
-
-    def test_incompatible_still_rejected_across_impls(self):
-        word = BloomFilter(100, seed=1)
-        ref = BigIntBloomFilter(100, seed=2)
-        with pytest.raises(ValueError):
-            word.intersect(ref)
+        a, b = _merge_operands()
+        assert_matches_golden(
+            "%s/seed7/8192" % op, _observe(getattr(a, op)(b)), BLOOM,
+        )
 
 
 class TestPayloadRoundTrip:
-    """Distributed shipping serializes filters by geometry + words; both
-    implementations speak the same little-endian wire format."""
+    """Distributed shipping serializes filters by geometry + words, as
+    little-endian 64-bit words."""
 
     def test_round_trip_preserves_bits(self):
-        word, ref = _pair(range(250), seed=11)
-        assert word.to_payload() == ref.to_payload()
-        for cls in (BloomFilter, BigIntBloomFilter):
-            clone = cls.from_payload(word.to_payload())
-            assert clone.bits_as_int() == word.bits_as_int()
-            assert clone.n_added == word.n_added
-            assert clone.compatible_with(word)
-            assert clone.might_contain_many(range(400)) == \
-                word.might_contain_many(range(400))
+        word = _filled(range(250), seed=11)
+        assert_matches_golden("payload/seed11/4096", _observe(word), BLOOM)
+        clone = BloomFilter.from_payload(word.to_payload())
+        assert clone.bits_as_int() == word.bits_as_int()
+        assert clone.n_added == word.n_added
+        assert clone.compatible_with(word)
+        assert clone.might_contain_many(range(400)) == \
+            word.might_contain_many(range(400))
 
     def test_geometry_mismatch_rejected(self):
-        word, _ = _pair(range(10))
-        payload = word.to_payload()
+        payload = _filled(range(10)).to_payload()
         payload["words"] = payload["words"][:-8]
         with pytest.raises(ValueError):
             BloomFilter.from_payload(payload)
@@ -234,19 +245,58 @@ class TestBatchKernelsMatchPerElement:
         "tuple": [(1, "a"), (2, 3.5), ("x", ("y", 4)), ()],
     }
 
+    @classmethod
+    def batch_filter(cls, kind, n_hashes):
+        batch = BloomFilter(8, n_hashes=n_hashes, seed=5)
+        batch.add_many(cls.KEYS[kind])
+        return batch
+
     @pytest.mark.parametrize("n_hashes", [1, 3])
     @pytest.mark.parametrize("kind", sorted(KEYS))
     def test_words_and_verdicts(self, kind, n_hashes):
         keys = self.KEYS[kind]
         probes = keys + [10**6, "absent", (9, "z"), 7.75, False]
-        batch = BloomFilter(8, n_hashes=n_hashes, seed=5)
+        batch = self.batch_filter(kind, n_hashes)
         single = BloomFilter(8, n_hashes=n_hashes, seed=5)
-        batch.add_many(keys)
         for key in keys:
             single.add(key)
+        assert_matches_golden(
+            "kernel/%s/hashes%d" % (kind, n_hashes), _observe(batch), BLOOM,
+        )
         assert batch._words == single._words
         assert batch.n_added == single.n_added
         assert batch.might_contain_many(probes) == [
             single.might_contain(p) for p in probes
         ]
         assert all(batch.might_contain_many(keys))
+
+
+def golden_cells():
+    """``(suite, key, record)`` for every filter this module checks: the
+    recorder's input (``python -m tests.goldens.record``)."""
+    def merge(op):
+        a, b = _merge_operands()
+        return getattr(a, op)(b)
+
+    cells = {
+        "paper/500": lambda: _observe(_paper_filter()),
+        "bits/seed3/4096": lambda: _observe(_filled(BITS_VALUES)),
+        "probe/seed3/4096": lambda: _observe(
+            _filled(range(0, 600, 2)), PROBES,
+        ),
+        "hashes4/seed9/2048": lambda: _observe(
+            _filled(range(100), seed=9, n_bits=2048, n_hashes=4), range(400),
+        ),
+        "intersect/seed7/8192": lambda: _observe(merge("intersect")),
+        "union/seed7/8192": lambda: _observe(merge("union")),
+        "payload/seed11/4096": lambda: _observe(_filled(range(250), seed=11)),
+    }
+    for kind in TestBatchKernelsMatchPerElement.KEYS:
+        for n_hashes in (1, 3):
+            cells["kernel/%s/hashes%d" % (kind, n_hashes)] = (
+                lambda k=kind, n=n_hashes: _observe(
+                    TestBatchKernelsMatchPerElement.batch_filter(k, n)
+                )
+            )
+    for key, record in cells.items():
+        yield BLOOM, key, record

@@ -250,6 +250,15 @@ class TestWorkloadCommand:
         err = capsys.readouterr().err
         assert "no such workload script or query id: Q9Z" in err
 
+    def test_zero_repeat_is_an_empty_stream(self, capsys):
+        assert main(["workload", "Q2A*0", "--scale", "0.002"]) == 2
+        assert "error: empty workload stream" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--slo", "--budget-mb"])
+    def test_negative_budget_is_a_usage_error(self, flag, capsys):
+        assert main(["workload", "Q1A", flag, "-1", "--scale", "0.002"]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_sql_with_division_is_not_mistaken_for_path(self, capsys):
         assert main([
             "workload",
@@ -293,6 +302,17 @@ class TestSqlCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "total estimated cost" in out
+
+    @pytest.mark.parametrize("query,message", [
+        ("", "expected KEYWORD 'select'"),
+        ("select from", "unexpected token"),
+        ("select nope from part", "cannot resolve column"),
+    ])
+    def test_bad_sql_is_an_error_not_a_traceback(self, query, message,
+                                                  capsys):
+        assert main(["sql", query, "--scale", "0.002"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestNumericArguments:
