@@ -95,14 +95,6 @@ class FeedForwardStrategy(ExecutionStrategy):
     def describe(self) -> str:
         return "feed-forward"
 
-    @property
-    def batch_safe(self) -> bool:
-        # Budget enforcement sheds working sets on a per-row countdown
-        # whose interleaving across operators the operator-at-a-time
-        # batch path cannot reproduce; budgeted runs stay per-tuple so
-        # shedding decisions are identical.
-        return self.memory_budget is None
-
     # -- initialization -----------------------------------------------------
 
     def attach(self, ctx: ExecutionContext, plan: PhysicalPlan) -> None:
@@ -266,27 +258,14 @@ class FeedForwardStrategy(ExecutionStrategy):
 
     # -- execution hooks ------------------------------------------------------
 
-    def after_tuple(self, op: Operator, port: int, row) -> None:
-        sets = self._working.get((op.op_id, port))
-        if not sets:
-            return
-        charge = self.ctx.cost_model.aip_insert
-        for ws in sets:
-            self.ctx.charge(charge)
-            ws.aip_set.add(row[ws.key_index])
-        if self.memory_budget is not None:
-            self._budget_check_countdown -= 1
-            if self._budget_check_countdown <= 0:
-                self._budget_check_countdown = 256
-                self._enforce_budget()
-
     def after_tuples_page(self, op: Operator, port: int, page) -> None:
-        """Bulk working-set maintenance for the page path: identical
-        set contents and tick-exact charge totals, one call per page.
-        Working sets only need key columns, which the
-        :class:`~repro.exec.pages.ColumnBatch` hands over zero-copy.
-        (Budgeted runs never reach here — ``batch_safe`` keeps them on
-        the per-tuple path so shed decisions keep their row cadence.)"""
+        """Working-set maintenance, one call per accepted page: each
+        row's key goes into every working set on ``(op, port)``, one
+        ``aip_insert`` charged per row per set.  Working sets only need
+        key columns, which the :class:`~repro.exec.pages.ColumnBatch`
+        hands over zero-copy.  Under a memory budget the shed check
+        runs every 256 rows inserted, counted down by pages: at most
+        once per page, after the page's inserts."""
         sets = self._working.get((op.op_id, port))
         if not sets:
             return
@@ -295,6 +274,11 @@ class FeedForwardStrategy(ExecutionStrategy):
         )
         for ws in sets:
             ws.aip_set.add_many(page.columns[ws.key_index])
+        if self.memory_budget is not None:
+            self._budget_check_countdown -= page.n_rows
+            if self._budget_check_countdown <= 0:
+                self._budget_check_countdown = 256
+                self._enforce_budget()
 
     def _enforce_budget(self) -> None:
         """Shed working-set state until under the configured budget.

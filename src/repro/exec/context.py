@@ -10,7 +10,7 @@ use these hooks to observe execution and inject semijoin filters.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.data.catalog import Catalog
 from repro.exec.costs import CostModel
@@ -18,8 +18,6 @@ from repro.exec.metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.operators.base import Operator
-
-Row = Tuple
 
 
 class ExecutionStrategy:
@@ -29,13 +27,6 @@ class ExecutionStrategy:
     processing with no information passing.  Subclasses override the
     hooks they need; all hooks are optional.
     """
-
-    #: Whether the engine may drive this strategy's plans on the
-    #: batch-vectorized path.  Strategies whose mid-stream decisions
-    #: depend on per-row cadence (e.g. Feed-Forward's memory-budget
-    #: enforcement every N tuples) must report False so execution stays
-    #: observably identical to the tuple path.
-    batch_safe = True
 
     def attach(self, ctx: "ExecutionContext", plan) -> None:
         """Called once after physical translation, before execution.
@@ -47,21 +38,12 @@ class ExecutionStrategy:
     def on_query_start(self) -> None:
         """Called when the engine starts consuming sources."""
 
-    def after_tuple(self, op: "Operator", input_idx: int, row: Row) -> None:
-        """Called after a stateful operator accepted and processed a
-        tuple (i.e. the tuple passed all injected filters)."""
-
     def after_tuples_page(self, op: "Operator", input_idx: int, page) -> None:
-        """Page form of :meth:`after_tuple`, invoked once per accepted
-        :class:`~repro.exec.pages.ColumnBatch` on the page path.  The
-        default delegates to :meth:`after_tuple` row by row so
-        strategies only overriding the per-tuple hook keep working;
-        strategies that only need key columns (Feed-Forward's working
-        sets) override this with a bulk, zero-copy column read."""
-        if type(self).after_tuple is ExecutionStrategy.after_tuple:
-            return  # per-tuple hook not overridden: nothing to do
-        for row in page.rows():
-            self.after_tuple(op, input_idx, row)
+        """Called after a stateful operator accepted and processed a
+        :class:`~repro.exec.pages.ColumnBatch` on ``input_idx``; the
+        page holds the rows that passed all injected filters and that
+        the operator kept (Feed-Forward reads their key columns into
+        its working sets)."""
 
     def on_input_finished(self, op: "Operator", input_idx: int) -> None:
         """Called when one input of a stateful operator has completed;
@@ -76,12 +58,7 @@ class ExecutionStrategy:
 
 
 class ExecutionContext:
-    """Shared, mutable state for one query execution.
-
-    Nothing here selects the engine loop: ``plan_batchable`` drives a
-    plan in column pages where its shape and strategy allow, else row
-    at a time, and ``tests/goldens/`` pins what both produce.
-    """
+    """Shared, mutable state for one query execution."""
 
     def __init__(
         self,

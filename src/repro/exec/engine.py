@@ -4,9 +4,10 @@ The paper's Tukwila engine is heavily multithreaded (three threads per
 pipelined hash join).  We substitute a deterministic simulation (see
 DESIGN.md): each source's tuples carry arrival times from its
 :class:`~repro.exec.arrival.ArrivalModel`; the engine repeatedly takes
-the earliest-available tuple, advances the clock to its arrival if the
-CPU is idle, and pushes it synchronously through the operator tree,
-charging per-event CPU costs to the same clock.
+the earliest-available tuples, advances the clock to their arrival if
+the CPU is idle, and pushes them synchronously through the operator
+tree as one column page, charging per-event CPU costs to the same
+clock.
 
 This reproduces the two regimes the experiments rely on: with fast
 sources the clock is CPU-work dominated (pruning work shows up directly
@@ -25,8 +26,7 @@ from repro.common.errors import ExecutionError
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
 from repro.exec.metrics import Metrics, seconds_to_ticks
-from repro.exec.operators.base import Operator
-from repro.exec.operators.hashjoin import PHashJoin
+from repro.exec.operators.base import Operator, StashingOperator
 from repro.exec.operators.merge import PMerge
 from repro.exec.operators.scan import PScan
 from repro.exec.translate import ArrivalResolver, PhysicalPlan, translate
@@ -63,17 +63,6 @@ class QueryResult:
 EngineResult = QueryResult
 
 
-def plan_batchable(strategy, physical) -> bool:
-    """Whether one translated plan may be driven in pages rather than
-    tuple-at-a-time: the plan's strategy has no per-row-cadence
-    decisions, and the plan's shape supports it.  Shared by the
-    single-query and concurrent callers so eligibility cannot fork."""
-    return (
-        (strategy is None or strategy.batch_safe)
-        and physical.supports_batching()
-    )
-
-
 #: Most rows one ungoverned arrival run takes.  A step holds its run's
 #: arrival-time vectors and pages at once, so the cap bounds the drive
 #: loop's transient memory; whole-table runs would hold a table's worth
@@ -88,7 +77,7 @@ def _run_cap(sources) -> int:
     page (the granule ``MemoryGovernor.page_records_for`` sizes)."""
     return min(
         (
-            scan.rows.page_rows for scan, _ in sources
+            scan.rows.page_rows for scan in sources
             if isinstance(scan.rows, PagedRows)
         ),
         default=RUN_ROWS,
@@ -96,26 +85,26 @@ def _run_cap(sources) -> int:
 
 
 def _stash_order(sources) -> Optional[List[Operator]]:
-    """The joins and merges above the batchable scans, deepest first —
+    """The joins, semijoins and merges above the scans, deepest first —
     the order a merged run's flush must visit them, so each holds its
     inputs' pages before it runs.  None when an operator on those paths
-    has only the default per-row ``push_page``: it would hand rows to
-    the operator above ahead of the run's order, so such plans keep one
-    source per run."""
+    has several parents (a shared subexpression, as magic-sets rewrites
+    build): it hands each page to its parents in turn, not in the run's
+    order across them, so such plans keep one source per run."""
     depth = {}
-    for scan, may_batch in sources:
-        if not may_batch:
-            continue
+    for scan in sources:
         path = []
         op = scan
         while op.parents:
-            op = op.parents[0][0]
-            if type(op).push_page is Operator.push_page:
+            if len(op.parents) > 1:
                 return None
+            op = op.parents[0][0]
             path.append(op)
         for height, op in enumerate(reversed(path)):
             depth[op] = height
-    stashing = [op for op in depth if isinstance(op, (PHashJoin, PMerge))]
+    stashing = [
+        op for op in depth if isinstance(op, (StashingOperator, PMerge))
+    ]
     stashing.sort(key=depth.__getitem__, reverse=True)
     return stashing
 
@@ -195,39 +184,35 @@ def _take_run(members, barrier, now: int, cap: int):
     return run
 
 
-def drive_sources(
-    ctx: ExecutionContext, sources: Sequence[Tuple[PScan, bool]]
-) -> None:
-    """The engine loop: drain ``sources`` — ``(scan, may_batch)`` pairs,
-    possibly of several concurrent plans — in arrival order on
-    ``ctx``'s clock, bracketed by the strategy's query start/end hooks.
+def drive_sources(ctx: ExecutionContext, sources: Sequence[PScan]) -> None:
+    """The engine loop: drain ``sources`` — the scans of one or of
+    several concurrent plans — in arrival order on ``ctx``'s clock,
+    bracketed by the strategy's query start/end hooks.
 
     A source's position in ``sources`` is its heap tie-break: of two
-    equal arrival times the earlier-listed source goes first.  A row of
-    a source that may not batch is pushed alone, as a tuple.  Otherwise
-    a step takes a merged arrival run (``_take_run``) from every
-    batchable local source whose rows have arrived — across all
-    concurrent plans — and pushes each source's slice as one page; the
-    joins and merges stash those pages and are then flushed
-    deepest-first, each processing its ports in the run's order.
-    For sources that are not ``local`` and for plans with a per-row
-    operator, a run holds one source only (shipped filters interleave
-    at row granularity).  A run takes at most ``_run_cap`` rows.  The
-    exhausted source's ``finish`` fires after the run, where the tuple
-    loop fires it.  DESIGN.md section 4 has the invariants this rests
-    on.
+    equal arrival times the earlier-listed source goes first.  A step
+    takes a merged arrival run (``_take_run``) from every local source
+    whose rows have arrived — across all concurrent plans — and pushes
+    each source's slice as one page; the joins, semijoins and merges
+    stash those pages and are then flushed deepest-first, each
+    processing its ports in the run's order.  For sources that are not
+    ``local`` and for plans with a shared subexpression, a run holds
+    one source only (shipped filters interleave at row granularity).
+    A run takes at most ``_run_cap`` rows.  An exhausted source's
+    ``finish`` fires after the run that drained it.  DESIGN.md section
+    4 has the invariants this rests on.
     """
     ctx.strategy.on_query_start()
 
     heap: List[Tuple[float, int, PScan]] = []
-    for idx, (scan, _) in enumerate(sources):
+    for idx, scan in enumerate(sources):
         when = scan.prime()
         if when is None:
             scan.finish()
         else:
             heapq.heappush(heap, (when, idx, scan))
 
-    # None: every run holds one source (a per-row operator).
+    # None: every run holds one source (a shared subexpression).
     stashing = _stash_order(sources)
     cap = _run_cap(sources)
     metrics = ctx.metrics
@@ -237,26 +222,21 @@ def drive_sources(
         metrics.wait_until(when)
         now = metrics.clock_ticks
         members = [(idx, scan)]
-        if not sources[idx][1]:
-            scan.emit_pending()
-            scan.advance()
-        else:
-            if stashing is not None and scan.arrival.local:
-                while heap:
-                    top_when, top_idx, top = heap[0]
-                    if not (
-                        sources[top_idx][1] and top.arrival.local
-                        and seconds_to_ticks(top_when) <= now
-                    ):
-                        break
-                    heapq.heappop(heap)
-                    members.append((top_idx, top))
-            run = _take_run(members, heap[0][:2] if heap else None, now, cap)
-            for source, rows, seq in run:
-                source.push_run(rows, seq)
-            if len(run) > 1:
-                for op in stashing:
-                    op.flush_stash()
+        if stashing is not None and scan.arrival.local:
+            while heap:
+                top_when, top_idx, top = heap[0]
+                if not (
+                    top.arrival.local and seconds_to_ticks(top_when) <= now
+                ):
+                    break
+                heapq.heappop(heap)
+                members.append((top_idx, top))
+        run = _take_run(members, heap[0][:2] if heap else None, now, cap)
+        for source, rows, seq in run:
+            source.push_run(rows, seq)
+        if len(run) > 1:
+            for op in stashing:
+                op.flush_stash()
         if tracer is not None:
             tracer.complete(
                 "drive:%s" % scan.name, "engine", now,
@@ -271,7 +251,7 @@ def drive_sources(
     ctx.strategy.on_query_end()
     metrics.network_bytes += sum(
         scan.arrival.bytes_transferred
-        for scan, _ in sources
+        for scan in sources
         if scan.arrival.bandwidth is not None
     )
 
@@ -289,14 +269,13 @@ class Engine:
 
         metrics = self.ctx.metrics
         query_start = metrics.clock_ticks
-        paged = plan_batchable(self.ctx.strategy, plan)
-        drive_sources(self.ctx, [(scan, paged) for scan in plan.scans])
+        drive_sources(self.ctx, plan.scans)
         tracer = self.ctx.tracer
         if tracer is not None:
             tracer.complete(
                 "query", "engine", query_start,
                 metrics.clock_ticks - query_start,
-                {"rows": len(sink.rows), "paged": paged},
+                {"rows": len(sink.rows)},
             )
 
         if not sink.finished:

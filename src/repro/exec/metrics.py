@@ -8,11 +8,10 @@ with cardinality counters", Section V-A) and AIP-specific counters used
 in the experiment write-ups.
 
 Time is accounted in integer **ticks** (one tick = 1 picosecond) rather
-than accumulated floats.  Two execution paths that perform the same
-multiset of per-event charges in different orders — the tuple-at-a-time
-engine loop and the batch-vectorized one — must report bit-identical
-clocks, and float summation is grouping-sensitive.  Integer ticks make
-``charge_events(n, c)`` exactly equal to ``n`` repetitions of
+than accumulated floats.  A page kernel charges a page's per-event
+costs in bulk, and the clock must not depend on how rows are grouped
+into pages, while float summation is grouping-sensitive.  Integer ticks
+make ``charge_events(n, c)`` exactly equal to ``n`` repetitions of
 ``charge(c)``: both add ``n * round(c / TICK)`` ticks.
 """
 
@@ -85,9 +84,9 @@ class Metrics:
         self.spill_events: int = 0
         #: Page-kernel activity: column batches processed by operator
         #: page kernels, and the rows those kernels selected (survived
-        #: filters/predicates) out of them.  Zero on the tuple path —
-        #: deliberately *not* part of the equivalence contract, which
-        #: compares clocks, state and tuple counters.
+        #: filters/predicates) out of them.  Run cadence, deliberately
+        #: *not* part of the equivalence contract, which compares
+        #: clocks, state and tuple counters.
         self.pages_pushed: int = 0
         self.rows_selected: int = 0
 
@@ -107,7 +106,7 @@ class Metrics:
 
     @property
     def clock_ticks(self) -> int:
-        """The clock in raw ticks (used by the batch path to decide
+        """The clock in raw ticks (used by the drive loop to decide
         which pending arrivals count as "already arrived")."""
         return self._clock_ticks
 
@@ -121,9 +120,8 @@ class Metrics:
         """Advance the clock by ``count`` events of ``seconds_each``.
 
         Exactly equivalent — to the tick — to calling
-        :meth:`charge` ``count`` times, which is what makes bulk
-        charging on the batch path observably identical to per-tuple
-        charging.
+        :meth:`charge` ``count`` times, which is what makes a page
+        kernel's bulk charges independent of the page size.
         """
         ticks = count * round(seconds_each * _TICKS_PER_SECOND)
         self._clock_ticks += ticks

@@ -1,7 +1,8 @@
 """Physical operator base class.
 
 Operators form a tree mirroring the logical plan.  Data flows *up*:
-children call ``parent.push(row, port)`` and, at end of stream,
+children call ``parent.push_page(page, port)`` with a
+:class:`~repro.exec.pages.ColumnBatch` and, at end of stream,
 ``parent.finish(port)``.  The engine only ever drives scans; everything
 else reacts.
 
@@ -25,6 +26,7 @@ from typing import Iterable, List, Optional, Tuple
 from repro.common.errors import ExecutionError
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
+from repro.exec.pages import ColumnBatch
 
 Row = Tuple
 
@@ -42,18 +44,11 @@ class InjectedFilter:
         self.pruned = 0
         self.probed = 0
 
-    def passes(self, row: Row) -> bool:
-        self.probed += 1
-        if row[self.key_index] in self.summary:
-            return True
-        self.pruned += 1
-        return False
-
     def passes_page(self, page):
         """Probe a column batch: the key column feeds the summary's
         batch probe directly (no per-row gather), and survivors come
-        back as a selection of the page.  ``probed``/``pruned`` advance
-        exactly as :meth:`passes` called per row would advance them."""
+        back as a selection of the page.  ``probed`` counts every row
+        probed and ``pruned`` every row the summary rejected."""
         if not page.n_rows:
             return page
         self.probed += page.n_rows
@@ -74,16 +69,6 @@ class Operator:
     n_inputs = 1
     #: Whether this operator buffers state usable for AIP.
     stateful = False
-    #: Whether the engine may drive plans containing this operator on
-    #: the batch-vectorized path.  Batching processes a whole arrival
-    #: run operator-at-a-time, which reorders state-accounting deltas
-    #: *across* operators; that is observably identical only while every
-    #: mid-stream delta is non-negative (peak state is then reached at
-    #: the end of the run under any ordering).  Operators that release
-    #: state mid-stream (the pipelined semijoin's pending-buffer
-    #: flushes) must set this False so such plans keep the per-tuple
-    #: path and peak-state accounting stays bit-identical.
-    batch_safe = True
 
     def __init__(
         self,
@@ -181,26 +166,12 @@ class Operator:
         filters = self._filters[port]
         filters[filters.index(old)] = new
 
-    def passes_filters(self, row: Row, port: int) -> bool:
-        """Probe all injected filters; charges probe cost per filter."""
-        filters = self._filters[port]
-        if not filters:
-            return True
-        cost = self.ctx.cost_model.semijoin_probe
-        counters = self.ctx.metrics.counters(self.op_id)
-        for f in filters:
-            self.ctx.charge_op(self.op_id, cost)
-            if not f.passes(row):
-                counters.tuples_pruned += 1
-                return False
-        return True
-
     def passes_filters_page(self, page, port: int):
         """Vet a column batch against the injected filters, returning
         the surviving page (possibly ``page`` itself, zero-copy, when
-        nothing was pruned).  Charging matches :meth:`passes_filters`
-        per row exactly: each filter bills one probe per row still alive
-        when it is reached (pruned rows never probe later filters)."""
+        nothing was pruned).  Each filter bills one probe per row still
+        alive when it is reached (pruned rows never probe later
+        filters), as probing row by row would."""
         filters = self._filters[port]
         if not filters:
             return page
@@ -226,36 +197,21 @@ class Operator:
 
     # -- dataflow --------------------------------------------------------
 
-    def push(self, row: Row, port: int = 0) -> None:
-        raise NotImplementedError
-
     def push_page(self, page, port: int = 0) -> None:
         """Process a :class:`~repro.exec.pages.ColumnBatch` arriving on
-        ``port``.
-
-        The default delegates to :meth:`push` row by row, so custom
-        operators (and any built-in whose state demands row order, like
-        the pipelined semijoin) participate in page-driven plans
-        unchanged; the built-in operators override it with column
-        kernels that charge costs in bulk."""
-        for row in page.rows():
-            self.push(row, port)
+        ``port``: the only dataflow entry point.  Kernels keep the
+        paper's per-row semantics (each row is vetted by the injected
+        filters before the operator processes it) and charge costs in
+        bulk."""
+        raise NotImplementedError
 
     def finish(self, port: int = 0) -> None:
         raise NotImplementedError
 
-    def emit(self, row: Row) -> None:
-        self.ctx.metrics.counters(self.op_id).tuples_out += 1
-        for parent, port in self.parents:
-            parent.push(row, port)
-
     def emit_page(self, page) -> None:
-        """Forward a column batch of output rows, preserving order.
-
-        With several parents (DAG plans) the page is unrolled row by
-        row so each parent observes the exact interleaving the tuple
-        path would produce; the engine only pages tree-shaped plans,
-        so this branch is a safety net for direct callers."""
+        """Forward a column batch of output rows, preserving order; a
+        shared subexpression (DAG plans) hands the page to each parent
+        in turn."""
         if not page.n_rows:
             return
         self.ctx.metrics.counters(self.op_id).tuples_out += page.n_rows
@@ -265,14 +221,13 @@ class Operator:
                 "emit:%s" % self.name, "op", self.ctx.metrics.clock_ticks,
                 {"rows": page.n_rows},
             )
-        parents = self.parents
-        if len(parents) == 1:
-            parent, port = parents[0]
+        for parent, port in self.parents:
             parent.push_page(page, port)
-        else:
-            for row in page.rows():
-                for parent, port in parents:
-                    parent.push(row, port)
+
+    def emit_rows(self, rows: List[Row]) -> None:
+        """Forward rows built outside a page kernel — a blocking
+        operator's final output, a spill replay — as one page."""
+        self.emit_page(ColumnBatch.from_rows(rows, len(self.out_schema)))
 
     def _page_stats(self, rows_in: int, selected: int) -> None:
         """Record one page-kernel invocation: the page-path-only
@@ -393,3 +348,34 @@ class Operator:
 
     def __repr__(self) -> str:
         return "%s(#%d)" % (self.name, self.op_id)
+
+
+class StashingOperator(Operator):
+    """A two-input operator that must see a merged arrival run's rows
+    in the run's order across both ports (the joins).  A page carrying
+    ``seq`` belongs to such a run, whose other port may still be coming:
+    it waits in the stash until the engine's :meth:`flush_stash`.  A
+    page without ``seq`` is processed at once."""
+
+    def __init__(self, *args, **kwargs):
+        #: ``(port, page)`` pairs of the current merged run.
+        self._stash: List[Tuple[int, ColumnBatch]] = []
+        super().__init__(*args, **kwargs)
+
+    def push_page(self, page, port: int = 0) -> None:
+        if page.seq is not None:
+            self._stash.append((port, page))
+            return
+        self._process_pages([(port, page)])
+
+    def flush_stash(self) -> None:
+        """End of a merged run: process every stashed page of both
+        ports, rows in ``seq`` order (the engine calls this
+        deepest-first, so the pages of joins below have arrived)."""
+        if self._stash:
+            stash, self._stash = self._stash, []
+            self._process_pages(stash)
+
+    def _process_pages(self, pages) -> None:
+        """The kernel over ``(port, page)`` pairs."""
+        raise NotImplementedError

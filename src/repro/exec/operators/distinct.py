@@ -47,42 +47,13 @@ class PDistinct(Operator):
         else:
             self._spilled = None
 
-    def push(self, row: Row, port: int = 0) -> None:
-        cm = self.ctx.cost_model
-        self.ctx.metrics.counters(self.op_id).tuples_in += 1
-        # ``hash_probe`` only when the seen-set is actually probed: a
-        # row pruned by an injected AIP filter never reaches it.
-        self.ctx.charge_op(self.op_id, cm.tuple_base)
-        if not self.passes_filters(row, 0):
-            return
-        pid = -1
-        if self._spilled is not None:
-            from repro.storage.spill import spill_partition
-            pid = spill_partition(row)
-            if pid in self._spilled:
-                # Deferred: duplicate status is unknowable while the
-                # partition's seen-set sits on disk.
-                self.ctx.charge_op(self.op_id, cm.hash_insert)
-                self._spilled[pid][1].append(row)
-                self.ctx.strategy.after_tuple(self, 0, row)
-                return
-        self.ctx.charge_op(self.op_id, cm.hash_probe)
-        if row in self._seen:
-            return
-        self.ctx.charge_op(self.op_id, cm.hash_insert)
-        self._seen.add(row)
-        if pid >= 0:
-            self._part_rows[pid] += 1
-        self.account_state(self._row_bytes)
-        self.ctx.strategy.after_tuple(self, 0, row)
-        self.emit(row)
-
     def push_page(self, page, port: int = 0) -> None:
-        """Page kernel: first occurrences are forwarded in order, with
-        bulk cost charging matching :meth:`push`.  The seen-set stores
-        whole rows, so the page is re-materialised once after AIP
-        probing; the strategy hook sees only the fresh rows (never the
-        full page), as on the tuple path."""
+        """Page kernel: first occurrences are forwarded in order.  The
+        seen-set stores whole rows, so the page is re-materialised once
+        after AIP probing; the strategy hook sees only the fresh rows
+        (never the full page).  ``hash_probe`` is charged only for rows
+        that reach the seen-set: a row pruned by an injected AIP filter
+        never probes it."""
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics
         n_in = page.n_rows
@@ -117,9 +88,10 @@ class PDistinct(Operator):
         """The governed kernel: one governor page of rows at a time,
         the lease grown for a chunk's fresh rows before they join the
         seen-set.  A row whose partition is spilled at that point goes
-        to the partition's delta run, as :meth:`push` routes it, and
-        the charges are :meth:`push`'s; the strategy hook sees the
-        fresh and the deferred rows, as :meth:`push` shows them."""
+        to the partition's delta run (its duplicate status is unknowable
+        while the partition's seen-set sits on disk) and is charged a
+        ``hash_insert``; the strategy hook sees the fresh and the
+        deferred rows."""
         from repro.storage.spill import spill_partitions
 
         cm = self.ctx.cost_model
@@ -233,7 +205,8 @@ class PDistinct(Operator):
     def _replay_spilled(self) -> None:
         """Per partition: reload the seen run, stream delta rows in
         arrival order, emit the fresh ones (appending them to the seen
-        run so it holds the partition's complete distinct set)."""
+        run so it holds the partition's complete distinct set) as one
+        page per partition."""
         cm = self.ctx.cost_model
         self._replaying = True
         try:
@@ -245,6 +218,7 @@ class PDistinct(Operator):
                 if part_seen:
                     self.account_state(len(part_seen) * self._row_bytes)
                 replayed = 0
+                fresh = []
                 for row in delta_spool.records():
                     replayed += 1
                     if row in part_seen:
@@ -252,13 +226,17 @@ class PDistinct(Operator):
                     part_seen.add(row)
                     self.account_state(self._row_bytes)
                     seen_spool.append(row)
-                    self.ctx.charge_op(self.op_id, cm.output_build)
-                    self.emit(row)
+                    fresh.append(row)
                 if replayed:
                     self.ctx.charge_events_op(self.op_id, replayed, cm.hash_probe)
                 delta_spool.discard()
                 if part_seen:
                     self.account_state(-len(part_seen) * self._row_bytes)
+                if fresh:
+                    self.ctx.charge_events_op(
+                        self.op_id, len(fresh), cm.output_build
+                    )
+                    self.emit_rows(fresh)
         finally:
             self._replaying = False
 

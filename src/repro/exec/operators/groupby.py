@@ -93,48 +93,13 @@ class PGroupBy(Operator):
             return row[indices[0]]
         return tuple(row[i] for i in indices)
 
-    def push(self, row: Row, port: int = 0) -> None:
-        cm = self.ctx.cost_model
-        self.ctx.metrics.counters(self.op_id).tuples_in += 1
-        self.ctx.charge_op(self.op_id, cm.tuple_base)
-        if not self.passes_filters(row, 0):
-            return
-
-        key = self._key_of(row)
-        pid = -1
-        if self._spilled is not None:
-            from repro.storage.spill import spill_partition
-            pid = spill_partition(key)
-            if pid in self._spilled:
-                # Deferred: raw rows append to the partition's delta
-                # run and are re-aggregated at completion.
-                self.ctx.charge_op(self.op_id, cm.hash_insert)
-                self._spilled[pid][1].append(row)
-                self.ctx.strategy.after_tuple(self, 0, row)
-                return
-        self.ctx.charge_op(self.op_id, cm.hash_probe)
-        group = self._groups.get(key)
-        if group is None:
-            accumulators = [s.make_accumulator() for s in self._specs]
-            key_values = tuple(row[i] for i in self._key_indices)
-            group = (key_values, accumulators)
-            self._groups[key] = group
-            self.ctx.charge_op(self.op_id, cm.hash_insert)
-            if pid >= 0:
-                self._part_groups[pid] += 1
-            self.account_state(self._group_bytes)
-        for fn, acc in zip(self._agg_fns, group[1]):
-            self.ctx.charge_op(self.op_id, cm.agg_update)
-            acc.add(fn(row) if fn is not None else None)
-
-        self.ctx.strategy.after_tuple(self, 0, row)
-
     def push_page(self, page, port: int = 0) -> None:
-        """Page kernel: per-row grouping decisions and charge totals
-        match :meth:`push`.  Group keys come straight off the key
-        column(s) and aggregate inputs evaluate column-at-a-time; the
-        page's rows are never re-materialised (a governed page's rows
-        only when some go to a spilled partition's delta run)."""
+        """Page kernel: each surviving row probes its group (made on
+        first sight) and updates the group's accumulators.  Group keys
+        come straight off the key column(s) and aggregate inputs
+        evaluate column-at-a-time; the page's rows are never
+        re-materialised (a governed page's rows only when some go to a
+        spilled partition's delta run)."""
         cm = self.ctx.cost_model
         metrics = self.ctx.metrics
         n_in = page.n_rows
@@ -201,8 +166,8 @@ class PGroupBy(Operator):
         """The governed kernel: :meth:`_aggregate` one governor page of
         rows at a time, growing the lease for a chunk's new groups
         before they are made.  A row whose key partition is spilled at
-        that point goes to the partition's delta run, as :meth:`push`
-        routes it, and the charges are :meth:`push`'s."""
+        that point goes raw to the partition's delta run, charged a
+        ``hash_insert``, and is re-aggregated at completion."""
         from repro.storage.spill import spill_partitions
 
         cm = self.ctx.cost_model
@@ -252,7 +217,6 @@ class PGroupBy(Operator):
             # on_input_finished stream final, complete state.
             self._consolidate_spilled()
         self.ctx.strategy.on_input_finished(self, 0)
-        cm = self.ctx.cost_model
         if (
             not self._key_indices
             and not self._groups
@@ -260,25 +224,32 @@ class PGroupBy(Operator):
         ):
             # SQL semantics: a keyless aggregate over an empty input
             # still produces one row (SUM -> 0-or-None per accumulator).
-            self.ctx.charge_op(self.op_id, cm.output_build)
-            self.emit(tuple(
-                s.make_accumulator().result() for s in self._specs
-            ))
-        for key_values, accumulators in self._groups.values():
-            self.ctx.charge_op(self.op_id, cm.output_build)
-            self.emit(key_values + tuple(a.result() for a in accumulators))
+            self._emit_groups([((), [
+                s.make_accumulator() for s in self._specs
+            ])])
+        self._emit_groups(self._groups.values())
         if self._merged:
             for pid in sorted(self._merged):
                 spool = self._merged[pid]
-                for _key, key_values, accumulators in spool.records():
-                    self.ctx.charge_op(self.op_id, cm.output_build)
-                    self.emit(
-                        key_values + tuple(a.result() for a in accumulators)
-                    )
+                self._emit_groups(
+                    group[1:] for group in spool.records()
+                )
                 spool.discard()
             self._merged.clear()
         self._release_state()
         self.finish_output()
+
+    def _emit_groups(self, groups) -> None:
+        """Emit ``(key_values, accumulators)`` groups as one page."""
+        rows = [
+            key_values + tuple(a.result() for a in accumulators)
+            for key_values, accumulators in groups
+        ]
+        if rows:
+            self.ctx.charge_events_op(
+                self.op_id, len(rows), self.ctx.cost_model.output_build
+            )
+            self.emit_rows(rows)
 
     def _release_state(self) -> None:
         if self._groups:

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
-from repro.exec.operators.base import Operator, Row
+from repro.exec.operators.base import Row, StashingOperator
 from repro.exec.pages import ColumnBatch
 from repro.expr.compiler import compile_predicate
 from repro.expr.expressions import Expr
@@ -54,7 +54,7 @@ class _PartitionSpill:
         return self.frozen + self.delta
 
 
-class PHashJoin(Operator):
+class PHashJoin(StashingOperator):
     """Symmetric hash join over one or more equi-join key pairs."""
 
     n_inputs = 2
@@ -84,9 +84,6 @@ class PHashJoin(Operator):
             right_schema.row_byte_size(),
         )
         self._buffering = [True, True]
-        #: ``(port, page)`` pairs of the current merged run, joined by
-        #: :meth:`flush_stash`.
-        self._stash: List[Tuple[int, ColumnBatch]] = []
         #: The residual predicate AST ``_residual`` is compiled from.
         self.residual = residual
         self._rebuild_compiled()
@@ -123,79 +120,11 @@ class PHashJoin(Operator):
             return row[indices[0]]
         return tuple(row[i] for i in indices)
 
-    def push(self, row: Row, port: int = 0) -> None:
-        cm = self.ctx.cost_model
-        metrics = self.ctx.metrics
-        metrics.counters(self.op_id).tuples_in += 1
-        self.ctx.charge_op(self.op_id, cm.tuple_base)
-        if not self.passes_filters(row, port):
-            return
-
-        other = 1 - port
-        key = self._key_of(row, port)
-
-        pid = -1
-        if self._spilled is not None:
-            from repro.storage.spill import spill_partition
-            pid = spill_partition(key)
-            part = self._spilled.get(pid)
-            if part is not None:
-                # Deferred: the partition lives on disk.  No probe, no
-                # emission now — owed matches surface at completion.
-                self.ctx.charge_op(self.op_id, cm.hash_insert)
-                part.delta[port].append(row)
-                self.ctx.strategy.after_tuple(self, port, row)
-                return
-
-        # Probe the opposite table.
-        self.ctx.charge_op(self.op_id, cm.hash_probe)
-        matches = self._tables[other].get(key)
-        if matches:
-            for match in matches:
-                # Port 0 rows sit left in the output schema.
-                combined = row + match if port == 0 else match + row
-                if self._residual is not None:
-                    self.ctx.charge_op(self.op_id, cm.predicate_eval)
-                    if not self._residual(combined):
-                        continue
-                self.ctx.charge_op(self.op_id, cm.output_build)
-                self.emit(combined)
-
-        # Insert into this side's table, unless the opposite input has
-        # already completed (short-circuit: nothing will probe us).
-        if self._buffering[port]:
-            self.ctx.charge_op(self.op_id, cm.hash_insert)
-            self._tables[port].setdefault(key, []).append(row)
-            if pid >= 0:
-                self._part_rows[port][pid] += 1
-            self.account_state(self._row_bytes[port])
-
-        self.ctx.strategy.after_tuple(self, port, row)
-
-    def push_page(self, page, port: int = 0) -> None:
-        """Page kernel: same per-row decisions and tick-exact charge
-        totals as :meth:`push`, without the per-tuple call chain.  A
-        page that carries ``seq`` belongs to a merged arrival run whose
-        other port may still be coming: it waits for the engine's
-        :meth:`flush_stash`."""
-        if page.seq is not None:
-            self._stash.append((port, page))
-            return
-        self._join_pages([(port, page)])
-
-    def flush_stash(self) -> None:
-        """End of a merged run: join every stashed page of both ports in
-        ``seq`` order (the engine calls this deepest-first, so the pages
-        of joins below have already arrived)."""
-        if self._stash:
-            stash, self._stash = self._stash, []
-            self._join_pages(stash)
-
-    def _join_pages(self, pages) -> None:
+    def _process_pages(self, pages) -> None:
         """The kernel over ``(port, page)`` pairs: each surviving row
         probes the opposite table and is then inserted into its own, in
-        ``seq`` order across ports — the tuple path's exact sequence —
-        while costs and state are charged in bulk per port.  Probe keys
+        ``seq`` order across ports — the run's arrival order — while
+        costs and state are charged in bulk per port.  Probe keys
         are read straight off the key column(s), zero-copy for
         single-key joins; outputs carry their trigger row's ``seq``.
         A governed join goes through :meth:`_join_governed` instead of
@@ -297,8 +226,8 @@ class PHashJoin(Operator):
         """The governed kernel: :meth:`_probe_insert` one governor page
         of rows at a time, growing the lease for a chunk's inserts
         before they happen.  A row whose key partition is spilled at
-        that point goes to the partition's delta run unprobed, as
-        :meth:`push` routes it, and the charges are :meth:`push`'s."""
+        that point goes to the partition's delta run unprobed, charged
+        a ``hash_insert``: its owed matches surface at completion."""
         from repro.storage.spill import spill_partitions
 
         keys, rows, ports = batch[:3]
@@ -480,8 +409,11 @@ class PHashJoin(Operator):
             self._replaying = False
 
     def _probe_spilled(self, left_spool, right_tables, cm) -> None:
+        """Probe ``right_tables`` with every row of ``left_spool`` and
+        emit the matches as one page."""
         residual = self._residual
-        probed = 0
+        probed = n_residual = 0
+        out = []
         for row in left_spool.records():
             probed += 1
             key = self._key_of(row, 0)
@@ -492,13 +424,17 @@ class PHashJoin(Operator):
                 for match in matches:
                     combined = row + match
                     if residual is not None:
-                        self.ctx.charge_op(self.op_id, cm.predicate_eval)
+                        n_residual += 1
                         if not residual(combined):
                             continue
-                    self.ctx.charge_op(self.op_id, cm.output_build)
-                    self.emit(combined)
+                    out.append(combined)
         if probed:
             self.ctx.charge_events_op(self.op_id, probed, cm.hash_probe)
+        if n_residual:
+            self.ctx.charge_events_op(self.op_id, n_residual, cm.predicate_eval)
+        if out:
+            self.ctx.charge_events_op(self.op_id, len(out), cm.output_build)
+            self.emit_rows(out)
 
     # -- state exposure ----------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import List
 
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
-from repro.exec.operators.base import Operator, Row
+from repro.exec.operators.base import Operator
 from repro.exec.operators.scan import PScan
 from repro.exec.pages import ColumnBatch
 
@@ -64,14 +64,6 @@ class PMerge(Operator):
 
     # -- dataflow --------------------------------------------------------
 
-    def push(self, row: Row, port: int = 0) -> None:
-        self.ctx.metrics.counters(self.op_id).tuples_in += 1
-        # Filters live on virtual port 0 regardless of which partition
-        # delivered the row.
-        if not self.passes_filters(row, 0):
-            return
-        self.emit(row)
-
     def push_page(self, page, port: int = 0) -> None:
         if page.seq is not None:
             # A merged run: other partitions' pages may still come.
@@ -81,8 +73,7 @@ class PMerge(Operator):
 
     def flush_stash(self) -> None:
         """End of a merged run: forward the partitions' stashed pages as
-        one page, rows in ``seq`` order — the order the tuple path
-        delivers them in."""
+        one page, rows in ``seq`` order — the run's arrival order."""
         if not self._stash:
             return
         stash, self._stash = self._stash, []
@@ -100,6 +91,8 @@ class PMerge(Operator):
         ))
 
     def _merge_page(self, page) -> None:
+        # Filters live on virtual port 0 whichever partition delivered
+        # the rows.
         n_in = page.n_rows
         self.ctx.metrics.counters(self.op_id).tuples_in += n_in
         page = self.passes_filters_page(page, 0)

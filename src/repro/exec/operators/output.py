@@ -20,12 +20,6 @@ class POutput(Operator):
         #: concurrent harness uses it to record per-plan finish clocks.
         self.finish_listener = None
 
-    def push(self, row: Row, port: int = 0) -> None:
-        self.ctx.metrics.counters(self.op_id).tuples_in += 1
-        self.ctx.charge_op(self.op_id, self.ctx.cost_model.tuple_base)
-        self.rows.append(row)
-        self.ctx.metrics.result_rows += 1
-
     def push_page(self, page, port: int = 0) -> None:
         n = page.n_rows
         self.ctx.metrics.counters(self.op_id).tuples_in += n

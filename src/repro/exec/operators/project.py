@@ -6,9 +6,9 @@ from typing import Sequence, Tuple
 
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
-from repro.exec.operators.base import Operator, Row
+from repro.exec.operators.base import Operator
 from repro.exec.pages import ColumnBatch
-from repro.expr.compiler import compile_expr, compile_expr_columns
+from repro.expr.compiler import compile_expr_columns
 from repro.expr.expressions import Expr
 
 
@@ -24,33 +24,21 @@ class PProject(Operator):
         outputs: Sequence[Tuple[str, Expr]],
     ):
         super().__init__(ctx, op_id, out_schema, [in_schema], "Project")
-        #: The ``name := expr`` ASTs both compiled forms are built from.
+        #: The ``name := expr`` ASTs the column kernels are built from.
         self.outputs = tuple(outputs)
         self._rebuild_compiled()
 
     def _rebuild_compiled(self) -> None:
         in_schema = self.input_schemas[0]
-        self._fns = [
-            compile_expr(expr, in_schema) for _, expr in self.outputs
-        ]
-        #: Column kernels for the page path: one gather per output
-        #: column instead of one tuple build per input row.
+        #: Column kernels: one gather per output column instead of one
+        #: tuple build per input row.
         self._col_fns = [
             compile_expr_columns(expr, in_schema) for _, expr in self.outputs
         ]
 
-    def push(self, row: Row, port: int = 0) -> None:
-        cm = self.ctx.cost_model
-        self.ctx.metrics.counters(self.op_id).tuples_in += 1
+    def push_page(self, page: ColumnBatch, port: int = 0) -> None:
         # ``output_build`` only for rows actually projected: a row
         # pruned by an injected AIP filter never builds an output tuple.
-        self.ctx.charge_op(self.op_id, cm.tuple_base)
-        if not self.passes_filters(row, 0):
-            return
-        self.ctx.charge_op(self.op_id, cm.output_build)
-        self.emit(tuple(fn(row) for fn in self._fns))
-
-    def push_page(self, page: ColumnBatch, port: int = 0) -> None:
         cm = self.ctx.cost_model
         n_in = page.n_rows
         self.ctx.metrics.counters(self.op_id).tuples_in += n_in

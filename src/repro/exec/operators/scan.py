@@ -1,8 +1,9 @@
 """Table scans.
 
 A scan owns its rows and an :class:`~repro.exec.arrival.ArrivalModel`
-that says when each row becomes available.  The engine drives scans via
-:meth:`advance`; everything downstream is reactive.
+that says when each row becomes available.  The engine drives scans in
+arrival runs (:meth:`take_local`, :meth:`take_paced`, :meth:`push_run`);
+everything downstream is reactive.
 
 Scans also host *source-side filters* for the distributed experiments:
 a shipped AIP set is installed into the arrival model so that rejected
@@ -60,10 +61,6 @@ class PScan(Operator):
         """Compute the first pending tuple; returns its arrival time."""
         return self._advance_cursor()
 
-    def advance(self) -> Optional[float]:
-        """Move to the next pending tuple; returns its arrival time."""
-        return self._advance_cursor()
-
     def _advance_cursor(self) -> Optional[float]:
         found = self.arrival.next_arrival(self.rows, self._cursor)
         if found is None:
@@ -74,18 +71,6 @@ class PScan(Operator):
         self._cursor = next_cursor
         self._pending = (when, row)
         return when
-
-    def emit_pending(self) -> None:
-        """Push the pending tuple into the consumer chain."""
-        self._require_pending()
-        _, row = self._pending
-        self._pending = None
-        counters = self.ctx.metrics.counters(self.op_id)
-        counters.tuples_in += 1
-        self.ctx.charge_op(self.op_id, self.ctx.cost_model.scan_read)
-        if not self.passes_filters(row, 0):
-            return
-        self.emit(row)
 
     @property
     def pending_when(self) -> Optional[float]:
@@ -105,9 +90,8 @@ class PScan(Operator):
     def take_local(self, count: int, times: List[float]) -> List[Row]:
         """Consume the pending row and the ``count - 1`` rows after it,
         ``times`` being :meth:`run_times`' vector; the row after them
-        becomes pending.  Rows are read in index order, once each, as
-        per-row :meth:`advance` calls would read them — a buffer-pool
-        table a page slice at a time (``PagedRows.slice``)."""
+        becomes pending.  Rows are read in index order, once each — a
+        buffer-pool table a page slice at a time (``PagedRows.slice``)."""
         first = self._pending[1]
         start = self._cursor
         end = start + count - 1
@@ -196,8 +180,8 @@ class PScan(Operator):
 
     # -- dataflow ----------------------------------------------------------
 
-    def push(self, row: Row, port: int = 0) -> None:
-        raise AssertionError("scans have no inputs")
+    def push_page(self, page, port: int = 0) -> None:
+        raise ExecutionError("%s has no inputs" % self.name)
 
     def finish(self, port: int = 0) -> None:
         """Called by the engine when the source is exhausted."""

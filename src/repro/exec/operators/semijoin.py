@@ -31,24 +31,18 @@ from typing import Dict, List, Set
 from repro.common.sizing import key_nbytes
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
-from repro.exec.operators.base import Operator, Row
+from repro.exec.operators.base import Row, StashingOperator
+from repro.exec.pages import ColumnBatch
 
 PROBE = 0
 SOURCE = 1
 
 
-class PSemiJoin(Operator):
+class PSemiJoin(StashingOperator):
     """Physical pipelined semijoin (probe on port 0, source on port 1)."""
 
     n_inputs = 2
     stateful = True
-    #: A source-key arrival can *release* buffered probe rows
-    #: mid-stream.  Operator-at-a-time batching would reorder those
-    #: negative state deltas against other operators' inserts within the
-    #: same arrival run, so peak-state accounting could drift from the
-    #: tuple path; plans containing a semijoin therefore stay on the
-    #: per-tuple engine loop.
-    batch_safe = False
 
     def __init__(
         self,
@@ -82,57 +76,106 @@ class PSemiJoin(Operator):
             return row[indices[0]]
         return tuple(row[i] for i in indices)
 
-    def push(self, row: Row, port: int = 0) -> None:
+    def _process_pages(self, pages) -> None:
+        """The kernel over ``(port, page)`` pairs, rows in ``seq`` order
+        across ports.  A probe row whose key is known is emitted at
+        once, else buffered while the source input is live; a source row
+        with a new key releases the probe rows buffered under it.  The
+        emitted rows leave as one page, each carrying its trigger row's
+        ``seq``.  Charges are bulk; state is accounted row by row, so
+        the buffer's releases keep their order against its inserts (and
+        a governed reclaim sees the buffer exactly as it stands)."""
         cm = self.ctx.cost_model
-        metrics = self.ctx.metrics
-        metrics.counters(self.op_id).tuples_in += 1
-        self.ctx.charge_op(self.op_id, cm.tuple_base)
-        if not self.passes_filters(row, port):
+        counters = self.ctx.metrics.counters(self.op_id)
+        seqs = [] if pages[0][1].seq is not None else None
+        rows, ports, accepted = [], [], []
+        for port, page in pages:
+            n_in = page.n_rows
+            counters.tuples_in += n_in
+            self.ctx.charge_events_op(self.op_id, n_in, cm.tuple_base)
+            page = self.passes_filters_page(page, port)
+            if not page.n_rows:
+                continue
+            self._page_stats(n_in, page.n_rows)
+            accepted.append((port, page, len(rows)))
+            rows.extend(page.rows())
+            ports.extend([port] * page.n_rows)
+            if seqs is not None:
+                seqs.extend(page.seq)
+        if not rows:
             return
-
-        if port == PROBE:
-            key = self._key(row, self._probe_idx)
-            self.ctx.charge_op(self.op_id, cm.hash_probe)
-            if key in self._source_keys:
-                self.emit(row)
-            elif not self._input_done[SOURCE]:
-                pid = -1
-                if self._spilled is not None:
-                    from repro.storage.spill import spill_partition
-                    pid = spill_partition(key)
-                    if pid in self._spilled:
-                        # Deferred: the matching source key may still
-                        # arrive; the run replays at source completion.
-                        self.ctx.charge_op(self.op_id, cm.hash_insert)
-                        self._spilled[pid].append(row)
-                        self.ctx.strategy.after_tuple(self, port, row)
-                        return
-                self.ctx.charge_op(self.op_id, cm.hash_insert)
-                self._pending.setdefault(key, []).append(row)
-                if pid >= 0:
-                    self._part_rows[pid] += 1
-                self.account_state(self._probe_row_bytes)
-            # Source already complete and key absent: row can never match.
+        if len(accepted) > 1:
+            order = sorted(range(len(seqs)), key=seqs.__getitem__)
         else:
-            key = self._key(row, self._source_idx)
-            self.ctx.charge_op(self.op_id, cm.hash_probe)
-            if key in self._source_keys:
-                return  # duplicate source key carries no new information
-            self.ctx.charge_op(self.op_id, cm.hash_insert)
-            self._source_keys.add(key)
-            self.account_state(self._key_bytes)
-            waiting = self._pending.pop(key, None)
-            if waiting:
-                if self._spilled is not None:
-                    from repro.storage.spill import spill_partition
-                    self._part_rows[spill_partition(key)] -= len(waiting)
-                self.account_state(
-                    -len(waiting) * self._probe_row_bytes
-                )
-                for pending_row in waiting:
-                    self.ctx.charge_op(self.op_id, cm.output_build)
-                    self.emit(pending_row)
-        self.ctx.strategy.after_tuple(self, port, row)
+            order = range(len(rows))
+
+        spilled = self._spilled
+        if spilled is not None:
+            from repro.storage.spill import spill_partition
+        source_keys = self._source_keys
+        pending = self._pending
+        source_live = not self._input_done[SOURCE]
+        # Source rows whose key was already known: the strategy hook
+        # never sees them (they carry no new information).
+        shown = [True] * len(rows)
+        out, out_seq = [], ([] if seqs is not None else None)
+        inserted = released = 0
+        for i in order:
+            row = rows[i]
+            if ports[i] == PROBE:
+                key = self._key(row, self._probe_idx)
+                if key in source_keys:
+                    out.append(row)
+                    if out_seq is not None:
+                        out_seq.append(seqs[i])
+                elif source_live:
+                    # Source incomplete: the matching key may yet
+                    # arrive.  (Once it is complete the row can never
+                    # match and is dropped.)
+                    inserted += 1
+                    if spilled is not None:
+                        pid = spill_partition(key)
+                        if pid in spilled:
+                            # Deferred: the run replays at completion.
+                            spilled[pid].append(row)
+                            continue
+                        self._part_rows[pid] += 1
+                    pending.setdefault(key, []).append(row)
+                    self.account_state(self._probe_row_bytes)
+            else:
+                key = self._key(row, self._source_idx)
+                if key in source_keys:
+                    shown[i] = False
+                    continue
+                inserted += 1
+                source_keys.add(key)
+                self.account_state(self._key_bytes)
+                waiting = pending.pop(key, None)
+                if waiting:
+                    if spilled is not None:
+                        self._part_rows[spill_partition(key)] -= len(waiting)
+                    self.account_state(-len(waiting) * self._probe_row_bytes)
+                    released += len(waiting)
+                    out.extend(waiting)
+                    if out_seq is not None:
+                        out_seq.extend([seqs[i]] * len(waiting))
+
+        self.ctx.charge_events_op(self.op_id, len(rows), cm.hash_probe)
+        if inserted:
+            self.ctx.charge_events_op(self.op_id, inserted, cm.hash_insert)
+        for port, page, start in accepted:
+            if port == SOURCE:
+                page = page.select([
+                    j for j in range(page.n_rows) if shown[start + j]
+                ])
+            if page.n_rows:
+                self.ctx.strategy.after_tuples_page(self, port, page)
+        if released:
+            self.ctx.charge_events_op(self.op_id, released, cm.output_build)
+        if out:
+            self.emit_page(
+                ColumnBatch.from_rows(out, len(self.out_schema), out_seq)
+            )
 
     def finish(self, port: int = 0) -> None:
         self._mark_input_done(port)
@@ -207,14 +250,19 @@ class PSemiJoin(Operator):
             for pid in sorted(self._spilled):
                 spool = self._spilled[pid]
                 probed = 0
+                matched = []
                 for row in spool.records():
                     probed += 1
                     if self._key(row, probe_idx) in source_keys:
-                        self.ctx.charge_op(self.op_id, cm.output_build)
-                        self.emit(row)
+                        matched.append(row)
                 if probed:
                     self.ctx.charge_events_op(self.op_id, probed, cm.hash_probe)
                 spool.discard()
+                if matched:
+                    self.ctx.charge_events_op(
+                        self.op_id, len(matched), cm.output_build
+                    )
+                    self.emit_rows(matched)
             self._spilled.clear()
         finally:
             self._replaying = False

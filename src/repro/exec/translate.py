@@ -53,22 +53,6 @@ class PhysicalPlan:
         self.scans = scans
         self.by_node_id = by_node_id
         self.logical_root = logical_root
-        self._batchable: Optional[bool] = None
-
-    def supports_batching(self) -> bool:
-        """True when the engine may drive this plan's sources in
-        merged arrival runs and stay observably identical to
-        tuple-at-a-time execution: every operator must be batch-safe (no
-        mid-stream state releases to reorder) and the dataflow must be a
-        tree (a shared subexpression's parents must observe the exact
-        per-row interleaving, so DAG plans — magic-sets rewrites — keep
-        the per-tuple path)."""
-        if self._batchable is None:
-            self._batchable = all(
-                op.batch_safe and len(op.parents) <= 1
-                for op in self.sink.walk()
-            )
-        return self._batchable
 
     def operator_for(self, node_id: int) -> Operator:
         try:

@@ -1,15 +1,16 @@
 """Compile expression ASTs into row functions and column kernels.
 
 Operators bind expressions to their input schema exactly once; the
-returned closures then evaluate per tuple with no name lookups.  This
-is the standard interpretation-avoidance trick for row-at-a-time
-engines and keeps the pure-Python push engine fast enough for the
-benchmark scale factors.
+returned closures then evaluate with no name lookups.  This is the
+standard interpretation-avoidance trick and keeps the pure-Python push
+engine fast enough for the benchmark scale factors.
 
 Two layers are compiled from the same ASTs:
 
 * **row closures** (:func:`compile_expr` / :func:`compile_predicate`)
-  — ``row -> value`` functions for the tuple path.
+  — ``row -> value`` functions for code that holds whole rows: the
+  hash join's residual over combined rows, a group-by replaying a
+  spilled partition's raw rows, and source-side predicates.
   Comparison and arithmetic nodes over ``Col``/``Lit`` operands are
   specialised so the hot shapes (``col <op> literal``, ``col <op>
   col``) run as a single closure with the operator function hoisted to
@@ -171,8 +172,7 @@ def compile_expr_columns(
     ``(columns, n_rows)`` to the expression's values in row order.
 
     Value-identical, element by element, to mapping the row closure
-    over the re-materialised tuples — the page path's bit-identity to
-    the row path rests on this.  A bare column reference returns the
+    over the re-materialised tuples.  A bare column reference returns the
     input column itself (zero-copy); every other node builds one fresh
     list per call.
     """

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.common.errors import ExecutionError
 from repro.exec.context import ExecutionContext, ExecutionStrategy
-from repro.exec.engine import QueryResult, drive_sources, plan_batchable
+from repro.exec.engine import QueryResult, drive_sources
 from repro.exec.translate import PhysicalPlan, translate
 from repro.plan.logical import LogicalNode
 
@@ -42,11 +42,6 @@ class CompositeStrategy(ExecutionStrategy):
     def on_query_start(self) -> None:
         for strategy in self._strategies:
             strategy.on_query_start()
-
-    def after_tuple(self, op, input_idx, row) -> None:
-        strategy = self._by_op.get(op.op_id)
-        if strategy is not None:
-            strategy.after_tuple(op, input_idx, row)
 
     def after_tuples_page(self, op, input_idx, page) -> None:
         strategy = self._by_op.get(op.op_id)
@@ -100,7 +95,7 @@ def run_concurrent(
     ctx.strategy = composite
 
     translated: List[PhysicalPlan] = []
-    sources = []  # (scan, may page), every plan's scans in plan order
+    sources = []  # every plan's scans, in plan order
     for index, (plan, strategy) in enumerate(zip(plans, strategies)):
         physical = translate(plan, ctx, arrival_resolver)
         if strategy is not None:
@@ -112,8 +107,7 @@ def run_concurrent(
             )
         if on_plan_translated is not None:
             on_plan_translated(index, physical)
-        paged = plan_batchable(strategy, physical)
-        sources.extend((scan, paged) for scan in physical.scans)
+        sources.extend(physical.scans)
         translated.append(physical)
 
     metrics = ctx.metrics

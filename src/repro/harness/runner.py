@@ -112,9 +112,8 @@ def run_workload_query(
     puts on worker processes).
     Partitioned pacing replaces the delayed-source model, so combining
     the two is rejected rather than silently mislabelled.
-    The plan itself decides whether it runs in column pages or row at a
-    time (``exec.engine.plan_batchable``); the equivalence suites check
-    either against the recorded goldens in ``tests/goldens/``.
+    Every plan runs in column pages; the equivalence suites check runs
+    against the recorded goldens in ``tests/goldens/``.
     ``memory_budget=N`` attaches a
     :class:`~repro.storage.governor.MemoryGovernor` with an ``N``-byte
     budget: scans stream buffer-pool pages and stateful operators

@@ -1,20 +1,17 @@
-"""Cross-path equivalence, checked against recorded goldens.
+"""Engine equivalence, checked against recorded goldens.
 
-The engine drives a plan's sources in merged arrival runs, carried as
-:class:`~repro.exec.pages.ColumnBatch` pages through the operators'
-column kernels, where the plan allows it (``plan_batchable``), and row
-at a time where it does not (magic-sets DAG plans, semijoins, budgeted
-Feed-Forward).  Every cell below runs the engine once and checks it
-against its ``tests/goldens/engine.json`` cell.  The goldens were
-recorded while the tuple-at-a-time loop and the page loop — and the
-word-indexed and big-int Bloom bitsets — still ran side by side, and
-all four combinations recorded byte-identical files: rows (including
-order), virtual clock, peak intermediate state, per-operator counters
-and the words of every Bloom filter the run's AIP sets built.  The
-clock guarantee rests on integer-tick accounting
-(``Metrics.charge_events``); the peak-state guarantee rests on the
-engine only paging plans whose mid-stream state deltas are all
-non-negative (``supports_batching``).
+The engine has one loop: every plan's sources are driven in arrival
+runs, carried as :class:`~repro.exec.pages.ColumnBatch` pages through
+the operators' column kernels — tree plans, magic-sets DAG plans and
+their semijoins, and budgeted Feed-Forward alike.  Every cell below
+runs the engine once and checks it against its
+``tests/goldens/engine.json`` cell.  The goldens were recorded while a
+tuple-at-a-time loop still ran beside the page loop (and a big-int
+Bloom bitset beside the word-indexed one), from byte-identical runs of
+all of them: rows (including order), virtual clock, peak intermediate
+state, per-operator counters and the words of every Bloom filter the
+run's AIP sets built.  The clock guarantee rests on integer-tick
+accounting (``Metrics.charge_events``).
 
 The streamed matrix paces every source; a drive step takes every
 source's arrived rows as one merged run, so its pages hold tens to
@@ -111,7 +108,7 @@ def test_workload_strategy_equivalence(qid, strategy, delayed):
         name for name in load(ENGINE).get(key, ())
         if name not in SUMMARY_FIELDS
     ])
-    _assert_pages_iff_batchable(strategy, pages, selected)
+    _assert_pages(pages, selected)
 
 
 @pytest.mark.parametrize("qid,strategy,delayed", _matrix())
@@ -127,15 +124,10 @@ def test_summary_impl_equivalence(qid, strategy, delayed):
     )
 
 
-def _assert_pages_iff_batchable(strategy, pages_pushed, rows_selected):
-    """The page-only counters are positive exactly when the plan is
-    batchable."""
-    if strategy == "magic":
-        # DAG plans decline batching, so they never page.
-        assert pages_pushed == 0
-    else:
-        assert pages_pushed > 0
-        assert rows_selected > 0
+def _assert_pages(pages_pushed, rows_selected):
+    """Every cell runs on the page path: there is no other."""
+    assert pages_pushed > 0
+    assert rows_selected > 0
 
 
 def _immediate(node):
@@ -179,10 +171,7 @@ def test_immediate_arrival_equivalence(qid, strategy):
         cell_key(qid, strategy, "immediate"),
         observe_result(result, summaries),
     )
-    metrics = result.metrics
-    _assert_pages_iff_batchable(
-        strategy, metrics.pages_pushed, metrics.rows_selected,
-    )
+    _assert_pages(result.metrics.pages_pushed, result.metrics.rows_selected)
 
 
 class TestJoinBornPages:
@@ -310,10 +299,9 @@ class TestPagedAxis:
 
 class TestTracedAxis:
     """Tracing enabled: a live Tracer must leave rows, clock, peak state
-    and counters equal to the untraced golden, on the page path and on
-    the per-row path, ungoverned and under a governor that never
-    reclaims (whose storage hooks then fire too), while actually
-    recording events."""
+    and counters equal to the untraced golden, ungoverned and under a
+    governor that never reclaims (whose storage hooks then fire too),
+    while actually recording events."""
 
     #: A budget no test cell comes near: nothing defers or spills, so a
     #: governed run matches the ungoverned golden.
@@ -355,9 +343,11 @@ class TestTracedAxis:
         )
 
     @pytest.mark.parametrize("cell", ("magic", "budgeted-feedforward"))
-    def test_traced_per_row_equivalence(self, cell):
-        """The per-row loop's hooks are pure observation too: a magic
-        (DAG) plan and a budgeted Feed-Forward run never page."""
+    def test_traced_dag_and_budgeted_equivalence(self, cell):
+        """The cells the page path took over last are traced too: a
+        magic-sets (DAG) plan, whose shared operators hand each page to
+        both parents, and a budgeted Feed-Forward run, which sheds
+        working sets between pages."""
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
@@ -367,13 +357,14 @@ class TestTracedAxis:
                 run_workload_query, "Q2A", "magic", scale_factor=SCALE,
                 tracer=tracer,
             )
+            result = record.result
         else:
             key = TestBudgetedFeedForward.KEY
-            record, summaries = observed(
+            (_, result), summaries = observed(
                 TestBudgetedFeedForward.run, tracer=tracer,
             )
-        assert record.result.metrics.pages_pushed == 0
-        self._check(key, record, summaries, tracer)
+        assert result.metrics.pages_pushed > 0
+        self._check(key, result, summaries, tracer)
 
     @pytest.mark.parametrize("qid", ("Q2A", "Q4A", "Q5A"))
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
@@ -541,51 +532,57 @@ class TestServiceLayer:
 
 
 class TestBudgetedFeedForward:
-    """A memory-budgeted Feed-Forward run sheds working sets on a
-    per-row countdown; it must decline batching (batch_safe=False) so
-    shed decisions keep their cadence."""
+    """A memory-budgeted Feed-Forward run sheds working sets when its
+    countdown of inserted rows expires, checked once per page."""
 
     KEY = cell_key("Q1A", "feedforward[memory_budget=4096]")
 
     @staticmethod
     def run(tracer=None):
-        return run_workload_query(
-            "Q1A", "feedforward", scale_factor=SCALE,
-            strategy_kwargs={"memory_budget": 4096}, tracer=tracer,
-        )
-
-    def test_budgeted_ff_is_not_batch_safe(self):
+        """The cell's run: ``(strategy, result)``."""
+        query = get_query("Q1A")
+        catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
         strategy = make_strategy("feedforward", memory_budget=4096)
-        assert not strategy.batch_safe
-        assert make_strategy("feedforward").batch_safe
+        ctx = ExecutionContext(catalog, strategy=strategy)
+        ctx.tracer = tracer
+        return strategy, execute_plan(query.build_baseline(catalog), ctx)
+
+    @classmethod
+    def observation(cls):
+        (_, result), summaries = observed(cls.run)
+        return observe_result(result, summaries)
 
     def test_budgeted_ff_equivalence(self):
-        record, summaries = observed(self.run)
-        assert record.result.metrics.pages_pushed == 0
-        assert_matches_golden(self.KEY, observe_result(record, summaries))
+        assert_matches_golden(self.KEY, self.observation())
+
+    def test_budgeted_ff_sheds_on_page_path(self):
+        strategy, result = self.run()
+        assert result.metrics.pages_pushed > 0
+        assert strategy.working_sets_discarded > 0
 
 
-class TestBatchGate:
-    """Plans with mid-stream state releases or shared subexpressions
-    must decline batching (they run on the per-row path)."""
+class TestSharedSubexpression:
+    """A magic-sets rewrite shares the outer query between the final
+    join and the filter set: an operator with two parents.  Such a
+    plan takes one-source runs, a rule read off the plan's shape."""
 
-    def test_tree_plan_batchable(self):
+    def test_dag_plan_takes_one_source_runs(self):
+        from repro.exec.engine import _stash_order
         from repro.exec.translate import translate
 
-        catalog = cached_tpch(scale_factor=SCALE)
-        plan = get_query("Q4A").build_baseline(catalog)
-        physical = translate(plan, ExecutionContext(catalog))
-        assert physical.supports_batching()
+        query = get_query("Q2E")
+        catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
+        tree = translate(query.build_baseline(catalog),
+                         ExecutionContext(catalog))
+        dag = translate(query.build_magic(catalog), ExecutionContext(catalog))
+        assert any(len(op.parents) > 1 for op in dag.sink.walk())
+        assert _stash_order(tree.scans) is not None
+        assert _stash_order(dag.scans) is None
 
-    def test_magic_plan_not_batchable(self):
-        from repro.exec.translate import translate
-
-        catalog = cached_tpch(scale_factor=SCALE)
-        plan = get_query("Q1A").build_magic(catalog)
-        physical = translate(plan, ExecutionContext(catalog))
-        # Magic rewrites share the outer query (DAG) and pipe it through
-        # a semijoin whose pending buffer flushes mid-stream.
-        assert not physical.supports_batching()
+    def test_q2e_magic_streamed_matches_golden(self):
+        observation, pages, selected = _matrix_run("Q2E", "magic", False)
+        assert_matches_golden(cell_key("Q2E", "magic"), observation)
+        _assert_pages(pages, selected)
 
 
 class TestMergedArrivalRuns:
@@ -730,8 +727,8 @@ def _run_local_partitions():
 def test_local_partitions_merge_in_arrival_order():
     """Partitions paced by a plain (site-blind) resolver are local
     sources, so one run holds several partitions' rows: ``PMerge``
-    must forward them in the run's order, as the per-row loop does (the
-    filter and sink above it keep whatever order it emits)."""
+    must forward them in the run's order (the filter and sink above it
+    keep whatever order it emits)."""
     result, summaries = observed(_run_local_partitions)
     assert len(result.rows) > 100
     assert result.metrics.pages_pushed > 0
@@ -780,8 +777,8 @@ def golden_cells():
         TestConcurrentComposite.observation()[1]
     )
     yield ENGINE, TestServiceLayer.KEY, TestServiceLayer.observation
-    yield ENGINE, TestBudgetedFeedForward.KEY, lambda: observe_result(
-        *observed(TestBudgetedFeedForward.run)
+    yield ENGINE, TestBudgetedFeedForward.KEY, (
+        TestBudgetedFeedForward.observation
     )
     yield ENGINE, LOCAL_PARTITIONS_KEY, lambda: observe_result(
         *observed(_run_local_partitions)

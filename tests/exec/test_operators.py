@@ -30,6 +30,15 @@ def ctx():
     return ExecutionContext(Catalog())
 
 
+def push_rows(op, rows, port=0, seq=None):
+    """Push ``rows`` into ``op``'s ``port`` as one page — the only way
+    rows enter an operator."""
+    op.push_page(
+        ColumnBatch.from_rows(list(rows), len(op.input_schemas[port]), seq),
+        port,
+    )
+
+
 def join_with_sink(ctx, **kwargs):
     join = PHashJoin(ctx, 1, LEFT, RIGHT, ["a"], ["b"], **kwargs)
     sink = POutput(ctx, 2, join.out_schema)
@@ -40,21 +49,21 @@ def join_with_sink(ctx, **kwargs):
 class TestHashJoinMechanics:
     def test_symmetric_matching(self, ctx):
         join, sink = join_with_sink(ctx)
-        join.push((1, "l1"), 0)
-        join.push((1, "r1"), 1)   # matches buffered left row
-        join.push((1, "l2"), 0)   # matches buffered right row
+        push_rows(join, [(1, "l1")], 0)
+        push_rows(join, [(1, "r1")], 1)   # matches buffered left row
+        push_rows(join, [(1, "l2")], 0)   # matches buffered right row
         assert sorted(sink.rows) == [
             (1, "l1", 1, "r1"), (1, "l2", 1, "r1"),
         ]
 
     def test_short_circuit_releases_other_side(self, ctx):
         join, sink = join_with_sink(ctx)
-        join.push((1, "l1"), 0)
-        join.push((2, "r1"), 1)
+        push_rows(join, [(1, "l1")], 0)
+        push_rows(join, [(2, "r1")], 1)
         before = ctx.metrics.total_state_bytes
         join.finish(0)  # left done -> right side stops buffering
         assert ctx.metrics.total_state_bytes < before
-        join.push((3, "r2"), 1)     # arrives after short-circuit
+        push_rows(join, [(3, "r2")], 1)     # arrives after short-circuit
         assert join.stored_count(1) == 0
         assert join.state_complete(0)
         assert not join.state_complete(1)
@@ -63,9 +72,9 @@ class TestHashJoinMechanics:
         from repro.data.catalog import Catalog
         ctx = ExecutionContext(Catalog(), short_circuit=False)
         join, sink = join_with_sink(ctx)
-        join.push((1, "l1"), 0)
+        push_rows(join, [(1, "l1")], 0)
         join.finish(0)
-        join.push((2, "r1"), 1)
+        push_rows(join, [(2, "r1")], 1)
         assert join.stored_count(1) == 1
 
     def test_finish_twice_rejected(self, ctx):
@@ -76,8 +85,8 @@ class TestHashJoinMechanics:
 
     def test_state_values(self, ctx):
         join, _ = join_with_sink(ctx)
-        join.push((1, "x"), 0)
-        join.push((2, "y"), 0)
+        push_rows(join, [(1, "x")], 0)
+        push_rows(join, [(2, "y")], 0)
         assert sorted(join.state_values(0, "a")) == [1, 2]
         assert sorted(join.state_values(0, "a_name")) == ["x", "y"]
 
@@ -88,9 +97,9 @@ class TestHashJoinMechanics:
         )
         sink = POutput(ctx, 11, join.out_schema)
         sink.connect_child(join, 0)
-        join.push((1, "same"), 0)
-        join.push((1, "same"), 1)
-        join.push((1, "diff"), 1)
+        push_rows(join, [(1, "same")], 0)
+        push_rows(join, [(1, "same")], 1)
+        push_rows(join, [(1, "diff")], 1)
         assert sink.rows == [(1, "same", 1, "diff")]
 
 
@@ -99,8 +108,8 @@ class TestInjectedFilters:
         join, sink = join_with_sink(ctx)
         keep = HashSetSummary.from_values([1])
         join.register_filter(0, "a", keep, label="test")
-        join.push((1, "kept"), 0)
-        join.push((2, "pruned"), 0)
+        push_rows(join, [(1, "kept")], 0)
+        push_rows(join, [(2, "pruned")], 0)
         assert join.stored_count(0) == 1
         assert ctx.metrics.counters(join.op_id).tuples_pruned == 1
 
@@ -111,7 +120,7 @@ class TestInjectedFilters:
             old.key_index, "a", HashSetSummary.from_values([1]), "tighter"
         )
         join.replace_filter(0, old, new)
-        join.push((2, "now pruned"), 0)
+        push_rows(join, [(2, "now pruned")], 0)
         assert join.stored_count(0) == 0
 
     def test_bad_port_rejected(self, ctx):
@@ -137,23 +146,23 @@ class TestGroupByMechanics:
 
     def test_grouping_and_flush(self, ctx):
         gb, sink = self._groupby(ctx)
-        gb.push((1, "b"), 0)
-        gb.push((1, "a"), 0)
-        gb.push((2, "z"), 0)
+        push_rows(gb, [(1, "b")], 0)
+        push_rows(gb, [(1, "a")], 0)
+        push_rows(gb, [(2, "z")], 0)
         assert not sink.rows  # blocking
         gb.finish(0)
         assert sorted(sink.rows) == [(1, 2, "a"), (2, 2, "z")]
 
     def test_state_values_keys_and_aggregates(self, ctx):
         gb, _ = self._groupby(ctx)
-        gb.push((1, "b"), 0)
-        gb.push((2, "a"), 0)
+        push_rows(gb, [(1, "b")], 0)
+        push_rows(gb, [(2, "a")], 0)
         assert sorted(gb.state_values(0, "a")) == [1, 2]
         assert sorted(gb.state_values(0, "smallest")) == ["a", "b"]
 
     def test_state_released_after_flush(self, ctx):
         gb, _ = self._groupby(ctx)
-        gb.push((1, "b"), 0)
+        push_rows(gb, [(1, "b")], 0)
         gb.finish(0)
         assert ctx.metrics.state_bytes_of(gb.op_id) == 0
 
@@ -163,9 +172,9 @@ class TestDistinctMechanics:
         d = PDistinct(ctx, 30, LEFT)
         sink = POutput(ctx, 31, LEFT)
         sink.connect_child(d, 0)
-        d.push((1, "x"), 0)
-        d.push((1, "x"), 0)
-        d.push((2, "y"), 0)
+        push_rows(d, [(1, "x")], 0)
+        push_rows(d, [(1, "x")], 0)
+        push_rows(d, [(2, "y")], 0)
         assert sink.rows == [(1, "x"), (2, "y")]  # emitted immediately
         assert d.stored_count(0) == 2
 
@@ -173,7 +182,7 @@ class TestDistinctMechanics:
         d = PDistinct(ctx, 32, LEFT)
         sink = POutput(ctx, 33, LEFT)
         sink.connect_child(d, 0)
-        d.push((1, "x"), 0)
+        push_rows(d, [(1, "x")], 0)
         assert list(d.state_values(0, "a_name")) == ["x"]
 
 
@@ -186,29 +195,29 @@ class TestSemiJoinMechanics:
 
     def test_pending_flush_on_source_arrival(self, ctx):
         sj, sink = self._semijoin(ctx)
-        sj.push((1, "waiting"), 0)
+        push_rows(sj, [(1, "waiting")], 0)
         assert not sink.rows
-        sj.push((1, "src"), 1)
+        push_rows(sj, [(1, "src")], 1)
         assert sink.rows == [(1, "waiting")]
 
     def test_duplicate_source_keys_no_duplicates(self, ctx):
         sj, sink = self._semijoin(ctx)
-        sj.push((1, "src"), 1)
-        sj.push((1, "src2"), 1)
-        sj.push((1, "probe"), 0)
+        push_rows(sj, [(1, "src")], 1)
+        push_rows(sj, [(1, "src2")], 1)
+        push_rows(sj, [(1, "probe")], 0)
         assert sink.rows == [(1, "probe")]
 
     def test_probe_after_source_done_not_buffered(self, ctx):
         sj, sink = self._semijoin(ctx)
-        sj.push((1, "src"), 1)
+        push_rows(sj, [(1, "src")], 1)
         sj.finish(1)
-        sj.push((2, "never"), 0)
+        push_rows(sj, [(2, "never")], 0)
         assert sj.stored_count(0) == 0
         assert not sink.rows
 
     def test_state_complete_semantics(self, ctx):
         sj, _ = self._semijoin(ctx)
-        sj.push((1, "probe"), 0)
+        push_rows(sj, [(1, "probe")], 0)
         assert not sj.state_complete(0)
         assert not sj.state_complete(1)
         sj.finish(1)
@@ -232,7 +241,7 @@ class TestFilterCostAccounting:
         f, _ = self._filter(ctx)
         f.register_filter(0, "a", HashSetSummary.from_values([99]))
         before = ctx.metrics.cpu_time
-        f.push((1, "pruned"), 0)
+        push_rows(f, [(1, "pruned")], 0)
         charged = ctx.metrics.cpu_time - before
         # One touch plus one filter probe; no predicate evaluation.
         assert charged == pytest.approx(cm.tuple_base + cm.semijoin_probe)
@@ -243,7 +252,7 @@ class TestFilterCostAccounting:
         f, sink = self._filter(ctx)
         f.register_filter(0, "a", HashSetSummary.from_values([1]))
         before = ctx.metrics.cpu_time
-        f.push((1, "kept"), 0)
+        push_rows(f, [(1, "kept")], 0)
         charged = ctx.metrics.cpu_time - before
         # Filter's own charges plus the sink's touch of the emitted row.
         assert charged == pytest.approx(
@@ -256,7 +265,7 @@ class TestFilterCostAccounting:
         cm = ctx.cost_model
         f, _ = self._filter(ctx)
         before = ctx.metrics.cpu_time
-        f.push((1, "x"), 0)
+        push_rows(f, [(1, "x")], 0)
         charged = ctx.metrics.cpu_time - before
         assert charged == pytest.approx(
             cm.tuple_base + cm.predicate_eval + cm.tuple_base
@@ -272,7 +281,7 @@ class TestFilterCostAccounting:
         sink.connect_child(p, 0)
         p.register_filter(0, "a", HashSetSummary.from_values([99]))
         before = ctx.metrics.cpu_time
-        p.push((1, "pruned"), 0)
+        push_rows(p, [(1, "pruned")], 0)
         charged = ctx.metrics.cpu_time - before
         # Touch plus filter probe; no output tuple was built.
         assert charged == pytest.approx(cm.tuple_base + cm.semijoin_probe)
@@ -284,19 +293,17 @@ class TestFilterCostAccounting:
         sink.connect_child(d, 0)
         d.register_filter(0, "a", HashSetSummary.from_values([99]))
         before = ctx.metrics.cpu_time
-        d.push((1, "pruned"), 0)
+        push_rows(d, [(1, "pruned")], 0)
         charged = ctx.metrics.cpu_time - before
         # Touch plus filter probe; the seen-set was never probed.
         assert charged == pytest.approx(cm.tuple_base + cm.semijoin_probe)
 
 
-def _page(op, rows, port=0):
-    return ColumnBatch.from_rows(list(rows), len(op.input_schemas[port]))
-
-
 class TestPushPageMatchesPush:
-    """Operator-level cross-check: push_page must reproduce push's
-    rows, charges and state for the same input sequence."""
+    """Operator-level cross-check: a kernel fed a whole page must
+    reproduce the rows, charges and state of the same kernel fed the
+    same rows pushed one at a time (one single-row page each) — the
+    paper's per-row semantics, whatever the page size."""
 
     def _fresh_ctx(self):
         from repro.data.catalog import Catalog
@@ -309,8 +316,8 @@ class TestPushPageMatchesPush:
         op_b, sink_b = build(ctx_b)
         for port, rows in feed:
             for row in rows:
-                op_a.push(row, port)
-            op_b.push_page(_page(op_b, rows, port), port)
+                push_rows(op_a, [row], port)
+            push_rows(op_b, rows, port)
         assert sink_b.rows == sink_a.rows
         assert ctx_b.metrics.clock == ctx_a.metrics.clock
         assert (
@@ -338,7 +345,7 @@ class TestPushPageMatchesPush:
     def test_hash_join_flushes_ports_in_seq_order(self):
         """Pages carrying ``seq`` wait in the join's stash; the flush
         probes and inserts across both ports in ``seq`` order, exactly
-        the tuple path pushing the rows in that order."""
+        the rows pushed one at a time in that order."""
         left = [(1, "l1"), (2, "l2"), (1, "l3")]
         right = [(1, "r1"), (2, "r2"), (1, "r3")]
         left_seq, right_seq = [0, 3, 4], [1, 2, 5]
@@ -350,9 +357,9 @@ class TestPushPageMatchesPush:
             + [(s, 1, row) for s, row in zip(right_seq, right)]
         )
         for _, port, row in arrivals:
-            join_a.push(row, port)
-        join_b.push_page(ColumnBatch.from_rows(right, 2, right_seq), 1)
-        join_b.push_page(ColumnBatch.from_rows(left, 2, left_seq), 0)
+            push_rows(join_a, [row], port)
+        push_rows(join_b, right, 1, right_seq)
+        push_rows(join_b, left, 0, left_seq)
         assert sink_b.rows == []  # stashed until the run's flush
         join_b.flush_stash()
         assert sink_b.rows == sink_a.rows
@@ -429,17 +436,17 @@ class TestPushPageMatchesPush:
         ])
 
     def test_semijoin_page_hook_skips_duplicate_source_keys(self):
-        # The per-tuple path returns before ``after_tuple`` for
-        # duplicate source keys; a pushed page must hand the strategy
-        # the same row set.
+        # A duplicate source key carries no new information: the
+        # strategy hook never sees it, in a single-row page or a
+        # multi-row one.
         from repro.exec.context import ExecutionStrategy
 
         class Recorder(ExecutionStrategy):
             def __init__(self):
                 self.rows = []
 
-            def after_tuple(self, op, port, row):
-                self.rows.append((port, row))
+            def after_tuples_page(self, op, port, page):
+                self.rows.extend((port, row) for row in page.rows())
 
         def run(driver):
             ctx = self._fresh_ctx()
@@ -451,46 +458,25 @@ class TestPushPageMatchesPush:
             return recorder.rows
 
         source_rows = [(1, "s1"), (1, "dup"), (2, "s2")]
-        tuple_seen = run(lambda sj: [sj.push(r, 1) for r in source_rows])
-        page_seen = run(lambda sj: sj.push_page(_page(sj, source_rows, 1), 1))
-        assert page_seen == tuple_seen
-        assert len(tuple_seen) == 2  # the duplicate never reaches the hook
-
-    def test_default_push_page_falls_back_to_push(self):
-        from repro.exec.operators.base import Operator
-
-        calls = []
-
-        class Custom(Operator):
-            def push(self, row, port=0):
-                calls.append(row)
-                self.emit(row)
-
-            def finish(self, port=0):
-                self.finish_output()
-
-        ctx = self._fresh_ctx()
-        op = Custom(ctx, 70, LEFT, [LEFT], "Custom")
-        sink = POutput(ctx, 71, LEFT)
-        sink.connect_child(op, 0)
-        op.push_page(_page(op, [(1, "a"), (2, "b")]), 0)
-        assert calls == [(1, "a"), (2, "b")]
-        assert sink.rows == [(1, "a"), (2, "b")]
-        assert Custom.batch_safe  # custom operators batch by default
+        row_seen = run(
+            lambda sj: [push_rows(sj, [r], 1) for r in source_rows]
+        )
+        page_seen = run(lambda sj: push_rows(sj, source_rows, 1))
+        assert page_seen == row_seen
+        assert len(row_seen) == 2  # the duplicate never reaches the hook
 
 
 class TestScanMechanics:
     def test_scan_rejects_push(self, ctx):
+        # Not a bare assert: must survive ``python -O``.
         s = PScan(ctx, 50, LEFT, [(1, "x")])
-        with pytest.raises(AssertionError):
-            s.push((1, "x"), 0)
+        with pytest.raises(ExecutionError):
+            s.push_page(ColumnBatch.from_rows([(1, "x")], 2), 0)
 
     def test_emit_without_pending_raises_execution_error(self, ctx):
         # Not a bare assert: must survive ``python -O`` — a silent pass
         # here would turn a driver bug into row loss.
         s = PScan(ctx, 56, LEFT, [(1, "x")])
-        with pytest.raises(ExecutionError):
-            s.emit_pending()
         with pytest.raises(ExecutionError):
             s.take_paced(0, None, False, 8)
         with pytest.raises(ExecutionError):
@@ -519,7 +505,8 @@ class TestScanMechanics:
         assert streamed.take_local(2, times) == rows[:2]
         assert streamed.pending_when == times[2]
         assert not streamed.exhausted
-        assert streamed.advance() == times[3]
+        # The next run starts at the pending row, on the same clock.
+        assert streamed.run_times(16) == times[2:]
 
     def test_take_paced_respects_boundary(self, ctx):
         s = PScan(ctx, 59, LEFT, [(1, "a"), (2, "b"), (3, "c")])
@@ -540,11 +527,12 @@ class TestScanMechanics:
         sink = POutput(ctx, 52, LEFT)
         sink.connect_child(s, 0)
         s.register_filter(0, "a", HashSetSummary.from_values([2]))
-        when = s.prime()
-        while when is not None:
-            s.emit_pending()
-            when = s.advance()
+        s.prime()
+        times = s.run_times(16)
+        s.push_run(s.take_local(len(times), times), None)
+        assert s.exhausted
         assert sink.rows == [(2, "y")]
+        assert ctx.metrics.counters(s.op_id).tuples_pruned == 1
 
     def test_multi_parent_emit(self, ctx):
         s = PScan(ctx, 53, LEFT, [(1, "x")])
@@ -552,5 +540,5 @@ class TestScanMechanics:
         for sink in sinks:
             sink.connect_child(s, 0)
         s.prime()
-        s.emit_pending()
+        s.push_run(s.take_local(1, s.run_times(1)), None)
         assert all(sink.rows == [(1, "x")] for sink in sinks)

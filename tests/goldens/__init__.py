@@ -6,7 +6,10 @@ Each suite's cells live in one JSON file next to this module
 recorded while the tuple-at-a-time and page-driven engine loops, and
 the word-indexed and big-int Bloom bitsets, still ran side by side: all
 four combinations wrote byte-identical files, so a golden *is* the
-reference those paths were checked against.
+reference those paths were checked against.  Since the per-row loop
+was deleted every cell runs on pages; all cells it had run still match
+except ``Q1A/feedforward[memory_budget=4096]``, re-recorded because its
+working-set shed check now runs once per page (DESIGN.md section 4).
 
 Regenerate with ``PYTHONPATH=src python -m tests.goldens.record``.  A
 regenerated golden is a behaviour change: the change that moves one

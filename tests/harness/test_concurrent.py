@@ -31,7 +31,7 @@ class RecordingStrategy(ExecutionStrategy):
     def on_query_start(self):
         self.started += 1
 
-    def after_tuple(self, op, input_idx, row):
+    def after_tuples_page(self, op, input_idx, page):
         self.tuple_ops.add(op.op_id)
 
     def on_input_finished(self, op, input_idx):

@@ -182,8 +182,10 @@ class TestAIPStateStreaming:
             # 60 KB budget must spill partitions.
             partsupp = list(catalog.table("partsupp").rows)
             key_idx = catalog.table("partsupp").schema.index_of("ps_partkey")
-            for row in partsupp:
-                join.push(row, 0)
+            join.push_page(
+                ColumnBatch.from_rows(partsupp, len(join.input_schemas[0])),
+                0,
+            )
             assert join._spilled, "budget did not force a join spill"
             got = sorted(join.state_values(0, "ps_partkey"))
             expected = sorted(row[key_idx] for row in partsupp)
