@@ -264,21 +264,31 @@ class FeedForwardStrategy(ExecutionStrategy):
         ``aip_insert`` charged per row per set.  Working sets only need
         key columns, which the :class:`~repro.exec.pages.ColumnBatch`
         hands over zero-copy.  Under a memory budget the shed check
-        runs every 256 rows inserted, counted down by pages: at most
-        once per page, after the page's inserts."""
-        sets = self._working.get((op.op_id, port))
+        runs every 256 rows inserted: the page goes in as chunks that
+        end where the countdown does, so the sets overshoot the budget
+        by at most 256 rows' worth, whatever the page size."""
+        party = (op.op_id, port)
+        sets = self._working.get(party)
         if not sets:
             return
-        self.ctx.charge_events(
-            page.n_rows * len(sets), self.ctx.cost_model.aip_insert
-        )
-        for ws in sets:
-            ws.aip_set.add_many(page.columns[ws.key_index])
-        if self.memory_budget is not None:
-            self._budget_check_countdown -= page.n_rows
+        charge = self.ctx.cost_model.aip_insert
+        if self.memory_budget is None:
+            self.ctx.charge_events(page.n_rows * len(sets), charge)
+            for ws in sets:
+                ws.aip_set.add_many(page.columns[ws.key_index])
+            return
+        at = 0
+        while sets and at < page.n_rows:
+            end = min(page.n_rows, at + max(1, self._budget_check_countdown))
+            self.ctx.charge_events((end - at) * len(sets), charge)
+            for ws in sets:
+                ws.aip_set.add_many(page.columns[ws.key_index][at:end])
+            self._budget_check_countdown -= end - at
+            at = end
             if self._budget_check_countdown <= 0:
                 self._budget_check_countdown = 256
                 self._enforce_budget()
+                sets = self._working.get(party)
 
     def _enforce_budget(self) -> None:
         """Shed working-set state until under the configured budget.

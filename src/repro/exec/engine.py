@@ -84,24 +84,26 @@ def _run_cap(sources) -> int:
     )
 
 
-def _stash_order(sources) -> Optional[List[Operator]]:
+def _stash_order(sources) -> List[Operator]:
     """The joins, semijoins and merges above the scans, deepest first —
     the order a merged run's flush must visit them, so each holds its
-    inputs' pages before it runs.  None when an operator on those paths
-    has several parents (a shared subexpression, as magic-sets rewrites
-    build): it hands each page to its parents in turn, not in the run's
-    order across them, so such plans keep one source per run."""
+    inputs' pages before it runs.  An operator's depth is its longest
+    path up to its plan's root, over every parent edge: an operator
+    shared by several parents (as magic-sets rewrites build) sits below
+    all of them."""
     depth = {}
+
+    def depth_of(op):
+        d = depth.get(op)
+        if d is None:
+            d = depth[op] = max(
+                (depth_of(parent) + 1 for parent, _ in op.parents),
+                default=0,
+            )
+        return d
+
     for scan in sources:
-        path = []
-        op = scan
-        while op.parents:
-            if len(op.parents) > 1:
-                return None
-            op = op.parents[0][0]
-            path.append(op)
-        for height, op in enumerate(reversed(path)):
-            depth[op] = height
+        depth_of(scan)
     stashing = [
         op for op in depth if isinstance(op, (StashingOperator, PMerge))
     ]
@@ -194,10 +196,10 @@ def drive_sources(ctx: ExecutionContext, sources: Sequence[PScan]) -> None:
     takes a merged arrival run (``_take_run``) from every local source
     whose rows have arrived — across all concurrent plans — and pushes
     each source's slice as one page; the joins, semijoins and merges
-    stash those pages and are then flushed deepest-first, each
-    processing its ports in the run's order.  For sources that are not
-    ``local`` and for plans with a shared subexpression, a run holds
-    one source only (shipped filters interleave at row granularity).
+    stash those pages and are then flushed deepest-first
+    (``_stash_order``), each processing its ports in the run's order.
+    For sources that are not ``local``, a run holds one source only
+    (shipped filters interleave at row granularity).
     A run takes at most ``_run_cap`` rows.  An exhausted source's
     ``finish`` fires after the run that drained it.  DESIGN.md section
     4 has the invariants this rests on.
@@ -212,7 +214,6 @@ def drive_sources(ctx: ExecutionContext, sources: Sequence[PScan]) -> None:
         else:
             heapq.heappush(heap, (when, idx, scan))
 
-    # None: every run holds one source (a shared subexpression).
     stashing = _stash_order(sources)
     cap = _run_cap(sources)
     metrics = ctx.metrics
@@ -222,7 +223,7 @@ def drive_sources(ctx: ExecutionContext, sources: Sequence[PScan]) -> None:
         metrics.wait_until(when)
         now = metrics.clock_ticks
         members = [(idx, scan)]
-        if stashing is not None and scan.arrival.local:
+        if scan.arrival.local:
             while heap:
                 top_when, top_idx, top = heap[0]
                 if not (

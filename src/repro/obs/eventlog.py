@@ -48,8 +48,8 @@ class EventLog:
         self._fh = open(path, "a", encoding="utf-8")
         self._size = self._fh.tell()
 
-    def append(self, event: str, clock: Optional[float] = None,
-               **fields) -> None:
+    def emit(self, event: str, clock: Optional[float] = None,
+             **fields) -> None:
         """Append one event; ``fields`` must be JSON-serialisable."""
         entry: Dict = {"event": event, "ts": time.time()}
         if clock is not None:
@@ -59,7 +59,7 @@ class EventLog:
         encoded = len(line.encode("utf-8"))
         with self._lock:
             if self._fh is None:
-                return  # closed: late writers drop silently
+                return  # closed: late emitters drop silently
             if self._size and self._size + encoded > self.max_bytes:
                 self._rotate()
             self._fh.write(line)

@@ -781,7 +781,7 @@ class QueryService:
 
     def _emit_event(self, event: str, **fields) -> None:
         if self.eventlog is not None:
-            self.eventlog.append(event, clock=self.clock, **fields)
+            self.eventlog.emit(event, clock=self.clock, **fields)
 
     def _trace(self, name: str, category: str = "service",
                at: Optional[float] = None, **args) -> None:

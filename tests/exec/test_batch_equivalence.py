@@ -452,7 +452,7 @@ class TestConcurrentComposite:
     KEY = cell_key("Q4A+Q1A+Q1A", "feedforward+costbased+magic")
 
     @staticmethod
-    def run():
+    def run(on_plan_translated=None):
         catalog = cached_tpch(scale_factor=SCALE)
         plans = [
             get_query("Q4A").build_baseline(catalog),
@@ -465,7 +465,10 @@ class TestConcurrentComposite:
             None,
         ]
         ctx = ExecutionContext(catalog)
-        results = run_concurrent(plans, ctx, strategies=strategies)
+        results = run_concurrent(
+            plans, ctx, strategies=strategies,
+            on_plan_translated=on_plan_translated,
+        )
         return ctx, results
 
     @classmethod
@@ -478,6 +481,30 @@ class TestConcurrentComposite:
         ctx, observation = self.observation()
         assert_matches_golden(self.KEY, observation)
         assert ctx.metrics.pages_pushed > 0
+
+    def test_every_plan_takes_merged_runs(self, monkeypatch):
+        """Tree plans and the magic (DAG) plan beside them share merged,
+        multi-row runs on the one clock.  (Kept to one-source runs, the
+        magic plan's backlog would cut the tree plans' runs to 4.2 and
+        1.0 rows on average.)"""
+        from repro.exec.operators.scan import PScan
+
+        plan_of, runs = {}, {0: [], 1: [], 2: []}
+        real_push_run = PScan.push_run
+
+        def push_run(scan, rows, seq):
+            runs[plan_of[scan]].append((len(rows), seq is not None))
+            real_push_run(scan, rows, seq)
+
+        def on_translated(index, physical):
+            plan_of.update((s, index) for s in physical.scans)
+
+        monkeypatch.setattr(PScan, "push_run", push_run)
+        self.run(on_plan_translated=on_translated)
+        for index in (0, 1, 2):
+            rows = sum(n for n, _ in runs[index])
+            assert any(merged for _, merged in runs[index])
+            assert rows / len(runs[index]) >= 20
 
 
 class TestServiceLayer:
@@ -533,7 +560,7 @@ class TestServiceLayer:
 
 class TestBudgetedFeedForward:
     """A memory-budgeted Feed-Forward run sheds working sets when its
-    countdown of inserted rows expires, checked once per page."""
+    countdown of inserted rows expires, every 256 rows inserted."""
 
     KEY = cell_key("Q1A", "feedforward[memory_budget=4096]")
 
@@ -560,24 +587,77 @@ class TestBudgetedFeedForward:
         assert result.metrics.pages_pushed > 0
         assert strategy.working_sets_discarded > 0
 
+    def test_shed_check_cadence_does_not_grow_with_the_page(
+        self, monkeypatch,
+    ):
+        """Whole-table pages: the check still runs after the first row
+        a working set takes and then every 256 rows, not once a page.
+        (The budget is loose, so nothing is shed and no set is dropped
+        mid-page.)"""
+        from repro.aip.feedforward import FeedForwardStrategy
+
+        seen = {"rows": 0, "checks": 0, "largest": 0}
+        hook = FeedForwardStrategy.after_tuples_page
+        enforce = FeedForwardStrategy._enforce_budget
+
+        def count_rows(strategy, op, port, page):
+            if strategy._working.get((op.op_id, port)):
+                seen["rows"] += page.n_rows
+                seen["largest"] = max(seen["largest"], page.n_rows)
+            hook(strategy, op, port, page)
+
+        def count_checks(strategy):
+            seen["checks"] += 1
+            enforce(strategy)
+
+        monkeypatch.setattr(
+            FeedForwardStrategy, "after_tuples_page", count_rows
+        )
+        monkeypatch.setattr(
+            FeedForwardStrategy, "_enforce_budget", count_checks
+        )
+        query = get_query("Q4A")
+        # At this scale the joins hand working sets pages of up to 300.
+        catalog = cached_tpch(scale_factor=0.002, skew=query.skew)
+        strategy = make_strategy("feedforward", memory_budget=1 << 20)
+        ctx = ExecutionContext(catalog, strategy=strategy)
+        execute_plan(
+            query.build_baseline(catalog), ctx, arrival_resolver=_immediate,
+        )
+        assert strategy.working_sets_discarded == 0
+        assert seen["largest"] > 256
+        assert seen["checks"] == 1 + (seen["rows"] - 1) // 256
+
 
 class TestSharedSubexpression:
     """A magic-sets rewrite shares the outer query between the final
-    join and the filter set: an operator with two parents.  Such a
-    plan takes one-source runs, a rule read off the plan's shape."""
+    join and the filter set: an operator with two parents.  A merged
+    run's flush visits each stashing operator after every one below it,
+    over every parent edge.  A depth along first parents only would
+    lean on the order of the parent list: reversed, the shared join
+    would flush after the filter-set branch above it."""
 
-    def test_dag_plan_takes_one_source_runs(self):
+    @pytest.mark.parametrize("first_parent", ["as built", "reversed"])
+    def test_stash_order_covers_every_parent_edge(self, first_parent):
         from repro.exec.engine import _stash_order
         from repro.exec.translate import translate
 
         query = get_query("Q2E")
         catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
-        tree = translate(query.build_baseline(catalog),
-                         ExecutionContext(catalog))
         dag = translate(query.build_magic(catalog), ExecutionContext(catalog))
-        assert any(len(op.parents) > 1 for op in dag.sink.walk())
-        assert _stash_order(tree.scans) is not None
-        assert _stash_order(dag.scans) is None
+        shared = [op for op in dag.sink.walk() if len(op.parents) > 1]
+        assert shared
+        if first_parent == "reversed":
+            # Parent order is arbitrary: the rule must not lean on it.
+            for op in shared:
+                op.parents.reverse()
+        order = _stash_order(dag.scans)
+        position = {op: i for i, op in enumerate(order)}
+        assert len(position) > 2
+        for op in order:
+            for below in op.walk():
+                if below is not op and below in position:
+                    assert position[below] < position[op]
 
     def test_q2e_magic_streamed_matches_golden(self):
         observation, pages, selected = _matrix_run("Q2E", "magic", False)

@@ -369,6 +369,109 @@ class TestPushPageMatchesPush:
             ctx_b.metrics.peak_state_bytes == ctx_a.metrics.peak_state_bytes
         )
 
+    def _semijoin_with_sink(self, ctx, probe_schema=LEFT):
+        sj = PSemiJoin(ctx, 40, probe_schema, RIGHT, ["a"], ["b"])
+        sink = POutput(ctx, 41, probe_schema)
+        sink.connect_child(sj, 0)
+        return sj, sink
+
+    def test_semijoin_flushes_ports_in_seq_order(self):
+        """The semijoin stashes ``seq`` pages like the join; the flush
+        buffers, emits and releases across both ports in ``seq`` order:
+        rows, clock and peak equal the same rows pushed one at a time
+        in that order.  The strategy hook sees each port's accepted rows
+        as one page, so its rows match port by port."""
+        from repro.exec.context import ExecutionStrategy
+
+        class Recorder(ExecutionStrategy):
+            def __init__(self):
+                self.rows = []
+
+            def after_tuples_page(self, op, port, page):
+                self.rows.extend((port, row) for row in page.rows())
+
+        probe = [(1, "w1"), (2, "w2"), (1, "w3"), (3, "hit"), (4, "miss")]
+        source = [(1, "s1"), (3, "s3"), (1, "dup")]
+        probe_seq, source_seq = [0, 1, 3, 6, 7], [2, 4, 5]
+
+        def run(driver):
+            ctx = self._fresh_ctx()
+            recorder = ctx.strategy = Recorder()
+            sj, sink = self._semijoin_with_sink(ctx)
+            driver(sj)
+            return ctx, sink.rows, recorder.rows
+
+        arrivals = sorted(
+            [(s, 0, row) for s, row in zip(probe_seq, probe)]
+            + [(s, 1, row) for s, row in zip(source_seq, source)]
+        )
+
+        def merged(sj):
+            push_rows(sj, source, 1, source_seq)
+            push_rows(sj, probe, 0, probe_seq)
+            assert sj.stored_count(0) == 0  # stashed until the flush
+            sj.flush_stash()
+
+        ctx_a, rows_a, hook_a = run(
+            lambda sj: [push_rows(sj, [row], port) for _, port, row in arrivals]
+        )
+        ctx_b, rows_b, hook_b = run(merged)
+        assert rows_b == rows_a
+        assert rows_a == [(1, "w1"), (1, "w3"), (3, "hit")]
+        for port in (0, 1):
+            assert [r for r in hook_b if r[0] == port] == [
+                r for r in hook_a if r[0] == port
+            ]
+        assert ctx_b.metrics.clock == ctx_a.metrics.clock
+        assert (
+            ctx_b.metrics.peak_state_bytes == ctx_a.metrics.peak_state_bytes
+        )
+        assert (
+            ctx_b.metrics.total_state_bytes == ctx_a.metrics.total_state_bytes
+        )
+
+    def test_merged_run_peak_under_a_semijoin_release(self):
+        """semijoin(probe = join(A, B), source = C): a C row at seq 0
+        releases the buffered probe rows, then A rows at seq 1.. go into
+        the join.  The deepest-first flush runs the join's inserts
+        before the release, so the merged run's peak reads those inserts
+        on top of the still-buffered rows; in arrival order the release
+        came first.  Rows, clock and end state are equal, and the peaks
+        differ by no more than the bytes released (DESIGN.md section 4,
+        rule 2)."""
+        c_schema = RIGHT
+        late_a = [(8, "a%d" % i) for i in range(3)]
+
+        def run(merged):
+            ctx = self._fresh_ctx()
+            join = PHashJoin(ctx, 1, LEFT, RIGHT, ["a"], ["b"])
+            sj = PSemiJoin(ctx, 40, join.out_schema, c_schema, ["a"], ["b"])
+            sink = POutput(ctx, 41, join.out_schema)
+            sj.connect_child(join, 0)
+            sink.connect_child(sj, 0)
+            # Before the run: four joined rows wait in the probe buffer.
+            push_rows(join, [(7, "b")], 1)
+            push_rows(join, [(7, "a%d" % i) for i in range(4)], 0)
+            released = sj.stored_count(0) * sj._probe_row_bytes
+            if merged:
+                push_rows(sj, [(7, "c")], 1, [0])
+                push_rows(join, late_a, 0, [1, 2, 3])
+                join.flush_stash()
+                sj.flush_stash()
+            else:
+                push_rows(sj, [(7, "c")], 1)
+                for row in late_a:
+                    push_rows(join, [row], 0)
+            return ctx.metrics, sink.rows, released
+
+        arrival, rows_a, released = run(merged=False)
+        flushed, rows_b, _ = run(merged=True)
+        assert rows_b == rows_a and len(rows_a) == 4
+        assert flushed.clock == arrival.clock
+        assert flushed.total_state_bytes == arrival.total_state_bytes
+        lift = flushed.peak_state_bytes - arrival.peak_state_bytes
+        assert 0 < lift <= released
+
     def test_hash_join_page_with_residual(self):
         def build(ctx):
             join = PHashJoin(

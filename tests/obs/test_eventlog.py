@@ -19,8 +19,8 @@ class TestEventLog:
     def test_emit_writes_one_json_line_per_event(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         with EventLog(path) as log:
-            log.append("admit", clock=1.5, seq=1, tenant="t")
-            log.append("shed", reason="quota:state")
+            log.emit("admit", clock=1.5, seq=1, tenant="t")
+            log.emit("shed", reason="quota:state")
         with open(path) as fh:
             lines = [json.loads(line) for line in fh]
         assert [e["event"] for e in lines] == ["admit", "shed"]
@@ -33,14 +33,14 @@ class TestEventLog:
     def test_tail_returns_newest_entries(self, tmp_path):
         with EventLog(str(tmp_path / "e.jsonl")) as log:
             for i in range(8):
-                log.append("tick", i=i)
+                log.emit("tick", i=i)
             assert [e["i"] for e in log.tail(3)] == [5, 6, 7]
 
     def test_rotation_bounds_disk(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         with EventLog(path, max_bytes=1024) as log:
             for i in range(64):
-                log.append("tick", i=i, pad="x" * 64)
+                log.emit("tick", i=i, pad="x" * 64)
             assert log.rotations >= 1
             assert os.path.exists(path + ".1")
             assert os.path.getsize(path) <= 1024
@@ -56,9 +56,9 @@ class TestEventLog:
 
     def test_close_drops_late_emitters_silently(self, tmp_path):
         log = EventLog(str(tmp_path / "e.jsonl"))
-        log.append("first")
+        log.emit("first")
         log.close()
-        log.append("late")  # no raise
+        log.emit("late")  # no raise
         log.close()  # idempotent
         assert log.events_written == 1
 
