@@ -20,7 +20,7 @@ sideways information passing.  See ``examples/query_service.py`` for a
 runnable mixed Q1/Q17 stream demonstrating cross-query reuse.
 
 Beneath the engine sits a paged storage layer (:mod:`repro.storage`):
-a buffer manager streams base tables as evictable column pages, and a
+a buffer manager streams base tables as evictable row-slice pages, and a
 :class:`~repro.storage.MemoryGovernor` enforces a process-wide state
 budget — stateful operators spill hash partitions to disk Grace-style
 and replay them on completion, with spill I/O charged to the virtual

@@ -21,6 +21,8 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from typing import Callable, List, Optional, Tuple
 
+from repro.exec.metrics import _TICKS_PER_SECOND
+
 Row = Tuple
 
 
@@ -216,6 +218,20 @@ class ArrivalModel:
         of :meth:`next_arrival` would make."""
         step = self.per_tuple + self.source_read
         return list(accumulate(repeat(step, n - 1), initial=self._link_time))
+
+    def local_due(self, now_ticks: int, most: int) -> int:
+        """About how many rows, the pending one first, a :attr:`local`
+        model has delivered by ``now_ticks``, at most ``most`` — a
+        starting length for :meth:`local_times`, which stays the
+        authority on exact times (the estimate ignores float rounding,
+        so it may be off by one)."""
+        elapsed = now_ticks / _TICKS_PER_SECOND - self._link_time
+        if elapsed < 0:
+            return 0
+        step = self.per_tuple + self.source_read
+        if step <= 0 or elapsed >= step * most:
+            return most
+        return int(elapsed / step) + 1
 
     def skip_local(self, rows: int, when: float) -> None:
         """Advance a :attr:`local` model past ``rows`` further rows, the

@@ -74,7 +74,7 @@ class ExecutionContext:
         self.strategy = strategy or ExecutionStrategy()
         #: The run's :class:`~repro.storage.governor.MemoryGovernor`,
         #: or None for un-governed execution.  When present, scans
-        #: stream governor-managed column pages and stateful operators
+        #: stream governor-managed table pages and stateful operators
         #: spill hash partitions under budget pressure; when absent the
         #: engine is bit-identical to the pre-storage-layer code.
         self.governor = governor

@@ -117,8 +117,12 @@ def _arrived(scan: PScan, idx: int, now: int, barrier, cap: int):
     ``(when, idx)`` barrier in the heap's order, and at most ``cap``.
     The vector doubles until it reaches a row past those bounds (that
     row stays pending), the source's last row, or ``cap + 1`` rows — so
-    a short run computes few times."""
+    a short run computes few times.  A buffer-pool scan (its cap is
+    one page) starts the vector at the rows due by ``now``, so one
+    vector usually suffices."""
     limit = 2
+    if isinstance(scan.rows, PagedRows):
+        limit = max(2, scan.arrival.local_due(now, cap) + 2)
     while True:
         limit = min(limit, cap + 1)
         times = scan.run_times(limit)

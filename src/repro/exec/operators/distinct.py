@@ -39,6 +39,9 @@ class PDistinct(Operator):
             #: pid -> (seen_spool, delta_spool).
             self._spilled: Dict[int, tuple] = {}
             self._part_rows = [0] * N_SPILL_PARTITIONS
+            #: The rows each partition holds in ``_seen``, in insertion
+            #: order: a spill pops exactly its victims.
+            self._part_keys = [[] for _ in range(N_SPILL_PARTITIONS)]
             self._replaying = False
             #: Rows per lease request in the page kernel.
             self._chunk_rows = ctx.governor.page_records_for(
@@ -122,6 +125,7 @@ class PDistinct(Operator):
             for i in fresh:
                 seen.add(rows[i])
                 self._part_rows[pids[i]] += 1
+                self._part_keys[pids[i]].append(rows[i])
             self.ctx.metrics.adjust_state(self.op_id, nbytes)
             self.ctx.charge_events_op(self.op_id, n_kept, cm.hash_probe)
             self.ctx.charge_events_op(
@@ -151,6 +155,9 @@ class PDistinct(Operator):
         if self._seen:
             self.account_state(-len(self._seen) * self._row_bytes)
             self._seen.clear()
+            if self._spilled is not None:
+                for keys in self._part_keys:
+                    keys.clear()
         if self._spilled:
             for seen_spool, delta_spool in self._spilled.values():
                 seen_spool.discard()
@@ -168,9 +175,7 @@ class PDistinct(Operator):
     def spill(self, need_bytes: int, ctx) -> int:
         if self._spilled is None or self._replaying:
             return 0
-        from repro.storage.spill import (
-            Spool, pick_spill_victim, spill_partitions,
-        )
+        from repro.storage.spill import Spool, pick_spill_victim
 
         freed = 0
         while freed < need_bytes:
@@ -187,19 +192,16 @@ class PDistinct(Operator):
                 label + ".delta",
             )
             self._spilled[best] = (seen_spool, delta_spool)
-            seen = list(self._seen)
-            doomed = [
-                row for row, pid in zip(seen, spill_partitions(seen))
-                if pid == best
-            ]
-            for row in doomed:
-                self._seen.discard(row)
-                self.account_state(-self._row_bytes)
-                seen_spool.append(row)
+            moved = self._part_keys[best]
+            self._part_keys[best] = []
+            if moved:
+                self._seen.difference_update(moved)
+                nbytes = len(moved) * self._row_bytes
+                self.account_state(-nbytes)
+                seen_spool.extend(moved)
+                freed += nbytes
             seen_spool.flush()
             self._part_rows[best] = 0
-            if doomed:
-                freed += len(doomed) * self._row_bytes
         return freed
 
     def _replay_spilled(self) -> None:

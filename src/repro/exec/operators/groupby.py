@@ -63,6 +63,9 @@ class PGroupBy(Operator):
             #: pid -> consolidated spool once the input finished.
             self._merged: Dict[int, object] = {}
             self._part_groups = [0] * N_SPILL_PARTITIONS
+            #: The group keys each partition holds in ``_groups``, in
+            #: its insertion order: a spill pops exactly its victims.
+            self._part_keys = [[] for _ in range(N_SPILL_PARTITIONS)]
             self._replaying = False
             #: Rows per lease request in the page kernel: each makes at
             #: most one group, so a chunk is one governor page of groups.
@@ -176,14 +179,16 @@ class PGroupBy(Operator):
         pids = spill_partitions(keys)
 
         def route(at, end):
-            kept, deferred, fresh = [], [], set()
+            # ``fresh`` maps each new key to its partition, in the
+            # order ``_aggregate`` makes the groups.
+            kept, deferred, fresh = [], [], {}
             for i in range(at, min(end, len(keys))):
                 if pids[i] in spilled:
                     deferred.append(i)
                 else:
                     kept.append(i)
                     if keys[i] not in groups:
-                        fresh.add(keys[i])
+                        fresh[keys[i]] = pids[i]
             return kept, deferred, fresh, len(fresh) * self._group_bytes
 
         rows = None
@@ -193,8 +198,9 @@ class PGroupBy(Operator):
                 lambda: route(at, at + step)
             )
             self._aggregate(kept, keys, val_cols)
-            for pid in spill_partitions(fresh):
+            for key, pid in fresh.items():
                 self._part_groups[pid] += 1
+                self._part_keys[pid].append(key)
             self.ctx.metrics.adjust_state(self.op_id, nbytes)
             self.ctx.charge_events_op(self.op_id, len(kept), cm.hash_probe)
             self.ctx.charge_events_op(
@@ -255,6 +261,9 @@ class PGroupBy(Operator):
         if self._groups:
             self.account_state(-len(self._groups) * self._group_bytes)
             self._groups.clear()
+            if self._spilled is not None:
+                for keys in self._part_keys:
+                    keys.clear()
 
     # -- spilling ----------------------------------------------------------
 
@@ -266,9 +275,7 @@ class PGroupBy(Operator):
     def spill(self, need_bytes: int, ctx) -> int:
         if self._spilled is None or self._replaying:
             return 0
-        from repro.storage.spill import (
-            Spool, pick_spill_victim, spill_partitions,
-        )
+        from repro.storage.spill import Spool, pick_spill_victim
 
         freed = 0
         while freed < need_bytes:
@@ -285,19 +292,17 @@ class PGroupBy(Operator):
                 label + ".delta",
             )
             self._spilled[best] = (group_spool, delta_spool)
-            moved = 0
-            for key in [
-                k for k, pid in zip(self._groups, spill_partitions(self._groups))
-                if pid == best
-            ]:
-                key_values, accumulators = self._groups.pop(key)
-                self.account_state(-self._group_bytes)
-                group_spool.append((key, key_values, accumulators))
-                moved += 1
+            doomed = self._part_keys[best]
+            groups = self._groups
+            moved = [(key,) + groups.pop(key) for key in doomed]
+            doomed.clear()
+            if moved:
+                nbytes = len(moved) * self._group_bytes
+                self.account_state(-nbytes)
+                group_spool.extend(moved)
+                freed += nbytes
             group_spool.flush()
             self._part_groups[best] = 0
-            if moved:
-                freed += moved * self._group_bytes
         return freed
 
     def _merge_partition(self, pid: int) -> Dict:

@@ -98,6 +98,13 @@ class PHashJoin(StashingOperator):
             self._part_rows = (
                 [0] * N_SPILL_PARTITIONS, [0] * N_SPILL_PARTITIONS,
             )
+            #: The keys each (port, partition) holds in the table, in
+            #: the table's insertion order, so a spill pops exactly its
+            #: victims without computing a partition id per key.
+            self._part_keys = (
+                [[] for _ in range(N_SPILL_PARTITIONS)],
+                [[] for _ in range(N_SPILL_PARTITIONS)],
+            )
             self._replaying = False
             #: Rows per lease request in the page kernel: one governor
             #: page of the wider side's rows.
@@ -127,56 +134,53 @@ class PHashJoin(StashingOperator):
         costs and state are charged in bulk per port.  Probe keys
         are read straight off the key column(s), zero-copy for
         single-key joins; outputs carry their trigger row's ``seq``.
-        A governed join goes through :meth:`_join_governed` instead of
-        charging probes, inserts and state up front."""
-        cm = self.ctx.cost_model
-        metrics = self.ctx.metrics
-        counters = metrics.counters(self.op_id)
-        buffering = self._buffering
-        governed = self._lease is not None
-        seqs = [] if pages[0][1].seq is not None else None
-        keys, rows, ports, accepted = [], [], [], []
-        for port, page in pages:
-            n_in = page.n_rows
-            counters.tuples_in += n_in
-            self.ctx.charge_events_op(self.op_id, n_in, cm.tuple_base)
-            page = self.passes_filters_page(page, port)
+        A single page is processed as it stands, with no concatenated
+        key, row or port lists.  A governed join goes through
+        :meth:`_join_governed` instead of charging probes, inserts and
+        state up front."""
+        if len(pages) == 1:
+            port, page = pages[0]
+            page = self._accept(port, page)
+            if page is None:
+                return
             n = page.n_rows
-            if not n:
-                continue
-            self._page_stats(n_in, n)
-            indices = self._key_indices[port]
-            if len(indices) == 1:
-                keys.extend(page.columns[indices[0]])
-            else:
-                keys.extend(zip(*[page.columns[i] for i in indices]))
-            rows.extend(page.rows())
-            ports.extend([port] * n)
-            if seqs is not None:
-                seqs.extend(page.seq)
-            if not governed:
-                self.ctx.charge_events_op(self.op_id, n, cm.hash_probe)
-                if buffering[port]:
-                    self.ctx.charge_events_op(self.op_id, n, cm.hash_insert)
-                    metrics.adjust_state(self.op_id, n * self._row_bytes[port])
-            accepted.append((port, page))
-        if not rows:
-            return
-        if len(accepted) > 1:
-            order = sorted(range(len(seqs)), key=seqs.__getitem__)
+            accepted = [(port, page)]
+            keys = self._page_keys(page, port)
+            rows = page.rows()
+            ports = [port] * n
+            seqs = page.seq
+            order = range(n)
         else:
-            order = range(len(rows))
+            seqs = [] if pages[0][1].seq is not None else None
+            keys, rows, ports, accepted = [], [], [], []
+            for port, page in pages:
+                page = self._accept(port, page)
+                if page is None:
+                    continue
+                keys.extend(self._page_keys(page, port))
+                rows.extend(page.rows())
+                ports.extend([port] * page.n_rows)
+                if seqs is not None:
+                    seqs.extend(page.seq)
+                accepted.append((port, page))
+            if not rows:
+                return
+            if len(accepted) > 1:
+                order = sorted(range(len(seqs)), key=seqs.__getitem__)
+            else:
+                order = range(len(rows))
 
         out = []
         out_seq = [] if seqs is not None else None
         batch = (keys, rows, ports, seqs, out, out_seq)
-        if governed:
+        if self._lease is not None:
             n_residual = self._join_governed(order, batch)
         else:
             n_residual = self._probe_insert(order, batch)
 
         for port, page in accepted:
             self.ctx.strategy.after_tuples_page(self, port, page)
+        cm = self.ctx.cost_model
         if n_residual:
             self.ctx.charge_events_op(self.op_id, n_residual, cm.predicate_eval)
         if out:
@@ -186,6 +190,36 @@ class PHashJoin(StashingOperator):
             self.emit_page(
                 ColumnBatch.from_rows(out, len(self.out_schema), out_seq)
             )
+
+    def _accept(self, port: int, page):
+        """Count and vet one arriving page; returns the surviving page,
+        or None when no row survives.  An ungoverned join charges the
+        survivors' probes, inserts and state here."""
+        cm = self.ctx.cost_model
+        n_in = page.n_rows
+        self.ctx.metrics.counters(self.op_id).tuples_in += n_in
+        self.ctx.charge_events_op(self.op_id, n_in, cm.tuple_base)
+        page = self.passes_filters_page(page, port)
+        n = page.n_rows
+        if not n:
+            return None
+        self._page_stats(n_in, n)
+        if self._lease is None:
+            self.ctx.charge_events_op(self.op_id, n, cm.hash_probe)
+            if self._buffering[port]:
+                self.ctx.charge_events_op(self.op_id, n, cm.hash_insert)
+                self.ctx.metrics.adjust_state(
+                    self.op_id, n * self._row_bytes[port]
+                )
+        return page
+
+    def _page_keys(self, page, port: int):
+        """The page's join keys: the key column itself for one key,
+        else tuples zipped from the key columns."""
+        indices = self._key_indices[port]
+        if len(indices) == 1:
+            return page.columns[indices[0]]
+        return list(zip(*[page.columns[i] for i in indices]))
 
     def _probe_insert(self, order, batch) -> int:
         """Probe, then insert, each row ``order`` names, appending the
@@ -239,29 +273,40 @@ class PHashJoin(StashingOperator):
         pids = spill_partitions([keys[i] for i in order])
 
         def route(at, end):
-            kept, deferred, nbytes = [], [], 0
-            for i, pid in zip(order[at:end], pids[at:end]):
-                if pid in spilled:
-                    deferred.append((i, pid))
-                else:
-                    kept.append((i, pid))
-                    if buffering[ports[i]]:
-                        nbytes += row_bytes[ports[i]]
-            return kept, deferred, nbytes
+            kept, kept_pids, deferred = order[at:end], pids[at:end], []
+            if spilled:
+                chunk = zip(kept, kept_pids)
+                kept, kept_pids = [], []
+                for i, pid in chunk:
+                    if pid in spilled:
+                        deferred.append((i, pid))
+                    else:
+                        kept.append(i)
+                        kept_pids.append(pid)
+            kept_ports = [ports[i] for i in kept]
+            nbytes = sum(
+                kept_ports.count(port) * row_bytes[port]
+                for port in (0, 1) if buffering[port]
+            )
+            return kept, kept_pids, kept_ports, deferred, nbytes
 
         n_residual = 0
         step = self._chunk_rows
+        tables = self._tables
+        part_rows, part_keys = self._part_rows, self._part_keys
         for at in range(0, len(order), step):
-            kept, deferred, nbytes = self.reserve_routed(
-                lambda: route(at, at + step)
+            kept, kept_pids, kept_ports, deferred, nbytes = (
+                self.reserve_routed(lambda: route(at, at + step))
             )
-            n_residual += self._probe_insert([i for i, _ in kept], batch)
+            n_residual += self._probe_insert(kept, batch)
             inserted = 0
-            for i, pid in kept:
-                port = ports[i]
+            for i, pid, port in zip(kept, kept_pids, kept_ports):
                 if buffering[port]:
-                    self._part_rows[port][pid] += 1
+                    part_rows[port][pid] += 1
                     inserted += 1
+                    # A row heading its bucket made the key: index it.
+                    if tables[port][keys[i]][0] is rows[i]:
+                        part_keys[port][pid].append(keys[i])
             self.ctx.metrics.adjust_state(self.op_id, nbytes)
             self.ctx.charge_events_op(self.op_id, len(kept), cm.hash_probe)
             self.ctx.charge_events_op(
@@ -298,6 +343,7 @@ class PHashJoin(StashingOperator):
             counts = self._part_rows[port]
             for pid in range(len(counts)):
                 counts[pid] = 0
+                self._part_keys[port][pid].clear()
 
     # -- spilling ----------------------------------------------------------
 
@@ -340,31 +386,26 @@ class PHashJoin(StashingOperator):
         return make
 
     def _spill_partition(self, pid: int, ctx) -> int:
-        from repro.storage.spill import spill_partitions
-
         part = _PartitionSpill(self._make_spool(pid))
         self._spilled[pid] = part
         freed = 0
         for port in (0, 1):
             table = self._tables[port]
-            doomed = [
-                key for key, key_pid in zip(table, spill_partitions(table))
-                if key_pid == pid
-            ]
-            moved = 0
-            spool = part.frozen[port]
-            row_bytes = self._row_bytes[port]
+            doomed = self._part_keys[port][pid]
+            moved = []
             for key in doomed:
-                rows = table.pop(key)
+                # A row object that arrived again indexed its key again.
+                moved.extend(table.pop(key, ()))
+            doomed.clear()
+            if moved:
+                nbytes = len(moved) * self._row_bytes[port]
                 # Release before appending so the transfer never holds
                 # the rows on both ledgers at once.
-                self.account_state(-len(rows) * row_bytes)
-                for row in rows:
-                    moved += 1
-                    spool.append(row)
-            if moved:
+                self.account_state(-nbytes)
+                spool = part.frozen[port]
+                spool.extend(moved)
                 spool.flush()
-                freed += moved * row_bytes
+                freed += nbytes
             self._part_rows[port][pid] = 0
         return freed
 

@@ -67,6 +67,9 @@ class PSemiJoin(StashingOperator):
             #: pid -> Spool of pending probe rows (moved + deferred).
             self._spilled: Dict[int, object] = {}
             self._part_rows = [0] * N_SPILL_PARTITIONS
+            #: The keys each partition holds in ``_pending``, in its
+            #: insertion order: a spill pops exactly its victims.
+            self._part_keys = [{} for _ in range(N_SPILL_PARTITIONS)]
             self._replaying = False
         else:
             self._spilled = None
@@ -140,6 +143,7 @@ class PSemiJoin(StashingOperator):
                             spilled[pid].append(row)
                             continue
                         self._part_rows[pid] += 1
+                        self._part_keys[pid][key] = None
                     pending.setdefault(key, []).append(row)
                     self.account_state(self._probe_row_bytes)
             else:
@@ -153,7 +157,9 @@ class PSemiJoin(StashingOperator):
                 waiting = pending.pop(key, None)
                 if waiting:
                     if spilled is not None:
-                        self._part_rows[spill_partition(key)] -= len(waiting)
+                        pid = spill_partition(key)
+                        self._part_rows[pid] -= len(waiting)
+                        del self._part_keys[pid][key]
                     self.account_state(-len(waiting) * self._probe_row_bytes)
                     released += len(waiting)
                     out.extend(waiting)
@@ -192,6 +198,7 @@ class PSemiJoin(StashingOperator):
                 if self._spilled is not None:
                     for pid in range(len(self._part_rows)):
                         self._part_rows[pid] = 0
+                        self._part_keys[pid].clear()
         self.ctx.strategy.on_input_finished(self, port)
         if self.all_inputs_done:
             if self._source_keys:
@@ -212,9 +219,7 @@ class PSemiJoin(StashingOperator):
         """Move whole pending-buffer key partitions to disk."""
         if self._spilled is None or self._replaying:
             return 0
-        from repro.storage.spill import (
-            Spool, pick_spill_victim, spill_partition,
-        )
+        from repro.storage.spill import Spool, pick_spill_victim
 
         freed = 0
         while freed < need_bytes:
@@ -226,19 +231,18 @@ class PSemiJoin(StashingOperator):
                 "%s#%d.p%d.pending" % (self.name, self.op_id, best),
             )
             self._spilled[best] = spool
-            moved = 0
-            for key in [
-                k for k in self._pending if spill_partition(k) == best
-            ]:
-                rows = self._pending.pop(key)
-                self.account_state(-len(rows) * self._probe_row_bytes)
-                for row in rows:
-                    moved += 1
-                    spool.append(row)
+            doomed = self._part_keys[best]
+            moved = []
+            for key in doomed:
+                moved.extend(self._pending.pop(key))
+            doomed.clear()
+            if moved:
+                nbytes = len(moved) * self._probe_row_bytes
+                self.account_state(-nbytes)
+                spool.extend(moved)
+                freed += nbytes
             spool.flush()
             self._part_rows[best] = 0
-            if moved:
-                freed += moved * self._probe_row_bytes
         return freed
 
     def _replay_spilled(self) -> None:

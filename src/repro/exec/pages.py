@@ -1,10 +1,10 @@
 """The page-native execution unit: a column batch.
 
-A :class:`ColumnBatch` is the in-flight sibling of the storage layer's
-:class:`~repro.storage.page.ColumnPage`: one arrival run of rows held
+A :class:`ColumnBatch` is one arrival run of rows held
 column-at-a-time (one sequence per attribute) so operators can evaluate
 predicates, gather projections and extract hash keys without first
-re-materialising Python tuples.  Unlike a storage page it carries no
+re-materialising Python tuples.  Unlike a buffer-pool table page (a
+row slice, :class:`~repro.storage.buffer.PagedRows`) it carries no
 byte accounting and no schema — it is a transient dataflow value that
 lives for exactly one hop between two operators.
 

@@ -64,7 +64,7 @@ class PhysicalPlan:
 def _scan_rows(ctx: ExecutionContext, schema, rows):
     """The row sequence a scan streams: the raw table list, or — under
     a memory governor — a :class:`~repro.storage.buffer.PagedRows`
-    facade whose column pages the buffer pool may evict and reload."""
+    facade whose row-slice pages the buffer pool may evict and reload."""
     if ctx.governor is None:
         return rows
     from repro.storage.buffer import PagedRows

@@ -1,17 +1,17 @@
-"""Paged columnar storage under a process-wide memory governor.
+"""Paged storage under a process-wide memory governor.
 
 The engine's working sets — base-table rows streamed by scans, the
 hash state of stateful operators, spilled partition runs — all live in
 Python memory.  This package bounds that memory:
 
-* :mod:`repro.storage.page` — fixed-capacity **column pages** built
-  from :class:`~repro.data.table.Table` rows when a scan first reads
-  them, with ``nbytes`` accounting through :mod:`repro.common.sizing`;
-* :mod:`repro.storage.disk` — the spill backend: one pickle file per
-  page under a private temp directory, removed on close;
+* :mod:`repro.storage.disk` — the spill backend: pickled pages as
+  extents of one file under a private temp directory, the file
+  removed when its last page is, the directory on close;
 * :mod:`repro.storage.buffer` — a **buffer manager** with pin/unpin
   and LRU eviction to the disk backend, plus :class:`PagedRows`, the
-  sequence facade scans stream instead of materialised row lists;
+  sequence facade scans stream instead of materialised row lists: a
+  table page is a slice of the table's rows, taken when a scan first
+  reads it and weighed through :mod:`repro.common.sizing`;
 * :mod:`repro.storage.spill` — append-only paged **spools** the
   stateful operators write Grace-style hash partitions through;
 * :mod:`repro.storage.governor` — the :class:`MemoryGovernor` holding
@@ -28,13 +28,11 @@ virtual clock as ``spill_bytes``/``spill_events``.
 
 from repro.storage.buffer import BufferManager, PagedRows
 from repro.storage.disk import DiskBackend
-from repro.storage.governor import Lease, MemoryGovernor
-from repro.storage.page import PAGE_ROWS, ColumnPage
+from repro.storage.governor import PAGE_ROWS, Lease, MemoryGovernor
 from repro.storage.spill import N_SPILL_PARTITIONS, Spool, spill_partition
 
 __all__ = [
     "BufferManager",
-    "ColumnPage",
     "DiskBackend",
     "Lease",
     "MemoryGovernor",

@@ -1,21 +1,23 @@
 """The buffer manager: pinned pages, LRU eviction, paged scan rows.
 
-Frames hold column pages (or any immutable payload with a known byte
-weight).  A frame is *resident* while its payload is in memory and
-*evicted* once the payload has been written to the spill backend and
-dropped; :meth:`BufferManager.pin` transparently reloads evicted
-frames.  Pinned frames are never evicted — pin spans are short (one
-page slice, one replay pass) so the pool can always make
+Frames hold table pages — row slices — or any immutable payload with
+a known byte weight.  A frame is *resident* while its payload is in
+memory and *evicted* once the payload has been written to the spill
+backend and dropped; :meth:`BufferManager.pin` transparently reloads
+evicted frames.  Pinned frames are never evicted — pin spans are short
+(one page slice, one replay pass) so the pool can always make
 progress.
 
 :class:`PagedRows` is the engine-facing facade: a read-only sequence
 (``len`` + indexing, which is all the arrival models need) over a
-table's column pages, so scans stream pages under the governor's
-budget.  It is lazy and forward-only: a page is built from the table's
-rows and admitted to the pool when a scan first reads it, and released
-(bytes returned, any spill file deleted) once the scan moves past it.
-A read behind the cursor rebuilds the page, so any access pattern
-stays correct; only forward scans are cheap.
+table's pages, so scans stream pages under the governor's budget.  A
+page is a slice of the table's row list, weighed as those rows weigh
+everywhere else (:func:`repro.common.sizing.rows_nbytes`).  It is lazy
+and forward-only: a page is sliced from the table's rows and admitted
+to the pool when a scan first reads it, and released (bytes returned,
+any spilled copy deleted) once the scan moves past it.  A read behind
+the cursor slices the page again, so any access pattern stays
+correct; only forward scans are cheap.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.storage.page import ColumnPage
+from repro.common.sizing import row_nbytes, rows_nbytes
 
 
 class Frame:
@@ -158,8 +160,8 @@ class BufferManager:
 
 
 class PagedRows:
-    """A table's rows as governor-managed column pages, built lazily
-    and dropped once a scan has passed them.
+    """A table's rows as governor-managed row-slice pages, sliced
+    lazily and dropped once a scan has passed them.
 
     Duck-types the part of the ``list`` interface the scan machinery
     uses — ``len()`` and integer indexing, which is all
@@ -174,7 +176,6 @@ class PagedRows:
     )
 
     def __init__(self, ctx, schema, rows, page_rows: Optional[int] = None):
-        from repro.common.sizing import row_nbytes
         governor = ctx.governor
         self._ctx = ctx
         self._buffer = governor.buffer
@@ -182,8 +183,8 @@ class PagedRows:
         self._page_rows = page_rows or governor.page_records_for(
             row_nbytes(schema)
         )
-        #: The table's immutable row list; a page is built from its
-        #: slice on first read, so construction admits nothing.
+        #: The table's immutable row list; a page is its slice, taken
+        #: on first read, so construction admits nothing.
         self._rows = rows
         #: One slot per page: its frame while built, None before the
         #: first read and after release.
@@ -191,9 +192,10 @@ class PagedRows:
         #: The page last read.  Every live frame is at or past it:
         #: reading forward releases the pages in between.
         self._cursor = 0
-        #: One-page row memo, so a page slice is a list index rather
-        #: than a transpose per row.  Each read still pins the frame,
-        #: so reload charges and LRU recency follow the reads.
+        #: One-page row memo: the page last read and its rows.  A page
+        #: evicted and reloaded while it is the memo page keeps reading
+        #: the table's own row tuples, so the rows the scan passes on
+        #: are never duplicated by a reload.
         self._memo_index = -1
         self._memo_rows = None
 
@@ -207,10 +209,12 @@ class PagedRows:
         return self._page_rows
 
     def _page(self, page_index: int):
-        """The rows of one page, pinned and unpinned once.  A page not
-        yet built (or released) is built from the table's rows and
-        admitted to the buffer pool; moving forward releases the pages
-        behind, which no scan reads again."""
+        """The rows of one page, pinned and unpinned once (each read
+        pins, so reload charges and LRU recency follow the reads).  A
+        page not yet built (or released) is sliced from the table's
+        rows and admitted to the buffer pool; moving forward releases
+        the pages behind, which no scan reads again.  A reloaded page
+        other than the memo page reads as the unpickled slice."""
         frames = self._frames
         buffer = self._buffer
         for behind in range(self._cursor, page_index):
@@ -222,19 +226,15 @@ class PagedRows:
         if frame is None:
             start = page_index * self._page_rows
             rows = self._rows[start:start + self._page_rows]
-            page = ColumnPage(rows, self._schema)
             frame = frames[page_index] = buffer.add(
-                page, page.nbytes, self._ctx,
+                rows, rows_nbytes(self._schema, len(rows)), self._ctx,
             )
             self._memo_index, self._memo_rows = page_index, rows
-        page = buffer.pin(frame, self._ctx)
-        try:
-            if page_index != self._memo_index:
-                self._memo_rows = page.rows()
-                self._memo_index = page_index
-            return self._memo_rows
-        finally:
-            buffer.unpin(frame)
+        rows = buffer.pin(frame, self._ctx)
+        buffer.unpin(frame)
+        if page_index != self._memo_index:
+            self._memo_index, self._memo_rows = page_index, rows
+        return self._memo_rows
 
     def __getitem__(self, index: int):
         n_rows = len(self._rows)

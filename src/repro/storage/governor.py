@@ -31,6 +31,10 @@ from typing import Dict, List, Optional
 
 from repro.storage.disk import DiskBackend
 
+#: Default page capacity, in rows.  Small enough that modest budgets
+#: hold several pages; large enough that per-page overheads amortise.
+PAGE_ROWS = 256
+
 
 class Lease:
     """One component's byte account with the governor."""
@@ -77,7 +81,6 @@ class MemoryGovernor:
         if budget is not None and budget < 0:
             raise ValueError("memory budget must be >= 0 bytes (or None)")
         from repro.storage.buffer import BufferManager
-        from repro.storage.page import PAGE_ROWS
 
         self.budget = budget
         #: Page capacity (rows/records) every paged component of this

@@ -23,14 +23,35 @@ from repro.common.hashing import stable_key
 N_SPILL_PARTITIONS = 16
 
 
-def spill_partition(key, n_partitions: int = N_SPILL_PARTITIONS) -> int:
-    """Deterministic partition id of one state key."""
+def _slow_partition(key, n_partitions: int) -> int:
+    """:func:`spill_partition` off the plain-int path: a tuple of ints
+    is its own stable key (``stable_key`` rebuilds an equal tuple), so
+    it hashes directly; anything else goes through ``stable_key``."""
+    if type(key) is tuple:
+        for value in key:
+            if type(value) is not int:
+                return hash(stable_key(key)) % n_partitions
+        return hash(key) % n_partitions
     return hash(stable_key(key)) % n_partitions
+
+
+def spill_partition(key, n_partitions: int = N_SPILL_PARTITIONS) -> int:
+    """Deterministic partition id of one state key:
+    ``hash(stable_key(key)) % n_partitions``.  ``stable_key`` is the
+    identity on an ``int``, the common key type, so one hashes
+    directly."""
+    if type(key) is int:
+        return hash(key) % n_partitions
+    return _slow_partition(key, n_partitions)
 
 
 def spill_partitions(keys, n_partitions: int = N_SPILL_PARTITIONS) -> List[int]:
     """:func:`spill_partition` of every key, in order."""
-    return [hash(stable_key(key)) % n_partitions for key in keys]
+    return [
+        hash(key) % n_partitions if type(key) is int
+        else _slow_partition(key, n_partitions)
+        for key in keys
+    ]
 
 
 def pick_spill_victim(weights, spilled) -> "int | None":
@@ -96,6 +117,25 @@ class Spool:
         self._open.append(record)
         if len(self._open) >= self._page_records:
             self.flush()
+
+    def extend(self, records: List) -> None:
+        """Append ``records`` in order with one lease request per
+        tail-page chunk, flushing each full page.  For spill transfers,
+        which run inside a governor reclaim: a request there never
+        reclaims again, so the chunked requests leave the accounting,
+        the flushes and the peaks exactly as per-record appends
+        would."""
+        page_records = self._page_records
+        at, n = 0, len(records)
+        while at < n:
+            take = min(n - at, page_records - len(self._open))
+            self._governor.request(
+                self._lease, take * self._record_nbytes, self._ctx
+            )
+            self._open.extend(records[at:at + take])
+            at += take
+            if len(self._open) >= page_records:
+                self.flush()
 
     def flush(self) -> None:
         """Write the tail page out and drop its residency."""

@@ -27,15 +27,26 @@ class TestSizing:
         )
 
     def test_consumers_share_the_authority(self):
-        """Admission estimates, the result cache and column pages all
-        weigh the same rows identically."""
+        """Admission estimates, the result cache and buffer-pool table
+        pages all weigh the same rows identically."""
+        from repro.data.catalog import Catalog
+        from repro.exec.context import ExecutionContext
         from repro.service.result_cache import CachedResult
-        from repro.storage.page import ColumnPage
+        from repro.storage.buffer import PagedRows
+        from repro.storage.governor import MemoryGovernor
 
         schema = Schema.of(("a", "int"), ("b", "str"))
         rows = [(i, "x") for i in range(5)]
-        assert (
-            CachedResult(rows, schema, 0.0).byte_size()
-            == ColumnPage(rows, schema).nbytes
-            == sizing.rows_nbytes(schema, 5)
-        )
+        governor = MemoryGovernor(budget=None)
+        try:
+            ctx = ExecutionContext(Catalog(), governor=governor)
+            paged = PagedRows(ctx, schema, rows, page_rows=5)
+            assert paged.slice(0, 5) == rows
+            (frame,) = governor.buffer._all.values()
+            assert (
+                CachedResult(rows, schema, 0.0).byte_size()
+                == frame.nbytes
+                == sizing.rows_nbytes(schema, 5)
+            )
+        finally:
+            governor.close()
