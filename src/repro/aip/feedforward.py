@@ -102,7 +102,6 @@ class FeedForwardStrategy(ExecutionStrategy):
         self.plan = plan
         graph = SourcePredicateGraph.from_plan(plan.logical_root)
         self.registry = AIPRegistry(graph)
-        self.registry.subscribe(self._on_published)
         from repro.plan.logical import fresh_node_id
         self._state_owner = fresh_node_id()
 
@@ -342,7 +341,7 @@ class FeedForwardStrategy(ExecutionStrategy):
         for ws in self._working.pop(party, ()):  # noqa: B020
             self.ctx.metrics.aip_sets_created += 1
             self.ctx.notify_aip_publish(op, port, ws.aip_set)
-            self.registry.publish(ws.aip_set)
+            self._on_published(*self.registry.publish(ws.aip_set))
 
         # Publish completion-time sets over computed attributes.
         cm = self.ctx.cost_model
@@ -363,7 +362,7 @@ class FeedForwardStrategy(ExecutionStrategy):
             self.ctx.metrics.adjust_state(self._state_owner, aip_set.byte_size())
             self.ctx.metrics.aip_sets_created += 1
             self.ctx.notify_aip_publish(op, port, aip_set)
-            self.registry.publish(aip_set)
+            self._on_published(*self.registry.publish(aip_set))
 
         # Range-passing: completed side of a residual inequality yields
         # a bound filter for the still-streaming side.

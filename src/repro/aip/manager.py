@@ -391,6 +391,9 @@ class CostBasedStrategy(ExecutionStrategy):
             attr, spec, "CB:%s#%d:%d" % (op.name, op.op_id, port),
             op.state_values(port, attr),
         )
+        # Built from complete state and never written again: frozen,
+        # like every published set, before any filter memoises it.
+        aip_set.summary.freeze()
         self.ctx.metrics.adjust_state(self._state_owner, aip_set.byte_size())
         self.ctx.metrics.aip_sets_created += 1
         self._built_sets[((op.op_id, port), attr)] = aip_set
@@ -430,7 +433,9 @@ class CostBasedStrategy(ExecutionStrategy):
             and isinstance(b, BloomFilter)
             and a.compatible_with(b)
         ):
-            return a.intersect(b)
+            merged = a.intersect(b)
+            merged.freeze()
+            return merged
         return None
 
     def _ship_to_source(

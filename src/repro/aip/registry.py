@@ -9,7 +9,8 @@ The registry is the central rendezvous of the Feed-Forward algorithm:
 * for each connected component of the source-predicate graph the
   registry keeps a **vector of completed AIP sets**;
 * publishing a completed set appends it to the class vector (merging by
-  bitwise intersection when geometries allow);
+  bitwise intersection when geometries allow) and freezes its Bloom
+  summary;
 * interest is reference-counted: when an operator's input completes it
   "decrements its interest in all the AIP sets it could have used", and
   producers whose class has no interest left discard their working sets.
@@ -17,10 +18,11 @@ The registry is the central rendezvous of the Feed-Forward algorithm:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.aip.sets import AIPSet, AIPSetSpec
 from repro.optimizer.predicate_graph import SourcePredicateGraph
+from repro.summaries.bloom import BloomFilter
 
 #: A registered party: ``(node_id, port)``.
 Party = Tuple[int, int]
@@ -39,9 +41,6 @@ class AIPRegistry:
         self._vectors: Dict[str, List[AIPSet]] = {}
         #: eq-class root -> shared geometry spec
         self._specs: Dict[str, AIPSetSpec] = {}
-        #: callbacks fired when a set is published:
-        #: ``fn(eq_root, aip_set, replaced_previous)``
-        self._subscribers: List[Callable[[str, AIPSet, bool], None]] = []
 
     # -- setup ------------------------------------------------------------
 
@@ -84,32 +83,30 @@ class AIPRegistry:
 
     # -- execution-time flow ----------------------------------------------
 
-    def subscribe(
-        self, callback: Callable[[str, AIPSet, bool], None]
-    ) -> None:
-        self._subscribers.append(callback)
-
-    def publish(self, aip_set: AIPSet) -> None:
-        """Append a completed set to its class vector and notify.
+    def publish(self, aip_set: AIPSet) -> Tuple[str, AIPSet, bool]:
+        """Append a completed set to its class vector; returns ``(eq
+        root, the set now in the vector, replaced)``.
 
         Compatible Bloom filters merge by bitwise intersection, in which
-        case subscribers are told the new set *replaces* the previous
-        vector entry (so injected filters should be swapped, not added).
+        case the merged set *replaces* the previous vector entry
+        (``replaced`` is True: injected filters should be swapped, not
+        added).  Bloom summaries are frozen on publication, the merged
+        one too: injected filters memoise their verdicts on them.
         """
         root = self.root_of(aip_set.attr)
-        aip_set.complete = True
+        _freeze(aip_set)
         vector = self._vectors.setdefault(root, [])
         replaced = False
         if vector:
             merged = vector[-1].try_intersect(aip_set)
             if merged is not None:
+                _freeze(merged)
                 vector[-1] = merged
                 aip_set = merged
                 replaced = True
         if not replaced:
             vector.append(aip_set)
-        for callback in self._subscribers:
-            callback(root, aip_set, replaced)
+        return root, aip_set, replaced
 
     def vector(self, attr: str) -> List[AIPSet]:
         return list(self._vectors.get(self.root_of(attr), ()))
@@ -125,11 +122,15 @@ class AIPRegistry:
                     emptied.add(root)
         return emptied
 
-    def has_interest(self, attr: str) -> bool:
-        return bool(self._interest.get(self.root_of(attr)))
-
     def interested_parties(self, attr: str) -> Set[Party]:
         return set(self._interest.get(self.root_of(attr), ()))
 
-    def producers_of(self, attr: str) -> Set[Party]:
-        return set(self._producers.get(self.root_of(attr), ()))
+
+def _freeze(aip_set: AIPSet) -> None:
+    """Complete ``aip_set`` and make its Bloom summary read-only.
+    Other summary kinds are built complete (bounds) or only shrunk
+    while they are working sets (hash sets), so nothing writes them
+    after publication either."""
+    aip_set.complete = True
+    if isinstance(aip_set.summary, BloomFilter):
+        aip_set.summary.freeze()

@@ -21,6 +21,7 @@ Usage (``python -m repro ...``)::
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -362,6 +363,10 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:  # out-of-range service options
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    # The catalog and the service live as long as the process: move
+    # them out of the collector's generations, so its passes scan only
+    # what queries allocate.
+    gc.freeze()
     from repro.net.protocol import PROTOCOL_VERSION
     from repro.net.server import ReproServer
 

@@ -101,6 +101,15 @@ class ExecutionContext:
         #: fire it whenever they publish or build a completed set.
         self.aip_publish_hooks = []
 
+    def release(self) -> None:
+        """End of the run: drop the strategy and the publish hooks.  A
+        strategy holds its plan, whose operators hold this context, and
+        a hook may close over the context itself; without this the
+        finished run is cyclic garbage that waits for a collector
+        pass."""
+        self.strategy = ExecutionStrategy()
+        self.aip_publish_hooks = []
+
     def notify_aip_publish(self, op, port: int, aip_set) -> None:
         """Tell subscribers a completed AIP set was published for the
         state at ``(op, port)``."""

@@ -102,8 +102,11 @@ def _stash_order(sources) -> List[Operator]:
             )
         return d
 
-    for scan in sources:
-        depth_of(scan)
+    try:
+        for scan in sources:
+            depth_of(scan)
+    finally:
+        del depth_of  # it reaches itself through its closure: a cycle
     stashing = [
         op for op in depth if isinstance(op, (StashingOperator, PMerge))
     ]

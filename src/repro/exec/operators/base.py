@@ -21,6 +21,7 @@ them inside the query operators (Section V-B):
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, List, Optional, Tuple
 
 from repro.common.errors import ExecutionError
@@ -32,9 +33,19 @@ Row = Tuple
 
 
 class InjectedFilter:
-    """A semijoin filter registered on one operator input port."""
+    """A semijoin filter registered on one operator input port.
 
-    __slots__ = ("key_index", "attr_name", "summary", "label", "pruned", "probed")
+    ``_verdicts`` remembers the summary's verdict on every key it has
+    probed, for the life of the filter, so a page probes the summary
+    only for keys no earlier page carried.  That is sound because a
+    filter's summary never changes: published AIP sets are frozen, and
+    a merge installs a new filter (with an empty memo) in place of the
+    old one."""
+
+    __slots__ = (
+        "key_index", "attr_name", "summary", "label", "pruned", "probed",
+        "_verdicts",
+    )
 
     def __init__(self, key_index: int, attr_name: str, summary, label: str):
         self.key_index = key_index
@@ -43,22 +54,34 @@ class InjectedFilter:
         self.label = label
         self.pruned = 0
         self.probed = 0
+        self._verdicts: dict = {}
 
     def passes_page(self, page):
-        """Probe a column batch: the key column feeds the summary's
-        batch probe directly (no per-row gather), and survivors come
+        """Probe a column batch: the key column's unseen keys feed the
+        summary's batch probe (no per-row gather), and survivors come
         back as a selection of the page.  ``probed`` counts every row
         probed and ``pruned`` every row the summary rejected."""
-        if not page.n_rows:
+        n_rows = page.n_rows
+        if not n_rows:
             return page
-        self.probed += page.n_rows
-        verdicts = self.summary.might_contain_many(
-            page.columns[self.key_index]
-        )
-        if all(verdicts):
+        self.probed += n_rows
+        column = page.columns[self.key_index]
+        verdicts = self._verdicts
+        try:
+            selection = list(
+                compress(range(n_rows), map(verdicts.__getitem__, column))
+            )
+        except KeyError:  # keys no earlier page carried
+            unseen = list(set(column).difference(verdicts))
+            verdicts.update(
+                zip(unseen, self.summary.might_contain_many(unseen))
+            )
+            selection = list(
+                compress(range(n_rows), map(verdicts.__getitem__, column))
+            )
+        if len(selection) == n_rows:
             return page
-        selection = [i for i, ok in enumerate(verdicts) if ok]
-        self.pruned += page.n_rows - len(selection)
+        self.pruned += n_rows - len(selection)
         return page.select(selection)
 
 

@@ -54,6 +54,15 @@ class PhysicalPlan:
         self.by_node_id = by_node_id
         self.logical_root = logical_root
 
+    def release(self) -> None:
+        """Unlink a finished plan's operators from one another (each
+        points at its parents and its children).  With
+        :meth:`ExecutionContext.release`, reference counting then frees
+        the plan once its last user lets go, not a collector pass."""
+        for op in list(self.sink.walk()):
+            op.parents = []
+            op.children = [None] * len(op.children)
+
     def operator_for(self, node_id: int) -> Operator:
         try:
             return self.by_node_id[node_id]
@@ -241,7 +250,13 @@ def translate(
         by_node_id[node.node_id] = op
         return op
 
-    top = build(root)
+    try:
+        top = build(root)
+    finally:
+        # ``build`` reaches itself through its closure: left alone, that
+        # cycle holds the context and every operator until a collector
+        # pass.
+        del build
     sink = POutput(ctx, fresh_node_id(), top.out_schema)
     sink.connect_child(top, 0)
     sink.logical = None

@@ -75,7 +75,10 @@ def plan_rows(physical, metrics, estimator) -> List[Dict]:
             for child in node.children:
                 visit(child, depth + 1)
 
-    visit(physical.logical_root, 0)
+    try:
+        visit(physical.logical_root, 0)
+    finally:
+        del visit  # it reaches itself through its closure: a cycle
     return rows
 
 

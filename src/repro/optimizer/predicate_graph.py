@@ -20,7 +20,7 @@ equivalence is sound.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.expr.expressions import Col, conjuncts_of
 from repro.plan.logical import (
@@ -29,10 +29,19 @@ from repro.plan.logical import (
 
 
 class UnionFind:
-    """Disjoint sets over hashable items, with path compression."""
+    """Disjoint sets over hashable items, with path compression.
+
+    Class membership reads a map from each item to its class, built on
+    first use and rebuilt after a :meth:`union`: a plan's graph is
+    built once and then asked about its classes hundreds of times, so
+    each ``members`` call is one dict lookup instead of a ``find`` per
+    item.
+    """
 
     def __init__(self):
         self._parent: Dict = {}
+        #: item -> frozenset of its class; None until read after a union
+        self._classes: Optional[Dict] = None
 
     def find(self, item):
         parent = self._parent.setdefault(item, item)
@@ -46,21 +55,30 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[ra] = rb
+            self._classes = None
 
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
+    def _class_map(self) -> Dict:
+        # ``find`` registers an unseen item as a singleton; rebuild then
+        # too, so ``groups`` lists it.
+        if self._classes is None or len(self._classes) != len(self._parent):
+            by_root: Dict = {}
+            for item in list(self._parent):
+                by_root.setdefault(self.find(item), []).append(item)
+            self._classes = {}
+            for items in by_root.values():
+                group = frozenset(items)
+                for item in items:
+                    self._classes[item] = group
+        return self._classes
 
     def members(self, item) -> FrozenSet:
-        root = self.find(item)
-        return frozenset(
-            x for x in self._parent if self.find(x) == root
-        )
+        """``item``'s class; an item never seen is a class of its own."""
+        group = self._class_map().get(item)
+        return group if group is not None else frozenset((item,))
 
     def groups(self) -> List[FrozenSet]:
-        by_root: Dict = {}
-        for item in list(self._parent):
-            by_root.setdefault(self.find(item), set()).add(item)
-        return [frozenset(g) for g in by_root.values()]
+        """Every class once, in first-seen order."""
+        return list({id(g): g for g in self._class_map().values()}.values())
 
 
 class PredicateEdge:
@@ -138,9 +156,6 @@ class SourcePredicateGraph:
     def eq_class(self, attr: str) -> FrozenSet[str]:
         """``EQ(attr)``: all attributes transitively equated to it."""
         return self.eq.members(attr)
-
-    def are_equated(self, a: str, b: str) -> bool:
-        return self.eq.same(a, b)
 
     def eq_classes(self) -> List[FrozenSet[str]]:
         """All non-singleton equivalence classes (connected components)."""

@@ -186,12 +186,14 @@ def execute_batch(
             counters = metrics.operators.get(scan.op_id)
             if counters is not None:
                 run.scanned_rows += counters.tuples_out
-        # The rows are the result's from here on.  The executed plan is
-        # garbage, but cyclic garbage (operators point at each other and
-        # at the context), so it waits for a collector pass — and a sink
-        # still holding the rows would keep every reply's tuples waiting
-        # with it, long after the reply was written.
-        physical.sink.rows = []
+        # Cut the executed plan's cycles (operators point at each other
+        # and at the context, whose strategy points back at the plan),
+        # so reference counting frees the plan, its state, its filters'
+        # verdict memos and its sink's hold on the result rows as soon
+        # as this frame lets go, not at whatever collector pass comes
+        # next.
+        physical.release()
+    ctx.release()
     return run
 
 

@@ -25,6 +25,14 @@ the engine goldens pin the words of every AIP set a workload cell
 builds.  Both were recorded from the word array and the big-int
 implementation alike.
 
+Batch kernels hash each *distinct* value once: ``add_many`` sets its
+bits once, and ``might_contain_many`` computes one verdict and maps it
+back over the batch's positions (join keys on foreign-key columns
+repeat heavily).  Equal values always share bit positions, so this is
+exact (:func:`_distinct`).  A published filter is :meth:`frozen
+<BloomFilter.freeze>`; it never changes again, which is what lets an
+injected filter remember verdicts across pages.
+
 Filters cross process boundaries in the distributed simulation by
 value: :meth:`to_payload` / :meth:`from_payload` serialize geometry
 plus the little-endian word buffer.
@@ -35,7 +43,9 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from typing import Hashable, Iterable, List, Optional
+from itertools import count
+from operator import and_, itemgetter, or_
+from typing import Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.common.hashing import stable_key
 from repro.summaries.base import Summary
@@ -45,6 +55,25 @@ DEFAULT_FP_RATE = 0.05
 DEFAULT_HASH_COUNT = 1
 
 _MIN_BITS = 64
+
+
+def _distinct(values: Iterable[Hashable]) -> Tuple[Set, int]:
+    """The distinct values of ``values`` and how many there were.  A
+    lazy iterator is counted as it streams into the set, never
+    materialised as a list.
+
+    Hashing each distinct value once is exact: values that compare
+    equal set and probe the same bits.  Python gives equal numbers one
+    hash (``1``, ``1.0`` and ``True``; ``-0.0`` and ``0.0``),
+    ``stable_key`` maps equal strings to one CRC and tuples element by
+    element, and a tuple's hash is built from its elements' hashes.  A
+    NaN hashes by identity and equals no other NaN object, so a set
+    keeps one member per NaN object, hashed as it would be alone."""
+    if isinstance(values, list):
+        return set(values), len(values)
+    tally = count()
+    distinct = set(map(itemgetter(0), zip(values, tally)))
+    return distinct, next(tally)
 
 
 def bits_for(expected_items: int, fp_rate: float, hash_count: int) -> int:
@@ -72,7 +101,7 @@ class BloomFilter(Summary):
     operations touch exactly one word.
     """
 
-    __slots__ = ("n_bits", "n_hashes", "seed", "_words", "n_added")
+    __slots__ = ("n_bits", "n_hashes", "seed", "_words", "n_added", "frozen")
 
     def __init__(
         self,
@@ -97,6 +126,7 @@ class BloomFilter(Summary):
         self.seed = seed
         self._words = array("Q", bytes(8 * ((self.n_bits + 63) >> 6)))
         self.n_added = 0
+        self.frozen = False
 
     @classmethod
     def from_values(
@@ -113,7 +143,18 @@ class BloomFilter(Summary):
         bloom.add_many(values)
         return bloom
 
+    def freeze(self) -> None:
+        """Make the filter read-only: ``add``/``add_many`` raise from
+        now on.  The AIP registry freezes every set it publishes, which
+        is what lets an injected filter memoise its verdicts."""
+        self.frozen = True
+
+    def _check_writable(self) -> None:
+        if self.frozen:
+            raise ValueError("cannot add to a frozen (published) Bloom filter")
+
     def add(self, value: Hashable) -> None:
+        self._check_writable()
         words = self._words
         n_bits = self.n_bits
         seed = self.seed
@@ -128,26 +169,28 @@ class BloomFilter(Summary):
         self.n_added += 1
 
     def add_many(self, values: Iterable[Hashable]) -> None:
+        """Set each distinct value's bits once (equal values set the
+        same bits, see :func:`_distinct`); ``n_added`` still counts
+        every value."""
+        self._check_writable()
         words = self._words
         n_bits = self.n_bits
         seed = self.seed
-        n = 0
+        distinct, n = _distinct(values)
         # ``stable_key`` is the identity on ints, the common key type:
         # skip the call for them (identical hashes, hence words).
         if self.n_hashes == 1:
-            for value in values:
+            for value in distinct:
                 key = value if type(value) is int else stable_key(value)
                 pos = hash((seed, 0, key)) % n_bits
                 words[pos >> 6] |= 1 << (pos & 63)
-                n += 1
         else:
             n_hashes = self.n_hashes
-            for value in values:
+            for value in distinct:
                 key = value if type(value) is int else stable_key(value)
                 for i in range(n_hashes):
                     pos = hash((seed, i, key)) % n_bits
                     words[pos >> 6] |= 1 << (pos & 63)
-                n += 1
         self.n_added += n
 
     def might_contain(self, value: Hashable) -> bool:
@@ -165,23 +208,27 @@ class BloomFilter(Summary):
         return True
 
     def might_contain_many(self, values: Iterable[Hashable]) -> List[bool]:
-        words = self._words
-        n_bits = self.n_bits
-        seed = self.seed
+        """One verdict per value, computed once per distinct value and
+        mapped back over ``values`` (equal values share their verdict,
+        see :func:`_distinct`)."""
+        if not isinstance(values, list):
+            values = list(values)
         if self.n_hashes == 1:
+            words = self._words
+            n_bits = self.n_bits
+            seed = self.seed
+            verdicts = {}
             # Ints skip ``stable_key`` (the identity on them), as in
             # :meth:`add_many`.
-            return [
-                (words[pos >> 6] >> (pos & 63)) & 1 == 1
-                for pos in (
-                    hash((
-                        seed, 0, v if type(v) is int else stable_key(v)
-                    )) % n_bits
-                    for v in values
-                )
-            ]
-        mc = self.might_contain
-        return [mc(v) for v in values]
+            for v in set(values):
+                pos = hash((
+                    seed, 0, v if type(v) is int else stable_key(v)
+                )) % n_bits
+                verdicts[v] = (words[pos >> 6] >> (pos & 63)) & 1 == 1
+        else:
+            mc = self.might_contain
+            verdicts = {v: mc(v) for v in set(values)}
+        return list(map(verdicts.__getitem__, values))
 
     def byte_size(self) -> int:
         return self.n_bits // 8 + 1
@@ -220,16 +267,26 @@ class BloomFilter(Summary):
         merged.n_bits = self.n_bits
         merged.n_hashes = self.n_hashes
         merged.seed = self.seed
+        merged.frozen = False
         return merged
+
+    def _merged_words(self, other: "BloomFilter", op) -> array:
+        """``op`` (AND or OR) over both word buffers at once, as two big
+        ints: one C-level pass instead of a Python loop over words.
+        The byte order only has to round-trip, so native order serves."""
+        nbytes = 8 * len(self._words)
+        bits = op(
+            int.from_bytes(self._words.tobytes(), sys.byteorder),
+            int.from_bytes(other._words.tobytes(), sys.byteorder),
+        )
+        return array("Q", bits.to_bytes(nbytes, sys.byteorder))
 
     def intersect(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise intersection: superset of the true value intersection."""
         if not self.compatible_with(other):
             raise ValueError("cannot intersect incompatible Bloom filters")
         merged = self._merge_blank()
-        merged._words = array(
-            "Q", (a & b for a, b in zip(self._words, other._words))
-        )
+        merged._words = self._merged_words(other, and_)
         merged.n_added = min(self.n_added, other.n_added)
         return merged
 
@@ -238,9 +295,7 @@ class BloomFilter(Summary):
         if not self.compatible_with(other):
             raise ValueError("cannot union incompatible Bloom filters")
         merged = self._merge_blank()
-        merged._words = array(
-            "Q", (a | b for a, b in zip(self._words, other._words))
-        )
+        merged._words = self._merged_words(other, or_)
         merged.n_added = self.n_added + other.n_added
         return merged
 
@@ -282,6 +337,7 @@ class BloomFilter(Summary):
             raise ValueError("payload does not match filter geometry")
         bloom._words = words
         bloom.n_added = payload["n_added"]
+        bloom.frozen = False
         return bloom
 
     def __repr__(self) -> str:

@@ -95,13 +95,14 @@ class TestRegistry:
     def test_publish_merges_compatible(self, graph):
         reg = AIPRegistry(graph)
         spec = AIPSetSpec(reg.root_of("p_partkey"), 100)
-        events = []
-        reg.subscribe(lambda root, s, replaced: events.append(replaced))
-        reg.publish(AIPSet.from_values("p_partkey", spec, "a", range(0, 20)))
-        reg.publish(AIPSet.from_values("ps_partkey", spec, "b", range(10, 30)))
+        first = AIPSet.from_values("p_partkey", spec, "a", range(0, 20))
+        second = AIPSet.from_values("ps_partkey", spec, "b", range(10, 30))
+        root = reg.root_of("p_partkey")
+        assert reg.publish(first) == (root, first, False)
+        _, merged, replaced = reg.publish(second)
+        assert replaced and merged is not second
         assert len(reg.vector("p_partkey")) == 1  # merged by intersection
-        assert events == [False, True]
-        merged = reg.vector("p_partkey")[0]
+        assert reg.vector("p_partkey")[0] is merged
         assert all(v in merged for v in range(10, 20))
 
     def test_interest_refcounting(self, graph):
@@ -109,8 +110,8 @@ class TestRegistry:
         p1, p2, _ = self._parties()
         reg.register_interest("p_partkey", p1)
         reg.register_interest("ps_partkey", p2)
-        assert reg.has_interest("p_partkey")
+        assert reg.interested_parties("p_partkey") == {p1, p2}
         assert reg.drop_interest(p1) == set()
         emptied = reg.drop_interest(p2)
         assert len(emptied) == 1
-        assert not reg.has_interest("p_partkey")
+        assert not reg.interested_parties("p_partkey")

@@ -205,9 +205,9 @@ def test_executor_batch_of_one_is_execute_plan(catalog, qid, strategy):
 
 
 def test_executed_plan_does_not_keep_the_result_rows(catalog):
-    # The finished operator graph is cyclic garbage that waits for a
-    # collector pass; the reply's rows must not wait with it (they did:
-    # a 29k-row reply stayed resident until a full collection, and the
+    # The reply's rows must not wait for a collector pass with the
+    # finished operator graph (they did while the graph was cyclic: a
+    # 29k-row reply stayed resident until a full collection, and the
     # server's resident peak depended on how often other code happened
     # to trigger one).
     run = execute_batch(

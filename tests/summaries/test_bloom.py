@@ -1,5 +1,8 @@
 """Tests for Bloom filters, including the paper's merge conditions."""
 
+from array import array
+from operator import and_, or_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,6 +272,63 @@ class TestBatchKernelsMatchPerElement:
             single.might_contain(p) for p in probes
         ]
         assert all(batch.might_contain_many(keys))
+
+
+#: Keys whose equal members must share bit positions: equal numbers of
+#: three types (``1``/``1.0``/``True``), signed zeros, a fresh NaN
+#: object per draw (no two are equal), strings, tuples and ``None``.
+MIXED_KEYS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, 2**70, 0.5]),
+    st.builds(float, st.just("nan")),
+    st.text(max_size=3),
+    st.tuples(st.integers(0, 2), st.sampled_from(["x", 1.0, True, -0.0])),
+    st.none(),
+)
+
+
+class TestDistinctKeyKernels:
+    """``add_many`` and ``might_contain_many`` hash each distinct key
+    once; on mixed keys with repeats they must still give exactly the
+    per-value words and verdicts, and the big-int merges exactly the
+    word-by-word ones."""
+
+    @given(
+        st.lists(MIXED_KEYS, max_size=60),
+        st.lists(MIXED_KEYS, max_size=30),
+        st.sampled_from([1, 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_per_value(self, values, probes, n_hashes):
+        # Repeat keys, the same NaN objects included.
+        values = values + values[::2]
+        per_value = BloomFilter(0, n_hashes=n_hashes, seed=13, n_bits=512)
+        for v in values:
+            per_value.add(v)
+        for batch_input in (values, iter(values)):
+            batch = BloomFilter(0, n_hashes=n_hashes, seed=13, n_bits=512)
+            batch.add_many(batch_input)
+            assert batch._words == per_value._words
+            assert batch.n_added == per_value.n_added == len(values)
+        probes = probes + values
+        assert batch.might_contain_many(probes) == [
+            batch.might_contain(p) for p in probes
+        ]
+        assert batch.might_contain_many(iter(probes)) == [
+            batch.might_contain(p) for p in probes
+        ]
+
+    @given(st.lists(MIXED_KEYS, max_size=80),
+           st.lists(MIXED_KEYS, max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_merges_equal_the_word_loop(self, xs, ys):
+        a = _filled(xs, seed=7, n_bits=1000)
+        b = _filled(ys, seed=7, n_bits=1000)
+        for op, word_op in (("intersect", and_), ("union", or_)):
+            merged = getattr(a, op)(b)
+            assert merged._words == array(
+                "Q", (word_op(x, y) for x, y in zip(a._words, b._words))
+            )
 
 
 def golden_cells():
