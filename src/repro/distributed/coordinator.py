@@ -241,10 +241,13 @@ class DistributedQuery:
         ctx: ExecutionContext,
     ) -> QueryResult:
         """Run under the context's strategy with remote arrival pacing."""
+        return execute_plan(self.plan, ctx, self.prepare(ctx))
+
+    def prepare(
+        self, ctx: ExecutionContext,
+    ) -> Callable[..., Optional[ArrivalModel]]:
+        """Attach the network to ``ctx`` and fan broadcasts out over the
+        plan; returns the arrival resolver to translate the plan with."""
         attach_network(ctx, self.network)
         apply_broadcast_fanouts(self.plan, ctx.catalog)
-        return execute_plan(self.plan, ctx, self.arrival_resolver())
-
-    def bytes_fetched(self, result: QueryResult) -> int:
-        """Bytes actually moved from remote sites in a finished run."""
-        return result.metrics.network_bytes
+        return self.arrival_resolver()

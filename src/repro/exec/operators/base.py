@@ -120,14 +120,15 @@ class Operator:
         self._input_done: List[bool] = [False] * self.n_inputs
         self._output_done = False
         # Under a memory governor every stateful operator accounts its
-        # buffered bytes on a lease and volunteers as a spill target;
-        # un-governed runs carry only this None (bit-identical paths).
+        # buffered bytes on a lease, and its PartitionLedger (opened by
+        # the subclass) is its spill handler; un-governed runs carry
+        # only these Nones (bit-identical paths).
         governor = ctx.governor
         if governor is not None and self.stateful:
             self._lease = governor.lease(self.name)
-            governor.register_spillable(self)
         else:
             self._lease = None
+        self._ledger = None
 
     def _rebuild_compiled(self) -> None:
         """Compile the operator's expression closures from its stored
@@ -271,7 +272,7 @@ class Operator:
             return
         self._output_done = True
         if self._lease is not None:
-            self.ctx.governor.unregister_spillable(self)
+            self._ledger.close()
             self._lease.close()
         tracer = self.ctx.tracer
         if tracer is not None:
@@ -315,41 +316,13 @@ class Operator:
             else:
                 self.ctx.governor.release(lease, -delta)
 
-    def reserve_routed(self, route):
-        """Route one chunk of a governed page kernel — at most one
-        governor page of rows — and grow the lease for it *before* the
-        inserts, so a reclaim never finds rows in the tables that the
-        lease does not cover.  ``route()`` returns a tuple whose last
-        item is the bytes the rows it keeps in memory will insert.  If
-        that reclaim spilled a partition of this operator, the chunk is
-        routed again (its rows now go to the partition's delta run) and
-        the excess is released.  The caller adds the kept bytes to the
-        metrics once they are inserted."""
-        routed = route()
-        nbytes = routed[-1]
-        spilled = len(self._spilled)
-        self.ctx.governor.request(self._lease, nbytes, self.ctx)
-        if len(self._spilled) != spilled:
-            routed = route()
-            self.ctx.governor.release(self._lease, nbytes - routed[-1])
-        return routed
-
-    # -- spilling (memory-governor reclaim protocol) -----------------------
-
     @property
-    def governed(self) -> bool:
-        """True when this operator accounts on a governor lease."""
-        return self._lease is not None
-
-    def spillable_nbytes(self) -> int:
-        """Resident bytes this operator could shed to disk right now."""
-        return 0
-
-    def spill(self, need_bytes: int, ctx) -> int:
-        """Shed up to ``need_bytes`` of state to the spill backend;
-        returns the bytes actually freed.  Stateful operators override
-        this with Grace-style partition spilling."""
-        return 0
+    def _spilled(self):
+        """pid -> runs of this operator's partitions on disk (see
+        :class:`~repro.storage.spill.PartitionLedger`); always empty
+        when ungoverned."""
+        ledger = self._ledger
+        return ledger.spilled if ledger is not None else {}
 
     # -- state exposure ---------------------------------------------------
 

@@ -18,11 +18,12 @@ partition's complete distinct set for ``state_values``).
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import List, Set
 
 from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Operator, Row
+from repro.storage.spill import PartitionLedger, spill_partitions
 
 
 class PDistinct(Operator):
@@ -34,21 +35,12 @@ class PDistinct(Operator):
         super().__init__(ctx, op_id, schema, [schema], "Distinct")
         self._seen: Set[Row] = set()
         self._row_bytes = schema.row_byte_size()
-        if self._lease is not None:
-            from repro.storage.spill import N_SPILL_PARTITIONS
-            #: pid -> (seen_spool, delta_spool).
-            self._spilled: Dict[int, tuple] = {}
-            self._part_rows = [0] * N_SPILL_PARTITIONS
-            #: The rows each partition holds in ``_seen``, in insertion
-            #: order: a spill pops exactly its victims.
-            self._part_keys = [[] for _ in range(N_SPILL_PARTITIONS)]
-            self._replaying = False
-            #: Rows per lease request in the page kernel.
-            self._chunk_rows = ctx.governor.page_records_for(
-                self._row_bytes
-            )
-        else:
-            self._spilled = None
+        #: A spilled partition's runs: its distinct rows (seen), then
+        #: the rows that arrived later (delta).  The key index holds
+        #: the seen rows themselves.
+        self._ledger = PartitionLedger.open(self, (
+            ("seen", self._row_bytes), ("delta", self._row_bytes),
+        ))
 
     def push_page(self, page, port: int = 0) -> None:
         """Page kernel: first occurrences are forwarded in order.  The
@@ -95,11 +87,10 @@ class PDistinct(Operator):
         while the partition's seen-set sits on disk) and is charged a
         ``hash_insert``; the strategy hook sees the fresh and the
         deferred rows."""
-        from repro.storage.spill import spill_partitions
-
         cm = self.ctx.cost_model
         seen = self._seen
-        spilled = self._spilled
+        ledger = self._ledger
+        spilled = ledger.spilled
         rows = page.rows()
         pids = spill_partitions(rows)
 
@@ -117,15 +108,16 @@ class PDistinct(Operator):
             return fresh, deferred, n_kept, len(fresh) * self._row_bytes
 
         all_fresh, all_deferred = [], []
-        step = self._chunk_rows
+        step = ledger.chunk_rows
+        counts, indexed = ledger.counts[0], ledger.keys[0]
         for at in range(0, len(rows), step):
-            fresh, deferred, n_kept, nbytes = self.reserve_routed(
+            fresh, deferred, n_kept, nbytes = ledger.reserve_routed(
                 lambda: route(at, at + step)
             )
             for i in fresh:
                 seen.add(rows[i])
-                self._part_rows[pids[i]] += 1
-                self._part_keys[pids[i]].append(rows[i])
+                counts[pids[i]] += 1
+                indexed[pids[i]].append(rows[i])
             self.ctx.metrics.adjust_state(self.op_id, nbytes)
             self.ctx.charge_events_op(self.op_id, n_kept, cm.hash_probe)
             self.ctx.charge_events_op(
@@ -155,54 +147,19 @@ class PDistinct(Operator):
         if self._seen:
             self.account_state(-len(self._seen) * self._row_bytes)
             self._seen.clear()
-            if self._spilled is not None:
-                for keys in self._part_keys:
-                    keys.clear()
-        if self._spilled:
-            for seen_spool, delta_spool in self._spilled.values():
-                seen_spool.discard()
-                delta_spool.discard()
-            self._spilled.clear()
+            if self._ledger is not None:
+                self._ledger.release()
+        for pid in list(self._spilled):
+            self._ledger.drop(pid)
         self.finish_output()
 
     # -- spilling ----------------------------------------------------------
 
-    def spillable_nbytes(self) -> int:
-        if self._spilled is None or self._replaying:
-            return 0
-        return self._lease.nbytes
-
-    def spill(self, need_bytes: int, ctx) -> int:
-        if self._spilled is None or self._replaying:
-            return 0
-        from repro.storage.spill import Spool, pick_spill_victim
-
-        freed = 0
-        while freed < need_bytes:
-            best = pick_spill_victim(self._part_rows, self._spilled)
-            if best is None:
-                break
-            label = "%s#%d.p%d" % (self.name, self.op_id, best)
-            seen_spool = Spool(
-                self.ctx, self.ctx.governor, self._row_bytes,
-                label + ".seen",
-            )
-            delta_spool = Spool(
-                self.ctx, self.ctx.governor, self._row_bytes,
-                label + ".delta",
-            )
-            self._spilled[best] = (seen_spool, delta_spool)
-            moved = self._part_keys[best]
-            self._part_keys[best] = []
-            if moved:
-                self._seen.difference_update(moved)
-                nbytes = len(moved) * self._row_bytes
-                self.account_state(-nbytes)
-                seen_spool.extend(moved)
-                freed += nbytes
-            seen_spool.flush()
-            self._part_rows[best] = 0
-        return freed
+    def _pop_partition(self, port: int, keys) -> List[Row]:
+        """Spill hook: the index holds the partition's seen rows, in
+        insertion order; drop them from the seen-set."""
+        self._seen.difference_update(keys)
+        return keys
 
     def _replay_spilled(self) -> None:
         """Per partition: reload the seen run, stream delta rows in
@@ -210,8 +167,7 @@ class PDistinct(Operator):
         run so it holds the partition's complete distinct set) as one
         page per partition."""
         cm = self.ctx.cost_model
-        self._replaying = True
-        try:
+        with self._ledger.replaying():
             for pid in sorted(self._spilled):
                 seen_spool, delta_spool = self._spilled[pid]
                 part_seen: Set[Row] = set()
@@ -239,8 +195,6 @@ class PDistinct(Operator):
                         self.op_id, len(fresh), cm.output_build
                     )
                     self.emit_rows(fresh)
-        finally:
-            self._replaying = False
 
     # -- state exposure ----------------------------------------------------
 
@@ -248,17 +202,16 @@ class PDistinct(Operator):
         idx = self.input_schemas[0].index_of(attr_name)
         for row in self._seen:
             yield row[idx]
-        if self._spilled:
-            for pid in sorted(self._spilled):
-                seen_spool, _delta = self._spilled[pid]
-                for row in seen_spool.records():
-                    yield row[idx]
+        spilled = self._spilled
+        for pid in sorted(spilled):
+            seen_spool, _delta = spilled[pid]
+            for row in seen_spool.records():
+                yield row[idx]
 
     def stored_count(self, port: int) -> int:
         count = len(self._seen)
-        if self._spilled:
-            for seen_spool, _delta in self._spilled.values():
-                count += seen_spool.n_records
+        for seen_spool, _delta in self._spilled.values():
+            count += seen_spool.n_records
         return count
 
     def state_complete(self, port: int) -> bool:

@@ -20,7 +20,7 @@ once.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common.sizing import group_overhead_nbytes
 from repro.data.schema import Schema
@@ -28,6 +28,7 @@ from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Operator, Row
 from repro.expr.aggregates import AggregateSpec
 from repro.expr.compiler import compile_expr, compile_expr_columns
+from repro.storage.spill import PartitionLedger, spill_partitions
 
 
 class PGroupBy(Operator):
@@ -55,26 +56,15 @@ class PGroupBy(Operator):
             group_overhead_nbytes(len(self._key_indices))
             + sum(s.make_accumulator().byte_size() for s in aggregates)
         )
-        if self._lease is not None:
-            from repro.storage.spill import N_SPILL_PARTITIONS
-            self._in_row_bytes = in_schema.row_byte_size()
-            #: pid -> (group_spool, delta_spool) while streaming.
-            self._spilled: Dict[int, tuple] = {}
-            #: pid -> consolidated spool once the input finished.
-            self._merged: Dict[int, object] = {}
-            self._part_groups = [0] * N_SPILL_PARTITIONS
-            #: The group keys each partition holds in ``_groups``, in
-            #: its insertion order: a spill pops exactly its victims.
-            self._part_keys = [[] for _ in range(N_SPILL_PARTITIONS)]
-            self._replaying = False
-            #: Rows per lease request in the page kernel: each makes at
-            #: most one group, so a chunk is one governor page of groups.
-            self._chunk_rows = ctx.governor.page_records_for(
-                self._group_bytes
-            )
-        else:
-            self._spilled = None
-            self._merged = None
+        #: A spilled partition's runs: its groups, then the raw rows
+        #: that arrived later.
+        self._ledger = PartitionLedger.open(self, (
+            ("groups", self._group_bytes),
+            ("delta", in_schema.row_byte_size()),
+        ))
+        #: pid -> consolidated run of a spilled partition's final groups,
+        #: once the input finished.
+        self._merged: Dict[int, object] = {}
 
     def _rebuild_compiled(self) -> None:
         in_schema = self.input_schemas[0]
@@ -171,11 +161,10 @@ class PGroupBy(Operator):
         before they are made.  A row whose key partition is spilled at
         that point goes raw to the partition's delta run, charged a
         ``hash_insert``, and is re-aggregated at completion."""
-        from repro.storage.spill import spill_partitions
-
         cm = self.ctx.cost_model
         groups = self._groups
-        spilled = self._spilled
+        ledger = self._ledger
+        spilled = ledger.spilled
         pids = spill_partitions(keys)
 
         def route(at, end):
@@ -192,15 +181,16 @@ class PGroupBy(Operator):
             return kept, deferred, fresh, len(fresh) * self._group_bytes
 
         rows = None
-        step = self._chunk_rows
+        step = ledger.chunk_rows
+        counts, indexed = ledger.counts[0], ledger.keys[0]
         for at in range(0, len(keys), step):
-            kept, deferred, fresh, nbytes = self.reserve_routed(
+            kept, deferred, fresh, nbytes = ledger.reserve_routed(
                 lambda: route(at, at + step)
             )
             self._aggregate(kept, keys, val_cols)
             for key, pid in fresh.items():
-                self._part_groups[pid] += 1
-                self._part_keys[pid].append(key)
+                counts[pid] += 1
+                indexed[pid].append(key)
             self.ctx.metrics.adjust_state(self.op_id, nbytes)
             self.ctx.charge_events_op(self.op_id, len(kept), cm.hash_probe)
             self.ctx.charge_events_op(
@@ -261,49 +251,16 @@ class PGroupBy(Operator):
         if self._groups:
             self.account_state(-len(self._groups) * self._group_bytes)
             self._groups.clear()
-            if self._spilled is not None:
-                for keys in self._part_keys:
-                    keys.clear()
+            if self._ledger is not None:
+                self._ledger.release()
 
     # -- spilling ----------------------------------------------------------
 
-    def spillable_nbytes(self) -> int:
-        if self._spilled is None or self._replaying:
-            return 0
-        return self._lease.nbytes
-
-    def spill(self, need_bytes: int, ctx) -> int:
-        if self._spilled is None or self._replaying:
-            return 0
-        from repro.storage.spill import Spool, pick_spill_victim
-
-        freed = 0
-        while freed < need_bytes:
-            best = pick_spill_victim(self._part_groups, self._spilled)
-            if best is None:
-                break
-            label = "%s#%d.p%d" % (self.name, self.op_id, best)
-            group_spool = Spool(
-                self.ctx, self.ctx.governor, self._group_bytes,
-                label + ".groups",
-            )
-            delta_spool = Spool(
-                self.ctx, self.ctx.governor, self._in_row_bytes,
-                label + ".delta",
-            )
-            self._spilled[best] = (group_spool, delta_spool)
-            doomed = self._part_keys[best]
-            groups = self._groups
-            moved = [(key,) + groups.pop(key) for key in doomed]
-            doomed.clear()
-            if moved:
-                nbytes = len(moved) * self._group_bytes
-                self.account_state(-nbytes)
-                group_spool.extend(moved)
-                freed += nbytes
-            group_spool.flush()
-            self._part_groups[best] = 0
-        return freed
+    def _pop_partition(self, port: int, keys) -> List:
+        """Spill hook: pop the groups under ``keys`` as
+        ``(key, key_values, accumulators)`` records."""
+        groups = self._groups
+        return [(key,) + groups.pop(key) for key in keys]
 
     def _merge_partition(self, pid: int) -> Dict:
         """Reload one spilled partition's groups and replay its delta
@@ -342,27 +299,17 @@ class PGroupBy(Operator):
     def _consolidate_spilled(self) -> None:
         """Merge each spilled partition (one at a time) into a single
         consolidated run per partition."""
-        from repro.storage.spill import Spool
-
-        self._replaying = True
-        try:
-            for pid in sorted(self._spilled):
+        ledger = self._ledger
+        with ledger.replaying():
+            for pid in sorted(ledger.spilled):
                 merged = self._merge_partition(pid)
-                spool = Spool(
-                    self.ctx, self.ctx.governor, self._group_bytes,
-                    "%s#%d.p%d.merged" % (self.name, self.op_id, pid),
-                )
+                spool = ledger.spool(pid, "merged", self._group_bytes)
                 for key, (key_values, accumulators) in merged.items():
                     self.account_state(-self._group_bytes)
                     spool.append((key, key_values, accumulators))
                 spool.flush()
-                group_spool, delta_spool = self._spilled[pid]
-                group_spool.discard()
-                delta_spool.discard()
+                ledger.drop(pid)
                 self._merged[pid] = spool
-            self._spilled.clear()
-        finally:
-            self._replaying = False
 
     # -- state exposure ----------------------------------------------------
 
@@ -373,8 +320,7 @@ class PGroupBy(Operator):
             for pid in sorted(self._merged):
                 yield from self._merged[pid].records()
         if self._spilled:
-            self._replaying = True
-            try:
+            with self._ledger.replaying():
                 for pid in sorted(self._spilled):
                     merged = self._merge_partition(pid)
                     try:
@@ -385,8 +331,6 @@ class PGroupBy(Operator):
                             self.account_state(
                                 -len(merged) * self._group_bytes
                             )
-            finally:
-                self._replaying = False
 
     def state_values(self, port: int, attr_name: str):
         """Values of a key or aggregate output attribute across the
@@ -411,14 +355,12 @@ class PGroupBy(Operator):
 
     def stored_count(self, port: int) -> int:
         count = len(self._groups)
-        if self._spilled:
-            for group_spool, _delta in self._spilled.values():
-                # Delta rows may add unseen groups; the run count is a
-                # lower bound, which only makes AIP sizing conservative.
-                count += group_spool.n_records
-        if self._merged:
-            for spool in self._merged.values():
-                count += spool.n_records
+        for group_spool, _delta in self._spilled.values():
+            # Delta rows may add unseen groups; the run count is a
+            # lower bound, which only makes AIP sizing conservative.
+            count += group_spool.n_records
+        for spool in self._merged.values():
+            count += spool.n_records
         return count
 
     def state_complete(self, port: int) -> bool:

@@ -39,19 +39,7 @@ from repro.exec.operators.base import Row, StashingOperator
 from repro.exec.pages import ColumnBatch
 from repro.expr.compiler import compile_predicate
 from repro.expr.expressions import Expr
-
-
-class _PartitionSpill:
-    """One spilled key-space partition: per-side frozen + delta runs."""
-
-    __slots__ = ("frozen", "delta")
-
-    def __init__(self, make_spool):
-        self.frozen = (make_spool(0, "frozen"), make_spool(1, "frozen"))
-        self.delta = (make_spool(0, "delta"), make_spool(1, "delta"))
-
-    def spools(self):
-        return self.frozen + self.delta
+from repro.storage.spill import PartitionLedger, spill_partitions
 
 
 class PHashJoin(StashingOperator):
@@ -89,30 +77,13 @@ class PHashJoin(StashingOperator):
         self._rebuild_compiled()
         self.left_keys = tuple(left_keys)
         self.right_keys = tuple(right_keys)
-        if self._lease is not None:
-            from repro.storage.spill import N_SPILL_PARTITIONS
-            #: pid -> _PartitionSpill for spilled key-space partitions.
-            self._spilled: Dict[int, _PartitionSpill] = {}
-            #: In-memory row counts per (port, partition), kept so the
-            #: spill victim choice is O(partitions), not O(state).
-            self._part_rows = (
-                [0] * N_SPILL_PARTITIONS, [0] * N_SPILL_PARTITIONS,
-            )
-            #: The keys each (port, partition) holds in the table, in
-            #: the table's insertion order, so a spill pops exactly its
-            #: victims without computing a partition id per key.
-            self._part_keys = (
-                [[] for _ in range(N_SPILL_PARTITIONS)],
-                [[] for _ in range(N_SPILL_PARTITIONS)],
-            )
-            self._replaying = False
-            #: Rows per lease request in the page kernel: one governor
-            #: page of the wider side's rows.
-            self._chunk_rows = ctx.governor.page_records_for(
-                max(self._row_bytes)
-            )
-        else:
-            self._spilled = None
+        #: A spilled partition's runs: per side, the rows its table
+        #: held (frozen), then the rows that arrived later (delta).
+        rb0, rb1 = self._row_bytes
+        self._ledger = PartitionLedger.open(self, (
+            ("frozen0", rb0), ("frozen1", rb1),
+            ("delta0", rb0), ("delta1", rb1),
+        ), ports=2)
 
     def _rebuild_compiled(self) -> None:
         self._residual = (
@@ -262,13 +233,12 @@ class PHashJoin(StashingOperator):
         before they happen.  A row whose key partition is spilled at
         that point goes to the partition's delta run unprobed, charged
         a ``hash_insert``: its owed matches surface at completion."""
-        from repro.storage.spill import spill_partitions
-
         keys, rows, ports = batch[:3]
         cm = self.ctx.cost_model
         buffering = self._buffering
         row_bytes = self._row_bytes
-        spilled = self._spilled
+        ledger = self._ledger
+        spilled = ledger.spilled
         order = list(order)
         pids = spill_partitions([keys[i] for i in order])
 
@@ -291,29 +261,30 @@ class PHashJoin(StashingOperator):
             return kept, kept_pids, kept_ports, deferred, nbytes
 
         n_residual = 0
-        step = self._chunk_rows
+        step = ledger.chunk_rows
         tables = self._tables
-        part_rows, part_keys = self._part_rows, self._part_keys
+        counts, indexed = ledger.counts, ledger.keys
         for at in range(0, len(order), step):
             kept, kept_pids, kept_ports, deferred, nbytes = (
-                self.reserve_routed(lambda: route(at, at + step))
+                ledger.reserve_routed(lambda: route(at, at + step))
             )
             n_residual += self._probe_insert(kept, batch)
             inserted = 0
             for i, pid, port in zip(kept, kept_pids, kept_ports):
                 if buffering[port]:
-                    part_rows[port][pid] += 1
+                    counts[port][pid] += 1
                     inserted += 1
                     # A row heading its bucket made the key: index it.
                     if tables[port][keys[i]][0] is rows[i]:
-                        part_keys[port][pid].append(keys[i])
+                        indexed[port][pid].append(keys[i])
             self.ctx.metrics.adjust_state(self.op_id, nbytes)
             self.ctx.charge_events_op(self.op_id, len(kept), cm.hash_probe)
             self.ctx.charge_events_op(
                 self.op_id, inserted + len(deferred), cm.hash_insert
             )
             for i, pid in deferred:
-                spilled[pid].delta[ports[i]].append(rows[i])
+                # Runs 2 and 3 are the delta runs of sides 0 and 1.
+                spilled[pid][2 + ports[i]].append(rows[i])
         return n_residual
 
     def finish(self, port: int = 0) -> None:
@@ -339,75 +310,20 @@ class PHashJoin(StashingOperator):
         if stored:
             self.account_state(-stored * self._row_bytes[port])
         self._tables[port].clear()
-        if self._spilled is not None:
-            counts = self._part_rows[port]
-            for pid in range(len(counts)):
-                counts[pid] = 0
-                self._part_keys[port][pid].clear()
+        if self._ledger is not None:
+            self._ledger.release(port)
 
     # -- spilling ----------------------------------------------------------
 
-    def spillable_nbytes(self) -> int:
-        if self._spilled is None or self._replaying:
-            return 0
-        return self._lease.nbytes
-
-    def spill(self, need_bytes: int, ctx) -> int:
-        """Move whole key-space partitions to disk, largest first."""
-        if self._spilled is None or self._replaying:
-            return 0
-        freed = 0
-        while freed < need_bytes:
-            pid = self._pick_victim()
-            if pid is None:
-                break
-            freed += self._spill_partition(pid, ctx)
-        return freed
-
-    def _pick_victim(self) -> Optional[int]:
-        from repro.storage.spill import pick_spill_victim
-        rb0, rb1 = self._row_bytes
-        counts0, counts1 = self._part_rows
-        return pick_spill_victim(
-            [c0 * rb0 + c1 * rb1 for c0, c1 in zip(counts0, counts1)],
-            self._spilled,
-        )
-
-    def _make_spool(self, pid: int):
-        from repro.storage.spill import Spool
-
-        def make(port, generation):
-            return Spool(
-                self.ctx, self.ctx.governor, self._row_bytes[port],
-                "%s#%d.p%d.%s%d" % (
-                    self.name, self.op_id, pid, generation, port,
-                ),
-            )
-        return make
-
-    def _spill_partition(self, pid: int, ctx) -> int:
-        part = _PartitionSpill(self._make_spool(pid))
-        self._spilled[pid] = part
-        freed = 0
-        for port in (0, 1):
-            table = self._tables[port]
-            doomed = self._part_keys[port][pid]
-            moved = []
-            for key in doomed:
-                # A row object that arrived again indexed its key again.
-                moved.extend(table.pop(key, ()))
-            doomed.clear()
-            if moved:
-                nbytes = len(moved) * self._row_bytes[port]
-                # Release before appending so the transfer never holds
-                # the rows on both ledgers at once.
-                self.account_state(-nbytes)
-                spool = part.frozen[port]
-                spool.extend(moved)
-                spool.flush()
-                freed += nbytes
-            self._part_rows[port][pid] = 0
-        return freed
+    def _pop_partition(self, port: int, keys) -> List[Row]:
+        """Spill hook: pop the rows under ``keys`` out of ``port``'s
+        table.  A row object that arrived again indexed its key again;
+        its bucket moves once."""
+        table = self._tables[port]
+        moved = []
+        for key in keys:
+            moved.extend(table.pop(key, ()))
+        return moved
 
     def _replay_spilled(self) -> None:
         """Emit the owed matches of every spilled partition: all pairs
@@ -415,17 +331,15 @@ class PHashJoin(StashingOperator):
         the partition left memory.  One partition is resident at a
         time (Grace recursion depth 1)."""
         cm = self.ctx.cost_model
-        rb0, rb1 = self._row_bytes
-        self._replaying = True
-        try:
-            for pid in sorted(self._spilled):
-                part = self._spilled[pid]
+        rb1 = self._row_bytes[1]
+        ledger = self._ledger
+        with ledger.replaying():
+            for pid in sorted(ledger.spilled):
+                frozen0, frozen1, delta0, delta1 = ledger.spilled[pid]
                 r_frozen: Dict = {}
                 r_delta: Dict = {}
                 loaded = 0
-                for target, spool in (
-                    (r_frozen, part.frozen[1]), (r_delta, part.delta[1]),
-                ):
+                for target, spool in ((r_frozen, frozen1), (r_delta, delta1)):
                     for row in spool.records():
                         key = self._key_of(row, 1)
                         target.setdefault(key, []).append(row)
@@ -434,20 +348,12 @@ class PHashJoin(StashingOperator):
                     self.ctx.charge_events_op(self.op_id, loaded, cm.hash_insert)
                     self.account_state(loaded * rb1)
                 # Left delta probes everything on the right …
-                self._probe_spilled(
-                    part.delta[0], (r_frozen, r_delta), cm
-                )
+                self._probe_spilled(delta0, (r_frozen, r_delta), cm)
                 # … while the frozen left only owes the right delta.
-                self._probe_spilled(
-                    part.frozen[0], (r_delta,), cm
-                )
+                self._probe_spilled(frozen0, (r_delta,), cm)
                 if loaded:
                     self.account_state(-loaded * rb1)
-                for spool in part.spools():
-                    spool.discard()
-            self._spilled.clear()
-        finally:
-            self._replaying = False
+                ledger.drop(pid)
 
     def _probe_spilled(self, left_spool, right_tables, cm) -> None:
         """Probe ``right_tables`` with every row of ``left_spool`` and
@@ -484,23 +390,19 @@ class PHashJoin(StashingOperator):
         for rows in self._tables[port].values():
             for row in rows:
                 yield row[idx]
-        if self._spilled:
-            # Spilled partitions stream back page by page — summaries
-            # are built over them without re-materialising the state.
-            for pid in sorted(self._spilled):
-                part = self._spilled[pid]
-                for spool in (part.frozen[port], part.delta[port]):
-                    for row in spool.records():
-                        yield row[idx]
+        # Spilled partitions stream back page by page — summaries are
+        # built over them without re-materialising the state.
+        spilled = self._spilled
+        for pid in sorted(spilled):
+            runs = spilled[pid]
+            for spool in (runs[port], runs[2 + port]):
+                for row in spool.records():
+                    yield row[idx]
 
     def stored_count(self, port: int) -> int:
         count = sum(len(rows) for rows in self._tables[port].values())
-        if self._spilled:
-            for part in self._spilled.values():
-                count += (
-                    part.frozen[port].n_records
-                    + part.delta[port].n_records
-                )
+        for runs in self._spilled.values():
+            count += runs[port].n_records + runs[2 + port].n_records
         return count
 
     def state_complete(self, port: int) -> bool:

@@ -33,6 +33,7 @@ from repro.data.schema import Schema
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Row, StashingOperator
 from repro.exec.pages import ColumnBatch
+from repro.storage.spill import PartitionLedger, spill_partition
 
 PROBE = 0
 SOURCE = 1
@@ -62,17 +63,13 @@ class PSemiJoin(StashingOperator):
         self._pending: Dict[object, List[Row]] = {}
         self._probe_row_bytes = probe_schema.row_byte_size()
         self._key_bytes = key_nbytes(len(source_keys))
-        if self._lease is not None:
-            from repro.storage.spill import N_SPILL_PARTITIONS
-            #: pid -> Spool of pending probe rows (moved + deferred).
-            self._spilled: Dict[int, object] = {}
-            self._part_rows = [0] * N_SPILL_PARTITIONS
-            #: The keys each partition holds in ``_pending``, in its
-            #: insertion order: a spill pops exactly its victims.
-            self._part_keys = [{} for _ in range(N_SPILL_PARTITIONS)]
-            self._replaying = False
-        else:
-            self._spilled = None
+        #: A spilled partition's one run holds its pending probe rows:
+        #: those moved out of the buffer and those that arrived later.
+        #: The key index is an ordered set, as a source row's arrival
+        #: releases its key.
+        self._ledger = PartitionLedger.open(
+            self, (("pending", self._probe_row_bytes),), index=dict,
+        )
 
     def _key(self, row: Row, indices) -> object:
         if len(indices) == 1:
@@ -112,9 +109,10 @@ class PSemiJoin(StashingOperator):
         else:
             order = range(len(rows))
 
-        spilled = self._spilled
-        if spilled is not None:
-            from repro.storage.spill import spill_partition
+        ledger = self._ledger
+        if ledger is not None:
+            spilled = ledger.spilled
+            counts, indexed = ledger.counts[0], ledger.keys[0]
         source_keys = self._source_keys
         pending = self._pending
         source_live = not self._input_done[SOURCE]
@@ -136,14 +134,14 @@ class PSemiJoin(StashingOperator):
                     # arrive.  (Once it is complete the row can never
                     # match and is dropped.)
                     inserted += 1
-                    if spilled is not None:
+                    if ledger is not None:
                         pid = spill_partition(key)
                         if pid in spilled:
                             # Deferred: the run replays at completion.
-                            spilled[pid].append(row)
+                            spilled[pid][0].append(row)
                             continue
-                        self._part_rows[pid] += 1
-                        self._part_keys[pid][key] = None
+                        counts[pid] += 1
+                        indexed[pid][key] = None
                     pending.setdefault(key, []).append(row)
                     self.account_state(self._probe_row_bytes)
             else:
@@ -156,10 +154,10 @@ class PSemiJoin(StashingOperator):
                 self.account_state(self._key_bytes)
                 waiting = pending.pop(key, None)
                 if waiting:
-                    if spilled is not None:
+                    if ledger is not None:
                         pid = spill_partition(key)
-                        self._part_rows[pid] -= len(waiting)
-                        del self._part_keys[pid][key]
+                        counts[pid] -= len(waiting)
+                        del indexed[pid][key]
                     self.account_state(-len(waiting) * self._probe_row_bytes)
                     released += len(waiting)
                     out.extend(waiting)
@@ -195,10 +193,8 @@ class PSemiJoin(StashingOperator):
                 dropped = sum(len(rows) for rows in self._pending.values())
                 self.account_state(-dropped * self._probe_row_bytes)
                 self._pending.clear()
-                if self._spilled is not None:
-                    for pid in range(len(self._part_rows)):
-                        self._part_rows[pid] = 0
-                        self._part_keys[pid].clear()
+                if self._ledger is not None:
+                    self._ledger.release()
         self.ctx.strategy.on_input_finished(self, port)
         if self.all_inputs_done:
             if self._source_keys:
@@ -210,49 +206,21 @@ class PSemiJoin(StashingOperator):
 
     # -- spilling ----------------------------------------------------------
 
-    def spillable_nbytes(self) -> int:
-        if self._spilled is None or self._replaying:
-            return 0
-        return sum(self._part_rows) * self._probe_row_bytes
-
-    def spill(self, need_bytes: int, ctx) -> int:
-        """Move whole pending-buffer key partitions to disk."""
-        if self._spilled is None or self._replaying:
-            return 0
-        from repro.storage.spill import Spool, pick_spill_victim
-
-        freed = 0
-        while freed < need_bytes:
-            best = pick_spill_victim(self._part_rows, self._spilled)
-            if best is None:
-                break
-            spool = Spool(
-                self.ctx, self.ctx.governor, self._probe_row_bytes,
-                "%s#%d.p%d.pending" % (self.name, self.op_id, best),
-            )
-            self._spilled[best] = spool
-            doomed = self._part_keys[best]
-            moved = []
-            for key in doomed:
-                moved.extend(self._pending.pop(key))
-            doomed.clear()
-            if moved:
-                nbytes = len(moved) * self._probe_row_bytes
-                self.account_state(-nbytes)
-                spool.extend(moved)
-                freed += nbytes
-            spool.flush()
-            self._part_rows[best] = 0
-        return freed
+    def _pop_partition(self, port: int, keys) -> List[Row]:
+        """Spill hook: pop the pending probe rows under ``keys``."""
+        moved = []
+        for key in keys:
+            moved.extend(self._pending.pop(key))
+        return moved
 
     def _replay_spilled(self) -> None:
         cm = self.ctx.cost_model
         source_keys = self._source_keys
         probe_idx = self._probe_idx
-        self._replaying = True
-        try:
-            for pid in sorted(self._spilled):
-                spool = self._spilled[pid]
+        ledger = self._ledger
+        with ledger.replaying():
+            for pid in sorted(ledger.spilled):
+                (spool,) = ledger.spilled[pid]
                 probed = 0
                 matched = []
                 for row in spool.records():
@@ -261,15 +229,12 @@ class PSemiJoin(StashingOperator):
                         matched.append(row)
                 if probed:
                     self.ctx.charge_events_op(self.op_id, probed, cm.hash_probe)
-                spool.discard()
+                ledger.drop(pid)
                 if matched:
                     self.ctx.charge_events_op(
                         self.op_id, len(matched), cm.output_build
                     )
                     self.emit_rows(matched)
-            self._spilled.clear()
-        finally:
-            self._replaying = False
 
     # -- state exposure ----------------------------------------------------
 
@@ -287,18 +252,18 @@ class PSemiJoin(StashingOperator):
             for rows in self._pending.values():
                 for row in rows:
                     yield row[idx]
-            if self._spilled:
-                for pid in sorted(self._spilled):
-                    for row in self._spilled[pid].records():
-                        yield row[idx]
+            spilled = self._spilled
+            for pid in sorted(spilled):
+                (spool,) = spilled[pid]
+                for row in spool.records():
+                    yield row[idx]
 
     def stored_count(self, port: int) -> int:
         if port == SOURCE:
             return len(self._source_keys)
         count = sum(len(rows) for rows in self._pending.values())
-        if self._spilled:
-            for spool in self._spilled.values():
-                count += spool.n_records
+        for (spool,) in self._spilled.values():
+            count += spool.n_records
         return count
 
     def state_complete(self, port: int) -> bool:

@@ -15,7 +15,8 @@ from repro.distributed.network import NetworkModel
 from repro.distributed.site import Placement, Site
 from repro.exec.arrival import ArrivalModel
 from repro.exec.context import ExecutionContext
-from repro.exec.engine import QueryResult, execute_plan
+from repro.exec.engine import Engine, QueryResult
+from repro.exec.translate import translate
 from repro.harness.strategies import make_strategy, uses_magic_plan
 from repro.workloads.base import WorkloadQuery
 from repro.workloads.registry import get_query
@@ -154,38 +155,39 @@ def run_workload_query(
     ctx.tracer = tracer
 
     try:
-        if partitions:
-            dq = DistributedQuery(
-                plan, partitioned_placement(query, partitions),
-                network or NetworkModel(),
+        if partitions or query.is_distributed:
+            placement = (
+                partitioned_placement(query, partitions) if partitions
+                else Placement([Site("remote-1", query.remote_tables)])
             )
-            result = dq.execute(ctx)
-        elif query.is_distributed:
-            dq = DistributedQuery(
-                plan,
-                Placement([Site("remote-1", query.remote_tables)]),
-                network or NetworkModel(),
-            )
-            result = dq.execute(ctx)
+            resolver = DistributedQuery(
+                plan, placement, network or NetworkModel(),
+            ).prepare(ctx)
+        elif delayed:
+            delayed_table = query.delayed_table
+
+            def resolver(node):
+                if node.table_name == delayed_table:
+                    return ArrivalModel.delayed(
+                        initial_delay=0.100, batch_size=1000,
+                        batch_delay=0.005,
+                    )
+                return None
         else:
             resolver = None
-            if delayed:
-                delayed_table = query.delayed_table
-
-                def resolver(node):
-                    if node.table_name == delayed_table:
-                        return ArrivalModel.delayed(
-                            initial_delay=0.100, batch_size=1000,
-                            batch_delay=0.005,
-                        )
-                    return None
-
-            result = execute_plan(plan, ctx, arrival_resolver=resolver)
+        physical = translate(plan, ctx, resolver)
+        ctx.strategy.attach(ctx, physical)
+        result = Engine(ctx).run(physical)
     finally:
         # Engine errors included: the spill directory never outlives
         # the run.
         if governor is not None:
             governor.close()
+    # The run owns its plan and context: with their cycles cut (as in
+    # ``execute_batch``), reference counting frees the plan once the
+    # caller has the rows, schema and metrics.
+    physical.release()
+    ctx.release()
 
     return RunRecord(
         qid, strategy, result,

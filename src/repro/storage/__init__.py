@@ -12,8 +12,9 @@ Python memory.  This package bounds that memory:
   sequence facade scans stream instead of materialised row lists: a
   table page is a slice of the table's rows, taken when a scan first
   reads it and weighed through :mod:`repro.common.sizing`;
-* :mod:`repro.storage.spill` — append-only paged **spools** the
-  stateful operators write Grace-style hash partitions through;
+* :mod:`repro.storage.spill` — the **partition ledger** each governed
+  stateful operator spills Grace-style hash partitions through, and
+  the append-only paged **spools** it writes them to;
 * :mod:`repro.storage.governor` — the :class:`MemoryGovernor` holding
   the process-wide state budget; components account through leases,
   and a grow that would cross the budget first reclaims (buffer-pool

@@ -12,8 +12,9 @@ The lease protocol:
 * ``lease.grow(nbytes, ctx)`` — admit bytes.  If the grow would push
   the aggregate past the budget the governor first **reclaims**: it
   evicts unpinned buffer-pool pages (cheapest — clean table pages just
-  move to the spill backend), then asks registered spillable operators
-  — largest lease first — to spill hash partitions to disk.  The grow
+  move to the spill backend), then asks the registered spill handlers
+  — each stateful operator's partition ledger and each spool's tail
+  page, most spillable first — to move state to disk.  The grow
   itself always succeeds: correctness never depends on memory, only
   residency does.  ``ctx`` is the execution context whose virtual
   clock pays for any spill I/O the reclaim performs;
@@ -97,7 +98,6 @@ class MemoryGovernor:
         self._lease_seq = 0
         self._epoch = 0
         self._reclaiming = False
-        self._window_peak = 0
         self._window_state_peak = 0
         self.closed = False
         #: Trace collector shared with the run's contexts, or None.
@@ -178,8 +178,6 @@ class MemoryGovernor:
         self.resident_bytes += nbytes
         if self.resident_bytes > self.peak_resident_bytes:
             self.peak_resident_bytes = self.resident_bytes
-        if self.resident_bytes > self._window_peak:
-            self._window_peak = self.resident_bytes
         state = self.resident_bytes - self._pool_nbytes()
         if state > self._window_state_peak:
             self._window_state_peak = state
@@ -193,8 +191,9 @@ class MemoryGovernor:
     # -- reclamation -----------------------------------------------------
 
     def register_spillable(self, handler) -> None:
-        """Register an operator that can shed state to disk.  The
-        handler exposes ``spillable_nbytes()`` and
+        """Register a spill handler: a stateful operator's
+        :class:`~repro.storage.spill.PartitionLedger`, or a spool's
+        tail page.  The handler exposes ``spillable_nbytes()`` and
         ``spill(need_bytes, ctx) -> freed_bytes``."""
         self._spillables.append(handler)
 
@@ -252,13 +251,6 @@ class MemoryGovernor:
 
     # -- observation ------------------------------------------------------
 
-    def take_window_peak(self) -> int:
-        """Peak residency since the previous call; resets the window to
-        the current residency."""
-        peak = self._window_peak
-        self._window_peak = self.resident_bytes
-        return peak
-
     def take_window_state_peak(self) -> int:
         """Peak *operator-state* residency (total minus the buffer
         pool's base-table pages) since the previous call.  The service
@@ -308,7 +300,6 @@ class MemoryGovernor:
             if lease.epoch >= epoch:
                 lease.close()
         self._leases = [lease for lease in self._leases if not lease.closed]
-        self._window_peak = self.resident_bytes
         self._window_state_peak = self.resident_bytes - self._pool_nbytes()
 
     def close(self) -> None:

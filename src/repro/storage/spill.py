@@ -1,11 +1,15 @@
-"""Spill spools: append-only paged record runs on the spill backend.
+"""Grace spill for the stateful operators: one partition ledger per
+operator, and the paged record runs it writes.
 
-Stateful operators shed hash state Grace-style: keys hash into
-:data:`N_SPILL_PARTITIONS` fixed partitions, and a spilled partition's
-records live in :class:`Spool` runs — an in-memory tail page (accounted
-against the governor) that flushes to one pickled page file whenever it
-fills.  Replay streams the pages back one at a time, so completion
-processing never re-materialises a whole partition set at once.
+A governed stateful operator's keys hash into :data:`N_SPILL_PARTITIONS`
+fixed partitions.  Its :class:`PartitionLedger` is the governor's spill
+handler for it: it keeps each partition's resident count and key index,
+picks victims and moves whole partitions into :class:`Spool` runs — an
+in-memory tail page (accounted against the governor) that flushes
+whenever it fills, as one page of the governor's spill backend (an
+extent of the backend's one spill file).  Replay streams the pages
+back one at a time, so completion processing never re-materialises a
+whole partition set at once.
 
 Partition placement uses :func:`repro.common.hashing.stable_key`, so
 which keys spill together is deterministic across processes — a
@@ -14,7 +18,8 @@ requirement for the reproducible benchmark cells CI gates on.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from contextlib import contextmanager
+from typing import Dict, List, Tuple
 
 from repro.common.hashing import stable_key
 
@@ -54,23 +59,6 @@ def spill_partitions(keys, n_partitions: int = N_SPILL_PARTITIONS) -> List[int]:
     ]
 
 
-def pick_spill_victim(weights, spilled) -> "int | None":
-    """The spill victim policy every stateful operator shares: the
-    heaviest still-resident partition, ties broken toward the lowest
-    id (deterministic); None once nothing spillable remains.
-
-    ``weights[pid]`` is the partition's resident weight (rows, groups
-    or bytes — only relative order matters); ``spilled`` holds the
-    pids already on disk.
-    """
-    best, best_weight = None, 0
-    for pid, weight in enumerate(weights):
-        if pid in spilled or weight <= best_weight:
-            continue
-        best, best_weight = pid, weight
-    return best
-
-
 class Spool:
     """One partition generation's records, paged onto the backend."""
 
@@ -97,10 +85,6 @@ class Spool:
     @property
     def n_records(self) -> int:
         return self._flushed_records + len(self._open)
-
-    @property
-    def resident_nbytes(self) -> int:
-        return len(self._open) * self._record_nbytes
 
     def spillable_nbytes(self) -> int:
         """Reclaim protocol: the tail page can always be written out."""
@@ -181,3 +165,181 @@ class Spool:
         return "Spool(%d records, %d pages)" % (
             self.n_records, len(self._pages),
         )
+
+
+class PartitionLedger:
+    """One governed stateful operator's Grace bookkeeping, registered
+    with the governor as its spill handler.
+
+    Per input side (``ports``) and partition the ledger holds the
+    resident record count, ``counts[port][pid]``, and the keys the
+    operator's table holds there in insertion order, ``keys[port][pid]``
+    (a list, or with ``index=dict`` an ordered set that can drop a key).
+    The operator's kernels bind those lists to locals and keep them
+    current as they insert.  A reclaim moves whole partitions, heaviest
+    first, into fresh runs; the operator supplies the hook that pops one
+    partition's records out of its own table,
+    ``op._pop_partition(port, keys) -> records``.
+
+    ``runs`` names one spilled partition's runs in creation order as
+    ``(name, record_nbytes)``: the first ``ports`` receive the records a
+    spill moves out of the table, one per side; the last ``ports`` take
+    the rows that arrive for the partition afterwards (the same runs
+    when there are only ``ports`` of them).  ``spilled`` maps each
+    spilled pid to its runs, in that order.
+    """
+
+    __slots__ = (
+        "_op", "_lease", "_label", "_runs", "_nbytes", "_index",
+        "counts", "keys", "spilled", "chunk_rows", "_replaying",
+    )
+
+    def __init__(self, op, runs, ports: int = 1, index=list):
+        self._op = op
+        self._lease = op._lease
+        self._label = "%s#%d" % (op.name, op.op_id)
+        self._runs = tuple(runs)
+        #: Record bytes per side: what a count of one weighs.
+        self._nbytes = tuple(nbytes for _name, nbytes in self._runs[:ports])
+        self._index = index
+        self.counts = tuple([0] * N_SPILL_PARTITIONS for _ in range(ports))
+        self.keys = tuple(
+            [index() for _ in range(N_SPILL_PARTITIONS)]
+            for _ in range(ports)
+        )
+        self.spilled: Dict[int, Tuple[Spool, ...]] = {}
+        #: Rows per lease request in a page kernel: one governor page
+        #: of the widest side's records.
+        self.chunk_rows = op.ctx.governor.page_records_for(max(self._nbytes))
+        self._replaying = False
+        op.ctx.governor.register_spillable(self)
+
+    @classmethod
+    def open(cls, op, runs, ports: int = 1, index=list):
+        """``op``'s ledger, or None when ``op`` runs ungoverned."""
+        if op._lease is None:
+            return None
+        return cls(op, runs, ports, index)
+
+    def spool(self, pid: int, name: str, record_nbytes: int) -> Spool:
+        """A new run of partition ``pid``, labelled for the operator."""
+        ctx = self._op.ctx
+        return Spool(
+            ctx, ctx.governor, record_nbytes,
+            "%s.p%d.%s" % (self._label, pid, name),
+        )
+
+    # -- the governor's spill-handler protocol ---------------------------
+
+    def spillable_nbytes(self) -> int:
+        """The resident partitions' bytes; none while replaying."""
+        if self._replaying:
+            return 0
+        return sum(
+            sum(counts) * nbytes
+            for counts, nbytes in zip(self.counts, self._nbytes)
+        )
+
+    def spill(self, need_bytes: int, ctx) -> int:
+        """Move whole partitions to disk, heaviest first, until
+        ``need_bytes`` are freed or none is left."""
+        if self._replaying:
+            return 0
+        freed = 0
+        while freed < need_bytes:
+            pid = self._victim()
+            if pid is None:
+                break
+            freed += self._transfer(pid)
+        return freed
+
+    def _victim(self) -> "int | None":
+        """The heaviest still-resident partition, ties broken toward
+        the lowest id (deterministic); None once nothing is left."""
+        best, best_weight = None, 0
+        for pid in range(N_SPILL_PARTITIONS):
+            if pid in self.spilled:
+                continue
+            weight = sum(
+                counts[pid] * nbytes
+                for counts, nbytes in zip(self.counts, self._nbytes)
+            )
+            if weight > best_weight:
+                best, best_weight = pid, weight
+        return best
+
+    def _transfer(self, pid: int) -> int:
+        """Spill partition ``pid``: open its runs, then per side pop its
+        records out of the table and write them to the side's run."""
+        op = self._op
+        runs = tuple(
+            self.spool(pid, name, nbytes) for name, nbytes in self._runs
+        )
+        self.spilled[pid] = runs
+        freed = 0
+        for port, nbytes in enumerate(self._nbytes):
+            doomed = self.keys[port][pid]
+            self.keys[port][pid] = self._index()
+            moved = op._pop_partition(port, doomed)
+            if moved:
+                size = len(moved) * nbytes
+                # Release before appending so the transfer never holds
+                # the records on both leases at once.
+                op.account_state(-size)
+                runs[port].extend(moved)
+                freed += size
+            runs[port].flush()
+            self.counts[port][pid] = 0
+        return freed
+
+    # -- the operator's side ----------------------------------------------
+
+    def reserve_routed(self, route):
+        """Route one chunk of a governed page kernel — at most
+        :attr:`chunk_rows` rows — and grow the lease for it *before*
+        the inserts, so a reclaim never finds rows in the table that
+        the lease does not cover.  ``route()`` returns a tuple whose
+        last item is the bytes the rows it keeps in memory will insert.
+        If that reclaim spilled a partition of this operator, the chunk
+        is routed again (its rows now go to the partition's runs) and
+        the excess is released.  The caller adds the kept bytes to the
+        metrics once they are inserted."""
+        governor = self._op.ctx.governor
+        routed = route()
+        nbytes = routed[-1]
+        spilled = len(self.spilled)
+        governor.request(self._lease, nbytes, self._op.ctx)
+        if len(self.spilled) != spilled:
+            routed = route()
+            governor.release(self._lease, nbytes - routed[-1])
+        return routed
+
+    @contextmanager
+    def replaying(self):
+        """Hold the operator out of reclaims while it replays (or
+        streams) its spilled partitions."""
+        self._replaying = True
+        try:
+            yield
+        finally:
+            self._replaying = False
+
+    def release(self, port: int = 0) -> None:
+        """Forget ``port``'s resident partitions: the operator has
+        emptied that side's table."""
+        counts, keys = self.counts[port], self.keys[port]
+        for pid in range(N_SPILL_PARTITIONS):
+            counts[pid] = 0
+            keys[pid] = self._index()
+
+    def drop(self, pid: int) -> None:
+        """Delete partition ``pid``'s runs and forget it."""
+        for spool in self.spilled.pop(pid):
+            spool.discard()
+
+    def close(self) -> None:
+        """Retire the handler once the operator's output is done, and
+        let go of the operator so a finished plan frees by reference
+        counting."""
+        self._op.ctx.governor.unregister_spillable(self)
+        self._op = None

@@ -1,10 +1,11 @@
 """A finished query's plan is freed by reference counting alone.
 
-``execute_batch`` cuts the executed plan's cycles (operator links, the
-context's strategy and publish hooks), so operators, their state and
-their filters' verdict memos go the moment the batch returns, not at
-whatever collector pass comes next.  Each test runs with the collector
-off: an operator still alive afterwards sits in a cycle.
+``execute_batch`` and ``run_workload_query`` cut the executed plan's
+cycles (operator links, the context's strategy and publish hooks), so
+operators, their state and their filters' verdict memos go the moment
+the run returns, not at whatever collector pass comes next.  Each test
+runs with the collector off: an operator still alive afterwards sits
+in a cycle.
 """
 
 import gc
@@ -14,6 +15,7 @@ import pytest
 
 from repro.data.tpch import cached_tpch
 from repro.exec.operators.hashjoin import PHashJoin
+from repro.harness.runner import run_workload_query
 from repro.harness.strategies import MAGIC
 from repro.service.aip_cache import AIPSetCache
 from repro.service.executor import execute_batch
@@ -92,3 +94,19 @@ def test_aip_cache_hooks_do_not_pin_the_plan(catalog, joins, collector_off):
             catalog, _plans(catalog, "Q2A", "feedforward"), aip_cache=cache,
         )
     assert len(joins) > 1 and all(ref() is None for ref in joins)
+
+
+@pytest.mark.parametrize("qid, strategy, kwargs", [
+    ("Q5A", "baseline", {}), ("Q5A", "feedforward", {}),
+    ("Q5A", "costbased", {}), ("Q2A", MAGIC, {}),
+    ("Q2A", "feedforward", {"delayed": True}),
+    ("Q1C", "feedforward", {}), ("Q2A", "baseline", {"partitions": 2}),
+    ("Q5A", "feedforward", {"memory_budget": 256 * 1024}),
+])
+def test_harness_run_is_freed_without_the_collector(
+    joins, collector_off, qid, strategy, kwargs,
+):
+    # Q1C (a remote scan) returns no rows at this scale; the joins run.
+    record = run_workload_query(qid, strategy, scale_factor=0.002, **kwargs)
+    assert record.result.metrics.clock_ticks
+    assert joins and all(ref() is None for ref in joins)

@@ -275,8 +275,8 @@ class TestSpillAwareKernels:
                     assert not self._resident_pids(table) & set(join._spilled)
             assert join._spilled
             assert any(
-                part.delta[port].n_records
-                for part in join._spilled.values() for port in (0, 1)
+                runs[2 + port].n_records
+                for runs in join._spilled.values() for port in (0, 1)
             )
             join.finish(0)
             join.finish(1)
