@@ -1,6 +1,9 @@
 """Adaptive Information Passing (the paper's core contribution).
 
-Two strategies plug into the push engine's hook interface:
+Two strategies plug into the push engine's hook interface, both built
+on :class:`~repro.aip.candidates.AIPStrategy`: one AIPCANDIDATES
+(Figure 3) per plan, one walk over a set's live targets and one step
+that installs a filter or intersects it into the one already there.
 
 * :class:`~repro.aip.feedforward.FeedForwardStrategy` — Section IV-A's
   greedy algorithm: every stateful operator optimistically maintains
@@ -16,13 +19,14 @@ Two strategies plug into the push engine's hook interface:
 from repro.aip.sets import AIPSet, AIPSetSpec
 from repro.aip.registry import AIPRegistry
 from repro.aip.feedforward import FeedForwardStrategy
-from repro.aip.candidates import aip_candidates, CandidateIndex
+from repro.aip.candidates import AIPStrategy, aip_candidates, CandidateIndex
 from repro.aip.manager import CostBasedStrategy
 
 __all__ = [
     "AIPSet",
     "AIPSetSpec",
     "AIPRegistry",
+    "AIPStrategy",
     "FeedForwardStrategy",
     "aip_candidates",
     "CandidateIndex",

@@ -14,18 +14,29 @@ Precomputes, from the query plan and its conjunctive predicates:
 
 Scans are included among the interested parties: injecting at a scan
 prunes earliest, and remote scans are where distributed AIP ships
-filters.
+filters.  A scan registers interest in every output column equated
+elsewhere, and on every Table I plan each class with a producer holds
+some scan's column, so Feed-Forward's elimination of candidates nobody
+is interested in drops nothing there.
+
+:class:`AIPStrategy` is the core both AIP algorithms build on: one
+AIPCANDIDATES per plan, one walk over the live targets of a set, and
+one step that installs a filter or intersects it into the one already
+there.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.exec.operators.base import Operator
+from repro.aip.sets import AIPSet, intersect_frozen
+from repro.exec.context import ExecutionContext, ExecutionStrategy
+from repro.exec.operators.base import InjectedFilter, Operator
 from repro.exec.operators.groupby import PGroupBy
 from repro.exec.operators.scan import PScan
 from repro.exec.translate import PhysicalPlan
 from repro.optimizer.predicate_graph import SourcePredicateGraph
+from repro.plan.logical import fresh_node_id
 
 Party = Tuple[int, int]
 
@@ -36,7 +47,8 @@ class CandidateIndex:
     def __init__(self):
         #: attr -> parties whose state can produce a set over attr
         self.sources: Dict[str, Set[Party]] = {}
-        #: eq-class root -> interested parties
+        #: eq-class root -> interested parties (Feed-Forward's registry
+        #: drops parties from these sets as their inputs finish)
         self.interested: Dict[str, Set[Party]] = {}
         #: (party, eq-root) -> the attribute that party is filterable on
         self.party_attr: Dict[Tuple[Party, str], str] = {}
@@ -53,6 +65,43 @@ class CandidateIndex:
         ``attr``'s equivalence class."""
         root = graph.eq.find(attr)
         return self.party_attr.get((party, root))
+
+    def split_producible(
+        self, op: Operator, port: int
+    ) -> Tuple[List[str], List[str]]:
+        """A stateful party's producible attributes, split into those
+        its arriving tuples carry (working-set material) and those only
+        its completed state yields (a group-by's aggregate outputs)."""
+        filterable = _filterable_attrs(op, port)
+        attrs = self.producible.get((op.op_id, port), ())
+        return (
+            [a for a in attrs if a in filterable],
+            [a for a in attrs if a not in filterable],
+        )
+
+    def live_targets(
+        self, plan: PhysicalPlan, graph: SourcePredicateGraph, attr: str,
+        exclude: Party,
+    ) -> List[Tuple[Operator, int, str]]:
+        """The parties interested in ``attr``'s class, ``exclude``
+        aside, whose input is still open (a scan not exhausted, a port
+        not done), each as ``(operator, port, its own attribute)``."""
+        out = []
+        for party in self.interested_in(graph, attr):
+            if party == exclude:
+                continue
+            node_id, port = party
+            target = plan.by_node_id.get(node_id)
+            if target is None or (
+                target.exhausted if isinstance(target, PScan)
+                else target.input_done(port)
+            ):
+                continue
+            target_attr = self.attr_at(graph, party, attr)
+            if target_attr is None:
+                continue
+            out.append((target, port, target_attr))
+        return out
 
 
 def _filterable_attrs(op: Operator, port: int) -> List[str]:
@@ -77,23 +126,17 @@ def aip_candidates(
     index = CandidateIndex()
 
     for op in plan.sink.walk():
-        if isinstance(op, PScan):
-            party = (op.op_id, 0)
-            for attr in _filterable_attrs(op, 0):
-                if graph.equated_elsewhere(attr):
-                    root = graph.eq.find(attr)
-                    index.interested.setdefault(root, set()).add(party)
-                    index.party_attr[(party, root)] = attr
+        is_scan = isinstance(op, PScan)
+        if not (is_scan or op.stateful):
             continue
-        if not op.stateful:
-            continue
-        for port in range(op.n_inputs):
+        for port in range(1 if is_scan else op.n_inputs):
             party = (op.op_id, port)
-            producible = []
-            for attr in _producible_attrs(op, port):
-                if graph.equated_elsewhere(attr):
-                    index.sources.setdefault(attr, set()).add(party)
-                    producible.append(attr)
+            producible = [] if is_scan else [
+                a for a in _producible_attrs(op, port)
+                if graph.equated_elsewhere(a)
+            ]
+            for attr in producible:
+                index.sources.setdefault(attr, set()).add(party)
             if producible:
                 index.producible[party] = producible
             for attr in _filterable_attrs(op, port):
@@ -103,3 +146,68 @@ def aip_candidates(
                     index.party_attr[(party, root)] = attr
 
     return index
+
+
+class AIPStrategy(ExecutionStrategy):
+    """What Feed-Forward and Cost-Based AIP share.
+
+    Per plan, :meth:`attach` builds the source-predicate graph, its
+    AIPCANDIDATES index and an owner id for AIP-set state bytes.  The
+    algorithms differ only in when a set is built; once built, a set
+    goes to :meth:`live_targets` through :meth:`_install`, and
+    :meth:`on_query_end` releases whatever set state is left.
+    """
+
+    #: On a merge, the replacement filter takes the new set's label
+    #: (Feed-Forward's ``a∩b`` provenance) instead of keeping the
+    #: installed filter's (Cost-Based).
+    relabel_on_merge = False
+
+    _state_owner: Optional[int] = None
+
+    def attach(self, ctx: ExecutionContext, plan: PhysicalPlan) -> None:
+        self.ctx = ctx
+        self.plan = plan
+        self.graph = SourcePredicateGraph.from_plan(plan.logical_root)
+        self.index = aip_candidates(plan, self.graph)
+        self._state_owner = fresh_node_id()
+        #: (target party, eq root) -> the filter installed there
+        self._injected: Dict[Tuple[Party, str], InjectedFilter] = {}
+
+    def live_targets(
+        self, attr: str, exclude: Party
+    ) -> List[Tuple[Operator, int, str]]:
+        return self.index.live_targets(self.plan, self.graph, attr, exclude)
+
+    def _install(
+        self, target: Operator, port: int, attr: str, aip_set: AIPSet,
+        label: str,
+    ) -> None:
+        """Filter ``(target, port)`` by ``aip_set``: intersected into the
+        filter already installed there for its class when the Bloom
+        geometry allows (Section IV-B: a stronger filter replaces the
+        weaker one), registered beside it otherwise."""
+        key = ((target.op_id, port), aip_set.eq_root)
+        existing = self._injected.get(key)
+        merged = (
+            None if existing is None
+            else intersect_frozen(existing.summary, aip_set.summary)
+        )
+        if merged is None:
+            injected = target.register_filter(
+                port, attr, aip_set.summary, label
+            )
+        else:
+            injected = InjectedFilter(
+                existing.key_index, attr, merged,
+                label if self.relabel_on_merge else existing.label,
+            )
+            target.replace_filter(port, existing, injected)
+        self._injected[key] = injected
+
+    def on_query_end(self) -> None:
+        # Release remaining AIP set state.
+        if self._state_owner is not None:
+            remaining = self.ctx.metrics.state_bytes_of(self._state_owner)
+            if remaining:
+                self.ctx.metrics.adjust_state(self._state_owner, -remaining)

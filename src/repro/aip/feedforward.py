@@ -4,11 +4,14 @@ The algorithm "requires minimal runtime decision-making and no runtime
 statistics collection [and] optimistically creates and uses every
 potentially useful AIP set":
 
-* **Query initialization** — every stateful operator registers, per
-  input, a candidate AIP set for each attribute it produces and
-  interest in every attribute transitively equated to one of its own
-  but produced elsewhere.  Candidates nobody wants are eliminated.
-  Each surviving producer creates an incremental *working copy*.
+* **Query initialization** — the registry takes AIPCANDIDATES's
+  output: every stateful operator's input is a candidate producer for
+  each attribute it produces, and every party is interested in the
+  classes of the attributes it could be filtered on.  Candidates
+  nobody wants are eliminated (a no-op on Table I's plans: scans are
+  interested in every column equated elsewhere, and each class with a
+  producer there holds some scan's column).  Each surviving producer
+  creates an incremental *working copy*.
 * **Query execution** — arriving tuples are probed against completed
   AIP sets (via the engine's injected-filter mechanism) and recorded
   into the operator's working sets.  When an input completes, its
@@ -26,14 +29,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.aip.candidates import AIPStrategy
 from repro.aip.registry import AIPRegistry, Party
 from repro.aip.sets import BLOOM, AIPSet, AIPSetSpec
-from repro.exec.context import ExecutionContext, ExecutionStrategy
-from repro.exec.operators.base import InjectedFilter, Operator
-from repro.exec.operators.groupby import PGroupBy
+from repro.exec.context import ExecutionContext
+from repro.exec.operators.base import Operator
 from repro.exec.operators.scan import PScan
 from repro.exec.translate import PhysicalPlan
-from repro.optimizer.predicate_graph import SourcePredicateGraph
 
 #: Default expected-items fallback when statistics offer nothing.
 DEFAULT_EXPECTED = 1024
@@ -42,17 +44,18 @@ DEFAULT_EXPECTED = 1024
 class _WorkingSet:
     """One incrementally built AIP set on a (operator, port)."""
 
-    __slots__ = ("attr", "key_index", "aip_set", "party")
+    __slots__ = ("attr", "key_index", "aip_set")
 
-    def __init__(self, attr: str, key_index: int, aip_set: AIPSet, party: Party):
+    def __init__(self, attr: str, key_index: int, aip_set: AIPSet):
         self.attr = attr
         self.key_index = key_index
         self.aip_set = aip_set
-        self.party = party
 
 
-class FeedForwardStrategy(ExecutionStrategy):
+class FeedForwardStrategy(AIPStrategy):
     """The paper's greedy Feed-Forward AIP algorithm."""
+
+    relabel_on_merge = True
 
     def __init__(
         self,
@@ -80,15 +83,10 @@ class FeedForwardStrategy(ExecutionStrategy):
         #: Section III-C extension: pass *range* information (min/max
         #: bounds) across join residual inequalities.
         self.enable_range_filters = enable_range_filters
-        self.ctx: Optional[ExecutionContext] = None
-        self.plan: Optional[PhysicalPlan] = None
         self.registry: Optional[AIPRegistry] = None
         self._working: Dict[Tuple[int, int], List[_WorkingSet]] = {}
         self._completion_attrs: Dict[Tuple[int, int], List[str]] = {}
-        self._interest_attr: Dict[Tuple[Party, str], str] = {}
-        self._injected: Dict[Tuple[Party, int], InjectedFilter] = {}
         self._range_opps: Dict[Tuple[int, int], List[Tuple[str, str, str]]] = {}
-        self._state_owner: Optional[int] = None
         self._budget_check_countdown = 0
         self.working_sets_discarded = 0
 
@@ -98,112 +96,61 @@ class FeedForwardStrategy(ExecutionStrategy):
     # -- initialization -----------------------------------------------------
 
     def attach(self, ctx: ExecutionContext, plan: PhysicalPlan) -> None:
-        self.ctx = ctx
-        self.plan = plan
-        graph = SourcePredicateGraph.from_plan(plan.logical_root)
-        self.registry = AIPRegistry(graph)
-        from repro.plan.logical import fresh_node_id
-        self._state_owner = fresh_node_id()
+        super().attach(ctx, plan)
+        self.registry = AIPRegistry(self.graph)
+        self.registry.seed(self.index)
 
-        operators = list(plan.sink.walk())
-
-        # Pass 1: register candidates and interest.
-        for op in operators:
-            if isinstance(op, PScan):
-                party = (op.op_id, 0)
-                for attr in op.out_schema.names:
-                    if graph.equated_elsewhere(attr):
-                        self.registry.register_interest(attr, party)
-                        self._interest_attr[
-                            (party, self.registry.root_of(attr))
-                        ] = attr
-                continue
-            if not op.stateful:
-                continue
-            for port in range(op.n_inputs):
-                party = (op.op_id, port)
-                for attr in self._filterable_attrs(op, port):
-                    if graph.equated_elsewhere(attr):
-                        self.registry.register_candidate(attr, party)
-                        self.registry.register_interest(attr, party)
-                        self._interest_attr[
-                            (party, self.registry.root_of(attr))
-                        ] = attr
-                for attr in self._completion_only_attrs(op, port):
-                    if graph.equated_elsewhere(attr):
-                        self.registry.register_candidate(attr, party)
-                        self._completion_attrs.setdefault(party, []).append(attr)
-
-        # Pass 2: eliminate unwanted candidates.
+        # Eliminate unwanted candidates.
         if self.prune_uninterested:
             self.registry.eliminate_unwanted_candidates()
 
-        # Pass 3: shared geometry per surviving class.
-        self._build_specs(graph)
+        # Shared geometry per surviving class.
+        self._build_specs()
 
         # Optional: index range-passing opportunities over join
         # residual inequalities (Section III-C extension).
         if self.enable_range_filters:
             self._index_range_opportunities(plan)
 
-        # Pass 4: working copies for surviving producers.
-        for op in operators:
-            if not op.stateful:
-                continue
-            for port in range(op.n_inputs):
-                party = (op.op_id, port)
-                sets = []
-                for attr in self._filterable_attrs(op, port):
-                    if not graph.equated_elsewhere(attr):
-                        continue
-                    if self.prune_uninterested and not self.registry.is_wanted(attr):
-                        continue
-                    spec = self.registry.spec_for(attr)
-                    if spec is None:
-                        continue
-                    schema = op.input_schemas[port]
-                    ws = _WorkingSet(
-                        attr,
-                        schema.index_of(attr),
-                        AIPSet(attr, spec, "%s:%d" % (op.name, port)),
-                        party,
-                    )
-                    self.ctx.metrics.adjust_state(
-                        self._state_owner, ws.aip_set.byte_size()
-                    )
-                    sets.append(ws)
-                if sets:
-                    self._working[party] = sets
-
-    def _filterable_attrs(self, op: Operator, port: int) -> List[str]:
-        """Attributes of one input usable both as working-set material
-        and as filter keys.  Group-bys are restricted to their keys:
-        pruning a group-by input on a non-key attribute could remove
-        rows from surviving groups and change aggregates."""
-        if isinstance(op, PGroupBy):
-            return list(op.keys)
-        return list(op.input_schemas[port].names)
-
-    def _completion_only_attrs(self, op: Operator, port: int) -> List[str]:
-        """Computed attributes only known when the input completes."""
-        if isinstance(op, PGroupBy):
-            return [s.output_name for s in op._specs]
-        return []
-
-    def _build_specs(self, graph: SourcePredicateGraph) -> None:
-        stats_cache = {}
-        for group in graph.eq_classes():
-            expected = 0
-            for attr in group:
-                origin = graph.origins.get(attr)
-                if origin is None:
+        # Working copies for surviving producers; attributes known only
+        # at completion wait for it.
+        for party in self.index.producible:
+            node_id, port = party
+            op = plan.by_node_id[node_id]
+            filterable, completion = self.index.split_producible(op, port)
+            if completion:
+                self._completion_attrs[party] = completion
+            sets = []
+            for attr in filterable:
+                if self.prune_uninterested and not self.registry.is_wanted(attr):
                     continue
-                table, column = origin
-                stats = stats_cache.get(table)
-                if stats is None:
-                    stats = self.ctx.catalog.stats(table)
-                    stats_cache[table] = stats
-                expected = max(expected, stats.distinct.get(column, 0))
+                ws = _WorkingSet(
+                    attr,
+                    op.input_schemas[port].index_of(attr),
+                    AIPSet(
+                        attr, self.registry.spec_for(attr),
+                        "%s:%d" % (op.name, port),
+                    ),
+                )
+                self.ctx.metrics.adjust_state(
+                    self._state_owner, ws.aip_set.byte_size()
+                )
+                sets.append(ws)
+            if sets:
+                self._working[party] = sets
+
+    def _build_specs(self) -> None:
+        """One geometry per equivalence class (every equated attribute
+        has one), sized for the most distinct values any base column
+        of the class holds."""
+        graph, catalog = self.graph, self.ctx.catalog
+        for group in graph.eq_classes():
+            origins = filter(None, map(graph.origins.get, group))
+            expected = max(
+                (catalog.stats(table).distinct.get(column, 0)
+                 for table, column in origins),
+                default=0,
+            )
             root = self.registry.root_of(next(iter(group)))
             self.registry.set_spec(
                 root,
@@ -341,16 +288,14 @@ class FeedForwardStrategy(ExecutionStrategy):
         for ws in self._working.pop(party, ()):  # noqa: B020
             self.ctx.metrics.aip_sets_created += 1
             self.ctx.notify_aip_publish(op, port, ws.aip_set)
-            self._on_published(*self.registry.publish(ws.aip_set))
+            self._on_published(party, self.registry.publish(ws.aip_set)[1])
 
         # Publish completion-time sets over computed attributes.
         cm = self.ctx.cost_model
         for attr in self._completion_attrs.pop(party, ()):
-            spec = self.registry.spec_for(attr)
-            if spec is None or (
-                self.prune_uninterested and not self.registry.is_wanted(attr)
-            ):
+            if self.prune_uninterested and not self.registry.is_wanted(attr):
                 continue
+            spec = self.registry.spec_for(attr)
             # Build straight from the state iterator — one pass, no
             # intermediate list — then charge from the element count the
             # summary recorded (identical to pre-counting the values).
@@ -362,7 +307,7 @@ class FeedForwardStrategy(ExecutionStrategy):
             self.ctx.metrics.adjust_state(self._state_owner, aip_set.byte_size())
             self.ctx.metrics.aip_sets_created += 1
             self.ctx.notify_aip_publish(op, port, aip_set)
-            self._on_published(*self.registry.publish(aip_set))
+            self._on_published(party, self.registry.publish(aip_set)[1])
 
         # Range-passing: completed side of a residual inequality yields
         # a bound filter for the still-streaming side.
@@ -409,37 +354,15 @@ class FeedForwardStrategy(ExecutionStrategy):
             )
             self.ctx.metrics.aip_sets_created += 1
 
-    def on_query_end(self) -> None:
-        # Release remaining AIP set state.
-        if self._state_owner is not None:
-            remaining = self.ctx.metrics.state_bytes_of(self._state_owner)
-            if remaining:
-                self.ctx.metrics.adjust_state(self._state_owner, -remaining)
-
     # -- filter injection -------------------------------------------------------
 
-    def _on_published(self, root: str, aip_set: AIPSet, replaced: bool) -> None:
-        for party in self.registry.interested_parties(aip_set.attr):
-            node_id, port = party
-            op = self.plan.by_node_id.get(node_id)
-            if op is None:
+    def _on_published(self, producer: Party, aip_set: AIPSet) -> None:
+        """Inject a published set into every live interested party.
+        When ``aip_set`` is the registry's merge, the filter a target
+        holds for the class carries the merged predecessor's bits, so
+        the install's intersection yields the merge's bits."""
+        label = "FF:%s" % aip_set.source_label
+        for target, port, attr in self.live_targets(aip_set.attr, producer):
+            if isinstance(target, PScan) and not self.inject_at_scans:
                 continue
-            attr = self._interest_attr.get((party, root))
-            if attr is None:
-                continue
-            if isinstance(op, PScan):
-                if not self.inject_at_scans or op.exhausted:
-                    continue
-            elif op.input_done(port):
-                continue
-            existing = self._injected.get((party, id(aip_set.spec)))
-            label = "FF:%s" % aip_set.source_label
-            if replaced and existing is not None:
-                new = InjectedFilter(
-                    existing.key_index, attr, aip_set.summary, label
-                )
-                op.replace_filter(port, existing, new)
-                self._injected[(party, id(aip_set.spec))] = new
-            else:
-                injected = op.register_filter(port, attr, aip_set.summary, label)
-                self._injected[(party, id(aip_set.spec))] = injected
+            self._install(target, port, attr, aip_set, label)

@@ -33,22 +33,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.aip.candidates import CandidateIndex, aip_candidates
+from repro.aip.candidates import AIPStrategy
 from repro.aip.sets import BLOOM, AIPSet, AIPSetSpec
-from repro.exec.context import ExecutionContext, ExecutionStrategy
-from repro.exec.operators.base import InjectedFilter, Operator
+from repro.exec.context import ExecutionContext
+from repro.exec.operators.base import Operator
 from repro.exec.operators.scan import PScan
 from repro.exec.translate import PhysicalPlan
 from repro.optimizer.cost import PlanCoster
 from repro.optimizer.estimator import CardinalityEstimator
-from repro.optimizer.predicate_graph import SourcePredicateGraph
 from repro.plan.logical import LogicalNode
 from repro.summaries.bloom import BloomFilter
 
-Party = Tuple[int, int]
 
-
-class CostBasedStrategy(ExecutionStrategy):
+class CostBasedStrategy(AIPStrategy):
     """The paper's cost-based AIP algorithm with distributed extensions."""
 
     def __init__(
@@ -68,18 +65,11 @@ class CostBasedStrategy(ExecutionStrategy):
         self.poll_interval = poll_interval
         #: Savings must exceed ``benefit_margin * create_cost``.
         self.benefit_margin = benefit_margin
-        self.ctx: Optional[ExecutionContext] = None
-        self.plan: Optional[PhysicalPlan] = None
-        self.graph: Optional[SourcePredicateGraph] = None
-        self.index: Optional[CandidateIndex] = None
         self.estimator: Optional[CardinalityEstimator] = None
         self.coster: Optional[PlanCoster] = None
         self._parents: Dict[int, List[Tuple[LogicalNode, int]]] = {}
         self._depth: Dict[int, int] = {}
-        self._injected: Dict[Tuple[Party, str], InjectedFilter] = {}
         self._shipped: Set[Tuple[int, str]] = set()
-        self._built_sets: Dict[Tuple[Party, str], AIPSet] = {}
-        self._state_owner: Optional[int] = None
 
     def describe(self) -> str:
         return "cost-based"
@@ -87,14 +77,9 @@ class CostBasedStrategy(ExecutionStrategy):
     # -- initialization -----------------------------------------------------
 
     def attach(self, ctx: ExecutionContext, plan: PhysicalPlan) -> None:
-        self.ctx = ctx
-        self.plan = plan
-        self.graph = SourcePredicateGraph.from_plan(plan.logical_root)
-        self.index = aip_candidates(plan, self.graph)
+        super().attach(ctx, plan)
         self.estimator = CardinalityEstimator(ctx.catalog)
         self.coster = PlanCoster(ctx.catalog, ctx.cost_model, self.estimator)
-        from repro.plan.logical import fresh_node_id
-        self._state_owner = fresh_node_id()
         self._map_plan(plan.logical_root)
         # Partition scans register under fresh physical ids; they sit at
         # their logical scan's depth so target ordering (deepest first)
@@ -189,7 +174,7 @@ class CostBasedStrategy(ExecutionStrategy):
         savings = 0.0
         used: Set[int] = set()
         grouped: Set[int] = set()
-        targets = self._live_targets(attr, exclude=(op.op_id, port))
+        targets = self.live_targets(attr, exclude=(op.op_id, port))
         # "for n in InterestedIn[A] in inverse order of depth" — deepest
         # first, so benefits at lower nodes claim their ancestors.
         targets.sort(key=lambda t: -self._depth.get(t[0].op_id, 0))
@@ -264,28 +249,6 @@ class CostBasedStrategy(ExecutionStrategy):
                 used.add(claim)
                 used.update(self._ancestor_ids(claim))
         return savings > create_cost * self.benefit_margin
-
-    def _live_targets(
-        self, attr: str, exclude: Party
-    ) -> List[Tuple[Operator, int, str]]:
-        out = []
-        for party in self.index.interested_in(self.graph, attr):
-            if party == exclude:
-                continue
-            node_id, port = party
-            target = self.plan.by_node_id.get(node_id)
-            if target is None:
-                continue
-            if isinstance(target, PScan):
-                if target.exhausted:
-                    continue
-            elif target.input_done(port):
-                continue
-            target_attr = self.index.attr_at(self.graph, party, attr)
-            if target_attr is None:
-                continue
-            out.append((target, port, target_attr))
-        return out
 
     def _remaining_tuples(self, target: Operator, port: int) -> float:
         """Expected tuples still to arrive on a target port."""
@@ -396,10 +359,9 @@ class CostBasedStrategy(ExecutionStrategy):
         aip_set.summary.freeze()
         self.ctx.metrics.adjust_state(self._state_owner, aip_set.byte_size())
         self.ctx.metrics.aip_sets_created += 1
-        self._built_sets[((op.op_id, port), attr)] = aip_set
         self.ctx.notify_aip_publish(op, port, aip_set)
 
-        for target, target_port, target_attr in self._live_targets(
+        for target, target_port, target_attr in self.live_targets(
             attr, exclude=(op.op_id, port)
         ):
             if (
@@ -408,35 +370,11 @@ class CostBasedStrategy(ExecutionStrategy):
                 and target.site is not None
             ):
                 self._ship_to_source(target, target_attr, aip_set)
-                continue
-            key = ((target.op_id, target_port), spec.eq_root)
-            existing = self._injected.get(key)
-            if existing is not None:
-                merged = self._try_intersect(existing.summary, aip_set.summary)
-                if merged is not None:
-                    replacement = InjectedFilter(
-                        existing.key_index, target_attr, merged, existing.label
-                    )
-                    target.replace_filter(target_port, existing, replacement)
-                    self._injected[key] = replacement
-                    continue
-            injected = target.register_filter(
-                target_port, target_attr, aip_set.summary,
-                label=aip_set.source_label,
-            )
-            self._injected[key] = injected
-
-    @staticmethod
-    def _try_intersect(a, b):
-        if (
-            isinstance(a, BloomFilter)
-            and isinstance(b, BloomFilter)
-            and a.compatible_with(b)
-        ):
-            merged = a.intersect(b)
-            merged.freeze()
-            return merged
-        return None
+            else:
+                self._install(
+                    target, target_port, target_attr, aip_set,
+                    aip_set.source_label,
+                )
 
     def _ship_to_source(
         self, scan: PScan, attr: str, aip_set: AIPSet
@@ -467,9 +405,3 @@ class CostBasedStrategy(ExecutionStrategy):
             summary = type(summary).from_payload(summary.to_payload())
         scan.install_source_filter(attr, summary, activation)
         self.ctx.metrics.aip_bytes_shipped += size
-
-    def on_query_end(self) -> None:
-        if self._state_owner is not None:
-            remaining = self.ctx.metrics.state_bytes_of(self._state_owner)
-            if remaining:
-                self.ctx.metrics.adjust_state(self._state_owner, -remaining)

@@ -4,8 +4,12 @@ The registry is the central rendezvous of the Feed-Forward algorithm:
 
 * stateful operators register **candidate** AIP sets for the attributes
   they produce, and **interest** in equivalence classes of attributes
-  they could be filtered on;
-* candidates without interested parties are eliminated before execution;
+  they could be filtered on (Feed-Forward seeds both from
+  AIPCANDIDATES, :meth:`AIPRegistry.seed`);
+* candidates without interested parties are eliminated before execution
+  (a no-op on Table I's plans: scans register interest in every column
+  equated elsewhere, and each class with a producer there holds some
+  scan's column);
 * for each connected component of the source-predicate graph the
   registry keeps a **vector of completed AIP sets**;
 * publishing a completed set appends it to the class vector (merging by
@@ -18,11 +22,14 @@ The registry is the central rendezvous of the Feed-Forward algorithm:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.aip.sets import AIPSet, AIPSetSpec
 from repro.optimizer.predicate_graph import SourcePredicateGraph
 from repro.summaries.bloom import BloomFilter
+
+if TYPE_CHECKING:
+    from repro.aip.candidates import CandidateIndex
 
 #: A registered party: ``(node_id, port)``.
 Party = Tuple[int, int]
@@ -61,6 +68,18 @@ class AIPRegistry:
         """An operator announces it could use filters over ``attr``."""
         self._interest.setdefault(self.root_of(attr), set()).add(party)
 
+    def seed(self, index: "CandidateIndex") -> None:
+        """Register AIPCANDIDATES's output: every source as a candidate
+        producer of its class, every interested party's interest.  The
+        interest sets are the index's own: a party dropped here has
+        finished its input and is no live target either, so the
+        index's target walk stays the registry's, in the same order."""
+        for attr, parties in index.sources.items():
+            self._producers.setdefault(self.root_of(attr), set()).update(
+                parties
+            )
+        self._interest.update(index.interested)
+
     def eliminate_unwanted_candidates(self) -> Set[str]:
         """Drop candidate classes nobody is interested in; returns the
         roots that survive.  ("Any potential AIP sets without interested
@@ -91,16 +110,18 @@ class AIPRegistry:
         case the merged set *replaces* the previous vector entry
         (``replaced`` is True: injected filters should be swapped, not
         added).  Bloom summaries are frozen on publication, the merged
-        one too: injected filters memoise their verdicts on them.
+        one too (no other kind is written after it): injected filters
+        memoise their verdicts on them.
         """
         root = self.root_of(aip_set.attr)
-        _freeze(aip_set)
+        aip_set.complete = True
+        if isinstance(aip_set.summary, BloomFilter):
+            aip_set.summary.freeze()
         vector = self._vectors.setdefault(root, [])
         replaced = False
         if vector:
             merged = vector[-1].try_intersect(aip_set)
             if merged is not None:
-                _freeze(merged)
                 vector[-1] = merged
                 aip_set = merged
                 replaced = True
@@ -125,12 +146,3 @@ class AIPRegistry:
     def interested_parties(self, attr: str) -> Set[Party]:
         return set(self._interest.get(self.root_of(attr), ()))
 
-
-def _freeze(aip_set: AIPSet) -> None:
-    """Complete ``aip_set`` and make its Bloom summary read-only.
-    Other summary kinds are built complete (bounds) or only shrunk
-    while they are working sets (hash sets), so nothing writes them
-    after publication either."""
-    aip_set.complete = True
-    if isinstance(aip_set.summary, BloomFilter):
-        aip_set.summary.freeze()

@@ -107,23 +107,34 @@ class AIPSet:
     def try_intersect(self, other: "AIPSet") -> Optional["AIPSet"]:
         """Merge with another completed set of the same class, if the
         underlying summaries are merge-compatible Bloom filters."""
-        mine, theirs = self.summary, other.summary
-        if (
-            isinstance(mine, BloomFilter)
-            and isinstance(theirs, BloomFilter)
-            and mine.compatible_with(theirs)
-        ):
-            merged = AIPSet(
-                self.attr,
-                self.spec,
-                "%s∩%s" % (self.source_label, other.source_label),
-                summary=mine.intersect(theirs),
-            )
-            merged.complete = True
-            return merged
-        return None
+        summary = intersect_frozen(self.summary, other.summary)
+        if summary is None:
+            return None
+        merged = AIPSet(
+            self.attr,
+            self.spec,
+            "%s∩%s" % (self.source_label, other.source_label),
+            summary=summary,
+        )
+        merged.complete = True
+        return merged
 
     def __repr__(self) -> str:
         return "AIPSet(%s from %s%s)" % (
             self.attr, self.source_label, "" if self.complete else " [working]",
         )
+
+
+def intersect_frozen(a: Summary, b: Summary) -> Optional[BloomFilter]:
+    """The bitwise intersection of two merge-compatible Bloom filters,
+    frozen (filters memoise their verdicts on it); None for any other
+    pair."""
+    if (
+        isinstance(a, BloomFilter)
+        and isinstance(b, BloomFilter)
+        and a.compatible_with(b)
+    ):
+        merged = a.intersect(b)
+        merged.freeze()
+        return merged
+    return None

@@ -169,9 +169,6 @@ class Gauge(_Labeled):
         other net-layer levels move by deltas, not absolutes)."""
         self.set(self.value + delta)
 
-    def dec(self, delta: float = 1.0) -> None:
-        self.set(self.value - delta)
-
     def snapshot(self) -> Dict:
         return self._series_snapshot({
             "type": "gauge",

@@ -21,17 +21,18 @@ cache extends the paper's algorithms across query boundaries:
   values another query needs;
 * **re-injection** — before a new plan runs, every party whose state
   signature hits the cache gets its remembered set injected into all
-  interested parties of the new plan (computed from the new plan's own
-  source-predicate graph and candidate index, i.e. exactly where an
-  intra-query publish from that party would inject) — but from virtual
-  time zero, before a single tuple flows.
+  interested parties of the new plan (the attached strategy's
+  source-predicate graph and candidate index walked by
+  :meth:`~repro.aip.candidates.CandidateIndex.live_targets`, i.e.
+  exactly where an intra-query publish from that party would inject) —
+  but from virtual time zero, before a single tuple flows.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.aip.candidates import aip_candidates
+from repro.aip.candidates import CandidateIndex
 from repro.aip.sets import AIPSet
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import InjectedFilter, Operator
@@ -137,42 +138,27 @@ class AIPSetCache:
         self,
         physical: PhysicalPlan,
         ctx: ExecutionContext,
-        graph: Optional[SourcePredicateGraph] = None,
-        candidates=None,
+        graph: SourcePredicateGraph,
+        index: CandidateIndex,
     ) -> List[InjectedFilter]:
         """Inject every cached set matching one of ``physical``'s
         producible parties into that plan's interested parties.
 
-        Targets come from the plan's own candidate index, so injection
-        sites are exactly those an intra-query publish from the matched
-        party would have reached — just earlier.  Returns the injected
-        filters (their ``pruned`` counters give per-query reuse stats).
-        One hit or miss is recorded per plan: the hit rate reads as
-        "fraction of plans that found something reusable".
-
-        ``graph``/``candidates`` accept the plan's already-built
-        source-predicate graph and candidate index (the attached AIP
-        strategy constructs the same ones) to avoid rebuilding them.
+        ``graph`` and ``index`` are the plan's source-predicate graph
+        and candidate index, as the attached AIP strategy built them.
+        Targets are its live targets, so injection sites are exactly
+        those an intra-query publish from the matched party would have
+        reached — just earlier.  Returns the injected filters (their
+        ``pruned`` counters give per-query reuse stats).  One hit or
+        miss is recorded per plan: the hit rate reads as "fraction of
+        plans that found something reusable".
         """
-        if not self._entries:
-            # Nothing cached yet; skip building the graph and index.
-            self.misses += 1
-            if ctx.tracer is not None:
-                ctx.tracer.instant(
-                    "cache.aip.miss", "cache", ctx.metrics.clock_ticks,
-                    {"filters_injected": 0},
-                )
-            return []
-        if graph is None:
-            graph = SourcePredicateGraph.from_plan(physical.logical_root)
-        index = (
-            candidates if candidates is not None
-            else aip_candidates(physical, graph)
-        )
         injected: List[InjectedFilter] = []
         seen: set = set()
         charged = False
-        for party, attrs in index.producible.items():
+        # Nothing cached yet: skip the signature lookups.
+        producible = index.producible if self._entries else {}
+        for party, attrs in producible.items():
             node_id, port = party
             op = physical.by_node_id.get(node_id)
             logical = getattr(op, "logical", None)
@@ -187,21 +173,15 @@ class AIPSetCache:
                     ctx.charge(ctx.cost_model.manager_invocation)
                     charged = True
                 root = graph.eq.find(attr)
-                for target_party in index.interested_in(graph, attr):
-                    if target_party == party:
-                        continue
-                    dedup = (target_party, root)
+                for target, target_port, target_attr in index.live_targets(
+                    physical, graph, attr, party
+                ):
+                    dedup = ((target.op_id, target_port), root)
                     if dedup in seen:
-                        continue
-                    target = physical.by_node_id.get(target_party[0])
-                    if target is None:
-                        continue
-                    target_attr = index.attr_at(graph, target_party, attr)
-                    if target_attr is None:
                         continue
                     seen.add(dedup)
                     injected.append(target.register_filter(
-                        target_party[1], target_attr, cached.summary,
+                        target_port, target_attr, cached.summary,
                         label="XQ:%s" % cached.source_label,
                     ))
                     self.filters_injected += 1

@@ -140,15 +140,9 @@ def execute_batch(
         # honest.  Cached-set consumers are the AIP strategies.
         if aip_cache is None or queries[index][1] in (BASELINE, MAGIC):
             return
-        # Reuse the attached strategy's predicate graph / candidate
-        # index when it has them.
         strategy = strategies[index]
-        graph = getattr(strategy, "graph", None)
-        if graph is None:
-            graph = getattr(getattr(strategy, "registry", None), "graph", None)
         injected[index] = aip_cache.inject(
-            physical, ctx,
-            graph=graph, candidates=getattr(strategy, "index", None),
+            physical, ctx, strategy.graph, strategy.index,
         )
 
     results = run_concurrent(

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.aip.candidates import aip_candidates
+from repro.aip.registry import AIPRegistry
 from repro.data.tpch import cached_tpch
 from repro.exec.context import ExecutionContext
+from repro.exec.operators.scan import PScan
 from repro.exec.translate import translate
 from repro.expr.aggregates import MIN, AggregateSpec
 from repro.expr.expressions import col
 from repro.optimizer.predicate_graph import SourcePredicateGraph
 from repro.plan.builder import scan
+from repro.workloads.registry import QUERIES, get_query
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +81,37 @@ class TestCandidates:
             attr = index.attr_at(graph, party, "p_partkey")
             assert attr is not None
             assert "p_partkey" in graph.eq_class(attr)
+
+
+def table_i_plans():
+    """All 34 Table I plans: 19 baseline and 15 magic-sets."""
+    for qid in sorted(QUERIES):
+        query = get_query(qid)
+        catalog = cached_tpch(scale_factor=0.001, skew=query.skew)
+        yield qid, "baseline", query.build_baseline(catalog), catalog
+        if query.has_magic:
+            yield qid, "magic", query.build_magic(catalog), catalog
+
+
+class TestInterestPruning:
+    def test_every_produced_class_has_an_interested_scan(self):
+        """Why Feed-Forward's interest pruning never fires on Table I:
+        scans register interest in every output column equated
+        elsewhere, and every class with a producer holds some scan's
+        column, so ``eliminate_unwanted_candidates`` drops nothing."""
+        plans = 0
+        for qid, kind, plan, catalog in table_i_plans():
+            physical = translate(plan, ExecutionContext(catalog))
+            graph = SourcePredicateGraph.from_plan(plan)
+            index = aip_candidates(physical, graph)
+            roots = {graph.eq.find(attr) for attr in index.sources}
+            for root in roots:
+                assert any(
+                    isinstance(physical.by_node_id[node_id], PScan)
+                    for node_id, _port in index.interested[root]
+                ), (qid, kind, root)
+            registry = AIPRegistry(graph)
+            registry.seed(index)
+            assert registry.eliminate_unwanted_candidates() == roots
+            plans += 1
+        assert plans == 34

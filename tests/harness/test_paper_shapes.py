@@ -26,8 +26,11 @@ Known deviations, asserted as such:
 * Q4A's relative win exceeds Q4B's (the paper has it the other way).
 * Feed-Forward ships no filter to the remote site of Q3C/Q1C and holds
   more state than Baseline there.
-* Interest pruning changes nothing: on every Table I query every
-  Feed-Forward candidate already has an interested party.
+* Interest pruning changes nothing: scans register interest in every
+  output column equated elsewhere, and on every Table I plan each
+  class with a producer holds some scan's column, so every candidate
+  has an interested scan and the pass drops none
+  (``tests/aip/test_candidates.py::TestInterestPruning``).
 """
 
 import functools

@@ -9,12 +9,15 @@ pristine gate must reject it.
 
 import pytest
 
+from repro.aip.candidates import aip_candidates
 from repro.aip.feedforward import FeedForwardStrategy
+from repro.aip.manager import CostBasedStrategy
 from repro.data.tpch import cached_tpch
 from repro.exec.context import ExecutionContext
 from repro.exec.engine import Engine, execute_plan
 from repro.exec.translate import translate
 from repro.expr.expressions import col
+from repro.optimizer.predicate_graph import SourcePredicateGraph
 from repro.plan.builder import scan
 from repro.service.aip_cache import AIPSetCache
 from repro.workloads.registry import get_query
@@ -29,13 +32,27 @@ def catalog():
 
 def run_cached(catalog, plan, cache, strategy=None):
     """Execute ``plan`` with the cache harvesting and injecting."""
+    ctx, physical, injected = inject_cached(catalog, plan, cache, strategy)
+    result = Engine(ctx).run(physical)
+    return result, injected, ctx
+
+
+def inject_cached(catalog, plan, cache, strategy=None):
+    """Translate ``plan`` and inject the cache's matching sets into it;
+    returns ``(ctx, physical, injected)`` with nothing run yet."""
     ctx = ExecutionContext(catalog, strategy=strategy)
     ctx.aip_publish_hooks.append(cache.recorder(ctx))
     physical = translate(plan, ctx)
     ctx.strategy.attach(ctx, physical)
-    injected = cache.inject(physical, ctx)
-    result = Engine(ctx).run(physical)
-    return result, injected, ctx
+    if strategy is None:
+        # A baseline consumer: the graph and index an AIP strategy's
+        # attach would have built.
+        graph = SourcePredicateGraph.from_plan(physical.logical_root)
+        index = aip_candidates(physical, graph)
+    else:
+        graph, index = strategy.graph, strategy.index
+    injected = cache.inject(physical, ctx, graph, index)
+    return ctx, physical, injected
 
 
 def part_join(catalog, size):
@@ -105,6 +122,58 @@ class TestReuse:
         assert injected
         assert rows_equal(reused.rows, baseline.rows)
         assert ctx.metrics.total_pruned > 0
+
+    def test_injects_only_where_an_intra_query_publish_could(self, catalog):
+        """Every filter the cache installs sits on an interested party
+        of its class in the consuming strategy's own candidate index,
+        never on the party whose state the cached set summarises, and
+        at most once per party and class."""
+        queries = ("Q1A", "Q2A", "Q3A", "Q4A", "Q5A")
+        cache = AIPSetCache()
+        for qid in queries:
+            run_cached(catalog, get_query(qid).build_baseline(catalog),
+                       cache, FeedForwardStrategy())
+        hits = []
+        lookup = cache.lookup
+
+        def recording_lookup(logical, port, attr):
+            found = lookup(logical, port, attr)
+            if found is not None:
+                hits.append(((logical.node_id, port), attr, found))
+            return found
+
+        cache.lookup = recording_lookup
+        for make in (FeedForwardStrategy, CostBasedStrategy):
+            n_injected = 0
+            for qid in queries:
+                strategy = make()
+                del hits[:]
+                ctx, physical, injected = inject_cached(
+                    catalog, get_query(qid).build_baseline(catalog), cache,
+                    strategy,
+                )
+                where = {
+                    id(f): (op.op_id, port)
+                    for op in physical.sink.walk()
+                    for port, filters in enumerate(op._filters)
+                    for f in filters
+                }
+                seen = set()
+                for f in injected:
+                    party = where[id(f)]
+                    root = strategy.graph.eq.find(f.attr_name)
+                    assert party in strategy.index.interested[root]
+                    producers = {
+                        producer for producer, attr, found in hits
+                        if found.summary is f.summary
+                        and strategy.graph.eq.find(attr) == root
+                    }
+                    assert producers and party not in producers
+                    assert (party, root) not in seen
+                    seen.add((party, root))
+                n_injected += len(injected)
+                Engine(ctx).run(physical)
+            assert n_injected > 0, make.__name__
 
     def test_sibling_predicate_does_not_poison(self, catalog):
         """The classic unsound reuse: a partsupp set pruned by p_size=1
