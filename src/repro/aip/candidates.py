@@ -81,21 +81,24 @@ class CandidateIndex:
 
     def live_targets(
         self, plan: PhysicalPlan, graph: SourcePredicateGraph, attr: str,
-        exclude: Party,
+        exclude: Party, at_scans: bool = True,
     ) -> List[Tuple[Operator, int, str]]:
         """The parties interested in ``attr``'s class, ``exclude``
         aside, whose input is still open (a scan not exhausted, a port
-        not done), each as ``(operator, port, its own attribute)``."""
+        not done), each as ``(operator, port, its own attribute)``;
+        without ``at_scans``, stateful inputs only."""
         out = []
         for party in self.interested_in(graph, attr):
             if party == exclude:
                 continue
             node_id, port = party
             target = plan.by_node_id.get(node_id)
-            if target is None or (
-                target.exhausted if isinstance(target, PScan)
-                else target.input_done(port)
-            ):
+            if target is None:
+                continue
+            if isinstance(target, PScan):
+                if target.exhausted or not at_scans:
+                    continue
+            elif target.input_done(port):
                 continue
             target_attr = self.attr_at(graph, party, attr)
             if target_attr is None:
@@ -163,6 +166,10 @@ class AIPStrategy(ExecutionStrategy):
     #: installed filter's (Cost-Based).
     relabel_on_merge = False
 
+    #: Whether sets also filter scans, not only stateful inputs
+    #: (Feed-Forward's ablation turns it off).
+    inject_at_scans = True
+
     _state_owner: Optional[int] = None
 
     def attach(self, ctx: ExecutionContext, plan: PhysicalPlan) -> None:
@@ -177,29 +184,36 @@ class AIPStrategy(ExecutionStrategy):
     def live_targets(
         self, attr: str, exclude: Party
     ) -> List[Tuple[Operator, int, str]]:
-        return self.index.live_targets(self.plan, self.graph, attr, exclude)
+        return self.index.live_targets(
+            self.plan, self.graph, attr, exclude, self.inject_at_scans,
+        )
 
     def _install(
         self, target: Operator, port: int, attr: str, aip_set: AIPSet,
-        label: str,
+        label: str, merged: bool = False,
     ) -> None:
         """Filter ``(target, port)`` by ``aip_set``: intersected into the
         filter already installed there for its class when the Bloom
         geometry allows (Section IV-B: a stronger filter replaces the
-        weaker one), registered beside it otherwise."""
+        weaker one), registered beside it otherwise.  A ``merged`` set
+        is the registry's intersection of the class's earlier sets,
+        whose bits the installed filter already holds: it replaces that
+        filter as it is, shared by every target."""
         key = ((target.op_id, port), aip_set.eq_root)
         existing = self._injected.get(key)
-        merged = (
-            None if existing is None
-            else intersect_frozen(existing.summary, aip_set.summary)
-        )
-        if merged is None:
+        if existing is None:
+            summary = None
+        elif merged:
+            summary = aip_set.summary
+        else:
+            summary = intersect_frozen(existing.summary, aip_set.summary)
+        if summary is None:
             injected = target.register_filter(
                 port, attr, aip_set.summary, label
             )
         else:
             injected = InjectedFilter(
-                existing.key_index, attr, merged,
+                existing.key_index, attr, summary,
                 label if self.relabel_on_merge else existing.label,
             )
             target.replace_filter(port, existing, injected)

@@ -34,7 +34,6 @@ from repro.aip.registry import AIPRegistry, Party
 from repro.aip.sets import BLOOM, AIPSet, AIPSetSpec
 from repro.exec.context import ExecutionContext
 from repro.exec.operators.base import Operator
-from repro.exec.operators.scan import PScan
 from repro.exec.translate import PhysicalPlan
 
 #: Default expected-items fallback when statistics offer nothing.
@@ -288,7 +287,7 @@ class FeedForwardStrategy(AIPStrategy):
         for ws in self._working.pop(party, ()):  # noqa: B020
             self.ctx.metrics.aip_sets_created += 1
             self.ctx.notify_aip_publish(op, port, ws.aip_set)
-            self._on_published(party, self.registry.publish(ws.aip_set)[1])
+            self._publish(party, ws.aip_set)
 
         # Publish completion-time sets over computed attributes.
         cm = self.ctx.cost_model
@@ -307,7 +306,7 @@ class FeedForwardStrategy(AIPStrategy):
             self.ctx.metrics.adjust_state(self._state_owner, aip_set.byte_size())
             self.ctx.metrics.aip_sets_created += 1
             self.ctx.notify_aip_publish(op, port, aip_set)
-            self._on_published(party, self.registry.publish(aip_set)[1])
+            self._publish(party, aip_set)
 
         # Range-passing: completed side of a residual inequality yields
         # a bound filter for the still-streaming side.
@@ -356,13 +355,15 @@ class FeedForwardStrategy(AIPStrategy):
 
     # -- filter injection -------------------------------------------------------
 
-    def _on_published(self, producer: Party, aip_set: AIPSet) -> None:
-        """Inject a published set into every live interested party.
-        When ``aip_set`` is the registry's merge, the filter a target
-        holds for the class carries the merged predecessor's bits, so
-        the install's intersection yields the merge's bits."""
-        label = "FF:%s" % aip_set.source_label
-        for target, port, attr in self.live_targets(aip_set.attr, producer):
-            if isinstance(target, PScan) and not self.inject_at_scans:
-                continue
-            self._install(target, port, attr, aip_set, label)
+    def _publish(self, producer: Party, aip_set: AIPSet) -> None:
+        """Publish a completed set and inject what the registry holds
+        for its class into every live interested party.  When the
+        registry merged it, every filter a target holds for the class
+        carries the bits of the class's earlier sets, so the merge
+        replaces it as it is: one intersection per publish, not one
+        per target."""
+        _root, published = self.registry.publish(aip_set)
+        merged = published is not aip_set
+        label = "FF:%s" % published.source_label
+        for target, port, attr in self.live_targets(published.attr, producer):
+            self._install(target, port, attr, published, label, merged)

@@ -102,32 +102,27 @@ class AIPRegistry:
 
     # -- execution-time flow ----------------------------------------------
 
-    def publish(self, aip_set: AIPSet) -> Tuple[str, AIPSet, bool]:
+    def publish(self, aip_set: AIPSet) -> Tuple[str, AIPSet]:
         """Append a completed set to its class vector; returns ``(eq
-        root, the set now in the vector, replaced)``.
+        root, the set now in the vector)``.
 
         Compatible Bloom filters merge by bitwise intersection, in which
-        case the merged set *replaces* the previous vector entry
-        (``replaced`` is True: injected filters should be swapped, not
-        added).  Bloom summaries are frozen on publication, the merged
-        one too (no other kind is written after it): injected filters
-        memoise their verdicts on them.
+        case the merged set *replaces* the previous vector entry and is
+        what this returns (not ``aip_set``).  Bloom summaries are frozen
+        on publication, the merged one too (no other kind is written
+        after it): injected filters memoise their verdicts on them.
         """
         root = self.root_of(aip_set.attr)
         aip_set.complete = True
         if isinstance(aip_set.summary, BloomFilter):
             aip_set.summary.freeze()
         vector = self._vectors.setdefault(root, [])
-        replaced = False
-        if vector:
-            merged = vector[-1].try_intersect(aip_set)
-            if merged is not None:
-                vector[-1] = merged
-                aip_set = merged
-                replaced = True
-        if not replaced:
+        merged = vector[-1].try_intersect(aip_set) if vector else None
+        if merged is None:
             vector.append(aip_set)
-        return root, aip_set, replaced
+            return root, aip_set
+        vector[-1] = merged
+        return root, merged
 
     def vector(self, attr: str) -> List[AIPSet]:
         return list(self._vectors.get(self.root_of(attr), ()))

@@ -72,15 +72,27 @@ RUN_ROWS = 4096
 
 def _run_cap(sources) -> int:
     """The most rows one arrival run takes: :data:`RUN_ROWS`, or under
-    a memory governor the smallest page among the buffer-pool scans —
-    a run's rows are held outside the budget, so they stay within one
-    page (the granule ``MemoryGovernor.page_records_for`` sizes)."""
-    return min(
-        (
-            scan.rows.page_rows for scan in sources
-            if isinstance(scan.rows, PagedRows)
-        ),
-        default=RUN_ROWS,
+    a memory budget the rows its run share holds
+    (``MemoryGovernor.RUN_BUDGET_FRACTION``), the fewest over the
+    buffer-pool scans and at least one of their pages
+    (``PagedRows.run_rows``).  While a run is pushed its rows past
+    each source's first page sit on the buffer pool's lease
+    (:func:`_run_nbytes`), so they count against the budget."""
+    cap = RUN_ROWS
+    for scan in sources:
+        if isinstance(scan.rows, PagedRows):
+            cap = scan.rows.run_rows(cap)
+    return cap
+
+
+def _run_nbytes(run) -> int:
+    """The bytes ``run`` holds past each buffer-pool source's resident
+    page, which :func:`drive_sources` accounts on the pool's lease for
+    the drive step."""
+    return sum(
+        source.rows.run_nbytes(len(rows))
+        for source, rows, _ in run
+        if isinstance(source.rows, PagedRows)
     )
 
 
@@ -120,9 +132,9 @@ def _arrived(scan: PScan, idx: int, now: int, barrier, cap: int):
     ``(when, idx)`` barrier in the heap's order, and at most ``cap``.
     The vector doubles until it reaches a row past those bounds (that
     row stays pending), the source's last row, or ``cap + 1`` rows — so
-    a short run computes few times.  A buffer-pool scan (its cap is
-    one page) starts the vector at the rows due by ``now``, so one
-    vector usually suffices."""
+    a short run computes few times.  A buffer-pool scan starts the
+    vector at the rows due by ``now``, so one vector usually
+    suffices."""
     limit = 2
     if isinstance(scan.rows, PagedRows):
         limit = max(2, scan.arrival.local_due(now, cap) + 2)
@@ -223,6 +235,7 @@ def drive_sources(ctx: ExecutionContext, sources: Sequence[PScan]) -> None:
 
     stashing = _stash_order(sources)
     cap = _run_cap(sources)
+    buffer = ctx.governor.buffer if ctx.governor is not None else None
     metrics = ctx.metrics
     tracer = ctx.tracer
     while heap:
@@ -240,11 +253,19 @@ def drive_sources(ctx: ExecutionContext, sources: Sequence[PScan]) -> None:
                 heapq.heappop(heap)
                 members.append((top_idx, top))
         run = _take_run(members, heap[0][:2] if heap else None, now, cap)
-        for source, rows, seq in run:
-            source.push_run(rows, seq)
-        if len(run) > 1:
-            for op in stashing:
-                op.flush_stash()
+        held = 0
+        if buffer is not None:
+            held = _run_nbytes(run)
+            buffer.hold(held, ctx)
+        try:
+            for source, rows, seq in run:
+                source.push_run(rows, seq)
+            if len(run) > 1:
+                for op in stashing:
+                    op.flush_stash()
+        finally:
+            if held:
+                buffer.unhold(held)
         if tracer is not None:
             tracer.complete(
                 "drive:%s" % scan.name, "engine", now,

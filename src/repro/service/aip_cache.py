@@ -140,15 +140,17 @@ class AIPSetCache:
         ctx: ExecutionContext,
         graph: SourcePredicateGraph,
         index: CandidateIndex,
+        at_scans: bool = True,
     ) -> List[InjectedFilter]:
         """Inject every cached set matching one of ``physical``'s
         producible parties into that plan's interested parties.
 
         ``graph`` and ``index`` are the plan's source-predicate graph
-        and candidate index, as the attached AIP strategy built them.
-        Targets are its live targets, so injection sites are exactly
-        those an intra-query publish from the matched party would have
-        reached — just earlier.  Returns the injected filters (their
+        and candidate index, as the attached AIP strategy built them,
+        and ``at_scans`` is its ``inject_at_scans``.  Targets are its
+        live targets, so injection sites are exactly those an
+        intra-query publish from the matched party would have reached
+        — just earlier.  Returns the injected filters (their
         ``pruned`` counters give per-query reuse stats).  One hit or
         miss is recorded per plan: the hit rate reads as "fraction of
         plans that found something reusable".
@@ -174,7 +176,7 @@ class AIPSetCache:
                     charged = True
                 root = graph.eq.find(attr)
                 for target, target_port, target_attr in index.live_targets(
-                    physical, graph, attr, party
+                    physical, graph, attr, party, at_scans
                 ):
                     dedup = ((target.op_id, target_port), root)
                     if dedup in seen:

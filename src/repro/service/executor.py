@@ -143,6 +143,7 @@ def execute_batch(
         strategy = strategies[index]
         injected[index] = aip_cache.inject(
             physical, ctx, strategy.graph, strategy.index,
+            strategy.inject_at_scans,
         )
 
     results = run_concurrent(

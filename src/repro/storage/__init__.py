@@ -4,14 +4,15 @@ The engine's working sets — base-table rows streamed by scans, the
 hash state of stateful operators, spilled partition runs — all live in
 Python memory.  This package bounds that memory:
 
-* :mod:`repro.storage.disk` — the spill backend: pickled pages as
-  extents of one file under a private temp directory, the file
+* :mod:`repro.storage.disk` — the spill backend: pickled spool pages
+  as extents of one file under a private temp directory, the file
   removed when its last page is, the directory on close;
 * :mod:`repro.storage.buffer` — a **buffer manager** with pin/unpin
-  and LRU eviction to the disk backend, plus :class:`PagedRows`, the
-  sequence facade scans stream instead of materialised row lists: a
-  table page is a slice of the table's rows, taken when a scan first
-  reads it and weighed through :mod:`repro.common.sizing`;
+  and LRU eviction that drops clean table pages (a reload slices them
+  again), plus :class:`PagedRows`, the sequence facade scans stream
+  instead of materialised row lists: a table page is a slice of the
+  table's rows, taken when a scan first reads it and weighed through
+  :mod:`repro.common.sizing`;
 * :mod:`repro.storage.spill` — the **partition ledger** each governed
   stateful operator spills Grace-style hash partitions through, and
   the append-only paged **spools** it writes them to;

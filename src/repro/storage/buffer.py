@@ -1,46 +1,52 @@
 """The buffer manager: pinned pages, LRU eviction, paged scan rows.
 
-Frames hold table pages — row slices — or any immutable payload with
-a known byte weight.  A frame is *resident* while its payload is in
-memory and *evicted* once the payload has been written to the spill
-backend and dropped; :meth:`BufferManager.pin` transparently reloads
-evicted frames.  Pinned frames are never evicted — pin spans are short
-(one page slice, one replay pass) so the pool can always make
-progress.
+Frames hold table pages: slices of a table's immutable row list,
+``rows[start:stop]``.  A frame is *resident* while its slice is in
+memory and *evicted* once the slice has been dropped.  Table pages are
+clean — the catalog's row list always holds their rows — so eviction
+writes nothing: :meth:`BufferManager.pin` reloads an evicted frame by
+slicing it again from the table's rows (the same tuple objects),
+charged as one page read.  Only spools (:mod:`repro.storage.spill`)
+write to disk.  Pinned frames are never evicted — pin spans are short
+(one page slice) so the pool can always make progress.
 
 :class:`PagedRows` is the engine-facing facade: a read-only sequence
 (``len`` + indexing, which is all the arrival models need) over a
 table's pages, so scans stream pages under the governor's budget.  A
-page is a slice of the table's row list, weighed as those rows weigh
-everywhere else (:func:`repro.common.sizing.rows_nbytes`).  It is lazy
-and forward-only: a page is sliced from the table's rows and admitted
-to the pool when a scan first reads it, and released (bytes returned,
-any spilled copy deleted) once the scan moves past it.  A read behind
-the cursor slices the page again, so any access pattern stays
+page is weighed as its rows weigh everywhere else
+(:func:`repro.common.sizing.rows_nbytes`).  It is lazy and
+forward-only: a page is admitted to the pool when a scan first reads
+it, and released (bytes returned) once the scan moves past it.  A read
+behind the cursor admits the page again, so any access pattern stays
 correct; only forward scans are cheap.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import List, Optional
 
 from repro.common.sizing import row_nbytes, rows_nbytes
 
 
 class Frame:
-    """One buffer-pool slot."""
+    """One buffer-pool slot: the page ``table_rows[start:stop]``."""
 
-    __slots__ = ("frame_id", "payload", "nbytes", "pins", "page_id", "epoch")
+    __slots__ = (
+        "frame_id", "table_rows", "start", "stop", "payload", "nbytes",
+        "pins", "epoch",
+    )
 
-    def __init__(self, frame_id: int, payload, nbytes: int, epoch: int):
+    def __init__(self, frame_id: int, table_rows: List, start: int,
+                 stop: int, nbytes: int, epoch: int):
         self.frame_id = frame_id
-        self.payload = payload
+        self.table_rows = table_rows
+        self.start = start
+        self.stop = stop
+        #: The page's rows while resident; None once evicted.
+        self.payload: Optional[List] = table_rows[start:stop]
         self.nbytes = nbytes
         self.pins = 0
-        #: Spill-backend id once the payload has been written out;
-        #: None while the frame has never been evicted.
-        self.page_id: Optional[int] = None
         #: Accounting epoch that admitted the frame (see
         #: ``MemoryGovernor.abort_epoch``).
         self.epoch = epoch
@@ -51,18 +57,21 @@ class Frame:
 
 
 class BufferManager:
-    """LRU pool of page frames accounted on one governor lease."""
+    """LRU pool of page frames accounted on one governor lease.
 
-    def __init__(self, governor, backend):
+    The lease also carries the rows an arrival run holds past its
+    first page while the run is pushed (:meth:`hold`), so the bytes a
+    run keeps alive sit inside the budget."""
+
+    def __init__(self, governor):
         self.governor = governor
-        self.backend = backend
         self._lease = governor.lease("buffer-pool")
         self._next_frame = 0
         #: frame_id -> Frame for every *resident* frame, in LRU order
         #: (oldest first).
         self._lru: "OrderedDict[int, Frame]" = OrderedDict()
         #: Every live frame, resident or evicted (epoch rollback needs
-        #: to reach evicted frames' disk pages too).
+        #: to reach evicted frames too).
         self._all: dict = {}
         self.evictions = 0
         self.reloads = 0
@@ -73,24 +82,28 @@ class BufferManager:
 
     # -- frame lifecycle -------------------------------------------------
 
-    def add(self, payload, nbytes: int, ctx=None) -> Frame:
-        """Admit a fresh payload as a resident frame."""
+    def add(self, table_rows: List, start: int, stop: int, nbytes: int,
+            ctx=None) -> Frame:
+        """Admit the page ``table_rows[start:stop]`` as a resident
+        frame."""
         self._next_frame += 1
-        frame = Frame(self._next_frame, payload, nbytes, self.governor._epoch)
+        frame = Frame(
+            self._next_frame, table_rows, start, stop, nbytes,
+            self.governor._epoch,
+        )
         self.governor.request(self._lease, nbytes, ctx)
         self._lru[frame.frame_id] = frame
         self._all[frame.frame_id] = frame
         return frame
 
-    def pin(self, frame: Frame, ctx=None):
-        """Return the frame's payload, reloading it from the spill
-        backend if evicted; the frame cannot be evicted until the
-        matching :meth:`unpin`."""
+    def pin(self, frame: Frame, ctx=None) -> List:
+        """Return the frame's rows, slicing them again from the table
+        if evicted (charged as one page read); the frame cannot be
+        evicted until the matching :meth:`unpin`."""
         if frame.payload is None:
-            payload = self.backend.read(frame.page_id)
             self.governor.charge_spill(ctx, frame.nbytes)
             self.governor.request(self._lease, frame.nbytes, ctx)
-            frame.payload = payload
+            frame.payload = frame.table_rows[frame.start:frame.stop]
             self.reloads += 1
             self._lru[frame.frame_id] = frame
         else:
@@ -104,14 +117,11 @@ class BufferManager:
         frame.pins -= 1
 
     def release(self, frame: Frame) -> None:
-        """Drop the frame entirely: residency and any spilled copy."""
+        """Drop the frame entirely."""
         if frame.payload is not None:
             frame.payload = None
             self.governor.release(self._lease, frame.nbytes)
             self._lru.pop(frame.frame_id, None)
-        if frame.page_id is not None:
-            self.backend.delete(frame.page_id)
-            frame.page_id = None
         self._all.pop(frame.frame_id, None)
 
     def release_epoch(self, epoch: int) -> None:
@@ -123,12 +133,23 @@ class BufferManager:
             frame.pins = 0  # its owner is dead; nothing will unpin
             self.release(frame)
 
+    # -- arrival runs -----------------------------------------------------
+
+    def hold(self, nbytes: int, ctx=None) -> None:
+        """Account ``nbytes`` of rows a run holds outside any frame;
+        the matching :meth:`unhold` returns them."""
+        self.governor.request(self._lease, nbytes, ctx)
+
+    def unhold(self, nbytes: int) -> None:
+        self.governor.release(self._lease, nbytes)
+
     # -- eviction ---------------------------------------------------------
 
     def evict_until(self, need_bytes: int, ctx=None) -> int:
-        """Evict unpinned resident frames, LRU first, until
+        """Drop unpinned resident frames, LRU first, until
         ``need_bytes`` have been freed (or nothing evictable remains);
-        returns the bytes actually freed."""
+        returns the bytes actually freed.  Nothing is written: a page
+        is sliced again from its table when next pinned."""
         freed = 0
         if need_bytes <= 0:
             return freed
@@ -138,9 +159,6 @@ class BufferManager:
             frame = self._lru[frame_id]
             if frame.pins:
                 continue
-            if frame.page_id is None:
-                frame.page_id = self.backend.write(frame.payload)
-                self.governor.charge_spill(ctx, frame.nbytes)
             frame.payload = None
             del self._lru[frame_id]
             self.governor.release(self._lease, frame.nbytes)
@@ -160,7 +178,7 @@ class BufferManager:
 
 
 class PagedRows:
-    """A table's rows as governor-managed row-slice pages, sliced
+    """A table's rows as governor-managed row-slice pages, admitted
     lazily and dropped once a scan has passed them.
 
     Duck-types the part of the ``list`` interface the scan machinery
@@ -172,7 +190,7 @@ class PagedRows:
 
     __slots__ = (
         "_ctx", "_buffer", "_schema", "_rows", "_frames", "_page_rows",
-        "_cursor", "_memo_index", "_memo_rows",
+        "_cursor",
     )
 
     def __init__(self, ctx, schema, rows, page_rows: Optional[int] = None):
@@ -192,29 +210,32 @@ class PagedRows:
         #: The page last read.  Every live frame is at or past it:
         #: reading forward releases the pages in between.
         self._cursor = 0
-        #: One-page row memo: the page last read and its rows.  A page
-        #: evicted and reloaded while it is the memo page keeps reading
-        #: the table's own row tuples, so the rows the scan passes on
-        #: are never duplicated by a reload.
-        self._memo_index = -1
-        self._memo_rows = None
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    @property
-    def page_rows(self) -> int:
-        """Rows per page: the granule the buffer pool admits, evicts
-        and reloads."""
-        return self._page_rows
+    def run_rows(self, most: int) -> int:
+        """Most rows one arrival run may take from this table, at most
+        ``most``: the rows ``MemoryGovernor.run_nbytes`` holds, and at
+        least one page; ``most`` without a budget."""
+        limit = self._buffer.governor.run_nbytes()
+        if limit is None:
+            return most
+        return min(
+            most, max(self._page_rows, limit // row_nbytes(self._schema))
+        )
+
+    def run_nbytes(self, n_rows: int) -> int:
+        """Bytes a run of ``n_rows`` of this table holds past its first
+        page, which the buffer pool already accounts."""
+        return rows_nbytes(self._schema, max(0, n_rows - self._page_rows))
 
     def _page(self, page_index: int):
         """The rows of one page, pinned and unpinned once (each read
         pins, so reload charges and LRU recency follow the reads).  A
-        page not yet built (or released) is sliced from the table's
-        rows and admitted to the buffer pool; moving forward releases
-        the pages behind, which no scan reads again.  A reloaded page
-        other than the memo page reads as the unpickled slice."""
+        page not yet built (or released) is admitted to the buffer
+        pool; moving forward releases the pages behind, which no scan
+        reads again."""
         frames = self._frames
         buffer = self._buffer
         for behind in range(self._cursor, page_index):
@@ -225,16 +246,14 @@ class PagedRows:
         frame = frames[page_index]
         if frame is None:
             start = page_index * self._page_rows
-            rows = self._rows[start:start + self._page_rows]
+            stop = min(start + self._page_rows, len(self._rows))
             frame = frames[page_index] = buffer.add(
-                rows, rows_nbytes(self._schema, len(rows)), self._ctx,
+                self._rows, start, stop,
+                rows_nbytes(self._schema, stop - start), self._ctx,
             )
-            self._memo_index, self._memo_rows = page_index, rows
         rows = buffer.pin(frame, self._ctx)
         buffer.unpin(frame)
-        if page_index != self._memo_index:
-            self._memo_index, self._memo_rows = page_index, rows
-        return self._memo_rows
+        return rows
 
     def __getitem__(self, index: int):
         n_rows = len(self._rows)
@@ -266,8 +285,6 @@ class PagedRows:
 
     def release(self) -> None:
         """Drop every page (called when the scan is exhausted)."""
-        self._memo_index = -1
-        self._memo_rows = None
         for index, frame in enumerate(self._frames):
             if frame is not None:
                 self._buffer.release(frame)

@@ -166,6 +166,13 @@ class DiskBackend:
         else:
             free.insert(index, (offset, length))
 
+    def remove_dir_if_empty(self) -> None:
+        """Remove the spill directory while no page is live; the next
+        write creates it again."""
+        if self._dir is not None and not self._extents:
+            shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None
+
     def close(self) -> None:
         """Remove the spill directory and everything in it."""
         self.closed = True

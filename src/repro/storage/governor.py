@@ -11,13 +11,14 @@ The lease protocol:
 * ``lease = governor.lease(label)`` — open an account;
 * ``lease.grow(nbytes, ctx)`` — admit bytes.  If the grow would push
   the aggregate past the budget the governor first **reclaims**: it
-  evicts unpinned buffer-pool pages (cheapest — clean table pages just
-  move to the spill backend), then asks the registered spill handlers
-  — each stateful operator's partition ledger and each spool's tail
-  page, most spillable first — to move state to disk.  The grow
-  itself always succeeds: correctness never depends on memory, only
-  residency does.  ``ctx`` is the execution context whose virtual
-  clock pays for any spill I/O the reclaim performs;
+  evicts unpinned buffer-pool pages (cheapest — clean table pages are
+  dropped, and sliced again from the table when next read), then asks
+  the registered spill handlers — each stateful operator's partition
+  ledger and each spool's tail page, most spillable first — to move
+  state to disk.  The grow itself always succeeds: correctness never
+  depends on memory, only residency does.  ``ctx`` is the execution
+  context whose virtual clock pays for any spill I/O the reclaim
+  performs;
 * ``lease.shrink(nbytes)`` / ``lease.close()`` — return bytes.
 
 ``budget=None`` builds an accounting-only governor (used to *measure*
@@ -31,6 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.storage.disk import DiskBackend
+from repro.storage.spill import Spool
 
 #: Default page capacity, in rows.  Small enough that modest budgets
 #: hold several pages; large enough that per-page overheads amortise.
@@ -105,13 +107,20 @@ class MemoryGovernor:
         #: leases outlive any single query's context.
         self.tracer = None
         self.buffer = None  # so state accounting guards during setup
+        #: Where spools write; table pages never reach it.
         self.backend = DiskBackend(spill_dir)
-        self.buffer = BufferManager(self, self.backend)
+        self.buffer = BufferManager(self)
 
     #: Target page payload size; pages are capped at ``page_rows``
     #: records but also at roughly this many bytes so one page of wide
     #: rows never dwarfs a small budget.
     PAGE_NBYTES_TARGET = 16384
+
+    #: Share of a finite budget that one arrival run's rows may hold.
+    #: The run is accounted on the buffer pool's lease while it is
+    #: pushed (``BufferManager.hold``), so a quarter leaves the rest of
+    #: the budget to operator state and pages.
+    RUN_BUDGET_FRACTION = 0.25
 
     def page_records_for(self, record_nbytes: int) -> int:
         """How many records of ``record_nbytes`` one page should hold:
@@ -122,6 +131,14 @@ class MemoryGovernor:
         if self.budget is not None:
             target = min(target, max(1024, self.budget // 8))
         return max(1, min(self.page_rows, target // max(record_nbytes, 1)))
+
+    def run_nbytes(self) -> Optional[int]:
+        """Bytes one arrival run's rows may hold: the
+        :data:`RUN_BUDGET_FRACTION` of the budget, or None (no bound)
+        without one."""
+        if self.budget is None:
+            return None
+        return int(self.budget * self.RUN_BUDGET_FRACTION)
 
     # -- leases ---------------------------------------------------------
 
@@ -139,7 +156,8 @@ class MemoryGovernor:
         return lease
 
     def _pool_nbytes(self) -> int:
-        """Bytes held by the buffer pool (base-table pages)."""
+        """Bytes held by the buffer pool (base-table pages and the
+        arrival run being pushed)."""
         buffer = self.buffer
         return buffer.resident_bytes if buffer is not None else 0
 
@@ -253,10 +271,10 @@ class MemoryGovernor:
 
     def take_window_state_peak(self) -> int:
         """Peak *operator-state* residency (total minus the buffer
-        pool's base-table pages) since the previous call.  The service
-        layer reads one per dispatched batch to reconcile admission
-        estimates — which model operator state only, so table pages
-        must not inflate the comparison."""
+        pool's table pages and run rows) since the previous call.  The
+        service layer reads one per dispatched batch to reconcile
+        admission estimates — which model operator state only, so table
+        pages must not inflate the comparison."""
         peak = self._window_state_peak
         self._window_state_peak = self.resident_bytes - self._pool_nbytes()
         return peak
@@ -285,15 +303,20 @@ class MemoryGovernor:
 
     def abort_epoch(self, epoch: int) -> None:
         """Roll back a failed batch: close every lease opened in (or
-        after) ``epoch``, drop its spill handlers, release the buffer
-        frames it admitted, and discard the observation windows — dead
-        operators must not hold residency, serve as reclaim victims,
-        or poison the next successful batch's reconciliation."""
-        self._spillables = [
-            handler for handler in self._spillables
-            if getattr(handler, "_lease", None) is None
-            or handler._lease.epoch < epoch
-        ]
+        after) ``epoch``, drop its spill handlers and delete its spools'
+        pages, release the buffer frames it admitted, and discard the
+        observation windows — dead operators must not hold residency,
+        disk, or serve as reclaim victims, or poison the next successful
+        batch's reconciliation.  With no page left on disk the spill
+        directory goes too (the next spill makes a fresh one)."""
+        handlers, self._spillables = self._spillables, []
+        for handler in handlers:
+            lease = getattr(handler, "_lease", None)
+            if lease is None or lease.epoch < epoch:
+                self._spillables.append(handler)
+            elif isinstance(handler, Spool):
+                handler.discard()
+        self.backend.remove_dir_if_empty()
         if self.buffer is not None:
             self.buffer.release_epoch(epoch)
         for lease in self._leases:

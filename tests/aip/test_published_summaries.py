@@ -64,8 +64,8 @@ class TestRegistryFreezes:
         first = AIPSet.from_values("p_partkey", spec, "a", range(20))
         second = AIPSet.from_values("ps_partkey", spec, "b", range(10, 30))
         reg.publish(first)
-        _, merged, replaced = reg.publish(second)
-        assert replaced
+        _, merged = reg.publish(second)
+        assert merged is not second
         for published in (first, second, merged):
             assert published.complete and published.summary.frozen
             with pytest.raises(ValueError):

@@ -98,9 +98,9 @@ class TestRegistry:
         first = AIPSet.from_values("p_partkey", spec, "a", range(0, 20))
         second = AIPSet.from_values("ps_partkey", spec, "b", range(10, 30))
         root = reg.root_of("p_partkey")
-        assert reg.publish(first) == (root, first, False)
-        _, merged, replaced = reg.publish(second)
-        assert replaced and merged is not second
+        assert reg.publish(first) == (root, first)
+        _, merged = reg.publish(second)
+        assert merged is not first and merged is not second
         assert len(reg.vector("p_partkey")) == 1  # merged by intersection
         assert reg.vector("p_partkey")[0] is merged
         assert all(v in merged for v in range(10, 20))

@@ -49,9 +49,11 @@ def inject_cached(catalog, plan, cache, strategy=None):
         # attach would have built.
         graph = SourcePredicateGraph.from_plan(physical.logical_root)
         index = aip_candidates(physical, graph)
+        at_scans = True
     else:
         graph, index = strategy.graph, strategy.index
-    injected = cache.inject(physical, ctx, graph, index)
+        at_scans = strategy.inject_at_scans
+    injected = cache.inject(physical, ctx, graph, index, at_scans)
     return ctx, physical, injected
 
 
@@ -122,6 +124,34 @@ class TestReuse:
         assert injected
         assert rows_equal(reused.rows, baseline.rows)
         assert ctx.metrics.total_pruned > 0
+
+    def test_consumer_without_scan_injection_gets_no_scan_filter(
+        self, catalog
+    ):
+        """Feed-Forward's ``inject_at_scans=False`` holds for cached
+        sets too: its own publishes filter no scan, so neither may the
+        cache's."""
+        from repro.exec.operators.scan import PScan
+
+        cache = AIPSetCache()
+        build = get_query("Q2A").build_baseline
+        run_cached(catalog, build(catalog), cache, FeedForwardStrategy())
+        on_scans = {}
+        for at_scans in (True, False):
+            _ctx, physical, injected = inject_cached(
+                catalog, build(catalog), cache,
+                FeedForwardStrategy(inject_at_scans=at_scans),
+            )
+            assert injected
+            scan_filters = [
+                f for op in physical.sink.walk() if isinstance(op, PScan)
+                for filters in op._filters for f in filters
+            ]
+            on_scans[at_scans] = [
+                f for f in injected if any(f is g for g in scan_filters)
+            ]
+        assert on_scans[True]
+        assert on_scans[False] == []
 
     def test_injects_only_where_an_intra_query_publish_could(self, catalog):
         """Every filter the cache installs sits on an interested party

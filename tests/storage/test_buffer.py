@@ -1,10 +1,11 @@
 """Buffer manager: pin/unpin, LRU eviction, reload fidelity."""
 
-import os
-
 import pytest
 
 from repro.storage.governor import MemoryGovernor
+
+#: A stand-in table: pages are slices of it.
+ROWS = [(i, "row%d" % i) for i in range(8)]
 
 
 @pytest.fixture
@@ -16,28 +17,32 @@ def governor():
 
 class TestFrames:
     def test_add_is_resident(self, governor):
-        frame = governor.buffer.add(["payload"], 100)
+        frame = governor.buffer.add(ROWS, 0, 2, 100)
         assert frame.resident
+        assert frame.payload == ROWS[0:2]
         assert governor.buffer.resident_bytes == 100
 
-    def test_evict_writes_then_reload_reads_back(self, governor):
+    def test_evict_drops_then_reload_slices_again(self, governor):
         buffer = governor.buffer
-        frame = buffer.add({"k": [1, 2, 3]}, 100)
+        frame = buffer.add(ROWS, 2, 5, 100)
         freed = buffer.evict_until(50)
         assert freed == 100
         assert not frame.resident
-        assert frame.page_id is not None
         assert buffer.resident_bytes == 0
+        # A clean page is dropped, never written.
+        assert governor.backend.pages_written == 0
+        assert governor.backend.path is None
         payload = buffer.pin(frame)
-        assert payload == {"k": [1, 2, 3]}
+        assert payload == ROWS[2:5]
+        assert all(got is row for got, row in zip(payload, ROWS[2:5]))
         buffer.unpin(frame)
         assert buffer.reloads == 1
         assert buffer.resident_bytes == 100
 
     def test_pinned_frames_survive_eviction(self, governor):
         buffer = governor.buffer
-        pinned = buffer.add("hot", 100)
-        cold = buffer.add("cold", 100)
+        pinned = buffer.add(ROWS, 0, 1, 100)
+        cold = buffer.add(ROWS, 1, 2, 100)
         buffer.pin(pinned)
         freed = buffer.evict_until(1000)
         assert freed == 100
@@ -47,8 +52,8 @@ class TestFrames:
 
     def test_lru_order(self, governor):
         buffer = governor.buffer
-        first = buffer.add("first", 10)
-        second = buffer.add("second", 10)
+        first = buffer.add(ROWS, 0, 1, 10)
+        second = buffer.add(ROWS, 1, 2, 10)
         # Touch `first` so `second` becomes the LRU victim.
         buffer.pin(first)
         buffer.unpin(first)
@@ -56,19 +61,34 @@ class TestFrames:
         assert first.resident
         assert not second.resident
 
-    def test_release_deletes_spilled_copy(self, governor):
+    def test_release_forgets_an_evicted_frame(self, governor):
         buffer = governor.buffer
-        frame = buffer.add("data", 10)
+        frame = buffer.add(ROWS, 0, 4, 10)
         buffer.evict_until(10)
-        path = governor.backend.path
-        assert path is not None and os.listdir(path)
+        assert frame.frame_id in buffer._all
         buffer.release(frame)
-        assert not os.listdir(path)
+        assert frame.frame_id not in buffer._all
+        assert buffer.resident_bytes == 0
+        assert governor.backend.path is None
 
     def test_unpin_without_pin_raises(self, governor):
-        frame = governor.buffer.add("x", 1)
+        frame = governor.buffer.add(ROWS, 0, 1, 1)
         with pytest.raises(RuntimeError):
             governor.buffer.unpin(frame)
+
+    def test_run_rows_are_held_on_the_pool_lease(self):
+        """An arrival run's rows past its first page are accounted on
+        the buffer pool's lease, so they count against the budget but
+        not as operator state."""
+        g = MemoryGovernor(budget=1000)
+        try:
+            g.buffer.hold(600)
+            assert g.buffer.resident_bytes == g.resident_bytes == 600
+            assert g.take_window_state_peak() == 0
+            g.buffer.unhold(600)
+            assert g.resident_bytes == 0
+        finally:
+            g.close()
 
 
 class TestPagedRowsSlice:
@@ -143,12 +163,12 @@ class TestPagedRowsSlice:
             assert len(buffer._all) == 1
             (page2,) = buffer._all.values()
             assert buffer.resident_bytes == page2.nbytes > 0
-            # An evicted page is released with its spill file.
+            # An evicted page is released too, and nothing was written.
             buffer.evict_until(1 << 30)
-            assert os.listdir(governor.backend.path)
+            assert not page2.resident
             paged[12]  # page 3
             assert page2.frame_id not in buffer._all
-            assert not os.listdir(governor.backend.path)
+            assert governor.backend.path is None
             assert len(buffer._all) == 1
             paged.release()
             assert not buffer._all
@@ -223,5 +243,46 @@ class TestPagedRowsSlice:
             assert list(paged) == rows
             with pytest.raises(IndexError):
                 paged[n]
+        finally:
+            governor.close()
+
+
+class TestCleanPages:
+    """Table pages are clean: the catalog's row list always holds their
+    rows, so the buffer pool drops an evicted page instead of writing
+    it, and a reload slices it again from the table."""
+
+    def test_page_evicted_under_pressure_never_reaches_the_backend(self):
+        from repro.data.tpch import cached_tpch
+        from repro.exec.context import ExecutionContext
+        from repro.storage.buffer import PagedRows
+
+        catalog = cached_tpch(scale_factor=0.002)
+        table = catalog.table("supplier")
+        governor = MemoryGovernor(budget=4096)
+        ctx = ExecutionContext(catalog, governor=governor)
+        try:
+            paged = PagedRows(ctx, table.schema, table.rows, 4)
+            paged.slice(0, 4)
+            (frame,) = governor.buffer._all.values()
+            lease = governor.lease("op")
+            lease.grow(4096, ctx)  # only room for the lease: evict page 0
+            assert not frame.resident
+            assert governor.buffer.evictions == 1
+            assert governor.backend.pages_written == 0
+            assert governor.backend.path is None
+            assert ctx.metrics.spill_events == 0
+            lease.close()
+
+            again = paged.slice(0, 4)
+            assert all(
+                got is row for got, row in zip(again, table.rows[0:4])
+            )
+            assert len(again) == 4
+            # One page read, charged as such.
+            assert governor.buffer.reloads == 1
+            assert ctx.metrics.spill_events == 1
+            assert ctx.metrics.spill_bytes == frame.nbytes
+            assert governor.backend.pages_read == 0
         finally:
             governor.close()

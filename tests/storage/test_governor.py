@@ -53,7 +53,7 @@ class _FakeSpillable:
 class TestReclaim:
     def test_buffer_evicted_before_operators_spill(self):
         g = MemoryGovernor(budget=1000)
-        g.buffer.add("page", 600)
+        g.buffer.add([("row",)], 0, 1, 600)
         handler = _FakeSpillable(600)
         g.register_spillable(handler)
         lease = g.lease("op")
@@ -152,8 +152,9 @@ class TestSpoolReclaim:
 class TestCleanup:
     def test_close_removes_spill_dir(self):
         g = MemoryGovernor(budget=None)
-        g.buffer.add("data", 10)
-        g.buffer.evict_until(10)
+        spool = Spool(None, g, record_nbytes=10, label="t")
+        spool.append("data")
+        spool.flush()
         path = g.backend.path
         assert path is not None and os.path.isdir(path)
         g.close()

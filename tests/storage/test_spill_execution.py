@@ -26,7 +26,7 @@ from repro.harness.concurrent import run_concurrent
 from repro.harness.runner import run_workload_query
 from repro.plan.builder import scan
 from repro.storage.governor import MemoryGovernor
-from repro.storage.spill import spill_partition
+from repro.storage.spill import Spool, spill_partition
 
 from tests.goldens import (
     ENGINE, PRESSURE_FIELDS, ROUNDED, assert_matches_golden, cell_key,
@@ -205,13 +205,18 @@ class TestAIPStateStreaming:
         assert rows_equal(governed.result.rows, record.result.rows)
         assert governed.storage["spilled_bytes"] > 0
 
-    #: Budgets that force spills yet sit above each cell's unspillable
-    #: floor.  A tenth of the resident peak is no test now that scans
-    #: hold one table page: Q2A's floor alone (74,880 bytes) is above
-    #: a tenth of its peak (91,544).
+    #: Budgets that force operator state to spill yet sit above each
+    #: cell's unspillable floor.  A tenth of the resident peak is no
+    #: test now that scans hold one table page: Q2A's floor alone
+    #: (74,880 bytes) is above a tenth of its peak (91,544).  Table
+    #: pages are dropped, not written, so ``spilled_bytes`` counts
+    #: operator state only: Q2A costbased spills it below 56 KiB and
+    #: Q4A costbased below 128 KiB.  Q2A baseline has no such budget:
+    #: it spills operator state only below 55,808 bytes, where
+    #: replaying its join partition takes 74,592 bytes at once.
     BUDGETS = {
-        ("Q2A", "baseline"): 64 * 1024, ("Q2A", "costbased"): 64 * 1024,
-        ("Q4A", "baseline"): 128 * 1024, ("Q4A", "costbased"): 128 * 1024,
+        ("Q2A", "costbased"): 48 * 1024,
+        ("Q4A", "baseline"): 128 * 1024, ("Q4A", "costbased"): 96 * 1024,
         ("Q5A", "baseline"): 128 * 1024, ("Q5A", "costbased"): 128 * 1024,
     }
 
@@ -354,16 +359,18 @@ class TestExecSpillCells:
         ("Q5A", "baseline"): 0, ("Q5A", "feedforward"): 11_852,
     }
     #: ``spill_events`` per (qid, strategy, budget).  At 256 KiB Q2A
-    #: and Q4A feedforward fit: scans hold one table page each.
+    #: and Q4A feedforward fit: scans hold one table page each.  An
+    #: evicted table page is dropped, not written, so its eviction is
+    #: no event; its reload is one.
     SPILL_EVENTS = {
         ("Q2A", "baseline", 256 * 1024): 0,
         ("Q2A", "feedforward", 256 * 1024): 0,
-        ("Q4A", "baseline", 256 * 1024): 189,
+        ("Q4A", "baseline", 256 * 1024): 117,
         ("Q4A", "feedforward", 256 * 1024): 0,
-        ("Q5A", "baseline", 256 * 1024): 252,
-        ("Q5A", "feedforward", 256 * 1024): 130,
-        ("Q2A", "baseline", 64 * 1024): 26,
-        ("Q2A", "feedforward", 64 * 1024): 26,
+        ("Q5A", "baseline", 256 * 1024): 142,
+        ("Q5A", "feedforward", 256 * 1024): 80,
+        ("Q2A", "baseline", 64 * 1024): 10,
+        ("Q2A", "feedforward", 64 * 1024): 10,
     }
 
     @staticmethod
@@ -393,11 +400,13 @@ class TestExecSpillCells:
     def test_governed_cell(self, qid, strategy):
         free = self._check_cell(qid, strategy, 256 * 1024)
 
-        # A governor that never reclaims is the ungoverned page path.
+        # A governor that never reclaims is the ungoverned page path,
+        # on the ungoverned run cadence.
         roomy = self._run(qid, strategy, 1 << 40)
         assert roomy.storage["spilled_bytes"] == 0
         assert roomy.result.rows == free.result.rows
         f, r = free.result.metrics, roomy.result.metrics
+        assert r.pages_pushed == f.pages_pushed
         assert r.clock_ticks == f.clock_ticks
         assert r.peak_state_bytes == f.peak_state_bytes
         assert self._counters(r) == self._counters(f)
@@ -426,6 +435,65 @@ class TestExecSpillCells:
         again = self._run(qid, strategy, budget)
         assert self._observed(again) == self._observed(governed)
         return free
+
+
+class TestBudgetSweep:
+    """The ``exec_spill`` queries from a budget that pages table rows
+    one by one to the spine's 256 KiB: governed runs take as many rows
+    as a quarter of the budget holds, and the rows they hold past a
+    page sit on the buffer pool's lease.  Whatever the budget, the
+    rows, per-operator counters and AIP Bloom words are the ungoverned
+    run's, and the pool never takes the governor past its budget.
+
+    Below a cell's floor the budget cannot hold: a spilled join
+    partition is replayed whole, in one lease grow.  Those cells
+    (:attr:`BELOW_FLOOR`) go over budget only on operator and spool
+    leases."""
+
+    BUDGETS = (4608, 64 * 1024, 128 * 1024, 256 * 1024)
+    CELLS = [
+        (qid, strategy) for qid in ("Q2A", "Q4A", "Q5A")
+        for strategy in ("baseline", "feedforward")
+    ]
+    BELOW_FLOOR = {
+        ("Q2A", "baseline", 4608), ("Q4A", "baseline", 4608),
+        ("Q4A", "feedforward", 4608), ("Q5A", "baseline", 4608),
+        ("Q5A", "feedforward", 4608), ("Q4A", "baseline", 64 * 1024),
+        ("Q5A", "baseline", 64 * 1024),
+    }
+
+    @pytest.mark.parametrize("qid, strategy", CELLS)
+    def test_rows_counters_and_words_hold_at_every_budget(
+        self, qid, strategy, monkeypatch
+    ):
+        over_by = []
+        request = MemoryGovernor.request
+
+        def recording_request(governor, lease, nbytes, ctx=None):
+            before = governor.over_budget_events
+            request(governor, lease, nbytes, ctx)
+            if governor.over_budget_events > before:
+                over_by.append(lease.label)
+
+        monkeypatch.setattr(MemoryGovernor, "request", recording_request)
+        fields = dict(order=ROUNDED, fields=PRESSURE_FIELDS)
+        free = observe_result(*observed(
+            run_workload_query, qid, strategy, scale_factor=SCALE,
+        ), **fields)
+        for budget in self.BUDGETS:
+            del over_by[:]
+            record, summaries = observed(
+                run_workload_query, qid, strategy, scale_factor=SCALE,
+                memory_budget=budget,
+            )
+            assert observe_result(record, summaries, **fields) == free
+            storage = record.storage
+            assert "buffer-pool" not in over_by, budget
+            if (qid, strategy, budget) in self.BELOW_FLOOR:
+                assert storage["over_budget_events"] > 0
+            else:
+                assert storage["peak_resident_bytes"] <= budget
+                assert storage["over_budget_events"] == 0
 
 
 class TestConcurrentGovernor:
@@ -480,8 +548,9 @@ class TestErrorCleanup:
         def explode(self, plan):
             # Touch the spill path first so there is a directory to
             # leak, then die the way a buggy operator would.
-            created[0].buffer.add("page", 10)
-            created[0].buffer.evict_until(10)
+            spool = Spool(self.ctx, created[0], 10, "explode")
+            spool.append("record")
+            spool.flush()
             dirs.append(created[0].backend.path)
             raise RuntimeError("engine exploded")
 
@@ -501,13 +570,106 @@ class TestErrorCleanup:
         catalog = cached_tpch(scale_factor=SCALE)
         with QueryService(
             catalog, strategy="baseline", aip_cache=False,
-            result_cache=False, memory_budget=65_536,
+            result_cache=False, memory_budget=131_072,
         ) as service:
-            service.submit("Q2A")
+            service.submit("Q4A")
             service.run()
+            # Only spools write: the directory holds operator state.
+            assert service.governor.backend.pages_written > 0
             path = service.governor.backend.path
             assert path is not None and os.path.isdir(path)
         assert not os.path.exists(path)
+
+
+    def test_engine_error_mid_run_returns_the_run_rows(self, monkeypatch):
+        """A run's rows past its first page sit on the buffer pool's
+        service-lifetime lease while they are pushed: an engine error
+        mid-push must hand them back, or every later batch of the
+        service starts with less budget."""
+        from repro.exec.operators.scan import PScan
+        from repro.service.query import Request
+        from repro.service.service import QueryService
+
+        real_push_run = PScan.push_run
+
+        def push_run(scan, rows, seq):
+            if scan.rows.run_nbytes(len(rows)):
+                raise RuntimeError("operator fault")
+            real_push_run(scan, rows, seq)
+
+        with QueryService(
+            cached_tpch(scale_factor=SCALE), strategy="baseline",
+            aip_cache=False, result_cache=False, memory_budget=256 * 1024,
+        ) as service:
+            monkeypatch.setattr(PScan, "push_run", push_run)
+            doomed = Request("Q2A")
+            service.run_requests([doomed])
+            monkeypatch.undo()
+            assert "operator fault" in doomed.error
+            assert service.governor.resident_bytes == 0
+            after = Request("Q2A")
+            service.run_requests([after])
+            assert after.error is None
+            assert service.governor.resident_bytes == 0
+
+    @pytest.mark.parametrize("fail_at", (1, 5))
+    def test_disk_full_fails_only_that_query(self, monkeypatch, fail_at):
+        """A spool flush that hits ENOSPC fails its query with an error
+        result, in bounded time.  The failed batch leaves no lease
+        open, no spool on disk and no spill directory, and the same
+        service's next governed query returns the right rows."""
+        import errno
+        import threading
+
+        from repro.service.query import Request
+        from repro.service.service import QueryService
+
+        def run_bounded(service, request):
+            worker = threading.Thread(
+                target=service.run_requests, args=([request],), daemon=True,
+            )
+            worker.start()
+            worker.join(60)
+            assert not worker.is_alive(), "the service hung on a full disk"
+
+        real_pwrite = os.pwrite
+        writes = []
+
+        def pwrite(fd, data, offset):
+            writes.append(offset)
+            if len(writes) >= fail_at:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_pwrite(fd, data, offset)
+
+        expected = run_workload_query(
+            "Q4A", "baseline", scale_factor=SCALE,
+        ).result.rows
+        with QueryService(
+            cached_tpch(scale_factor=SCALE), strategy="baseline",
+            aip_cache=False, result_cache=False, memory_budget=131_072,
+        ) as service:
+            governor = service.governor
+            monkeypatch.setattr(os, "pwrite", pwrite)
+            doomed = Request("Q4A")
+            run_bounded(service, doomed)
+            monkeypatch.undo()
+            assert len(writes) == fail_at
+            assert "No space left on device" in doomed.error
+            assert governor.resident_bytes == 0
+            assert [
+                lease.label for lease in governor._leases if not lease.closed
+            ] == ["buffer-pool"]
+            assert not governor._spillables
+            assert not governor.backend._extents
+            assert governor.backend.path is None
+            assert service.proclist() == []
+
+            after = Request("Q4A")
+            run_bounded(service, after)
+            assert after.error is None
+            assert rows_equal(after.result.rows, expected)
+            assert governor.backend.pages_written > fail_at - 1
+            assert governor.resident_bytes == 0
 
 
 class TestServiceLifetimeGovernor:
