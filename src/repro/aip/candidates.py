@@ -81,7 +81,7 @@ class CandidateIndex:
 
     def live_targets(
         self, plan: PhysicalPlan, graph: SourcePredicateGraph, attr: str,
-        exclude: Party, at_scans: bool = True,
+        exclude: Party, at_scans: bool,
     ) -> List[Tuple[Operator, int, str]]:
         """The parties interested in ``attr``'s class, ``exclude``
         aside, whose input is still open (a scan not exhausted, a port

@@ -329,31 +329,55 @@ class PHashJoin(StashingOperator):
         """Emit the owed matches of every spilled partition: all pairs
         except frozen-left × frozen-right, which streamed out before
         the partition left memory.  One partition is resident at a
-        time (Grace recursion depth 1)."""
+        time (Grace recursion depth 1); a partition whose right side
+        outgrows the budget is replayed in passes (:meth:`_right_passes`),
+        each probed by the partition's whole left side."""
         cm = self.ctx.cost_model
         rb1 = self._row_bytes[1]
         ledger = self._ledger
         with ledger.replaying():
             for pid in sorted(ledger.spilled):
                 frozen0, frozen1, delta0, delta1 = ledger.spilled[pid]
-                r_frozen: Dict = {}
-                r_delta: Dict = {}
-                loaded = 0
-                for target, spool in ((r_frozen, frozen1), (r_delta, delta1)):
-                    for row in spool.records():
-                        key = self._key_of(row, 1)
-                        target.setdefault(key, []).append(row)
-                        loaded += 1
-                if loaded:
-                    self.ctx.charge_events_op(self.op_id, loaded, cm.hash_insert)
-                    self.account_state(loaded * rb1)
-                # Left delta probes everything on the right …
-                self._probe_spilled(delta0, (r_frozen, r_delta), cm)
-                # … while the frozen left only owes the right delta.
-                self._probe_spilled(frozen0, (r_delta,), cm)
-                if loaded:
-                    self.account_state(-loaded * rb1)
+                for r_frozen, r_delta, loaded in self._right_passes(
+                    frozen1, delta1
+                ):
+                    if loaded:
+                        self.ctx.charge_events_op(
+                            self.op_id, loaded, cm.hash_insert
+                        )
+                        self.account_state(loaded * rb1)
+                    # Left delta probes everything on the right …
+                    self._probe_spilled(delta0, (r_frozen, r_delta), cm)
+                    # … while the frozen left only owes the right delta.
+                    self._probe_spilled(frozen0, (r_delta,), cm)
+                    if loaded:
+                        self.account_state(-loaded * rb1)
                 ledger.drop(pid)
+
+    def _right_passes(self, frozen1, delta1):
+        """Load a spilled partition's right runs into hash tables, one
+        replay pass at a time; yields ``(frozen, delta, n_rows)``.  A
+        pass holds as many rows as the ledger's
+        :meth:`~repro.storage.spill.PartitionLedger.replay_records`
+        allows, so a right side that fits is one pass, loaded whole
+        before its rows are accounted."""
+        rb1 = self._row_bytes[1]
+        remaining = frozen1.n_records + delta1.n_records
+        most = self._ledger.replay_records(rb1, remaining)
+        tables = ({}, {})
+        loaded = 0
+        for generation, spool in enumerate((frozen1, delta1)):
+            for row in spool.records():
+                key = self._key_of(row, 1)
+                tables[generation].setdefault(key, []).append(row)
+                loaded += 1
+                if loaded == most and loaded < remaining:
+                    yield tables + (loaded,)
+                    remaining -= loaded
+                    most = self._ledger.replay_records(rb1, remaining)
+                    tables = ({}, {})
+                    loaded = 0
+        yield tables + (loaded,)
 
     def _probe_spilled(self, left_spool, right_tables, cm) -> None:
         """Probe ``right_tables`` with every row of ``left_spool`` and

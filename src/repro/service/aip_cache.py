@@ -140,7 +140,7 @@ class AIPSetCache:
         ctx: ExecutionContext,
         graph: SourcePredicateGraph,
         index: CandidateIndex,
-        at_scans: bool = True,
+        at_scans: bool,
     ) -> List[InjectedFilter]:
         """Inject every cached set matching one of ``physical``'s
         producible parties into that plan's interested parties.

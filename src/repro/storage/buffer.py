@@ -145,6 +145,13 @@ class BufferManager:
 
     # -- eviction ---------------------------------------------------------
 
+    def evictable_bytes(self) -> int:
+        """Bytes :meth:`evict_until` could free: the unpinned resident
+        frames'."""
+        return sum(
+            frame.nbytes for frame in self._lru.values() if not frame.pins
+        )
+
     def evict_until(self, need_bytes: int, ctx=None) -> int:
         """Drop unpinned resident frames, LRU first, until
         ``need_bytes`` have been freed (or nothing evictable remains);

@@ -122,15 +122,22 @@ class MemoryGovernor:
     #: the budget to operator state and pages.
     RUN_BUDGET_FRACTION = 0.25
 
-    def page_records_for(self, record_nbytes: int) -> int:
-        """How many records of ``record_nbytes`` one page should hold:
-        the row cap, shrunk so a single page stays a small fraction of
-        a finite budget (a page is the indivisible residency granule —
-        reclaim cannot split one)."""
+    def page_nbytes(self) -> int:
+        """Payload bytes one page may hold: :data:`PAGE_NBYTES_TARGET`,
+        shrunk so a single page stays a small fraction of a finite
+        budget (a page is the indivisible residency granule — reclaim
+        cannot split one)."""
         target = self.PAGE_NBYTES_TARGET
         if self.budget is not None:
             target = min(target, max(1024, self.budget // 8))
-        return max(1, min(self.page_rows, target // max(record_nbytes, 1)))
+        return target
+
+    def page_records_for(self, record_nbytes: int) -> int:
+        """How many records of ``record_nbytes`` one page should hold:
+        the row cap, shrunk to :meth:`page_nbytes`."""
+        return max(
+            1, min(self.page_rows, self.page_nbytes() // max(record_nbytes, 1))
+        )
 
     def run_nbytes(self) -> Optional[int]:
         """Bytes one arrival run's rows may hold: the
@@ -205,6 +212,17 @@ class MemoryGovernor:
             return
         lease.nbytes -= nbytes
         self.resident_bytes -= nbytes
+
+    def room(self) -> Optional[int]:
+        """Bytes a lease could still grow by within the budget once a
+        reclaim has dropped every unpinned table page and every spill
+        handler has spilled all it holds; None without a budget."""
+        if self.budget is None:
+            return None
+        reclaimable = self.buffer.evictable_bytes() + sum(
+            handler.spillable_nbytes() for handler in self._spillables
+        )
+        return self.budget - self.resident_bytes + reclaimable
 
     # -- reclamation -----------------------------------------------------
 

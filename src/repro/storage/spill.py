@@ -314,6 +314,27 @@ class PartitionLedger:
             governor.release(self._lease, nbytes - routed[-1])
         return routed
 
+    #: Pages a replay pass leaves room for beside the records it
+    #: holds: one of the run it loads, one of the run it probes with,
+    #: and one of the state its matches grow downstream.
+    REPLAY_SPARE_PAGES = 3
+
+    def replay_records(self, record_nbytes: int, n: int) -> int:
+        """How many of ``n`` spilled records of ``record_nbytes`` one
+        replay pass may hold in memory: all of them while the budget
+        has room for them beside :data:`REPLAY_SPARE_PAGES` pages, else
+        as many as it has room for (at least one page's worth), so
+        replaying a partition larger than the budget keeps within it."""
+        governor = self._op.ctx.governor
+        room = governor.room()
+        if room is None:
+            return n
+        spare = room - self.REPLAY_SPARE_PAGES * governor.page_nbytes()
+        return max(
+            governor.page_records_for(record_nbytes),
+            min(n, spare // record_nbytes),
+        )
+
     @contextmanager
     def replaying(self):
         """Hold the operator out of reclaims while it replays (or

@@ -77,6 +77,21 @@ class TestReclaim:
         assert big.asked and not small.asked
         g.close()
 
+    def test_room_counts_what_a_reclaim_could_free(self):
+        g = MemoryGovernor(budget=1000)
+        frame = g.buffer.add([("row",)], 0, 1, 300)
+        g.register_spillable(_FakeSpillable(200))
+        lease = g.lease("op")
+        lease.grow(400)
+        # 1000 - 700 resident, plus the 300-byte page and 200 spillable.
+        assert g.room() == 800
+        g.buffer.pin(frame)
+        assert g.room() == 500  # a pinned page cannot be evicted
+        g.close()
+        unbounded = MemoryGovernor(budget=None)
+        assert unbounded.room() is None
+        unbounded.close()
+
     def test_over_budget_recorded_when_nothing_reclaimable(self):
         g = MemoryGovernor(budget=10)
         lease = g.lease("op")
