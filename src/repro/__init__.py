@@ -5,11 +5,12 @@ The package implements, from scratch, everything the paper's system
 needs: a TPC-H data generator with Zipf skew, a deterministic
 virtual-time push engine built on pipelined (symmetric) hash joins and
 hash aggregation, a Tukwila-style optimizer layer (cardinality
-estimation from keys/FKs, cost model, source-predicate graph), the
-pipelined magic-sets baseline, the two Adaptive Information Passing
-algorithms (greedy Feed-Forward and the Cost-Based AIP Manager with
-distributed filter shipping), the full Table I workload, and a harness
-that regenerates every figure of the evaluation section.
+estimation from distinct counts and min/max, cost model,
+source-predicate graph), the pipelined magic-sets baseline, the two
+Adaptive Information Passing algorithms (greedy Feed-Forward and the
+Cost-Based AIP Manager with distributed filter shipping), the full
+Table I workload, and a harness that regenerates every figure of the
+evaluation section.
 
 On top of the engine sits a multi-query service layer
 (:mod:`repro.service`): a :class:`~repro.service.QueryService` runs a

@@ -60,14 +60,6 @@ class AIPRegistry:
     def spec_for(self, attr: str) -> Optional[AIPSetSpec]:
         return self._specs.get(self.root_of(attr))
 
-    def register_candidate(self, attr: str, party: Party) -> None:
-        """A stateful operator announces it can produce a set for ``attr``."""
-        self._producers.setdefault(self.root_of(attr), set()).add(party)
-
-    def register_interest(self, attr: str, party: Party) -> None:
-        """An operator announces it could use filters over ``attr``."""
-        self._interest.setdefault(self.root_of(attr), set()).add(party)
-
     def seed(self, index: "CandidateIndex") -> None:
         """Register AIPCANDIDATES's output: every source as a candidate
         producer of its class, every interested party's interest.  The
@@ -137,7 +129,3 @@ class AIPRegistry:
                 if not parties:
                     emptied.add(root)
         return emptied
-
-    def interested_parties(self, attr: str) -> Set[Party]:
-        return set(self._interest.get(self.root_of(attr), ()))
-

@@ -58,9 +58,6 @@ class DeterministicRng:
     def sample(self, items: Sequence[T], k: int) -> List[T]:
         return self._random.sample(items, k)
 
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)
-
     def random(self) -> float:
         return self._random.random()
 

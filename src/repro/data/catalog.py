@@ -1,36 +1,20 @@
-"""Catalog: tables plus the statistics Tukwila's optimizer relies on.
+"""Catalog: tables plus the statistics the optimizer estimates from.
 
-Per Section V-A of the paper, the Tukwila cost modeler "does not require
-histograms: instead, it relies on cardinality estimates and information
-about keys and foreign keys when estimating the selectivity of join
-conditions".  The catalog therefore records, per table: row count,
-primary-key attributes, foreign-key relationships, and per-column
-distinct-value counts (computable exactly for generated data).
+Per table the catalog holds the row count and, per column, the exact
+distinct-value count and the minimum and maximum (computed by scanning
+the generated rows).  It holds no keys or foreign keys: Section V-A of
+the paper has Tukwila's cost modeler use key and foreign-key
+information for join selectivity, but this repository's estimator
+(:mod:`repro.optimizer.estimator`) works from distinct counts and
+min/max alone (DESIGN.md section 14).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.errors import OptimizerError, SchemaError
 from repro.data.table import Table
-
-
-class ForeignKey:
-    """``table.column`` references ``ref_table.ref_column``."""
-
-    __slots__ = ("table", "column", "ref_table", "ref_column")
-
-    def __init__(self, table: str, column: str, ref_table: str, ref_column: str):
-        self.table = table
-        self.column = column
-        self.ref_table = ref_table
-        self.ref_column = ref_column
-
-    def __repr__(self) -> str:
-        return "ForeignKey(%s.%s -> %s.%s)" % (
-            self.table, self.column, self.ref_table, self.ref_column,
-        )
 
 
 class TableStats:
@@ -64,44 +48,23 @@ class TableStats:
                 maxima[attr.name] = max(col)
         return cls(len(table), distinct, minima, maxima)
 
-    def distinct_count(self, column: str) -> int:
-        try:
-            return self.distinct[column]
-        except KeyError:
-            raise OptimizerError("no distinct-count statistic for %r" % column)
-
 
 class Catalog:
-    """A namespace of tables, key constraints and statistics."""
+    """A namespace of tables and their statistics."""
 
     def __init__(self):
         self._tables: Dict[str, Table] = {}
         self._stats: Dict[str, TableStats] = {}
-        self._primary_keys: Dict[str, Tuple[str, ...]] = {}
-        self._foreign_keys: List[ForeignKey] = []
 
     # -- registration -------------------------------------------------
 
     def add_table(
-        self,
-        table: Table,
-        primary_key: Sequence[str] = (),
-        stats: Optional[TableStats] = None,
+        self, table: Table, stats: Optional[TableStats] = None
     ) -> None:
         if table.name in self._tables:
             raise SchemaError("table %r already registered" % table.name)
-        for col in primary_key:
-            table.schema.index_of(col)  # validate
         self._tables[table.name] = table
-        self._primary_keys[table.name] = tuple(primary_key)
         self._stats[table.name] = stats or TableStats.from_table(table)
-
-    def add_foreign_key(
-        self, table: str, column: str, ref_table: str, ref_column: str
-    ) -> None:
-        self.table(table).schema.index_of(column)
-        self.table(ref_table).schema.index_of(ref_column)
-        self._foreign_keys.append(ForeignKey(table, column, ref_table, ref_column))
 
     # -- lookup -------------------------------------------------------
 
@@ -122,16 +85,3 @@ class Catalog:
             return self._stats[name]
         except KeyError:
             raise OptimizerError("no statistics for table %r" % name) from None
-
-    def primary_key(self, name: str) -> Tuple[str, ...]:
-        return self._primary_keys.get(name, ())
-
-    def foreign_keys(self) -> List[ForeignKey]:
-        return list(self._foreign_keys)
-
-    def foreign_keys_of(self, table: str) -> List[ForeignKey]:
-        return [fk for fk in self._foreign_keys if fk.table == table]
-
-    def is_unique_column(self, table: str, column: str) -> bool:
-        """True when ``column`` is a single-attribute primary key."""
-        return self._primary_keys.get(table) == (column,)

@@ -14,7 +14,7 @@ time — see :meth:`Schema.renamed`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.common import sizing
 from repro.common.errors import SchemaError
@@ -112,9 +112,6 @@ class Schema:
 
     def attribute(self, name: str) -> Attribute:
         return self.attributes[self.index_of(name)]
-
-    def maybe_index_of(self, name: str) -> Optional[int]:
-        return self._index.get(name)
 
     def row_byte_size(self) -> int:
         """Estimated bytes to buffer one row of this schema.

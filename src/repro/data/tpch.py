@@ -290,8 +290,8 @@ def _gen_lineitem(config: TpchConfig, rng: DeterministicRng, orders: Table) -> T
 def generate_tpch(config: TpchConfig) -> Catalog:
     """Generate a full TPC-H instance and return a populated catalog.
 
-    The catalog carries exact statistics plus primary/foreign-key
-    metadata, which the optimizer's selectivity estimation relies on.
+    The catalog carries each table's exact row count, distinct counts
+    and min/max, which the optimizer's estimates work from.
     """
     rng = DeterministicRng(config.seed)
     region = _gen_region()
@@ -304,24 +304,9 @@ def generate_tpch(config: TpchConfig) -> Catalog:
     lineitem = _gen_lineitem(config, rng.fork("lineitem"), orders)
 
     catalog = Catalog()
-    catalog.add_table(region, primary_key=("r_regionkey",))
-    catalog.add_table(nation, primary_key=("n_nationkey",))
-    catalog.add_table(supplier, primary_key=("s_suppkey",))
-    catalog.add_table(part, primary_key=("p_partkey",))
-    catalog.add_table(partsupp, primary_key=("ps_partkey", "ps_suppkey"))
-    catalog.add_table(customer, primary_key=("c_custkey",))
-    catalog.add_table(orders, primary_key=("o_orderkey",))
-    catalog.add_table(lineitem, primary_key=("l_orderkey", "l_linenumber"))
-
-    catalog.add_foreign_key("nation", "n_regionkey", "region", "r_regionkey")
-    catalog.add_foreign_key("supplier", "s_nationkey", "nation", "n_nationkey")
-    catalog.add_foreign_key("customer", "c_nationkey", "nation", "n_nationkey")
-    catalog.add_foreign_key("partsupp", "ps_partkey", "part", "p_partkey")
-    catalog.add_foreign_key("partsupp", "ps_suppkey", "supplier", "s_suppkey")
-    catalog.add_foreign_key("orders", "o_custkey", "customer", "c_custkey")
-    catalog.add_foreign_key("lineitem", "l_orderkey", "orders", "o_orderkey")
-    catalog.add_foreign_key("lineitem", "l_partkey", "part", "p_partkey")
-    catalog.add_foreign_key("lineitem", "l_suppkey", "supplier", "s_suppkey")
+    for table in (region, nation, supplier, part, partsupp, customer,
+                  orders, lineitem):
+        catalog.add_table(table)
     return catalog
 
 

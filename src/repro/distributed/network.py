@@ -1,11 +1,11 @@
 """Network model for the distributed simulation.
 
-Links are point-to-point between the master and each remote site.  The
-paper uses two figures worth noting: data is fetched "across a 100Mb
-Ethernet" (Section VI-C), while "our cost estimates for transmitting
-Bloom filters assume 10Mbps data transfer rates" (Section VI) — i.e.
-the *cost model* may deliberately be more pessimistic than the wire.
-Both knobs exist here.
+Links are point-to-point between the master and each remote site; the
+paper fetches data "across a 100Mb Ethernet" (Section VI-C), the
+default here.  The paper's cost estimates for shipping Bloom filters
+"assume 10Mbps data transfer rates" (Section VI); that pessimistic
+estimate is not modelled: Cost-Based AIP prices a shipment on the link
+it will travel (DESIGN.md section 14).
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ class Link:
         self.bandwidth = bandwidth
         self.latency = latency
 
-    def transfer_time(self, n_bytes: int) -> float:
-        return self.latency + n_bytes / self.bandwidth
-
 
 class NetworkModel:
     """Named links between the master node and remote sites."""
@@ -41,24 +38,12 @@ class NetworkModel:
         self,
         default_bandwidth: float = 100 * MBPS,
         default_latency: float = 1.0e-3,
-        estimate_bandwidth: float = 10 * MBPS,
     ):
         self._default = Link(default_bandwidth, default_latency)
         self._links: Dict[str, Link] = {}
-        #: Bandwidth the optimizer *assumes* when costing filter
-        #: shipment (paper: 10 Mbps) — may differ from actual links.
-        self.estimate_bandwidth = estimate_bandwidth
 
     def set_link(self, site: str, bandwidth: float, latency: float) -> None:
         self._links[site] = Link(bandwidth, latency)
 
     def link_to(self, site: str) -> Link:
         return self._links.get(site, self._default)
-
-    def transfer_time(self, site: str, n_bytes: int) -> float:
-        return self.link_to(site).transfer_time(n_bytes)
-
-    def estimated_ship_cost(self, n_bytes: int) -> float:
-        """Cost-model view of shipping ``n_bytes`` (Section V-B: "we
-        simply estimate the cost of shipping n bytes")."""
-        return n_bytes / self.estimate_bandwidth

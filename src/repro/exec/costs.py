@@ -69,11 +69,8 @@ class CostModel:
         self.spill_page_io = spill_page_io
         self.spill_byte_io = spill_byte_io
         # Paper Section VI: the distributed join experiment fetches
-        # PARTSUPP "across a 100Mb Ethernet"; filter-shipping cost
-        # estimates assume 10 Mbps.  Bandwidth is bytes/second.
+        # PARTSUPP "across a 100Mb Ethernet".  Cost-Based AIP prices
+        # filter shipment on this same link, not on the paper's
+        # 10 Mbps estimate.  Bandwidth is bytes/second.
         self.network_bandwidth = network_bandwidth
         self.network_latency = network_latency
-
-    def transfer_time(self, n_bytes: int) -> float:
-        """Time to push ``n_bytes`` through the simulated link."""
-        return n_bytes / self.network_bandwidth

@@ -63,12 +63,6 @@ class PhysicalPlan:
             op.parents = []
             op.children = [None] * len(op.children)
 
-    def operator_for(self, node_id: int) -> Operator:
-        try:
-            return self.by_node_id[node_id]
-        except KeyError:
-            raise PlanError("no physical operator for node #%d" % node_id)
-
 
 def _scan_rows(ctx: ExecutionContext, schema, rows):
     """The row sequence a scan streams: the raw table list, or — under

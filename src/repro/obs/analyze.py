@@ -12,7 +12,7 @@ pays nothing for it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.data.catalog import Catalog
 from repro.exec.context import ExecutionContext
@@ -87,10 +87,6 @@ class AnalyzeReport:
             )
         )
         return "\n".join(lines)
-
-    def by_label(self) -> Dict[str, AnalyzeRow]:
-        """Last-wins label lookup, for tests poking at one operator."""
-        return {row.label: row for row in self.rows}
 
 
 def explain_analyze(

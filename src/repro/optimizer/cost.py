@@ -16,7 +16,7 @@ from typing import Optional
 from repro.common.errors import OptimizerError
 from repro.data.catalog import Catalog
 from repro.exec.costs import CostModel
-from repro.optimizer.estimator import CardinalityEstimator, Estimate
+from repro.optimizer.estimator import CardinalityEstimator
 from repro.plan.logical import (
     Distinct, Filter, GroupBy, Join, LogicalNode, Project, Scan, SemiJoin,
 )
@@ -94,10 +94,6 @@ class PlanCoster:
         cm = self.cost_model
         per_input = cm.tuple_base + cm.hash_probe + cm.hash_insert
         return (left_rows + right_rows) * per_input + out_rows * cm.output_build
-
-    def filter_probe_cost(self, rows: float) -> float:
-        """Cost of probing ``rows`` tuples against one AIP filter."""
-        return rows * self.cost_model.semijoin_probe
 
     def aip_build_cost(self, state_rows: float) -> float:
         """Cost of scanning operator state to build an AIP set."""

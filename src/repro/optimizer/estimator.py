@@ -1,10 +1,13 @@
 """Cardinality estimation.
 
-Faithful to the Tukwila design the paper describes (Section V-A): "its
-cost modeler does not require histograms: instead, it relies on
-cardinality estimates and information about keys and foreign keys when
-estimating the selectivity of join conditions ... assuming uniform
-distribution and uncorrelated attributes."
+The paper's Tukwila cost modeler (Section V-A) "does not require
+histograms: instead, it relies on cardinality estimates and information
+about keys and foreign keys when estimating the selectivity of join
+conditions ... assuming uniform distribution and uncorrelated
+attributes."  This estimator keeps the uniformity and independence
+assumptions but reads no keys: a join's selectivity is one over the
+larger distinct count of its key pair, and range predicates scale by
+the column's min/max (DESIGN.md section 14).
 
 The estimator additionally accepts runtime *observations* — actual
 operator output counts and completion flags — which is how the
@@ -19,7 +22,6 @@ from typing import Dict, Optional
 
 from repro.common.errors import OptimizerError
 from repro.data.catalog import Catalog
-from repro.data.schema import DATE
 from repro.expr.expressions import (
     And, Cmp, Col, Expr, Like, Lit, Not, Or,
 )
@@ -76,10 +78,6 @@ class CardinalityEstimator:
     def observe(self, node_id: int, rows_out: int, complete: bool) -> None:
         """Record actual output progress for a node (UPDATEESTIMATES)."""
         self._observations[node_id] = Observation(rows_out, complete)
-        self._cache.clear()
-
-    def clear_observations(self) -> None:
-        self._observations.clear()
         self._cache.clear()
 
     # -- entry point --------------------------------------------------------

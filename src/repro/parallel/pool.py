@@ -104,6 +104,14 @@ class WorkerPool:
         self._mp = multiprocessing.get_context("spawn")
         self._task_q = self._mp.Queue()
         self._result_q = self._mp.Queue()
+        #: The warm-init payload travels on its own queue, one ``put``
+        #: per spawn, not in the ``Process`` args: spawn writes the
+        #: args down a pipe whose read end it holds open until the
+        #: write ends, so a child that dies first (an unguarded
+        #: ``__main__``) would block a payload over the pipe buffer
+        #: forever, before the dead-worker check could run.
+        self._init_q = self._mp.Queue()
+        self._init_q.cancel_join_thread()
         self._init_bytes = pickle.dumps(catalog_spec)
         self._workers: Dict[int, _WorkerHandle] = {}
         self._next_task_id = 0
@@ -149,9 +157,10 @@ class WorkerPool:
         return self
 
     def _spawn(self, index: int) -> None:
+        self._init_q.put(self._init_bytes)
         process = self._mp.Process(
             target=_worker_main,
-            args=(index, self._init_bytes, self._task_q, self._result_q),
+            args=(index, self._init_q, self._task_q, self._result_q),
             daemon=True,
             name="repro-worker-%d" % index,
         )
@@ -176,6 +185,7 @@ class WorkerPool:
                 handle.process.join(timeout=2.0)
         self._task_q.close()
         self._result_q.close()
+        self._init_q.close()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()

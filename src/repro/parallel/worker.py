@@ -82,12 +82,14 @@ def run_query(state: WorkerState, task: QueryTask) -> Dict:
     return {"run": run, "wall_seconds": time.perf_counter() - started}
 
 
-def _worker_main(index: int, init_bytes: bytes, task_q, result_q) -> None:
+def _worker_main(index: int, init_q, task_q, result_q) -> None:
     """Entry point of one pool worker process (spawn-safe: top-level,
-    state rebuilt locally, nothing inherited but the two queues)."""
+    state rebuilt locally, nothing inherited but the three queues).
+    The pickled warm-init spec is the first thing it takes from
+    ``init_q``."""
     state = WorkerState(index)
     try:
-        warm_spec = pickle.loads(init_bytes)
+        warm_spec = pickle.loads(init_q.get())
         if warm_spec is not None:
             state.warm_catalog = state.catalog(warm_spec)
     except BaseException:

@@ -18,7 +18,6 @@ while a false merge would corrupt results.
 from __future__ import annotations
 
 from repro.common.errors import PlanError
-from repro.common.hashing import stable_label_seed
 from repro.plan.logical import (
     Distinct, Filter, GroupBy, Join, LogicalNode, Project, Scan, SemiJoin,
 )
@@ -92,11 +91,6 @@ def _render_signature(node: LogicalNode) -> str:
     if isinstance(node, Distinct):
         return "distinct[%s]" % plan_signature(node.child)
     raise PlanError("cannot fingerprint node %r" % node)
-
-
-def plan_fingerprint(node: LogicalNode) -> int:
-    """A stable 63-bit integer fingerprint of ``node``'s signature."""
-    return stable_label_seed(0, plan_signature(node))
 
 
 def party_state_signature(logical: LogicalNode, port: int, attr: str) -> str:

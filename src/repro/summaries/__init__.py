@@ -3,11 +3,9 @@
 from repro.summaries.base import Summary
 from repro.summaries.bloom import BloomFilter
 from repro.summaries.hashset import HashSetSummary
-from repro.summaries.histogram import HistogramSummary
 
 __all__ = [
     "Summary",
     "BloomFilter",
     "HashSetSummary",
-    "HistogramSummary",
 ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aip.candidates import CandidateIndex
 from repro.aip.registry import AIPRegistry
 from repro.aip.sets import HASHSET, AIPSet, AIPSetSpec
 from repro.data.tpch import cached_tpch
@@ -58,26 +59,39 @@ class TestAIPSet:
         assert s.byte_size() > 0
 
 
+def _seeded(graph, sources=(), interest=()):
+    """A registry seeded, as Feed-Forward seeds it, from an index whose
+    ``sources`` and ``interest`` are ``(attr, party)`` pairs."""
+    index = CandidateIndex()
+    for attr, party in sources:
+        index.sources.setdefault(attr, set()).add(party)
+    for attr, party in interest:
+        index.interested.setdefault(graph.eq.find(attr), set()).add(party)
+    registry = AIPRegistry(graph)
+    registry.seed(index)
+    return registry, index
+
+
 class TestRegistry:
     def _parties(self):
         return (1, 0), (2, 0), (3, 1)
 
     def test_candidate_elimination(self, graph):
-        reg = AIPRegistry(graph)
         p1, p2, _ = self._parties()
-        reg.register_candidate("p_partkey", p1)
-        # Nobody else is interested: candidate dies.
-        reg.register_interest("p_partkey", p1)
+        # Nobody but the producer itself is interested: candidate dies.
+        reg, _ = _seeded(
+            graph, sources=[("p_partkey", p1)], interest=[("p_partkey", p1)]
+        )
         surviving = reg.eliminate_unwanted_candidates()
         assert not surviving
         assert not reg.is_wanted("p_partkey")
 
     def test_candidate_survives_with_other_interest(self, graph):
-        reg = AIPRegistry(graph)
         p1, p2, _ = self._parties()
-        reg.register_candidate("p_partkey", p1)
         # Interest via the equated attribute from a different party.
-        reg.register_interest("ps_partkey", p2)
+        reg, _ = _seeded(
+            graph, sources=[("p_partkey", p1)], interest=[("ps_partkey", p2)]
+        )
         surviving = reg.eliminate_unwanted_candidates()
         assert len(surviving) == 1
         assert reg.is_wanted("p_partkey")
@@ -106,12 +120,15 @@ class TestRegistry:
         assert all(v in merged for v in range(10, 20))
 
     def test_interest_refcounting(self, graph):
-        reg = AIPRegistry(graph)
         p1, p2, _ = self._parties()
-        reg.register_interest("p_partkey", p1)
-        reg.register_interest("ps_partkey", p2)
-        assert reg.interested_parties("p_partkey") == {p1, p2}
+        reg, index = _seeded(
+            graph, interest=[("p_partkey", p1), ("ps_partkey", p2)]
+        )
+        assert index.interested_in(graph, "p_partkey") == {p1, p2}
         assert reg.drop_interest(p1) == set()
+        # The registry drops from the index's own sets, so a finished
+        # party leaves the live-target walk too.
+        assert index.interested_in(graph, "ps_partkey") == {p2}
         emptied = reg.drop_interest(p2)
-        assert len(emptied) == 1
-        assert not reg.interested_parties("p_partkey")
+        assert emptied == {graph.eq.find("p_partkey")}
+        assert not index.interested_in(graph, "p_partkey")

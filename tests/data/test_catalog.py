@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import OptimizerError, SchemaError
+from repro.common.errors import SchemaError
 from repro.data.catalog import Catalog, TableStats
 from repro.data.schema import Schema, INT, STR
 from repro.data.table import Table
@@ -20,9 +20,8 @@ def build_catalog():
         Schema.of(("pid", INT), ("author", INT)),
         [(10, 1), (11, 1), (12, 3)],
     )
-    cat.add_table(users, primary_key=("uid",))
-    cat.add_table(posts, primary_key=("pid",))
-    cat.add_foreign_key("posts", "author", "users", "uid")
+    cat.add_table(users)
+    cat.add_table(posts)
     return cat
 
 
@@ -43,23 +42,6 @@ class TestCatalog:
         with pytest.raises(SchemaError):
             cat.add_table(dup)
 
-    def test_primary_key(self):
-        cat = build_catalog()
-        assert cat.primary_key("users") == ("uid",)
-        assert cat.is_unique_column("users", "uid")
-        assert not cat.is_unique_column("users", "name")
-
-    def test_foreign_keys(self):
-        cat = build_catalog()
-        fks = cat.foreign_keys_of("posts")
-        assert len(fks) == 1
-        assert fks[0].ref_table == "users"
-
-    def test_foreign_key_validates_columns(self):
-        cat = build_catalog()
-        with pytest.raises(SchemaError):
-            cat.add_foreign_key("posts", "zzz", "users", "uid")
-
     def test_table_names_sorted(self):
         assert build_catalog().table_names() == ["posts", "users"]
 
@@ -69,19 +51,14 @@ class TestTableStats:
         cat = build_catalog()
         stats = cat.stats("users")
         assert stats.row_count == 3
-        assert stats.distinct_count("uid") == 3
-        assert stats.distinct_count("name") == 2
+        assert stats.distinct["uid"] == 3
+        assert stats.distinct["name"] == 2
         assert stats.minima["uid"] == 1
         assert stats.maxima["uid"] == 3
-
-    def test_missing_column_raises(self):
-        stats = TableStats(5, {"a": 3})
-        with pytest.raises(OptimizerError):
-            stats.distinct_count("b")
 
     def test_empty_table_stats(self):
         t = Table("e", Schema.of(("x", INT)), [])
         stats = TableStats.from_table(t)
         assert stats.row_count == 0
-        assert stats.distinct_count("x") == 0
+        assert stats.distinct["x"] == 0
         assert "x" not in stats.minima

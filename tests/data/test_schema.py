@@ -50,10 +50,6 @@ class TestSchema:
         assert "b" in self.schema
         assert "zzz" not in self.schema
 
-    def test_maybe_index_of(self):
-        assert self.schema.maybe_index_of("b") == 1
-        assert self.schema.maybe_index_of("zzz") is None
-
     def test_concat(self):
         other = Schema.of(("d", INT))
         joined = self.schema.concat(other)

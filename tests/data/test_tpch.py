@@ -102,12 +102,6 @@ class TestGeneration:
         receipts = li.column("l_receiptdate")
         assert all(r > s for s, r in zip(ships, receipts))
 
-    def test_foreign_keys_registered(self, catalog):
-        fk_pairs = {(fk.table, fk.column) for fk in catalog.foreign_keys()}
-        assert ("lineitem", "l_partkey") in fk_pairs
-        assert ("partsupp", "ps_suppkey") in fk_pairs
-        assert ("orders", "o_custkey") in fk_pairs
-
 
 class TestSkew:
     def test_skew_concentrates_lineitem_parts(self):

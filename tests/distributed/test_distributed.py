@@ -36,16 +36,11 @@ class TestNetworkModel:
         net = NetworkModel()
         net.set_link("s1", bandwidth=10 * MBPS, latency=0.01)
         assert net.link_to("s1").bandwidth == 10 * MBPS
-        assert net.transfer_time("s1", 10 * MBPS) == pytest.approx(1.01)
+        assert net.link_to("s1").latency == 0.01
 
     def test_default_link(self):
         net = NetworkModel(default_bandwidth=100 * MBPS)
         assert net.link_to("unknown").bandwidth == 100 * MBPS
-
-    def test_estimate_bandwidth_is_pessimistic(self):
-        net = NetworkModel()
-        # Paper: estimates assume 10 Mbps even on a 100 Mb wire.
-        assert net.estimated_ship_cost(10 * MBPS) == pytest.approx(1.0)
 
     def test_invalid_link_rejected(self):
         with pytest.raises(NetworkError):

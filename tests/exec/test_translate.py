@@ -27,7 +27,7 @@ class TestTranslate:
         )
         physical = translate(plan, ExecutionContext(catalog))
         for node in plan.walk():
-            op = physical.operator_for(node.node_id)
+            op = physical.by_node_id[node.node_id]
             assert op.op_id == node.node_id
             assert op.logical is node
 
@@ -75,12 +75,6 @@ class TestTranslate:
         plan = scan(catalog, "partsupp").build()
         physical = translate(plan, ExecutionContext(catalog))
         assert physical.scans[0].arrival.bandwidth is None
-
-    def test_operator_for_unknown_raises(self, catalog):
-        plan = scan(catalog, "part").build()
-        physical = translate(plan, ExecutionContext(catalog))
-        with pytest.raises(PlanError):
-            physical.operator_for(10**9)
 
 
 class TestContext:

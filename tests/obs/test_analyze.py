@@ -56,10 +56,7 @@ class TestExplainAnalyze:
         assert 0 < attributed <= metrics.clock_ticks
         # Stateful operators (joins, group-bys) report a peak.
         assert any(v > 0 for v in metrics.op_state_peaks.values())
-        by_label = report.by_label()
-        assert any(
-            row.peak_state_bytes > 0 for row in by_label.values()
-        )
+        assert any(row.peak_state_bytes > 0 for row in report.rows)
 
     def test_magic_plan_renders_shared_nodes(self):
         report = _analyze("Q1A", strategy="magic")

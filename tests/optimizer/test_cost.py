@@ -87,7 +87,6 @@ class TestCalibration:
 
     def test_helper_pieces(self, catalog, coster):
         assert coster.join_local_cost(100, 100, 10) > 0
-        assert coster.filter_probe_cost(1000) > 0
         assert coster.aip_build_cost(500) > 0
         plan = scan(catalog, "part").build()
         assert coster.state_bytes(plan) > 0

@@ -157,14 +157,6 @@ class TestObservations:
         estimator.observe(plan.node_id, big, complete=False)
         assert estimator.estimate(plan).rows >= big
 
-    def test_clear_observations(self, catalog, estimator):
-        plan = scan(catalog, "part").build()
-        base = estimator.estimate(plan).rows
-        estimator.observe(plan.node_id, 1, complete=True)
-        assert estimator.estimate(plan).rows == 1
-        estimator.clear_observations()
-        assert estimator.estimate(plan).rows == base
-
     def test_observation_propagates_upward(self, catalog, estimator):
         child = scan(catalog, "part").filter(col("p_size").eq(1))
         plan = child.join(

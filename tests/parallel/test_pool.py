@@ -6,6 +6,12 @@ Each test class shares one pool — spawning processes dominates test
 wall-clock, so fixtures are module-scoped where possible.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ExecutionError
@@ -102,3 +108,29 @@ def test_pool_counters_and_busy_fractions(pool):
     for index in range(2):
         key = "pool.worker.%d.busy_fraction" % index
         assert 0.0 <= snapshot[key]["value"] <= 1.0
+
+
+def test_worker_dying_in_startup_fails_the_pool(tmp_path):
+    """A script without a ``__main__`` guard re-runs itself in
+    each spawned worker, which dies.  With an object catalog's warm
+    init (about 0.5 MB at this scale, far over a pipe buffer) in the
+    ``Process`` args, the parent blocked for good in ``start()`` while
+    writing them to a child that was gone; the payload now travels on
+    a queue, so the dead-worker check runs and the script fails."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""
+        from repro.data.tpch import cached_tpch
+        from repro.service import QueryService
+
+        service = QueryService(cached_tpch(scale_factor=%r), parallel=2)
+        service.submit("Q1A")
+        service.run()
+    """ % SCALE))
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "died during warm init" in proc.stderr

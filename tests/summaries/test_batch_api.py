@@ -9,7 +9,6 @@ from repro.summaries.base import Summary
 from repro.summaries.bloom import BloomFilter
 from repro.summaries.bounds import BoundSummary, MinMaxSummary
 from repro.summaries.hashset import HashSetSummary
-from repro.summaries.histogram import HistogramSummary
 
 
 VALUES = list(range(0, 120, 2)) + ["FRANCE", "GERMANY", ("pair", 3)]
@@ -69,21 +68,6 @@ class TestHashSetDiscardedBuckets:
             ok for v, ok in zip(probes, batch.might_contain_many(probes))
             if batch._bucket_of(v) in (0, 3)
         )
-
-
-class TestHistogramBatch:
-    def test_add_many_counts(self):
-        batch = HistogramSummary(0, 100, n_buckets=10)
-        loop = HistogramSummary(0, 100, n_buckets=10)
-        values = [0, 5.5, 33, 99.9, 100, -4, 250]  # incl. clamped edges
-        batch.add_many(values)
-        for v in values:
-            loop.add(v)
-        assert batch._counts == loop._counts
-        assert batch.n_added == loop.n_added
-        probes = [-10, 0, 17, 33.2, 99, 101, 400]
-        assert batch.might_contain_many(probes) == \
-            [loop.might_contain(p) for p in probes]
 
 
 class TestBoundsBatch:
