@@ -15,10 +15,9 @@ evaluation section.
 On top of the engine sits a multi-query service layer
 (:mod:`repro.service`): a :class:`~repro.service.QueryService` runs a
 *stream* of queries on one virtual clock with admission control,
-pluggable schedulers, a result cache, and a cross-query AIP-set cache
-that re-injects completed AIP sets into later queries — inter-query
-sideways information passing.  See ``examples/query_service.py`` for a
-runnable mixed Q1/Q17 stream demonstrating cross-query reuse.
+pluggable schedulers and a result cache.  See
+``examples/query_service.py`` for a runnable mixed Q1/Q17 stream
+replayed with the result cache off and on.
 
 Beneath the engine sits a paged storage layer (:mod:`repro.storage`):
 a buffer manager streams base tables as evictable row-slice pages, and a
@@ -80,7 +79,7 @@ from repro.optimizer.explain import explain
 from repro.optimizer.planner import ConjunctiveQuery, plan_query
 from repro.sql import parse as parse_sql, sql_to_plan
 from repro.service import (
-    AdmissionController, AIPSetCache, QueryResult, QueryService,
+    AdmissionController, QueryResult, QueryService,
     ResultCache, ServiceConfig, ServiceReport, TenantQuota, WorkloadItem,
     parse_workload, plan_signature,
 )
@@ -104,7 +103,7 @@ __all__ = [
     "explain", "ConjunctiveQuery", "plan_query",
     "parse_sql", "sql_to_plan",
     "QueryService", "ServiceReport", "AdmissionController",
-    "AIPSetCache", "ResultCache", "WorkloadItem", "parse_workload",
+    "ResultCache", "WorkloadItem", "parse_workload",
     "plan_signature",
     "QueryResult", "ServiceConfig", "TenantQuota",
     "Client", "InProcessClient", "connect",

@@ -251,7 +251,6 @@ def _make_service(args, skew: float = 0.0, tracer=None):
         scheduler=args.scheduler,
         memory_budget_bytes=budget,
         max_concurrent=args.max_concurrent,
-        aip_cache=not args.no_aip_cache,
         result_cache=not args.no_result_cache,
         memory_budget=args.memory_budget,
         tracer=tracer,
@@ -633,14 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-concurrent", type=int, default=4,
                        help="max queries per concurrent batch")
         p.add_argument("--no-aip-cache", action="store_true",
-                       help="disable the cross-query AIP-set cache")
+                       help="accepted and ignored: AIP sets never "
+                            "outlive their query")
         p.add_argument("--no-result-cache", action="store_true",
                        help="disable the result cache")
         p.add_argument("--parallel", type=int, default=None, metavar="N",
-                       help="run each admitted batch on N real worker "
-                            "processes (wall-clock concurrency; "
-                            "disables the cross-query AIP cache's "
-                            "in-batch injection)")
+                       help="run each admitted query on one of N real "
+                            "worker processes (wall-clock concurrency)")
         p.add_argument("--slo", type=float, default=None, metavar="SECONDS",
                        dest="slo_seconds",
                        help="latency objective in virtual seconds: shed "

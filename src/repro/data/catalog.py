@@ -58,13 +58,11 @@ class Catalog:
 
     # -- registration -------------------------------------------------
 
-    def add_table(
-        self, table: Table, stats: Optional[TableStats] = None
-    ) -> None:
+    def add_table(self, table: Table) -> None:
         if table.name in self._tables:
             raise SchemaError("table %r already registered" % table.name)
         self._tables[table.name] = table
-        self._stats[table.name] = stats or TableStats.from_table(table)
+        self._stats[table.name] = TableStats.from_table(table)
 
     # -- lookup -------------------------------------------------------
 

@@ -138,10 +138,6 @@ class Schema:
             a.renamed(mapping.get(a.name, a.name)) for a in self.attributes
         )
 
-    def prefixed(self, prefix: str) -> "Schema":
-        """Rename every attribute to ``prefix + name`` (for table aliases)."""
-        return Schema(a.renamed(prefix + a.name) for a in self.attributes)
-
     def __repr__(self) -> str:
         return "Schema(%s)" % ", ".join(
             "%s:%s" % (a.name, a.type) for a in self.attributes

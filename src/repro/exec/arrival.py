@@ -104,7 +104,6 @@ class ArrivalModel:
         self._link_time = initial_delay
         self.filters: List[SourceFilter] = []
         self.rows_transferred = 0
-        self.rows_filtered_at_source = 0
 
     @classmethod
     def immediate(cls) -> "ArrivalModel":
@@ -195,7 +194,6 @@ class ArrivalModel:
             self._emitted += 1
             self._link_time += self.per_tuple + self.source_read
             if not self._passes_active_filters(row):
-                self.rows_filtered_at_source += 1
                 continue
             if self.bandwidth is not None:
                 self._link_time += (self.row_bytes * self.fanout) / self.bandwidth

@@ -96,9 +96,9 @@ class ExecutionContext:
         #: staleness and transfer accounting.  None for local runs.
         self.network = None
         #: Observers of AIP set publication, ``fn(op, port, aip_set)``.
-        #: The service layer's cross-query AIP cache subscribes here to
-        #: harvest completed sets for reuse in later queries; strategies
-        #: fire it whenever they publish or build a completed set.
+        #: The service's batch executor subscribes here to record each
+        #: published summary's fill fraction; strategies fire it
+        #: whenever they publish or build a completed set.
         self.aip_publish_hooks = []
 
     def release(self) -> None:

@@ -83,8 +83,9 @@ def run_concurrent(
     completes — queries finish at different points on the shared clock,
     and the service layer reports per-query latency from these times.
     ``on_plan_translated(index, physical)`` fires after each plan is
-    translated but before execution; the cross-query AIP cache uses it
-    to inject remembered filters into the fresh operators.
+    translated but before execution; the service's batch executor
+    collects the physical plans through it, for their per-operator
+    profile rows.
     """
     if strategies is None:
         strategies = [None] * len(plans)

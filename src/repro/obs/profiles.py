@@ -108,14 +108,12 @@ class QueryProfile:
     __slots__ = (
         "seq", "label", "status", "tenant", "strategy", "signature",
         "batch", "arrival", "start", "finish", "rows", "reason",
-        "state_estimate", "aip_filters_injected", "aip_tuples_pruned",
-        "metrics", "operators",
+        "state_estimate", "metrics", "operators",
     )
 
     def __init__(self, seq, label, status, tenant, strategy, signature,
                  batch, arrival, start, finish, rows, reason=None,
-                 state_estimate=0.0, aip_filters_injected=0,
-                 aip_tuples_pruned=0, metrics=None, operators=None):
+                 state_estimate=0.0, metrics=None, operators=None):
         self.seq = seq
         self.label = label
         self.status = status
@@ -133,8 +131,6 @@ class QueryProfile:
         #: Admission's estimate in bytes, or None for a query dispatch
         #: never had to cost (a result-cache hit).
         self.state_estimate = state_estimate
-        self.aip_filters_injected = aip_filters_injected
-        self.aip_tuples_pruned = aip_tuples_pruned
         #: Flat engine-counter summary (same shape as the public
         #: result's ``metrics``); empty for sheds.
         self.metrics: Dict = metrics or {}
@@ -167,8 +163,6 @@ class QueryProfile:
             query.arrival, query.start, query.finish, query.rows,
             reason=query.reason,
             state_estimate=query.known_state_estimate,
-            aip_filters_injected=query.aip_filters_injected,
-            aip_tuples_pruned=query.aip_tuples_pruned,
             metrics=query.metrics,
             operators=operators,
         )
@@ -192,8 +186,6 @@ class QueryProfile:
             "rows": self.rows,
             "reason": self.reason,
             "state_estimate_bytes": self.state_estimate,
-            "aip_filters_injected": self.aip_filters_injected,
-            "aip_tuples_pruned": self.aip_tuples_pruned,
             "metrics": dict(self.metrics),
             "operators": [dict(row) for row in self.operators],
         }

@@ -30,7 +30,6 @@ name                      ph    recorded at
 ``admission.<decision>``  i     admit / queue / shed
 ``sched.pick``            i     a scheduler ordering one ready set
 ``cache.result.<h/m>``    i     result-cache hit / first miss
-``cache.aip.<hit/miss>``  i     AIP-cache probe per stateful input
 ``governor.lease``        i     a component opening a byte account
 ``governor.evict``        i     buffer-pool eviction pass (freed bytes)
 ``governor.spill``        i     spill I/O charged (bytes, page moves)

@@ -12,17 +12,15 @@ one catalog on the shared virtual clock, with
   (queries past the budget queue; queries that could never fit shed);
 * **pluggable schedulers** (FIFO, shortest-cost-first) choosing which
   queued queries form the next concurrent batch;
-* a **cross-query AIP-set cache** — inter-query sideways information
-  passing: completed AIP sets published by one query are fingerprinted
-  by the subexpression that produced them and re-injected, from time
-  zero, into later queries containing the same subexpression;
 * a **result cache** keyed by plan fingerprint.
+
+Sideways information passing stays within one query, as in the paper:
+every batch runs on a fresh context, inline or on a worker pool alike.
 """
 
 from repro.service.admission import (
     AdmissionController, estimate_query_state_bytes,
 )
-from repro.service.aip_cache import AIPSetCache
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.service.fingerprint import plan_signature
 from repro.service.result import (
@@ -41,7 +39,7 @@ from repro.service.workload import WorkloadItem, parse_workload
 
 __all__ = [
     "AdmissionController", "estimate_query_state_bytes",
-    "AIPSetCache", "ResultCache",
+    "ResultCache",
     "ServiceConfig", "TenantQuota",
     "QueryResult", "result_from_outcome", "results_from_report",
     "plan_signature",

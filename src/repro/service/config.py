@@ -62,6 +62,7 @@ class ServiceConfig:
     #: Admission controller's intermediate-state *estimate* budget.
     memory_budget_bytes: Optional[float] = None
     max_concurrent: int = 4
+    #: Accepted and ignored: AIP sets live and die with their query.
     aip_cache: bool = True
     result_cache: bool = True
     strategy_kwargs: Optional[dict] = None

@@ -21,7 +21,7 @@ from repro.distributed.coordinator import (
 from repro.exec.context import ExecutionContext
 from repro.exec.engine import QueryResult
 from repro.harness.concurrent import run_concurrent
-from repro.harness.strategies import BASELINE, MAGIC, make_strategy
+from repro.harness.strategies import make_strategy
 from repro.obs.profiles import plan_rows
 from repro.optimizer.estimator import CardinalityEstimator
 from repro.plan.logical import LogicalNode
@@ -39,10 +39,6 @@ class QueryRun:
     finish: float = 0.0
     #: The executed plan's :func:`~repro.obs.profiles.plan_rows`.
     operators: List[Dict] = field(default_factory=list)
-    #: Filters re-injected from the cross-query AIP cache, and the
-    #: tuples they pruned in this query.
-    filters_injected: int = 0
-    tuples_pruned: int = 0
 
 
 @dataclass
@@ -97,15 +93,12 @@ def execute_batch(
     network=None,
     governor=None,
     tracer=None,
-    aip_cache=None,
 ) -> BatchRun:
     """Run ``queries`` — ``(plan, strategy_name)`` pairs — concurrently
     on one fresh context: one clock, one aggregate metric store.
 
     ``network`` paces remote scans on its links (no predicate pushdown,
-    matching `repro run`).  ``aip_cache`` harvests published sets and
-    re-injects remembered ones; it holds live summaries, so only an
-    in-process caller can pass it.  Engine errors propagate.
+    matching `repro run`).  Engine errors propagate.
     """
     ctx = ExecutionContext(
         catalog, short_circuit=short_circuit, governor=governor,
@@ -115,8 +108,6 @@ def execute_batch(
     if network is not None:
         attach_network(ctx, network)
         resolver = remote_arrival_resolver(network)
-    if aip_cache is not None:
-        ctx.aip_publish_hooks.append(aip_cache.recorder(ctx))
     fills: List[Optional[float]] = []
 
     def observe_publish(op, port, aip_set):
@@ -129,29 +120,13 @@ def execute_batch(
         make_strategy(name, **(strategy_kwargs or {})) for _, name in queries
     ]
     physicals: Dict[int, object] = {}
-    injected: Dict[int, List] = {}
     finish_times: Dict[int, float] = {}
-
-    def on_translated(index, physical):
-        physicals[index] = physical
-        # Baseline/magic queries are the paper's no-AIP comparison
-        # points; leave them untouched (mirroring dispatch's twin-hold
-        # exclusion) so service-level strategy comparisons stay
-        # honest.  Cached-set consumers are the AIP strategies.
-        if aip_cache is None or queries[index][1] in (BASELINE, MAGIC):
-            return
-        strategy = strategies[index]
-        injected[index] = aip_cache.inject(
-            physical, ctx, strategy.graph, strategy.index,
-            strategy.inject_at_scans,
-        )
-
     results = run_concurrent(
         [plan for plan, _ in queries], ctx,
         strategies=strategies,
         arrival_resolver=resolver,
         on_plan_finished=lambda i, t: finish_times.setdefault(i, t),
-        on_plan_translated=on_translated,
+        on_plan_translated=physicals.__setitem__,
     )
 
     metrics = ctx.metrics
@@ -169,13 +144,10 @@ def execute_batch(
     )
     for index, result in enumerate(results):
         physical = physicals[index]
-        filters = injected.get(index, ())
         run.queries.append(QueryRun(
             result,
             finish=finish_times.get(index, metrics.clock),
             operators=plan_rows(physical, metrics, estimator),
-            filters_injected=len(filters),
-            tuples_pruned=sum(f.pruned for f in filters),
         ))
         for scan in physical.scans:
             counters = metrics.operators.get(scan.op_id)
@@ -194,8 +166,8 @@ def execute_batch(
 
 class InlineBackend:
     """Runs each batch in this process: one engine interleaves the
-    batch's queries on one shared clock, under the service's governor,
-    tracer and cross-query AIP cache (``options``)."""
+    batch's queries on one shared clock, under the service's governor
+    and tracer (``options``)."""
 
     #: Engine slots the SLO projection spreads a forming batch over.
     slots = 1
@@ -220,10 +192,6 @@ class PoolBackend:
     process — real wall-clock concurrency; :meth:`BatchRun.merged` is
     the virtual accounting.  A query whose plan cannot pickle, or whose
     worker dies or raises, becomes an error entry and fails alone.
-
-    Trade-off (DESIGN.md section 11): the cross-query AIP cache holds
-    live summaries consulted mid-translation, so it stays inline-only —
-    pool batches neither harvest nor inject.
 
     ``pool`` is an already-warm :class:`~repro.parallel.pool
     .WorkerPool` to borrow (its owner closes it); otherwise one is

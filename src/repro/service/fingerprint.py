@@ -6,8 +6,7 @@ a stream.  This module renders a plan (or subplan) into a canonical
 signature string — table names, renames, predicate text, join keys,
 aggregate specs, but never node ids — so two independently built plans
 with the same semantics produce the same signature.  The result cache
-keys whole plans by it; the cross-query AIP cache keys the
-*subexpression feeding one stateful-operator input* by it.
+keys whole plans by it.
 
 Signatures are exact-match: two queries only share a fingerprint when
 they were built the same way (same tables, aliases, predicates).  That
@@ -26,11 +25,8 @@ from repro.plan.logical import (
 def plan_signature(node: LogicalNode) -> str:
     """Canonical, node-id-free rendering of the subtree at ``node``.
 
-    Memoised per node object: the service computes the same root
-    signature for admission, the result-cache probe and the result-cache
-    store, and the AIP cache re-renders child subtrees per stateful
-    input, so a single submission used to recompute overlapping subtree
-    signatures several times over.  Nodes are immutable after planning
+    Memoised per node object, so a plan signed twice renders once.
+    Nodes are immutable after planning
     with one exception — :func:`repro.distributed.coordinator.
     mark_remote_scans` restamps scan sites — so that mutation point
     calls :func:`invalidate_signatures` on the plan.
@@ -91,26 +87,3 @@ def _render_signature(node: LogicalNode) -> str:
     if isinstance(node, Distinct):
         return "distinct[%s]" % plan_signature(node.child)
     raise PlanError("cannot fingerprint node %r" % node)
-
-
-def party_state_signature(logical: LogicalNode, port: int, attr: str) -> str:
-    """Signature identifying the *state* a stateful operator buffers for
-    one input, from which an AIP set over ``attr`` is built.
-
-    For an attribute flowing through from the input, the buffered
-    values of ``attr`` are exactly the input subexpression's output
-    values, so the key is the child subtree's signature.  For a
-    computed attribute (a group-by aggregate output, only known at
-    completion), the values depend on the aggregation itself, so the
-    key is the operator's own signature — decided by *being* an
-    aggregate output, not by absence from the child schema: an
-    aggregate aliased to a child column name (``sum(x) as x``) must
-    never be keyed as the raw column's values.
-    """
-    computed = set()
-    if isinstance(logical, GroupBy):
-        computed = {spec.output_name for spec in logical.aggregates}
-    child = logical.children[port]
-    if attr not in computed and attr in child.schema:
-        return "%s::%s" % (plan_signature(child), attr)
-    return "%s::%s" % (plan_signature(logical), attr)

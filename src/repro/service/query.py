@@ -35,7 +35,7 @@ class Query:
         "seq", "label", "tenant", "strategy", "plan", "signature",
         "arrival", "_estimate", "estimates", "miss_counted",
         "status", "reason", "start", "finish", "batch", "result",
-        "metrics", "aip_filters_injected", "aip_tuples_pruned",
+        "metrics",
     )
 
     def __init__(self, seq: int, label: str, plan, signature: str,
@@ -78,10 +78,6 @@ class Query:
         #: Flat engine-counter summary, taken once when settled; the
         #: profile and the public result both read this one.
         self.metrics: Dict = {}
-        #: Filters re-injected from the cross-query AIP cache, and the
-        #: tuples they pruned in this query.
-        self.aip_filters_injected = 0
-        self.aip_tuples_pruned = 0
 
     def settle(self, status: str, start: float, finish: float, result=None,
                batch: int = -1, reason: Optional[str] = None) -> None:

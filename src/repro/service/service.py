@@ -8,9 +8,8 @@ batches with a pluggable scheduler, packs each batch under the
 admission controller's intermediate-state budget, and hands it to an
 execution backend (:mod:`repro.service.executor`): inline, every batch
 shares one clock and one aggregate metric store; on a worker pool,
-each query gets a process.  Two caches persist across queries: the
-cross-query AIP-set cache (inter-query sideways information passing)
-and a result cache keyed by plan fingerprint.
+each query gets a process.  One cache persists across queries: a
+result cache keyed by plan fingerprint.
 
 One query lifecycle, one owner per stage: plan (:meth:`QueryService
 .submit`) -> admit/schedule (``_dispatch``) -> execute (``_run_batch``
@@ -42,7 +41,6 @@ from repro.plan.logical import LogicalNode
 from repro.service.admission import (
     ADMIT, SHED, AdmissionController, estimate_query_state_bytes,
 )
-from repro.service.aip_cache import AIPSetCache
 from repro.service.config import TenantQuota, coerce_config
 from repro.service.executor import BatchRun, InlineBackend, PoolBackend
 from repro.service.fingerprint import plan_signature
@@ -120,7 +118,6 @@ class ServiceReport:
 
     def __init__(self, service: "QueryService", outcomes: List[Query],
                  elapsed: float, peak: int,
-                 aip_cache_stats: Optional[Dict],
                  result_cache_stats: Optional[Dict],
                  engine: Optional[Dict] = None,
                  storage: Optional[Dict] = None):
@@ -129,8 +126,7 @@ class ServiceReport:
         self.outcomes = outcomes
         self.total_virtual_seconds = elapsed
         self.peak_state_bytes = peak
-        #: None when the corresponding cache is disabled.
-        self.aip_cache_stats = aip_cache_stats
+        #: None when the result cache is disabled.
         self.result_cache_stats = result_cache_stats
         self.admission = service.admission
         #: Engine counters summed across this run's batches (pruning,
@@ -203,11 +199,6 @@ class ServiceReport:
             "latency_p99": self.latency_percentile(99),
             "peak_state_mb": self.peak_state_bytes / 1e6,
             "result_cache_hit_rate": self._hit_rate(self.result_cache_stats),
-            "aip_cache_hit_rate": self._hit_rate(self.aip_cache_stats),
-            "aip_cache_mb": (
-                self.aip_cache_stats["bytes"] / 1e6
-                if self.aip_cache_stats else 0.0
-            ),
             "tuples_pruned": self.engine.get("tuples_pruned", 0),
             "aip_sets_created": self.engine.get("aip_sets_created", 0),
             "aip_bytes_shipped": self.engine.get("aip_bytes_shipped", 0),
@@ -222,14 +213,14 @@ class ServiceReport:
 
     def render(self) -> str:
         """Human-readable per-query table plus the aggregate summary."""
-        lines = ["%-4s %-10s %-7s %8s %10s %10s %10s %7s" % (
+        lines = ["%-4s %-10s %-7s %8s %10s %10s %10s" % (
             "#", "query", "status", "rows", "wait (vs)", "latency",
-            "finish", "xq-cut",
+            "finish",
         )]
         for o in self.outcomes:
-            lines.append("%-4d %-10s %-7s %8d %10.4f %10.4f %10.4f %7d" % (
+            lines.append("%-4d %-10s %-7s %8d %10.4f %10.4f %10.4f" % (
                 o.seq, o.label[:10], o.status, o.rows, o.queue_wait,
-                o.latency, o.finish, o.aip_tuples_pruned,
+                o.latency, o.finish,
             ))
         s = self.summary()
         lines.append(
@@ -286,16 +277,6 @@ class ServiceReport:
                     self.result_cache_stats["hits"]
                     + self.result_cache_stats["misses"],
                     self.result_cache_stats["seconds_saved"],
-                )
-            )
-        if self.aip_cache_stats is not None:
-            lines.append(
-                "-- AIP cache: %d sets (%.3f MB), %.0f%% hit rate, "
-                "%d filters re-injected" % (
-                    self.aip_cache_stats["entries"],
-                    self.aip_cache_stats["bytes"] / 1e6,
-                    100 * self._hit_rate(self.aip_cache_stats),
-                    self.aip_cache_stats["filters_injected"],
                 )
             )
         return "\n".join(lines)
@@ -374,7 +355,6 @@ class QueryService:
         self.admission = AdmissionController(
             config.memory_budget_bytes, config.max_concurrent
         )
-        self.aip_cache = AIPSetCache() if config.aip_cache else None
         self.result_cache = ResultCache() if config.result_cache else None
         self.strategy_kwargs = dict(config.strategy_kwargs or {})
         self.short_circuit = config.short_circuit
@@ -396,7 +376,6 @@ class QueryService:
         else:
             self._backend = InlineBackend(catalog, dict(
                 engine_options, governor=self.governor, tracer=tracer,
-                aip_cache=self.aip_cache,
             ))
         #: Engine cost constants behind submit-time estimates and the
         #: clock charge for a result-cache hit.
@@ -513,13 +492,10 @@ class QueryService:
         return self.run()
 
     def _lifetime_stats(self):
-        """AIP-cache, result-cache and governor stats so far (None for
-        a component this service runs without)."""
-        aip, results, governor = (
-            self.aip_cache, self.result_cache, self.governor,
-        )
+        """Result-cache and governor stats so far (None for a
+        component this service runs without)."""
+        results, governor = self.result_cache, self.governor
         return (
-            aip.stats() if aip is not None else None,
             results.stats() if results is not None else None,
             governor.snapshot() if governor is not None else None,
         )
@@ -532,18 +508,17 @@ class QueryService:
         started = self.clock
         self._run_peak = 0
         self._run_engine = dict.fromkeys(_ENGINE_TOTAL_KEYS, 0)
-        aip_before, result_before, storage_before = self._lifetime_stats()
+        result_before, storage_before = self._lifetime_stats()
         while self._pending:
             ready = [p for p in self._pending if p.arrival <= self.clock]
             if not ready:
                 self.clock = min(p.arrival for p in self._pending)
                 continue
             self._dispatch(self.scheduler.order(ready))
-        aip, result, storage = self._lifetime_stats()
+        result, storage = self._lifetime_stats()
         return ServiceReport(
             self, queries,
             elapsed=self.clock - started, peak=self._run_peak,
-            aip_cache_stats=_run_delta(aip_before, aip, ("entries", "bytes")),
             result_cache_stats=_run_delta(
                 result_before, result, ("entries", "bytes")
             ),
@@ -607,8 +582,6 @@ class QueryService:
 
     def _dispatch(self, ordered: List[Query]) -> None:
         """Resolve cache hits and sheds, pack one batch, and run it."""
-        from repro.harness.strategies import BASELINE, MAGIC
-
         ordered = _fair_interleave(ordered)
         self._trace(
             "sched.pick", ready=len(ordered), pending=len(self._pending),
@@ -622,26 +595,18 @@ class QueryService:
         #: (batch-sequential service: nothing else is in flight).
         tenant_packed: Dict[Optional[str], int] = {}
         tenant_bytes: Dict[Optional[str], float] = {}
-        #: signature -> strategy name of the twin already in the batch.
-        batch_signatures: Dict[str, str] = {}
+        #: Signatures of the queries already in the forming batch.
+        batch_signatures: set = set()
         consumed: set = set()
         for entry in ordered:
-            twin_strategy = batch_signatures.get(entry.signature)
-            if twin_strategy is not None and (
-                self.result_cache is not None
-                or (self.aip_cache is not None
-                    and twin_strategy not in (BASELINE, MAGIC)
-                    and entry.strategy not in (BASELINE, MAGIC))
-            ):
-                # A twin of this query is already in the forming batch
-                # and will leave something to reap — a cached result, or
-                # (if its strategy publishes AIP sets) cross-query
-                # filters.  Hold this one back one batch rather than
-                # redundantly recomputing alongside it.  A twin that
-                # leaves nothing behind (baseline/magic with no result
-                # cache) packs concurrently as usual.
-                continue
             if self.result_cache is not None:
+                if entry.signature in batch_signatures:
+                    # A twin of this query is already in the forming
+                    # batch and will leave its result cached: hold
+                    # this one back one batch rather than recompute it
+                    # alongside.  Without the result cache twins leave
+                    # nothing behind, so they pack concurrently.
+                    continue
                 cached = self.result_cache.lookup(
                     entry.signature, count_miss=not entry.miss_counted
                 )
@@ -733,7 +698,7 @@ class QueryService:
             tenant_bytes[entry.tenant] = (
                 tenant_bytes.get(entry.tenant, 0.0) + entry.state_estimate
             )
-            batch_signatures.setdefault(entry.signature, entry.strategy)
+            batch_signatures.add(entry.signature)
         if consumed:
             # One filter pass instead of per-entry list.remove scans.
             self._pending = [
@@ -927,8 +892,6 @@ class QueryService:
                         entry.signature, ran.result.rows,
                         ran.result.schema, ran.finish,
                     )
-                entry.aip_filters_injected = ran.filters_injected
-                entry.aip_tuples_pruned = ran.tuples_pruned
                 self.registry.counter("queries.completed").inc()
                 self._observe_latency(entry)
                 self.registry.histogram("query.queue_wait_s").observe(

@@ -9,17 +9,18 @@ through a :class:`Lease`, and the governor keeps the aggregate.
 The lease protocol:
 
 * ``lease = governor.lease(label)`` — open an account;
-* ``lease.grow(nbytes, ctx)`` — admit bytes.  If the grow would push
-  the aggregate past the budget the governor first **reclaims**: it
-  evicts unpinned buffer-pool pages (cheapest — clean table pages are
-  dropped, and sliced again from the table when next read), then asks
-  the registered spill handlers — each stateful operator's partition
-  ledger and each spool's tail page, most spillable first — to move
-  state to disk.  The grow itself always succeeds: correctness never
-  depends on memory, only residency does.  ``ctx`` is the execution
-  context whose virtual clock pays for any spill I/O the reclaim
-  performs;
-* ``lease.shrink(nbytes)`` / ``lease.close()`` — return bytes.
+* ``governor.request(lease, nbytes, ctx)`` — admit bytes.  If the
+  request would push the aggregate past the budget the governor first
+  **reclaims**: it evicts unpinned buffer-pool pages (cheapest — clean
+  table pages are dropped, and sliced again from the table when next
+  read), then asks the registered spill handlers — each stateful
+  operator's partition ledger and each spool's tail page, most
+  spillable first — to move state to disk.  The request itself always
+  succeeds: correctness never depends on memory, only residency does.
+  ``ctx`` is the execution context whose virtual clock pays for any
+  spill I/O the reclaim performs;
+* ``governor.release(lease, nbytes)`` / ``lease.close()`` — return
+  bytes.
 
 ``budget=None`` builds an accounting-only governor (used to *measure*
 peak residency); queries run entirely without a governor when no
@@ -54,12 +55,6 @@ class Lease:
         #: rolls a failed batch's epoch back wholesale.
         self.epoch = epoch
         self.closed = False
-
-    def grow(self, nbytes: int, ctx=None) -> None:
-        self.governor.request(self, nbytes, ctx)
-
-    def shrink(self, nbytes: int) -> None:
-        self.governor.release(self, nbytes)
 
     def close(self) -> None:
         """Return every remaining byte and retire the lease."""

@@ -72,10 +72,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             self.schema.renamed({"zzz": "y"})
 
-    def test_prefixed(self):
-        prefixed = self.schema.prefixed("t_")
-        assert prefixed.names == ["t_a", "t_b", "t_c"]
-
     def test_row_byte_size_positive_and_monotone(self):
         small = Schema.of(("a", INT))
         assert small.row_byte_size() > 0

@@ -77,7 +77,7 @@ class TestRemote:
         model.install_filter(0, keep, activation_time=0.0)
         events = drain(model, ROWS[:100])
         assert len(events) == 50
-        assert model.rows_filtered_at_source == 50
+        assert model.rows_transferred == 50
         # Only transferred rows consume link time.
         assert events[-1][1] == pytest.approx(50 * 0.1)
 

@@ -17,7 +17,6 @@ from repro.data.tpch import cached_tpch
 from repro.exec.operators.hashjoin import PHashJoin
 from repro.harness.runner import run_workload_query
 from repro.harness.strategies import MAGIC
-from repro.service.aip_cache import AIPSetCache
 from repro.service.executor import execute_batch
 from repro.storage.governor import MemoryGovernor
 from repro.workloads.registry import get_query
@@ -83,17 +82,6 @@ def test_governed_plan_is_freed_without_the_collector(
     finally:
         governor.close()
     assert joins and all(ref() is None for ref in joins)
-
-
-def test_aip_cache_hooks_do_not_pin_the_plan(catalog, joins, collector_off):
-    # The cache's publish hook closes over the context; a second run
-    # re-injects the sets the first one harvested.
-    cache = AIPSetCache()
-    for _ in range(2):
-        execute_batch(
-            catalog, _plans(catalog, "Q2A", "feedforward"), aip_cache=cache,
-        )
-    assert len(joins) > 1 and all(ref() is None for ref in joins)
 
 
 @pytest.mark.parametrize("qid, strategy, kwargs", [

@@ -6,7 +6,7 @@ from repro.data.tpch import cached_tpch
 from repro.expr.expressions import col
 from repro.plan.builder import scan
 from repro.service.fingerprint import (
-    invalidate_signatures, party_state_signature, plan_signature,
+    invalidate_signatures, plan_signature,
 )
 from repro.workloads.registry import get_query
 
@@ -87,55 +87,3 @@ class TestSignatureMemo:
         placement = Placement([Site("remote-1", tables=("lineitem",))])
         mark_remote_scans(plan, placement)
         assert plan_signature(plan) != before
-
-
-class TestPartyStateSignature:
-    def test_flowthrough_attr_keys_on_child(self, catalog):
-        plan = (
-            scan(catalog, "part")
-            .filter(col("p_size").eq(1))
-            .join(scan(catalog, "partsupp"), on=[("p_partkey", "ps_partkey")])
-            .build()
-        )
-        join = plan
-        left_sig = party_state_signature(join, 0, "p_partkey")
-        assert plan_signature(join.children[0]) in left_sig
-        # The same child built independently keys identically.
-        other = (
-            scan(catalog, "part")
-            .filter(col("p_size").eq(1))
-            .join(scan(catalog, "partsupp"), on=[("p_partkey", "ps_partkey")])
-            .build()
-        )
-        assert party_state_signature(other, 0, "p_partkey") == left_sig
-
-    def test_computed_attr_keys_on_operator(self, catalog):
-        plan = get_query("Q2A").build_baseline(catalog)
-        # Find a group-by with aggregate outputs.
-        from repro.plan.logical import GroupBy
-        groupby = next(
-            n for n in plan.walk() if isinstance(n, GroupBy) and n.keys
-        )
-        agg_attr = groupby.aggregates[0].output_name
-        sig = party_state_signature(groupby, 0, agg_attr)
-        assert plan_signature(groupby) in sig
-        key_attr = groupby.keys[0]
-        assert party_state_signature(groupby, 0, key_attr) != sig
-
-    def test_aggregate_aliased_to_child_column_keys_on_operator(self, catalog):
-        """``sum(x) as x`` must key on the group-by, never as the raw
-        column — reusing a sums-only set as raw values would be
-        unsound."""
-        from repro.expr.aggregates import AggregateSpec, SUM
-        from repro.expr.expressions import col
-        from repro.plan.logical import GroupBy
-        from repro.plan.builder import scan
-
-        child = scan(catalog, "lineitem").build()
-        groupby = GroupBy(
-            child, ["l_partkey"],
-            [AggregateSpec(SUM, col("l_quantity"), "l_quantity")],
-        )
-        sig = party_state_signature(groupby, 0, "l_quantity")
-        assert plan_signature(groupby) in sig
-        assert sig != "%s::l_quantity" % plan_signature(child)

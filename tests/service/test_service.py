@@ -240,52 +240,51 @@ class TestServiceBasics:
         assert by_seq[lone].batch == 0
         assert sorted(o.batch for o in report.outcomes) == [0, 0, 1, 1]
 
-    def test_baseline_twins_pack_concurrently(self, catalog):
-        """Baseline queries publish nothing reusable, so identical
-        twins must not be serialised when only the AIP cache is on."""
-        service = QueryService(catalog, strategy="baseline",
-                               result_cache=False)
-        for _ in range(3):
-            service.submit("Q1A")
-        service.run()
-        assert service.batches_run == 1
+    @pytest.mark.parametrize(
+        "strategy", ["baseline", "feedforward", "costbased"]
+    )
+    def test_twins_are_held_only_for_the_result_cache(self, catalog,
+                                                      strategy):
+        """Without the result cache, identical twins leave nothing
+        behind and pack into one batch, whatever their strategy.  With
+        it, the twin is held one round and served the first one's
+        cached result."""
+        packed = QueryService(catalog, strategy=strategy,
+                              result_cache=False)
+        held = QueryService(catalog, strategy=strategy)
+        for service in (packed, held):
+            for _ in range(2):
+                service.submit("Q1A")
+        report = packed.run()
+        assert [(o.status, o.batch) for o in report.outcomes] == [
+            (OK, 0), (OK, 0),
+        ]
+        report = held.run()
+        assert [(o.status, o.batch) for o in report.outcomes] == [
+            (OK, 0), (CACHED, -1),
+        ]
+        assert packed.batches_run == held.batches_run == 1
+        first, twin = report.outcomes
+        assert twin.start >= first.finish
+        assert rows_equal(twin.result.rows, solo_rows(catalog, "Q1A"))
 
-    def test_feedforward_twins_defer_for_reuse(self, catalog):
-        service = QueryService(catalog, strategy="feedforward",
-                               result_cache=False)
-        for _ in range(2):
-            service.submit("Q1A")
-        service.run()
-        assert service.batches_run == 2
+    def test_aip_cache_option_changes_nothing(self, catalog):
+        """``aip_cache`` is accepted and ignored: AIP sets never
+        outlive their query, so a repeated Feed-Forward stream reports
+        the same rows, finish times and clock with it on or off."""
+        def replay(aip_cache):
+            service = QueryService(catalog, strategy="feedforward",
+                                   result_cache=False, aip_cache=aip_cache)
+            for i in range(3):
+                service.submit("Q2A", arrival=0.01 * i)
+            report = service.run()
+            return (
+                [(o.status, o.finish, o.result.rows)
+                 for o in report.outcomes],
+                service.clock, report.render(),
+            )
 
-    def test_baseline_queries_left_uncontaminated(self, catalog):
-        """The service never injects cached AIP sets into baseline or
-        magic queries — they are the paper's no-AIP comparison points."""
-        service = QueryService(catalog, strategy="feedforward",
-                               result_cache=False)
-        service.submit("Q2A")  # warms the cache
-        service.submit("Q2A", strategy="baseline")
-        report = service.run()
-        baseline = next(
-            o for o in report.outcomes if o.strategy == "baseline"
-        )
-        assert baseline.aip_filters_injected == 0
-        assert rows_equal(baseline.result.rows, solo_rows(catalog, "Q2A"))
-        # And it is not pointlessly deferred behind its twin: it can
-        # reap nothing, so both pack into one batch.
-        assert service.batches_run == 1
-
-    def test_aip_cache_accelerates_repeats(self, catalog):
-        service = QueryService(catalog, strategy="feedforward",
-                               result_cache=False)
-        for _ in range(2):
-            service.submit("Q2A")
-        report = service.run()
-        first, second = report.outcomes
-        assert second.aip_filters_injected > 0
-        assert second.aip_tuples_pruned > 0
-        assert (second.finish - second.start) < (first.finish - first.start)
-        assert rows_equal(second.result.rows, solo_rows(catalog, "Q2A"))
+        assert replay(True) == replay(False)
 
     def test_reused_service_reports_per_run(self, catalog):
         """A second run on the same service must report its own window,
@@ -325,7 +324,7 @@ class TestServiceBasics:
         report = service.run()
         text = report.render()
         for needle in ("wait (vs)", "latency", "peak aggregate state",
-                       "result cache", "AIP cache"):
+                       "result cache"):
             assert needle in text
 
     def test_bad_strategy_rejected_at_submit(self, catalog):
@@ -339,18 +338,6 @@ class TestServiceBasics:
         report = service.run()
         assert report.outcomes[0].status == OK
         assert service.admission.in_flight_queries == 0
-
-    def test_aip_hit_rate_counts_plans(self, catalog):
-        """One hit/miss per plan, not per probed party-attribute."""
-        service = QueryService(catalog, strategy="feedforward",
-                               result_cache=False)
-        for _ in range(2):
-            service.submit("Q2A")
-        report = service.run()
-        stats = report.aip_cache_stats
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert report.summary()["aip_cache_hit_rate"] == pytest.approx(0.5)
 
     def test_published_sets_observe_their_bloom_fill(self, catalog):
         """Every set a Feed-Forward run publishes is counted, and each
@@ -392,10 +379,10 @@ class TestServiceBasics:
 
     def test_serving_distinct_queries_does_not_grow_the_service(self, catalog):
         # The non-cached path: every statement is new, so each one
-        # executes, is profiled and is offered to both caches.  An
+        # executes, is profiled and is offered to the result cache.  An
         # unbounded per-fingerprint store once kept ~970 B of each.
         # The warm-up passes every bound: result cache 128 entries,
-        # AIP cache 256, profile ring 128.
+        # profile ring 128.
         grown = retained_bytes_per_query(
             catalog,
             lambda i: "select count(*) from part where p_partkey < %d" % i,

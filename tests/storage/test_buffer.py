@@ -266,7 +266,7 @@ class TestCleanPages:
             paged.slice(0, 4)
             (frame,) = governor.buffer._all.values()
             lease = governor.lease("op")
-            lease.grow(4096, ctx)  # only room for the lease: evict page 0
+            governor.request(lease, 4096, ctx)  # only room for the lease: evict page 0
             assert not frame.resident
             assert governor.buffer.evictions == 1
             assert governor.backend.pages_written == 0

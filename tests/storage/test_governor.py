@@ -12,10 +12,10 @@ class TestLeases:
     def test_grow_shrink_close(self):
         g = MemoryGovernor(budget=None)
         lease = g.lease("op")
-        lease.grow(100)
+        g.request(lease, 100)
         assert g.resident_bytes == 100
         assert g.peak_resident_bytes == 100
-        lease.shrink(40)
+        g.release(lease, 40)
         assert g.resident_bytes == 60
         lease.close()
         assert g.resident_bytes == 0
@@ -57,7 +57,7 @@ class TestReclaim:
         handler = _FakeSpillable(600)
         g.register_spillable(handler)
         lease = g.lease("op")
-        lease.grow(600)
+        g.request(lease, 600)
         # 600 page + 600 grow > 1000: the page eviction alone covers it.
         assert not handler.asked
         assert g.resident_bytes == 600
@@ -71,9 +71,9 @@ class TestReclaim:
         g.register_spillable(small)
         g.register_spillable(big)
         lease = g.lease("op")
-        lease.grow(40)
-        lease.grow(40)
-        lease.grow(40)  # 120 > 100: needs 20; big spills first
+        g.request(lease, 40)
+        g.request(lease, 40)
+        g.request(lease, 40)  # 120 > 100: needs 20; big spills first
         assert big.asked and not small.asked
         g.close()
 
@@ -82,7 +82,7 @@ class TestReclaim:
         frame = g.buffer.add([("row",)], 0, 1, 300)
         g.register_spillable(_FakeSpillable(200))
         lease = g.lease("op")
-        lease.grow(400)
+        g.request(lease, 400)
         # 1000 - 700 resident, plus the 300-byte page and 200 spillable.
         assert g.room() == 800
         g.buffer.pin(frame)
@@ -95,7 +95,7 @@ class TestReclaim:
     def test_over_budget_recorded_when_nothing_reclaimable(self):
         g = MemoryGovernor(budget=10)
         lease = g.lease("op")
-        lease.grow(100)
+        g.request(lease, 100)
         assert g.resident_bytes == 100  # correctness over enforcement
         assert g.over_budget_events == 1
         g.close()
@@ -105,8 +105,8 @@ class TestEdgeBudgets:
     def test_zero_budget_still_functions(self):
         g = MemoryGovernor(budget=0)
         lease = g.lease("op")
-        lease.grow(10)
-        lease.shrink(10)
+        g.request(lease, 10)
+        g.release(lease, 10)
         assert g.over_budget_events == 1
         assert g.resident_bytes == 0
         g.close()
@@ -134,7 +134,7 @@ class TestSpoolReclaim:
             spool.append(i)
         assert spool.spillable_nbytes() == 80
         lease = g.lease("op")
-        lease.grow(60)  # 80 + 60 > 100: the tail must flush out
+        g.request(lease, 60)  # 80 + 60 > 100: the tail must flush out
         assert spool.spillable_nbytes() == 0
         assert g.peak_resident_bytes <= 100
         lease.close()

@@ -190,7 +190,6 @@ class TestWorkloadCommand:
         assert "latency" in out
         assert "peak aggregate state" in out
         assert "result cache" in out
-        assert "AIP cache" in out
         assert "cached" in out  # the repeated Q2A hits the result cache
 
     def test_script_file(self, capsys, tmp_path):

@@ -8,14 +8,17 @@ re-exports), ``benchmarks/`` or ``examples/``.  A definition whose only
 callers are tests is code the tests keep alive: delete it with its
 tests, or name it in :data:`ALLOWED` with the reason it stays.
 
-The match is textual, so a name that appears only in a string or a
-comment elsewhere counts as used: the check is a tripwire for
-forgotten code, not a proof of reachability.
+A use is a name token of the code, or a string literal shaped like
+an identifier (``getattr(obj, "name")``); comments and docstrings do
+not count.  The check is a tripwire for forgotten code, not a proof of
+reachability.
 """
 
 import ast
 import functools
+import io
 import re
+import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -35,16 +38,36 @@ ALLOWED = {
         "the Table I variants as SQL text, the input for a sqlite3 "
         "oracle over the same queries"
     ),
+    "validate_plan": (
+        "the structural plan check that the random-plan, binder and "
+        "semijoin/magic tests run over the plans they generate"
+    ),
+    "bits_as_int": (
+        "a Bloom filter's bits in the big-int layout that the "
+        "word-equality checks of the Bloom kernels compare against"
+    ),
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _words(source):
+    """``(word, line)`` for every name token of ``source``, and every
+    string literal that reads as one identifier."""
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            yield tok.string, tok.start[0]
+        elif tok.type == tokenize.STRING:
+            value = ast.literal_eval(tok.string)
+            if isinstance(value, str) and _WORD.fullmatch(value):
+                yield value, tok.start[0]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 @functools.lru_cache(maxsize=None)
 def _scan():
     """``(definitions, uses)``: every non-dunder definition in ``src/``
-    as ``(name, path, first line, last line)``, and every word of the
+    as ``(name, path, first line, last line)``, and every use in the
     caller files as ``name -> [(path, line)]``."""
     definitions = []
     uses = defaultdict(list)
@@ -63,9 +86,8 @@ def _scan():
                     (node.name, path, node.lineno, node.end_lineno)
                 )
     for path in callers:
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            for word in _WORD.findall(line):
-                uses[word].append((path, lineno))
+        for word, lineno in _words(path.read_text()):
+            uses[word].append((path, lineno))
     return definitions, uses
 
 
