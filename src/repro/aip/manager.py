@@ -46,25 +46,25 @@ from repro.summaries.bloom import BloomFilter
 
 
 class CostBasedStrategy(AIPStrategy):
-    """The paper's cost-based AIP algorithm with distributed extensions."""
+    """The paper's cost-based AIP algorithm with distributed extensions:
+    a filter whose target is a remote scan is shipped to its source
+    (Section V-B)."""
+
+    #: A filter is built when its savings exceed this multiple of its
+    #: build (and shipping) cost.
+    BENEFIT_MARGIN = 1.0
 
     def __init__(
         self,
         fp_rate: float = 0.05,
         n_hashes: int = 1,
-        distributed: bool = True,
         poll_interval: float = 0.050,
-        benefit_margin: float = 1.0,
     ):
         self.fp_rate = fp_rate
         self.n_hashes = n_hashes
-        #: Ship filters to remote scans (Section V-B extension).
-        self.distributed = distributed
         #: The master AIP Manager "periodically polls all secondary
         #: sites"; remote information passing pays this staleness.
         self.poll_interval = poll_interval
-        #: Savings must exceed ``benefit_margin * create_cost``.
-        self.benefit_margin = benefit_margin
         self.estimator: Optional[CardinalityEstimator] = None
         self.coster: Optional[PlanCoster] = None
         self._parents: Dict[int, List[Tuple[LogicalNode, int]]] = {}
@@ -216,7 +216,7 @@ class CostBasedStrategy(AIPStrategy):
             downstream = self._downstream_per_tuple(target_op, used)
             use_benefit = pruned * (per_tuple + downstream) - probe_cost
 
-            if self.distributed and live_parts is not None:
+            if live_parts is not None:
                 # Per-partition wire accounting: each partition's pruned
                 # share skips its own link's (fan-out multiplied)
                 # transfer, and shipping pays one filter copy per
@@ -232,11 +232,7 @@ class CostBasedStrategy(AIPStrategy):
                     # Each shipped copy pays its link's latency plus
                     # transfer — the same delay activation charges.
                     create_cost += latency + filter_bytes / bandwidth
-            elif (
-                self.distributed
-                and isinstance(target_op, PScan)
-                and target_op.site is not None
-            ):
+            elif isinstance(target_op, PScan) and target_op.site is not None:
                 row_bytes = target_op.out_schema.row_byte_size()
                 latency, bandwidth = self._link_params(target_op.site)
                 fanout = getattr(target_op.arrival, "fanout", 1)
@@ -248,7 +244,7 @@ class CostBasedStrategy(AIPStrategy):
                 claim = group if group is not None else target_op.op_id
                 used.add(claim)
                 used.update(self._ancestor_ids(claim))
-        return savings > create_cost * self.benefit_margin
+        return savings > create_cost * self.BENEFIT_MARGIN
 
     def _remaining_tuples(self, target: Operator, port: int) -> float:
         """Expected tuples still to arrive on a target port."""
@@ -364,11 +360,7 @@ class CostBasedStrategy(AIPStrategy):
         for target, target_port, target_attr in self.live_targets(
             attr, exclude=(op.op_id, port)
         ):
-            if (
-                self.distributed
-                and isinstance(target, PScan)
-                and target.site is not None
-            ):
+            if isinstance(target, PScan) and target.site is not None:
                 self._ship_to_source(target, target_attr, aip_set)
             else:
                 self._install(

@@ -72,6 +72,10 @@ def _checked(convert, valid, expected: str):
 _parse_scale = _checked(float, lambda v: 0 < v < math.inf,
                         "a finite scale factor > 0")
 _parse_count = _checked(int, lambda v: v >= 0, "a whole number >= 0")
+#: ``--prom-interval``/``--interval``: a zero wait spins the loop it
+#: paces, and ``time.sleep`` rejects a negative one.
+_parse_interval = _checked(float, lambda v: 0 < v < math.inf,
+                           "a finite number of seconds > 0")
 
 
 def _parse_quota(text: str):
@@ -334,7 +338,7 @@ def _cmd_workload(args) -> int:
 
                 payload = {
                     "registry": service.registry.snapshot(),
-                    # The last ``profile_retention`` queries, each
+                    # The last ``profiles.RETENTION`` queries, each
                     # with its est-vs-actual operator table.
                     "profiles": [
                         profile.as_dict()
@@ -702,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "snapshot to PATH periodically (and once "
                               "at shutdown) for a node-exporter-style "
                               "textfile collector")
-    p_serve.add_argument("--prom-interval", type=float, default=5.0,
-                         metavar="SECONDS",
+    p_serve.add_argument("--prom-interval", type=_parse_interval,
+                         default=5.0, metavar="SECONDS",
                          help="seconds between --prom-out snapshots "
                               "(default 5)")
 
@@ -729,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live dashboard over a running server (stats + proclist)",
     )
     add_admin_options(p_top)
-    p_top.add_argument("--interval", type=float, default=2.0,
+    p_top.add_argument("--interval", type=_parse_interval, default=2.0,
                        metavar="SECONDS",
                        help="seconds between refreshes (default 2)")
     p_top.add_argument("--iterations", type=int, default=None, metavar="N",

@@ -33,8 +33,7 @@ from repro.common.errors import ExecutionError
 from repro.net.protocol import (
     FRAME_ERROR, FRAME_HEALTH, FRAME_PROCLIST, FRAME_PROFILE, FRAME_QUERY,
     FRAME_ROWS, FRAME_SHED, FRAME_SHUTDOWN, FRAME_STATS, FRAME_SUMMARY,
-    MAX_FRAME_BYTES, ProtocolError, check_hello, encode_frame, hello_frame,
-    read_frame,
+    ProtocolError, check_hello, encode_frame, hello_frame, read_frame,
 )
 from repro.service.result import SHED, QueryResult
 from repro.service.query import Request
@@ -69,12 +68,10 @@ class Client:
         port: int = 0,
         tenant: Optional[str] = None,
         timeout: Optional[float] = 60.0,
-        max_frame: int = MAX_FRAME_BYTES,
     ):
         self.host = host
         self.port = port
         self.tenant = tenant
-        self.max_frame = max_frame
         #: ``retry_after_s`` from the most recent shed response.
         self.last_shed_retry_s: Optional[float] = None
         self._next_id = 0
@@ -85,7 +82,7 @@ class Client:
         self._closed = False
         try:
             self._send(hello_frame(tenant=tenant))
-            check_hello(read_frame(self._rfile, max_frame), "server")
+            check_hello(read_frame(self._rfile), "server")
         except BaseException:
             self.close()
             raise
@@ -96,7 +93,7 @@ class Client:
         self._sock.sendall(encode_frame(frame))
 
     def _recv(self):
-        return read_frame(self._rfile, self.max_frame)
+        return read_frame(self._rfile)
 
     def _request(self, kind: str, **fields) -> int:
         """Send a ``kind`` frame under a fresh correlation id; returns

@@ -40,15 +40,10 @@ def mark_remote_scans(plan: LogicalNode, placement: Placement) -> None:
     for partitioned tables, its partition spec, so translation applies
     the remote link model / fans the scan out.  Shared by the
     coordinator and the service layer's plan builder."""
-    from repro.service.fingerprint import invalidate_signatures
-
     for node in plan.walk():
         if isinstance(node, Scan):
             node.site = placement.site_of(node.table_name)
             node.partition = placement.partitioning_of(node.table_name)
-    # Site stamping changes scan signatures (and, transitively, every
-    # ancestor's); drop any memoised renderings of the pre-stamped plan.
-    invalidate_signatures(plan)
 
 
 def _partitioned_scans(side: LogicalNode) -> List[Scan]:

@@ -34,13 +34,12 @@ class SourceFilter:
     affected.
     """
 
-    __slots__ = ("key_index", "summary", "activation_time", "pruned")
+    __slots__ = ("key_index", "summary", "activation_time")
 
     def __init__(self, key_index: int, summary, activation_time: float):
         self.key_index = key_index
         self.summary = summary
         self.activation_time = activation_time
-        self.pruned = 0
 
     def passes(self, row: Row) -> bool:
         return row[self.key_index] in self.summary
@@ -164,7 +163,6 @@ class ArrivalModel:
     def _passes_active_filters(self, row: Row) -> bool:
         for f in self.filters:
             if f.activation_time <= self._link_time and not f.passes(row):
-                f.pruned += 1
                 return False
         return True
 

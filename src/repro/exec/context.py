@@ -63,13 +63,12 @@ class ExecutionContext:
     def __init__(
         self,
         catalog: Catalog,
-        cost_model: Optional[CostModel] = None,
         strategy: Optional[ExecutionStrategy] = None,
         short_circuit: bool = True,
         governor=None,
     ):
         self.catalog = catalog
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         self.metrics = Metrics()
         self.strategy = strategy or ExecutionStrategy()
         #: The run's :class:`~repro.storage.governor.MemoryGovernor`,

@@ -14,7 +14,12 @@ from __future__ import annotations
 
 
 class CostModel:
-    """Per-event virtual-time charges and network parameters."""
+    """Per-event virtual-time charges and network parameters.
+
+    Takes no arguments: every instance starts from the same constants,
+    and only :func:`~repro.distributed.coordinator.attach_network`
+    changes any (the two network fields, from the run's
+    :class:`~repro.distributed.network.NetworkModel`)."""
 
     __slots__ = (
         "tuple_base",
@@ -34,43 +39,26 @@ class CostModel:
         "network_latency",
     )
 
-    def __init__(
-        self,
-        tuple_base: float = 1.0e-6,
-        predicate_eval: float = 3.0e-7,
-        hash_insert: float = 1.2e-6,
-        hash_probe: float = 8.0e-7,
-        output_build: float = 5.0e-7,
-        agg_update: float = 1.0e-6,
-        semijoin_probe: float = 4.0e-7,
-        aip_insert: float = 3.0e-7,
-        aip_build_per_row: float = 3.0e-7,
-        manager_invocation: float = 2.0e-4,
-        scan_read: float = 5.0e-7,
-        spill_page_io: float = 1.0e-4,
-        spill_byte_io: float = 2.0e-9,
-        network_bandwidth: float = 100e6 / 8,
-        network_latency: float = 1.0e-3,
-    ):
-        self.tuple_base = tuple_base              # any operator touching a tuple
-        self.predicate_eval = predicate_eval      # one predicate evaluation
-        self.hash_insert = hash_insert            # insert into a hash table
-        self.hash_probe = hash_probe              # probe a hash table
-        self.output_build = output_build          # materialise one output tuple
-        self.agg_update = agg_update              # accumulate one value
-        self.semijoin_probe = semijoin_probe      # probe one AIP filter
-        self.aip_insert = aip_insert              # feed-forward working-set add
-        self.aip_build_per_row = aip_build_per_row  # cost-based state scan
-        self.manager_invocation = manager_invocation  # ESTIMATEBENEFIT run
-        self.scan_read = scan_read                # read/parse one source tuple
+    def __init__(self):
+        self.tuple_base = 1.0e-6            # any operator touching a tuple
+        self.predicate_eval = 3.0e-7        # one predicate evaluation
+        self.hash_insert = 1.2e-6           # insert into a hash table
+        self.hash_probe = 8.0e-7            # probe a hash table
+        self.output_build = 5.0e-7          # materialise one output tuple
+        self.agg_update = 1.0e-6            # accumulate one value
+        self.semijoin_probe = 4.0e-7        # probe one AIP filter
+        self.aip_insert = 3.0e-7            # feed-forward working-set add
+        self.aip_build_per_row = 3.0e-7     # cost-based state scan
+        self.manager_invocation = 2.0e-4    # ESTIMATEBENEFIT run
+        self.scan_read = 5.0e-7             # read/parse one source tuple
         # Storage-layer spill I/O under a finite memory budget: one
         # fixed seek/syscall charge per page moved, plus a per-byte
         # streaming rate (~500 MB/s).  Unused when no governor runs.
-        self.spill_page_io = spill_page_io
-        self.spill_byte_io = spill_byte_io
+        self.spill_page_io = 1.0e-4
+        self.spill_byte_io = 2.0e-9
         # Paper Section VI: the distributed join experiment fetches
         # PARTSUPP "across a 100Mb Ethernet".  Cost-Based AIP prices
         # filter shipment on this same link, not on the paper's
         # 10 Mbps estimate.  Bandwidth is bytes/second.
-        self.network_bandwidth = network_bandwidth
-        self.network_latency = network_latency
+        self.network_bandwidth = 100e6 / 8
+        self.network_latency = 1.0e-3

@@ -42,29 +42,23 @@ class InjectedFilter:
     a merge installs a new filter (with an empty memo) in place of the
     old one."""
 
-    __slots__ = (
-        "key_index", "attr_name", "summary", "label", "pruned", "probed",
-        "_verdicts",
-    )
+    __slots__ = ("key_index", "attr_name", "summary", "label", "_verdicts")
 
     def __init__(self, key_index: int, attr_name: str, summary, label: str):
         self.key_index = key_index
         self.attr_name = attr_name
         self.summary = summary
         self.label = label
-        self.pruned = 0
-        self.probed = 0
         self._verdicts: dict = {}
 
     def passes_page(self, page):
         """Probe a column batch: the key column's unseen keys feed the
         summary's batch probe (no per-row gather), and survivors come
-        back as a selection of the page.  ``probed`` counts every row
-        probed and ``pruned`` every row the summary rejected."""
+        back as a selection of the page (the operator counts what it
+        pruned)."""
         n_rows = page.n_rows
         if not n_rows:
             return page
-        self.probed += n_rows
         column = page.columns[self.key_index]
         verdicts = self._verdicts
         try:
@@ -81,7 +75,6 @@ class InjectedFilter:
             )
         if len(selection) == n_rows:
             return page
-        self.pruned += n_rows - len(selection)
         return page.select(selection)
 
 

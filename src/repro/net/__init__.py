@@ -13,7 +13,7 @@ from repro.net.protocol import (
     PROTOCOL_VERSION, ROWS_PER_FRAME, ConnectionClosed, ProtocolError,
     check_hello, encode_frame, hello_frame, read_frame,
 )
-from repro.net.server import ReproServer, serve
+from repro.net.server import ReproServer
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "ROWS_PER_FRAME",
@@ -21,5 +21,5 @@ __all__ = [
     "FRAME_ERROR", "FRAME_SHED", "FRAME_SHUTDOWN", "FRAME_TYPES",
     "ConnectionClosed", "ProtocolError",
     "encode_frame", "read_frame", "hello_frame", "check_hello",
-    "ReproServer", "serve",
+    "ReproServer",
 ]

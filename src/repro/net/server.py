@@ -36,9 +36,8 @@ from typing import Dict, List, Optional
 from repro.net.protocol import (
     ADMIN_FRAMES, FRAME_ERROR, FRAME_HEALTH, FRAME_HELLO, FRAME_PROCLIST,
     FRAME_PROFILE, FRAME_QUERY, FRAME_ROWS, FRAME_SHUTDOWN, FRAME_STATS,
-    MAX_FRAME_BYTES, REPLY_FRAMES, SEND_BUFFER_BYTES, ConnectionClosed,
-    ProtocolError, check_hello, encode_frame, hello_frame, read_frame,
-    reply_frames,
+    REPLY_FRAMES, SEND_BUFFER_BYTES, ConnectionClosed, ProtocolError,
+    check_hello, encode_frame, hello_frame, read_frame, reply_frames,
 )
 from repro.obs.export import to_prometheus
 from repro.service.query import Request
@@ -76,29 +75,28 @@ class ReproServer:
     pools) unless it was passed in with ``owns_service=False``.
     """
 
+    #: The listener's accept backlog.
+    BACKLOG = 128
+    #: Most requests one dispatcher round may drain; bounds how long
+    #: the oldest queued request waits for batch formation.
+    MAX_BATCH = 64
+    #: Wall seconds a request may wait in the service queue before its
+    #: handler gives up on it.
+    REQUEST_TIMEOUT_S = 300.0
+
     def __init__(
         self,
         service,
         host: str = "127.0.0.1",
         port: int = 0,
-        backlog: int = 128,
-        max_batch: int = 64,
-        request_timeout_s: float = 300.0,
         owns_service: bool = True,
-        max_frame: int = MAX_FRAME_BYTES,
         prom_out: Optional[str] = None,
         prom_interval_s: float = 5.0,
     ):
         self.service = service
         self.host = host
         self._requested_port = port
-        self.backlog = backlog
-        #: Most requests one dispatcher round may drain; bounds how
-        #: long the oldest queued request waits for batch formation.
-        self.max_batch = max_batch
-        self.request_timeout_s = request_timeout_s
         self.owns_service = owns_service
-        self.max_frame = max_frame
         #: When set, a daemon thread rewrites this path with the
         #: Prometheus text-format page every ``prom_interval_s``
         #: wall seconds (plus once at shutdown) — file-based scraping
@@ -141,7 +139,7 @@ class ReproServer:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self._requested_port))
-        listener.listen(self.backlog)
+        listener.listen(self.BACKLOG)
         self._listener = listener
         self._started_wall = time.monotonic()
         targets = [
@@ -285,7 +283,7 @@ class ReproServer:
                 "served_queries": service.served_queries,
                 "uptime_wall_s": time.monotonic() - self._started_wall,
                 "queue_depth": self._queue.qsize(),
-                "max_batch": self.max_batch,
+                "max_batch": self.MAX_BATCH,
             },
             **service.stats(),
         }
@@ -434,13 +432,13 @@ class ReproServer:
             self._observe(connections_delta=-1)
 
     def _session(self, conn, rfile) -> None:
-        hello = read_frame(rfile, self.max_frame)
+        hello = read_frame(rfile)
         check_hello(hello, "client")
         self._observe(frame=FRAME_HELLO)
         tenant = hello.get("tenant")
         self._send(conn, [hello_frame(server=True)])
         while not self._stop.is_set():
-            frame = read_frame(rfile, self.max_frame)
+            frame = read_frame(rfile)
             kind = frame.get("type")
             if kind not in _REQUEST_FRAMES:
                 raise ProtocolError(
@@ -465,10 +463,10 @@ class ReproServer:
         self._observe(inflight_delta=1)
         try:
             self._queue.put(request)
-            if not request.done.wait(self.request_timeout_s):
+            if not request.done.wait(self.REQUEST_TIMEOUT_S):
                 request.error = (
                     "request timed out after %.0fs in the service queue"
-                    % self.request_timeout_s
+                    % self.REQUEST_TIMEOUT_S
                 )
             request.phase = "streaming"
             self._send(conn, reply_frames(frame.get("id"), request))
@@ -496,7 +494,7 @@ class ReproServer:
                 item.done.set()
 
     def _dispatch_group(self) -> bool:
-        """Wait for a request, drain up to ``max_batch`` queued ones
+        """Wait for a request, drain up to :attr:`MAX_BATCH` queued ones
         behind it, run them as one service batch and settle them;
         False once shutdown is signalled.  The group lives only in
         this frame, so an idle dispatcher holds no settled request
@@ -505,7 +503,7 @@ class ReproServer:
         if item is _STOP:
             return False
         requests = [item]
-        while len(requests) < self.max_batch:
+        while len(requests) < self.MAX_BATCH:
             try:
                 extra = self._queue.get_nowait()
             except queue.Empty:
@@ -519,12 +517,3 @@ class ReproServer:
             request.done.set()
         return True
 
-
-def serve(
-    service,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    **kwargs,
-) -> ReproServer:
-    """Start a :class:`ReproServer` on ``service`` and return it."""
-    return ReproServer(service, host=host, port=port, **kwargs).start()

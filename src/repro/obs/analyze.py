@@ -12,13 +12,12 @@ pays nothing for it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.data.catalog import Catalog
 from repro.exec.context import ExecutionContext
-from repro.exec.costs import CostModel
 from repro.exec.engine import Engine, QueryResult
-from repro.exec.translate import ArrivalResolver, translate
+from repro.exec.translate import translate
 from repro.harness.strategies import make_strategy
 from repro.obs.profiles import plan_rows
 from repro.optimizer.estimator import CardinalityEstimator
@@ -93,10 +92,7 @@ def explain_analyze(
     plan: LogicalNode,
     catalog: Catalog,
     strategy: str = "baseline",
-    cost_model: Optional[CostModel] = None,
     tracer=None,
-    short_circuit: bool = True,
-    arrival_resolver: Optional[ArrivalResolver] = None,
 ) -> AnalyzeReport:
     """Execute ``plan`` with per-operator attribution and report.
 
@@ -108,15 +104,10 @@ def explain_analyze(
     columns.
     """
     estimator = CardinalityEstimator(catalog)
-    ctx = ExecutionContext(
-        catalog,
-        cost_model=cost_model,
-        strategy=make_strategy(strategy),
-        short_circuit=short_circuit,
-    )
+    ctx = ExecutionContext(catalog, strategy=make_strategy(strategy))
     ctx.tracer = tracer
     ctx.metrics.attribute_ops = True
-    physical = translate(plan, ctx, arrival_resolver)
+    physical = translate(plan, ctx)
     ctx.strategy.attach(ctx, physical)
     result = Engine(ctx).run(physical)
 

@@ -11,7 +11,7 @@ the retained profile and its EXPLAIN-ANALYZE-style rendering
 "why was this slow" artifact five minutes after the fact.
 
 Rotation is by size: when an append would push the file past
-``max_bytes`` the current file is renamed to ``<path>.1`` (replacing
+:data:`MAX_BYTES` the current file is renamed to ``<path>.1`` (replacing
 the previous generation) and a fresh file is started — bounded disk,
 and the most recent events are always in ``<path>``.
 
@@ -30,18 +30,15 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-#: Rotation threshold (bytes) of every service-opened log.
-DEFAULT_MAX_BYTES = 4 * 1024 * 1024
+#: Rotation threshold (bytes) of every log.
+MAX_BYTES = 4 * 1024 * 1024
 
 
 class EventLog:
     """Append-only JSONL sink with size-based rotation."""
 
-    def __init__(self, path: str, max_bytes: int = DEFAULT_MAX_BYTES):
-        if max_bytes < 1024:
-            raise ValueError("event log max_bytes must be >= 1024")
+    def __init__(self, path: str):
         self.path = path
-        self.max_bytes = max_bytes
         self.rotations = 0
         self.events_written = 0
         self._lock = threading.Lock()
@@ -60,7 +57,7 @@ class EventLog:
         with self._lock:
             if self._fh is None:
                 return  # closed: late emitters drop silently
-            if self._size and self._size + encoded > self.max_bytes:
+            if self._size and self._size + encoded > MAX_BYTES:
                 self._rotate()
             self._fh.write(line)
             self._fh.flush()

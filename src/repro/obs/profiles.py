@@ -24,9 +24,9 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-#: Default ring capacity; overridden by ``ServiceConfig
-#: .profile_retention``.
-DEFAULT_RETENTION = 128
+#: How many completed query profiles a :class:`ProfileRing` retains
+#: for the ``profile`` admin frame and the slow-query log.
+RETENTION = 128
 
 
 def plan_rows(physical, metrics, estimator) -> List[Dict]:
@@ -237,14 +237,11 @@ class ProfileRing:
 
     Keyed by service sequence number.  The dispatcher records while
     admin handler threads look up and list, so every access takes the
-    ring's lock; recording past capacity evicts the oldest profile and
-    bumps :attr:`evicted`.
+    ring's lock; recording past :data:`RETENTION` profiles evicts the
+    oldest and bumps :attr:`evicted`.
     """
 
-    def __init__(self, capacity: int = DEFAULT_RETENTION):
-        if capacity < 1:
-            raise ValueError("profile retention must be >= 1")
-        self.capacity = capacity
+    def __init__(self):
         self.evicted = 0
         self._profiles: "OrderedDict[int, QueryProfile]" = OrderedDict()
         self._lock = threading.Lock()
@@ -253,7 +250,7 @@ class ProfileRing:
         with self._lock:
             self._profiles[profile.seq] = profile
             self._profiles.move_to_end(profile.seq)
-            while len(self._profiles) > self.capacity:
+            while len(self._profiles) > RETENTION:
                 self._profiles.popitem(last=False)
                 self.evicted += 1
 

@@ -53,7 +53,7 @@ from typing import Deque, Dict, List, Optional
 PH_COMPLETE = "X"
 PH_INSTANT = "i"
 
-#: Default retention: a runaway per-tuple trace must not consume
+#: Retention: a runaway per-tuple trace must not consume
 #: unbounded memory.  The buffer is a *ring* — a long-lived server
 #: keeps the most recent ``max_events`` events and counts what it
 #: evicted, instead of freezing the trace at hour one and silently
@@ -73,13 +73,12 @@ class Tracer:
 
     __slots__ = ("events", "max_events", "dropped", "last_ts", "offset")
 
-    def __init__(self, max_events: int = MAX_EVENTS):
-        if max_events < 1:
-            raise ValueError("max_events must be >= 1")
+    def __init__(self):
+        #: The ring's capacity, :data:`MAX_EVENTS` when built.
+        self.max_events = MAX_EVENTS
         #: Raw events as ``(ph, name, cat, ts, dur, args)`` tuples,
         #: oldest first; a full ring evicts from the front.
-        self.events: Deque[tuple] = deque(maxlen=max_events)
-        self.max_events = max_events
+        self.events: Deque[tuple] = deque(maxlen=self.max_events)
         #: Events evicted from the ring after it filled.
         self.dropped = 0
         #: Largest timestamp seen; hook sites with no clock at hand

@@ -115,9 +115,9 @@ class QueryTask:
         self.catalog_spec = catalog_spec
         self.plan = plan
         self.strategy_name = strategy_name
-        #: ``execute_batch``'s engine keyword arguments (short_circuit,
-        #: strategy_kwargs, network), forwarded
-        #: untouched: an engine flag is not re-declared per hop.
+        #: ``execute_batch``'s engine keyword arguments (the network
+        #: model), forwarded untouched: an engine option is not
+        #: re-declared per hop.
         self.options = options or {}
         self.trace = trace
         self.label = label

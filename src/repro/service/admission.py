@@ -55,16 +55,17 @@ def estimate_query_state_bytes(root: LogicalNode, coster: PlanCoster) -> float:
 class AdmissionController:
     """Tracks estimated in-flight state against a byte budget."""
 
+    #: EWMA weight of each batch's observed/estimated ratio in
+    #: :attr:`correction`.
+    CORRECTION_ALPHA = 0.3
+
     def __init__(
         self,
         memory_budget_bytes: Optional[float] = None,
         max_concurrent: int = 4,
-        correction_alpha: float = 0.3,
     ):
         if max_concurrent < 1:
             raise ValueError("need max_concurrent >= 1")
-        if not 0.0 <= correction_alpha <= 1.0:
-            raise ValueError("need 0 <= correction_alpha <= 1")
         self.memory_budget_bytes = memory_budget_bytes
         self.max_concurrent = max_concurrent
         self.in_flight_bytes = 0.0
@@ -78,7 +79,6 @@ class AdmissionController:
         #: comparison.  Starts at 1.0 (trust the estimator) and is fed
         #: by :meth:`observe` after each finished batch.
         self.correction = 1.0
-        self.correction_alpha = correction_alpha
         self.observations = 0
 
     def effective_estimate(self, estimate_bytes: float) -> float:
@@ -97,7 +97,7 @@ class AdmissionController:
         if estimated_bytes <= 0 or actual_bytes < 0:
             return
         ratio = actual_bytes / estimated_bytes
-        alpha = self.correction_alpha
+        alpha = self.CORRECTION_ALPHA
         correction = (1.0 - alpha) * self.correction + alpha * ratio
         # Clamp: one aberrant batch must never push the controller into
         # shedding everything or admitting unboundedly.

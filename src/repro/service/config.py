@@ -54,7 +54,10 @@ class ServiceConfig:
     defaults here are *the* defaults (the service holds none of its
     own).  ``scheduler`` accepts a name or a Scheduler instance;
     ``quotas`` maps tenant name (or ``None`` for the anonymous tenant)
-    to :class:`TenantQuota`.
+    to :class:`TenantQuota`.  A field is something a caller sets; what
+    none does is a constant of the part it sizes (profile retention,
+    result-cache capacity, the admission EWMA weight), and every plan
+    runs with the strategy's own settings.
     """
 
     strategy: str = "feedforward"
@@ -65,8 +68,6 @@ class ServiceConfig:
     #: Accepted and ignored: AIP sets live and die with their query.
     aip_cache: bool = True
     result_cache: bool = True
-    strategy_kwargs: Optional[dict] = None
-    short_circuit: bool = True
     placement: Any = None
     network: Any = None
     #: Enforced engine budget (memory governor; spills under pressure).
@@ -78,9 +79,6 @@ class ServiceConfig:
     slo_seconds: Optional[float] = None
     #: Hard per-tenant caps (see :class:`TenantQuota`).
     quotas: Dict[Optional[str], TenantQuota] = field(default_factory=dict)
-    #: How many completed query profiles the service retains for the
-    #: ``profile`` admin frame and the slow-query log.
-    profile_retention: int = 128
     #: Latency threshold (milliseconds, service virtual clock) above
     #: which a completed query gets a ``slow_query`` event-log entry
     #: embedding its profile; None disables the slow-query log.
@@ -110,11 +108,6 @@ class ServiceConfig:
                     "quota for tenant %r must be a TenantQuota; got %r"
                     % (tenant, quota)
                 )
-        if self.profile_retention < 1:
-            raise ValueError(
-                "profile_retention must be >= 1; got %r"
-                % (self.profile_retention,)
-            )
         for name in ("memory_budget_bytes", "slo_seconds", "slow_query_ms"):
             value = getattr(self, name)
             if value is not None and value < 0:

@@ -60,9 +60,9 @@ class BatchRun:
     summaries: List[Dict] = field(default_factory=list)
     #: Rows the batch's scans emitted (the pruned-row-ratio base).
     scanned_rows: int = 0
-    #: Fill fraction (None for non-Bloom summaries) of every AIP set
-    #: published, in publication order.
-    published_fills: List[Optional[float]] = field(default_factory=list)
+    #: Fill fraction of every AIP set (a Bloom filter) published, in
+    #: publication order.
+    published_fills: List[float] = field(default_factory=list)
     #: Raw tracer events on the batch's own zero-based clock, for
     #: ``Tracer.replay``; empty when the run wrote to the service's
     #: tracer directly.
@@ -88,8 +88,6 @@ class BatchRun:
 def execute_batch(
     catalog,
     queries: Sequence[Tuple[LogicalNode, str]],
-    short_circuit: bool = True,
-    strategy_kwargs: Optional[dict] = None,
     network=None,
     governor=None,
     tracer=None,
@@ -100,25 +98,20 @@ def execute_batch(
     ``network`` paces remote scans on its links (no predicate pushdown,
     matching `repro run`).  Engine errors propagate.
     """
-    ctx = ExecutionContext(
-        catalog, short_circuit=short_circuit, governor=governor,
-    )
+    ctx = ExecutionContext(catalog, governor=governor)
     ctx.tracer = tracer
     resolver = None
     if network is not None:
         attach_network(ctx, network)
         resolver = remote_arrival_resolver(network)
-    fills: List[Optional[float]] = []
+    fills: List[float] = []
 
     def observe_publish(op, port, aip_set):
-        # Hash-set summaries have no fill fraction.
-        fills.append(getattr(aip_set.summary, "fill_fraction", None))
+        fills.append(aip_set.summary.fill_fraction)
 
     ctx.aip_publish_hooks.append(observe_publish)
 
-    strategies = [
-        make_strategy(name, **(strategy_kwargs or {})) for _, name in queries
-    ]
+    strategies = [make_strategy(name) for _, name in queries]
     physicals: Dict[int, object] = {}
     finish_times: Dict[int, float] = {}
     results = run_concurrent(

@@ -23,32 +23,7 @@ from repro.plan.logical import (
 
 
 def plan_signature(node: LogicalNode) -> str:
-    """Canonical, node-id-free rendering of the subtree at ``node``.
-
-    Memoised per node object, so a plan signed twice renders once.
-    Nodes are immutable after planning
-    with one exception — :func:`repro.distributed.coordinator.
-    mark_remote_scans` restamps scan sites — so that mutation point
-    calls :func:`invalidate_signatures` on the plan.
-    """
-    cached = node.__dict__.get("_signature_memo")
-    if cached is None:
-        cached = node.__dict__["_signature_memo"] = _render_signature(node)
-    return cached
-
-
-def invalidate_signatures(root: LogicalNode) -> None:
-    """Drop memoised signatures for every node under ``root``.
-
-    Called by the one code path that mutates signature-relevant node
-    fields after construction (scan-site stamping); an ancestor's
-    signature embeds its children's, so the whole walk is cleared.
-    """
-    for node in root.walk():
-        node.__dict__.pop("_signature_memo", None)
-
-
-def _render_signature(node: LogicalNode) -> str:
+    """Canonical, node-id-free rendering of the subtree at ``node``."""
     if isinstance(node, Scan):
         renames = ",".join(
             "%s->%s" % (k, v) for k, v in sorted(node.renames.items())

@@ -16,8 +16,10 @@ from repro.common.sizing import rows_nbytes
 from repro.data.schema import Schema
 from repro.service.lru import LruDict
 
-#: Default resident-byte cap on cached result rows (64 MB).
-DEFAULT_MAX_BYTES = 64 << 20
+#: Most results a :class:`ResultCache` holds.
+MAX_ENTRIES = 128
+#: Resident-byte cap on cached result rows (64 MB).
+MAX_BYTES = 64 << 20
 
 
 class CachedResult:
@@ -44,15 +46,11 @@ class CachedResult:
 class ResultCache:
     """Maps plan signatures to completed results."""
 
-    def __init__(
-        self,
-        max_entries: int = 128,
-        max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
-    ):
+    def __init__(self):
         self._entries = LruDict(
-            max_entries,
+            MAX_ENTRIES,
             byte_size_of=lambda entry: entry.byte_size(),
-            max_bytes=max_bytes,
+            max_bytes=MAX_BYTES,
         )
         self.hits = 0
         self.misses = 0

@@ -333,7 +333,7 @@ class QueryService:
         self.registry = MetricsRegistry()
         #: Retained profiles of the last-N finished queries (the
         #: ``profile`` admin frame's backing store).
-        self.profiles = ProfileRing(config.profile_retention)
+        self.profiles = ProfileRing()
         #: Latency threshold (ms) for slow-query entries; None = off.
         self.slow_query_ms = config.slow_query_ms
         #: Structured JSONL lifecycle log, or None (disabled — the
@@ -356,14 +356,8 @@ class QueryService:
             config.memory_budget_bytes, config.max_concurrent
         )
         self.result_cache = ResultCache() if config.result_cache else None
-        self.strategy_kwargs = dict(config.strategy_kwargs or {})
-        self.short_circuit = config.short_circuit
         #: What every batch's engine is told, whichever backend runs it.
-        engine_options = {
-            "short_circuit": self.short_circuit,
-            "strategy_kwargs": self.strategy_kwargs,
-            "network": self.network,
-        }
+        engine_options = {"network": self.network}
         #: Where admitted batches execute, chosen once: worker
         #: processes when ``parallel``/``pool`` ask for them (real
         #: wall-clock concurrency), else this process.  Scheduling
@@ -424,7 +418,7 @@ class QueryService:
         strategy = strategy or self.default_strategy
         # Fail fast on a bad strategy name: raising later, mid-batch,
         # would leak acquired admission slots and wedge the service.
-        make_strategy(strategy, **self.strategy_kwargs)
+        make_strategy(strategy)
         plan, label = self._build_plan(query, strategy, label)
         if self.placement is not None:
             mark_remote_scans(plan, self.placement)
@@ -915,10 +909,9 @@ class QueryService:
         registry = self.registry
         for fill in run.published_fills:
             registry.counter("aip.sets_published").inc()
-            if fill is not None:
-                registry.histogram(
-                    "aip.bloom_fill_fraction", RATIO_BUCKETS
-                ).observe(fill)
+            registry.histogram(
+                "aip.bloom_fill_fraction", RATIO_BUCKETS
+            ).observe(fill)
         for summary in run.summaries:
             for key in _ENGINE_TOTAL_KEYS:
                 self._run_engine[key] += summary[key]

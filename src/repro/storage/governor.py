@@ -35,8 +35,10 @@ from typing import Dict, List, Optional
 from repro.storage.disk import DiskBackend
 from repro.storage.spill import Spool
 
-#: Default page capacity, in rows.  Small enough that modest budgets
-#: hold several pages; large enough that per-page overheads amortise.
+#: Page capacity, in rows, of every paged component, so budgets
+#: relate to one page-size granularity.  Small enough that modest
+#: budgets hold several pages; large enough that per-page overheads
+#: amortise.
 PAGE_ROWS = 256
 
 
@@ -74,16 +76,12 @@ class MemoryGovernor:
         self,
         budget: Optional[int],
         spill_dir: Optional[str] = None,
-        page_rows: Optional[int] = None,
     ):
         if budget is not None and budget < 0:
             raise ValueError("memory budget must be >= 0 bytes (or None)")
         from repro.storage.buffer import BufferManager
 
         self.budget = budget
-        #: Page capacity (rows/records) every paged component of this
-        #: run uses, so budgets relate to one page-size granularity.
-        self.page_rows = page_rows or PAGE_ROWS
         self.resident_bytes = 0
         self.peak_resident_bytes = 0
         #: Grows that stayed over budget even after a full reclaim pass
@@ -106,7 +104,7 @@ class MemoryGovernor:
         self.backend = DiskBackend(spill_dir)
         self.buffer = BufferManager(self)
 
-    #: Target page payload size; pages are capped at ``page_rows``
+    #: Target page payload size; pages are capped at :data:`PAGE_ROWS`
     #: records but also at roughly this many bytes so one page of wide
     #: rows never dwarfs a small budget.
     PAGE_NBYTES_TARGET = 16384
@@ -131,7 +129,7 @@ class MemoryGovernor:
         """How many records of ``record_nbytes`` one page should hold:
         the row cap, shrunk to :meth:`page_nbytes`."""
         return max(
-            1, min(self.page_rows, self.page_nbytes() // max(record_nbytes, 1))
+            1, min(PAGE_ROWS, self.page_nbytes() // max(record_nbytes, 1))
         )
 
     def run_nbytes(self) -> Optional[int]:

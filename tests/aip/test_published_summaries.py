@@ -12,11 +12,15 @@ import pytest
 
 from repro.aip.registry import AIPRegistry
 from repro.aip.sets import AIPSet, AIPSetSpec
+from repro.data.catalog import Catalog
+from repro.data.schema import INT, Schema
 from repro.data.tpch import cached_tpch
 from repro.exec.context import ExecutionContext
 from repro.exec.engine import execute_plan
 from repro.exec.operators import base
+from repro.exec.operators.filter import PFilter
 from repro.exec.pages import ColumnBatch
+from repro.expr.expressions import col
 from repro.harness.strategies import make_strategy
 from repro.optimizer.predicate_graph import SourcePredicateGraph
 from repro.plan.builder import scan
@@ -135,13 +139,14 @@ def test_memos_are_sound_and_replacements_start_fresh(
 def test_memo_counts_every_row():
     bloom = BloomFilter.from_values([1, 2, 3])
     bloom.freeze()
-    injected = base.InjectedFilter(0, "k", bloom, "t")
+    ctx = ExecutionContext(Catalog())
+    op = PFilter(ctx, 1, Schema.of(("k", INT)), col("k").ge(0))
+    injected = op.register_filter(0, "k", bloom, "t")
     pages = [[1, 9, 1, 2, 9], [2, 2, 7, 3], [9, 9]]
     for column in pages:
-        page = injected.passes_page(ColumnBatch([column], len(column)))
+        page = op.passes_filters_page(ColumnBatch([column], len(column)), 0)
         assert page.columns[0] == [v for v in column if v in bloom]
-    assert injected.probed == 11
-    assert injected.pruned == sum(
+    assert ctx.metrics.counters(op.op_id).tuples_pruned == sum(
         1 for column in pages for v in column if v not in bloom
     )
     assert set(injected._verdicts) == {1, 2, 3, 7, 9}

@@ -140,12 +140,10 @@ class TestStrategyInternals:
         assert rows_equal(baseline.rows, no_scan.rows)
         assert rows_equal(baseline.rows, no_prune.rows)
 
-    def test_cb_benefit_margin(self, catalog):
+    def test_cb_benefit_margin(self, catalog, monkeypatch):
         """A prohibitive margin should turn cost-based AIP into baseline."""
-        strict = run(
-            min_cost_plan(catalog), catalog,
-            CostBasedStrategy(benefit_margin=1e9),
-        )
+        monkeypatch.setattr(CostBasedStrategy, "BENEFIT_MARGIN", 1e9)
+        strict = run(min_cost_plan(catalog), catalog, CostBasedStrategy())
         assert strict.metrics.aip_sets_created == 0
 
     def test_cb_state_complete_guard(self, catalog):

@@ -99,6 +99,6 @@ class TestRemote:
         model = ArrivalModel.remote(
             bandwidth=1000.0, row_bytes=100, latency=0.0, source_read=0.0,
         )
-        f = model.install_filter(0, empty, activation_time=0.0)
-        drain(model, ROWS[:10])
-        assert f.pruned == 10
+        model.install_filter(0, empty, activation_time=0.0)
+        assert drain(model, ROWS[:10]) == []
+        assert model.rows_transferred == 0

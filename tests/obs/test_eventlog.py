@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.data.tpch import cached_tpch
+from repro.obs import eventlog
 from repro.obs.eventlog import EventLog, open_event_log
 from repro.service import QueryService, ServiceConfig, TenantQuota
 
@@ -36,9 +37,10 @@ class TestEventLog:
                 log.emit("tick", i=i)
             assert [e["i"] for e in log.tail(3)] == [5, 6, 7]
 
-    def test_rotation_bounds_disk(self, tmp_path):
+    def test_rotation_bounds_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(eventlog, "MAX_BYTES", 1024)
         path = str(tmp_path / "events.jsonl")
-        with EventLog(path, max_bytes=1024) as log:
+        with EventLog(path) as log:
             for i in range(64):
                 log.emit("tick", i=i, pad="x" * 64)
             assert log.rotations >= 1
@@ -61,10 +63,6 @@ class TestEventLog:
         log.emit("late")  # no raise
         log.close()  # idempotent
         assert log.events_written == 1
-
-    def test_tiny_max_bytes_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            EventLog(str(tmp_path / "e.jsonl"), max_bytes=10)
 
     def test_open_event_log_coercion(self, tmp_path):
         assert open_event_log(None) is None

@@ -10,6 +10,7 @@ from repro.data.tpch import cached_tpch
 from repro.exec.context import ExecutionContext
 from repro.exec.engine import Engine
 from repro.exec.translate import translate
+from repro.obs import profiles
 from repro.obs.profiles import (
     ProfileRing, QueryProfile, operator_table, plan_rows,
 )
@@ -118,8 +119,9 @@ class TestPlanRows:
 
 
 class TestProfileRing:
-    def test_capacity_evicts_oldest(self):
-        ring = ProfileRing(capacity=3)
+    def test_capacity_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(profiles, "RETENTION", 3)
+        ring = ProfileRing()
         for seq in range(5):
             ring.record(make_profile(seq))
         assert len(ring) == 3
@@ -129,18 +131,15 @@ class TestProfileRing:
         assert [p.seq for p in ring.last()] == [2, 3, 4]
         assert [p.seq for p in ring.last(2)] == [3, 4]
 
-    def test_rerecord_moves_to_newest(self):
-        ring = ProfileRing(capacity=2)
+    def test_rerecord_moves_to_newest(self, monkeypatch):
+        monkeypatch.setattr(profiles, "RETENTION", 2)
+        ring = ProfileRing()
         ring.record(make_profile(1))
         ring.record(make_profile(2))
         ring.record(make_profile(1, finish=9.0))
         ring.record(make_profile(3))
         assert ring.get(2) is None  # 2 was oldest after 1's re-record
         assert ring.get(1).finish == 9.0
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ProfileRing(capacity=0)
 
 
 class TestServiceIntegration:
@@ -165,7 +164,7 @@ class TestServiceIntegration:
 
     def test_shed_queries_are_profiled_too(self, catalog):
         quotas = {"capped": TenantQuota(max_state_bytes=1.0)}
-        config = ServiceConfig(quotas=quotas, profile_retention=4)
+        config = ServiceConfig(quotas=quotas)
         with QueryService(catalog, config) as service:
             seq = service.submit("Q2A", tenant="capped")
             service.run()
@@ -174,9 +173,9 @@ class TestServiceIntegration:
             assert profile.reason == "quota:state"
             assert profile.operators == []
 
-    def test_retention_config_bounds_the_ring(self, catalog):
-        config = ServiceConfig(profile_retention=2)
-        with QueryService(catalog, config) as service:
+    def test_retention_config_bounds_the_ring(self, catalog, monkeypatch):
+        monkeypatch.setattr(profiles, "RETENTION", 2)
+        with QueryService(catalog, ServiceConfig()) as service:
             for _ in range(3):
                 service.submit("Q1A")
                 service.run()

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.obs import trace
 from repro.obs.trace import MAX_EVENTS, Tracer, validate_chrome_trace
 from repro.obs.validate import main as validate_main
 
@@ -37,18 +38,20 @@ class TestTracer:
         tracer.instant_now("governor.lease", "governor", {"seq": 1})
         assert tracer.events[-1][3] == 1040
 
-    def test_max_events_counts_drops(self):
-        tracer = Tracer(max_events=2)
+    def test_max_events_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_EVENTS", 2)
+        tracer = Tracer()
         for ts in range(5):
             tracer.instant("emit:Scan", "engine", ts)
         assert len(tracer) == 2
         assert tracer.dropped == 3
         assert tracer.to_chrome()["otherData"]["dropped_events"] == 3
 
-    def test_ring_retains_newest_events(self):
+    def test_ring_retains_newest_events(self, monkeypatch):
         """A full buffer is a sliding window: a long-lived server keeps
         the most recent events, not the first hour's."""
-        tracer = Tracer(max_events=3)
+        monkeypatch.setattr(trace, "MAX_EVENTS", 3)
+        tracer = Tracer()
         for ts in range(10):
             tracer.instant("emit:Scan", "engine", ts)
         assert [event[3] for event in tracer.events] == [7, 8, 9]
@@ -57,13 +60,6 @@ class TestTracer:
         assert tracer.last_ts == 9
         exported = tracer.to_chrome()
         assert [e["ts"] for e in exported["traceEvents"]] == [7, 8, 9]
-
-    def test_retention_is_configurable_and_positive(self):
-        import pytest
-
-        assert Tracer(max_events=5).max_events == 5
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
 
     def test_default_cap_is_large(self):
         assert Tracer().max_events == MAX_EVENTS == 1_000_000

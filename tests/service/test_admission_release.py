@@ -96,8 +96,9 @@ class TestReleaseOnError:
 
 
 class TestReconciliation:
-    def test_ewma_moves_toward_observed_ratio(self):
-        ctl = AdmissionController(correction_alpha=0.5)
+    def test_ewma_moves_toward_observed_ratio(self, monkeypatch):
+        monkeypatch.setattr(AdmissionController, "CORRECTION_ALPHA", 0.5)
+        ctl = AdmissionController()
         assert ctl.correction == 1.0
         ctl.observe(1000.0, 250.0)  # run used a quarter of the estimate
         assert ctl.correction == pytest.approx(0.625)
@@ -115,8 +116,9 @@ class TestReconciliation:
         assert ctl.correction < 0.7
         assert ctl.decide(1500.0) == "admit"
 
-    def test_correction_clamped(self):
-        ctl = AdmissionController(correction_alpha=1.0)
+    def test_correction_clamped(self, monkeypatch):
+        monkeypatch.setattr(AdmissionController, "CORRECTION_ALPHA", 1.0)
+        ctl = AdmissionController()
         ctl.observe(1.0, 1e9)
         assert ctl.correction == 20.0
         ctl.observe(1e9, 0.0)

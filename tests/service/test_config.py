@@ -69,7 +69,7 @@ class TestCoercion:
                      "memory_budget", "tracer", "parallel", "pool",
                      "catalog_spec", "slo_seconds", "quotas"):
             assert name in names
-        assert len(names) == 20
+        assert len(names) == 17
 
 
 class TestTenantQuota:

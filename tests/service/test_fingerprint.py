@@ -5,9 +5,7 @@ import pytest
 from repro.data.tpch import cached_tpch
 from repro.expr.expressions import col
 from repro.plan.builder import scan
-from repro.service.fingerprint import (
-    invalidate_signatures, plan_signature,
-)
+from repro.service.fingerprint import plan_signature
 from repro.workloads.registry import get_query
 
 
@@ -51,34 +49,9 @@ class TestPlanSignature:
             query.build_magic(catalog)
         )
 
-
-class TestSignatureMemo:
-    def test_signature_is_memoised_per_node(self, catalog):
-        plan = get_query("Q2A").build_baseline(catalog)
-        assert "_signature_memo" not in plan.__dict__
-        sig = plan_signature(plan)
-        assert plan.__dict__["_signature_memo"] == sig
-        # the memo, not a recomputation, is returned
-        plan.__dict__["_signature_memo"] = "sentinel"
-        assert plan_signature(plan) == "sentinel"
-
-    def test_invalidate_clears_whole_walk(self, catalog):
-        plan = get_query("Q2A").build_baseline(catalog)
-        sig = plan_signature(plan)
-        memoised = [
-            node for node in plan.walk()
-            if "_signature_memo" in node.__dict__
-        ]
-        assert memoised  # the root render memoises child subtrees too
-        invalidate_signatures(plan)
-        assert all(
-            "_signature_memo" not in node.__dict__ for node in plan.walk()
-        )
-        assert plan_signature(plan) == sig
-
-    def test_site_stamping_invalidates(self, catalog):
-        """The one mutating path (scan-site stamping) must change the
-        signature it invalidated, not serve the stale memo."""
+    def test_site_stamping_changes_signature(self, catalog):
+        """Scan-site stamping, the one mutation of a built plan, moves
+        its signature: a remote scan is not a local one."""
         from repro.distributed.coordinator import mark_remote_scans
         from repro.distributed.site import Placement, Site
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.data.schema import Attribute, INT, Schema
+from repro.service import result_cache
 from repro.service.result_cache import ResultCache
 
 
@@ -28,8 +29,9 @@ class TestResultCache:
         cache.store("sig", [(9,)], _schema(), 0.9)
         assert cache.lookup("sig").rows == [(1,)]
 
-    def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(result_cache, "MAX_ENTRIES", 2)
+        cache = ResultCache()
         cache.store("a", [(1,)], _schema(), 0.1)
         cache.store("b", [(2,)], _schema(), 0.1)
         cache.lookup("a")  # refresh a; b becomes oldest
@@ -49,7 +51,3 @@ class TestResultCache:
         cache.clear()
         assert cache.lookup("sig") is None
         assert len(cache) == 0
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=0)

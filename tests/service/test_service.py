@@ -4,7 +4,6 @@ import contextlib
 
 import pytest
 
-from repro.aip.sets import HASHSET
 from repro.client import Client
 from repro.data.tpch import cached_tpch
 from repro.exec.context import ExecutionContext
@@ -341,26 +340,18 @@ class TestServiceBasics:
 
     def test_published_sets_observe_their_bloom_fill(self, catalog):
         """Every set a Feed-Forward run publishes is counted, and each
-        Bloom filter's fill fraction lies in [0, 1]; hash sets have
-        none to observe.  Zero is an empty set: Q2A publishes four
-        (six sets, fills 0 and 0.031)."""
-        def published(**kwargs):
-            service = QueryService(catalog, strategy="feedforward",
-                                   result_cache=False, **kwargs)
-            service.submit("Q2A")
-            assert service.run().outcomes[0].status == OK
-            registry = service.registry
-            return (registry.counter("aip.sets_published").value,
-                    registry.histogram("aip.bloom_fill_fraction",
-                                       RATIO_BUCKETS))
-
-        sets, fills = published()
+        one's Bloom fill fraction lies in [0, 1].  Zero is an empty
+        set: Q2A publishes four (six sets, fills 0 and 0.031)."""
+        service = QueryService(catalog, strategy="feedforward",
+                               result_cache=False)
+        service.submit("Q2A")
+        assert service.run().outcomes[0].status == OK
+        registry = service.registry
+        sets = registry.counter("aip.sets_published").value
+        fills = registry.histogram("aip.bloom_fill_fraction", RATIO_BUCKETS)
         assert sets > 0
         assert fills.count == sets
         assert 0 <= fills.vmin < fills.vmax <= 1
-        sets, fills = published(strategy_kwargs={"summary_kind": HASHSET})
-        assert sets > 0
-        assert fills.count == 0
 
     def test_peak_state_tracked(self, catalog):
         service = QueryService(catalog)

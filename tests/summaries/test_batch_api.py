@@ -154,8 +154,8 @@ class TestDefaultFallback:
 
 
 class TestInjectedFilterBatch:
-    """``passes_page`` advances ``probed``/``pruned`` by the rows probed
-    and rejected, and preserves survivor order."""
+    """``passes_page`` selects exactly the rows the summary accepts, in
+    order, and hands back an unpruned page itself."""
 
     def _filters(self):
         from repro.exec.operators.base import InjectedFilter
@@ -172,17 +172,15 @@ class TestInjectedFilterBatch:
         survivors = batch_f.passes_page(ColumnBatch.from_rows(rows, 2))
         expected = [r for r in rows if r[0] in batch_f.summary]
         assert survivors.rows() == expected
-        assert batch_f.probed == len(rows)
-        assert batch_f.pruned == len(rows) - len(expected)
+        assert survivors.n_rows == len(expected) < len(rows)
 
     def test_all_pass_returns_same_page(self):
         batch_f, _ = self._filters()
         page = ColumnBatch.from_rows([(1,), (3,), (5,)], 1)
         assert batch_f.passes_page(page) is page
-        assert batch_f.pruned == 0
 
     def test_empty_batch(self):
         batch_f, _ = self._filters()
         page = ColumnBatch.from_rows([], 1)
         assert batch_f.passes_page(page) is page
-        assert batch_f.probed == 0
+        assert not batch_f._verdicts

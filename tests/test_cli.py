@@ -338,6 +338,23 @@ class TestNumericArguments:
         assert "error: argument --" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--prom-out", "metrics.prom", "--prom-interval", "0"],
+        ["serve", "--prom-interval", "-5"],
+        ["serve", "--prom-interval", "nan"],
+        ["top", "--interval", "-1"],
+        ["top", "--interval", "0"],
+        ["top", "--interval", "inf"],
+    ])
+    def test_interval_must_be_finite_and_positive(self, argv, capsys):
+        """A zero ``--prom-interval`` rewrote the snapshot in a busy
+        loop, and a negative ``top --interval`` died in ``time.sleep``;
+        both are rejected before anything starts."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "seconds > 0" in capsys.readouterr().err
+
 
 class TestAdminCommands:
     """``repro stats`` / ``repro top`` against a live server."""

@@ -1,4 +1,5 @@
-"""Tripwire: no definition in ``src/`` that only the tests call.
+"""Tripwire: no definition in ``src/`` that only the tests call, and
+no :class:`~repro.service.ServiceConfig` field that only tests set.
 
 Every non-dunder ``def`` and ``class`` under ``src/`` must be named, as
 a whole word, somewhere a real caller could be: another line of
@@ -15,12 +16,15 @@ reachability.
 """
 
 import ast
+import dataclasses
 import functools
 import io
 import re
 import tokenize
 from collections import defaultdict
 from pathlib import Path
+
+from repro.service import ServiceConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +49,23 @@ ALLOWED = {
     "bits_as_int": (
         "a Bloom filter's bits in the big-int layout that the "
         "word-equality checks of the Bloom kernels compare against"
+    ),
+}
+
+#: ``ServiceConfig`` fields no ``src/``, ``benchmarks/`` or
+#: ``examples/`` call sets, kept on purpose: field -> why.
+ALLOWED_FIELDS = {
+    "pool": (
+        "hands the service an already-warm worker pool, which the tests "
+        "share across services so each does not spawn its own"
+    ),
+    "placement": (
+        "the deployment topology (which site holds which table), "
+        "DESIGN section 7's distributed service"
+    ),
+    "network": (
+        "the per-site links that go with a placement, also a "
+        "deployment setting"
     ),
 }
 
@@ -116,3 +137,31 @@ def test_allowlist_is_current():
     """Each allowlisted name is still defined in ``src/``."""
     defined = {name for name, _, _, _ in _scan()[0]}
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+def _config_keywords():
+    """Every keyword passed to a ``ServiceConfig(...)`` call in
+    ``src/``, ``benchmarks/`` or ``examples/``."""
+    passed = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "ServiceConfig":
+                    passed.update(kw.arg for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_config_field_has_a_caller():
+    """A field only tests set doubles the configuration space for no
+    caller: make it a constant, or name it in :data:`ALLOWED_FIELDS`."""
+    fields = {field.name for field in dataclasses.fields(ServiceConfig)}
+    unset = fields - _config_keywords() - set(ALLOWED_FIELDS)
+    assert not unset, (
+        "ServiceConfig fields no src/benchmarks/examples call sets: "
+        + ", ".join(sorted(unset))
+    )
+    assert set(ALLOWED_FIELDS) <= fields, sorted(set(ALLOWED_FIELDS) - fields)
