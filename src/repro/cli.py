@@ -528,13 +528,11 @@ def _cmd_explain(args) -> int:
     query = get_query(args.qid)
     catalog = cached_tpch(scale_factor=args.scale, skew=query.skew)
     use_magic = args.magic or (args.analyze and uses_magic_plan(args.strategy))
-    if use_magic and not query.has_magic:
-        print("error: %s has no magic-sets plan" % args.qid, file=sys.stderr)
+    try:
+        plan = query.build(catalog, use_magic)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 2
-    plan = (
-        query.build_magic(catalog) if use_magic
-        else query.build_baseline(catalog)
-    )
     if not args.analyze:
         print(explain(plan, catalog))
         return 0

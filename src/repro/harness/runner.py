@@ -136,11 +136,7 @@ def run_workload_query(
         )
     query = get_query(qid)
     catalog = cached_tpch(scale_factor=scale_factor, skew=query.skew, seed=seed)
-    plan = (
-        query.build_magic(catalog)
-        if uses_magic_plan(strategy)
-        else query.build_baseline(catalog)
-    )
+    plan = query.build(catalog, uses_magic_plan(strategy))
     governor = None
     if memory_budget is not None:
         from repro.storage.governor import MemoryGovernor

@@ -286,7 +286,7 @@ def reply_frames(qid, request) -> Iterator[Dict]:
         yield {"type": FRAME_SUMMARY, "id": qid, "result": payload}
 
 
-def read_frame(stream, max_frame: int = MAX_FRAME_BYTES) -> Dict:
+def read_frame(stream) -> Dict:
     """Read one frame from a binary file-like object (``.read(n)``).
 
     Sockets pass their ``makefile("rb")``; tests pass ``io.BytesIO``.
@@ -305,10 +305,10 @@ def read_frame(stream, max_frame: int = MAX_FRAME_BYTES) -> Dict:
             % (len(header), _HEADER.size)
         )
     (length,) = _HEADER.unpack(header)
-    if length > max_frame:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             "frame length %d exceeds the %d-byte ceiling"
-            % (length, max_frame)
+            % (length, MAX_FRAME_BYTES)
         )
     payload = stream.read(length) if length else b""
     if len(payload) < length:

@@ -28,7 +28,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Rotation threshold (bytes) of every log.
 MAX_BYTES = 4 * 1024 * 1024
@@ -72,26 +72,6 @@ class EventLog:
         self._fh = open(self.path, "a", encoding="utf-8")
         self._size = 0
         self.rotations += 1
-
-    def tail(self, n: int = 10) -> List[Dict]:
-        """The last ``n`` events in the current file (oldest first).
-
-        Reads the live file only (not the rotated generation); meant
-        for tests and the CLI, not high-volume consumption.
-        """
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-        entries: List[Dict] = []
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        entries.append(json.loads(line))
-        except OSError:
-            return []
-        return entries[-n:]
 
     def close(self) -> None:
         with self._lock:

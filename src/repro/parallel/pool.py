@@ -256,10 +256,6 @@ class WorkerPool:
         self._set_gauges()
         return wanted
 
-    def run(self, task, timeout: Optional[float] = None) -> TaskResult:
-        """Submit one task and gather it."""
-        return self.gather([self.submit(task)], timeout=timeout)[0]
-
     # -- message handling ----------------------------------------------
 
     def _handle_message(self, message) -> None:

@@ -2,30 +2,23 @@
 
 Python dicts preserve insertion order, so recency is maintained by
 popping and re-inserting on access; eviction drops the oldest entry.
-Capacity is bounded two ways: an entry count, and (optionally) a
-resident-byte cap measured through a caller-supplied sizer — the
-service's whole point is bounding memory, so its caches must not grow
-without limit themselves.
+Capacity is bounded two ways: an entry count, and a resident-byte cap
+measured through a caller-supplied sizer — the service's whole point is
+bounding memory, so its caches must not grow without limit themselves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable
 
 
 class LruDict:
     """Insertion-ordered mapping with count- and byte-bounded eviction."""
 
-    def __init__(
-        self,
-        max_entries: int,
-        byte_size_of: Optional[Callable] = None,
-        max_bytes: Optional[int] = None,
-    ):
+    def __init__(self, max_entries: int, byte_size_of: Callable,
+                 max_bytes: int):
         if max_entries < 1:
             raise ValueError("need max_entries >= 1")
-        if max_bytes is not None and byte_size_of is None:
-            raise ValueError("a byte cap needs a byte_size_of sizer")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._byte_size_of = byte_size_of
@@ -58,23 +51,20 @@ class LruDict:
         A value that alone exceeds the byte cap is not stored at all —
         pinning it would violate the cap for the cache's lifetime — and
         any existing entry under the key is left in place."""
-        if (
-            self.max_bytes is not None
-            and self._byte_size_of(value) > self.max_bytes
-        ):
+        nbytes = self._byte_size_of(value)
+        if nbytes > self.max_bytes:
             return False
         existing = self._entries.pop(key, None)
-        if existing is not None and self._byte_size_of is not None:
+        if existing is not None:
             self._bytes -= self._byte_size_of(existing)
         self._entries[key] = value
-        if self._byte_size_of is not None:
-            self._bytes += self._byte_size_of(value)
-        while len(self._entries) > self.max_entries or (
-            self.max_bytes is not None and self._bytes > self.max_bytes
+        self._bytes += nbytes
+        while (
+            len(self._entries) > self.max_entries
+            or self._bytes > self.max_bytes
         ):
             victim = self._entries.pop(next(iter(self._entries)))
-            if self._byte_size_of is not None:
-                self._bytes -= self._byte_size_of(victim)
+            self._bytes -= self._byte_size_of(victim)
         return True
 
     def values(self) -> Iterable:

@@ -463,10 +463,7 @@ class QueryService:
             )
         if query in QUERIES:
             workload = get_query(query)
-            if uses_magic_plan(strategy_name) and workload.has_magic:
-                plan = workload.build_magic(self.catalog)
-            else:
-                plan = workload.build_baseline(self.catalog)
+            plan = workload.build(self.catalog, uses_magic_plan(strategy_name))
             if workload.is_distributed:
                 # Same placement the runner builds for `repro run`.
                 from repro.distributed.site import Placement, Site
@@ -474,6 +471,8 @@ class QueryService:
                     [Site("remote-1", workload.remote_tables)]
                 ))
             return plan, label or query
+        if uses_magic_plan(strategy_name):
+            raise ValueError("SQL text has no magic-sets variant")
         from repro.sql import sql_to_plan
         return sql_to_plan(self.catalog, query), label or "sql"
 
@@ -804,7 +803,7 @@ class QueryService:
         the controller leaks budget and later queries queue forever.
         The governor epoch gives a failed batch the same guarantee for
         *enforced* bytes: dead operators' leases, spill handlers and
-        buffer frames all roll back.  Inline engine errors propagate
+        table pages all roll back.  Inline engine errors propagate
         out of :meth:`run`; a pool worker's become ``error`` queries.
         """
         epoch = (

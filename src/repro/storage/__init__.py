@@ -7,12 +7,12 @@ Python memory.  This package bounds that memory:
 * :mod:`repro.storage.disk` — the spill backend: pickled spool pages
   as extents of one file under a private temp directory, the file
   removed when its last page is, the directory on close;
-* :mod:`repro.storage.buffer` — a **buffer manager** with pin/unpin
-  and LRU eviction that drops clean table pages (a reload slices them
-  again), plus :class:`PagedRows`, the sequence facade scans stream
-  instead of materialised row lists: a table page is a slice of the
-  table's rows, taken when a scan first reads it and weighed through
-  :mod:`repro.common.sizing`;
+* :mod:`repro.storage.buffer` — :class:`PagedRows`, the sequence
+  facade scans stream instead of materialised row lists, holding one
+  table page per scan: a slice of the table's rows, taken when the scan
+  first reads it and weighed through :mod:`repro.common.sizing`; and
+  the **buffer manager**, an LRU of the scans whose page is resident,
+  which evicts by dropping clean pages (a reload slices them again);
 * :mod:`repro.storage.spill` — the **partition ledger** each governed
   stateful operator spills Grace-style hash partitions through, and
   the append-only paged **spools** it writes them to;
@@ -21,9 +21,9 @@ Python memory.  This package bounds that memory:
   and a grow that would cross the budget first reclaims (buffer-pool
   eviction, then operator spills, largest lease first).
 
-With no governor attached (``memory_budget=None``) none of this is
-instantiated and execution is bit-identical to the un-governed engine;
-with a finite budget, results are identical while governor-observed
+With no memory budget (``memory_budget=None``) no governor is built,
+so none of this is instantiated and execution is bit-identical to the
+un-governed engine; with a budget, results are identical while governor-observed
 resident state stays under budget, and spill I/O is charged to the
 virtual clock as ``spill_bytes``/``spill_events``.
 """

@@ -1,63 +1,32 @@
-"""The buffer manager: pinned pages, LRU eviction, paged scan rows.
+"""The buffer pool: one table page per paged scan, LRU eviction.
 
-Frames hold table pages: slices of a table's immutable row list,
-``rows[start:stop]``.  A frame is *resident* while its slice is in
-memory and *evicted* once the slice has been dropped.  Table pages are
-clean — the catalog's row list always holds their rows — so eviction
-writes nothing: :meth:`BufferManager.pin` reloads an evicted frame by
-slicing it again from the table's rows (the same tuple objects),
-charged as one page read.  Only spools (:mod:`repro.storage.spill`)
-write to disk.  Pinned frames are never evicted — pin spans are short
-(one page slice) so the pool can always make progress.
+A scan under a governor reads its table through :class:`PagedRows`, a
+read-only sequence (``len`` + indexing, which is all the arrival models
+need) over the table's pages.  A page is a slice of the table's
+immutable row list, ``rows[start:stop]``, weighed as its rows weigh
+everywhere else (:func:`repro.common.sizing.rows_nbytes`).  A scan keeps
+only its current page: the first read of a page admits it to the pool,
+and a read of any other page releases it first (a scan reads rows in
+index order, once each, so a page it has left is never read again; a
+read elsewhere admits that page in turn, so any access pattern stays
+correct and only forward scans are cheap).
 
-:class:`PagedRows` is the engine-facing facade: a read-only sequence
-(``len`` + indexing, which is all the arrival models need) over a
-table's pages, so scans stream pages under the governor's budget.  A
-page is weighed as its rows weigh everywhere else
-(:func:`repro.common.sizing.rows_nbytes`).  It is lazy and
-forward-only: a page is admitted to the pool when a scan first reads
-it, and released (bytes returned) once the scan moves past it.  A read
-behind the cursor admits the page again, so any access pattern stays
-correct; only forward scans are cheap.
+Table pages are clean — the catalog's row list always holds their rows —
+so eviction writes nothing: the next read of an evicted page slices it
+again from the table's rows (the same tuple objects), charged as one
+page read.  Only spools (:mod:`repro.storage.spill`) write to disk.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
 
 from repro.common.sizing import row_nbytes, rows_nbytes
 
 
-class Frame:
-    """One buffer-pool slot: the page ``table_rows[start:stop]``."""
-
-    __slots__ = (
-        "frame_id", "table_rows", "start", "stop", "payload", "nbytes",
-        "pins", "epoch",
-    )
-
-    def __init__(self, frame_id: int, table_rows: List, start: int,
-                 stop: int, nbytes: int, epoch: int):
-        self.frame_id = frame_id
-        self.table_rows = table_rows
-        self.start = start
-        self.stop = stop
-        #: The page's rows while resident; None once evicted.
-        self.payload: Optional[List] = table_rows[start:stop]
-        self.nbytes = nbytes
-        self.pins = 0
-        #: Accounting epoch that admitted the frame (see
-        #: ``MemoryGovernor.abort_epoch``).
-        self.epoch = epoch
-
-    @property
-    def resident(self) -> bool:
-        return self.payload is not None
-
-
 class BufferManager:
-    """LRU pool of page frames accounted on one governor lease.
+    """The LRU of the scans whose page is resident, accounted on one
+    governor lease.
 
     The lease also carries the rows an arrival run holds past its
     first page while the run is pushed (:meth:`hold`), so the bytes a
@@ -66,13 +35,8 @@ class BufferManager:
     def __init__(self, governor):
         self.governor = governor
         self._lease = governor.lease("buffer-pool")
-        self._next_frame = 0
-        #: frame_id -> Frame for every *resident* frame, in LRU order
-        #: (oldest first).
-        self._lru: "OrderedDict[int, Frame]" = OrderedDict()
-        #: Every live frame, resident or evicted (epoch rollback needs
-        #: to reach evicted frames too).
-        self._all: dict = {}
+        #: The scans whose page is resident, least recently read first.
+        self._lru: "OrderedDict[PagedRows, None]" = OrderedDict()
         self.evictions = 0
         self.reloads = 0
 
@@ -80,64 +44,42 @@ class BufferManager:
     def resident_bytes(self) -> int:
         return self._lease.nbytes
 
-    # -- frame lifecycle -------------------------------------------------
+    # -- page lifecycle --------------------------------------------------
 
-    def add(self, table_rows: List, start: int, stop: int, nbytes: int,
-            ctx=None) -> Frame:
-        """Admit the page ``table_rows[start:stop]`` as a resident
-        frame."""
-        self._next_frame += 1
-        frame = Frame(
-            self._next_frame, table_rows, start, stop, nbytes,
-            self.governor._epoch,
-        )
-        self.governor.request(self._lease, nbytes, ctx)
-        self._lru[frame.frame_id] = frame
-        self._all[frame.frame_id] = frame
-        return frame
+    def admit(self, scan: "PagedRows", ctx=None) -> None:
+        """Account ``scan``'s new page and make it the most recent."""
+        self.governor.request(self._lease, scan.nbytes, ctx)
+        self._lru[scan] = None
 
-    def pin(self, frame: Frame, ctx=None) -> List:
-        """Return the frame's rows, slicing them again from the table
-        if evicted (charged as one page read); the frame cannot be
-        evicted until the matching :meth:`unpin`."""
-        if frame.payload is None:
-            self.governor.charge_spill(ctx, frame.nbytes)
-            self.governor.request(self._lease, frame.nbytes, ctx)
-            frame.payload = frame.table_rows[frame.start:frame.stop]
-            self.reloads += 1
-            self._lru[frame.frame_id] = frame
-        else:
-            self._lru.move_to_end(frame.frame_id)
-        frame.pins += 1
-        return frame.payload
+    def reload(self, scan: "PagedRows", ctx=None) -> None:
+        """Account ``scan``'s evicted page again, charged as one page
+        read."""
+        self.governor.charge_spill(ctx, scan.nbytes)
+        self.governor.request(self._lease, scan.nbytes, ctx)
+        self.reloads += 1
+        self._lru[scan] = None
 
-    def unpin(self, frame: Frame) -> None:
-        if frame.pins <= 0:
-            raise RuntimeError("unpin of a frame that is not pinned")
-        frame.pins -= 1
+    def touch(self, scan: "PagedRows") -> None:
+        self._lru.move_to_end(scan)
 
-    def release(self, frame: Frame) -> None:
-        """Drop the frame entirely."""
-        if frame.payload is not None:
-            frame.payload = None
-            self.governor.release(self._lease, frame.nbytes)
-            self._lru.pop(frame.frame_id, None)
-        self._all.pop(frame.frame_id, None)
+    def release(self, scan: "PagedRows") -> None:
+        """Return the bytes of ``scan``'s page if it is resident."""
+        if scan in self._lru:
+            del self._lru[scan]
+            self.governor.release(self._lease, scan.nbytes)
 
     def release_epoch(self, epoch: int) -> None:
-        """Drop every frame admitted in or after ``epoch`` (the
+        """Drop every resident page admitted in or after ``epoch`` (the
         governor's rollback of a failed batch)."""
-        for frame in [
-            f for f in self._all.values() if f.epoch >= epoch
-        ]:
-            frame.pins = 0  # its owner is dead; nothing will unpin
-            self.release(frame)
+        for scan in [s for s in self._lru if s.epoch >= epoch]:
+            self.release(scan)
+            scan.page = None
 
     # -- arrival runs -----------------------------------------------------
 
     def hold(self, nbytes: int, ctx=None) -> None:
-        """Account ``nbytes`` of rows a run holds outside any frame;
-        the matching :meth:`unhold` returns them."""
+        """Account ``nbytes`` of rows a run holds outside any page; the
+        matching :meth:`unhold` returns them."""
         self.governor.request(self._lease, nbytes, ctx)
 
     def unhold(self, nbytes: int) -> None:
@@ -146,31 +88,24 @@ class BufferManager:
     # -- eviction ---------------------------------------------------------
 
     def evictable_bytes(self) -> int:
-        """Bytes :meth:`evict_until` could free: the unpinned resident
-        frames'."""
-        return sum(
-            frame.nbytes for frame in self._lru.values() if not frame.pins
-        )
+        """Bytes :meth:`evict_until` could free: every resident page's."""
+        return sum(scan.nbytes for scan in self._lru)
 
     def evict_until(self, need_bytes: int, ctx=None) -> int:
-        """Drop unpinned resident frames, LRU first, until
-        ``need_bytes`` have been freed (or nothing evictable remains);
-        returns the bytes actually freed.  Nothing is written: a page
-        is sliced again from its table when next pinned."""
+        """Drop resident pages, LRU first, until ``need_bytes`` have
+        been freed (or none is left); returns the bytes actually freed.
+        Nothing is written: a page is sliced again from its table when
+        next read."""
         freed = 0
         if need_bytes <= 0:
             return freed
-        for frame_id in list(self._lru):
-            if freed >= need_bytes:
-                break
-            frame = self._lru[frame_id]
-            if frame.pins:
-                continue
-            frame.payload = None
-            del self._lru[frame_id]
-            self.governor.release(self._lease, frame.nbytes)
+        lru = self._lru
+        while lru and freed < need_bytes:
+            scan, _ = lru.popitem(last=False)
+            scan.page = None
+            self.governor.release(self._lease, scan.nbytes)
             self.evictions += 1
-            freed += frame.nbytes
+            freed += scan.nbytes
         tracer = self.governor.tracer
         if tracer is not None and freed:
             args = {"freed": freed, "need": need_bytes}
@@ -185,8 +120,8 @@ class BufferManager:
 
 
 class PagedRows:
-    """A table's rows as governor-managed row-slice pages, admitted
-    lazily and dropped once a scan has passed them.
+    """A table's rows as governor-managed row-slice pages, of which the
+    scan holds one: the page it read last.
 
     Duck-types the part of the ``list`` interface the scan machinery
     uses — ``len()`` and integer indexing, which is all
@@ -196,27 +131,27 @@ class PagedRows:
     """
 
     __slots__ = (
-        "_ctx", "_buffer", "_schema", "_rows", "_frames", "_page_rows",
-        "_cursor",
+        "_ctx", "_buffer", "_schema", "_rows", "_page_rows", "_index",
+        "page", "nbytes", "epoch",
     )
 
-    def __init__(self, ctx, schema, rows, page_rows: Optional[int] = None):
+    def __init__(self, ctx, schema, rows):
         governor = ctx.governor
         self._ctx = ctx
         self._buffer = governor.buffer
         self._schema = schema
-        self._page_rows = page_rows or governor.page_records_for(
-            row_nbytes(schema)
-        )
+        self._page_rows = governor.page_records_for(row_nbytes(schema))
         #: The table's immutable row list; a page is its slice, taken
         #: on first read, so construction admits nothing.
         self._rows = rows
-        #: One slot per page: its frame while built, None before the
-        #: first read and after release.
-        self._frames = [None] * -(-len(rows) // self._page_rows)
-        #: The page last read.  Every live frame is at or past it:
-        #: reading forward releases the pages in between.
-        self._cursor = 0
+        #: The current page's index (-1 before the first read and
+        #: after release), its rows while resident (None once
+        #: evicted), its bytes and the accounting epoch that admitted
+        #: it (see ``MemoryGovernor.abort_epoch``).
+        self._index = -1
+        self.page = None
+        self.nbytes = 0
+        self.epoch = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -224,13 +159,11 @@ class PagedRows:
     def run_rows(self, most: int) -> int:
         """Most rows one arrival run may take from this table, at most
         ``most``: the rows ``MemoryGovernor.run_nbytes`` holds, and at
-        least one page; ``most`` without a budget."""
-        limit = self._buffer.governor.run_nbytes()
-        if limit is None:
-            return most
-        return min(
-            most, max(self._page_rows, limit // row_nbytes(self._schema))
-        )
+        least one page."""
+        return min(most, max(
+            self._page_rows,
+            self._buffer.governor.run_nbytes() // row_nbytes(self._schema),
+        ))
 
     def run_nbytes(self, n_rows: int) -> int:
         """Bytes a run of ``n_rows`` of this table holds past its first
@@ -238,29 +171,26 @@ class PagedRows:
         return rows_nbytes(self._schema, max(0, n_rows - self._page_rows))
 
     def _page(self, page_index: int):
-        """The rows of one page, pinned and unpinned once (each read
-        pins, so reload charges and LRU recency follow the reads).  A
-        page not yet built (or released) is admitted to the buffer
-        pool; moving forward releases the pages behind, which no scan
-        reads again."""
-        frames = self._frames
-        buffer = self._buffer
-        for behind in range(self._cursor, page_index):
-            if frames[behind] is not None:
-                buffer.release(frames[behind])
-                frames[behind] = None
-        self._cursor = page_index
-        frame = frames[page_index]
-        if frame is None:
+        """The rows of one page.  Another page than the current one
+        replaces it in the pool; the current page is reloaded if it was
+        evicted, and made the most recent either way."""
+        if page_index != self._index:
+            buffer = self._buffer
+            buffer.release(self)
             start = page_index * self._page_rows
             stop = min(start + self._page_rows, len(self._rows))
-            frame = frames[page_index] = buffer.add(
-                self._rows, start, stop,
-                rows_nbytes(self._schema, stop - start), self._ctx,
-            )
-        rows = buffer.pin(frame, self._ctx)
-        buffer.unpin(frame)
-        return rows
+            self._index = page_index
+            self.nbytes = rows_nbytes(self._schema, stop - start)
+            self.epoch = buffer.governor._epoch
+            buffer.admit(self, self._ctx)
+            self.page = self._rows[start:stop]
+        elif self.page is None:
+            self._buffer.reload(self, self._ctx)
+            start = page_index * self._page_rows
+            self.page = self._rows[start:start + self._page_rows]
+        else:
+            self._buffer.touch(self)
+        return self.page
 
     def __getitem__(self, index: int):
         n_rows = len(self._rows)
@@ -272,9 +202,9 @@ class PagedRows:
         return self._page(page_index)[offset]
 
     def slice(self, start: int, stop: int):
-        """Rows ``start`` to ``stop - 1`` as a list, with one pin per
-        page touched — a scan's arrival run reads a page slice at a
-        time, not a pin per row."""
+        """Rows ``start`` to ``stop - 1`` as a list, read a page at a
+        time — a scan's arrival run takes one page read per page
+        touched, not one per row."""
         page_rows = self._page_rows
         taken = []
         while start < stop:
@@ -291,8 +221,7 @@ class PagedRows:
             yield self[index]
 
     def release(self) -> None:
-        """Drop every page (called when the scan is exhausted)."""
-        for index, frame in enumerate(self._frames):
-            if frame is not None:
-                self._buffer.release(frame)
-                self._frames[index] = None
+        """Drop the current page (called when the scan is exhausted)."""
+        self._buffer.release(self)
+        self._index = -1
+        self.page = None

@@ -11,9 +11,9 @@ The lease protocol:
 * ``lease = governor.lease(label)`` — open an account;
 * ``governor.request(lease, nbytes, ctx)`` — admit bytes.  If the
   request would push the aggregate past the budget the governor first
-  **reclaims**: it evicts unpinned buffer-pool pages (cheapest — clean
-  table pages are dropped, and sliced again from the table when next
-  read), then asks the registered spill handlers — each stateful
+  **reclaims**: it evicts the scans' buffer-pool pages (cheapest —
+  clean table pages are dropped, and sliced again from the table when
+  next read), then asks the registered spill handlers — each stateful
   operator's partition ledger and each spool's tail page, most
   spillable first — to move state to disk.  The request itself always
   succeeds: correctness never depends on memory, only residency does.
@@ -22,10 +22,10 @@ The lease protocol:
 * ``governor.release(lease, nbytes)`` / ``lease.close()`` — return
   bytes.
 
-``budget=None`` builds an accounting-only governor (used to *measure*
-peak residency); queries run entirely without a governor when no
-memory budget is requested, which keeps the un-governed hot path
-bit-identical to the pre-storage engine.
+A governor always has a budget.  Queries run entirely without one when
+no memory budget is requested, which keeps the un-governed hot path
+bit-identical to the pre-storage engine; a budget nothing reaches
+(``1 << 40``) never reclaims, so it only measures residency.
 """
 
 from __future__ import annotations
@@ -72,13 +72,9 @@ class Lease:
 class MemoryGovernor:
     """Holds the process-wide state budget and hands out leases."""
 
-    def __init__(
-        self,
-        budget: Optional[int],
-        spill_dir: Optional[str] = None,
-    ):
-        if budget is not None and budget < 0:
-            raise ValueError("memory budget must be >= 0 bytes (or None)")
+    def __init__(self, budget: int, spill_dir: Optional[str] = None):
+        if budget < 0:
+            raise ValueError("memory budget must be >= 0 bytes")
         from repro.storage.buffer import BufferManager
 
         self.budget = budget
@@ -99,7 +95,6 @@ class MemoryGovernor:
         #: Governor hook sites fire through this (not a ctx) because
         #: leases outlive any single query's context.
         self.tracer = None
-        self.buffer = None  # so state accounting guards during setup
         #: Where spools write; table pages never reach it.
         self.backend = DiskBackend(spill_dir)
         self.buffer = BufferManager(self)
@@ -117,13 +112,10 @@ class MemoryGovernor:
 
     def page_nbytes(self) -> int:
         """Payload bytes one page may hold: :data:`PAGE_NBYTES_TARGET`,
-        shrunk so a single page stays a small fraction of a finite
-        budget (a page is the indivisible residency granule — reclaim
-        cannot split one)."""
-        target = self.PAGE_NBYTES_TARGET
-        if self.budget is not None:
-            target = min(target, max(1024, self.budget // 8))
-        return target
+        shrunk so a single page stays a small fraction of the budget (a
+        page is the indivisible residency granule — reclaim cannot
+        split one)."""
+        return min(self.PAGE_NBYTES_TARGET, max(1024, self.budget // 8))
 
     def page_records_for(self, record_nbytes: int) -> int:
         """How many records of ``record_nbytes`` one page should hold:
@@ -132,12 +124,9 @@ class MemoryGovernor:
             1, min(PAGE_ROWS, self.page_nbytes() // max(record_nbytes, 1))
         )
 
-    def run_nbytes(self) -> Optional[int]:
+    def run_nbytes(self) -> int:
         """Bytes one arrival run's rows may hold: the
-        :data:`RUN_BUDGET_FRACTION` of the budget, or None (no bound)
-        without one."""
-        if self.budget is None:
-            return None
+        :data:`RUN_BUDGET_FRACTION` of the budget."""
         return int(self.budget * self.RUN_BUDGET_FRACTION)
 
     # -- leases ---------------------------------------------------------
@@ -158,8 +147,7 @@ class MemoryGovernor:
     def _pool_nbytes(self) -> int:
         """Bytes held by the buffer pool (base-table pages and the
         arrival run being pushed)."""
-        buffer = self.buffer
-        return buffer.resident_bytes if buffer is not None else 0
+        return self.buffer.resident_bytes
 
     def request(self, lease: Lease, nbytes: int, ctx=None) -> None:
         """Admit ``nbytes`` onto ``lease``, reclaiming first if the
@@ -169,11 +157,7 @@ class MemoryGovernor:
                 self.release(lease, -nbytes)
             return
         budget = self.budget
-        if (
-            budget is not None
-            and not self._reclaiming
-            and self.resident_bytes + nbytes > budget
-        ):
+        if not self._reclaiming and self.resident_bytes + nbytes > budget:
             self._reclaim(self.resident_bytes + nbytes - budget, ctx)
             if self.resident_bytes + nbytes > budget:
                 self.over_budget_events += 1
@@ -206,12 +190,10 @@ class MemoryGovernor:
         lease.nbytes -= nbytes
         self.resident_bytes -= nbytes
 
-    def room(self) -> Optional[int]:
+    def room(self) -> int:
         """Bytes a lease could still grow by within the budget once a
-        reclaim has dropped every unpinned table page and every spill
-        handler has spilled all it holds; None without a budget."""
-        if self.budget is None:
-            return None
+        reclaim has dropped every table page and every spill handler
+        has spilled all it holds."""
         reclaimable = self.buffer.evictable_bytes() + sum(
             handler.spillable_nbytes() for handler in self._spillables
         )
@@ -262,20 +244,20 @@ class MemoryGovernor:
 
     # -- spill I/O charging ---------------------------------------------
 
-    def charge_spill(self, ctx, nbytes: int, events: int = 1) -> None:
-        """Bill ``nbytes`` of spill traffic (``events`` page moves) to
-        the run's virtual clock and spill counters."""
+    def charge_spill(self, ctx, nbytes: int) -> None:
+        """Bill one page move of ``nbytes`` to the run's virtual clock
+        and spill counters."""
         if ctx is None:
             return
         cm = ctx.cost_model
-        ctx.charge_events(events, cm.spill_page_io)
+        ctx.charge_events(1, cm.spill_page_io)
         ctx.charge(nbytes * cm.spill_byte_io)
         ctx.metrics.spill_bytes += nbytes
-        ctx.metrics.spill_events += events
+        ctx.metrics.spill_events += 1
         if self.tracer is not None:
             self.tracer.instant(
                 "governor.spill", "governor", ctx.metrics.clock_ticks,
-                {"bytes": nbytes, "pages": events},
+                {"bytes": nbytes, "pages": 1},
             )
 
     # -- observation ------------------------------------------------------
@@ -315,7 +297,7 @@ class MemoryGovernor:
     def abort_epoch(self, epoch: int) -> None:
         """Roll back a failed batch: close every lease opened in (or
         after) ``epoch``, drop its spill handlers and delete its spools'
-        pages, release the buffer frames it admitted, and discard the
+        pages, release the table pages it admitted, and discard the
         observation windows — dead operators must not hold residency,
         disk, or serve as reclaim victims, or poison the next successful
         batch's reconciliation.  With no page left on disk the spill
@@ -328,8 +310,7 @@ class MemoryGovernor:
             elif isinstance(handler, Spool):
                 handler.discard()
         self.backend.remove_dir_if_empty()
-        if self.buffer is not None:
-            self.buffer.release_epoch(epoch)
+        self.buffer.release_epoch(epoch)
         for lease in self._leases:
             if lease.epoch >= epoch:
                 lease.close()

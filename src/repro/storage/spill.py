@@ -28,33 +28,33 @@ from repro.common.hashing import stable_key
 N_SPILL_PARTITIONS = 16
 
 
-def _slow_partition(key, n_partitions: int) -> int:
+def _slow_partition(key) -> int:
     """:func:`spill_partition` off the plain-int path: a tuple of ints
     is its own stable key (``stable_key`` rebuilds an equal tuple), so
     it hashes directly; anything else goes through ``stable_key``."""
     if type(key) is tuple:
         for value in key:
             if type(value) is not int:
-                return hash(stable_key(key)) % n_partitions
-        return hash(key) % n_partitions
-    return hash(stable_key(key)) % n_partitions
+                return hash(stable_key(key)) % N_SPILL_PARTITIONS
+        return hash(key) % N_SPILL_PARTITIONS
+    return hash(stable_key(key)) % N_SPILL_PARTITIONS
 
 
-def spill_partition(key, n_partitions: int = N_SPILL_PARTITIONS) -> int:
+def spill_partition(key) -> int:
     """Deterministic partition id of one state key:
-    ``hash(stable_key(key)) % n_partitions``.  ``stable_key`` is the
-    identity on an ``int``, the common key type, so one hashes
+    ``hash(stable_key(key)) % N_SPILL_PARTITIONS``.  ``stable_key`` is
+    the identity on an ``int``, the common key type, so one hashes
     directly."""
     if type(key) is int:
-        return hash(key) % n_partitions
-    return _slow_partition(key, n_partitions)
+        return hash(key) % N_SPILL_PARTITIONS
+    return _slow_partition(key)
 
 
-def spill_partitions(keys, n_partitions: int = N_SPILL_PARTITIONS) -> List[int]:
+def spill_partitions(keys) -> List[int]:
     """:func:`spill_partition` of every key, in order."""
     return [
-        hash(key) % n_partitions if type(key) is int
-        else _slow_partition(key, n_partitions)
+        hash(key) % N_SPILL_PARTITIONS if type(key) is int
+        else _slow_partition(key)
         for key in keys
     ]
 
@@ -326,10 +326,10 @@ class PartitionLedger:
         as many as it has room for (at least one page's worth), so
         replaying a partition larger than the budget keeps within it."""
         governor = self._op.ctx.governor
-        room = governor.room()
-        if room is None:
-            return n
-        spare = room - self.REPLAY_SPARE_PAGES * governor.page_nbytes()
+        spare = (
+            governor.room()
+            - self.REPLAY_SPARE_PAGES * governor.page_nbytes()
+        )
         return max(
             governor.page_records_for(record_nbytes),
             min(n, spare // record_nbytes),

@@ -8,8 +8,7 @@ multiple hash functions (``n_hashes``).
 Filters of equal geometry (bit count, hash count, seed) can be merged:
 bitwise **intersection** tightens two filters over the same key to
 their common values (used by the AIP Registry when several completed
-subexpressions constrain the same attribute), and **union** combines
-filters built over partitions of the same relation.
+subexpressions constrain the same attribute).
 
 Storage layout
 --------------
@@ -44,7 +43,7 @@ import math
 import sys
 from array import array
 from itertools import count
-from operator import and_, itemgetter, or_
+from operator import itemgetter
 from typing import Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.common.hashing import stable_key
@@ -96,9 +95,9 @@ def bits_for(expected_items: int, fp_rate: float, hash_count: int) -> int:
 class BloomFilter(Summary):
     """A classic Bloom filter over hashable values.
 
-    The bit array is a flat ``array('Q')`` word buffer; word-wise
-    AND/OR give linear-in-words intersection and union, and single-bit
-    operations touch exactly one word.
+    The bit array is a flat ``array('Q')`` word buffer; a word-wise
+    AND gives linear-in-words intersection, and single-bit operations
+    touch exactly one word.
     """
 
     __slots__ = ("n_bits", "n_hashes", "seed", "_words", "n_added", "frozen")
@@ -262,41 +261,23 @@ class BloomFilter(Summary):
             and self.seed == other.seed
         )
 
-    def _merge_blank(self) -> "BloomFilter":
+    def intersect(self, other: "BloomFilter") -> "BloomFilter":
+        """Bitwise intersection: superset of the true value intersection.
+        The AND runs over both word buffers at once, as two big ints:
+        one C-level pass instead of a Python loop over words (the byte
+        order only has to round-trip, so native order serves)."""
+        if not self.compatible_with(other):
+            raise ValueError("cannot intersect incompatible Bloom filters")
         merged = type(self).__new__(type(self))
         merged.n_bits = self.n_bits
         merged.n_hashes = self.n_hashes
         merged.seed = self.seed
         merged.frozen = False
-        return merged
-
-    def _merged_words(self, other: "BloomFilter", op) -> array:
-        """``op`` (AND or OR) over both word buffers at once, as two big
-        ints: one C-level pass instead of a Python loop over words.
-        The byte order only has to round-trip, so native order serves."""
         nbytes = 8 * len(self._words)
-        bits = op(
-            int.from_bytes(self._words.tobytes(), sys.byteorder),
-            int.from_bytes(other._words.tobytes(), sys.byteorder),
-        )
-        return array("Q", bits.to_bytes(nbytes, sys.byteorder))
-
-    def intersect(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise intersection: superset of the true value intersection."""
-        if not self.compatible_with(other):
-            raise ValueError("cannot intersect incompatible Bloom filters")
-        merged = self._merge_blank()
-        merged._words = self._merged_words(other, and_)
+        bits = int.from_bytes(self._words.tobytes(), sys.byteorder) \
+            & int.from_bytes(other._words.tobytes(), sys.byteorder)
+        merged._words = array("Q", bits.to_bytes(nbytes, sys.byteorder))
         merged.n_added = min(self.n_added, other.n_added)
-        return merged
-
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise union: exactly the filter of the value union."""
-        if not self.compatible_with(other):
-            raise ValueError("cannot union incompatible Bloom filters")
-        merged = self._merge_blank()
-        merged._words = self._merged_words(other, or_)
-        merged.n_added = self.n_added + other.n_added
         return merged
 
     # -- wire format (distributed shipping) -----------------------------

@@ -63,7 +63,12 @@ class WorkloadQuery:
     def build_baseline(self, catalog: Catalog) -> LogicalNode:
         return self._baseline(catalog)
 
-    def build_magic(self, catalog: Catalog) -> LogicalNode:
+    def build(self, catalog: Catalog, magic: bool) -> LogicalNode:
+        """The plan a strategy runs: the magic-sets rewrite when
+        ``magic``, refused for a query without one, else the baseline
+        plan."""
+        if not magic:
+            return self._baseline(catalog)
         if self._magic is None:
             raise ValueError("%s has no magic-sets variant" % self.qid)
         return self._magic(catalog)

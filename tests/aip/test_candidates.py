@@ -92,7 +92,7 @@ def table_i_plans():
         catalog = cached_tpch(scale_factor=0.001, skew=query.skew)
         yield qid, "baseline", query.build_baseline(catalog), catalog
         if query.has_magic:
-            yield qid, "magic", query.build_magic(catalog), catalog
+            yield qid, "magic", query.build(catalog, magic=True), catalog
 
 
 class TestInterestPruning:

@@ -37,15 +37,14 @@ class TestSizing:
 
         schema = Schema.of(("a", "int"), ("b", "str"))
         rows = [(i, "x") for i in range(5)]
-        governor = MemoryGovernor(budget=None)
+        governor = MemoryGovernor(budget=1 << 40)
         try:
             ctx = ExecutionContext(Catalog(), governor=governor)
-            paged = PagedRows(ctx, schema, rows, page_rows=5)
-            assert paged.slice(0, 5) == rows
-            (frame,) = governor.buffer._all.values()
+            paged = PagedRows(ctx, schema, rows)
+            assert paged.slice(0, 5) == rows  # one page
             assert (
                 CachedResult(rows, schema, 0.0).byte_size()
-                == frame.nbytes
+                == governor.buffer.resident_bytes
                 == sizing.rows_nbytes(schema, 5)
             )
         finally:

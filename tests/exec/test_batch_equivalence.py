@@ -150,10 +150,7 @@ def _run_immediate(plan, catalog, strategy, tracer=None, budget=None):
 def _immediate_query_run(qid, strategy, tracer=None, budget=None):
     query = get_query(qid)
     catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
-    plan = (
-        query.build_magic(catalog) if uses_magic_plan(strategy)
-        else query.build_baseline(catalog)
-    )
+    plan = query.build(catalog, uses_magic_plan(strategy))
     return observed(
         _run_immediate, plan, catalog, strategy, tracer=tracer, budget=budget,
     )
@@ -457,7 +454,7 @@ class TestConcurrentComposite:
         plans = [
             get_query("Q4A").build_baseline(catalog),
             get_query("Q1A").build_baseline(catalog),
-            get_query("Q1A").build_magic(catalog),
+            get_query("Q1A").build(catalog, magic=True),
         ]
         strategies = [
             make_strategy("feedforward"),
@@ -644,7 +641,7 @@ class TestSharedSubexpression:
 
         query = get_query("Q2E")
         catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
-        dag = translate(query.build_magic(catalog), ExecutionContext(catalog))
+        dag = translate(query.build(catalog, magic=True), ExecutionContext(catalog))
         shared = [op for op in dag.sink.walk() if len(op.parents) > 1]
         assert shared
         if first_parent == "reversed":

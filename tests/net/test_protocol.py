@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.net import protocol
 from repro.net.protocol import (
     FRAME_ROWS, FRAME_TYPES, INLINE_ROWS, MAX_FRAME_BYTES, PROTOCOL_VERSION,
     ROWS_MARKER, ROWS_PER_FRAME, ConnectionClosed, ProtocolError,
@@ -163,10 +164,12 @@ class TestMalformedFrames:
         with pytest.raises(ProtocolError, match="ceiling"):
             read_frame(io.BytesIO(header))
 
-    def test_per_call_ceiling_override(self):
+    def test_per_call_ceiling_override(self, monkeypatch):
+        """Each read checks ``MAX_FRAME_BYTES`` as it stands then."""
         wire = encode_frame({"type": "query", "id": 1, "text": "x" * 100})
-        with pytest.raises(ProtocolError, match="ceiling"):
-            read_frame(io.BytesIO(wire), max_frame=16)
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 16)
+        with pytest.raises(ProtocolError, match="16-byte ceiling"):
+            read_frame(io.BytesIO(wire))
 
     def test_non_json_payload(self):
         wire = struct.pack(">I", 9) + b"not json!"

@@ -100,6 +100,17 @@ class TestTransportEquivalence:
             # The session survives each refusal, on both sides.
             assert remote.query("Q1A") == local.query("Q1A")
 
+    def test_magic_without_a_variant_is_an_error_frame(self, catalog):
+        with make_server(catalog) as server, \
+                connect(port=server.port) as remote, \
+                InProcessClient(catalog, ServiceConfig()) as local:
+            assert "Q4A has no magic-sets variant" in self.both_raise(
+                remote, local, "Q4A", strategy="magic",
+            )
+            assert remote.query("Q1A", strategy="magic") == local.query(
+                "Q1A", strategy="magic",
+            )
+
     def test_sheds_match_in_process(self, catalog):
         config = dict(quotas={"capped": TenantQuota(max_state_bytes=1.0)})
         with make_server(catalog, **config) as server, \

@@ -14,10 +14,7 @@ SCALE = 0.001
 def _analyze(qid, strategy="costbased", **kwargs):
     query = get_query(qid)
     catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
-    plan = (
-        query.build_magic(catalog) if strategy == "magic"
-        else query.build_baseline(catalog)
-    )
+    plan = query.build(catalog, strategy == "magic")
     return explain_analyze(plan, catalog, strategy=strategy, **kwargs)
 
 

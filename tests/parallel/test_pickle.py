@@ -35,10 +35,7 @@ def _roundtrip(obj):
 def _plan(qid, strategy="baseline", partitions=0):
     query = get_query(qid)
     catalog = cached_tpch(scale_factor=SCALE, skew=query.skew)
-    plan = (
-        query.build_magic(catalog) if uses_magic_plan(strategy)
-        else query.build_baseline(catalog)
-    )
+    plan = query.build(catalog, uses_magic_plan(strategy))
     if partitions:
         mark_remote_scans(plan, partitioned_placement(query, partitions))
     return plan, catalog

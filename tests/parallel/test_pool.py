@@ -42,8 +42,14 @@ def _query_task(qid="Q2A", strategy="baseline"):
     return QueryTask(CatalogSpec.warm(), plan, strategy, label=qid)
 
 
+def _run(pool, task):
+    """Submit one task and gather its result."""
+    (result,) = pool.gather([pool.submit(task)], timeout=120)
+    return result
+
+
 def test_query_task_runs(pool):
-    result = pool.run(_query_task(), timeout=120)
+    result = _run(pool, _query_task())
     assert result.ok, result.error
     (query,) = result.payload["run"].queries
     assert query.error is None
@@ -53,7 +59,7 @@ def test_query_task_runs(pool):
 
 def test_crash_is_a_task_error_not_a_pool_error(pool):
     before = pool.registry.counter("pool.workers_respawned").value
-    result = pool.run(CrashTask(), timeout=120)
+    result = _run(pool, CrashTask())
     assert not result.ok
     assert "died" in result.error
     assert "exit code 17" in result.error
@@ -61,9 +67,9 @@ def test_crash_is_a_task_error_not_a_pool_error(pool):
 
 
 def test_pool_stays_usable_after_crash(pool):
-    crash = pool.run(CrashTask(exit_code=3), timeout=120)
+    crash = _run(pool, CrashTask(exit_code=3))
     assert "exit code 3" in crash.error
-    result = pool.run(_query_task("Q4A"), timeout=120)
+    result = _run(pool, _query_task("Q4A"))
     assert result.ok, result.error
     assert result.payload["run"].queries[0].result.rows
     # two workers again after every crash
@@ -88,7 +94,7 @@ def test_unpicklable_task_rejected_before_dispatch(pool):
     assert pool._next_task_id == next_id
     assert pool.registry.counter("pool.tasks_dispatched").value == dispatched
     # ... and the pool still takes the next task.
-    assert pool.run(_query_task(), timeout=120).ok
+    assert _run(pool, _query_task()).ok
 
 
 def test_closed_pool_refuses_submissions(pool):

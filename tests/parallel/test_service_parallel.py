@@ -128,7 +128,7 @@ def test_worker_crash_respawns_and_service_recovers(catalog, spec):
         result_cache=False, aip_cache=False,
     )
     pool = svc._backend.ensure_pool()
-    crash = pool.run(CrashTask())
+    (crash,) = pool.gather([pool.submit(CrashTask())])
     assert crash.error is not None and "died" in crash.error
     svc.submit("Q2A")
     report = svc.run()

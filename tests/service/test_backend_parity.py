@@ -9,6 +9,7 @@ of one through the executor must in turn equal the plain one-shot
 engine.
 """
 
+import json
 import re
 import sys
 
@@ -55,8 +56,9 @@ def _serve(catalog, tmp_path, name, stream=STREAM, **config):
     for qid, strategy in stream:
         service.submit(qid, strategy=strategy)
     report = service.run()
-    events = service.eventlog.tail(1000)
     service.close()
+    with open(tmp_path / name, encoding="utf-8") as fh:
+        events = [json.loads(line) for line in fh]
     return service, report, events
 
 

@@ -54,7 +54,7 @@ def collector_off():
 def _plans(catalog, qid, strategy):
     query = get_query(qid)
     if strategy == MAGIC:
-        return [(query.build_magic(catalog), strategy)]
+        return [(query.build(catalog, magic=True), strategy)]
     return [(query.build_baseline(catalog), strategy)]
 
 

@@ -46,7 +46,7 @@ class TestPlanSignature:
     def test_magic_and_baseline_differ(self, catalog):
         query = get_query("Q2A")
         assert plan_signature(query.build_baseline(catalog)) != plan_signature(
-            query.build_magic(catalog)
+            query.build(catalog, magic=True)
         )
 
     def test_site_stamping_changes_signature(self, catalog):

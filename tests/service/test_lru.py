@@ -7,7 +7,7 @@ from repro.service.lru import LruDict
 
 class TestLruDict:
     def test_get_refreshes_recency(self):
-        lru = LruDict(2)
+        lru = LruDict(2, byte_size_of=lambda value: 1, max_bytes=100)
         lru.put("a", 1)
         lru.put("b", 2)
         assert lru.get("a") == 1
@@ -16,7 +16,7 @@ class TestLruDict:
         assert "a" in lru and "c" in lru
 
     def test_entry_cap(self):
-        lru = LruDict(3)
+        lru = LruDict(3, byte_size_of=lambda value: 1, max_bytes=100)
         for i in range(5):
             lru.put(i, i)
         assert len(lru) == 3
@@ -47,10 +47,6 @@ class TestLruDict:
         assert lru.get("a") == "xx"
         assert lru.byte_size() == 2
 
-    def test_byte_cap_requires_sizer(self):
-        with pytest.raises(ValueError):
-            LruDict(4, max_bytes=100)
-
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            LruDict(0)
+            LruDict(0, byte_size_of=len, max_bytes=100)

@@ -338,6 +338,20 @@ class TestServiceBasics:
         assert report.outcomes[0].status == OK
         assert service.admission.in_flight_queries == 0
 
+    def test_magic_without_a_variant_rejected_at_submit(self, catalog):
+        """``magic`` on a query with no magic-sets rewrite (Q4A), or on
+        SQL text, is refused at submit, as ``run_workload_query``
+        refuses it, instead of running the baseline plan recorded as
+        ``strategy=magic``."""
+        service = QueryService(catalog)
+        for text in ("Q4A", "select count(*) as n from part"):
+            with pytest.raises(ValueError, match="no magic-sets variant"):
+                service.submit(text, strategy="magic")
+        service.submit("Q1A", strategy="magic")
+        report = service.run()
+        assert [o.status for o in report.outcomes] == [OK]
+        assert service.admission.in_flight_queries == 0
+
     def test_published_sets_observe_their_bloom_fill(self, catalog):
         """Every set a Feed-Forward run publishes is counted, and each
         one's Bloom fill fraction lies in [0, 1].  Zero is an empty

@@ -4,13 +4,18 @@ import os
 
 import pytest
 
+from repro.common.sizing import row_nbytes
+from repro.data.catalog import Catalog
+from repro.data.schema import Schema
+from repro.exec.context import ExecutionContext
+from repro.storage.buffer import PagedRows
 from repro.storage.governor import MemoryGovernor
 from repro.storage.spill import Spool
 
 
 class TestLeases:
     def test_grow_shrink_close(self):
-        g = MemoryGovernor(budget=None)
+        g = MemoryGovernor(budget=1 << 40)
         lease = g.lease("op")
         g.request(lease, 100)
         assert g.resident_bytes == 100
@@ -23,7 +28,7 @@ class TestLeases:
         g.close()
 
     def test_negative_grow_releases(self):
-        g = MemoryGovernor(budget=None)
+        g = MemoryGovernor(budget=1 << 40)
         lease = g.lease("op")
         g.request(lease, 100)
         g.request(lease, -30)
@@ -50,16 +55,28 @@ class _FakeSpillable:
         return freed
 
 
+def _page(governor, nbytes):
+    """A scan whose one resident page weighs ``nbytes`` (a multiple of
+    its 24-byte rows)."""
+    schema = Schema.of(("a", "int"))
+    rows = [(0,)] * (nbytes // row_nbytes(schema))
+    scan = PagedRows(ExecutionContext(Catalog(), governor=governor), schema, rows)
+    scan[0]
+    assert governor.buffer.resident_bytes == nbytes
+    return scan
+
+
 class TestReclaim:
     def test_buffer_evicted_before_operators_spill(self):
         g = MemoryGovernor(budget=1000)
-        g.buffer.add([("row",)], 0, 1, 600)
+        page = _page(g, 600)
         handler = _FakeSpillable(600)
         g.register_spillable(handler)
         lease = g.lease("op")
         g.request(lease, 600)
         # 600 page + 600 grow > 1000: the page eviction alone covers it.
         assert not handler.asked
+        assert page.page is None
         assert g.resident_bytes == 600
         assert g.peak_resident_bytes <= 1000
         g.close()
@@ -79,18 +96,15 @@ class TestReclaim:
 
     def test_room_counts_what_a_reclaim_could_free(self):
         g = MemoryGovernor(budget=1000)
-        frame = g.buffer.add([("row",)], 0, 1, 300)
+        _page(g, 288)
         g.register_spillable(_FakeSpillable(200))
         lease = g.lease("op")
         g.request(lease, 400)
-        # 1000 - 700 resident, plus the 300-byte page and 200 spillable.
+        # 1000 - 688 resident, plus the 288-byte page and 200 spillable.
         assert g.room() == 800
-        g.buffer.pin(frame)
-        assert g.room() == 500  # a pinned page cannot be evicted
+        g.buffer.hold(100)
+        assert g.room() == 700  # a held run's rows cannot be evicted
         g.close()
-        unbounded = MemoryGovernor(budget=None)
-        assert unbounded.room() is None
-        unbounded.close()
 
     def test_over_budget_recorded_when_nothing_reclaimable(self):
         g = MemoryGovernor(budget=10)
@@ -113,7 +127,7 @@ class TestEdgeBudgets:
 
     def test_page_records_shrink_with_small_budgets(self):
         wide_row = 200
-        unbounded = MemoryGovernor(budget=None)
+        unbounded = MemoryGovernor(budget=1 << 40)
         tiny = MemoryGovernor(budget=8192)
         try:
             assert unbounded.page_records_for(wide_row) > \
@@ -143,7 +157,7 @@ class TestSpoolReclaim:
         g.close()
 
     def test_records_stream_repeatedly(self):
-        g = MemoryGovernor(budget=None)
+        g = MemoryGovernor(budget=1 << 40)
         spool = Spool(None, g, record_nbytes=8, label="t")
         for i in range(5):
             spool.append(i)
@@ -154,7 +168,7 @@ class TestSpoolReclaim:
         g.close()
 
     def test_discard_closes_the_lease(self):
-        g = MemoryGovernor(budget=None)
+        g = MemoryGovernor(budget=1 << 40)
         spool = Spool(None, g, record_nbytes=8, label="t")
         spool.append(1)
         spool.discard()
@@ -166,7 +180,7 @@ class TestSpoolReclaim:
 
 class TestCleanup:
     def test_close_removes_spill_dir(self):
-        g = MemoryGovernor(budget=None)
+        g = MemoryGovernor(budget=1 << 40)
         spool = Spool(None, g, record_nbytes=10, label="t")
         spool.append("data")
         spool.flush()
@@ -176,6 +190,6 @@ class TestCleanup:
         assert not os.path.exists(path)
 
     def test_close_without_spills_is_clean(self):
-        g = MemoryGovernor(budget=None)
+        g = MemoryGovernor(budget=1 << 40)
         assert g.backend.path is None
         g.close()

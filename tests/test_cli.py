@@ -128,7 +128,7 @@ class TestObservabilityFlags:
             "explain", "Q4A", "--analyze", "--strategy", "magic",
             "--scale", "0.002",
         ]) == 2
-        assert "no magic-sets plan" in capsys.readouterr().err
+        assert "Q4A has no magic-sets variant" in capsys.readouterr().err
 
     def test_explain_analyze_trace_out(self, capsys, tmp_path):
         from repro.obs.trace import validate_chrome_trace
@@ -243,6 +243,12 @@ class TestWorkloadCommand:
     def test_missing_script_path_reported(self, capsys):
         assert main(["workload", "no/such/stream.txt"]) == 2
         assert "no such workload script" in capsys.readouterr().err
+
+    def test_magic_without_a_variant_is_a_usage_error(self, capsys):
+        assert main([
+            "workload", "Q4A", "--strategy", "magic", "--scale", "0.002",
+        ]) == 2
+        assert "Q4A has no magic-sets variant" in capsys.readouterr().err
 
     def test_unknown_qid_reported_not_sql_error(self, capsys):
         assert main(["workload", "Q9Z"]) == 2

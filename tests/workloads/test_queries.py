@@ -69,7 +69,7 @@ class TestPlansValid:
     def test_magic_plan_validates(self, qid):
         query = get_query(qid)
         catalog = catalog_for(query)
-        validate_plan(query.build_magic(catalog), catalog)
+        validate_plan(query.build(catalog, magic=True), catalog)
 
 
 class TestResults:
@@ -88,7 +88,7 @@ class TestResults:
         query = get_query(qid)
         catalog = catalog_for(query)
         base = execute_plan(query.build_baseline(catalog), ExecutionContext(catalog))
-        magic = execute_plan(query.build_magic(catalog), ExecutionContext(catalog))
+        magic = execute_plan(query.build(catalog, magic=True), ExecutionContext(catalog))
         assert rows_equal(base.rows, magic.rows)
 
     @pytest.mark.parametrize("qid", ALL_QIDS)
